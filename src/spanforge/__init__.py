@@ -37,7 +37,7 @@ from .spanprog import (
     validate,
     witness_report,
 )
-from .spectral import build_U, build_Uprime, discriminant, kappa_bound, phase_gap
+from .spectral import build_U, build_Uprime, discriminant, kappa_bound
 
 __version__ = "0.1.0"
 
@@ -74,5 +74,4 @@ __all__ = [
     "build_Uprime",
     "discriminant",
     "kappa_bound",
-    "phase_gap",
 ]

@@ -11,6 +11,7 @@ exactly zero instead of having its noise inverted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,6 +31,8 @@ class Tolerances:
 
 
 DEFAULT_TOLS = Tolerances()
+
+PHASE_ROUND_TOL = 1e-9  # decompose_orthogonal snaps phases this close to 0 or pi
 
 
 def _reference(s: np.ndarray, scale: Optional[float]) -> float:
@@ -95,16 +98,14 @@ def pinv(
 
 
 def in_column_space(
-    mat: np.ndarray,
-    vec: np.ndarray,
-    tols: Tolerances = DEFAULT_TOLS,
-    scale: Optional[float] = None,
+    mat: np.ndarray, mat_pinv: np.ndarray, vec: np.ndarray, tols: Tolerances = DEFAULT_TOLS
 ) -> bool:
+    """vec lies in col(mat), judged with mat's pseudo-inverse mat_pinv."""
     vec = np.asarray(vec, dtype=float)
     nv = np.linalg.norm(vec)
     if nv == 0.0:
         return True
-    resid = mat @ (pinv(mat, tols, scale) @ vec) - vec
+    resid = mat @ (mat_pinv @ vec) - vec
     return bool(np.linalg.norm(resid) <= tols.membership_rtol * nv)
 
 
@@ -154,22 +155,30 @@ def is_orthogonal_projector(mat: np.ndarray, tol: float = 1e-10) -> bool:
     )
 
 
-def unit_singular_count(mat: np.ndarray, tol: float = 1e-8) -> int:
-    """Number of singular values within tol of 1 (dimension of exact overlap)."""
-    s = singular_values(mat)
-    return int(np.sum(np.abs(s - 1.0) <= tol))
+def intersection_dims(
+    pi_a: np.ndarray, pi_b: np.ndarray, tol: float = math.sin(PHASE_ROUND_TOL / 2.0)
+) -> dict:
+    """Dimensions of the four intersections of the subspaces behind two projectors.
 
+    dim(P cap Q) = dim P - rank(Pi_{Q^perp} Pi_P): a unit vector of P at
+    principal angle phi from Q keeps a component sin(phi) outside Q, and a
+    singular value at most tol counts as zero.  The reflection product
+    (2 Pi_A - I)(2 Pi_B - I) turns the plane of such a vector by 2 phi, so the
+    default cutoff counts a direction exactly when decompose_orthogonal snaps
+    its phase to 0 or pi.
+    """
+    eye = np.eye(pi_a.shape[0])
+    ca, cb = eye - pi_a, eye - pi_b
 
-def intersection_dims(pi_a: np.ndarray, pi_b: np.ndarray, tol: float = 1e-8) -> dict:
-    """Dimensions of the four intersections of the subspaces behind two projectors."""
-    dim = pi_a.shape[0]
-    ca = np.eye(dim) - pi_a
-    cb = np.eye(dim) - pi_b
+    def meet(pi_p: np.ndarray, pi_q_perp: np.ndarray) -> int:
+        dim_p = int(round(float(np.trace(pi_p))))
+        return dim_p - int(np.sum(singular_values(pi_q_perp @ pi_p) > tol))
+
     return {
-        "a_and_b": unit_singular_count(pi_a @ pi_b, tol),
-        "a_and_bperp": unit_singular_count(pi_a @ cb, tol),
-        "aperp_and_b": unit_singular_count(ca @ pi_b, tol),
-        "aperp_and_bperp": unit_singular_count(ca @ cb, tol),
+        "a_and_b": meet(pi_a, cb),
+        "a_and_bperp": meet(pi_a, pi_b),
+        "aperp_and_b": meet(ca, cb),
+        "aperp_and_bperp": meet(ca, pi_b),
     }
 
 

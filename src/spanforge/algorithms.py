@@ -174,22 +174,12 @@ def decide_threshold(
     rng: np.random.Generator,
     ledger: QueryLedger,
     tols: Tolerances = DEFAULT_TOLS,
-    cache: Optional[dict] = None,
 ) -> int:
     """Return 1 when the chosen witness size of x is small (<= spec.w_bound),
     0 when it is large (>= spec.w_bound / spec.lam); correct with probability
     >= 2/3 under that promise, arbitrary in the gap.
-
-    cache, when given, memoizes the per-spec decision context so repeated
-    decisions on the same (program, x) resample only the amplitude estimate.
     """
-    key = (spec.side, spec.lam, spec.w_bound, spec.w_tilde_bound)
-    if cache is not None and key in cache:
-        ctx = cache[key]
-    else:
-        ctx = decision_context(program, x, spec, tols)
-        if cache is not None:
-            cache[key] = ctx
+    ctx = decision_context(program, x, spec, tols)
     return amplitude_gap_decide(
         ctx.p_exact,
         ctx.p0,
@@ -223,9 +213,11 @@ def decide_threshold_success_probability(
     return amplitude_gap_success_probability(ctx.p_exact, ctx.p0, ctx.p1, truth_high)
 
 
-def majority_reps(err_budget: float, base_success: float = DECIDE_SUCCESS_FLOOR) -> int:
-    """Smallest odd repetition count whose majority vote has error at most
-    err_budget, by the Hoeffding bound exp(-2 k (base - 1/2)^2)."""
+def majority_reps(err_budget: float, base_success: float) -> int:
+    """Smallest odd repetition count whose majority vote over runs that each
+    succeed with probability >= base_success has error at most err_budget, by
+    the Hoeffding bound exp(-2 k (base - 1/2)^2).  A median of estimates
+    fails only when a majority of them does, so the count serves medians too."""
     margin = base_success - 0.5
     k = max(1, math.ceil(math.log(1.0 / err_budget) / (2.0 * margin * margin)))
     return k if k % 2 == 1 else k + 1
@@ -239,23 +231,16 @@ def _threshold_votes(
     rng: np.random.Generator,
     ledger: QueryLedger,
     tols: Tolerances,
-    cache: Optional[dict],
     flags: Optional[list[str]] = None,
 ) -> int:
     """Number of 1-votes among reps independent threshold decisions, sampled
-    from one cached outcome distribution (equivalent to reps decide_threshold
-    calls, charged identically)."""
-    key = (spec.side, spec.lam, spec.w_bound, spec.w_tilde_bound, "votes")
-    if cache is not None and key in cache:
-        ctx, grid_ae, dist, high_mask = cache[key]
-    else:
-        ctx = decision_context(program, x, spec, tols)
-        grid_ae = amp_gap_grid_size(ctx.p0, ctx.p1)
-        dist = ae_outcome_distribution(ctx.p_exact, grid_ae)
-        dist = dist / dist.sum()
-        high_mask = ae_estimates(grid_ae) >= amp_gap_threshold(ctx.p0, ctx.p1)
-        if cache is not None:
-            cache[key] = (ctx, grid_ae, dist, high_mask)
+    from one outcome distribution (equivalent to reps decide_threshold calls,
+    charged identically)."""
+    ctx = decision_context(program, x, spec, tols)
+    grid_ae = amp_gap_grid_size(ctx.p0, ctx.p1)
+    dist = ae_outcome_distribution(ctx.p_exact, grid_ae)
+    dist = dist / dist.sum()
+    high_mask = ae_estimates(grid_ae) >= amp_gap_threshold(ctx.p0, ctx.p1)
     if flags is not None:
         for flag in ctx.flags:
             if flag not in flags:
@@ -295,7 +280,6 @@ def witness_estimate(
     ledger: QueryLedger,
     tols: Tolerances = DEFAULT_TOLS,
     w_tilde_bound: Optional[float] = None,
-    cache: Optional[dict] = None,
     max_rounds: Optional[int] = None,
 ) -> EstimateResult:
     """Estimate w_side(x) of a normalized program to relative accuracy eps.
@@ -314,25 +298,19 @@ def witness_estimate(
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
 
-    if cache is not None and ("entry", side, w_tilde_bound) in cache:
-        w_true, w_tilde_bound = cache[("entry", side, w_tilde_bound)]
+    _assert_normalized(program, tols)
+    if side == POSITIVE:
+        _, w_true = positive_witness(program, x, tols)
+        if math.isinf(w_true):
+            raise GloballyInfeasibleError("x has no positive witness; cannot estimate w_+")
+        if w_tilde_bound is None:
+            _, _, w_tilde_bound = min_error_negative(program, x, tols)
     else:
-        _assert_normalized(program, tols)
-        key = ("entry", side, w_tilde_bound)
-        if side == POSITIVE:
-            _, w_true = positive_witness(program, x, tols)
-            if math.isinf(w_true):
-                raise GloballyInfeasibleError("x has no positive witness; cannot estimate w_+")
-            if w_tilde_bound is None:
-                _, _, w_tilde_bound = min_error_negative(program, x, tols)
-        else:
-            _, w_true = negative_witness(program, x, tols)
-            if math.isinf(w_true):
-                raise GloballyInfeasibleError("x has no negative witness; cannot estimate w_-")
-            if w_tilde_bound is None:
-                _, _, w_tilde_bound = min_error_positive(program, x, tols)
-        if cache is not None:
-            cache[key] = (w_true, w_tilde_bound)
+        _, w_true = negative_witness(program, x, tols)
+        if math.isinf(w_true):
+            raise GloballyInfeasibleError("x has no negative witness; cannot estimate w_-")
+        if w_tilde_bound is None:
+            _, _, w_tilde_bound = min_error_positive(program, x, tols)
 
     start_queries = ledger.total
     flags: list[str] = []
@@ -349,8 +327,8 @@ def witness_estimate(
         spec = ThresholdSpec(
             side=side, lam=e0 / e1, w_bound=1.0 / e1, w_tilde_bound=w_tilde_bound
         )
-        reps = majority_reps((1.0 / 9.0) * (2.0 / 3.0) ** (rounds - 1))
-        votes = _threshold_votes(program, x, spec, reps, rng, ledger, tols, cache, flags)
+        reps = majority_reps((1.0 / 9.0) * (2.0 / 3.0) ** (rounds - 1), DECIDE_SUCCESS_FLOOR)
+        votes = _threshold_votes(program, x, spec, reps, rng, ledger, tols, flags)
         e_max, e_min = interval_update(e_max, e_min, 2 * votes > reps)
         if e_max <= (1.0 + eps) * e_min:
             break
@@ -363,14 +341,6 @@ def witness_estimate(
         rounds=rounds,
         flags=tuple(flags),
     )
-
-
-def median_reps(err_budget: float, base_success: float = AE_SUCCESS_FLOOR) -> int:
-    """Smallest odd repetition count whose median estimate violates the
-    single-run error bound with probability at most err_budget."""
-    margin = base_success - 0.5
-    k = max(1, math.ceil(math.log(1.0 / err_budget) / (2.0 * margin * margin)))
-    return k if k % 2 == 1 else k + 1
 
 
 def _ae_grid_for_stage(eps: float, scale_floor: float) -> int:
@@ -407,7 +377,6 @@ def gap_estimate(
     rng: np.random.Generator,
     ledger: QueryLedger,
     tols: Tolerances = DEFAULT_TOLS,
-    cache: Optional[dict] = None,
 ) -> EstimateResult:
     """Estimate w_side(x) of a normalized program given a lower bound delta_lb
     on the phase gap of the relevant unitary at x.
@@ -425,22 +394,17 @@ def gap_estimate(
         raise ValueError("eps must lie in (0, 1)")
     _assert_normalized(program, tols)
 
-    cache = cache if cache is not None else {}
-    if ("unitary", side) in cache:
-        dec, w0, w_true = cache[("unitary", side)]
+    if side == POSITIVE:
+        _, w_true = positive_witness(program, x, tols)
+        if math.isinf(w_true):
+            raise GloballyInfeasibleError("x has no positive witness; cannot estimate w_+")
+        dec = build_Uprime(program, x, tols)
     else:
-        if side == POSITIVE:
-            _, w_true = positive_witness(program, x, tols)
-            if math.isinf(w_true):
-                raise GloballyInfeasibleError("x has no positive witness; cannot estimate w_+")
-            dec = build_Uprime(program, x, tols)
-        else:
-            _, w_true = negative_witness(program, x, tols)
-            if math.isinf(w_true):
-                raise GloballyInfeasibleError("x has no negative witness; cannot estimate w_-")
-            dec = build_U(program, x, tols)
-        w0 = minimal_witness(program, tols).w0
-        cache[("unitary", side)] = (dec, w0, w_true)
+        _, w_true = negative_witness(program, x, tols)
+        if math.isinf(w_true):
+            raise GloballyInfeasibleError("x has no negative witness; cannot estimate w_-")
+        dec = build_U(program, x, tols)
+    w0 = minimal_witness(program, tols).w0
 
     start_queries = ledger.total
     flags: list[str] = []
@@ -449,29 +413,17 @@ def gap_estimate(
     while True:
         if stage > 200:
             raise RuntimeError("gap_estimate failed to terminate (simulation anomaly)")
-        key = ("stage", eps, eps_hat)
-        if key in cache:
-            grid_pe, grid_ae, sampler = cache[key]
-        else:
-            grid_pe = pe_grid_size(delta_lb, eps_hat)
-            grid_ae = _ae_grid_for_stage(eps, eps_hat)
-            sampler = _ae_sampler(outcome_zero_probability(dec, w0, grid_pe), grid_ae)
-            cache[key] = (grid_pe, grid_ae, sampler)
-        reps = median_reps((1.0 / 6.0) * 0.5 ** (stage + 1))
+        grid_pe = pe_grid_size(delta_lb, eps_hat)
+        grid_ae = _ae_grid_for_stage(eps, eps_hat)
+        sampler = _ae_sampler(outcome_zero_probability(dec, w0, grid_pe), grid_ae)
+        reps = majority_reps((1.0 / 6.0) * 0.5 ** (stage + 1), AE_SUCCESS_FLOOR)
         p_tilde = _sample_ae_median(
             sampler, reps, rng, ledger, grid_ae * pe_queries(grid_pe)
         )
         if p_tilde > 2.0 * (1.0 + eps / 4.0) * eps_hat:
-            key_fin = ("final", eps, eps_hat)
-            if key_fin in cache:
-                grid_pe2, sampler_fin = cache[key_fin]
-            else:
-                grid_pe2 = pe_grid_size(delta_lb, (eps / 8.0) * eps_hat)
-                sampler_fin = _ae_sampler(
-                    outcome_zero_probability(dec, w0, grid_pe2), grid_ae
-                )
-                cache[key_fin] = (grid_pe2, sampler_fin)
-            reps_fin = median_reps(1.0 / 6.0)
+            grid_pe2 = pe_grid_size(delta_lb, (eps / 8.0) * eps_hat)
+            sampler_fin = _ae_sampler(outcome_zero_probability(dec, w0, grid_pe2), grid_ae)
+            reps_fin = majority_reps(1.0 / 6.0, AE_SUCCESS_FLOOR)
             p_final = _sample_ae_median(
                 sampler_fin, reps_fin, rng, ledger, grid_ae * pe_queries(grid_pe2)
             )
@@ -500,7 +452,6 @@ def kappa_estimate(
     rng: np.random.Generator,
     ledger: QueryLedger,
     tols: Tolerances = DEFAULT_TOLS,
-    cache: Optional[dict] = None,
 ) -> EstimateResult:
     """Estimate w_side(x) of an arbitrary program given
     kappa >= sigma_max(A)/sigma_min(A(x)).
@@ -514,7 +465,7 @@ def kappa_estimate(
         raise ValueError("kappa is at least 1 (it bounds sigma_max/sigma_min)")
     n_val = minimal_witness(program, tols).n_plus
     rescaled = normalize(program, tols)
-    result = gap_estimate(rescaled, x, eps, 2.0 / kappa, side, rng, ledger, tols, cache)
+    result = gap_estimate(rescaled, x, eps, 2.0 / kappa, side, rng, ledger, tols)
     value = result.value * n_val if side == POSITIVE else result.value / n_val
     return EstimateResult(
         value=value,

@@ -3,7 +3,7 @@
 Random span programs use small integer data so that every test instance is
 well conditioned at desk scale; feasibility (tau in col A) is arranged by
 construction.  Graph enumeration up to isomorphism comes from the networkx
-atlas (all graphs on at most seven vertices).
+atlas (all graphs on at most seven vertices); networkx is imported only there.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import itertools
 from typing import Iterator, Optional
 
 import numpy as np
-import networkx as nx
 
 from ._linalg import column_space_basis, numerical_rank
 from .resistance import Graph
@@ -170,26 +169,16 @@ def random_graph(
         if t >= s:
             t += 1
         g = Graph(n=n, edges=frozenset(edges), s=s, t=t)
-        if not require_connected or _is_connected(g):
+        if not require_connected or g.connected():
             return g
     raise RuntimeError("failed to sample a connected graph")
-
-
-def _is_connected(g: Graph) -> bool:
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in g.neighbors(u):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == g.n
 
 
 def connected_graphs_upto(max_n: int = 7, min_n: int = 2) -> list[Graph]:
     """All connected graphs on min_n..max_n vertices, one per isomorphism
     class (networkx atlas), with s = 0 and t = n-1."""
+    import networkx as nx
+
     if max_n > 7:
         raise ValueError("the atlas covers graphs on at most 7 vertices")
     out = []

@@ -13,6 +13,7 @@ the cycle space kept as a second, pseudo-inverse-free path for tiny graphs.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -57,6 +58,11 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range")
             norm.add((min(u, v), max(u, v)))
         object.__setattr__(self, "edges", frozenset(norm))
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in norm:
+            adj[u].append(v)
+            adj[v].append(u)
+        object.__setattr__(self, "_adj", tuple(tuple(sorted(nbrs)) for nbrs in adj))
 
     def adjacency(self) -> np.ndarray:
         adj = np.zeros((self.n, self.n))
@@ -64,21 +70,28 @@ class Graph:
             adj[u, v] = adj[v, u] = 1.0
         return adj
 
-    def neighbors(self, u: int) -> list[int]:
-        return [v for v in range(self.n) if (min(u, v), max(u, v)) in self.edges and v != u]
+    def neighbors(self, u: int) -> tuple[int, ...]:
+        """Neighbours of u in ascending order."""
+        return self._adj[u]
+
+    def spanning_tree(self, root: int) -> dict[int, Optional[int]]:
+        """Breadth-first tree of root's component: vertex -> parent (None at
+        the root), in visiting order, neighbours taken in ascending order."""
+        parent: dict[int, Optional[int]] = {root: None}
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v in self.neighbors(u):
+                if v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        return parent
+
+    def connected(self) -> bool:
+        return len(self.spanning_tree(0)) == self.n
 
     def connected_st(self) -> bool:
-        seen = {self.s}
-        stack = [self.s]
-        while stack:
-            u = stack.pop()
-            if u == self.t:
-                return True
-            for v in self.neighbors(u):
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return False
+        return self.t in self.spanning_tree(self.s)
 
 
 def graph(n: int, edges: Iterable[Edge], s: int = 0, t: Optional[int] = None) -> Graph:
@@ -176,17 +189,7 @@ def flow_resistance_bruteforce(g: Graph) -> float:
     edges = sorted(g.edges)
     index = {e: i for i, e in enumerate(edges)}
 
-    # spanning forest by BFS from s, tracking tree parents
-    parent: dict[int, Optional[int]] = {g.s: None}
-    order = [g.s]
-    queue = [g.s]
-    while queue:
-        u = queue.pop(0)
-        for v in g.neighbors(u):
-            if v not in parent:
-                parent[v] = u
-                order.append(v)
-                queue.append(v)
+    parent = g.spanning_tree(g.s)
 
     def tree_path_flow(a: int, b: int) -> np.ndarray:
         """Unit flow from a to b along tree edges (signed on sorted edges)."""
@@ -334,7 +337,6 @@ def estimate_resistance(
     ledger: QueryLedger,
     mu: Optional[float] = None,
     tols: Tolerances = DEFAULT_TOLS,
-    cache: Optional[dict] = None,
 ) -> ResistanceReport:
     """Estimate R_st(g) to relative accuracy eps with probability >= 2/3.
 
@@ -368,7 +370,7 @@ def estimate_resistance(
         wt_bound = 2.0 * g.n
         result = witness_estimate(
             normalized, x, eps, POSITIVE, rng, ledger, tols,
-            w_tilde_bound=wt_bound, cache=cache,
+            w_tilde_bound=wt_bound,
         )
         w_plus_est = result.value / g.n  # positive sizes were scaled by 1/N = n
     else:
@@ -377,7 +379,7 @@ def estimate_resistance(
         if not 0.0 < mu <= lam2 * (1.0 + 1e-9):
             raise ValueError(f"mu must lie in (0, lambda2 = {lam2!r}]")
         kappa = math.sqrt(g.n / mu)
-        result = kappa_estimate(program, x, eps, kappa, POSITIVE, rng, ledger, tols, cache)
+        result = kappa_estimate(program, x, eps, kappa, POSITIVE, rng, ledger, tols)
         w_plus_est = result.value
 
     return ResistanceReport(
@@ -463,11 +465,7 @@ def reflection_factorization_operators(n: int):
         my[flat(0, u, u, v), col] += 1.0 / math.sqrt(2.0)
         my[flat(1, v, u, v), col] -= 1.0 / math.sqrt(2.0)
 
-    a_mat = np.zeros((n, len(pairs)))
-    for col, (u, v) in enumerate(pairs):
-        a_mat[u, col] += 1.0
-        a_mat[v, col] -= 1.0
-    return mz, my, a_mat
+    return mz, my, build_st_span_program(n, 0, 1).a_mat
 
 
 def verify_reflection_factorization(n: int, tols: Tolerances = DEFAULT_TOLS) -> FactorizationCheck:

@@ -66,6 +66,7 @@ class SpanProgram:
     tau: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "_factorizations", {})
         object.__setattr__(self, "a_mat", freeze(np.atleast_2d(self.a_mat)))
         object.__setattr__(self, "tau", freeze(np.asarray(self.tau, dtype=float)))
         object.__setattr__(
@@ -91,6 +92,14 @@ class SpanProgram:
                 raise StructuralError(
                     f"subspace ({j},{a}) has {mat.shape[0]} rows, block has {rows} coordinates"
                 )
+
+    def factorization(self, tols: Tolerances = DEFAULT_TOLS) -> Factorization:
+        """A's factorization under tols: computed on first use, then kept on
+        the program, whose A and tau are read-only."""
+        fact = self._factorizations.get(tols)
+        if fact is None:
+            fact = self._factorizations[tols] = _factorize(self.a_mat, self.tau, tols)
+        return fact
 
     # -- basic geometry -------------------------------------------------
 
@@ -135,6 +144,35 @@ class MinimalWitness:
     w0: np.ndarray
     n_plus: float
     n_minus: float
+
+
+@dataclass(frozen=True)
+class Factorization:
+    """What every computation on one program needs from A, for one Tolerances.
+
+    a_pinv is A^+ from a single SVD and sigma_max is A's largest singular
+    value.  witness is w0 = A^+ tau with N_+ and N_-; when no positive witness
+    exists it is None and infeasible says why.
+    """
+
+    a_pinv: np.ndarray
+    sigma_max: float
+    witness: Optional[MinimalWitness]
+    infeasible: str = ""
+
+
+def _factorize(a_mat: np.ndarray, tau: np.ndarray, tols: Tolerances) -> Factorization:
+    a_pinv = freeze(pinv(a_mat, tols))
+    s_max = sigma_max(a_mat)
+    if not in_column_space(a_mat, a_pinv, tau, tols):
+        return Factorization(a_pinv, s_max, None, "tau is not in col(A); no positive witness exists")
+    w0 = a_pinv @ tau
+    n_plus = float(w0 @ w0)
+    if n_plus == 0.0:
+        return Factorization(a_pinv, s_max, None, "tau = 0 gives a degenerate program")
+    return Factorization(
+        a_pinv, s_max, MinimalWitness(w0=freeze(w0), n_plus=n_plus, n_minus=1.0 / n_plus)
+    )
 
 
 @dataclass(frozen=True)
@@ -218,13 +256,10 @@ def subspace_projector(
 
 def minimal_witness(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS) -> MinimalWitness:
     """w0 = A^+ tau, N_+ = ||w0||^2, and N_- = 1/N_+ (the reciprocal identity)."""
-    if not in_column_space(program.a_mat, program.tau, tols):
-        raise GloballyInfeasibleError("tau is not in col(A); no positive witness exists")
-    w0 = pinv(program.a_mat, tols) @ program.tau
-    n_plus = float(w0 @ w0)
-    if n_plus == 0.0:
-        raise GloballyInfeasibleError("tau = 0 gives a degenerate program")
-    return MinimalWitness(w0=freeze(w0), n_plus=n_plus, n_minus=1.0 / n_plus)
+    fact = program.factorization(tols)
+    if fact.witness is None:
+        raise GloballyInfeasibleError(fact.infeasible)
+    return fact.witness
 
 
 def positive_witness(
@@ -233,10 +268,11 @@ def positive_witness(
     """Optimal exact positive witness (A Pi_{H(x)})^+ tau, or (None, inf)."""
     proj = subspace_projector(program, x, tols)
     ax = program.a_mat @ proj
-    a_scale = sigma_max(program.a_mat)  # A(x) = A Pi inherits A's scale
-    if not in_column_space(ax, program.tau, tols, scale=a_scale):
+    a_scale = program.factorization(tols).sigma_max  # A(x) = A Pi inherits A's scale
+    ax_pinv = pinv(ax, tols, scale=a_scale)
+    if not in_column_space(ax, ax_pinv, program.tau, tols):
         return None, math.inf
-    w = pinv(ax, tols, scale=a_scale) @ program.tau
+    w = ax_pinv @ program.tau
     w = proj @ w  # clean any component the pseudo-inverse left outside H(x)
     return freeze(w), float(w @ w)
 
@@ -280,7 +316,7 @@ def negative_witness(
     """
     proj = subspace_projector(program, x, tols)
     ax = program.a_mat @ proj
-    a_scale = sigma_max(program.a_mat)
+    a_scale = program.factorization(tols).sigma_max
     q_perp = np.eye(program.dim_v) - projector_onto_columns(ax, tols, scale=a_scale)
     b = q_perp @ program.a_mat
     c = q_perp @ program.tau
@@ -351,7 +387,7 @@ def min_error_negative(
     z_basis = kernel_basis(program.tau[None, :], tols)  # orthonormal basis of tau^perp
 
     # Stage one in the coefficient vector y: omega = omega_p + Z y.
-    a_scale = sigma_max(program.a_mat)
+    a_scale = program.factorization(tols).sigma_max
     m1 = proj @ program.a_mat.T @ z_basis
     r1 = proj @ program.a_mat.T @ omega_p
     if z_basis.shape[1] == 0:
@@ -411,7 +447,7 @@ def minimal_negative_value(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS
     Independent of any input; tested against 1/N_+ and (omega0 A)^dag = w0/N_+.
     """
     gram = program.a_mat @ program.a_mat.T
-    a_scale = sigma_max(program.a_mat)
+    a_scale = program.factorization(tols).sigma_max
     nu, value = _min_norm_under_linear_constraint(
         gram, program.tau, tols, gram_scale=a_scale * a_scale
     )

@@ -20,17 +20,16 @@ import scipy.linalg
 
 from ._linalg import (
     DEFAULT_TOLS,
+    PHASE_ROUND_TOL,
     Tolerances,
     freeze,
     is_orthogonal_projector,
     nonzero_singular_values,
-    pinv,
     sigma_max,
     sigma_min_nonzero,
 )
 from .spanprog import SpanProgram, minimal_witness, subspace_projector
 
-PHASE_ROUND_TOL = 1e-9   # phases this close to 0 or pi are snapped
 PHASE_CLUSTER_TOL = 1e-9  # phases this close together share an eigenspace
 
 
@@ -196,8 +195,8 @@ def decompose_orthogonal(u_mat: np.ndarray, query_cost: int = 2) -> UnitaryDecom
 
 
 def kernel_projector(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Orthogonal projector onto ker(A)."""
-    a_pinv = pinv(program.a_mat, tols)
+    """Orthogonal projector I - A^+ A onto ker(A)."""
+    a_pinv = program.factorization(tols).a_pinv
     return np.eye(program.dim_h) - a_pinv @ program.a_mat
 
 
@@ -236,14 +235,6 @@ def build_Uprime(
     return decompose_orthogonal(u_prime, query_cost=2)
 
 
-def projector_small_phase(dec: UnitaryDecomposition, theta_max: float) -> np.ndarray:
-    return dec.small_phase_projector(theta_max)
-
-
-def phase_gap(dec: UnitaryDecomposition) -> float:
-    return dec.phase_gap()
-
-
 def discriminant(
     pi_a: np.ndarray, pi_b: np.ndarray, tols: Tolerances = DEFAULT_TOLS
 ) -> DiscriminantReport:
@@ -266,7 +257,7 @@ def kappa_bound(
     """Phase-gap lower bound 2 sigma_min(A(x)) / sigma_max(A), valid for both
     U(P, x) and (when x is positive) U'(P, x); returned once per unitary."""
     ax = program.a_mat @ subspace_projector(program, x, tols)
-    a_scale = sigma_max(program.a_mat)
+    a_scale = program.factorization(tols).sigma_max
     if sigma_max(ax) <= tols.rank_rtol * a_scale:
         raise ValueError("A(x) = 0: the phase-gap bound is degenerate")
     bound = 2.0 * sigma_min_nonzero(ax, tols, scale=a_scale) / a_scale

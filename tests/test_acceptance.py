@@ -247,13 +247,12 @@ def test_criterion_08_end_to_end_estimation():
         exact = exact_resistance(g)
         mu = lambda2(g)
         for method in ("effective-gap", "real-gap"):
-            cache = {}
             hits = 0
             for seed in range(100):
                 rng = np.random.default_rng([ENSEMBLE_SEED + 6, g_index, seed])
                 report = estimate_resistance(
                     g, 0.2, method, rng, QueryLedger(),
-                    mu=mu if method == "real-gap" else None, cache=cache,
+                    mu=mu if method == "real-gap" else None,
                 )
                 hits += abs(report.estimate - exact) <= 0.2 * exact
             assert hits >= 66, f"graph {g_index} ({method}): {hits}/100 within 20%"
@@ -272,12 +271,10 @@ def test_criterion_09_lower_bound_family():
     midpoint = (1.0 + 0.75) / 2.0
     trials = 50
     for variant, g in ((0, lower_bound_family(6, 0)), (1, lower_bound_family(6, 1, 2, 4))):
-        cache = {}
         correct = 0
         for seed in range(trials):
             rng = np.random.default_rng([ENSEMBLE_SEED + 7, variant, seed])
-            report = estimate_resistance(g, 0.1, "effective-gap", rng, QueryLedger(),
-                                         cache=cache)
+            report = estimate_resistance(g, 0.1, "effective-gap", rng, QueryLedger())
             classified = 0 if report.estimate >= midpoint else 1
             correct += classified == variant
         assert correct >= math.ceil(2 * trials / 3), (
@@ -324,13 +321,12 @@ def test_criterion_12_query_count_monotonicity():
     increases the query total across 5 halvings."""
     program = normalize(or_span_program(4))
     x = (1, 1, 0, 0)
-    cache = {}
     totals = []
     eps = 0.4
     for _ in range(6):
         rng = np.random.default_rng([ENSEMBLE_SEED + 8, 0])
         result = witness_estimate(program, x, eps, POSITIVE, rng, QueryLedger(),
-                                  w_tilde_bound=1.0, cache=cache)
+                                  w_tilde_bound=1.0)
         totals.append(result.queries)
         eps /= 2.0
     assert all(a < b for a, b in zip(totals, totals[1:])), totals

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spanforge.algorithms import (
+    DECIDE_SUCCESS_FLOOR,
     NEGATIVE,
     POSITIVE,
     EstimateResult,
@@ -95,18 +96,20 @@ def test_decide_threshold_query_accounting_factorizes():
 
 
 def test_decide_threshold_cache_reuse():
+    # repeating a decision on the same program object is reproducible: the
+    # program's stored factorization changes neither the answer nor the bill
     program = or_span_program(4)
     spec = ThresholdSpec(side=POSITIVE, lam=0.5, w_bound=0.5, w_tilde_bound=4.0)
-    cache = {}
-    rng = np.random.default_rng(2)
-    first = decide_threshold(program, (1, 1, 0, 0), spec, rng, QueryLedger(), cache=cache)
-    assert len(cache) == 1
-    second = decide_threshold(program, (1, 1, 0, 0), spec, rng, QueryLedger(), cache=cache)
-    assert first in (0, 1) and second in (0, 1)
+    first_ledger, second_ledger = QueryLedger(), QueryLedger()
+    first = decide_threshold(program, (1, 1, 0, 0), spec, np.random.default_rng(2), first_ledger)
+    second = decide_threshold(program, (1, 1, 0, 0), spec, np.random.default_rng(2), second_ledger)
+    assert first in (0, 1)
+    assert second == first
+    assert second_ledger.total == first_ledger.total
 
 
 def test_majority_reps_is_odd_and_monotone():
-    reps = [majority_reps((1 / 9) * (2 / 3) ** i) for i in range(8)]
+    reps = [majority_reps((1 / 9) * (2 / 3) ** i, DECIDE_SUCCESS_FLOOR) for i in range(8)]
     assert all(k % 2 == 1 for k in reps)
     assert reps == sorted(reps)
 
@@ -162,7 +165,6 @@ def test_witness_estimate_or_accuracy():
     # normalized OR(4), |x| = 2: true w_+ = 2; eps = 0.25
     program = normalize(or_span_program(4))
     x = (1, 1, 0, 0)
-    cache = {}
     hits = 0
     trials = 40
     t_bound = math.ceil(math.log(2.0 / 0.25, 1.5) + 1)
@@ -171,7 +173,7 @@ def test_witness_estimate_or_accuracy():
         rng = np.random.default_rng([seed, 11])
         ledger = QueryLedger()
         result = witness_estimate(program, x, 0.25, POSITIVE, rng, ledger,
-                                  w_tilde_bound=1.0, cache=cache)
+                                  w_tilde_bound=1.0)
         assert result.queries == ledger.total > 0
         hits += abs(result.value - 2.0) <= 0.25 * 2.0
         rounds_ok += result.rounds <= t_bound
@@ -183,12 +185,10 @@ def test_witness_estimate_negative_side():
     # normalized OR(4), x = 0...0: true w_- = 1 after normalization
     program = normalize(or_span_program(4))
     x = (0, 0, 0, 0)
-    cache = {}
     hits = 0
     for seed in range(30):
         rng = np.random.default_rng([seed, 12])
-        result = witness_estimate(program, x, 0.25, NEGATIVE, rng, QueryLedger(),
-                                  cache=cache)
+        result = witness_estimate(program, x, 0.25, NEGATIVE, rng, QueryLedger())
         hits += abs(result.value - 1.0) <= 0.25
     assert hits >= 20
 
@@ -212,16 +212,38 @@ def test_gap_estimate_or():
     program = normalize(or_span_program(4))
     x = (1, 1, 0, 0)
     bound, _ = kappa_bound(program, x)
-    cache = {}
     hits = 0
     for seed in range(30):
         rng = np.random.default_rng([seed, 14])
-        result = gap_estimate(program, x, 0.2, bound, POSITIVE, rng, QueryLedger(),
-                              cache=cache)
+        result = gap_estimate(program, x, 0.2, bound, POSITIVE, rng, QueryLedger())
         hits += abs(result.value - 2.0) <= 0.2 * 2.0
         # the halving loop stops soon after eps_hat <= 1/(4 w)
         assert result.rounds <= math.ceil(math.log2(4 * 2.0)) + 2
     assert hits >= 20
+
+
+def test_estimates_on_one_program_answer_for_their_own_input():
+    # normalized OR(6) asked first about |x| = 1 (w+ = 6), then about |x| = 6
+    # (w+ = 1): the second estimate must match one made on a fresh program
+    program = normalize(or_span_program(6))
+    first, second = (1, 0, 0, 0, 0, 0), (1, 1, 1, 1, 1, 1)
+    bound = min(kappa_bound(program, first)[0], kappa_bound(program, second)[0])
+
+    def witness(p, x):
+        return witness_estimate(p, x, 0.25, POSITIVE, np.random.default_rng(3), QueryLedger())
+
+    def gap(p, x):
+        return gap_estimate(p, x, 0.25, bound, POSITIVE, np.random.default_rng(3),
+                            QueryLedger())
+
+    for estimate in (witness, gap):
+        estimate(program, first)
+        shared = estimate(program, second)
+        lone = estimate(normalize(or_span_program(6)), second)
+        assert shared.value == lone.value
+        assert shared.queries == lone.queries
+        assert shared.rounds == lone.rounds
+        assert abs(shared.value - 1.0) <= 0.25
 
 
 def test_gap_estimate_validates_arguments():
@@ -239,12 +261,10 @@ def test_kappa_estimate_k4_resistance():
     g = complete_graph(4)
     program = build_st_span_program(4, 0, 3)
     x = graph_input(g)
-    cache = {}
     hits = 0
     for seed in range(30):
         rng = np.random.default_rng([seed, 15])
-        result = kappa_estimate(program, x, 0.2, 1.0, POSITIVE, rng, QueryLedger(),
-                                cache=cache)
+        result = kappa_estimate(program, x, 0.2, 1.0, POSITIVE, rng, QueryLedger())
         hits += abs(result.value - 0.25) <= 0.2 * 0.25
     assert hits >= 20
 

@@ -13,6 +13,8 @@ from math import comb
 import numpy as np
 
 from spanforge.algorithms import (
+    AE_SUCCESS_FLOOR,
+    DECIDE_SUCCESS_FLOOR,
     POSITIVE,
     ThresholdSpec,
     _ae_grid_for_stage,
@@ -20,7 +22,6 @@ from spanforge.algorithms import (
     interval_probes,
     interval_update,
     majority_reps,
-    median_reps,
 )
 from spanforge.qsim import (
     ae_estimates,
@@ -69,7 +70,7 @@ def exact_witness_estimate_success(program, x, eps, w_true, wt_bound) -> float:
             dist = ae_outcome_distribution(ctx.p_exact, grid)
             p_high = float(np.sum(dist[ae_estimates(grid) >= amp_gap_threshold(ctx.p0, ctx.p1)]))
             ctx_cache[key] = p_high
-        reps = majority_reps((1.0 / 9.0) * (2.0 / 3.0) ** (rnd - 1))
+        reps = majority_reps((1.0 / 9.0) * (2.0 / 3.0) ** (rnd - 1), DECIDE_SUCCESS_FLOOR)
         return majority_tail(ctx_cache[key], reps)
 
     success = 0.0
@@ -107,7 +108,7 @@ def exact_gap_estimate_success(dec, w0, w_true, eps, delta_lb) -> float:
         grid_ae = _ae_grid_for_stage(eps, eps_hat)
         dist = ae_outcome_distribution(p_exact, grid_ae)
         estimates = ae_estimates(grid_ae)
-        reps = median_reps((1.0 / 6.0) * 0.5 ** (stage + 1))
+        reps = majority_reps((1.0 / 6.0) * 0.5 ** (stage + 1), AE_SUCCESS_FLOOR)
         threshold = 2.0 * (1.0 + eps / 4.0) * eps_hat
         p_exit = order_stat_tail(float(np.sum(dist[estimates > threshold])), reps)
 
@@ -115,7 +116,7 @@ def exact_gap_estimate_success(dec, w0, w_true, eps, delta_lb) -> float:
         grid_pe2 = pe_grid_size(delta_lb, (eps / 8.0) * eps_hat)
         p_exact2 = outcome_zero_probability(dec, w0, grid_pe2)
         dist2 = ae_outcome_distribution(p_exact2, grid_ae)
-        reps_fin = median_reps(1.0 / 6.0)
+        reps_fin = majority_reps(1.0 / 6.0, AE_SUCCESS_FLOOR)
         p_ge_lo = order_stat_tail(float(np.sum(dist2[estimates >= lo - 1e-15])), reps_fin)
         p_gt_hi = order_stat_tail(float(np.sum(dist2[estimates > hi + 1e-15])), reps_fin)
         p_final_ok = p_ge_lo - p_gt_hi

@@ -219,13 +219,12 @@ def test_approximate_negative_witness_bound_connected():
 def test_estimate_resistance_k4_both_methods():
     g = complete_graph(4)
     for method in ("effective-gap", "real-gap"):
-        cache = {}
         hits = 0
         for seed in range(30):
             rng = np.random.default_rng([seed, 41])
             report = estimate_resistance(
                 g, 0.2, method, rng, QueryLedger(),
-                mu=lambda2(g) if method == "real-gap" else None, cache=cache,
+                mu=lambda2(g) if method == "real-gap" else None,
             )
             assert report.exact == pytest.approx(0.5, rel=1e-10)
             assert report.queries > 0
@@ -235,11 +234,10 @@ def test_estimate_resistance_k4_both_methods():
 
 def test_estimate_resistance_path():
     g = graph(3, [(0, 1), (1, 2)], 0, 2)
-    cache = {}
     hits = 0
     for seed in range(30):
         rng = np.random.default_rng([seed, 42])
-        report = estimate_resistance(g, 0.2, "effective-gap", rng, QueryLedger(), cache=cache)
+        report = estimate_resistance(g, 0.2, "effective-gap", rng, QueryLedger())
         assert report.exact == pytest.approx(2.0, rel=1e-10)
         hits += abs(report.estimate - 2.0) <= 0.4
     assert hits >= 20

@@ -1,12 +1,13 @@
 """Witness-quantity computations on the OR program, graph programs, and
 random ensembles, cross-checked against the independent KKT oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from spanforge._linalg import Tolerances
+from spanforge._linalg import DEFAULT_TOLS, Tolerances
 from spanforge.generators import all_inputs, random_span_program
 from spanforge.spanprog import (
     GloballyInfeasibleError,
@@ -20,6 +21,7 @@ from spanforge.spanprog import (
     normalize,
     or_span_program,
     positive_witness,
+    rescale_target,
     scale,
     subspace_projector,
     validate,
@@ -326,3 +328,55 @@ def test_tolerance_override_changes_feasibility_cut():
     loose = Tolerances(rank_rtol=1e-10, membership_rtol=1e-2)
     _, w_loose = positive_witness(perturbed, (1, 1, 1), tols=loose)
     assert math.isfinite(w_loose)
+
+
+def test_factorization_belongs_to_each_derived_program():
+    # normalize, scale and rescale_target build new programs from a factored
+    # parent; each must get its own w0 and N+, the same as a fresh rebuild
+    parents = [or_span_program(4)] + [
+        random_span_program(np.random.default_rng([seed, 105])) for seed in range(4)
+    ]
+    for parent in parents:
+        n_parent = minimal_witness(parent).n_plus
+        children = {
+            "normalize": normalize(parent),
+            "scale-0.25": scale(parent, 0.25),
+            "scale-4": scale(parent, 4.0),
+            "rescale-3": rescale_target(parent, 3.0),
+        }
+        for name, child in children.items():
+            assert child.factorization() is not parent.factorization(), name
+            mw = minimal_witness(child)
+            rebuilt = minimal_witness(dataclasses.replace(child))
+            np.testing.assert_array_equal(mw.w0, rebuilt.w0, err_msg=name)
+            assert mw.n_plus == rebuilt.n_plus, name
+        assert minimal_witness(children["rescale-3"]).n_plus == pytest.approx(9.0 * n_parent)
+        for name in ("normalize", "scale-0.25", "scale-4"):
+            assert minimal_witness(children[name]).n_plus == pytest.approx(1.0)
+
+
+def _perturbed_or3() -> SpanProgram:
+    # tau is off col(A) by 1e-6: infeasible by default, feasible when loose
+    program = or_span_program(3)
+    return SpanProgram(
+        n=3, q=2, dim_h=3, dim_v=2,
+        input_blocks=program.input_blocks, true_block=(), false_block=(),
+        subspaces=dict(program.subspaces),
+        a_mat=np.vstack([np.ones(3), np.zeros(3)]),
+        tau=np.array([1.0, 1e-6]),
+    )
+
+
+def test_factorization_is_kept_per_tolerances():
+    loose = Tolerances(rank_rtol=1e-10, membership_rtol=1e-2)
+    for order in ((DEFAULT_TOLS, loose), (loose, DEFAULT_TOLS)):
+        program = _perturbed_or3()
+        for tols in order:
+            _, w_plus = positive_witness(program, (1, 1, 1), tols=tols)
+            if tols is loose:
+                assert minimal_witness(program, tols).n_plus == pytest.approx(1.0 / 3.0)
+                assert math.isfinite(w_plus)
+            else:
+                with pytest.raises(GloballyInfeasibleError):
+                    minimal_witness(program, tols)
+                assert math.isinf(w_plus)

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from spanforge._linalg import intersection_dims
 from spanforge.generators import all_inputs, random_projector_pair, random_span_program
 from spanforge.spanprog import (
     minimal_witness,
@@ -25,8 +26,6 @@ from spanforge.spectral import (
     discriminant,
     kappa_bound,
     kernel_projector,
-    phase_gap,
-    projector_small_phase,
 )
 
 
@@ -42,13 +41,13 @@ def eig_phases_oracle(u_mat):
 
 def test_decompose_simple_rotation():
     dec = decompose_orthogonal(rotation(0.3))
-    assert phase_gap(dec) == pytest.approx(0.3, abs=1e-12)
+    assert dec.phase_gap() == pytest.approx(0.3, abs=1e-12)
     assert dec.phases == pytest.approx([-0.3, 0.3])
 
 
 def test_decompose_identity_has_no_gap():
     dec = decompose_orthogonal(np.eye(4))
-    assert math.isinf(phase_gap(dec))
+    assert math.isinf(dec.phase_gap())
 
 
 def test_decompose_matches_eig_oracle():
@@ -125,9 +124,9 @@ def test_uprime_factorization_identity_random():
 def test_small_phase_projector_bounds():
     dec = decompose_orthogonal(rotation(0.3))
     with pytest.raises(ValueError):
-        projector_small_phase(dec, math.pi)
+        dec.small_phase_projector(math.pi)
     with pytest.raises(ValueError):
-        projector_small_phase(dec, -0.1)
+        dec.small_phase_projector(-0.1)
 
 
 def test_small_phase_projector_near_pi_is_identity_minus_pi_space():
@@ -136,7 +135,7 @@ def test_small_phase_projector_near_pi_is_identity_minus_pi_space():
     u_mat = (2 * pi_a - np.eye(6)) @ (2 * pi_b - np.eye(6))
     dec = decompose_orthogonal(u_mat)
     just_below = math.pi - 1e-6
-    proj = projector_small_phase(dec, just_below)
+    proj = dec.small_phase_projector(just_below)
     np.testing.assert_allclose(
         proj, np.eye(6) - dec.minus_one_projector(), atol=1e-10
     )
@@ -247,6 +246,25 @@ def test_discriminant_phase_correspondence_random():
         assert len(expected) == len(actual)
         if expected:
             np.testing.assert_allclose(actual, expected, atol=1e-8)
+
+
+def test_intersection_dims_leave_near_orthogonal_rotation_pair_out():
+    # the pair of `verify --suite szegedy --seed 1`, trial 80: sigma(Pi_A Pi_B)
+    # = 1.08e-4, so the reflection product turns one plane by pi - 2.2e-4.
+    # That plane lies in neither A cap B^perp nor A^perp cap B, although
+    # sigma(Pi_A (I - Pi_B)) is within 1e-8 of 1.
+    rng = np.random.default_rng([1, 80])
+    dim = int(rng.integers(3, 9))
+    pi_a, pi_b = random_projector_pair(rng, dim)
+    u_mat = (2 * pi_a - np.eye(dim)) @ (2 * pi_b - np.eye(dim))
+    dec = decompose_orthogonal(u_mat, query_cost=0)
+    assert any(0.0 < math.pi - cl.theta < 1e-3 for cl in dec.clusters)
+    dims_map = intersection_dims(pi_a, pi_b)
+    plus_dim = sum(cl.dim for cl in dec.clusters if cl.theta == 0.0)
+    minus_dim = sum(cl.dim for cl in dec.clusters if cl.theta == math.pi)
+    assert plus_dim == dims_map["a_and_b"] + dims_map["aperp_and_bperp"]
+    assert minus_dim == dims_map["a_and_bperp"] + dims_map["aperp_and_b"]
+    assert dims_map["a_and_bperp"] == dims_map["aperp_and_b"] == 0
 
 
 def test_phase_gap_of_negated_product_vs_discriminant():
