@@ -32,7 +32,7 @@ class Tolerances:
 
 DEFAULT_TOLS = Tolerances()
 
-PHASE_ROUND_TOL = 1e-9  # decompose_orthogonal snaps phases this close to 0 or pi
+PHASE_ROUND_TOL = 1e-9  # phases this close to 0 or pi are snapped there
 
 
 def _reference(s: np.ndarray, scale: Optional[float]) -> float:
@@ -80,21 +80,29 @@ def sigma_min_nonzero(
     return float(s[-1])
 
 
+def pinv_and_row_basis(
+    mat: np.ndarray, tols: Tolerances = DEFAULT_TOLS, scale: Optional[float] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Moore-Penrose pseudo-inverse with the package's rank cutoff, and an
+    orthonormal basis of row(mat) as columns (shape (cols, rank)), from one SVD."""
+    mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    if mat.size == 0:
+        return np.zeros(mat.shape[::-1]), np.zeros((mat.shape[1], 0))
+    u, s, vt = np.linalg.svd(mat, full_matrices=False)
+    ref = _reference(s, scale)
+    if ref == 0.0:
+        return np.zeros(mat.shape[::-1]), np.zeros((mat.shape[1], 0))
+    keep = s > tols.rank_rtol * ref
+    inv = np.zeros_like(s)
+    inv[keep] = 1.0 / s[keep]
+    return (vt.T * inv) @ u.T, vt[keep].T
+
+
 def pinv(
     mat: np.ndarray, tols: Tolerances = DEFAULT_TOLS, scale: Optional[float] = None
 ) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with the package's rank cutoff."""
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    if mat.size == 0:
-        return np.zeros(mat.shape[::-1])
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    ref = _reference(s, scale)
-    if ref == 0.0:
-        return np.zeros(mat.shape[::-1])
-    keep = s > tols.rank_rtol * ref
-    inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
-    return (vt.T * inv) @ u.T
+    return pinv_and_row_basis(mat, tols, scale)[0]
 
 
 def in_column_space(
@@ -164,8 +172,8 @@ def intersection_dims(
     principal angle phi from Q keeps a component sin(phi) outside Q, and a
     singular value at most tol counts as zero.  The reflection product
     (2 Pi_A - I)(2 Pi_B - I) turns the plane of such a vector by 2 phi, so the
-    default cutoff counts a direction exactly when decompose_orthogonal snaps
-    its phase to 0 or pi.
+    default cutoff counts a direction exactly when its phase is snapped to 0 or
+    pi.
     """
     eye = np.eye(pi_a.shape[0])
     ca, cb = eye - pi_a, eye - pi_b

@@ -43,7 +43,7 @@ from .spanprog import (
     positive_witness,
     scale,
 )
-from .spectral import build_U, build_Uprime
+from .spectral import measure_U, measure_Uprime
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -141,8 +141,8 @@ def decision_context(
     spec: ThresholdSpec,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> _DecisionContext:
-    """Build the scaled program, decompose the right unitary, and evaluate the
-    exact probability of measuring outcome 0 after phase estimation."""
+    """Build the scaled program, take w0's spectral measure under the right
+    unitary, and evaluate the exact outcome-0 probability of phase estimation."""
     flags: list[str] = []
     beta, w_new, wt_new, lam_new = _scaled_parameters(program, spec, tols)
     scaled = scale(program, beta, tols)
@@ -155,13 +155,12 @@ def decision_context(
     )
 
     if spec.side == NEGATIVE:
-        dec = build_U(scaled, x, tols)
+        measure = measure_U(scaled, x, tols)
     else:
-        dec = build_Uprime(scaled, x, tols)
-    w0 = minimal_witness(scaled, tols).w0  # unit norm by the scaling construction
+        measure = measure_Uprime(scaled, x, tols)
 
     grid = pe_grid_size(theta, eps_pe)
-    p_exact = outcome_zero_probability(dec, w0, grid)
+    p_exact = outcome_zero_probability(measure, grid)
     return _DecisionContext(
         p_exact=p_exact, p0=p0, p1=p1, pe_grid=grid, flags=tuple(flags)
     )
@@ -398,13 +397,12 @@ def gap_estimate(
         _, w_true = positive_witness(program, x, tols)
         if math.isinf(w_true):
             raise GloballyInfeasibleError("x has no positive witness; cannot estimate w_+")
-        dec = build_Uprime(program, x, tols)
+        measure = measure_Uprime(program, x, tols)
     else:
         _, w_true = negative_witness(program, x, tols)
         if math.isinf(w_true):
             raise GloballyInfeasibleError("x has no negative witness; cannot estimate w_-")
-        dec = build_U(program, x, tols)
-    w0 = minimal_witness(program, tols).w0
+        measure = measure_U(program, x, tols)
 
     start_queries = ledger.total
     flags: list[str] = []
@@ -415,14 +413,14 @@ def gap_estimate(
             raise RuntimeError("gap_estimate failed to terminate (simulation anomaly)")
         grid_pe = pe_grid_size(delta_lb, eps_hat)
         grid_ae = _ae_grid_for_stage(eps, eps_hat)
-        sampler = _ae_sampler(outcome_zero_probability(dec, w0, grid_pe), grid_ae)
+        sampler = _ae_sampler(outcome_zero_probability(measure, grid_pe), grid_ae)
         reps = majority_reps((1.0 / 6.0) * 0.5 ** (stage + 1), AE_SUCCESS_FLOOR)
         p_tilde = _sample_ae_median(
             sampler, reps, rng, ledger, grid_ae * pe_queries(grid_pe)
         )
         if p_tilde > 2.0 * (1.0 + eps / 4.0) * eps_hat:
             grid_pe2 = pe_grid_size(delta_lb, (eps / 8.0) * eps_hat)
-            sampler_fin = _ae_sampler(outcome_zero_probability(dec, w0, grid_pe2), grid_ae)
+            sampler_fin = _ae_sampler(outcome_zero_probability(measure, grid_pe2), grid_ae)
             reps_fin = majority_reps(1.0 / 6.0, AE_SUCCESS_FLOOR)
             p_final = _sample_ae_median(
                 sampler_fin, reps_fin, rng, ledger, grid_ae * pe_queries(grid_pe2)

@@ -102,10 +102,6 @@ def all_inputs(program: SpanProgram) -> Iterator[tuple[int, ...]]:
     yield from itertools.product(range(program.q), repeat=program.n)
 
 
-def random_input(program: SpanProgram, rng: np.random.Generator) -> tuple[int, ...]:
-    return tuple(int(s) for s in rng.integers(0, program.q, size=program.n))
-
-
 def random_projector_pair(
     rng: np.random.Generator,
     dim: int,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import UnitaryDecomposition
+from .spectral import SpectralMeasure
 
 
 @dataclass
@@ -70,60 +70,36 @@ def pe_grid_size(theta: float, eps: float) -> int:
     return int(2 ** max(1, math.ceil(math.log2(math.pi / (theta * math.sqrt(eps))))))
 
 
-def pe_queries(grid_size: int, query_cost: int = 2) -> int:
-    """Input queries for one phase-estimation run: M-1 controlled applications."""
-    return query_cost * (grid_size - 1)
+def pe_queries(grid_size: int) -> int:
+    """Input queries for one phase-estimation run: M-1 applications, 2 queries each."""
+    return 2 * (grid_size - 1)
 
 
-def _phase_weights(dec: UnitaryDecomposition, state: np.ndarray) -> list[tuple[float, float]]:
-    """(unsigned phase, squared overlap) per cluster; overlaps sum to ||state||^2."""
-    out = []
-    for cl in dec.clusters:
-        comp = cl.basis.T @ state
-        w = float(comp @ comp)
-        if w > 0.0:
-            out.append((cl.theta, w))
-    return out
-
-
-def pe_outcome_distribution(
-    dec: UnitaryDecomposition, state: np.ndarray, grid_size: int
-) -> np.ndarray:
-    """Exact outcome distribution of M-point phase estimation applied to state.
+def pe_outcome_distribution(measure: SpectralMeasure, grid_size: int) -> np.ndarray:
+    """Exact outcome distribution of M-point phase estimation applied to a
+    state with this spectral measure.
 
     For a real orthogonal unitary and a real state, the +theta and -theta
-    components carry equal weight, so each cluster contributes the symmetrized
+    components carry equal weight, so each phase contributes the symmetrized
     kernel.
     """
-    state = np.asarray(state, dtype=float)
-    if abs(np.linalg.norm(state) - 1.0) > 1e-8:
-        raise ValueError("phase estimation expects a unit initial state")
     grid = 2.0 * math.pi * np.arange(grid_size) / grid_size
     dist = np.zeros(grid_size)
-    for theta, weight in _phase_weights(dec, state):
-        if theta == 0.0 or theta == math.pi:
-            dist += weight * fejer_kernel(theta - grid, grid_size)
-        else:
-            dist += weight * 0.5 * (
-                fejer_kernel(theta - grid, grid_size) + fejer_kernel(-theta - grid, grid_size)
-            )
+    for theta, weight in zip(measure.phases, measure.weights):
+        dist += weight * 0.5 * (
+            fejer_kernel(theta - grid, grid_size) + fejer_kernel(-theta - grid, grid_size)
+        )
     return dist
 
 
-def outcome_zero_probability(
-    dec: UnitaryDecomposition, state: np.ndarray, grid_size: int
-) -> float:
+def outcome_zero_probability(measure: SpectralMeasure, grid_size: int) -> float:
     """P(outcome 0) without building the whole distribution (the kernel is even)."""
-    state = np.asarray(state, dtype=float)
-    total = float(
-        sum(w * fejer_kernel(theta, grid_size) for theta, w in _phase_weights(dec, state))
-    )
+    total = float(measure.weights @ fejer_kernel(measure.phases, grid_size))
     return min(1.0, max(0.0, total))
 
 
 def phase_estimation(
-    dec: UnitaryDecomposition,
-    state: np.ndarray,
+    measure: SpectralMeasure,
     theta: float,
     eps: float,
     rng: np.random.Generator,
@@ -135,9 +111,9 @@ def phase_estimation(
     of magnitude >= theta contribute at most eps to outcome 0.
     """
     grid_size = pe_grid_size(theta, eps)
-    dist = pe_outcome_distribution(dec, state, grid_size)
+    dist = pe_outcome_distribution(measure, grid_size)
     outcome = int(rng.choice(grid_size, p=dist / dist.sum()))
-    queries = pe_queries(grid_size, dec.query_cost)
+    queries = pe_queries(grid_size)
     ledger.charge(queries)
     return PhaseEstimationOutcome(
         grid_size=grid_size,

@@ -21,11 +21,13 @@ import numpy as np
 from ._linalg import (
     DEFAULT_TOLS,
     Tolerances,
+    column_space_basis,
     freeze,
     in_column_space,
     kernel_basis,
     numerical_rank,
     pinv,
+    pinv_and_row_basis,
     projector_onto_columns,
     sigma_max,
 )
@@ -103,9 +105,6 @@ class SpanProgram:
 
     # -- basic geometry -------------------------------------------------
 
-    def block_of(self, j: int) -> tuple[int, ...]:
-        return self.input_blocks[j]
-
     def subspace_basis_global(self, j: int, a: int) -> np.ndarray:
         """Columns spanning H_{j,a} embedded in the full dim_h coordinates."""
         local = self.subspaces.get((j, a))
@@ -150,28 +149,30 @@ class MinimalWitness:
 class Factorization:
     """What every computation on one program needs from A, for one Tolerances.
 
-    a_pinv is A^+ from a single SVD and sigma_max is A's largest singular
-    value.  witness is w0 = A^+ tau with N_+ and N_-; when no positive witness
-    exists it is None and infeasible says why.
+    a_pinv is A^+ and row_basis an orthonormal basis of row(A) (dim_h x rank),
+    both from a single SVD; sigma_max is A's largest singular value.  witness
+    is w0 = A^+ tau with N_+ and N_-; when no positive witness exists it is
+    None and infeasible says why.
     """
 
     a_pinv: np.ndarray
+    row_basis: np.ndarray
     sigma_max: float
     witness: Optional[MinimalWitness]
     infeasible: str = ""
 
 
 def _factorize(a_mat: np.ndarray, tau: np.ndarray, tols: Tolerances) -> Factorization:
-    a_pinv = freeze(pinv(a_mat, tols))
-    s_max = sigma_max(a_mat)
+    a_pinv, row_basis = map(freeze, pinv_and_row_basis(a_mat, tols))
+    parts = (a_pinv, row_basis, sigma_max(a_mat))
     if not in_column_space(a_mat, a_pinv, tau, tols):
-        return Factorization(a_pinv, s_max, None, "tau is not in col(A); no positive witness exists")
+        return Factorization(*parts, None, "tau is not in col(A); no positive witness exists")
     w0 = a_pinv @ tau
     n_plus = float(w0 @ w0)
     if n_plus == 0.0:
-        return Factorization(a_pinv, s_max, None, "tau = 0 gives a degenerate program")
+        return Factorization(*parts, None, "tau = 0 gives a degenerate program")
     return Factorization(
-        a_pinv, s_max, MinimalWitness(w0=freeze(w0), n_plus=n_plus, n_minus=1.0 / n_plus)
+        *parts, MinimalWitness(w0=freeze(w0), n_plus=n_plus, n_minus=1.0 / n_plus)
     )
 
 
@@ -231,26 +232,31 @@ def validate(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS) -> Validatio
     return ValidationReport(tuple(checks))
 
 
+def subspace_blocks(
+    program: SpanProgram, x: Sequence[int], tols: Tolerances = DEFAULT_TOLS
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Orthonormal basis of H(x) = H_{1,x_1} + ... + H_{n,x_n} + H_true, block
+    by block: (coordinate indices, orthonormal basis in those coordinates) pairs,
+    with the identity on H_true last.  H_false contributes nothing."""
+    x = program.check_input(x)
+    out = []
+    for j, sym in enumerate(x):
+        block = program.input_blocks[j]
+        local = program.subspaces.get((j, sym))
+        if block and local is not None and local.size > 0:
+            out.append((np.array(block), column_space_basis(local, tols)))
+    out.append((np.array(program.true_block, dtype=int), np.eye(len(program.true_block))))
+    return out
+
+
 def subspace_projector(
     program: SpanProgram, x: Sequence[int], tols: Tolerances = DEFAULT_TOLS
 ) -> np.ndarray:
-    """Orthogonal projector onto H(x) = H_{1,x_1} + ... + H_{n,x_n} + H_true.
-
-    Block diagonal across the coordinate blocks; the H_false block is zero.
-    """
-    x = program.check_input(x)
+    """Orthogonal projector onto H(x), block diagonal across the coordinate
+    blocks of subspace_blocks; the H_false block is zero."""
     proj = np.zeros((program.dim_h, program.dim_h))
-    for j, sym in enumerate(x):
-        block = list(program.input_blocks[j])
-        if not block:
-            continue
-        local = program.subspaces.get((j, sym))
-        if local is None or local.size == 0:
-            continue
-        local_proj = projector_onto_columns(local, tols)
-        proj[np.ix_(block, block)] = local_proj
-    for idx in program.true_block:
-        proj[idx, idx] = 1.0
+    for block, basis in subspace_blocks(program, x, tols):
+        proj[block[:, None], block] = basis @ basis.T
     return proj
 
 

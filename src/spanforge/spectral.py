@@ -3,10 +3,20 @@
 U(P, x) is the product of the reflection about ker(A) with the reflection
 about H(x); U'(P, x) swaps in the reflection about T = ker(A) + span{w0}.
 Both are real orthogonal, so their spectra decompose into an invariant
-subspace per phase, phases coming in +/- pairs.  The decomposition is
-computed from the real Schur form, which is block diagonal for orthogonal
-matrices: 2x2 rotation blocks carry the nontrivial phases and 1x1 blocks
-carry +/-1.
+subspace per phase, phases coming in +/- pairs.
+
+The estimators need only w0's spectral measure: its phases and their weights.
+measure_U and measure_Uprime read it from the principal angles between H(x)
+and row(A) (or row(A) minus w0) by Jordan's lemma: a pair of principal
+vectors at angle phi spans a plane that the negated product of the two
+reflections turns by pi - 2 phi = 2 arcsin(cos phi).  That is one SVD of a
+rank(A) x dim H(x) matrix; no dim_h x dim_h array is formed.
+
+The oracle, for verify and the tests, builds U or U' densely (build_U,
+build_Uprime) and decomposes it through the real Schur form
+(decompose_orthogonal, the only user of scipy): for orthogonal matrices it is
+block diagonal, 2x2 rotation blocks carrying the nontrivial phases and 1x1
+blocks carrying +/-1.
 """
 
 from __future__ import annotations
@@ -16,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from ._linalg import (
     DEFAULT_TOLS,
@@ -24,13 +33,37 @@ from ._linalg import (
     Tolerances,
     freeze,
     is_orthogonal_projector,
+    kernel_basis,
     nonzero_singular_values,
     sigma_max,
     sigma_min_nonzero,
+    singular_values,
 )
-from .spanprog import SpanProgram, minimal_witness, subspace_projector
+from .spanprog import SpanProgram, minimal_witness, subspace_blocks, subspace_projector
 
 PHASE_CLUSTER_TOL = 1e-9  # phases this close together share an eigenspace
+
+
+@dataclass(frozen=True)
+class SpectralMeasure:
+    """Spectral measure of a unit state under a real orthogonal matrix: unsigned
+    phases in [0, pi], snapped to 0 or pi within PHASE_ROUND_TOL, and the
+    state's weight on each (a phase in (0, pi) stands for the pair +/- phase)."""
+
+    phases: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        phases = np.clip(np.asarray(self.phases, dtype=float), 0.0, math.pi)
+        phases[phases <= PHASE_ROUND_TOL] = 0.0
+        phases[math.pi - phases <= PHASE_ROUND_TOL] = math.pi
+        weights = np.asarray(self.weights, dtype=float)
+        if np.any(weights < -1e-12):
+            raise ValueError(f"negative spectral weight {weights.min():.2e}")
+        if abs(float(weights.sum()) - 1.0) > 1e-8:
+            raise ValueError("phase estimation expects a unit initial state")
+        object.__setattr__(self, "phases", freeze(phases))
+        object.__setattr__(self, "weights", freeze(np.maximum(weights, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -55,13 +88,10 @@ class UnitaryDecomposition:
 
     clusters are sorted by unsigned phase; a cluster at theta in (0, pi)
     represents the conjugate pair e^{+/- i theta} and has even dimension.
-    query_cost is the number of input-oracle queries charged per application
-    (2 for U and U': the input-dependent reflection needs two queries).
     """
 
     matrix: np.ndarray
     clusters: tuple[PhaseCluster, ...]
-    query_cost: int = 2
 
     @property
     def dim(self) -> int:
@@ -78,6 +108,11 @@ class UnitaryDecomposition:
                 out.extend([cl.theta] * (cl.dim // 2))
                 out.extend([-cl.theta] * (cl.dim // 2))
         return sorted(out)
+
+    def measure(self, state: np.ndarray) -> SpectralMeasure:
+        """Spectral measure of state: its squared overlap with each cluster."""
+        weights = [float(np.sum(np.square(cl.basis.T @ state))) for cl in self.clusters]
+        return SpectralMeasure(np.array([cl.theta for cl in self.clusters]), np.array(weights))
 
     def small_phase_projector(self, theta_max: float) -> np.ndarray:
         """Projector onto the span of eigenspaces with |phase| <= theta_max."""
@@ -125,24 +160,30 @@ class UnitaryDecomposition:
 @dataclass(frozen=True)
 class DiscriminantReport:
     """D = Pi_A Pi_B with its singular values (descending) and the smallest
-    nonzero one; sigma_min is None when D = 0."""
+    nonzero one; sigma_min is None when D = 0.  complement_values are the
+    singular values of Pi_B^perp Pi_A: the sines of the principal angles
+    whose cosines D carries."""
 
     d_mat: np.ndarray
     singular_values: np.ndarray
     sigma_min: Optional[float]
+    complement_values: np.ndarray
 
-    def expected_rotation_phases(self, tol: float = 1e-8) -> list[float]:
-        """Unsigned phases 2*arccos(sigma) predicted for the reflection
-        product, one per singular value strictly inside (0, 1)."""
-        out = []
-        for s in self.singular_values:
-            if tol < s < 1.0 - tol:
-                out.append(2.0 * math.acos(min(1.0, float(s))))
-        return sorted(out)
+    def expected_rotation_phases(self) -> list[float]:
+        """Unsigned phases 2 phi predicted for the reflection product, one per
+        principal angle phi, each read where it is well conditioned: from
+        cos phi = sigma(D) when sigma <= 1/sqrt(2), otherwise from the sine.
+        Phases within PHASE_ROUND_TOL of 0 or pi are left out."""
+        half = math.sqrt(0.5)
+        out = [2.0 * math.acos(float(s)) for s in self.singular_values if s <= half]
+        out += [2.0 * math.asin(float(s)) for s in self.complement_values if s < half]
+        return sorted(p for p in out if PHASE_ROUND_TOL < p < math.pi - PHASE_ROUND_TOL)
 
 
-def decompose_orthogonal(u_mat: np.ndarray, query_cost: int = 2) -> UnitaryDecomposition:
+def decompose_orthogonal(u_mat: np.ndarray) -> UnitaryDecomposition:
     """Full phase decomposition of a real orthogonal matrix via real Schur form."""
+    import scipy.linalg
+
     u_mat = np.asarray(u_mat, dtype=float)
     dim = u_mat.shape[0]
     ortho_defect = np.max(np.abs(u_mat.T @ u_mat - np.eye(dim)))
@@ -151,10 +192,11 @@ def decompose_orthogonal(u_mat: np.ndarray, query_cost: int = 2) -> UnitaryDecom
 
     t_mat, q_mat = scipy.linalg.schur(u_mat, output="real")
 
+    # LAPACK's standard form has exact zeros between 1x1 blocks: any other entry opens a 2x2 block
     raw: list[tuple[float, list[int]]] = []
     i = 0
     while i < dim:
-        if i + 1 < dim and abs(t_mat[i + 1, i]) > 1e-8:
+        if i + 1 < dim and t_mat[i + 1, i] != 0.0:
             c = 0.5 * (t_mat[i, i] + t_mat[i + 1, i + 1])
             s = 0.5 * (t_mat[i + 1, i] - t_mat[i, i + 1])
             theta = abs(math.atan2(s, c))
@@ -189,9 +231,7 @@ def decompose_orthogonal(u_mat: np.ndarray, query_cost: int = 2) -> UnitaryDecom
     if group_theta is not None:
         clusters.append(PhaseCluster(theta=group_theta, basis=freeze(q_mat[:, group_cols])))
 
-    return UnitaryDecomposition(
-        matrix=freeze(u_mat), clusters=tuple(clusters), query_cost=query_cost
-    )
+    return UnitaryDecomposition(matrix=freeze(u_mat), clusters=tuple(clusters))
 
 
 def kernel_projector(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
@@ -207,7 +247,7 @@ def build_U(
     pi_ker = kernel_projector(program, tols)
     pi_hx = subspace_projector(program, x, tols)
     u = (2.0 * pi_ker - np.eye(program.dim_h)) @ (2.0 * pi_hx - np.eye(program.dim_h))
-    return decompose_orthogonal(u, query_cost=2)
+    return decompose_orthogonal(u)
 
 
 def build_Uprime(
@@ -232,7 +272,62 @@ def build_Uprime(
     if defect > 1e-10:
         raise RuntimeError(f"U' factorization identity violated (defect {defect:.2e})")
 
-    return decompose_orthogonal(u_prime, query_cost=2)
+    return decompose_orthogonal(u_prime)
+
+
+def _row_space_and_hx(
+    program: SpanProgram, x: Sequence[int], tols: Tolerances
+) -> tuple[np.ndarray, np.ndarray]:
+    """(V_r^T w0, V_r^T Q_H) for the row basis V_r of A and an orthonormal
+    basis Q_H of H(x), without forming Q_H.  w0 = V_r V_r^T w0."""
+    v_r = program.factorization(tols).row_basis
+    cross = np.hstack([v_r[block].T @ basis for block, basis in subspace_blocks(program, x, tols)])
+    return v_r.T @ minimal_witness(program, tols).w0, cross
+
+
+def measure_U(
+    program: SpanProgram, x: Sequence[int], tols: Tolerances = DEFAULT_TOLS
+) -> SpectralMeasure:
+    """Spectral measure of w0 under U(P, x) = -R_row(A) R_H(x); w0 lies in row(A).
+
+    Left singular vector c_k of V_r^T Q_H, at singular value sigma_k, has phase
+    2 arcsin(sigma_k) and weight (c_k . V_r^T w0)^2; the rest of V_r^T w0 lies
+    in H(x)^perp, fixed by U."""
+    y, cross = _row_space_and_hx(program, x, tols)
+    c_mat, sigmas, _ = np.linalg.svd(cross, full_matrices=False)
+    coef = c_mat.T @ y
+    rest = y - c_mat @ coef
+    return SpectralMeasure(
+        np.append(2.0 * np.arcsin(np.minimum(sigmas, 1.0)), 0.0),
+        np.append(coef * coef, rest @ rest),
+    )
+
+
+def measure_Uprime(
+    program: SpanProgram, x: Sequence[int], tols: Tolerances = DEFAULT_TOLS
+) -> SpectralMeasure:
+    """Spectral measure of w0 under U'(P, x) = -R_H(x) R_T^perp, where
+    T^perp = row(A) minus w0 is orthogonal to w0.
+
+    Left singular vector a_k of Q_H^T Q_T^perp, at singular value sigma_k < 1,
+    spans with its partner in T^perp a plane turned by 2 arcsin(sigma_k), on
+    which w0 weighs (a_k . Q_H^T w0)^2 / (1 - sigma_k^2).  The rest of
+    Q_H^T w0 lies in H(x) cap T (phase 0); what is left lies in H(x)^perp cap
+    T (phase pi)."""
+    y, cross = _row_space_and_hx(program, x, tols)
+    t_perp = kernel_basis(y[None, :], tols)  # T^perp = V_r t_perp
+    a_mat, sigmas, _ = np.linalg.svd(cross.T @ t_perp, full_matrices=False)
+    w0_hx = cross.T @ y  # Q_H^T w0
+    coef = a_mat.T @ w0_hx
+    rest = w0_hx - a_mat @ coef
+    sig, coef = sigmas[sigmas < 1.0], coef[sigmas < 1.0]
+    plane = coef**2 / ((1.0 - sig) * (1.0 + sig))
+    fixed = float(rest @ rest)
+    # 1/(1 - sigma^2) amplifies rounding, so a zero remainder can come out at -1e-12
+    return SpectralMeasure(
+        np.concatenate([2.0 * np.arcsin(sig), [0.0, math.pi]]),
+        np.concatenate([plane, [fixed, max(0.0, float(y @ y) - plane.sum() - fixed)]]),
+    )
 
 
 def discriminant(
@@ -243,11 +338,13 @@ def discriminant(
         if not is_orthogonal_projector(mat):
             raise ValueError(f"{name} is not an orthogonal projector")
     d_mat = pi_a @ pi_b
-    svals = np.linalg.svd(d_mat, compute_uv=False) if d_mat.size else np.zeros(0)
     nz = nonzero_singular_values(d_mat, tols, scale=1.0)  # projector product: scale 1
     sigma_min = float(nz[-1]) if nz.size else None
     return DiscriminantReport(
-        d_mat=freeze(d_mat), singular_values=freeze(svals), sigma_min=sigma_min
+        d_mat=freeze(d_mat),
+        singular_values=freeze(singular_values(d_mat)),
+        sigma_min=sigma_min,
+        complement_values=freeze(singular_values((np.eye(len(pi_b)) - pi_b) @ pi_a)),
     )
 
 

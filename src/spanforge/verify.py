@@ -151,9 +151,7 @@ def suite_spectral(trials: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> l
         # raw overlap lemma on a random reflection pair from the same stream
         dim = int(rng.integers(3, 9))
         pi_a, pi_b = random_projector_pair(rng, dim)
-        u_dec = decompose_orthogonal(
-            (2.0 * pi_a - np.eye(dim)) @ (2.0 * pi_b - np.eye(dim)), query_cost=0
-        )
+        u_dec = decompose_orthogonal((2.0 * pi_a - np.eye(dim)) @ (2.0 * pi_b - np.eye(dim)))
         vec = rng.standard_normal(dim)
         vec -= pi_a @ vec  # now Pi_A vec = 0
         if np.linalg.norm(vec) > 1e-9:
@@ -249,10 +247,10 @@ def suite_szegedy(trials: int, dims: int, seed: int, tols: Tolerances = DEFAULT_
             a_only=int(rng.integers(0, 2)) if forced else 0,
         )
         u_mat = (2.0 * pi_a - np.eye(dim)) @ (2.0 * pi_b - np.eye(dim))
-        dec = decompose_orthogonal(u_mat, query_cost=0)
+        dec = decompose_orthogonal(u_mat)
         report = discriminant(pi_a, pi_b, tols)
 
-        expected = report.expected_rotation_phases(tol=1e-8)
+        expected = report.expected_rotation_phases()
         actual = sorted(
             cl.theta
             for cl in dec.clusters
@@ -274,7 +272,7 @@ def suite_szegedy(trials: int, dims: int, seed: int, tols: Tolerances = DEFAULT_
         if minus_dim != dims_map["a_and_bperp"] + dims_map["aperp_and_b"]:
             worst_dims += 1
 
-        minus_u = decompose_orthogonal(-u_mat, query_cost=0)
+        minus_u = decompose_orthogonal(-u_mat)
         if report.sigma_min is not None:
             worst_gap = max(worst_gap, 2.0 * report.sigma_min - minus_u.phase_gap())
     return [

@@ -124,7 +124,7 @@ def test_criterion_04_szegedy_correspondence():
         u_mat = (2 * pi_a - np.eye(dim)) @ (2 * pi_b - np.eye(dim))
         dec = decompose_orthogonal(u_mat)
         report = discriminant(pi_a, pi_b)
-        expected = report.expected_rotation_phases(tol=1e-8)
+        expected = report.expected_rotation_phases()
         actual = sorted(
             cl.theta
             for cl in dec.clusters

@@ -1,9 +1,14 @@
 """Exit codes, report schema, and determinism of the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spanforge
 from spanforge.cli import main
 
 K4_FILE = """# complete graph on 4 vertices
@@ -141,3 +146,13 @@ def test_or_demo_zero_weight_sample(tmp_path):
     low = report["threshold_runs"][1]
     assert low["true_w_plus"] == "inf"
     assert low["expected_decision"] == 0
+
+
+def test_cli_import_loads_neither_scipy_nor_networkx():
+    # scipy serves only the dense oracle, networkx only the graph atlas
+    src = str(Path(spanforge.__file__).resolve().parents[1])
+    code = ("import sys, spanforge.cli; "
+            "print([m for m in ('scipy', 'networkx') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -104,7 +104,7 @@ def exact_gap_estimate_success(dec, w0, w_true, eps, delta_lb) -> float:
         if reach <= 1e-15:
             break
         grid_pe = pe_grid_size(delta_lb, eps_hat)
-        p_exact = outcome_zero_probability(dec, w0, grid_pe)
+        p_exact = outcome_zero_probability(dec.measure(w0), grid_pe)
         grid_ae = _ae_grid_for_stage(eps, eps_hat)
         dist = ae_outcome_distribution(p_exact, grid_ae)
         estimates = ae_estimates(grid_ae)
@@ -114,7 +114,7 @@ def exact_gap_estimate_success(dec, w0, w_true, eps, delta_lb) -> float:
 
         # conditional on exiting here, the final median must land in [lo, hi]
         grid_pe2 = pe_grid_size(delta_lb, (eps / 8.0) * eps_hat)
-        p_exact2 = outcome_zero_probability(dec, w0, grid_pe2)
+        p_exact2 = outcome_zero_probability(dec.measure(w0), grid_pe2)
         dist2 = ae_outcome_distribution(p_exact2, grid_ae)
         reps_fin = majority_reps(1.0 / 6.0, AE_SUCCESS_FLOOR)
         p_ge_lo = order_stat_tail(float(np.sum(dist2[estimates >= lo - 1e-15])), reps_fin)

@@ -88,7 +88,7 @@ def test_phase_estimation_zero_phase_is_deterministic():
     dec = decompose_orthogonal(np.eye(3))
     state = np.array([1.0, 0.0, 0.0])
     ledger = QueryLedger()
-    out = phase_estimation(dec, state, 0.5, 0.1, np.random.default_rng(0), ledger)
+    out = phase_estimation(dec.measure(state), 0.5, 0.1, np.random.default_rng(0), ledger)
     assert out.outcome == 0
     assert out.distribution[0] == pytest.approx(1.0, abs=1e-12)
     assert out.queries_charged == 2 * (out.grid_size - 1)
@@ -101,7 +101,7 @@ def test_phase_estimation_on_grid_phase_is_deterministic():
     k = 3
     theta = 2 * math.pi * k / grid_size
     dec = decompose_orthogonal(rotation(theta))
-    dist = pe_outcome_distribution(dec, np.array([1.0, 0.0]), grid_size)
+    dist = pe_outcome_distribution(dec.measure(np.array([1.0, 0.0])), grid_size)
     # the real state splits evenly between the +/- theta eigenvectors
     assert dist[k] == pytest.approx(0.5, abs=1e-10)
     assert dist[grid_size - k] == pytest.approx(0.5, abs=1e-10)
@@ -115,14 +115,14 @@ def test_phase_estimation_superposition_bounds():
     state = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
     eps = 0.05
     grid_size = pe_grid_size(1.9, eps)
-    p0 = outcome_zero_probability(dec, state, grid_size)
+    p0 = outcome_zero_probability(dec.measure(state), grid_size)
     assert 0.5 <= p0 <= 0.5 + eps
 
 
 def test_phase_estimation_rejects_non_unit_state():
     dec = decompose_orthogonal(np.eye(2))
     with pytest.raises(ValueError):
-        phase_estimation(dec, np.array([1.0, 1.0]), 0.5, 0.1,
+        phase_estimation(dec.measure(np.array([1.0, 1.0])), 0.5, 0.1,
                          np.random.default_rng(0), QueryLedger())
 
 
@@ -132,7 +132,7 @@ def test_phase_estimation_distribution_sums_to_one():
     dec = decompose_orthogonal(u_mat)
     state = rng.standard_normal(6)
     state /= np.linalg.norm(state)
-    dist = pe_outcome_distribution(dec, state, 64)
+    dist = pe_outcome_distribution(dec.measure(state), 64)
     assert float(np.sum(dist)) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -218,7 +218,8 @@ def test_determinism_same_seed_same_outcomes():
     def run(seed):
         rng = np.random.default_rng(seed)
         ledger = QueryLedger()
-        outs = [phase_estimation(dec, state, 0.4, 0.2, rng, ledger).outcome for _ in range(5)]
+        outs = [phase_estimation(dec.measure(state), 0.4, 0.2, rng, ledger).outcome
+                for _ in range(5)]
         ests = [amplitude_estimation(0.37, 40, rng).outcome for _ in range(5)]
         return outs, ests, ledger.total
 

@@ -1,22 +1,33 @@
 """Phase decompositions, discriminants, and the spectral lemmas.
 
 The independent oracle for phase structure is numpy's complex
-eigendecomposition; the library itself decomposes via the real Schur form.
+eigendecomposition; the library's dense route decomposes via the real Schur
+form, and its principal-angle measures are compared against that route.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spanforge._linalg import intersection_dims
-from spanforge.generators import all_inputs, random_projector_pair, random_span_program
+from spanforge.generators import (
+    all_inputs,
+    random_graph,
+    random_projector_pair,
+    random_span_program,
+)
+from spanforge.qsim import QueryLedger, outcome_zero_probability, phase_estimation
+from spanforge.resistance import build_st_span_program, graph_input
 from spanforge.spanprog import (
     minimal_witness,
     negative_witness,
     normalize,
     or_span_program,
     positive_witness,
+    scale,
     witness_report,
 )
 from spanforge.spectral import (
@@ -26,7 +37,10 @@ from spanforge.spectral import (
     discriminant,
     kappa_bound,
     kernel_projector,
+    measure_U,
+    measure_Uprime,
 )
+from spanforge.verify import THETA_GRID
 
 
 def rotation(theta):
@@ -78,7 +92,9 @@ def test_build_U_is_orthogonal_and_charges_two_queries():
     dec = build_U(program, (1, 0, 1, 0))
     u_mat = np.asarray(dec.matrix)
     np.testing.assert_allclose(u_mat.T @ u_mat, np.eye(4), atol=1e-10)
-    assert dec.query_cost == 2
+    out = phase_estimation(dec.measure(np.full(4, 0.5)), 0.5, 0.1,
+                           np.random.default_rng(0), QueryLedger())
+    assert out.queries_charged == 2 * (out.grid_size - 1)
 
 
 def test_build_U_fixes_exact_negative_witness():
@@ -236,7 +252,7 @@ def test_discriminant_phase_correspondence_random():
         u_mat = (2 * pi_a - np.eye(dim)) @ (2 * pi_b - np.eye(dim))
         dec = decompose_orthogonal(u_mat)
         report = discriminant(pi_a, pi_b)
-        expected = report.expected_rotation_phases(tol=1e-8)
+        expected = report.expected_rotation_phases()
         actual = sorted(
             cl.theta
             for cl in dec.clusters
@@ -257,7 +273,7 @@ def test_intersection_dims_leave_near_orthogonal_rotation_pair_out():
     dim = int(rng.integers(3, 9))
     pi_a, pi_b = random_projector_pair(rng, dim)
     u_mat = (2 * pi_a - np.eye(dim)) @ (2 * pi_b - np.eye(dim))
-    dec = decompose_orthogonal(u_mat, query_cost=0)
+    dec = decompose_orthogonal(u_mat)
     assert any(0.0 < math.pi - cl.theta < 1e-3 for cl in dec.clusters)
     dims_map = intersection_dims(pi_a, pi_b)
     plus_dim = sum(cl.dim for cl in dec.clusters if cl.theta == 0.0)
@@ -308,3 +324,111 @@ def test_kappa_bound_caps_phase_gap_random():
             _, w_plus = positive_witness(program, x)
             if math.isfinite(w_plus):
                 assert build_Uprime(program, x).phase_gap() >= bound - 1e-8
+
+
+def test_decompose_reads_rotation_below_old_subdiagonal_cutoff():
+    # two lines at angle 2.5e-9: the product turns their plane by 5e-9, above
+    # the phase snap, and fixes only the third axis
+    phi = 2.5e-9
+    line_b = np.array([math.cos(phi), math.sin(phi), 0.0])
+    pi_a, pi_b = np.diag([1.0, 0.0, 0.0]), np.outer(line_b, line_b)
+    dec = decompose_orthogonal((2 * pi_a - np.eye(3)) @ (2 * pi_b - np.eye(3)))
+    dims_map = intersection_dims(pi_a, pi_b)
+    plus_dim = sum(cl.dim for cl in dec.clusters if cl.theta == 0.0)
+    assert plus_dim == dims_map["a_and_b"] + dims_map["aperp_and_bperp"] == 1
+    rotations = [cl.theta for cl in dec.clusters if 0.0 < cl.theta < math.pi]
+    assert rotations == pytest.approx([2.0 * phi], rel=1e-6)
+
+
+def test_expected_rotation_phases_keep_small_phase_at_sigma_near_one():
+    # `verify --suite szegedy --seed 41`, trial 168, drawn as the suite draws
+    # it: sigma(Pi_A Pi_B) = 1 - 2.1e-10, a phase of 4.07e-5
+    seed, trial, dims = 41, 168, 8
+    rng = np.random.default_rng([seed, trial])
+    dim = int(rng.integers(3, max(4, dims + 1)))
+    forced = trial % 3 == 0
+    pi_a, pi_b = random_projector_pair(
+        rng,
+        dim,
+        shared=int(rng.integers(1, 3)) if forced else 0,
+        a_only=int(rng.integers(0, 2)) if forced else 0,
+    )
+    dec = decompose_orthogonal((2 * pi_a - np.eye(dim)) @ (2 * pi_b - np.eye(dim)))
+    expected = discriminant(pi_a, pi_b).expected_rotation_phases()
+    actual = sorted(
+        cl.theta
+        for cl in dec.clusters
+        if cl.theta not in (0.0, math.pi)
+        for _ in range(cl.dim // 2)
+    )
+    assert any(p < 1e-4 for p in actual)
+    assert len(expected) == len(actual)
+    np.testing.assert_allclose(actual, expected, atol=1e-8)
+
+
+OUTCOME_GRIDS = (2, 16, 256, 4096, 65536)
+
+
+def small_phase_mass(measure, theta):
+    return float(measure.weights[measure.phases <= theta].sum())
+
+
+def assert_measures_match_oracle(program, x):
+    """measure_U, and measure_Uprime on positive x, against the dense Schur
+    route at 1e-10: outcome-zero probabilities, the phase-0 weight (1/w- for
+    U, 1/w+ for U') and the mass at phases <= Theta."""
+    w0 = np.asarray(minimal_witness(program).w0)
+    rep = witness_report(program, x)
+    pairs = [(measure_U(program, x), build_U(program, x).measure(w0), rep.w_minus)]
+    if math.isfinite(rep.w_plus):
+        oracle = build_Uprime(program, x).measure(w0)
+        pairs.append((measure_Uprime(program, x), oracle, rep.w_plus))
+    for fast, oracle, w_size in pairs:
+        for grid in OUTCOME_GRIDS:
+            assert outcome_zero_probability(fast, grid) == pytest.approx(
+                outcome_zero_probability(oracle, grid), abs=1e-10
+            )
+        inv_w = 0.0 if math.isinf(w_size) else 1.0 / w_size
+        assert small_phase_mass(fast, 0.0) == pytest.approx(inv_w, abs=1e-10)
+        for theta in [0.0] + THETA_GRID:
+            assert small_phase_mass(fast, theta) == pytest.approx(
+                small_phase_mass(oracle, theta), abs=1e-10
+            )
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_measures_match_oracle_on_random_programs(seed):
+    program = normalize(random_span_program(np.random.default_rng(seed)))
+    for x in all_inputs(program):
+        assert_measures_match_oracle(program, x)
+
+
+def test_measures_match_oracle_on_degenerate_programs():
+    or4 = normalize(or_span_program(4))
+    # empty H(x): U reflects about row(A), which holds w0
+    empty = measure_U(or4, (0, 0, 0, 0))
+    assert small_phase_mass(empty, 0.0) == pytest.approx(1.0, abs=1e-12)
+    # H(x) = H: sigma = 1 exactly, so U sends w0 to -w0
+    full = measure_U(or4, (1, 1, 1, 1))
+    assert small_phase_mass(full, math.pi - 1e-6) == pytest.approx(0.0, abs=1e-12)
+    # scaled OR at x = 0: h1 (true block) lies in row(A) cap H(x), sigma = 1,
+    # and the rest of row(A), which meets h0 (false block), is orthogonal to
+    # H(x), sigma = 0
+    scaled = scale(or_span_program(3), 0.5)
+    split = measure_U(scaled, (0, 0, 0))
+    assert set(split.phases[split.weights > 1e-12]) == {0.0, math.pi}
+    # scaling by 0.1 leaves row(A) conditioned so that U''s zero phase-pi
+    # remainder at x = (0,) rounds to -1.1e-12
+    rough = scale(random_span_program(np.random.default_rng([131, 99]), 14, 8, 3, 3), 0.1)
+    for program in (or4, scaled, scale(or_span_program(3), 2.0), rough):
+        for x in all_inputs(program):
+            assert_measures_match_oracle(program, x)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_measures_match_oracle_on_scaled_st_programs(n):
+    g = random_graph(np.random.default_rng(n), n, 0.5)
+    program = build_st_span_program(g.n, g.s, g.t)
+    for beta in (0.5, 2.0):
+        assert_measures_match_oracle(scale(program, beta), graph_input(g))
