@@ -35,9 +35,12 @@ DEFAULT_TOLS = Tolerances()
 PHASE_ROUND_TOL = 1e-9  # phases this close to 0 or pi are snapped there
 
 
-def _reference(s: np.ndarray, scale: Optional[float]) -> float:
+def _rank(s: np.ndarray, tols: Tolerances, scale: Optional[float]) -> int:
+    """How many of the descending singular values s are nonzero: above
+    rank_rtol times the largest, floored by scale when given."""
     top = float(s[0]) if s.size else 0.0
-    return max(top, scale) if scale is not None else top
+    ref = max(top, scale) if scale is not None else top
+    return int(np.count_nonzero(s > tols.rank_rtol * ref)) if ref > 0.0 else 0
 
 
 def singular_values(mat: np.ndarray) -> np.ndarray:
@@ -51,18 +54,14 @@ def singular_values(mat: np.ndarray) -> np.ndarray:
 def numerical_rank(
     mat: np.ndarray, tols: Tolerances = DEFAULT_TOLS, scale: Optional[float] = None
 ) -> int:
-    s = singular_values(mat)
-    ref = _reference(s, scale)
-    if ref == 0.0:
-        return 0
-    return int(np.sum(s > tols.rank_rtol * ref))
+    return _rank(singular_values(mat), tols, scale)
 
 
 def nonzero_singular_values(
     mat: np.ndarray, tols: Tolerances = DEFAULT_TOLS, scale: Optional[float] = None
 ) -> np.ndarray:
     s = singular_values(mat)
-    return s[: numerical_rank(mat, tols, scale)]
+    return s[: _rank(s, tols, scale)]
 
 
 def sigma_max(mat: np.ndarray) -> float:
@@ -80,29 +79,27 @@ def sigma_min_nonzero(
     return float(s[-1])
 
 
-def pinv_and_row_basis(
+def pinv_factors(
     mat: np.ndarray, tols: Tolerances = DEFAULT_TOLS, scale: Optional[float] = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Moore-Penrose pseudo-inverse with the package's rank cutoff, and an
-    orthonormal basis of row(mat) as columns (shape (cols, rank)), from one SVD."""
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Moore-Penrose pseudo-inverse with the package's rank cutoff, an
+    orthonormal basis of row(mat) as columns (shape (cols, rank)) and the
+    largest singular value, all from one SVD."""
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     if mat.size == 0:
-        return np.zeros(mat.shape[::-1]), np.zeros((mat.shape[1], 0))
+        return np.zeros(mat.shape[::-1]), np.zeros((mat.shape[1], 0)), 0.0
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    ref = _reference(s, scale)
-    if ref == 0.0:
-        return np.zeros(mat.shape[::-1]), np.zeros((mat.shape[1], 0))
-    keep = s > tols.rank_rtol * ref
+    rank = _rank(s, tols, scale)
     inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
-    return (vt.T * inv) @ u.T, vt[keep].T
+    inv[:rank] = 1.0 / s[:rank]
+    return (vt.T * inv) @ u.T, vt[:rank].T, float(s[0])
 
 
 def pinv(
     mat: np.ndarray, tols: Tolerances = DEFAULT_TOLS, scale: Optional[float] = None
 ) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with the package's rank cutoff."""
-    return pinv_and_row_basis(mat, tols, scale)[0]
+    return pinv_factors(mat, tols, scale)[0]
 
 
 def in_column_space(
@@ -117,17 +114,17 @@ def in_column_space(
     return bool(np.linalg.norm(resid) <= tols.membership_rtol * nv)
 
 
-def column_space_basis(
+def column_space_split(
     mat: np.ndarray, tols: Tolerances = DEFAULT_TOLS, scale: Optional[float] = None
-) -> np.ndarray:
-    """Orthonormal basis of col(mat) as columns; shape (rows, rank)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of col(mat) and of its orthogonal complement, as
+    columns, from one SVD; shapes (rows, rank) and (rows, rows - rank)."""
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     if mat.size == 0:
-        return np.zeros((mat.shape[0], 0))
-    u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    ref = _reference(s, scale)
-    r = int(np.sum(s > tols.rank_rtol * ref)) if ref > 0 else 0
-    return u[:, :r]
+        return np.zeros((mat.shape[0], 0)), np.eye(mat.shape[0])
+    u, s, _ = np.linalg.svd(mat, full_matrices=True)
+    rank = _rank(s, tols, scale)
+    return u[:, :rank], u[:, rank:]
 
 
 def kernel_basis(
@@ -138,20 +135,9 @@ def kernel_basis(
     ncols = mat.shape[1]
     if ncols == 0:
         return np.zeros((0, 0))
-    u, s, vt = np.linalg.svd(mat, full_matrices=True)
-    ref = _reference(s, scale)
-    if ref == 0.0:
-        return np.eye(ncols)
-    r = int(np.sum(s > tols.rank_rtol * ref))
-    return vt[r:].T
-
-
-def projector_onto_columns(
-    mat: np.ndarray, tols: Tolerances = DEFAULT_TOLS, scale: Optional[float] = None
-) -> np.ndarray:
-    """Orthogonal projector onto col(mat)."""
-    basis = column_space_basis(mat, tols, scale)
-    return basis @ basis.T
+    _, s, vt = np.linalg.svd(mat, full_matrices=True)
+    rank = _rank(s, tols, scale)
+    return vt[rank:].T if rank else np.eye(ncols)
 
 
 def is_orthogonal_projector(mat: np.ndarray, tol: float = 1e-10) -> bool:

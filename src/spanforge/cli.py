@@ -37,7 +37,7 @@ from .resistance import (
     parse_graph_file,
 )
 from .spanprog import normalize, or_span_program
-from .verify import SUITES, run_suite
+from .verify import MAX_DIMS, SUITES, SuiteArgumentError, run_suite
 
 SCHEMA = "spanforge-report/1"
 
@@ -174,7 +174,12 @@ def cmd_verify(args) -> int:
               file=sys.stderr)
         return EXIT_ARGUMENT_ERROR
     start = time.perf_counter()
-    checks = run_suite(args.suite, trials=args.trials, dims=args.dims, seed=args.seed, tols=tols)
+    try:
+        checks = run_suite(args.suite, trials=args.trials, dims=args.dims, seed=args.seed,
+                           tols=tols)
+    except SuiteArgumentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ARGUMENT_ERROR
     elapsed = time.perf_counter() - start
     payload = {
         "schema": SCHEMA,
@@ -315,8 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", parents=[common], help="run a property suite")
     p_ver.add_argument("--suite", type=str, default="all",
                        help=f"one of: {', '.join(SUITES + ('all',))}")
-    p_ver.add_argument("--trials", type=int, default=50)
-    p_ver.add_argument("--dims", type=int, default=8)
+    p_ver.add_argument("--trials", type=int, default=50, help="number of trials, at least 1")
+    p_ver.add_argument("--dims", type=int, default=8,
+                       help=f"largest projector dimension of the szegedy suite, 3 to {MAX_DIMS}")
     p_ver.set_defaults(func=cmd_verify)
 
     p_or = sub.add_parser("or-demo", parents=[common],

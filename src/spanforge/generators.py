@@ -13,7 +13,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from ._linalg import column_space_basis, numerical_rank
+from ._linalg import column_space_split, numerical_rank
 from .resistance import Graph
 from .spanprog import SpanProgram, validate
 
@@ -60,7 +60,7 @@ def random_span_program(
         stacked = np.hstack(mats) if mats else np.zeros((size, 0))
         if numerical_rank(stacked) < size:
             # append the missing directions to one symbol so the union spans H_j
-            have = column_space_basis(stacked)
+            have, _ = column_space_split(stacked)
             rank = have.shape[1]
             comp = (
                 np.eye(size)

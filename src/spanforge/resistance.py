@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from ._linalg import DEFAULT_TOLS, Tolerances, pinv
+from ._linalg import DEFAULT_TOLS, Tolerances, kernel_basis, pinv
 from .algorithms import kappa_estimate, witness_estimate, POSITIVE
 from .qsim import QueryLedger
 from .spanprog import SpanProgram, normalize, positive_witness
@@ -489,6 +489,8 @@ def verify_reflection_factorization(n: int, tols: Tolerances = DEFAULT_TOLS) -> 
     if not 3 <= n <= 6:
         raise ValueError("verification supported for 3 <= n <= 6")
     mz, my, a_mat = reflection_factorization_operators(n)
+    row_basis = build_st_span_program(n, 0, 1).factorization(tols).row_basis
+    ker_basis = kernel_basis(a_mat, tols)
     dim = mz.shape[0]
 
     my_defect = float(np.max(np.abs(my.T @ my - np.eye(my.shape[1]))))
@@ -499,11 +501,6 @@ def verify_reflection_factorization(n: int, tols: Tolerances = DEFAULT_TOLS) -> 
     pi_y = my @ my.T
     eye = np.eye(dim)
     walk = (2.0 * pi_z - eye) @ (2.0 * pi_y - eye)
-
-    u_mat, svals, vt = np.linalg.svd(a_mat)
-    rank = int(np.sum(svals > tols.rank_rtol * svals[0]))
-    ker_basis = vt[rank:].T
-    row_basis = vt[:rank].T
 
     img_ker = my @ ker_basis
     img_row = my @ row_basis

@@ -6,8 +6,11 @@ H_{j,a} of H_j, one per alphabet symbol a.  An input string x selects
 H(x) = H_{1,x_1} + ... + H_{n,x_n} + H_true, and x is positive exactly when
 some w in H(x) satisfies A w = tau.
 
-All six witness quantities (exact and min-error, both signs) are computed by
-finite-dimensional constrained least squares; infeasible sizes are math.inf.
+Every quantity about an input comes from A(x) = A Q_H, Q_H an orthonormal
+basis of H(x) kept block by block; only the oracle's subspace_projector forms a
+dim_h x dim_h matrix.  The six witness quantities (exact and min-error, both
+signs) are least-squares problems against A(x) and A Q_perp; infeasible sizes
+are math.inf.
 """
 
 from __future__ import annotations
@@ -21,15 +24,13 @@ import numpy as np
 from ._linalg import (
     DEFAULT_TOLS,
     Tolerances,
-    column_space_basis,
+    column_space_split,
     freeze,
     in_column_space,
     kernel_basis,
     numerical_rank,
     pinv,
-    pinv_and_row_basis,
-    projector_onto_columns,
-    sigma_max,
+    pinv_factors,
 )
 
 
@@ -103,18 +104,6 @@ class SpanProgram:
             fact = self._factorizations[tols] = _factorize(self.a_mat, self.tau, tols)
         return fact
 
-    # -- basic geometry -------------------------------------------------
-
-    def subspace_basis_global(self, j: int, a: int) -> np.ndarray:
-        """Columns spanning H_{j,a} embedded in the full dim_h coordinates."""
-        local = self.subspaces.get((j, a))
-        block = self.input_blocks[j]
-        if local is None or local.size == 0:
-            return np.zeros((self.dim_h, 0))
-        out = np.zeros((self.dim_h, local.shape[1]))
-        out[list(block), :] = local
-        return out
-
     def check_input(self, x: Sequence[int]) -> tuple[int, ...]:
         x = tuple(int(s) for s in x)
         if len(x) != self.n:
@@ -149,13 +138,12 @@ class MinimalWitness:
 class Factorization:
     """What every computation on one program needs from A, for one Tolerances.
 
-    a_pinv is A^+ and row_basis an orthonormal basis of row(A) (dim_h x rank),
-    both from a single SVD; sigma_max is A's largest singular value.  witness
-    is w0 = A^+ tau with N_+ and N_-; when no positive witness exists it is
-    None and infeasible says why.
+    row_basis is an orthonormal basis of row(A) (dim_h x rank) and sigma_max
+    A's largest singular value, both from the SVD that gives A^+.  witness is
+    w0 = A^+ tau with N_+ and N_-; when no positive witness exists it is None
+    and infeasible says why.
     """
 
-    a_pinv: np.ndarray
     row_basis: np.ndarray
     sigma_max: float
     witness: Optional[MinimalWitness]
@@ -163,8 +151,8 @@ class Factorization:
 
 
 def _factorize(a_mat: np.ndarray, tau: np.ndarray, tols: Tolerances) -> Factorization:
-    a_pinv, row_basis = map(freeze, pinv_and_row_basis(a_mat, tols))
-    parts = (a_pinv, row_basis, sigma_max(a_mat))
+    a_pinv, row_basis, top = pinv_factors(a_mat, tols)
+    parts = (freeze(row_basis), top)
     if not in_column_space(a_mat, a_pinv, tau, tols):
         return Factorization(*parts, None, "tau is not in col(A); no positive witness exists")
     w0 = a_pinv @ tau
@@ -216,10 +204,8 @@ def validate(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS) -> Validatio
 
     for j in range(program.n):
         rows = len(program.input_blocks[j])
-        stacked = np.hstack(
-            [program.subspace_basis_global(j, a)[list(program.input_blocks[j]), :]
-             for a in range(program.q)]
-        ) if rows else np.zeros((0, 0))
+        mats = [program.subspaces.get((j, a)) for a in range(program.q)]
+        stacked = np.hstack([np.zeros((rows, 0))] + [m for m in mats if m is not None and m.size])
         spanning = numerical_rank(stacked, tols) == rows
         checks.append(
             (
@@ -232,30 +218,55 @@ def validate(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS) -> Validatio
     return ValidationReport(tuple(checks))
 
 
+Blocks = list[tuple[np.ndarray, np.ndarray]]
+
+
 def subspace_blocks(
     program: SpanProgram, x: Sequence[int], tols: Tolerances = DEFAULT_TOLS
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Orthonormal basis of H(x) = H_{1,x_1} + ... + H_{n,x_n} + H_true, block
-    by block: (coordinate indices, orthonormal basis in those coordinates) pairs,
-    with the identity on H_true last.  H_false contributes nothing."""
+) -> tuple[Blocks, Blocks]:
+    """Orthonormal bases Q_H of H(x) = H_{1,x_1} + ... + H_{n,x_n} + H_true and
+    Q_perp of its complement, each as (coordinate indices, basis in those
+    coordinates) pairs, block by block.  One SVD of H_{j,x_j} gives both parts
+    of block j; H_true lies wholly in H(x) and H_false wholly outside it."""
     x = program.check_input(x)
-    out = []
+    inside, outside = [], []
     for j, sym in enumerate(x):
-        block = program.input_blocks[j]
+        block = np.array(program.input_blocks[j], dtype=int)
         local = program.subspaces.get((j, sym))
-        if block and local is not None and local.size > 0:
-            out.append((np.array(block), column_space_basis(local, tols)))
-    out.append((np.array(program.true_block, dtype=int), np.eye(len(program.true_block))))
-    return out
+        if local is None or local.size == 0:
+            outside.append((block, np.eye(len(block))))
+            continue
+        basis, comp = column_space_split(local, tols)
+        inside.append((block, basis))
+        outside.append((block, comp))
+    inside.append((np.array(program.true_block, dtype=int), np.eye(len(program.true_block))))
+    outside.append((np.array(program.false_block, dtype=int), np.eye(len(program.false_block))))
+    return inside, outside
+
+
+def restrict(mat: np.ndarray, blocks: Blocks) -> np.ndarray:
+    """M Q for a matrix M on H's coordinates and a basis Q given block by
+    block, as subspace_blocks gives Q_H and Q_perp; A Q_H is A(x)."""
+    return np.concatenate([mat[:, block] @ basis for block, basis in blocks], axis=1)
+
+
+def _lift(dim_h: int, blocks: Blocks, coef: np.ndarray) -> np.ndarray:
+    """The vector Q coef of H, for a basis Q given block by block."""
+    w = np.zeros(dim_h)
+    start = 0
+    for block, basis in blocks:
+        w[block] = basis @ coef[start : start + basis.shape[1]]
+        start += basis.shape[1]
+    return w
 
 
 def subspace_projector(
     program: SpanProgram, x: Sequence[int], tols: Tolerances = DEFAULT_TOLS
 ) -> np.ndarray:
     """Orthogonal projector onto H(x), block diagonal across the coordinate
-    blocks of subspace_blocks; the H_false block is zero."""
+    blocks of subspace_blocks; for the dense oracle and the tests only."""
     proj = np.zeros((program.dim_h, program.dim_h))
-    for block, basis in subspace_blocks(program, x, tols):
+    for block, basis in subspace_blocks(program, x, tols)[0]:
         proj[block[:, None], block] = basis @ basis.T
     return proj
 
@@ -271,15 +282,14 @@ def minimal_witness(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS) -> Mi
 def positive_witness(
     program: SpanProgram, x: Sequence[int], tols: Tolerances = DEFAULT_TOLS
 ) -> tuple[Optional[np.ndarray], float]:
-    """Optimal exact positive witness (A Pi_{H(x)})^+ tau, or (None, inf)."""
-    proj = subspace_projector(program, x, tols)
-    ax = program.a_mat @ proj
-    a_scale = program.factorization(tols).sigma_max  # A(x) = A Pi inherits A's scale
+    """Optimal exact positive witness Q_H A(x)^+ tau, or (None, inf)."""
+    q_h, _ = subspace_blocks(program, x, tols)
+    ax = restrict(program.a_mat, q_h)
+    a_scale = program.factorization(tols).sigma_max  # A(x) inherits A's scale
     ax_pinv = pinv(ax, tols, scale=a_scale)
     if not in_column_space(ax, ax_pinv, program.tau, tols):
         return None, math.inf
-    w = ax_pinv @ program.tau
-    w = proj @ w  # clean any component the pseudo-inverse left outside H(x)
+    w = _lift(program.dim_h, q_h, ax_pinv @ program.tau)
     return freeze(w), float(w @ w)
 
 
@@ -316,20 +326,20 @@ def negative_witness(
 ) -> tuple[Optional[np.ndarray], float]:
     """Optimal exact negative witness for x.
 
-    Solves min ||omega A||^2 subject to omega A Pi_{H(x)} = 0 and omega tau = 1
-    by restricting omega to the orthocomplement of col(A Pi_{H(x)}).  Returns
-    (omega A as a length-dim_h row, w_minus); (None, inf) when x is positive.
+    Solves min ||omega A||^2 subject to omega A(x) = 0 and omega tau = 1 by
+    writing omega = Z nu for an orthonormal basis Z of col(A(x))^perp.
+    Returns (omega A as a length-dim_h row, w_minus); (None, inf) when x is
+    positive.
     """
-    proj = subspace_projector(program, x, tols)
-    ax = program.a_mat @ proj
+    ax = restrict(program.a_mat, subspace_blocks(program, x, tols)[0])
     a_scale = program.factorization(tols).sigma_max
-    q_perp = np.eye(program.dim_v) - projector_onto_columns(ax, tols, scale=a_scale)
-    b = q_perp @ program.a_mat
-    c = q_perp @ program.tau
+    _, z_basis = column_space_split(ax, tols, scale=a_scale)
+    b = z_basis.T @ program.a_mat
+    c = z_basis.T @ program.tau
     gram = b @ b.T
-    # c = tau - (projection onto col A(x)), so the infeasibility test below is
-    # the same membership test positive_witness applies, keeping the partition
-    # of inputs exact.
+    # ||c|| is the distance from tau to col A(x), so the infeasibility test
+    # below is the same membership test positive_witness applies, keeping the
+    # partition of inputs exact.
     nu, value = _min_norm_under_linear_constraint(
         gram,
         c,
@@ -339,9 +349,7 @@ def negative_witness(
     )
     if nu is None:
         return None, math.inf
-    omega = q_perp @ nu
-    row = omega @ program.a_mat
-    return freeze(row), value
+    return freeze(nu @ b), value
 
 
 def min_error_positive(
@@ -349,31 +357,22 @@ def min_error_positive(
 ) -> tuple[np.ndarray, float, float]:
     """Optimal min-error positive witness: (w_tilde, e_plus, w_tilde_plus).
 
-    Stage one minimizes ||Pi_{H(x)^perp} w||^2 over {w : A w = tau}; stage two
-    minimizes ||w||^2 over the stage-one minimizers.  The solution set of
-    A w = tau is parametrized as w0 + ker(A).
+    Writes w = Q_H a + Q_perp b, so A w = A(x) a + A_perp b with
+    A_perp = A Q_perp, and the error is ||b||^2.  With P the projector off
+    col A(x), the constraint on b alone is P A_perp b = P tau, whose min-norm
+    solution b = (P A_perp)^+ P tau is the unique minimal error coordinate;
+    then a = A(x)^+ (tau - A_perp b) minimizes ||w||^2.
     """
-    mw = minimal_witness(program, tols)
-    proj = subspace_projector(program, x, tols)
-    perp = np.eye(program.dim_h) - proj
-    kern = kernel_basis(program.a_mat, tols)
-
-    if kern.shape[1] == 0:
-        w = np.asarray(mw.w0, dtype=float)
-    else:
-        m1 = perp @ kern  # projector times isometry: genuine singular values are O(1)
-        z_star = -pinv(m1, tols, scale=1.0) @ (perp @ mw.w0)
-        w1 = mw.w0 + kern @ z_star
-        null1 = kernel_basis(m1, tols, scale=1.0)
-        if null1.shape[1] == 0:
-            w = w1
-        else:
-            free = kern @ null1  # orthonormal columns: both factors are isometries
-            y = -(free.T @ w1)
-            w = w1 + free @ y
-
-    err = perp @ w
-    return freeze(w), float(err @ err), float(w @ w)
+    minimal_witness(program, tols)  # raises when tau is outside col(A)
+    q_h, q_perp = subspace_blocks(program, x, tols)
+    ax, a_perp = restrict(program.a_mat, q_h), restrict(program.a_mat, q_perp)
+    a_scale = program.factorization(tols).sigma_max
+    ax_pinv = pinv(ax, tols, scale=a_scale)
+    off_ax = np.eye(program.dim_v) - ax @ ax_pinv
+    b = pinv(off_ax @ a_perp, tols, scale=a_scale) @ (off_ax @ program.tau)
+    a = ax_pinv @ (program.tau - a_perp @ b)
+    w = _lift(program.dim_h, q_h, a) + _lift(program.dim_h, q_perp, b)
+    return freeze(w), float(b @ b), float(w @ w)
 
 
 def min_error_negative(
@@ -381,36 +380,28 @@ def min_error_negative(
 ) -> tuple[np.ndarray, float, float]:
     """Optimal min-error negative witness: (omega_tilde A, e_minus, w_tilde_minus).
 
-    Mirrors min_error_positive: stage one minimizes ||omega A Pi_{H(x)}||^2
-    over {omega : omega tau = 1}, stage two minimizes ||omega A||^2 among the
-    stage-one minimizers.
+    Stage one minimizes ||omega A(x)||^2 over {omega : omega tau = 1}, stage
+    two minimizes ||omega A||^2 among the stage-one minimizers.
     """
     tau_norm2 = float(program.tau @ program.tau)
     if tau_norm2 == 0.0:
         raise StructuralError("tau = 0: no functional maps tau to 1")
-    proj = subspace_projector(program, x, tols)
+    ax = restrict(program.a_mat, subspace_blocks(program, x, tols)[0])
     omega_p = program.tau / tau_norm2
     z_basis = kernel_basis(program.tau[None, :], tols)  # orthonormal basis of tau^perp
 
     # Stage one in the coefficient vector y: omega = omega_p + Z y.
     a_scale = program.factorization(tols).sigma_max
-    m1 = proj @ program.a_mat.T @ z_basis
-    r1 = proj @ program.a_mat.T @ omega_p
-    if z_basis.shape[1] == 0:
-        omega = omega_p
-    else:
-        y_star = -pinv(m1, tols, scale=a_scale) @ r1
-        null1 = kernel_basis(m1, tols, scale=a_scale)
-        if null1.shape[1] == 0:
-            omega = omega_p + z_basis @ y_star
-        else:
-            m2 = program.a_mat.T @ z_basis @ null1
-            r2 = program.a_mat.T @ (omega_p + z_basis @ y_star)
-            v = -pinv(m2, tols, scale=a_scale) @ r2
-            omega = omega_p + z_basis @ (y_star + null1 @ v)
+    m1 = ax.T @ z_basis
+    y_star = -pinv(m1, tols, scale=a_scale) @ (ax.T @ omega_p)
+    # Stage two over the stage-one minimizers y_star + N v, N a basis of ker(m1).
+    null1 = kernel_basis(m1, tols, scale=a_scale)
+    m2 = program.a_mat.T @ z_basis @ null1
+    v = -pinv(m2, tols, scale=a_scale) @ (program.a_mat.T @ (omega_p + z_basis @ y_star))
+    omega = omega_p + z_basis @ (y_star + null1 @ v)
 
     row = omega @ program.a_mat
-    on_x = row @ proj
+    on_x = omega @ ax
     return freeze(row), float(on_x @ on_x), float(row @ row)
 
 

@@ -31,15 +31,14 @@ from ._linalg import (
     DEFAULT_TOLS,
     PHASE_ROUND_TOL,
     Tolerances,
+    _rank,
     freeze,
     is_orthogonal_projector,
     kernel_basis,
     nonzero_singular_values,
-    sigma_max,
-    sigma_min_nonzero,
     singular_values,
 )
-from .spanprog import SpanProgram, minimal_witness, subspace_blocks, subspace_projector
+from .spanprog import SpanProgram, minimal_witness, restrict, subspace_blocks, subspace_projector
 
 PHASE_CLUSTER_TOL = 1e-9  # phases this close together share an eigenspace
 
@@ -235,9 +234,9 @@ def decompose_orthogonal(u_mat: np.ndarray) -> UnitaryDecomposition:
 
 
 def kernel_projector(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Orthogonal projector I - A^+ A onto ker(A)."""
-    a_pinv = program.factorization(tols).a_pinv
-    return np.eye(program.dim_h) - a_pinv @ program.a_mat
+    """Orthogonal projector I - V_r V_r^T onto ker(A), V_r the row basis of A."""
+    v_r = program.factorization(tols).row_basis
+    return np.eye(program.dim_h) - v_r @ v_r.T
 
 
 def build_U(
@@ -281,7 +280,7 @@ def _row_space_and_hx(
     """(V_r^T w0, V_r^T Q_H) for the row basis V_r of A and an orthonormal
     basis Q_H of H(x), without forming Q_H.  w0 = V_r V_r^T w0."""
     v_r = program.factorization(tols).row_basis
-    cross = np.hstack([v_r[block].T @ basis for block, basis in subspace_blocks(program, x, tols)])
+    cross = restrict(v_r.T, subspace_blocks(program, x, tols)[0])
     return v_r.T @ minimal_witness(program, tols).w0, cross
 
 
@@ -338,12 +337,12 @@ def discriminant(
         if not is_orthogonal_projector(mat):
             raise ValueError(f"{name} is not an orthogonal projector")
     d_mat = pi_a @ pi_b
-    nz = nonzero_singular_values(d_mat, tols, scale=1.0)  # projector product: scale 1
-    sigma_min = float(nz[-1]) if nz.size else None
+    s = singular_values(d_mat)
+    rank = _rank(s, tols, scale=1.0)  # projector product: scale 1
     return DiscriminantReport(
         d_mat=freeze(d_mat),
-        singular_values=freeze(singular_values(d_mat)),
-        sigma_min=sigma_min,
+        singular_values=freeze(s),
+        sigma_min=float(s[rank - 1]) if rank else None,
         complement_values=freeze(singular_values((np.eye(len(pi_b)) - pi_b) @ pi_a)),
     )
 
@@ -353,9 +352,10 @@ def kappa_bound(
 ) -> tuple[float, float]:
     """Phase-gap lower bound 2 sigma_min(A(x)) / sigma_max(A), valid for both
     U(P, x) and (when x is positive) U'(P, x); returned once per unitary."""
-    ax = program.a_mat @ subspace_projector(program, x, tols)
+    ax = restrict(program.a_mat, subspace_blocks(program, x, tols)[0])
     a_scale = program.factorization(tols).sigma_max
-    if sigma_max(ax) <= tols.rank_rtol * a_scale:
+    nonzero = nonzero_singular_values(ax, tols, scale=a_scale)
+    if nonzero.size == 0:
         raise ValueError("A(x) = 0: the phase-gap bound is degenerate")
-    bound = 2.0 * sigma_min_nonzero(ax, tols, scale=a_scale) / a_scale
+    bound = 2.0 * float(nonzero[-1]) / a_scale
     return bound, bound

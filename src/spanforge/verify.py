@@ -32,7 +32,9 @@ from .spanprog import (
     minimal_negative_value,
     minimal_witness,
     normalize,
+    restrict,
     scale,
+    subspace_blocks,
     subspace_projector,
     witness_report,
 )
@@ -309,7 +311,7 @@ def suite_kappa(trials: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> list
         g = random_graph(rng, n, edge_prob=0.6)
         program = build_st_span_program(g.n, g.s, g.t)
         x = graph_input(g)
-        ax = np.asarray(program.a_mat) @ subspace_projector(program, x, tols)
+        ax = restrict(program.a_mat, subspace_blocks(program, x, tols)[0])
         lam = lambda2(g)
         if lam > 1e-9:
             worst_sigma = max(
@@ -369,6 +371,13 @@ def suite_appendix_b(tols: Tolerances = DEFAULT_TOLS) -> list[Check]:
 
 
 SUITES = ("duality", "spectral", "scaling", "szegedy", "kappa", "appendixB")
+# szegedy draws dims x dims projector pairs and takes a real Schur form of
+# their reflection product: at this cap each dense array is 8 MB
+MAX_DIMS = 1024
+
+
+class SuiteArgumentError(ValueError):
+    """run_suite was asked for a suite or a size it does not run."""
 
 
 def run_suite(
@@ -378,6 +387,13 @@ def run_suite(
     seed: int = 0,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> list[Check]:
+    """Run one suite, or all of them.  Raises SuiteArgumentError before any
+    check runs for an unknown suite, for trials < 1 (which checks nothing) and
+    for dims outside [3, MAX_DIMS] (below 3 the suite runs at 3)."""
+    if trials < 1:
+        raise SuiteArgumentError(f"trials must be at least 1, got {trials}")
+    if not 3 <= dims <= MAX_DIMS:
+        raise SuiteArgumentError(f"dims must lie in [3, {MAX_DIMS}], got {dims}")
     if name == "duality":
         return suite_duality(trials, seed, tols)
     if name == "spectral":
@@ -395,4 +411,4 @@ def run_suite(
         for sub in SUITES:
             out.extend(run_suite(sub, trials, dims, seed, tols))
         return out
-    raise ValueError(f"unknown suite {name!r}")
+    raise SuiteArgumentError(f"unknown suite {name!r}")

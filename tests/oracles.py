@@ -26,8 +26,9 @@ def kkt_equality_ls(c_mat: np.ndarray, d: np.ndarray, e_mat: np.ndarray, f: np.n
     return sol[:n]
 
 
-def oracle_min_error_positive(program: SpanProgram, x) -> tuple[float, float]:
-    """(e_plus, w_tilde_plus) by KKT stage one plus stacked min-norm stage two."""
+def oracle_min_error_positive(program: SpanProgram, x) -> tuple[float, float, np.ndarray]:
+    """(e_plus, w_tilde_plus, w_tilde) by KKT stage one plus stacked min-norm
+    stage two."""
     proj = subspace_projector(program, x)
     perp = np.eye(program.dim_h) - proj
     a_mat = np.asarray(program.a_mat)
@@ -39,12 +40,13 @@ def oracle_min_error_positive(program: SpanProgram, x) -> tuple[float, float]:
     stacked = np.vstack([a_mat, perp])
     rhs = np.concatenate([tau, resid])
     w2, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
-    return e_plus, float(w2 @ w2)
+    return e_plus, float(w2 @ w2), w2
 
 
-def oracle_negative_witness(program: SpanProgram, x) -> float:
-    """w_minus via KKT over the functional coefficients u (omega = u^T):
-    minimize ||A^T u||^2 subject to Pi A^T u = 0 and tau . u = 1."""
+def oracle_negative_witness(program: SpanProgram, x) -> tuple[float, np.ndarray]:
+    """(w_minus, omega A) via KKT over the functional coefficients u
+    (omega = u^T): minimize ||A^T u||^2 subject to Pi A^T u = 0 and
+    tau . u = 1.  (inf, None) when x is positive."""
     proj = subspace_projector(program, x)
     a_mat = np.asarray(program.a_mat)
     tau = np.asarray(program.tau)
@@ -53,13 +55,14 @@ def oracle_negative_witness(program: SpanProgram, x) -> float:
     f[-1] = 1.0
     u = kkt_equality_ls(a_mat.T, np.zeros(program.dim_h), cons, f)
     if np.linalg.norm(cons @ u - f) > 1e-7:
-        return float("inf")
+        return float("inf"), None
     row = a_mat.T @ u
-    return float(row @ row)
+    return float(row @ row), row
 
 
-def oracle_min_error_negative(program: SpanProgram, x) -> tuple[float, float]:
-    """(e_minus, w_tilde_minus) by KKT stage one plus a KKT stage two."""
+def oracle_min_error_negative(program: SpanProgram, x) -> tuple[float, float, np.ndarray]:
+    """(e_minus, w_tilde_minus, omega_tilde A) by KKT stage one plus a KKT
+    stage two."""
     proj = subspace_projector(program, x)
     a_mat = np.asarray(program.a_mat)
     tau = np.asarray(program.tau)
@@ -71,4 +74,4 @@ def oracle_min_error_negative(program: SpanProgram, x) -> tuple[float, float]:
     f2 = np.concatenate([[1.0], on_x])
     u2 = kkt_equality_ls(a_mat.T, np.zeros(program.dim_h), cons2, f2)
     row = a_mat.T @ u2
-    return e_minus, float(row @ row)
+    return e_minus, float(row @ row), row

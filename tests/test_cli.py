@@ -10,6 +10,7 @@ import pytest
 
 import spanforge
 from spanforge.cli import main
+from spanforge.verify import MAX_DIMS, run_suite
 
 K4_FILE = """# complete graph on 4 vertices
 4 6 1 4
@@ -82,6 +83,38 @@ def test_verify_suite_exit_codes(tmp_path):
 
 def test_verify_unknown_suite_is_argument_error():
     assert main(["verify", "--suite", "bogus"]) == 3
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--suite", "duality", "--trials", "0"],
+        ["--suite", "all", "--trials", "-3"],
+        ["--suite", "szegedy", "--trials", "5", "--dims", "1"],
+        ["--suite", "szegedy", "--trials", "5", "--dims", "2"],
+        ["--suite", "szegedy", "--trials", "5", "--dims", str(MAX_DIMS + 1)],
+    ],
+)
+def test_verify_refuses_arguments_that_check_nothing(extra, tmp_path, capsys):
+    # each used to report its checks as passed: trials < 1 drew no program,
+    # and dims below 3 ran at 3; a dims above the cap is refused before any
+    # dims x dims array is drawn
+    out = tmp_path / "verify.json"
+    assert main(["verify", *extra, "--out", str(out)]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "\n" not in err
+
+
+def test_verify_accepts_the_smallest_dims():
+    assert main(["verify", "--suite", "szegedy", "--trials", "3", "--dims", "3"]) == 0
+
+
+def test_run_suite_rejects_arguments_before_running():
+    with pytest.raises(ValueError, match="trials"):
+        run_suite("duality", trials=0)
+    with pytest.raises(ValueError, match="dims"):
+        run_suite("szegedy", trials=1, dims=MAX_DIMS + 1)
 
 
 def test_verify_reports_are_deterministic(tmp_path):

@@ -1,0 +1,216 @@
+"""Every per-input quantity comes from A(x) = A Q_H: differential tests
+against the dense projector route, a guard that the estimators never reach
+the dense oracle, and the memory the per-input route allocates."""
+
+import math
+import sys
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spanforge.algorithms import NEGATIVE, POSITIVE, gap_estimate, witness_estimate
+from spanforge.generators import all_inputs, random_span_program
+from spanforge.qsim import QueryLedger
+from spanforge.resistance import (
+    build_st_span_program,
+    complete_graph,
+    estimate_resistance,
+    graph,
+    graph_input,
+    lambda2,
+)
+from spanforge.spanprog import (
+    SpanProgram,
+    minimal_witness,
+    normalize,
+    or_span_program,
+    positive_witness,
+    scale,
+    subspace_projector,
+    validate,
+    witness_report,
+)
+from spanforge.spectral import kappa_bound
+
+from oracles import (
+    oracle_min_error_negative,
+    oracle_min_error_positive,
+    oracle_negative_witness,
+)
+
+RTOL = 1e-10
+
+
+def assert_close(actual, expected):
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    assert np.linalg.norm(actual - expected) <= RTOL * np.linalg.norm(expected)
+
+
+def dense_positive_witness(program, x):
+    """(A Pi)^+ tau, or None when tau is outside col(A Pi)."""
+    ax = program.a_mat @ subspace_projector(program, x)
+    w = np.linalg.pinv(ax, rcond=1e-10) @ program.tau
+    if np.linalg.norm(ax @ w - program.tau) > 1e-8 * np.linalg.norm(program.tau):
+        return None
+    return w
+
+
+def dense_kappa_bound(program, x):
+    """2 sigma_min(A Pi) / sigma_max(A), or None when A Pi = 0."""
+    a_max = np.linalg.svd(program.a_mat, compute_uv=False)[0]
+    s = np.linalg.svd(program.a_mat @ subspace_projector(program, x), compute_uv=False)
+    s = s[s > 1e-10 * a_max]
+    return 2.0 * s[-1] / a_max if s.size else None
+
+
+def assert_matches_dense_references(program, x):
+    rep = witness_report(program, x)
+    w_ref = dense_positive_witness(program, x)
+    assert (w_ref is None) == math.isinf(rep.w_plus)
+    if w_ref is None:
+        w_minus, row = oracle_negative_witness(program, x)
+        assert rep.w_minus == pytest.approx(w_minus, rel=RTOL)
+        e_plus, w_tilde_plus, w_tilde = oracle_min_error_positive(program, x)
+        assert rep.e_plus == pytest.approx(e_plus, rel=RTOL)
+        assert rep.w_tilde_plus == pytest.approx(w_tilde_plus, rel=RTOL)
+        assert_close(rep.witness_vec, w_tilde)
+        assert_close(rep.neg_witness_row, row)
+    else:
+        assert math.isinf(rep.w_minus)
+        assert rep.w_plus == pytest.approx(float(w_ref @ w_ref), rel=RTOL)
+        assert_close(rep.witness_vec, w_ref)
+        e_minus, w_tilde_minus, row = oracle_min_error_negative(program, x)
+        assert rep.e_minus == pytest.approx(e_minus, rel=RTOL)
+        assert rep.w_tilde_minus == pytest.approx(w_tilde_minus, rel=RTOL)
+        assert_close(rep.neg_witness_row, row)
+
+    bound_ref = dense_kappa_bound(program, x)
+    if bound_ref is None:
+        with pytest.raises(ValueError):
+            kappa_bound(program, x)
+    else:
+        assert kappa_bound(program, x) == pytest.approx((bound_ref, bound_ref), rel=RTOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_witnesses_match_dense_references_on_random_programs(seed):
+    program = random_span_program(np.random.default_rng(seed))
+    for x in all_inputs(program):
+        assert_matches_dense_references(program, x)
+
+
+def degenerate_programs():
+    # an input position with no coordinates, so every symbol there is empty;
+    # at x = (0, 0) every symbol is empty and H(x) = H_true
+    empty_symbols = SpanProgram(
+        n=2, q=2, dim_h=3, dim_v=2,
+        input_blocks=((0,), ()), true_block=(1,), false_block=(2,),
+        subspaces={(0, 0): np.zeros((1, 0)), (0, 1): np.ones((1, 1)),
+                   (1, 0): np.zeros((0, 0)), (1, 1): np.zeros((0, 0))},
+        a_mat=np.array([[1.0, 1.0, 2.0], [0.0, 1.0, -1.0]]),
+        tau=np.array([2.0, 1.0]),
+    )
+    # equal rows: at x = (1, 1, 0) A(x) = [[1, 1], [1, 1]] has rank 1, and x
+    # is positive
+    rank_deficient = SpanProgram(
+        n=3, q=2, dim_h=3, dim_v=2,
+        input_blocks=((0,), (1,), (2,)), true_block=(), false_block=(),
+        subspaces={(j, a): np.ones((1, a)) for j in range(3) for a in range(2)},
+        a_mat=np.ones((2, 3)),
+        tau=np.array([1.0, 1.0]),
+    )
+    return {
+        "or-empty-hx": or_span_program(3),  # x = (0, 0, 0): H(x) is empty
+        "empty-symbols": empty_symbols,
+        "scaled-true-and-false": scale(or_span_program(3), 0.5),
+        "scaled-random": scale(random_span_program(np.random.default_rng(7)), 2.0),
+        "rank-deficient": rank_deficient,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(degenerate_programs()))
+def test_witnesses_match_dense_references_on_degenerate_programs(name):
+    program = degenerate_programs()[name]
+    assert validate(program).ok
+    for x in all_inputs(program):
+        assert_matches_dense_references(program, x)
+
+
+def test_degenerate_programs_reach_their_cases():
+    programs = degenerate_programs()
+    assert np.allclose(subspace_projector(programs["or-empty-hx"], (0, 0, 0)), 0.0)
+    only_true = subspace_projector(programs["empty-symbols"], (0, 0))
+    assert np.allclose(only_true, np.diag([0.0, 1.0, 0.0]))
+    deficient = programs["rank-deficient"]
+    _, w_plus = positive_witness(deficient, (1, 1, 0))
+    assert w_plus == pytest.approx(0.5, rel=RTOL)
+    ax = deficient.a_mat @ subspace_projector(deficient, (1, 1, 0))
+    assert np.linalg.matrix_rank(ax) == 1
+
+
+ORACLE_ONLY = (
+    "subspace_projector",
+    "kernel_projector",
+    "build_U",
+    "build_Uprime",
+    "decompose_orthogonal",
+)
+
+
+@pytest.fixture
+def dense_oracle_forbidden(monkeypatch):
+    """Replace the dense oracle's builders in every spanforge namespace that
+    holds them, so any call on the estimator path raises."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an estimator reached the dense oracle")
+
+    for name, module in list(sys.modules.items()):
+        if name == "spanforge" or name.startswith("spanforge."):
+            for attr in ORACLE_ONLY:
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, forbidden)
+
+
+def test_estimators_never_reach_the_dense_oracle(dense_oracle_forbidden):
+    rng = np.random.default_rng(3)
+    g = graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 3), (1, 4)], s=0, t=5)
+    for method, mu in (("effective-gap", None), ("real-gap", lambda2(g))):
+        report = estimate_resistance(g, 0.25, method, rng, QueryLedger(), mu=mu)
+        assert math.isfinite(report.estimate) and report.queries > 0
+
+    or4 = normalize(or_span_program(4))
+    for x, side in (((1, 1, 0, 0), POSITIVE), ((0, 0, 0, 0), NEGATIVE)):
+        result = witness_estimate(or4, x, 0.25, side, rng, QueryLedger())
+        assert result.queries > 0
+
+    # st-connectivity on a path and on the same path cut in two: one input
+    # of each sign, with the kappa bound as the phase-gap bound
+    program = normalize(build_st_span_program(4, 0, 3))
+    for edges, side in (([(0, 1), (1, 2), (2, 3)], POSITIVE), ([(0, 1), (2, 3)], NEGATIVE)):
+        x = graph_input(graph(4, edges, s=0, t=3))
+        delta, _ = kappa_bound(program, x)
+        result = gap_estimate(program, x, 0.25, delta, side, rng, QueryLedger())
+        assert result.queries > 0
+
+
+def peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_per_input_route_allocates_no_dim_h_squared_array():
+    # K_48: dim_h = 2256, so one dense dim_h x dim_h array takes 40.7 MB
+    program = normalize(build_st_span_program(48, 0, 1))
+    x = graph_input(complete_graph(48, s=0, t=1))
+    minimal_witness(program)  # A's factorization is per program, not per input
+    assert peak_bytes(lambda: positive_witness(program, x)) < 10e6
+    assert peak_bytes(lambda: kappa_bound(program, x)) < 10e6

@@ -207,13 +207,13 @@ def test_witness_quantities_match_kkt_oracles(seed):
     for x in all_inputs(program):
         rep = witness_report(program, x)
         assert math.isinf(rep.w_plus) != math.isinf(rep.w_minus)
-        e_plus, w_tilde_plus = oracle_min_error_positive(program, x)
+        e_plus, w_tilde_plus, _ = oracle_min_error_positive(program, x)
         assert rep.e_plus == pytest.approx(e_plus, rel=1e-7, abs=1e-9)
         assert rep.w_tilde_plus == pytest.approx(w_tilde_plus, rel=1e-7, abs=1e-9)
-        e_minus, w_tilde_minus = oracle_min_error_negative(program, x)
+        e_minus, w_tilde_minus, _ = oracle_min_error_negative(program, x)
         assert rep.e_minus == pytest.approx(e_minus, rel=1e-7, abs=1e-9)
         assert rep.w_tilde_minus == pytest.approx(w_tilde_minus, rel=1e-7, abs=1e-9)
-        w_minus = oracle_negative_witness(program, x)
+        w_minus, _ = oracle_negative_witness(program, x)
         if math.isinf(w_minus):
             assert math.isinf(rep.w_minus)
         else:
