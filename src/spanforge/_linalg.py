@@ -24,10 +24,19 @@ class Tolerances:
 
     rank_rtol: a singular value sigma counts as zero iff sigma <= rank_rtol * reference.
     membership_rtol: v is in col(M) iff ||M M^+ v - v|| <= membership_rtol * ||v||.
+    Both must lie in (0, 1); anything else raises ValueError.
     """
 
     rank_rtol: float = 1e-10
     membership_rtol: float = 1e-8
+
+    def __post_init__(self):
+        # a chained comparison, so that NaN fails too
+        if not (0.0 < self.rank_rtol < 1.0 and 0.0 < self.membership_rtol < 1.0):
+            raise ValueError(
+                f"tolerances must lie in (0, 1), got rank_rtol={self.rank_rtol!r} "
+                f"and membership_rtol={self.membership_rtol!r}"
+            )
 
 
 DEFAULT_TOLS = Tolerances()

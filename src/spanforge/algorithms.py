@@ -3,7 +3,7 @@
 decide_threshold distinguishes small witness size from large with a
 multiplicative gap lambda, by scaling the program, phase-estimating the
 appropriate reflection product on the minimal witness, and running the
-amplitude-gap primitive on the exact outcome-zero probability.
+amplitude-gap decision on the exact outcome-zero probability.
 
 witness_estimate shrinks an interval around 1/w(x) by repeated threshold
 decisions; gap_estimate and kappa_estimate trade the interval search for a
@@ -26,7 +26,6 @@ from .qsim import (
     ae_estimates,
     amp_gap_grid_size,
     amp_gap_threshold,
-    amplitude_gap_decide,
     amplitude_gap_success_probability,
     outcome_zero_probability,
     pe_grid_size,
@@ -178,15 +177,7 @@ def decide_threshold(
     0 when it is large (>= spec.w_bound / spec.lam); correct with probability
     >= 2/3 under that promise, arbitrary in the gap.
     """
-    ctx = decision_context(program, x, spec, tols)
-    return amplitude_gap_decide(
-        ctx.p_exact,
-        ctx.p0,
-        ctx.p1,
-        rng,
-        ledger,
-        query_cost_per_call=pe_queries(ctx.pe_grid),
-    )
+    return _threshold_votes(program, x, spec, 1, rng, ledger, tols)
 
 
 def decide_threshold_success_probability(
@@ -232,21 +223,17 @@ def _threshold_votes(
     tols: Tolerances,
     flags: Optional[list[str]] = None,
 ) -> int:
-    """Number of 1-votes among reps independent threshold decisions, sampled
-    from one outcome distribution (equivalent to reps decide_threshold calls,
-    charged identically)."""
+    """Number of 1-votes among reps independent threshold decisions, each an
+    amplitude estimation of the exact outcome-zero probability on the
+    amp_gap_grid_size grid, read as 1 at or above amp_gap_threshold."""
     ctx = decision_context(program, x, spec, tols)
     grid_ae = amp_gap_grid_size(ctx.p0, ctx.p1)
-    dist = ae_outcome_distribution(ctx.p_exact, grid_ae)
-    dist = dist / dist.sum()
-    high_mask = ae_estimates(grid_ae) >= amp_gap_threshold(ctx.p0, ctx.p1)
     if flags is not None:
         for flag in ctx.flags:
             if flag not in flags:
                 flags.append(flag)
-    outcomes = rng.choice(grid_ae, size=reps, p=dist)
-    ledger.charge(reps * grid_ae * pe_queries(ctx.pe_grid))
-    return int(np.sum(high_mask[outcomes]))
+    estimates = _sample_ae(ctx.p_exact, grid_ae, ctx.pe_grid, reps, rng, ledger)
+    return int(np.sum(estimates >= amp_gap_threshold(ctx.p0, ctx.p1)))
 
 
 def _assert_normalized(program: SpanProgram, tols: Tolerances) -> None:
@@ -342,29 +329,29 @@ def witness_estimate(
     )
 
 
+def _sample_ae(
+    p: float,
+    grid_size: int,
+    pe_grid: int,
+    reps: int,
+    rng: np.random.Generator,
+    ledger: QueryLedger,
+) -> np.ndarray:
+    """The estimates of reps independent grid_size-point amplitude
+    estimations of the outcome-zero probability p of pe_grid-point phase
+    estimation, drawn from the exact outcome distribution; each of the
+    grid_size circuit calls of a run is charged one phase estimation."""
+    dist = ae_outcome_distribution(p, grid_size)
+    outcomes = rng.choice(grid_size, size=reps, p=dist / dist.sum())
+    ledger.charge(reps * grid_size * pe_queries(pe_grid))
+    return ae_estimates(grid_size)[outcomes]
+
+
 def _ae_grid_for_stage(eps: float, scale_floor: float) -> int:
     """Grid size guaranteeing |p_tilde - p| <= (eps/4) p for every p >=
     scale_floor (and <= (eps/4) scale_floor below it): M = ceil((pi/sqrt(floor))
     (8/eps + 1)) makes 2 pi sqrt(p)/M + pi^2/M^2 <= (eps/4) max(p, floor)."""
     return math.ceil(math.pi / math.sqrt(scale_floor) * (8.0 / eps + 1.0))
-
-
-def _ae_sampler(p: float, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
-    dist = ae_outcome_distribution(p, grid_size)
-    return dist / dist.sum(), ae_estimates(grid_size)
-
-
-def _sample_ae_median(
-    sampler: tuple[np.ndarray, np.ndarray],
-    reps: int,
-    rng: np.random.Generator,
-    ledger: QueryLedger,
-    queries_per_rep: int,
-) -> float:
-    dist, estimates = sampler
-    outcomes = rng.choice(dist.size, size=reps, p=dist)
-    ledger.charge(reps * queries_per_rep)
-    return float(np.median(estimates[outcomes]))
 
 
 def gap_estimate(
@@ -413,18 +400,14 @@ def gap_estimate(
             raise RuntimeError("gap_estimate failed to terminate (simulation anomaly)")
         grid_pe = pe_grid_size(delta_lb, eps_hat)
         grid_ae = _ae_grid_for_stage(eps, eps_hat)
-        sampler = _ae_sampler(outcome_zero_probability(measure, grid_pe), grid_ae)
         reps = majority_reps((1.0 / 6.0) * 0.5 ** (stage + 1), AE_SUCCESS_FLOOR)
-        p_tilde = _sample_ae_median(
-            sampler, reps, rng, ledger, grid_ae * pe_queries(grid_pe)
-        )
+        p_zero = outcome_zero_probability(measure, grid_pe)
+        p_tilde = float(np.median(_sample_ae(p_zero, grid_ae, grid_pe, reps, rng, ledger)))
         if p_tilde > 2.0 * (1.0 + eps / 4.0) * eps_hat:
             grid_pe2 = pe_grid_size(delta_lb, (eps / 8.0) * eps_hat)
-            sampler_fin = _ae_sampler(outcome_zero_probability(measure, grid_pe2), grid_ae)
             reps_fin = majority_reps(1.0 / 6.0, AE_SUCCESS_FLOOR)
-            p_final = _sample_ae_median(
-                sampler_fin, reps_fin, rng, ledger, grid_ae * pe_queries(grid_pe2)
-            )
+            p_zero = outcome_zero_probability(measure, grid_pe2)
+            p_final = float(np.median(_sample_ae(p_zero, grid_ae, grid_pe2, reps_fin, rng, ledger)))
             if p_final <= 0.0:
                 flags.append("degenerate:zero-amplitude-estimate")
                 value = math.inf

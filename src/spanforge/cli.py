@@ -95,8 +95,7 @@ def _value(value, provenance: str, tolerance: Optional[float] = None) -> dict:
     return entry
 
 
-def cmd_resistance(args) -> int:
-    tols = _tolerances(args)
+def cmd_resistance(args, tols: Tolerances) -> int:
     try:
         text = Path(args.graph).read_text()
     except OSError as exc:
@@ -167,8 +166,7 @@ def cmd_resistance(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    tols = _tolerances(args)
+def cmd_verify(args, tols: Tolerances) -> int:
     if args.suite not in SUITES + ("all",):
         print(f"error: unknown suite {args.suite!r} (choose from {', '.join(SUITES + ('all',))})",
               file=sys.stderr)
@@ -213,8 +211,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not failed else EXIT_CHECK_FAILED
 
 
-def cmd_or_demo(args) -> int:
-    tols = _tolerances(args)
+def cmd_or_demo(args, tols: Tolerances) -> int:
     if not 1 <= args.t <= args.n:
         print("error: need 1 <= t <= n", file=sys.stderr)
         return EXIT_ARGUMENT_ERROR
@@ -338,7 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        tols = _tolerances(args)
+    except ValueError as exc:
+        print(f"error: --tolerance: {exc}", file=sys.stderr)
+        return EXIT_ARGUMENT_ERROR
+    return args.func(args, tols)
 
 
 if __name__ == "__main__":

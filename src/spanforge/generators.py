@@ -2,8 +2,7 @@
 
 Random span programs use small integer data so that every test instance is
 well conditioned at desk scale; feasibility (tau in col A) is arranged by
-construction.  Graph enumeration up to isomorphism comes from the networkx
-atlas (all graphs on at most seven vertices); networkx is imported only there.
+construction.
 """
 
 from __future__ import annotations
@@ -168,21 +167,3 @@ def random_graph(
         if not require_connected or g.connected():
             return g
     raise RuntimeError("failed to sample a connected graph")
-
-
-def connected_graphs_upto(max_n: int = 7, min_n: int = 2) -> list[Graph]:
-    """All connected graphs on min_n..max_n vertices, one per isomorphism
-    class (networkx atlas), with s = 0 and t = n-1."""
-    import networkx as nx
-
-    if max_n > 7:
-        raise ValueError("the atlas covers graphs on at most 7 vertices")
-    out = []
-    for g in nx.graph_atlas_g()[1:]:
-        n = g.number_of_nodes()
-        if not (min_n <= n <= max_n):
-            continue
-        if not nx.is_connected(g):
-            continue
-        out.append(Graph(n=n, edges=frozenset(g.edges()), s=0, t=n - 1))
-    return out

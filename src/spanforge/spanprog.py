@@ -7,7 +7,8 @@ H(x) = H_{1,x_1} + ... + H_{n,x_n} + H_true, and x is positive exactly when
 some w in H(x) satisfies A w = tau.
 
 Every quantity about an input comes from A(x) = A Q_H, Q_H an orthonormal
-basis of H(x) kept block by block; only the oracle's subspace_projector forms a
+basis of H(x) kept block by block, with each block's basis taken from the
+program's Subspaces store; only the oracle's subspace_projector forms a
 dim_h x dim_h matrix.  The six witness quantities (exact and min-error, both
 signs) are least-squares problems against A(x) and A Q_perp; infeasible sizes
 are math.inf.
@@ -15,7 +16,9 @@ are math.inf.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -46,6 +49,39 @@ class GloballyInfeasibleError(SpanProgramError):
     """tau is not in the column space of A: no input has a positive witness."""
 
 
+class Subspaces(Mapping):
+    """Read-only store of the H_{j,a} matrices, keyed by (j, a), that the
+    programs derived from one another share, with each H_{j,a}'s bases kept
+    per Tolerances once decided."""
+
+    def __init__(self, mats: Mapping[tuple[int, int], np.ndarray]):
+        self._mats = {k: freeze(np.atleast_2d(v)) for k, v in mats.items()}
+        self._bases: dict[Tolerances, dict] = {}
+
+    def __getitem__(self, key: tuple[int, int]) -> np.ndarray:
+        return self._mats[key]
+
+    def __iter__(self):
+        return iter(self._mats)
+
+    def __len__(self) -> int:
+        return len(self._mats)
+
+    def bases(
+        self, key: tuple[int, int], tols: Tolerances
+    ) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """Read-only orthonormal bases of H_{j,a} and of its complement in
+        H_j, from one SVD on first use under tols; None when H_{j,a} is
+        empty or absent."""
+        memo = self._bases.setdefault(tols, {})
+        if key not in memo:
+            mat = self._mats.get(key)
+            memo[key] = None if mat is None or not mat.size else column_space_split(mat, tols)
+            for part in memo[key] or ():
+                part.setflags(write=False)
+        return memo[key]
+
+
 @dataclass(frozen=True)
 class SpanProgram:
     """Immutable span program data.
@@ -54,7 +90,8 @@ class SpanProgram:
     disjoint and cover everything.  subspaces[(j, a)] is a matrix whose columns
     span H_{j,a}, written in H_j's local coordinates (len(input_blocks[j]) rows).
     Subspaces for different symbols of one position may overlap and need not
-    be orthogonal; all that matters is that together they span H_j.
+    be orthogonal; all that matters is that together they span H_j.  Any
+    mapping is copied into a Subspaces store; a Subspaces is kept as given.
     """
 
     n: int
@@ -64,7 +101,7 @@ class SpanProgram:
     input_blocks: tuple[tuple[int, ...], ...]
     true_block: tuple[int, ...]
     false_block: tuple[int, ...]
-    subspaces: dict[tuple[int, int], np.ndarray]
+    subspaces: Mapping[tuple[int, int], np.ndarray]
     a_mat: np.ndarray
     tau: np.ndarray
 
@@ -72,11 +109,8 @@ class SpanProgram:
         object.__setattr__(self, "_factorizations", {})
         object.__setattr__(self, "a_mat", freeze(np.atleast_2d(self.a_mat)))
         object.__setattr__(self, "tau", freeze(np.asarray(self.tau, dtype=float)))
-        object.__setattr__(
-            self,
-            "subspaces",
-            {k: freeze(np.atleast_2d(v)) for k, v in self.subspaces.items()},
-        )
+        if not isinstance(self.subspaces, Subspaces):
+            object.__setattr__(self, "subspaces", Subspaces(self.subspaces))
         if self.n < 0 or self.q < 1:
             raise StructuralError("need n >= 0 input positions and q >= 1 symbols")
         if self.a_mat.shape != (self.dim_v, self.dim_h):
@@ -226,19 +260,19 @@ def subspace_blocks(
 ) -> tuple[Blocks, Blocks]:
     """Orthonormal bases Q_H of H(x) = H_{1,x_1} + ... + H_{n,x_n} + H_true and
     Q_perp of its complement, each as (coordinate indices, basis in those
-    coordinates) pairs, block by block.  One SVD of H_{j,x_j} gives both parts
-    of block j; H_true lies wholly in H(x) and H_false wholly outside it."""
+    coordinates) pairs, block by block.  Block j's two parts are the store's
+    bases of H_{j,x_j}; H_true lies wholly in H(x) and H_false wholly outside
+    it."""
     x = program.check_input(x)
     inside, outside = [], []
     for j, sym in enumerate(x):
         block = np.array(program.input_blocks[j], dtype=int)
-        local = program.subspaces.get((j, sym))
-        if local is None or local.size == 0:
+        split = program.subspaces.bases((j, sym), tols)
+        if split is None:
             outside.append((block, np.eye(len(block))))
             continue
-        basis, comp = column_space_split(local, tols)
-        inside.append((block, basis))
-        outside.append((block, comp))
+        inside.append((block, split[0]))
+        outside.append((block, split[1]))
     inside.append((np.array(program.true_block, dtype=int), np.eye(len(program.true_block))))
     outside.append((np.array(program.false_block, dtype=int), np.eye(len(program.false_block))))
     return inside, outside
@@ -457,18 +491,7 @@ def rescale_target(program: SpanProgram, factor: float) -> SpanProgram:
     """Replace tau by factor * tau (positive witnesses scale by factor)."""
     if factor <= 0:
         raise ValueError("target rescaling factor must be positive")
-    return SpanProgram(
-        n=program.n,
-        q=program.q,
-        dim_h=program.dim_h,
-        dim_v=program.dim_v,
-        input_blocks=program.input_blocks,
-        true_block=program.true_block,
-        false_block=program.false_block,
-        subspaces=dict(program.subspaces),
-        a_mat=program.a_mat,
-        tau=factor * program.tau,
-    )
+    return dataclasses.replace(program, tau=factor * program.tau)
 
 
 def normalize(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS) -> SpanProgram:
@@ -511,15 +534,12 @@ def scale(program: SpanProgram, beta: float, tols: Tolerances = DEFAULT_TOLS) ->
     tau_new[: program.dim_v] = program.tau
     tau_new[v1_idx] = 1.0
 
-    return SpanProgram(
-        n=program.n,
-        q=program.q,
+    return dataclasses.replace(
+        program,
         dim_h=dim_h,
         dim_v=dim_v,
-        input_blocks=program.input_blocks,
         true_block=program.true_block + (h1_idx,),
         false_block=program.false_block + (h0_idx,),
-        subspaces=dict(program.subspaces),
         a_mat=a_new,
         tau=tau_new,
     )

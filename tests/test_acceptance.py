@@ -13,7 +13,6 @@ from spanforge._linalg import intersection_dims, sigma_max, sigma_min_nonzero
 from spanforge.algorithms import POSITIVE, witness_estimate
 from spanforge.generators import (
     all_inputs,
-    connected_graphs_upto,
     random_graph,
     random_projector_pair,
     random_span_program,
@@ -44,6 +43,8 @@ from spanforge.spanprog import (
     witness_report,
 )
 from spanforge.spectral import build_U, build_Uprime, decompose_orthogonal, discriminant, kappa_bound
+
+from graph_atlas import connected_graphs_upto
 
 ENSEMBLE_SEED = 20240
 ENSEMBLE_SIZE = 200

@@ -106,6 +106,31 @@ def test_verify_refuses_arguments_that_check_nothing(extra, tmp_path, capsys):
     assert err.startswith("error: ") and "\n" not in err
 
 
+@pytest.mark.parametrize("tolerance", ["-1", "0", "nan", "2"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        pytest.param(["resistance"], id="effective-gap"),
+        pytest.param(["resistance", "--method", "real-gap", "--mu", "0.5"], id="real-gap"),
+        pytest.param(["verify", "--suite", "duality", "--trials", "1"], id="verify"),
+        pytest.param(["or-demo"], id="or-demo"),
+    ],
+)
+def test_tolerance_outside_the_unit_interval_is_argument_error(command, tolerance, tmp_path,
+                                                               capsys):
+    # -1 used to end verify in a traceback with the check-failed code, and 2
+    # let resistance report an estimate for a four-vertex path
+    path4 = tmp_path / "p4.graph"
+    path4.write_text("4 3 1 4\n1 2\n2 3\n3 4\n")
+    if command[0] == "resistance":
+        command = [*command, "--graph", str(path4)]
+    out = tmp_path / "report.json"
+    assert main([*command, f"--tolerance={tolerance}", "--out", str(out)]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "\n" not in err
+
+
 def test_verify_accepts_the_smallest_dims():
     assert main(["verify", "--suite", "szegedy", "--trials", "3", "--dims", "3"]) == 0
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spanforge._linalg import sigma_max, sigma_min_nonzero
-from spanforge.generators import connected_graphs_upto, random_graph
+from spanforge.generators import random_graph
 from spanforge.qsim import QueryLedger
 from spanforge.resistance import (
     Graph,
@@ -34,6 +34,8 @@ from spanforge.spanprog import (
     subspace_projector,
     validate,
 )
+
+from graph_atlas import connected_graphs_upto
 
 
 # -- graphs and parsing ----------------------------------------------------

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from spanforge import spanprog
 from spanforge._linalg import DEFAULT_TOLS, Tolerances
 from spanforge.generators import all_inputs, random_span_program
 from spanforge.spanprog import (
@@ -23,6 +24,7 @@ from spanforge.spanprog import (
     positive_witness,
     rescale_target,
     scale,
+    subspace_blocks,
     subspace_projector,
     validate,
     witness_report,
@@ -346,6 +348,7 @@ def test_factorization_belongs_to_each_derived_program():
         }
         for name, child in children.items():
             assert child.factorization() is not parent.factorization(), name
+            assert child.subspaces is parent.subspaces, name
             mw = minimal_witness(child)
             rebuilt = minimal_witness(dataclasses.replace(child))
             np.testing.assert_array_equal(mw.w0, rebuilt.w0, err_msg=name)
@@ -380,3 +383,54 @@ def test_factorization_is_kept_per_tolerances():
                 with pytest.raises(GloballyInfeasibleError):
                     minimal_witness(program, tols)
                 assert math.isinf(w_plus)
+
+
+def test_subspace_store_is_shared_read_only_and_never_stale(monkeypatch):
+    # derived programs share the parent's store, so the bases of H_{j,a} are
+    # decided once per Tolerances; the SVD of A(x) in negative_witness is not
+    # a store matrix and is not counted
+    program = normalize(random_span_program(np.random.default_rng([2, 106]), max_q=2))
+    child = scale(program, 0.5)
+    mats = [m for m in program.subspaces.values() if m.size]
+    split = spanprog.column_space_split
+    calls = []
+
+    def counting(mat, *args, **kwargs):
+        calls.extend(k for k, m in enumerate(mats) if m is mat)
+        return split(mat, *args, **kwargs)
+
+    monkeypatch.setattr(spanprog, "column_space_split", counting)
+    for target in (program, child):
+        for x in all_inputs(target):
+            witness_report(target, x)
+    assert sorted(calls) == list(range(len(mats)))
+    calls.clear()
+    for target in (program, child, program, child):
+        for x in all_inputs(target):
+            witness_report(target, x)
+    assert calls == []
+
+    # neither the matrices nor their bases can be written
+    or3 = or_span_program(3)
+    with pytest.raises(TypeError):
+        or3.subspaces[(0, 1)] = np.zeros((1, 0))
+    with pytest.raises(ValueError):
+        or3.subspaces[(0, 1)][0, 0] = 2.0
+    with pytest.raises(ValueError):
+        subspace_blocks(or3, (1, 0, 0))[0][0][1][0, 0] = 2.0
+
+    # a program given other subspaces gets its own store, not the old bases
+    assert positive_witness(or3, (1, 0, 0))[1] == pytest.approx(1.0)
+    other = dict(or3.subspaces)
+    other[(0, 1)] = np.zeros((1, 0))
+    changed = dataclasses.replace(or3, subspaces=other)
+    assert changed.subspaces is not or3.subspaces
+    assert math.isinf(positive_witness(changed, (1, 0, 0))[1])
+    assert positive_witness(or3, (1, 0, 0))[1] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("field", ["rank_rtol", "membership_rtol"])
+@pytest.mark.parametrize("value", [-1.0, 0.0, 1.0, 2.0, math.nan])
+def test_tolerances_outside_the_unit_interval_are_refused(field, value):
+    with pytest.raises(ValueError, match="tolerances"):
+        Tolerances(**{field: value})
