@@ -66,13 +66,6 @@ def numerical_rank(
     return _rank(singular_values(mat), tols, scale)
 
 
-def nonzero_singular_values(
-    mat: np.ndarray, tols: Tolerances = DEFAULT_TOLS, scale: Optional[float] = None
-) -> np.ndarray:
-    s = singular_values(mat)
-    return s[: _rank(s, tols, scale)]
-
-
 def sigma_max(mat: np.ndarray) -> float:
     s = singular_values(mat)
     return float(s[0]) if s.size else 0.0
@@ -82,10 +75,11 @@ def sigma_min_nonzero(
     mat: np.ndarray, tols: Tolerances = DEFAULT_TOLS, scale: Optional[float] = None
 ) -> float:
     """Smallest nonzero singular value; raises on the zero matrix."""
-    s = nonzero_singular_values(mat, tols, scale)
-    if s.size == 0:
+    s = singular_values(mat)
+    rank = _rank(s, tols, scale)
+    if rank == 0:
         raise ValueError("matrix has no nonzero singular value")
-    return float(s[-1])
+    return float(s[rank - 1])
 
 
 def pinv_factors(
@@ -109,18 +103,6 @@ def pinv(
 ) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with the package's rank cutoff."""
     return pinv_factors(mat, tols, scale)[0]
-
-
-def in_column_space(
-    mat: np.ndarray, mat_pinv: np.ndarray, vec: np.ndarray, tols: Tolerances = DEFAULT_TOLS
-) -> bool:
-    """vec lies in col(mat), judged with mat's pseudo-inverse mat_pinv."""
-    vec = np.asarray(vec, dtype=float)
-    nv = np.linalg.norm(vec)
-    if nv == 0.0:
-        return True
-    resid = mat @ (mat_pinv @ vec) - vec
-    return bool(np.linalg.norm(resid) <= tols.membership_rtol * nv)
 
 
 def column_space_split(

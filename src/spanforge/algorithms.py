@@ -31,17 +31,8 @@ from .qsim import (
     pe_grid_size,
     pe_queries,
 )
-from .spanprog import (
-    SpanProgram,
-    GloballyInfeasibleError,
-    minimal_witness,
-    negative_witness,
-    min_error_negative,
-    min_error_positive,
-    normalize,
-    positive_witness,
-    scale,
-)
+from .spanprog import GloballyInfeasibleError, SpanProgram, minimal_witness, normalize, scale
+from .spanprog import min_error_negative, min_error_positive, negative_witness, positive_witness
 from .spectral import measure_U, measure_Uprime
 
 POSITIVE = "positive"
@@ -190,10 +181,7 @@ def decide_threshold_success_probability(
     computed by outcome-distribution summation.  None when x falls in the
     promise gap (any answer is then acceptable)."""
     ctx = decision_context(program, x, spec, tols)
-    if spec.side == POSITIVE:
-        _, w_val = positive_witness(program, x, tols)
-    else:
-        _, w_val = negative_witness(program, x, tols)
+    w_val = _witness_size(program, x, spec.side, tols, estimate=False)
     if w_val <= spec.w_bound * (1.0 + 1e-12):
         truth_high = True
     elif w_val >= spec.w_bound / spec.lam * (1.0 - 1e-12):
@@ -234,6 +222,19 @@ def _threshold_votes(
                 flags.append(flag)
     estimates = _sample_ae(ctx.p_exact, grid_ae, ctx.pe_grid, reps, rng, ledger)
     return int(np.sum(estimates >= amp_gap_threshold(ctx.p0, ctx.p1)))
+
+
+def _witness_size(
+    program: SpanProgram, x: Sequence[int], side: str, tols: Tolerances, estimate: bool
+) -> float:
+    """The exact witness size w_side(x), inf when x has no witness of that
+    sign; an estimate needs a finite one and raises instead."""
+    witness = positive_witness if side == POSITIVE else negative_witness
+    _, size = witness(program, x, tols)
+    if estimate and math.isinf(size):
+        sign = "+" if side == POSITIVE else "-"
+        raise GloballyInfeasibleError(f"x has no {side} witness; cannot estimate w_{sign}")
+    return size
 
 
 def _assert_normalized(program: SpanProgram, tols: Tolerances) -> None:
@@ -285,18 +286,10 @@ def witness_estimate(
         raise ValueError("eps must lie in (0, 1)")
 
     _assert_normalized(program, tols)
-    if side == POSITIVE:
-        _, w_true = positive_witness(program, x, tols)
-        if math.isinf(w_true):
-            raise GloballyInfeasibleError("x has no positive witness; cannot estimate w_+")
-        if w_tilde_bound is None:
-            _, _, w_tilde_bound = min_error_negative(program, x, tols)
-    else:
-        _, w_true = negative_witness(program, x, tols)
-        if math.isinf(w_true):
-            raise GloballyInfeasibleError("x has no negative witness; cannot estimate w_-")
-        if w_tilde_bound is None:
-            _, _, w_tilde_bound = min_error_positive(program, x, tols)
+    w_true = _witness_size(program, x, side, tols, estimate=True)
+    if w_tilde_bound is None:
+        min_error = min_error_negative if side == POSITIVE else min_error_positive
+        _, _, w_tilde_bound = min_error(program, x, tols)
 
     start_queries = ledger.total
     flags: list[str] = []
@@ -379,17 +372,8 @@ def gap_estimate(
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     _assert_normalized(program, tols)
-
-    if side == POSITIVE:
-        _, w_true = positive_witness(program, x, tols)
-        if math.isinf(w_true):
-            raise GloballyInfeasibleError("x has no positive witness; cannot estimate w_+")
-        measure = measure_Uprime(program, x, tols)
-    else:
-        _, w_true = negative_witness(program, x, tols)
-        if math.isinf(w_true):
-            raise GloballyInfeasibleError("x has no negative witness; cannot estimate w_-")
-        measure = measure_U(program, x, tols)
+    _witness_size(program, x, side, tols, estimate=True)
+    measure = (measure_Uprime if side == POSITIVE else measure_U)(program, x, tols)
 
     start_queries = ledger.total
     flags: list[str] = []

@@ -9,9 +9,10 @@ some w in H(x) satisfies A w = tau.
 Every quantity about an input comes from A(x) = A Q_H, Q_H an orthonormal
 basis of H(x) kept block by block, with each block's basis taken from the
 program's Subspaces store; only the oracle's subspace_projector forms a
-dim_h x dim_h matrix.  The six witness quantities (exact and min-error, both
-signs) are least-squares problems against A(x) and A Q_perp; infeasible sizes
-are math.inf.
+dim_h x dim_h matrix.  input_factors factors A(x) with one SVD and decides
+once whether tau lies in col A(x); the six witness quantities (exact and
+min-error, both signs) and the kappa bound all read that InputFactors.
+Infeasible sizes are math.inf.
 """
 
 from __future__ import annotations
@@ -27,10 +28,9 @@ import numpy as np
 from ._linalg import (
     DEFAULT_TOLS,
     Tolerances,
+    _rank,
     column_space_split,
     freeze,
-    in_column_space,
-    kernel_basis,
     numerical_rank,
     pinv,
     pinv_factors,
@@ -47,6 +47,23 @@ class StructuralError(SpanProgramError):
 
 class GloballyInfeasibleError(SpanProgramError):
     """tau is not in the column space of A: no input has a positive witness."""
+
+
+class OracleSizeError(SpanProgramError):
+    """The dense oracle was asked for dim_h x dim_h arrays above DENSE_DIM_CAP."""
+
+
+# dim_h cap of the dense oracle: at the cap one dim_h x dim_h float64 array takes 134 MB
+DENSE_DIM_CAP = 4096
+
+
+def _check_dense_size(program: SpanProgram) -> None:
+    """Refuse, before allocating, a dense dim_h x dim_h array above the cap."""
+    if program.dim_h > DENSE_DIM_CAP:
+        raise OracleSizeError(
+            f"the dense oracle forms dim_h x dim_h arrays: dim_h = {program.dim_h} "
+            f"is above the cap of {DENSE_DIM_CAP}"
+        )
 
 
 class Subspaces(Mapping):
@@ -187,9 +204,9 @@ class Factorization:
 def _factorize(a_mat: np.ndarray, tau: np.ndarray, tols: Tolerances) -> Factorization:
     a_pinv, row_basis, top = pinv_factors(a_mat, tols)
     parts = (freeze(row_basis), top)
-    if not in_column_space(a_mat, a_pinv, tau, tols):
-        return Factorization(*parts, None, "tau is not in col(A); no positive witness exists")
     w0 = a_pinv @ tau
+    if np.linalg.norm(a_mat @ w0 - tau) > tols.membership_rtol * np.linalg.norm(tau):
+        return Factorization(*parts, None, "tau is not in col(A); no positive witness exists")
     n_plus = float(w0 @ w0)
     if n_plus == 0.0:
         return Factorization(*parts, None, "tau = 0 gives a degenerate program")
@@ -298,7 +315,9 @@ def subspace_projector(
     program: SpanProgram, x: Sequence[int], tols: Tolerances = DEFAULT_TOLS
 ) -> np.ndarray:
     """Orthogonal projector onto H(x), block diagonal across the coordinate
-    blocks of subspace_blocks; for the dense oracle and the tests only."""
+    blocks of subspace_blocks; for the dense oracle and the tests only.
+    Raises OracleSizeError above DENSE_DIM_CAP."""
+    _check_dense_size(program)
     proj = np.zeros((program.dim_h, program.dim_h))
     for block, basis in subspace_blocks(program, x, tols)[0]:
         proj[block[:, None], block] = basis @ basis.T
@@ -313,46 +332,85 @@ def minimal_witness(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS) -> Mi
     return fact.witness
 
 
+@dataclass(frozen=True)
+class InputFactors:
+    """A(x) = A Q_H for one input and its one SVD, which every per-input
+    quantity reads: orthonormal bases U_r (col_basis) of col A(x) and Z
+    (complement) of its complement, the nonzero singular values sigma, cut
+    relative to a_scale = sigma_max(A), and their right singular vectors.
+    positive, decided once for both signs, is ||Z^T tau|| <= membership_rtol
+    ||tau||: whether tau lies in col A(x)."""
+
+    q_h: Blocks
+    q_perp: Blocks
+    a_x: np.ndarray
+    col_basis: np.ndarray
+    complement: np.ndarray
+    sigma: np.ndarray
+    row_vectors: np.ndarray
+    a_scale: float
+    positive: bool
+
+    def solve(self, v: np.ndarray) -> np.ndarray:
+        """A(x)^+ v."""
+        return self.row_vectors @ ((self.col_basis.T @ v) / self.sigma)
+
+
+def input_factors(
+    program: SpanProgram, x: Sequence[int], tols: Tolerances = DEFAULT_TOLS
+) -> InputFactors:
+    """Q_H, Q_perp and A(x) for x, with A(x) factored by one SVD.  U is full
+    only when A(x) is taller than wide; otherwise the thin SVD already holds
+    all of it, so no dim H(x) x dim H(x) array is formed."""
+    q_h, q_perp = subspace_blocks(program, x, tols)
+    a_x = restrict(program.a_mat, q_h)
+    u, s, vt = np.linalg.svd(a_x, full_matrices=a_x.shape[1] < a_x.shape[0])
+    a_scale = program.factorization(tols).sigma_max
+    r = _rank(s, tols, a_scale)
+    tau_off = float(np.linalg.norm(u[:, r:].T @ program.tau))
+    positive = tau_off <= tols.membership_rtol * float(np.linalg.norm(program.tau))
+    return InputFactors(q_h, q_perp, a_x, u[:, :r], u[:, r:], s[:r], vt[:r].T, a_scale, positive)
+
+
+def _exact_positive(program: SpanProgram, f: InputFactors) -> tuple[np.ndarray, float]:
+    w = _lift(program.dim_h, f.q_h, f.solve(program.tau))
+    return freeze(w), float(w @ w)
+
+
 def positive_witness(
     program: SpanProgram, x: Sequence[int], tols: Tolerances = DEFAULT_TOLS
 ) -> tuple[Optional[np.ndarray], float]:
     """Optimal exact positive witness Q_H A(x)^+ tau, or (None, inf)."""
-    q_h, _ = subspace_blocks(program, x, tols)
-    ax = restrict(program.a_mat, q_h)
-    a_scale = program.factorization(tols).sigma_max  # A(x) inherits A's scale
-    ax_pinv = pinv(ax, tols, scale=a_scale)
-    if not in_column_space(ax, ax_pinv, program.tau, tols):
-        return None, math.inf
-    w = _lift(program.dim_h, q_h, ax_pinv @ program.tau)
-    return freeze(w), float(w @ w)
+    f = input_factors(program, x, tols)
+    return _exact_positive(program, f) if f.positive else (None, math.inf)
 
 
 def _min_norm_under_linear_constraint(
-    gram: np.ndarray,
-    c: np.ndarray,
-    tols: Tolerances,
-    scale: Optional[float] = None,
-    gram_scale: Optional[float] = None,
+    gram: np.ndarray, c: np.ndarray, tols: Tolerances, gram_scale: Optional[float] = None
 ) -> tuple[Optional[np.ndarray], float]:
     """Minimize nu^T G nu subject to nu . c = 1 for symmetric PSD G.
 
-    Returns (nu, value); (None, inf) when c vanishes (relative to scale, which
-    defaults to ||c|| itself so only exact zero counts), and (nu, 0.0) when c
-    has a kernel component of G (the objective can be made exactly zero).
+    Returns (nu, value); (None, inf) when c = 0, and (nu, 0.0) when c has a
+    kernel component of G (the objective can be made exactly zero).
     """
-    c_norm = float(np.linalg.norm(c))
-    floor = tols.membership_rtol * scale if scale is not None else 0.0
-    if c_norm <= floor:
+    if not c.any():
         return None, math.inf
-    g_pinv = pinv(gram, tols, scale=gram_scale)
-    in_range = gram @ (g_pinv @ c)
-    kernel_part = c - in_range
+    y = pinv(gram, tols, scale=gram_scale) @ c
+    kernel_part = c - gram @ y
     if np.linalg.norm(kernel_part) > tols.membership_rtol * np.linalg.norm(c):
-        nu = kernel_part / float(kernel_part @ c)
-        return nu, 0.0
-    denom = float(c @ (g_pinv @ c))
-    nu = (g_pinv @ c) / denom
-    return nu, 1.0 / denom
+        return kernel_part / float(kernel_part @ c), 0.0
+    denom = float(c @ y)
+    return y / denom, 1.0 / denom
+
+
+def _exact_negative(
+    program: SpanProgram, f: InputFactors, tols: Tolerances
+) -> tuple[np.ndarray, float]:
+    b = f.complement.T @ program.a_mat  # omega = Z nu; Z^T tau != 0 as x is negative
+    nu, value = _min_norm_under_linear_constraint(
+        b @ b.T, f.complement.T @ program.tau, tols, gram_scale=f.a_scale * f.a_scale
+    )
+    return freeze(nu @ b), value
 
 
 def negative_witness(
@@ -365,25 +423,19 @@ def negative_witness(
     Returns (omega A as a length-dim_h row, w_minus); (None, inf) when x is
     positive.
     """
-    ax = restrict(program.a_mat, subspace_blocks(program, x, tols)[0])
-    a_scale = program.factorization(tols).sigma_max
-    _, z_basis = column_space_split(ax, tols, scale=a_scale)
-    b = z_basis.T @ program.a_mat
-    c = z_basis.T @ program.tau
-    gram = b @ b.T
-    # ||c|| is the distance from tau to col A(x), so the infeasibility test
-    # below is the same membership test positive_witness applies, keeping the
-    # partition of inputs exact.
-    nu, value = _min_norm_under_linear_constraint(
-        gram,
-        c,
-        tols,
-        scale=float(np.linalg.norm(program.tau)),
-        gram_scale=a_scale * a_scale,
-    )
-    if nu is None:
-        return None, math.inf
-    return freeze(nu @ b), value
+    f = input_factors(program, x, tols)
+    return (None, math.inf) if f.positive else _exact_negative(program, f, tols)
+
+
+def _min_error_positive(
+    program: SpanProgram, f: InputFactors, tols: Tolerances
+) -> tuple[np.ndarray, float, float]:
+    minimal_witness(program, tols)  # raises when tau is outside col(A)
+    a_perp = restrict(program.a_mat, f.q_perp)
+    b = pinv(f.complement.T @ a_perp, tols, scale=f.a_scale) @ (f.complement.T @ program.tau)
+    a = f.solve(program.tau - a_perp @ b)
+    w = _lift(program.dim_h, f.q_h, a) + _lift(program.dim_h, f.q_perp, b)
+    return freeze(w), float(b @ b), float(w @ w)
 
 
 def min_error_positive(
@@ -392,21 +444,32 @@ def min_error_positive(
     """Optimal min-error positive witness: (w_tilde, e_plus, w_tilde_plus).
 
     Writes w = Q_H a + Q_perp b, so A w = A(x) a + A_perp b with
-    A_perp = A Q_perp, and the error is ||b||^2.  With P the projector off
-    col A(x), the constraint on b alone is P A_perp b = P tau, whose min-norm
-    solution b = (P A_perp)^+ P tau is the unique minimal error coordinate;
-    then a = A(x)^+ (tau - A_perp b) minimizes ||w||^2.
+    A_perp = A Q_perp, and the error is ||b||^2.  Read in the basis Z of
+    col A(x)^perp, the constraint on b alone is Z^T A_perp b = Z^T tau, whose
+    min-norm solution b = (Z^T A_perp)^+ Z^T tau is the unique minimal error
+    coordinate; then a = A(x)^+ (tau - A_perp b) minimizes ||w||^2.
     """
-    minimal_witness(program, tols)  # raises when tau is outside col(A)
-    q_h, q_perp = subspace_blocks(program, x, tols)
-    ax, a_perp = restrict(program.a_mat, q_h), restrict(program.a_mat, q_perp)
-    a_scale = program.factorization(tols).sigma_max
-    ax_pinv = pinv(ax, tols, scale=a_scale)
-    off_ax = np.eye(program.dim_v) - ax @ ax_pinv
-    b = pinv(off_ax @ a_perp, tols, scale=a_scale) @ (off_ax @ program.tau)
-    a = ax_pinv @ (program.tau - a_perp @ b)
-    w = _lift(program.dim_h, q_h, a) + _lift(program.dim_h, q_perp, b)
-    return freeze(w), float(b @ b), float(w @ w)
+    return _min_error_positive(program, input_factors(program, x, tols), tols)
+
+
+def _min_error_negative(
+    program: SpanProgram, f: InputFactors, tols: Tolerances
+) -> tuple[np.ndarray, float, float]:
+    if not program.tau.any():
+        raise StructuralError("tau = 0: no functional maps tau to 1")
+    if not f.positive:
+        row, w_minus = _exact_negative(program, f, tols)
+        return row, 0.0, w_minus
+    # omega = U_r alpha + Z beta, where Z^T tau = 0: stage one fixes alpha
+    g = f.col_basis.T @ program.tau
+    h = g / (f.sigma * f.sigma)
+    on_col = f.col_basis @ (h / float(g @ h))
+    off_rows = f.complement.T @ program.a_mat
+    beta = -pinv(off_rows.T, tols, scale=f.a_scale) @ (on_col @ program.a_mat)
+    omega = on_col + f.complement @ beta
+    row = omega @ program.a_mat
+    on_x = omega @ f.a_x
+    return freeze(row), float(on_x @ on_x), float(row @ row)
 
 
 def min_error_negative(
@@ -415,61 +478,29 @@ def min_error_negative(
     """Optimal min-error negative witness: (omega_tilde A, e_minus, w_tilde_minus).
 
     Stage one minimizes ||omega A(x)||^2 over {omega : omega tau = 1}, stage
-    two minimizes ||omega A||^2 among the stage-one minimizers.
+    two minimizes ||omega A||^2 among the stage-one minimizers.  On a negative
+    x stage one reaches 0 and the result is the exact negative witness.  On a
+    positive x, with omega = U_r alpha + Z beta and g = U_r^T tau, stage one
+    fixes alpha = Sigma^-2 g / (g^T Sigma^-2 g) and stage two is a least-squares
+    problem in beta.
     """
-    tau_norm2 = float(program.tau @ program.tau)
-    if tau_norm2 == 0.0:
-        raise StructuralError("tau = 0: no functional maps tau to 1")
-    ax = restrict(program.a_mat, subspace_blocks(program, x, tols)[0])
-    omega_p = program.tau / tau_norm2
-    z_basis = kernel_basis(program.tau[None, :], tols)  # orthonormal basis of tau^perp
-
-    # Stage one in the coefficient vector y: omega = omega_p + Z y.
-    a_scale = program.factorization(tols).sigma_max
-    m1 = ax.T @ z_basis
-    y_star = -pinv(m1, tols, scale=a_scale) @ (ax.T @ omega_p)
-    # Stage two over the stage-one minimizers y_star + N v, N a basis of ker(m1).
-    null1 = kernel_basis(m1, tols, scale=a_scale)
-    m2 = program.a_mat.T @ z_basis @ null1
-    v = -pinv(m2, tols, scale=a_scale) @ (program.a_mat.T @ (omega_p + z_basis @ y_star))
-    omega = omega_p + z_basis @ (y_star + null1 @ v)
-
-    row = omega @ program.a_mat
-    on_x = omega @ ax
-    return freeze(row), float(on_x @ on_x), float(row @ row)
+    return _min_error_negative(program, input_factors(program, x, tols), tols)
 
 
 def witness_report(
     program: SpanProgram, x: Sequence[int], tols: Tolerances = DEFAULT_TOLS
 ) -> WitnessReport:
-    """Compute all six witness quantities and the optimal witness vectors."""
-    w_vec, w_plus = positive_witness(program, x, tols)
-    neg_row, w_minus = negative_witness(program, x, tols)
-
-    if math.isinf(w_plus):
-        tilde_vec, e_plus, w_tilde_plus = min_error_positive(program, x, tols)
-        witness_vec = tilde_vec
-    else:
-        e_plus, w_tilde_plus = 0.0, w_plus
-        witness_vec = w_vec
-
-    if math.isinf(w_minus):
-        tilde_row, e_minus, w_tilde_minus = min_error_negative(program, x, tols)
-        neg_witness_row = tilde_row
-    else:
-        e_minus, w_tilde_minus = 0.0, w_minus
-        neg_witness_row = neg_row
-
-    return WitnessReport(
-        w_plus=w_plus,
-        w_minus=w_minus,
-        e_plus=e_plus,
-        e_minus=e_minus,
-        w_tilde_plus=w_tilde_plus,
-        w_tilde_minus=w_tilde_minus,
-        witness_vec=witness_vec,
-        neg_witness_row=neg_witness_row,
-    )
+    """Compute all six witness quantities and the optimal witness vectors
+    from one InputFactors: the exact witness of x's sign and the min-error
+    witness of the other."""
+    f = input_factors(program, x, tols)
+    if f.positive:
+        vec, w_plus = _exact_positive(program, f)
+        row, e_minus, wt_minus = _min_error_negative(program, f, tols)
+        return WitnessReport(w_plus, math.inf, 0.0, e_minus, w_plus, wt_minus, vec, row)
+    row, w_minus = _exact_negative(program, f, tols)
+    vec, e_plus, wt_plus = _min_error_positive(program, f, tols)
+    return WitnessReport(math.inf, w_minus, e_plus, 0.0, wt_plus, w_minus, vec, row)
 
 
 def minimal_negative_value(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, float]:

@@ -35,10 +35,10 @@ from ._linalg import (
     freeze,
     is_orthogonal_projector,
     kernel_basis,
-    nonzero_singular_values,
     singular_values,
 )
-from .spanprog import SpanProgram, minimal_witness, restrict, subspace_blocks, subspace_projector
+from .spanprog import SpanProgram, _check_dense_size, input_factors, minimal_witness
+from .spanprog import restrict, subspace_blocks, subspace_projector
 
 PHASE_CLUSTER_TOL = 1e-9  # phases this close together share an eigenspace
 
@@ -234,7 +234,9 @@ def decompose_orthogonal(u_mat: np.ndarray) -> UnitaryDecomposition:
 
 
 def kernel_projector(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Orthogonal projector I - V_r V_r^T onto ker(A), V_r the row basis of A."""
+    """Orthogonal projector I - V_r V_r^T onto ker(A), V_r the row basis of A.
+    Raises OracleSizeError above DENSE_DIM_CAP."""
+    _check_dense_size(program)
     v_r = program.factorization(tols).row_basis
     return np.eye(program.dim_h) - v_r @ v_r.T
 
@@ -257,9 +259,9 @@ def build_Uprime(
     Also verifies the factorization U' = U^T (I - 2 w0 w0^T / ||w0||^2) against
     a direct matrix product before returning.
     """
+    pi_ker = kernel_projector(program, tols)
     mw = minimal_witness(program, tols)
     w0_hat = np.asarray(mw.w0) / math.sqrt(mw.n_plus)
-    pi_ker = kernel_projector(program, tols)
     pi_t = pi_ker + np.outer(w0_hat, w0_hat)
     pi_hx = subspace_projector(program, x, tols)
     eye = np.eye(program.dim_h)
@@ -352,10 +354,8 @@ def kappa_bound(
 ) -> tuple[float, float]:
     """Phase-gap lower bound 2 sigma_min(A(x)) / sigma_max(A), valid for both
     U(P, x) and (when x is positive) U'(P, x); returned once per unitary."""
-    ax = restrict(program.a_mat, subspace_blocks(program, x, tols)[0])
-    a_scale = program.factorization(tols).sigma_max
-    nonzero = nonzero_singular_values(ax, tols, scale=a_scale)
-    if nonzero.size == 0:
+    f = input_factors(program, x, tols)
+    if f.sigma.size == 0:
         raise ValueError("A(x) = 0: the phase-gap bound is degenerate")
-    bound = 2.0 * float(nonzero[-1]) / a_scale
+    bound = 2.0 * float(f.sigma[-1]) / f.a_scale
     return bound, bound

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import DEFAULT_TOLS, Tolerances, intersection_dims, sigma_max, sigma_min_nonzero
+from ._linalg import DEFAULT_TOLS, Tolerances, intersection_dims
 from .generators import (
     all_inputs,
     random_graph,
@@ -28,19 +28,14 @@ from .resistance import (
     verify_reflection_factorization,
     witness_equals_half_resistance,
 )
-from .spanprog import (
-    minimal_negative_value,
-    minimal_witness,
-    normalize,
-    restrict,
-    scale,
-    subspace_blocks,
-    subspace_projector,
-    witness_report,
-)
+from .qsim import outcome_zero_probability
+from .spanprog import input_factors, minimal_negative_value, minimal_witness, normalize, scale
+from .spanprog import subspace_projector, witness_report
 from .spectral import build_U, build_Uprime, decompose_orthogonal, discriminant, kappa_bound
+from .spectral import measure_U, measure_Uprime
 
 THETA_GRID = [0.05 * k for k in range(1, 31)]
+PE_GRIDS = (2, 16, 256)  # phase-estimation grid sizes the estimator path is compared on
 
 
 @dataclass(frozen=True)
@@ -121,8 +116,10 @@ def suite_duality(trials: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> li
 
 def suite_spectral(trials: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> list[Check]:
     """Fixed-space overlaps and the effective-spectral-gap inequalities on
-    normalized random programs, plus the raw two-reflection overlap lemma."""
+    normalized random programs, the estimator path's spectral measures
+    against the dense oracle's, plus the raw two-reflection overlap lemma."""
     worst_p0_neg = worst_p0_pos = 0.0
+    worst_measure_u = worst_measure_up = 0.0
     worst_th_neg = worst_th_pos = -math.inf
     worst_raw = -math.inf
     for trial in range(trials):
@@ -133,6 +130,14 @@ def suite_spectral(trials: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> l
             rep = witness_report(program, x, tols)
             dec = build_U(program, x, tols)
             decp = build_Uprime(program, x, tols)
+            worst_measure_u = max(
+                worst_measure_u, _measure_gap(measure_U(program, x, tols), dec.measure(w0))
+            )
+            if math.isfinite(rep.w_plus):
+                worst_measure_up = max(
+                    worst_measure_up,
+                    _measure_gap(measure_Uprime(program, x, tols), decp.measure(w0)),
+                )
             inv_wm = 0.0 if math.isinf(rep.w_minus) else 1.0 / rep.w_minus
             inv_wp = 0.0 if math.isinf(rep.w_plus) else 1.0 / rep.w_plus
             worst_p0_neg = max(
@@ -173,7 +178,19 @@ def suite_spectral(trials: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> l
                         "||Pi_Theta w0||^2 <= Theta^2/4 wt- + 1/w+ over the Theta grid"),
         _residual_check("spectral/two-reflection-overlap", worst_raw, 1e-8,
                         "||Pi_Theta Pi_B u|| <= Theta/2 ||u|| when Pi_A u = 0"),
+        _residual_check("spectral/measure-U-vs-oracle", worst_measure_u, 1e-10,
+                        f"outcome-zero probability of measure_U vs the oracle's, M in {PE_GRIDS}"),
+        _residual_check("spectral/measure-Uprime-vs-oracle", worst_measure_up, 1e-10,
+                        "the same for measure_Uprime on positive inputs"),
     ]
+
+
+def _measure_gap(measure, oracle) -> float:
+    """Largest outcome-zero probability difference of two measures over PE_GRIDS."""
+    return max(
+        abs(outcome_zero_probability(measure, m) - outcome_zero_probability(oracle, m))
+        for m in PE_GRIDS
+    )
 
 
 def suite_scaling(trials: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> list[Check]:
@@ -310,18 +327,11 @@ def suite_kappa(trials: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> list
         n = int(rng.integers(3, 8))
         g = random_graph(rng, n, edge_prob=0.6)
         program = build_st_span_program(g.n, g.s, g.t)
-        x = graph_input(g)
-        ax = restrict(program.a_mat, subspace_blocks(program, x, tols)[0])
+        factors = input_factors(program, graph_input(g), tols)
         lam = lambda2(g)
         if lam > 1e-9:
-            worst_sigma = max(
-                worst_sigma,
-                abs(sigma_min_nonzero(ax, tols, scale=sigma_max(program.a_mat))
-                    - math.sqrt(2.0 * lam)),
-            )
-        worst_sigma = max(
-            worst_sigma, abs(sigma_max(program.a_mat) - math.sqrt(2.0 * g.n))
-        )
+            worst_sigma = max(worst_sigma, abs(float(factors.sigma[-1]) - math.sqrt(2.0 * lam)))
+        worst_sigma = max(worst_sigma, abs(factors.a_scale - math.sqrt(2.0 * g.n)))
         res = exact_resistance(g)
         if math.isfinite(res) and len(g.edges) <= 8:
             worst_res = max(worst_res, abs(res - flow_resistance_bruteforce(g)))

@@ -23,17 +23,22 @@ from spanforge.resistance import (
     lambda2,
 )
 from spanforge.spanprog import (
+    DENSE_DIM_CAP,
+    OracleSizeError,
     SpanProgram,
+    input_factors,
     minimal_witness,
     normalize,
     or_span_program,
     positive_witness,
+    restrict,
     scale,
+    subspace_blocks,
     subspace_projector,
     validate,
     witness_report,
 )
-from spanforge.spectral import kappa_bound
+from spanforge.spectral import build_U, build_Uprime, kappa_bound, kernel_projector
 
 from oracles import (
     oracle_min_error_negative,
@@ -123,12 +128,22 @@ def degenerate_programs():
         a_mat=np.ones((2, 3)),
         tau=np.array([1.0, 1.0]),
     )
+    # dim H(x) = 1 + |x| < dim_v when |x| <= 1, so A(x) is taller than wide
+    # and its SVD returns a full U; x = (0, 0, 1) is positive, (0, 0, 0) is not
+    tall = SpanProgram(
+        n=3, q=2, dim_h=4, dim_v=3,
+        input_blocks=((0,), (1,), (2,)), true_block=(3,), false_block=(),
+        subspaces={(j, a): np.ones((1, a)) for j in range(3) for a in range(2)},
+        a_mat=np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0]]),
+        tau=np.array([1.0, 1.0, 2.0]),
+    )
     return {
         "or-empty-hx": or_span_program(3),  # x = (0, 0, 0): H(x) is empty
         "empty-symbols": empty_symbols,
         "scaled-true-and-false": scale(or_span_program(3), 0.5),
         "scaled-random": scale(random_span_program(np.random.default_rng(7)), 2.0),
         "rank-deficient": rank_deficient,
+        "tall-a-x": tall,
     }
 
 
@@ -150,6 +165,54 @@ def test_degenerate_programs_reach_their_cases():
     assert w_plus == pytest.approx(0.5, rel=RTOL)
     ax = deficient.a_mat @ subspace_projector(deficient, (1, 1, 0))
     assert np.linalg.matrix_rank(ax) == 1
+    tall = programs["tall-a-x"]
+    for x, positive in (((0, 0, 1), True), ((0, 0, 0), False)):
+        factors = input_factors(tall, x)
+        assert factors.a_x.shape[1] < tall.dim_v
+        assert factors.positive == positive
+        assert factors.col_basis.shape[1] + factors.complement.shape[1] == tall.dim_v
+
+
+def test_witness_report_takes_one_svd_of_a_x(monkeypatch):
+    program = random_span_program(np.random.default_rng([1, 7]))
+    minimal_witness(program)  # A's own SVD is per program
+    svd = np.linalg.svd
+    seen = []
+
+    def recording(mat, *args, **kwargs):
+        seen.append(np.array(mat, copy=True))
+        return svd(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    signs = set()
+    for x in all_inputs(program):
+        ax = restrict(program.a_mat, subspace_blocks(program, x)[0])
+        seen.clear()
+        rep = witness_report(program, x)
+        signs.add(math.isfinite(rep.w_plus))
+        assert sum(m.shape == ax.shape and np.array_equal(m, ax) for m in seen) == 1
+    assert signs == {True, False}
+
+
+def test_dense_oracle_refuses_programs_above_the_cap_before_allocating():
+    program = build_st_span_program(70, 0, 1)
+    assert program.dim_h == 4830 > DENSE_DIM_CAP
+    assert issubclass(OracleSizeError, ValueError)
+    x = graph_input(complete_graph(70, s=0, t=1))
+    calls = (
+        lambda: subspace_projector(program, x),
+        lambda: kernel_projector(program),
+        lambda: build_U(program, x),
+        lambda: build_Uprime(program, x),
+    )
+    for call in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(OracleSizeError, match="dim_h = 4830 .* 4096"):
+                call()
+            assert tracemalloc.get_traced_memory()[1] < 20e6
+        finally:
+            tracemalloc.stop()
 
 
 ORACLE_ONLY = (

@@ -387,8 +387,7 @@ def test_factorization_is_kept_per_tolerances():
 
 def test_subspace_store_is_shared_read_only_and_never_stale(monkeypatch):
     # derived programs share the parent's store, so the bases of H_{j,a} are
-    # decided once per Tolerances; the SVD of A(x) in negative_witness is not
-    # a store matrix and is not counted
+    # decided once per Tolerances; only calls on store matrices are counted
     program = normalize(random_span_program(np.random.default_rng([2, 106]), max_q=2))
     child = scale(program, 0.5)
     mats = [m for m in program.subspaces.values() if m.size]
