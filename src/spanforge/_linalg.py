@@ -84,18 +84,20 @@ def sigma_min_nonzero(
 
 def pinv_factors(
     mat: np.ndarray, tols: Tolerances = DEFAULT_TOLS, scale: Optional[float] = None
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Moore-Penrose pseudo-inverse with the package's rank cutoff, an
-    orthonormal basis of row(mat) as columns (shape (cols, rank)) and the
-    largest singular value, all from one SVD."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """Moore-Penrose pseudo-inverse with the package's rank cutoff and the
+    factors of the one SVD it comes from: orthonormal bases of col(mat)
+    (rows x rank) and row(mat) (cols x rank) as columns, the nonzero
+    singular values between them, and the largest singular value."""
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    rows, cols = mat.shape
     if mat.size == 0:
-        return np.zeros(mat.shape[::-1]), np.zeros((mat.shape[1], 0)), 0.0
+        return np.zeros((cols, rows)), np.zeros((rows, 0)), np.zeros(0), np.zeros((cols, 0)), 0.0
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
     rank = _rank(s, tols, scale)
     inv = np.zeros_like(s)
     inv[:rank] = 1.0 / s[:rank]
-    return (vt.T * inv) @ u.T, vt[:rank].T, float(s[0])
+    return (vt.T * inv) @ u.T, u[:, :rank], s[:rank], vt[:rank].T, float(s[0])
 
 
 def pinv(

@@ -9,6 +9,15 @@ witness_estimate shrinks an interval around 1/w(x) by repeated threshold
 decisions; gap_estimate and kappa_estimate trade the interval search for a
 known phase-gap lower bound and a single amplitude estimation per precision
 level.
+
+A round never builds the scaled program.  witness_estimate factors A(x) once
+(spanprog.input_factors), reads the witness sizes from it, and forms
+C(x) = V_r^T Q_H(x) once (spectral.row_space_cross); each round reads its
+scaled program's measure from C(x) and an (r+1) x (r+1) SVD of the parent's
+factors (spectral.scaled_measure_U / scaled_measure_Uprime).  A C(x) built
+for another program, input or Tolerances is refused.  decision_context and
+decide_threshold form C(x) for their one round; measure_U / measure_Uprime
+of spanprog.scale(program, beta) is the oracle the rounds are tested against.
 """
 
 from __future__ import annotations
@@ -31,9 +40,11 @@ from .qsim import (
     pe_grid_size,
     pe_queries,
 )
-from .spanprog import GloballyInfeasibleError, SpanProgram, minimal_witness, normalize, scale
-from .spanprog import min_error_negative, min_error_positive, negative_witness, positive_witness
-from .spectral import measure_U, measure_Uprime
+from .spanprog import GloballyInfeasibleError, InputFactors, SpanProgram, input_factors
+from .spanprog import minimal_witness, normalize, subspace_blocks
+from .spanprog import _exact_negative, _exact_positive, _min_error_negative, _min_error_positive
+from .spectral import RowSpaceCross, measure_U, measure_Uprime, row_space_cross
+from .spectral import scaled_measure_U, scaled_measure_Uprime
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -125,17 +136,19 @@ def _scaled_parameters(
     return beta, w_new, wt_new, lam_new
 
 
-def decision_context(
+def _round_context(
     program: SpanProgram,
     x: Sequence[int],
     spec: ThresholdSpec,
-    tols: Tolerances = DEFAULT_TOLS,
+    tols: Tolerances,
+    cross: RowSpaceCross,
 ) -> _DecisionContext:
-    """Build the scaled program, take w0's spectral measure under the right
-    unitary, and evaluate the exact outcome-0 probability of phase estimation."""
+    """One threshold round: w0's spectral measure under the right unitary of
+    the scaled program, read from x's C(x), and the exact outcome-0
+    probability of phase estimation."""
+    cross.check(program, x, tols)
     flags: list[str] = []
     beta, w_new, wt_new, lam_new = _scaled_parameters(program, spec, tols)
-    scaled = scale(program, beta, tols)
 
     theta = math.sqrt(4.0 * (1.0 - lam_new) / (3.0 * w_new * wt_new))
     eps_pe = _clamp01((1.0 - lam_new) / (6.0 * w_new), "eps_pe", flags)
@@ -145,15 +158,31 @@ def decision_context(
     )
 
     if spec.side == NEGATIVE:
-        measure = measure_U(scaled, x, tols)
+        measure = scaled_measure_U(cross, beta)
     else:
-        measure = measure_Uprime(scaled, x, tols)
+        measure = scaled_measure_Uprime(cross, beta)
 
     grid = pe_grid_size(theta, eps_pe)
     p_exact = outcome_zero_probability(measure, grid)
     return _DecisionContext(
         p_exact=p_exact, p0=p0, p1=p1, pe_grid=grid, flags=tuple(flags)
     )
+
+
+def _input_cross(program: SpanProgram, x: Sequence[int], tols: Tolerances) -> RowSpaceCross:
+    return row_space_cross(program, x, subspace_blocks(program, x, tols)[0], tols)
+
+
+def decision_context(
+    program: SpanProgram,
+    x: Sequence[int],
+    spec: ThresholdSpec,
+    tols: Tolerances = DEFAULT_TOLS,
+) -> _DecisionContext:
+    """Take w0's spectral measure under the right unitary of the scaled
+    program and evaluate the exact outcome-0 probability of phase estimation,
+    for one round."""
+    return _round_context(program, x, spec, tols, _input_cross(program, x, tols))
 
 
 def decide_threshold(
@@ -168,7 +197,8 @@ def decide_threshold(
     0 when it is large (>= spec.w_bound / spec.lam); correct with probability
     >= 2/3 under that promise, arbitrary in the gap.
     """
-    return _threshold_votes(program, x, spec, 1, rng, ledger, tols)
+    cross = _input_cross(program, x, tols)
+    return _threshold_votes(program, x, spec, 1, rng, ledger, tols, cross)
 
 
 def decide_threshold_success_probability(
@@ -180,8 +210,9 @@ def decide_threshold_success_probability(
     """Exact probability that decide_threshold answers correctly on x,
     computed by outcome-distribution summation.  None when x falls in the
     promise gap (any answer is then acceptable)."""
-    ctx = decision_context(program, x, spec, tols)
-    w_val = _witness_size(program, x, spec.side, tols, estimate=False)
+    f = input_factors(program, x, tols)
+    ctx = _round_context(program, x, spec, tols, row_space_cross(program, x, f.q_h, tols))
+    w_val = _witness_size(program, f, spec.side, tols, estimate=False)
     if w_val <= spec.w_bound * (1.0 + 1e-12):
         truth_high = True
     elif w_val >= spec.w_bound / spec.lam * (1.0 - 1e-12):
@@ -209,12 +240,13 @@ def _threshold_votes(
     rng: np.random.Generator,
     ledger: QueryLedger,
     tols: Tolerances,
+    cross: RowSpaceCross,
     flags: Optional[list[str]] = None,
 ) -> int:
     """Number of 1-votes among reps independent threshold decisions, each an
     amplitude estimation of the exact outcome-zero probability on the
     amp_gap_grid_size grid, read as 1 at or above amp_gap_threshold."""
-    ctx = decision_context(program, x, spec, tols)
+    ctx = _round_context(program, x, spec, tols, cross)
     grid_ae = amp_gap_grid_size(ctx.p0, ctx.p1)
     if flags is not None:
         for flag in ctx.flags:
@@ -225,12 +257,16 @@ def _threshold_votes(
 
 
 def _witness_size(
-    program: SpanProgram, x: Sequence[int], side: str, tols: Tolerances, estimate: bool
+    program: SpanProgram, f: InputFactors, side: str, tols: Tolerances, estimate: bool
 ) -> float:
-    """The exact witness size w_side(x), inf when x has no witness of that
-    sign; an estimate needs a finite one and raises instead."""
-    witness = positive_witness if side == POSITIVE else negative_witness
-    _, size = witness(program, x, tols)
+    """The exact witness size w_side(x), read from x's InputFactors f; inf
+    when x has no witness of that sign, where an estimate raises instead."""
+    if f.positive != (side == POSITIVE):
+        size = math.inf
+    elif f.positive:
+        size = _exact_positive(program, f)[1]
+    else:
+        size = _exact_negative(program, f, tols)[1]
     if estimate and math.isinf(size):
         sign = "+" if side == POSITIVE else "-"
         raise GloballyInfeasibleError(f"x has no {side} witness; cannot estimate w_{sign}")
@@ -286,10 +322,12 @@ def witness_estimate(
         raise ValueError("eps must lie in (0, 1)")
 
     _assert_normalized(program, tols)
-    w_true = _witness_size(program, x, side, tols, estimate=True)
+    f = input_factors(program, x, tols)
+    w_true = _witness_size(program, f, side, tols, estimate=True)
     if w_tilde_bound is None:
-        min_error = min_error_negative if side == POSITIVE else min_error_positive
-        _, _, w_tilde_bound = min_error(program, x, tols)
+        min_error = _min_error_negative if side == POSITIVE else _min_error_positive
+        _, _, w_tilde_bound = min_error(program, f, tols)
+    cross = row_space_cross(program, x, f.q_h, tols)
 
     start_queries = ledger.total
     flags: list[str] = []
@@ -307,7 +345,7 @@ def witness_estimate(
             side=side, lam=e0 / e1, w_bound=1.0 / e1, w_tilde_bound=w_tilde_bound
         )
         reps = majority_reps((1.0 / 9.0) * (2.0 / 3.0) ** (rounds - 1), DECIDE_SUCCESS_FLOOR)
-        votes = _threshold_votes(program, x, spec, reps, rng, ledger, tols, flags)
+        votes = _threshold_votes(program, x, spec, reps, rng, ledger, tols, cross, flags)
         e_max, e_min = interval_update(e_max, e_min, 2 * votes > reps)
         if e_max <= (1.0 + eps) * e_min:
             break
@@ -372,7 +410,7 @@ def gap_estimate(
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     _assert_normalized(program, tols)
-    _witness_size(program, x, side, tols, estimate=True)
+    _witness_size(program, input_factors(program, x, tols), side, tols, estimate=True)
     measure = (measure_Uprime if side == POSITIVE else measure_U)(program, x, tols)
 
     start_queries = ledger.total

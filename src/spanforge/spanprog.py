@@ -12,7 +12,10 @@ program's Subspaces store; only the oracle's subspace_projector forms a
 dim_h x dim_h matrix.  input_factors factors A(x) with one SVD and decides
 once whether tau lies in col A(x); the six witness quantities (exact and
 min-error, both signs) and the kappa bound all read that InputFactors.
-Infeasible sizes are math.inf.
+Infeasible sizes are math.inf.  scaled_factors reads the factors of
+scale(program, beta) from the parent's A = U_r Sigma V_r^T with one SVD of
+an (r+1) x (r+1) matrix, for the threshold rounds that would otherwise
+factor each scaled program anew.
 """
 
 from __future__ import annotations
@@ -69,11 +72,12 @@ def _check_dense_size(program: SpanProgram) -> None:
 class Subspaces(Mapping):
     """Read-only store of the H_{j,a} matrices, keyed by (j, a), that the
     programs derived from one another share, with each H_{j,a}'s bases kept
-    per Tolerances once decided."""
+    per Tolerances once decided.  Equal matrices under different keys are
+    decided once: the bases are kept by content as well as by key."""
 
     def __init__(self, mats: Mapping[tuple[int, int], np.ndarray]):
         self._mats = {k: freeze(np.atleast_2d(v)) for k, v in mats.items()}
-        self._bases: dict[Tolerances, dict] = {}
+        self._bases: dict[Tolerances, tuple[dict, dict]] = {}
 
     def __getitem__(self, key: tuple[int, int]) -> np.ndarray:
         return self._mats[key]
@@ -90,13 +94,19 @@ class Subspaces(Mapping):
         """Read-only orthonormal bases of H_{j,a} and of its complement in
         H_j, from one SVD on first use under tols; None when H_{j,a} is
         empty or absent."""
-        memo = self._bases.setdefault(tols, {})
-        if key not in memo:
+        by_key, by_content = self._bases.setdefault(tols, ({}, {}))
+        if key not in by_key:
             mat = self._mats.get(key)
-            memo[key] = None if mat is None or not mat.size else column_space_split(mat, tols)
-            for part in memo[key] or ():
-                part.setflags(write=False)
-        return memo[key]
+            if mat is None or not mat.size:
+                by_key[key] = None
+            else:
+                content = (mat.shape, mat.tobytes())
+                if content not in by_content:
+                    split = by_content[content] = column_space_split(mat, tols)
+                    for part in split:
+                        part.setflags(write=False)
+                by_key[key] = by_content[content]
+        return by_key[key]
 
 
 @dataclass(frozen=True)
@@ -189,12 +199,16 @@ class MinimalWitness:
 class Factorization:
     """What every computation on one program needs from A, for one Tolerances.
 
-    row_basis is an orthonormal basis of row(A) (dim_h x rank) and sigma_max
-    A's largest singular value, both from the SVD that gives A^+.  witness is
-    w0 = A^+ tau with N_+ and N_-; when no positive witness exists it is None
-    and infeasible says why.
+    A = U_r diag(sigma) V_r^T, cut at the package's rank tolerance:
+    col_basis is U_r (dim_v x rank), sigma the nonzero singular values and
+    row_basis V_r (dim_h x rank), all from the SVD that gives A^+, whose
+    largest singular value is sigma_max.  witness is w0 = A^+ tau with N_+
+    and N_-; when no positive witness exists it is None and infeasible says
+    why.
     """
 
+    col_basis: np.ndarray
+    sigma: np.ndarray
     row_basis: np.ndarray
     sigma_max: float
     witness: Optional[MinimalWitness]
@@ -202,8 +216,8 @@ class Factorization:
 
 
 def _factorize(a_mat: np.ndarray, tau: np.ndarray, tols: Tolerances) -> Factorization:
-    a_pinv, row_basis, top = pinv_factors(a_mat, tols)
-    parts = (freeze(row_basis), top)
+    a_pinv, col_basis, sigma, row_basis, top = pinv_factors(a_mat, tols)
+    parts = (freeze(col_basis), freeze(sigma), freeze(row_basis), top)
     w0 = a_pinv @ tau
     if np.linalg.norm(a_mat @ w0 - tau) > tols.membership_rtol * np.linalg.norm(tau):
         return Factorization(*parts, None, "tau is not in col(A); no positive witness exists")
@@ -574,6 +588,75 @@ def scale(program: SpanProgram, beta: float, tols: Tolerances = DEFAULT_TOLS) ->
         a_mat=a_new,
         tau=tau_new,
     )
+
+
+@dataclass(frozen=True)
+class ScaledFactors:
+    """The factors of scale(program, beta)'s A_beta that w0's spectral
+    measure reads, derived from the parent's A = U_r Sigma V_r^T.
+
+    With g = U_r^T tau and rho = tau - U_r g, the rows [beta A, tau] of A_beta
+    on V are [U_r, e] K blockdiag(V_r^T, 1) for e = rho/||rho|| (any unit
+    vector off col(A) when rho = 0) and the (r+1) x (r+1) matrix
+    K = [[beta Sigma, g], [0, ||rho||]].  Keeping rho keeps a tau that lies
+    in col(A) only to within membership_rtol as the direct SVD sees it.  The
+    last row of A_beta is c = sqrt(beta^2 + N)/beta on h1 alone.  From
+    K = P S Q^T, A_beta's nonzero singular values are the kept values of S
+    and c, cut against max(S, c) as _factorize cuts them.  Its row basis is
+    V_beta = blockdiag(blockdiag(V_r, 1) row_map, 1), row_map the kept
+    columns of Q, and witness is
+    y = V_beta^T w0_beta = [S^-1 P^T [g; ||rho||]; 1/c] over the kept values;
+    h1's entries come last and are absent when c itself is cut.
+    """
+
+    row_map: np.ndarray
+    witness: np.ndarray
+
+    def cross(self, parent_cross: np.ndarray) -> np.ndarray:
+        """V_beta^T Q_{H_beta}(x) from the parent's C(x) = V_r^T Q_H(x):
+        h0 lies in the false block and h1 in the true one, so H_beta(x) is
+        H(x) plus h1 and the matrix is blockdiag(row_map[:r]^T C(x), 1).
+        Given C(x) W for W with orthonormal columns, it returns the same
+        matrix times blockdiag(W, 1)."""
+        top = self.row_map[:-1].T @ parent_cross
+        if self.witness.size == self.row_map.shape[1]:
+            return top
+        out = np.zeros((top.shape[0] + 1, top.shape[1] + 1))
+        out[:-1, :-1] = top
+        out[-1, -1] = 1.0
+        return out
+
+
+def scaled_factors(
+    program: SpanProgram, beta: float, tols: Tolerances = DEFAULT_TOLS
+) -> ScaledFactors:
+    """ScaledFactors of scale(program, beta, tols), from one SVD of the
+    (r+1) x (r+1) matrix K.  Raises GloballyInfeasibleError when tau_beta
+    fails _factorize's membership test, as minimal_witness of the scaled
+    program then does."""
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    n_val = minimal_witness(program, tols).n_plus
+    fact = program.factorization(tols)
+    g = fact.col_basis.T @ program.tau
+    rho = float(np.linalg.norm(program.tau - fact.col_basis @ g))
+    r = g.size
+    k_mat = np.zeros((r + 1, r + 1))
+    k_mat[:r, :r] = np.diag(beta * fact.sigma)
+    k_mat[:r, r] = g
+    k_mat[r, r] = rho
+    p_mat, s, qt = np.linalg.svd(k_mat)
+    c = math.sqrt(beta * beta + n_val) / beta
+    kept = _rank(s, tols, c)
+    h1_kept = _rank(np.array([c]), tols, float(s[0])) == 1
+    on_tau = p_mat.T @ np.append(g, rho)
+    missed = math.hypot(float(np.linalg.norm(on_tau[kept:])), 0.0 if h1_kept else 1.0)
+    if missed > tols.membership_rtol * math.sqrt(float(program.tau @ program.tau) + 1.0):
+        raise GloballyInfeasibleError("tau is not in col(A); no positive witness exists")
+    y = on_tau[:kept] / s[:kept]
+    if h1_kept:
+        y = np.append(y, 1.0 / c)
+    return ScaledFactors(freeze(qt[:kept].T), freeze(y))
 
 
 def or_span_program(n: int) -> SpanProgram:

@@ -12,6 +12,14 @@ vectors at angle phi spans a plane that the negated product of the two
 reflections turns by pi - 2 phi = 2 arcsin(cos phi).  That is one SVD of a
 rank(A) x dim H(x) matrix; no dim_h x dim_h array is formed.
 
+A threshold round needs the same measure for the scaled program
+scale(P, beta).  scaled_measure_U and scaled_measure_Uprime read it without
+building that program: its row basis and w0 come from
+spanprog.scaled_factors, and its cross matrix from C(x) = V_r^T Q_H(x) of P,
+which does not depend on beta (RowSpaceCross, formed once per input).  Both
+routes share one tail per unitary, which takes (V^T w0, V^T Q_H).  The
+direct route on scale(P, beta) is the oracle the rounds are tested against.
+
 The oracle, for verify and the tests, builds U or U' densely (build_U,
 build_Uprime) and decomposes it through the real Schur form
 (decompose_orthogonal, the only user of scipy): for orthogonal matrices it is
@@ -37,8 +45,8 @@ from ._linalg import (
     kernel_basis,
     singular_values,
 )
-from .spanprog import SpanProgram, _check_dense_size, input_factors, minimal_witness
-from .spanprog import restrict, subspace_blocks, subspace_projector
+from .spanprog import Blocks, SpanProgram, _check_dense_size, input_factors, minimal_witness
+from .spanprog import restrict, scaled_factors, subspace_blocks, subspace_projector
 
 PHASE_CLUSTER_TOL = 1e-9  # phases this close together share an eigenspace
 
@@ -276,6 +284,39 @@ def build_Uprime(
     return decompose_orthogonal(u_prime)
 
 
+@dataclass(frozen=True)
+class RowSpaceCross:
+    """H(x) seen from row(A), for the program, input and Tolerances it was
+    built from: factor is an r x min(r, dim H(x)) matrix F with
+    F F^T = C C^T for C(x) = V_r^T Q_H(x), V_r the row basis of A and Q_H an
+    orthonormal basis of H(x).  w0's spectral measures read C(x) only
+    through C C^T (the left singular pairs of the cross matrix and the inner
+    products of its rows), so F serves for C(x).  C(x) does not depend on
+    beta, so every threshold round on x reads its scaled program's cross
+    matrix from this one factor."""
+
+    program: SpanProgram
+    x: tuple[int, ...]
+    tols: Tolerances
+    factor: np.ndarray
+
+    def check(self, program: SpanProgram, x: Sequence[int], tols: Tolerances) -> None:
+        """Raise ValueError unless this was built for program, x and tols."""
+        if self.program is not program or self.x != tuple(x) or self.tols != tols:
+            raise ValueError("C(x) was built for another program, input or tolerances")
+
+
+def row_space_cross(
+    program: SpanProgram, x: Sequence[int], q_h: Blocks, tols: Tolerances = DEFAULT_TOLS
+) -> RowSpaceCross:
+    """RowSpaceCross of x from Q_H(x) as subspace_blocks(program, x, tols)
+    or x's InputFactors give it; F = R^T from the QR factorization
+    C(x)^T = W R."""
+    v_r = program.factorization(tols).row_basis
+    r_mat = np.linalg.qr(restrict(v_r.T, q_h).T, mode="r")
+    return RowSpaceCross(program, program.check_input(x), tols, freeze(r_mat.T))
+
+
 def _row_space_and_hx(
     program: SpanProgram, x: Sequence[int], tols: Tolerances
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -286,6 +327,37 @@ def _row_space_and_hx(
     return v_r.T @ minimal_witness(program, tols).w0, cross
 
 
+def _measure_u(y: np.ndarray, cross: np.ndarray) -> SpectralMeasure:
+    c_mat, sigmas, _ = np.linalg.svd(cross, full_matrices=False)
+    coef = c_mat.T @ y
+    rest = y - c_mat @ coef
+    return SpectralMeasure(
+        np.append(2.0 * np.arcsin(np.minimum(sigmas, 1.0)), 0.0),
+        np.append(coef * coef, rest @ rest),
+    )
+
+
+def _measure_uprime(y: np.ndarray, cross: np.ndarray, tols: Tolerances) -> SpectralMeasure:
+    t_perp = kernel_basis(y[None, :], tols)  # T^perp = V_r t_perp
+    a_mat, sigmas, _ = np.linalg.svd(cross.T @ t_perp, full_matrices=False)
+    w0_hx = cross.T @ y  # Q_H^T w0
+    coef = a_mat.T @ w0_hx
+    rest = w0_hx - a_mat @ coef
+    # 1 - sigma^2 is known only to within rounding, and dividing a rounding
+    # coefficient by it makes a weight out of nothing: a squared sine of at
+    # most rank_rtol is read as sigma = 1, a direction of H(x) cap T^perp,
+    # which w0 does not meet; its phase pi joins the remainder
+    sines2 = (1.0 - sigmas) * (1.0 + sigmas)
+    plane = sines2 > tols.rank_rtol
+    weights = coef[plane] ** 2 / sines2[plane]
+    fixed = float(rest @ rest)
+    # the phase-pi weight is a difference, so a zero one can come out at -1e-12
+    return SpectralMeasure(
+        np.concatenate([2.0 * np.arcsin(sigmas[plane]), [0.0, math.pi]]),
+        np.concatenate([weights, [fixed, max(0.0, float(y @ y) - weights.sum() - fixed)]]),
+    )
+
+
 def measure_U(
     program: SpanProgram, x: Sequence[int], tols: Tolerances = DEFAULT_TOLS
 ) -> SpectralMeasure:
@@ -294,14 +366,7 @@ def measure_U(
     Left singular vector c_k of V_r^T Q_H, at singular value sigma_k, has phase
     2 arcsin(sigma_k) and weight (c_k . V_r^T w0)^2; the rest of V_r^T w0 lies
     in H(x)^perp, fixed by U."""
-    y, cross = _row_space_and_hx(program, x, tols)
-    c_mat, sigmas, _ = np.linalg.svd(cross, full_matrices=False)
-    coef = c_mat.T @ y
-    rest = y - c_mat @ coef
-    return SpectralMeasure(
-        np.append(2.0 * np.arcsin(np.minimum(sigmas, 1.0)), 0.0),
-        np.append(coef * coef, rest @ rest),
-    )
+    return _measure_u(*_row_space_and_hx(program, x, tols))
 
 
 def measure_Uprime(
@@ -316,19 +381,22 @@ def measure_Uprime(
     Q_H^T w0 lies in H(x) cap T (phase 0); what is left lies in H(x)^perp cap
     T (phase pi)."""
     y, cross = _row_space_and_hx(program, x, tols)
-    t_perp = kernel_basis(y[None, :], tols)  # T^perp = V_r t_perp
-    a_mat, sigmas, _ = np.linalg.svd(cross.T @ t_perp, full_matrices=False)
-    w0_hx = cross.T @ y  # Q_H^T w0
-    coef = a_mat.T @ w0_hx
-    rest = w0_hx - a_mat @ coef
-    sig, coef = sigmas[sigmas < 1.0], coef[sigmas < 1.0]
-    plane = coef**2 / ((1.0 - sig) * (1.0 + sig))
-    fixed = float(rest @ rest)
-    # 1/(1 - sigma^2) amplifies rounding, so a zero remainder can come out at -1e-12
-    return SpectralMeasure(
-        np.concatenate([2.0 * np.arcsin(sig), [0.0, math.pi]]),
-        np.concatenate([plane, [fixed, max(0.0, float(y @ y) - plane.sum() - fixed)]]),
-    )
+    return _measure_uprime(y, cross, tols)
+
+
+def scaled_measure_U(cross: RowSpaceCross, beta: float) -> SpectralMeasure:
+    """measure_U(scale(P, beta), x) for cross = C(x) of P, from rank-sized
+    factors: the scaled program's row basis and w0 come from scaled_factors
+    and its cross matrix from C(x), so neither P_beta nor H(x) is built again."""
+    scaled = scaled_factors(cross.program, beta, cross.tols)
+    return _measure_u(scaled.witness, scaled.cross(cross.factor))
+
+
+def scaled_measure_Uprime(cross: RowSpaceCross, beta: float) -> SpectralMeasure:
+    """measure_Uprime(scale(P, beta), x) for cross = C(x) of P, read as
+    scaled_measure_U reads it."""
+    scaled = scaled_factors(cross.program, beta, cross.tols)
+    return _measure_uprime(scaled.witness, scaled.cross(cross.factor), cross.tols)
 
 
 def discriminant(
