@@ -170,7 +170,16 @@ def intersection_dims(
 
 
 def freeze(arr: np.ndarray) -> np.ndarray:
-    """Return a read-only float array (shared values are never mutated)."""
+    """Return a read-only float array (shared values are never mutated).  An
+    array that already is one, and owns its data, is returned as it is; any
+    other is copied."""
+    if (
+        isinstance(arr, np.ndarray)
+        and arr.dtype == np.float64
+        and arr.flags.owndata
+        and not arr.flags.writeable
+    ):
+        return arr
     out = np.array(arr, dtype=float)
     out.setflags(write=False)
     return out

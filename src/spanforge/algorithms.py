@@ -18,6 +18,9 @@ factors (spectral.scaled_measure_U / scaled_measure_Uprime).  A C(x) built
 for another program, input or Tolerances is refused.  decision_context and
 decide_threshold form C(x) for their one round; measure_U / measure_Uprime
 of spanprog.scale(program, beta) is the oracle the rounds are tested against.
+gap_estimate likewise reads the witness size from A(x)'s one SVD and w0's
+measure from the C(x) of the same Q_H (spectral.input_measure_U /
+input_measure_Uprime).
 """
 
 from __future__ import annotations
@@ -41,9 +44,10 @@ from .qsim import (
     pe_queries,
 )
 from .spanprog import GloballyInfeasibleError, InputFactors, SpanProgram, input_factors
-from .spanprog import minimal_witness, normalize, subspace_blocks
+from .spanprog import minimal_witness, normalize
 from .spanprog import _exact_negative, _exact_positive, _min_error_negative, _min_error_positive
-from .spectral import RowSpaceCross, measure_U, measure_Uprime, row_space_cross
+from .spectral import RowSpaceCross, _input_cross, input_measure_U, input_measure_Uprime
+from .spectral import row_space_cross
 from .spectral import scaled_measure_U, scaled_measure_Uprime
 
 POSITIVE = "positive"
@@ -167,10 +171,6 @@ def _round_context(
     return _DecisionContext(
         p_exact=p_exact, p0=p0, p1=p1, pe_grid=grid, flags=tuple(flags)
     )
-
-
-def _input_cross(program: SpanProgram, x: Sequence[int], tols: Tolerances) -> RowSpaceCross:
-    return row_space_cross(program, x, subspace_blocks(program, x, tols)[0], tols)
 
 
 def decision_context(
@@ -410,8 +410,10 @@ def gap_estimate(
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     _assert_normalized(program, tols)
-    _witness_size(program, input_factors(program, x, tols), side, tols, estimate=True)
-    measure = (measure_Uprime if side == POSITIVE else measure_U)(program, x, tols)
+    f = input_factors(program, x, tols)
+    _witness_size(program, f, side, tols, estimate=True)
+    cross = row_space_cross(program, x, f.q_h, tols)
+    measure = (input_measure_Uprime if side == POSITIVE else input_measure_U)(cross)
 
     start_queries = ledger.total
     flags: list[str] = []
@@ -462,7 +464,8 @@ def kappa_estimate(
     Rescales the target to tau/sqrt(N), runs gap_estimate with phase-gap bound
     2/kappa (valid for both unitaries of the rescaled program, whose A is
     unchanged), and converts the result back: positive sizes scaled by N,
-    negative by 1/N.
+    negative by 1/N.  The rescaled program shares program's factorization of
+    A, so one estimate factors A once and walks H(x) once.
     """
     if kappa < 1.0:
         raise ValueError("kappa is at least 1 (it bounds sigma_max/sigma_min)")

@@ -254,24 +254,27 @@ def unordered_pairs(n: int) -> list[Edge]:
 
 def build_st_span_program(n: int, s: int, t: int) -> SpanProgram:
     """The st-connectivity span program on [n]: V = R^n, A|u,v> = |u> - |v>,
-    tau = |s> - |t>; the pair-{u,v} input bit selects both ordered coordinates."""
+    tau = |s> - |t>; the pair-{u,v} input bit selects both ordered coordinates.
+    A is filled from index arrays in ordered_pairs' layout, and every position
+    shares one H_{j,0} = {0} and one H_{j,1} = R^2 matrix."""
     if n < 2:
         raise ValueError("need at least two vertices")
     if not (0 <= s < n and 0 <= t < n) or s == t:
         raise ValueError("s and t must be distinct vertices")
-    pairs = ordered_pairs(n)
-    dim_h = len(pairs)
+    low, high = np.triu_indices(n, 1)  # unordered_pairs(n), in order
+    n_inputs = low.size
+    dim_h = 2 * n_inputs
+    # column 2j is the ordered pair (low_j, high_j) and column 2j + 1 its reverse
+    tails = np.column_stack([low, high]).ravel()
+    heads = np.column_stack([high, low]).ravel()
+    cols = np.arange(dim_h)
     a_mat = np.zeros((n, dim_h))
-    for col, (u, v) in enumerate(pairs):
-        a_mat[u, col] += 1.0
-        a_mat[v, col] -= 1.0
+    a_mat[tails, cols] = 1.0
+    a_mat[heads, cols] = -1.0
     tau = np.zeros(n)
     tau[s], tau[t] = 1.0, -1.0
-    n_inputs = len(unordered_pairs(n))
-    subspaces = {}
-    for j in range(n_inputs):
-        subspaces[(j, 0)] = np.zeros((2, 0))
-        subspaces[(j, 1)] = np.eye(2)
+    empty, whole = np.zeros((2, 0)), np.eye(2)
+    subspaces = {(j, a): mat for j in range(n_inputs) for a, mat in ((0, empty), (1, whole))}
     return SpanProgram(
         n=n_inputs,
         q=2,

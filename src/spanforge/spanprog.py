@@ -15,7 +15,9 @@ min-error, both signs) and the kappa bound all read that InputFactors.
 Infeasible sizes are math.inf.  scaled_factors reads the factors of
 scale(program, beta) from the parent's A = U_r Sigma V_r^T with one SVD of
 an (r+1) x (r+1) matrix, for the threshold rounds that would otherwise
-factor each scaled program anew.
+factor each scaled program anew.  rescale_target and normalize change tau
+alone, so the program they derive shares every factorization of A its parent
+holds, with w0 scaled by the factor.
 """
 
 from __future__ import annotations
@@ -73,11 +75,19 @@ class Subspaces(Mapping):
     """Read-only store of the H_{j,a} matrices, keyed by (j, a), that the
     programs derived from one another share, with each H_{j,a}'s bases kept
     per Tolerances once decided.  Equal matrices under different keys are
-    decided once: the bases are kept by content as well as by key."""
+    decided once: the bases are kept by content as well as by key.  A matrix
+    object given under several keys is frozen once and shared by them."""
 
     def __init__(self, mats: Mapping[tuple[int, int], np.ndarray]):
-        self._mats = {k: freeze(np.atleast_2d(v)) for k, v in mats.items()}
+        # by id, holding the given object so that no other can take its id
+        frozen: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._mats: dict[tuple[int, int], np.ndarray] = {}
+        for key, mat in mats.items():
+            if id(mat) not in frozen:
+                frozen[id(mat)] = (mat, freeze(np.atleast_2d(mat)))
+            self._mats[key] = frozen[id(mat)][1]
         self._bases: dict[Tolerances, tuple[dict, dict]] = {}
+        self._checked: Optional[tuple] = None
 
     def __getitem__(self, key: tuple[int, int]) -> np.ndarray:
         return self._mats[key]
@@ -108,6 +118,22 @@ class Subspaces(Mapping):
                 by_key[key] = by_content[content]
         return by_key[key]
 
+    def check(self, input_blocks: tuple[tuple[int, ...], ...], q: int) -> None:
+        """Raise StructuralError unless every key (j, a) has j < len(input_blocks)
+        and a < q, and every nonempty H_{j,a} has len(input_blocks[j]) rows.
+        The layout last found sound is not checked again."""
+        if self._checked == (input_blocks, q):
+            return
+        for (j, a), mat in self._mats.items():
+            if not (0 <= j < len(input_blocks) and 0 <= a < q):
+                raise StructuralError(f"subspace key {(j, a)} out of range")
+            rows = len(input_blocks[j])
+            if mat.shape[0] != rows and mat.size > 0:
+                raise StructuralError(
+                    f"subspace ({j},{a}) has {mat.shape[0]} rows, block has {rows} coordinates"
+                )
+        self._checked = (input_blocks, q)
+
 
 @dataclass(frozen=True)
 class SpanProgram:
@@ -119,6 +145,8 @@ class SpanProgram:
     Subspaces for different symbols of one position may overlap and need not
     be orthogonal; all that matters is that together they span H_j.  Any
     mapping is copied into a Subspaces store; a Subspaces is kept as given.
+    A and tau are kept as given when they already are read-only float arrays
+    that own their data, and copied read-only otherwise.
     """
 
     n: int
@@ -148,14 +176,7 @@ class SpanProgram:
             raise StructuralError(f"tau has shape {self.tau.shape}, expected ({self.dim_v},)")
         if len(self.input_blocks) != self.n:
             raise StructuralError("one coordinate block required per input position")
-        for (j, a), mat in self.subspaces.items():
-            if not (0 <= j < self.n and 0 <= a < self.q):
-                raise StructuralError(f"subspace key {(j, a)} out of range")
-            rows = len(self.input_blocks[j])
-            if mat.shape[0] != rows and mat.size > 0:
-                raise StructuralError(
-                    f"subspace ({j},{a}) has {mat.shape[0]} rows, block has {rows} coordinates"
-                )
+        self.subspaces.check(self.input_blocks, self.q)
 
     def factorization(self, tols: Tolerances = DEFAULT_TOLS) -> Factorization:
         """A's factorization under tols: computed on first use, then kept on
@@ -293,19 +314,27 @@ def subspace_blocks(
     Q_perp of its complement, each as (coordinate indices, basis in those
     coordinates) pairs, block by block.  Block j's two parts are the store's
     bases of H_{j,x_j}; H_true lies wholly in H(x) and H_false wholly outside
-    it."""
+    it, as does H_j when H_{j,x_j} is empty.  Those whole blocks share one
+    read-only identity per block size."""
     x = program.check_input(x)
+    identities: dict[int, np.ndarray] = {}
+
+    def whole(coords: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        if len(coords) not in identities:
+            identities[len(coords)] = freeze(np.eye(len(coords)))
+        return np.array(coords, dtype=int), identities[len(coords)]
+
     inside, outside = [], []
     for j, sym in enumerate(x):
-        block = np.array(program.input_blocks[j], dtype=int)
         split = program.subspaces.bases((j, sym), tols)
         if split is None:
-            outside.append((block, np.eye(len(block))))
+            outside.append(whole(program.input_blocks[j]))
             continue
+        block = np.array(program.input_blocks[j], dtype=int)
         inside.append((block, split[0]))
         outside.append((block, split[1]))
-    inside.append((np.array(program.true_block, dtype=int), np.eye(len(program.true_block))))
-    outside.append((np.array(program.false_block, dtype=int), np.eye(len(program.false_block))))
+    inside.append(whole(program.true_block))
+    outside.append(whole(program.false_block))
     return inside, outside
 
 
@@ -532,17 +561,43 @@ def minimal_negative_value(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS
     return freeze(nu @ program.a_mat), value
 
 
+def _rescaled(fact: Factorization, factor: float) -> Factorization:
+    """fact for tau scaled by factor: the same factors of A, with w0 scaled
+    by factor.  _factorize's membership test is scale-invariant, so an
+    infeasible fact stays infeasible for the same reason."""
+    mw = fact.witness
+    if mw is None:
+        return fact
+    witness = MinimalWitness(
+        w0=freeze(factor * mw.w0),
+        n_plus=mw.n_plus * factor * factor,
+        n_minus=mw.n_minus / (factor * factor),
+    )
+    return dataclasses.replace(fact, witness=witness)
+
+
 def rescale_target(program: SpanProgram, factor: float) -> SpanProgram:
-    """Replace tau by factor * tau (positive witnesses scale by factor)."""
+    """Replace tau by factor * tau (positive witnesses scale by factor).
+
+    A is unchanged, so the new program shares every Factorization the
+    parent already holds: the same read-only U_r, Sigma, V_r and sigma_max,
+    with witness factor * w0, N_+ times factor^2 and N_- over factor^2, or
+    the parent's reason for having none.  A Tolerances the parent has not
+    factored under is factored on the new program's first use."""
     if factor <= 0:
         raise ValueError("target rescaling factor must be positive")
-    return dataclasses.replace(program, tau=factor * program.tau)
+    child = dataclasses.replace(program, tau=factor * program.tau)
+    for tols, fact in program._factorizations.items():
+        child._factorizations[tols] = _rescaled(fact, factor)
+    return child
 
 
 def normalize(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS) -> SpanProgram:
     """Rescale the target by 1/sqrt(N_+) so the minimal witness has unit norm.
 
-    Positive witness sizes scale by 1/N_+, negative ones by N_+.
+    Positive witness sizes scale by 1/N_+, negative ones by N_+.  The result
+    shares its parent's factors of A, as rescale_target's does; its N_+ is
+    1 to within rounding.
     """
     mw = minimal_witness(program, tols)
     return rescale_target(program, 1.0 / math.sqrt(mw.n_plus))

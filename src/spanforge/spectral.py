@@ -9,16 +9,20 @@ The estimators need only w0's spectral measure: its phases and their weights.
 measure_U and measure_Uprime read it from the principal angles between H(x)
 and row(A) (or row(A) minus w0) by Jordan's lemma: a pair of principal
 vectors at angle phi spans a plane that the negated product of the two
-reflections turns by pi - 2 phi = 2 arcsin(cos phi).  That is one SVD of a
-rank(A) x dim H(x) matrix; no dim_h x dim_h array is formed.
+reflections turns by pi - 2 phi = 2 arcsin(cos phi).  The angles are those
+of the cross matrix C(x) = V_r^T Q_H(x), which RowSpaceCross holds as an
+r x r factor from one QR; no dim_h x dim_h array is formed.  A caller that
+already holds Q_H(x) (an estimator, from spanprog.input_factors) forms C(x)
+from it and reads the measure with input_measure_U or input_measure_Uprime,
+so H(x) is walked once per estimate.
 
 A threshold round needs the same measure for the scaled program
 scale(P, beta).  scaled_measure_U and scaled_measure_Uprime read it without
 building that program: its row basis and w0 come from
 spanprog.scaled_factors, and its cross matrix from C(x) = V_r^T Q_H(x) of P,
-which does not depend on beta (RowSpaceCross, formed once per input).  Both
-routes share one tail per unitary, which takes (V^T w0, V^T Q_H).  The
-direct route on scale(P, beta) is the oracle the rounds are tested against.
+which does not depend on beta.  Both routes share one tail per unitary,
+which takes (V^T w0, V^T Q_H).  The direct route on scale(P, beta) is the
+oracle the rounds are tested against.
 
 The oracle, for verify and the tests, builds U or U' densely (build_U,
 build_Uprime) and decomposes it through the real Schur form
@@ -317,14 +321,9 @@ def row_space_cross(
     return RowSpaceCross(program, program.check_input(x), tols, freeze(r_mat.T))
 
 
-def _row_space_and_hx(
-    program: SpanProgram, x: Sequence[int], tols: Tolerances
-) -> tuple[np.ndarray, np.ndarray]:
-    """(V_r^T w0, V_r^T Q_H) for the row basis V_r of A and an orthonormal
-    basis Q_H of H(x), without forming Q_H.  w0 = V_r V_r^T w0."""
-    v_r = program.factorization(tols).row_basis
-    cross = restrict(v_r.T, subspace_blocks(program, x, tols)[0])
-    return v_r.T @ minimal_witness(program, tols).w0, cross
+def _input_cross(program: SpanProgram, x: Sequence[int], tols: Tolerances) -> RowSpaceCross:
+    """row_space_cross of x from a fresh walk of H(x)."""
+    return row_space_cross(program, x, subspace_blocks(program, x, tols)[0], tols)
 
 
 def _measure_u(y: np.ndarray, cross: np.ndarray) -> SpectralMeasure:
@@ -365,8 +364,9 @@ def measure_U(
 
     Left singular vector c_k of V_r^T Q_H, at singular value sigma_k, has phase
     2 arcsin(sigma_k) and weight (c_k . V_r^T w0)^2; the rest of V_r^T w0 lies
-    in H(x)^perp, fixed by U."""
-    return _measure_u(*_row_space_and_hx(program, x, tols))
+    in H(x)^perp, fixed by U.  C(x) = V_r^T Q_H is read as row_space_cross
+    gives it (input_measure_U)."""
+    return input_measure_U(_input_cross(program, x, tols))
 
 
 def measure_Uprime(
@@ -379,9 +379,26 @@ def measure_Uprime(
     spans with its partner in T^perp a plane turned by 2 arcsin(sigma_k), on
     which w0 weighs (a_k . Q_H^T w0)^2 / (1 - sigma_k^2).  The rest of
     Q_H^T w0 lies in H(x) cap T (phase 0); what is left lies in H(x)^perp cap
-    T (phase pi)."""
-    y, cross = _row_space_and_hx(program, x, tols)
-    return _measure_uprime(y, cross, tols)
+    T (phase pi).  C(x) is read as measure_U reads it (input_measure_Uprime)."""
+    return input_measure_Uprime(_input_cross(program, x, tols))
+
+
+def _row_witness(cross: RowSpaceCross) -> np.ndarray:
+    """V_r^T w0 of cross's program; w0 = V_r V_r^T w0."""
+    v_r = cross.program.factorization(cross.tols).row_basis
+    return v_r.T @ minimal_witness(cross.program, cross.tols).w0
+
+
+def input_measure_U(cross: RowSpaceCross) -> SpectralMeasure:
+    """measure_U(P, x) for cross = C(x) of P, so that a caller holding x's
+    Q_H (an InputFactors) walks H(x) no second time."""
+    return _measure_u(_row_witness(cross), cross.factor)
+
+
+def input_measure_Uprime(cross: RowSpaceCross) -> SpectralMeasure:
+    """measure_Uprime(P, x) for cross = C(x) of P, read as input_measure_U
+    reads it."""
+    return _measure_uprime(_row_witness(cross), cross.factor, cross.tols)
 
 
 def scaled_measure_U(cross: RowSpaceCross, beta: float) -> SpectralMeasure:

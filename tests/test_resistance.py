@@ -1,5 +1,6 @@
 """Graphs, the st-connectivity program, resistance oracles and estimators."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,12 +22,16 @@ from spanforge.resistance import (
     lambda2,
     laplacian,
     lower_bound_family,
+    ordered_pairs,
     parse_graph_file,
     reflection_factorization_operators,
+    unordered_pairs,
     verify_reflection_factorization,
     witness_equals_half_resistance,
 )
 from spanforge.spanprog import (
+    SpanProgram,
+    StructuralError,
     minimal_witness,
     min_error_negative,
     negative_witness,
@@ -133,6 +138,66 @@ def test_st_program_structure():
     assert sigma_max(a_mat) == pytest.approx(math.sqrt(8.0), rel=1e-10)
     # tau in col A since K_n is connected
     minimal_witness(program)
+
+
+def loop_built_st_program(n, s, t):
+    """The st program built pair by pair, as the reference for the
+    index-array construction."""
+    pairs = ordered_pairs(n)
+    a_mat = np.zeros((n, len(pairs)))
+    for col, (u, v) in enumerate(pairs):
+        a_mat[u, col] += 1.0
+        a_mat[v, col] -= 1.0
+    tau = np.zeros(n)
+    tau[s], tau[t] = 1.0, -1.0
+    n_inputs = len(unordered_pairs(n))
+    subspaces = {}
+    for j in range(n_inputs):
+        subspaces[(j, 0)] = np.zeros((2, 0))
+        subspaces[(j, 1)] = np.eye(2)
+    return SpanProgram(
+        n=n_inputs, q=2, dim_h=len(pairs), dim_v=n,
+        input_blocks=tuple((2 * j, 2 * j + 1) for j in range(n_inputs)),
+        true_block=(), false_block=(), subspaces=subspaces, a_mat=a_mat, tau=tau,
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 17])
+def test_st_program_matches_a_loop_built_reference(n):
+    s, t = n - 1, n // 3
+    fast, slow = build_st_span_program(n, s, t), loop_built_st_program(n, s, t)
+    for field in ("n", "q", "dim_h", "dim_v", "input_blocks", "true_block", "false_block"):
+        assert getattr(fast, field) == getattr(slow, field), field
+    for field in ("a_mat", "tau"):
+        mine, theirs = getattr(fast, field), getattr(slow, field)
+        assert mine.shape == theirs.shape and mine.dtype == theirs.dtype, field
+        assert mine.tobytes() == theirs.tobytes(), field
+    assert list(fast.subspaces) == list(slow.subspaces)
+    for key, mat in slow.subspaces.items():
+        assert fast.subspaces[key].shape == mat.shape, key
+        assert fast.subspaces[key].tobytes() == mat.tobytes(), key
+
+
+def test_subspace_store_owns_a_shared_matrix_and_checks_each_new_layout():
+    base = build_st_span_program(3, 0, 2)
+    shared, empty = np.eye(2), np.zeros((2, 0))
+    program = dataclasses.replace(
+        base, subspaces={(j, a): shared if a else empty for j in range(3) for a in range(2)}
+    )
+    stored = [program.subspaces[(j, 1)] for j in range(3)]
+    assert all(mat is stored[0] for mat in stored)  # frozen once, shared by the keys
+    shared[0, 1] = 5.0  # the caller's matrix, written after construction
+    np.testing.assert_array_equal(stored[0], np.eye(2))
+    with pytest.raises(ValueError):
+        stored[0][0, 1] = 5.0
+    assert positive_witness(program, (1, 1, 1))[1] == pytest.approx(1.0 / 3.0)
+
+    # the store was checked against the old layout; a new one is checked again
+    with pytest.raises(StructuralError, match="rows"):
+        dataclasses.replace(program, input_blocks=((0,), (1, 2, 3), (4, 5)))
+    with pytest.raises(StructuralError, match="out of range"):
+        dataclasses.replace(program, q=1)
+    assert dataclasses.replace(program).subspaces is program.subspaces
 
 
 def test_st_program_minimal_witness_norm():

@@ -4,6 +4,7 @@ measure_U/measure_Uprime of scale(program, beta), the calls one estimate
 makes, and the guard against a C(x) of another program or input."""
 
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -16,11 +17,21 @@ from spanforge.algorithms import (
     ThresholdSpec,
     _round_context,
     decision_context,
+    kappa_estimate,
     witness_estimate,
 )
 from spanforge.generators import all_inputs, random_graph, random_span_program
 from spanforge.qsim import QueryLedger, outcome_zero_probability
-from spanforge.resistance import build_st_span_program, complete_graph, graph, graph_input
+from spanforge.resistance import (
+    EFFECTIVE_GAP,
+    build_st_span_program,
+    complete_graph,
+    estimate_resistance,
+    graph,
+    graph_input,
+    lambda2,
+    lower_bound_family,
+)
 from spanforge.spanprog import (
     minimal_witness,
     normalize,
@@ -207,6 +218,37 @@ def test_witness_estimate_reads_h_x_once_and_rounds_are_rank_sized(monkeypatch):
     assert not any(shape[-1] == program.dim_h + 2 for shape in shapes)
     # A(x)'s SVD is the only one wider than rank(A) + 2
     assert sum(max(shape) > program.dim_v + 1 for shape in shapes) == 1
+
+
+def test_resistance_estimates_factor_a_once_and_walk_h_x_once(monkeypatch):
+    # A(x) is narrower than A here, so an SVD shaped like A is an SVD of A
+    n = 16
+    g = lower_bound_family(n, 1, i=1, j=n // 2)
+    x = graph_input(g)
+    blocks_calls, shapes = [], []
+    blocks, svd = spanprog.subspace_blocks, np.linalg.svd
+
+    def counting_blocks(*args, **kwargs):
+        blocks_calls.append(args[1])
+        return blocks(*args, **kwargs)
+
+    def recording_svd(mat, *args, **kwargs):
+        shapes.append(np.shape(mat))
+        return svd(mat, *args, **kwargs)
+
+    patch_everywhere(monkeypatch, "subspace_blocks", counting_blocks)
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    program = build_st_span_program(n, g.s, g.t)
+    a_shape = (program.dim_v, program.dim_h)
+    kappa_estimate(program, x, 0.25, math.sqrt(n / lambda2(g)), POSITIVE,
+                   np.random.default_rng(1), QueryLedger())
+    assert len(blocks_calls) == 1
+    assert shapes.count(a_shape) == 1
+    blocks_calls.clear()
+    shapes.clear()
+    estimate_resistance(g, 0.25, EFFECTIVE_GAP, np.random.default_rng(1), QueryLedger())
+    assert len(blocks_calls) == 1
+    assert shapes.count(a_shape) == 1
 
 
 def test_equal_subspaces_are_decided_once_per_store(monkeypatch):

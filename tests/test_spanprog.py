@@ -10,6 +10,7 @@ import pytest
 from spanforge import spanprog
 from spanforge._linalg import DEFAULT_TOLS, Tolerances
 from spanforge.generators import all_inputs, random_span_program
+from spanforge.resistance import build_st_span_program
 from spanforge.spanprog import (
     GloballyInfeasibleError,
     SpanProgram,
@@ -35,6 +36,7 @@ from oracles import (
     oracle_min_error_positive,
     oracle_negative_witness,
 )
+from test_input_route import degenerate_programs
 
 
 def test_validate_or_program():
@@ -333,29 +335,39 @@ def test_tolerance_override_changes_feasibility_cut():
 
 
 def test_factorization_belongs_to_each_derived_program():
-    # normalize, scale and rescale_target build new programs from a factored
-    # parent; each must get its own w0 and N+, the same as a fresh rebuild
+    # scale builds a new A, so its programs factor their own and match a fresh
+    # rebuild exactly; normalize and rescale_target keep A and share the
+    # parent's factors, with w0 scaled by the factor, which agrees with a
+    # rebuild to rounding
     parents = [or_span_program(4)] + [
         random_span_program(np.random.default_rng([seed, 105])) for seed in range(4)
     ]
     for parent in parents:
-        n_parent = minimal_witness(parent).n_plus
+        mw_parent = minimal_witness(parent)
+        n_parent = mw_parent.n_plus
         children = {
-            "normalize": normalize(parent),
-            "scale-0.25": scale(parent, 0.25),
-            "scale-4": scale(parent, 4.0),
-            "rescale-3": rescale_target(parent, 3.0),
+            "normalize": (normalize(parent), 1.0 / math.sqrt(n_parent)),
+            "scale-0.25": (scale(parent, 0.25), None),
+            "scale-4": (scale(parent, 4.0), None),
+            "rescale-3": (rescale_target(parent, 3.0), 3.0),
         }
-        for name, child in children.items():
-            assert child.factorization() is not parent.factorization(), name
+        for name, (child, factor) in children.items():
             assert child.subspaces is parent.subspaces, name
             mw = minimal_witness(child)
             rebuilt = minimal_witness(dataclasses.replace(child))
-            np.testing.assert_array_equal(mw.w0, rebuilt.w0, err_msg=name)
-            assert mw.n_plus == rebuilt.n_plus, name
-        assert minimal_witness(children["rescale-3"]).n_plus == pytest.approx(9.0 * n_parent)
+            if factor is None:
+                assert child.factorization() is not parent.factorization(), name
+                np.testing.assert_array_equal(mw.w0, rebuilt.w0, err_msg=name)
+                assert mw.n_plus == rebuilt.n_plus, name
+                continue
+            assert child.factorization().row_basis is parent.factorization().row_basis, name
+            np.testing.assert_array_equal(mw.w0, factor * mw_parent.w0, err_msg=name)
+            np.testing.assert_allclose(mw.w0, rebuilt.w0, rtol=0.0,
+                                       atol=1e-12 * np.linalg.norm(rebuilt.w0), err_msg=name)
+            assert mw.n_plus == pytest.approx(rebuilt.n_plus, rel=1e-12), name
+        assert minimal_witness(children["rescale-3"][0]).n_plus == pytest.approx(9.0 * n_parent)
         for name in ("normalize", "scale-0.25", "scale-4"):
-            assert minimal_witness(children[name]).n_plus == pytest.approx(1.0)
+            assert minimal_witness(children[name][0]).n_plus == pytest.approx(1.0)
 
 
 def _perturbed_or3() -> SpanProgram:
@@ -383,6 +395,72 @@ def test_factorization_is_kept_per_tolerances():
                 with pytest.raises(GloballyInfeasibleError):
                     minimal_witness(program, tols)
                 assert math.isinf(w_plus)
+
+
+LOOSE = Tolerances(rank_rtol=1e-6, membership_rtol=1e-2)
+
+INHERITANCE_PROGRAMS = {
+    **{f"random-{seed}": lambda seed=seed: random_span_program(np.random.default_rng([seed, 109]))
+       for seed in range(20)},
+    **{f"st-{n}": lambda n=n: build_st_span_program(n, 0, n - 1) for n in (4, 8, 16)},
+    "or-5": lambda: or_span_program(5),
+    **{f"degenerate-{name}": lambda name=name: degenerate_programs()[name]
+       for name in degenerate_programs()},
+    "perturbed-or3": _perturbed_or3,
+}
+
+
+def assert_factorizations_agree(inherited, fresh, rtol=1e-12):
+    assert inherited.infeasible == fresh.infeasible
+    np.testing.assert_allclose(inherited.sigma, fresh.sigma, rtol=rtol, atol=0.0)
+    assert inherited.sigma_max == pytest.approx(fresh.sigma_max, rel=rtol)
+    for name in ("row_basis", "col_basis"):
+        mine, theirs = getattr(inherited, name), getattr(fresh, name)
+        np.testing.assert_allclose(mine @ mine.T, theirs @ theirs.T, rtol=0.0, atol=rtol)
+    assert (inherited.witness is None) == (fresh.witness is None)
+    if fresh.witness is not None:
+        mine, theirs = inherited.witness, fresh.witness
+        np.testing.assert_allclose(mine.w0, theirs.w0, rtol=0.0,
+                                   atol=rtol * np.linalg.norm(theirs.w0))
+        assert mine.n_plus == pytest.approx(theirs.n_plus, rel=rtol)
+        assert mine.n_minus == pytest.approx(theirs.n_minus, rel=rtol)
+
+
+@pytest.mark.parametrize("name", sorted(INHERITANCE_PROGRAMS))
+def test_inherited_factorization_matches_a_fresh_one(name):
+    # the parent factors under both Tolerances, in either order; each program
+    # derived by rescale_target or normalize shares those factors and must
+    # agree with a rebuild that factors its own
+    for order in ((DEFAULT_TOLS, LOOSE), (LOOSE, DEFAULT_TOLS)):
+        parent = INHERITANCE_PROGRAMS[name]()
+        for tols in order:
+            parent.factorization(tols)
+        children = [rescale_target(parent, 3.0), rescale_target(parent, 0.37)]
+        children += [normalize(parent, tols) for tols in order
+                     if parent.factorization(tols).witness is not None]
+        for child in children:
+            fresh = dataclasses.replace(child)
+            for tols in order:
+                inherited = child.factorization(tols)
+                assert inherited.row_basis is parent.factorization(tols).row_basis
+                assert_factorizations_agree(inherited, fresh.factorization(tols))
+
+
+def test_rescaled_program_factors_unseen_tolerances_and_keeps_infeasibility():
+    parent = _perturbed_or3()
+    parent.factorization(DEFAULT_TOLS)
+    child = rescale_target(parent, 3.0)
+    # infeasible under the default: the child keeps the parent's reason
+    assert child.factorization().infeasible == parent.factorization().infeasible
+    assert "not in col(A)" in child.factorization().infeasible
+    with pytest.raises(GloballyInfeasibleError, match="not in col"):
+        minimal_witness(child)
+    # the parent never factored under LOOSE, so the child factors afresh
+    fresh = dataclasses.replace(child).factorization(LOOSE)
+    own = child.factorization(LOOSE)
+    np.testing.assert_array_equal(own.witness.w0, fresh.witness.w0)
+    assert own.witness.n_plus == fresh.witness.n_plus
+    assert own.row_basis is not parent.factorization(LOOSE).row_basis
 
 
 def test_subspace_store_is_shared_read_only_and_never_stale(monkeypatch):
