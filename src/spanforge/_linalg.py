@@ -82,29 +82,40 @@ def sigma_min_nonzero(
     return float(s[rank - 1])
 
 
-def pinv_factors(
+def _svd(
+    mat: np.ndarray, tols: Tolerances, scale: Optional[float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Thin SVD of a nonempty mat and its rank under the package's cutoff."""
+    u, s, vt = np.linalg.svd(mat, full_matrices=False)
+    return u, s, vt, _rank(s, tols, scale)
+
+
+def svd_factors(
     mat: np.ndarray, tols: Tolerances = DEFAULT_TOLS, scale: Optional[float] = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """Moore-Penrose pseudo-inverse with the package's rank cutoff and the
-    factors of the one SVD it comes from: orthonormal bases of col(mat)
-    (rows x rank) and row(mat) (cols x rank) as columns, the nonzero
-    singular values between them, and the largest singular value."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The factors of one SVD cut at the package's rank tolerance:
+    orthonormal bases of col(mat) (rows x rank) and row(mat) (cols x rank) as
+    columns, the nonzero singular values between them, and the largest
+    singular value."""
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     rows, cols = mat.shape
     if mat.size == 0:
-        return np.zeros((cols, rows)), np.zeros((rows, 0)), np.zeros(0), np.zeros((cols, 0)), 0.0
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    rank = _rank(s, tols, scale)
-    inv = np.zeros_like(s)
-    inv[:rank] = 1.0 / s[:rank]
-    return (vt.T * inv) @ u.T, u[:, :rank], s[:rank], vt[:rank].T, float(s[0])
+        return np.zeros((rows, 0)), np.zeros(0), np.zeros((cols, 0)), 0.0
+    u, s, vt, rank = _svd(mat, tols, scale)
+    return u[:, :rank], s[:rank], vt[:rank].T, float(s[0])
 
 
 def pinv(
     mat: np.ndarray, tols: Tolerances = DEFAULT_TOLS, scale: Optional[float] = None
 ) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with the package's rank cutoff."""
-    return pinv_factors(mat, tols, scale)[0]
+    mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    if mat.size == 0:
+        return np.zeros(mat.shape[::-1])
+    u, s, vt, rank = _svd(mat, tols, scale)
+    inv = np.zeros_like(s)
+    inv[:rank] = 1.0 / s[:rank]
+    return (vt.T * inv) @ u.T
 
 
 def column_space_split(

@@ -22,7 +22,7 @@ import numpy as np
 from ._linalg import DEFAULT_TOLS, Tolerances, kernel_basis, pinv
 from .algorithms import kappa_estimate, witness_estimate, POSITIVE
 from .qsim import QueryLedger
-from .spanprog import SpanProgram, normalize, positive_witness
+from .spanprog import SpanProgram, check_dense_a_size, normalize, positive_witness, supply_factors
 
 Edge = tuple[int, int]
 
@@ -252,15 +252,31 @@ def unordered_pairs(n: int) -> list[Edge]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
+def _ones_complement_basis(n: int) -> np.ndarray:
+    """The Helmert basis of the vectors orthogonal to all-ones in R^n: column
+    k - 1 is (1, ..., 1, -k, 0, ..., 0) / sqrt(k (k + 1)), with k ones."""
+    rows = np.arange(n)[:, None]
+    k = np.arange(1, n)[None, :]
+    return ((rows < k) - k * (rows == k)) / np.sqrt(k * (k + 1.0))
+
+
 def build_st_span_program(n: int, s: int, t: int) -> SpanProgram:
     """The st-connectivity span program on [n]: V = R^n, A|u,v> = |u> - |v>,
     tau = |s> - |t>; the pair-{u,v} input bit selects both ordered coordinates.
     A is filled from index arrays in ordered_pairs' layout, and every position
-    shares one H_{j,0} = {0} and one H_{j,1} = R^2 matrix."""
+    shares one H_{j,0} = {0} and one H_{j,1} = R^2 matrix, so H(x) is one run
+    of identity blocks and A(x) a column gather of A.
+
+    A A^T = 2 (n I - J), so col(A) is the complement of the all-ones vector
+    and all n - 1 nonzero singular values are sqrt(2n): the program carries
+    those factors (supply_factors) and takes no SVD of A.  An n whose dense
+    A would exceed spanprog.DENSE_A_ENTRY_CAP is refused with
+    ProgramSizeError before anything is allocated."""
     if n < 2:
         raise ValueError("need at least two vertices")
     if not (0 <= s < n and 0 <= t < n) or s == t:
         raise ValueError("s and t must be distinct vertices")
+    check_dense_a_size(n, n * (n - 1))
     low, high = np.triu_indices(n, 1)  # unordered_pairs(n), in order
     n_inputs = low.size
     dim_h = 2 * n_inputs
@@ -275,7 +291,7 @@ def build_st_span_program(n: int, s: int, t: int) -> SpanProgram:
     tau[s], tau[t] = 1.0, -1.0
     empty, whole = np.zeros((2, 0)), np.eye(2)
     subspaces = {(j, a): mat for j in range(n_inputs) for a, mat in ((0, empty), (1, whole))}
-    return SpanProgram(
+    program = SpanProgram(
         n=n_inputs,
         q=2,
         dim_h=dim_h,
@@ -287,6 +303,7 @@ def build_st_span_program(n: int, s: int, t: int) -> SpanProgram:
         a_mat=a_mat,
         tau=tau,
     )
+    return supply_factors(program, _ones_complement_basis(n), np.full(n - 1, math.sqrt(2.0 * n)))
 
 
 def graph_input(g: Graph) -> tuple[int, ...]:

@@ -8,10 +8,14 @@ some w in H(x) satisfies A w = tau.
 
 Every quantity about an input comes from A(x) = A Q_H, Q_H an orthonormal
 basis of H(x) kept block by block, with each block's basis taken from the
-program's Subspaces store; only the oracle's subspace_projector forms a
-dim_h x dim_h matrix.  input_factors factors A(x) with one SVD and decides
-once whether tau lies in col A(x); the six witness quantities (exact and
-min-error, both signs) and the kappa bound all read that InputFactors.
+program's Subspaces store and each run of identity blocks kept as one set of
+coordinates, so that A(x) of the st program is a column gather of A; only
+the oracle's subspace_projector forms a dim_h x dim_h matrix.  A program
+factors A once per Tolerances, by one SVD or from factors supplied by its
+builder (supply_factors), and solves w0 through the factors.  input_factors
+factors A(x) with one SVD and decides once whether tau lies in col A(x);
+the six witness quantities (exact and min-error, both signs) and the kappa
+bound all read that InputFactors.
 Infeasible sizes are math.inf.  scaled_factors reads the factors of
 scale(program, beta) from the parent's A = U_r Sigma V_r^T with one SVD of
 an (r+1) x (r+1) matrix, for the threshold rounds that would otherwise
@@ -38,7 +42,7 @@ from ._linalg import (
     freeze,
     numerical_rank,
     pinv,
-    pinv_factors,
+    svd_factors,
 )
 
 
@@ -58,8 +62,17 @@ class OracleSizeError(SpanProgramError):
     """The dense oracle was asked for dim_h x dim_h arrays above DENSE_DIM_CAP."""
 
 
+class ProgramSizeError(SpanProgramError):
+    """A program's dense A would hold more than DENSE_A_ENTRY_CAP entries."""
+
+
 # dim_h cap of the dense oracle: at the cap one dim_h x dim_h float64 array takes 134 MB
 DENSE_DIM_CAP = 4096
+# entry cap of a dense A: at the cap A takes 2.1 GB as float64; the st
+# program at n = 500 holds 1.25e8 entries, at n = 2000 it would hold 8e9
+DENSE_A_ENTRY_CAP = 2**28
+# supplied factors of A must reproduce it to this many times sigma_max
+SUPPLIED_FACTOR_RTOL = 1e-10
 
 
 def _check_dense_size(program: SpanProgram) -> None:
@@ -71,68 +84,133 @@ def _check_dense_size(program: SpanProgram) -> None:
         )
 
 
+def check_dense_a_size(dim_v: int, dim_h: int) -> None:
+    """Raise ProgramSizeError, before anything is allocated, when a dense
+    dim_v x dim_h A would hold more than DENSE_A_ENTRY_CAP entries."""
+    if dim_v * dim_h > DENSE_A_ENTRY_CAP:
+        raise ProgramSizeError(
+            f"a dense A of {dim_v} x {dim_h} = {dim_v * dim_h} entries is above "
+            f"the cap of {DENSE_A_ENTRY_CAP}"
+        )
+
+
+# how one stored basis enters a walk of H(x): no columns, exactly the
+# identity on its block, or a general matrix
+_NONE, _IDENTITY, _GENERAL = 0, 1, 2
+
+
+def _kind(basis: np.ndarray) -> int:
+    rows, cols = basis.shape
+    if cols == 0:
+        return _NONE
+    if rows == cols and np.array_equal(basis, np.eye(rows)):
+        return _IDENTITY
+    return _GENERAL
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """A store's keys laid out for one (input_blocks, q): which[j, a] is the
+    index of H_{j,a}'s distinct matrix, -1 when it is absent or empty, and
+    coords holds every input block's coordinates in order, block j's in
+    coords[starts[j]:starts[j] + sizes[j]]."""
+
+    input_blocks: tuple[tuple[int, ...], ...]
+    q: int
+    which: np.ndarray
+    coords: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+
+
 class Subspaces(Mapping):
     """Read-only store of the H_{j,a} matrices, keyed by (j, a), that the
-    programs derived from one another share, with each H_{j,a}'s bases kept
-    per Tolerances once decided.  Equal matrices under different keys are
-    decided once: the bases are kept by content as well as by key.  A matrix
-    object given under several keys is frozen once and shared by them."""
+    programs derived from one another share.  A matrix object given under
+    several keys is frozen once and shared by them.  Each distinct matrix's
+    bases are decided once per Tolerances, with one SVD per distinct
+    content, and each basis is classed once as having no columns, being
+    exactly the identity on its block, or neither; subspace_blocks reads H(x)
+    from those classes.  The block coordinates are laid out once per
+    (input_blocks, q) the store is used with."""
 
     def __init__(self, mats: Mapping[tuple[int, int], np.ndarray]):
         # by id, holding the given object so that no other can take its id
-        frozen: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._mats: dict[tuple[int, int], np.ndarray] = {}
+        frozen: dict[int, tuple[np.ndarray, int]] = {}
+        self._distinct: list[np.ndarray] = []
+        self._index: dict[tuple[int, int], int] = {}
         for key, mat in mats.items():
             if id(mat) not in frozen:
-                frozen[id(mat)] = (mat, freeze(np.atleast_2d(mat)))
-            self._mats[key] = frozen[id(mat)][1]
-        self._bases: dict[Tolerances, tuple[dict, dict]] = {}
-        self._checked: Optional[tuple] = None
+                frozen[id(mat)] = (mat, len(self._distinct))
+                self._distinct.append(freeze(np.atleast_2d(mat)))
+            self._index[key] = frozen[id(mat)][1]
+        self._decided: dict[Tolerances, tuple[np.ndarray, list, dict]] = {}
+        self._layout: Optional[_Layout] = None
 
     def __getitem__(self, key: tuple[int, int]) -> np.ndarray:
-        return self._mats[key]
+        return self._distinct[self._index[key]]
 
     def __iter__(self):
-        return iter(self._mats)
+        return iter(self._index)
 
     def __len__(self) -> int:
-        return len(self._mats)
+        return len(self._index)
 
-    def bases(
-        self, key: tuple[int, int], tols: Tolerances
-    ) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """Read-only orthonormal bases of H_{j,a} and of its complement in
-        H_j, from one SVD on first use under tols; None when H_{j,a} is
-        empty or absent."""
-        by_key, by_content = self._bases.setdefault(tols, ({}, {}))
-        if key not in by_key:
-            mat = self._mats.get(key)
-            if mat is None or not mat.size:
-                by_key[key] = None
-            else:
-                content = (mat.shape, mat.tobytes())
-                if content not in by_content:
-                    split = by_content[content] = column_space_split(mat, tols)
-                    for part in split:
-                        part.setflags(write=False)
-                by_key[key] = by_content[content]
-        return by_key[key]
-
-    def check(self, input_blocks: tuple[tuple[int, ...], ...], q: int) -> None:
-        """Raise StructuralError unless every key (j, a) has j < len(input_blocks)
-        and a < q, and every nonempty H_{j,a} has len(input_blocks[j]) rows.
-        The layout last found sound is not checked again."""
-        if self._checked == (input_blocks, q):
-            return
-        for (j, a), mat in self._mats.items():
+    def layout(self, input_blocks: tuple[tuple[int, ...], ...], q: int) -> _Layout:
+        """The store laid out for input_blocks and q.  Raises StructuralError
+        unless every key (j, a) has j < len(input_blocks) and a < q, and every
+        nonempty H_{j,a} has len(input_blocks[j]) rows.  The layout last built
+        is kept, and given again for the same input_blocks and q."""
+        kept = self._layout
+        if kept is not None and kept.q == q and (
+            kept.input_blocks is input_blocks or kept.input_blocks == input_blocks
+        ):
+            return kept
+        which = np.full((len(input_blocks), q), -1, dtype=np.intp)
+        for (j, a), d in self._index.items():
             if not (0 <= j < len(input_blocks) and 0 <= a < q):
                 raise StructuralError(f"subspace key {(j, a)} out of range")
-            rows = len(input_blocks[j])
-            if mat.shape[0] != rows and mat.size > 0:
+            mat, rows = self._distinct[d], len(input_blocks[j])
+            if mat.size == 0:
+                continue
+            if mat.shape[0] != rows:
                 raise StructuralError(
                     f"subspace ({j},{a}) has {mat.shape[0]} rows, block has {rows} coordinates"
                 )
-        self._checked = (input_blocks, q)
+            which[j, a] = d
+        sizes = np.fromiter(map(len, input_blocks), dtype=np.intp, count=len(input_blocks))
+        coords = np.fromiter(
+            (c for block in input_blocks for c in block), dtype=np.intp, count=int(sizes.sum())
+        )
+        starts = np.cumsum(sizes) - sizes
+        for arr in (which, coords, starts, sizes):
+            arr.setflags(write=False)
+        self._layout = _Layout(input_blocks, q, which, coords, starts, sizes)
+        return self._layout
+
+    def decided(
+        self, ids: np.ndarray, tols: Tolerances
+    ) -> tuple[np.ndarray, list[Optional[tuple[np.ndarray, np.ndarray]]]]:
+        """(kinds, splits) under tols, with every distinct matrix in ids
+        decided: splits[d] holds read-only orthonormal bases of matrix d's
+        column space and of its complement in its block, and kinds[d] their
+        two classes.  kinds[-1] classes an absent or empty H_{j,a}, which
+        leaves its whole block outside H(x)."""
+        entry = self._decided.get(tols)
+        if entry is None:
+            kinds = np.full((len(self._distinct) + 1, 2), -1, dtype=np.int8)
+            kinds[-1] = (_NONE, _IDENTITY)
+            entry = self._decided[tols] = (kinds, [None] * len(self._distinct), {})
+        kinds, splits, by_content = entry
+        for d in np.unique(ids[kinds[ids, 0] < 0]):
+            mat = self._distinct[d]
+            content = (mat.shape, mat.tobytes())
+            if content not in by_content:
+                split = by_content[content] = column_space_split(mat, tols)
+                for part in split:
+                    part.setflags(write=False)
+            splits[d] = by_content[content]
+            kinds[d] = [_kind(part) for part in splits[d]]
+        return kinds, splits
 
 
 @dataclass(frozen=True)
@@ -146,7 +224,9 @@ class SpanProgram:
     be orthogonal; all that matters is that together they span H_j.  Any
     mapping is copied into a Subspaces store; a Subspaces is kept as given.
     A and tau are kept as given when they already are read-only float arrays
-    that own their data, and copied read-only otherwise.
+    that own their data, and copied read-only otherwise.  Factors of A given
+    by supply_factors are kept beside the factorizations, not as a field, so
+    dataclasses.replace drops them.
     """
 
     n: int
@@ -162,6 +242,7 @@ class SpanProgram:
 
     def __post_init__(self):
         object.__setattr__(self, "_factorizations", {})
+        object.__setattr__(self, "_supplied", None)
         object.__setattr__(self, "a_mat", freeze(np.atleast_2d(self.a_mat)))
         object.__setattr__(self, "tau", freeze(np.asarray(self.tau, dtype=float)))
         if not isinstance(self.subspaces, Subspaces):
@@ -176,21 +257,24 @@ class SpanProgram:
             raise StructuralError(f"tau has shape {self.tau.shape}, expected ({self.dim_v},)")
         if len(self.input_blocks) != self.n:
             raise StructuralError("one coordinate block required per input position")
-        self.subspaces.check(self.input_blocks, self.q)
+        self.subspaces.layout(self.input_blocks, self.q)
 
     def factorization(self, tols: Tolerances = DEFAULT_TOLS) -> Factorization:
-        """A's factorization under tols: computed on first use, then kept on
-        the program, whose A and tau are read-only."""
+        """A's factorization under tols: computed on first use, from the
+        supplied factors when there are any and from one SVD of A otherwise,
+        then kept on the program, whose A and tau are read-only."""
         fact = self._factorizations.get(tols)
         if fact is None:
-            fact = self._factorizations[tols] = _factorize(self.a_mat, self.tau, tols)
+            fact = self._factorizations[tols] = _factorize(
+                self.a_mat, self.tau, tols, self._supplied
+            )
         return fact
 
     def check_input(self, x: Sequence[int]) -> tuple[int, ...]:
-        x = tuple(int(s) for s in x)
+        x = tuple(map(int, x))
         if len(x) != self.n:
             raise StructuralError(f"input has length {len(x)}, expected {self.n}")
-        if any(not (0 <= s < self.q) for s in x):
+        if x and not (0 <= min(x) and max(x) < self.q):
             raise StructuralError(f"input symbols must lie in [0, {self.q})")
         return x
 
@@ -222,10 +306,10 @@ class Factorization:
 
     A = U_r diag(sigma) V_r^T, cut at the package's rank tolerance:
     col_basis is U_r (dim_v x rank), sigma the nonzero singular values and
-    row_basis V_r (dim_h x rank), all from the SVD that gives A^+, whose
-    largest singular value is sigma_max.  witness is w0 = A^+ tau with N_+
-    and N_-; when no positive witness exists it is None and infeasible says
-    why.
+    row_basis V_r (dim_h x rank), from one SVD of A or from the supplied
+    factors, with sigma_max the largest singular value.  witness is
+    w0 = A^+ tau = V_r Sigma^-1 U_r^T tau with N_+ and N_-; when no positive
+    witness exists it is None and infeasible says why.
     """
 
     col_basis: np.ndarray
@@ -236,10 +320,27 @@ class Factorization:
     infeasible: str = ""
 
 
-def _factorize(a_mat: np.ndarray, tau: np.ndarray, tols: Tolerances) -> Factorization:
-    a_pinv, col_basis, sigma, row_basis, top = pinv_factors(a_mat, tols)
-    parts = (freeze(col_basis), freeze(sigma), freeze(row_basis), top)
-    w0 = a_pinv @ tau
+Supplied = tuple[np.ndarray, np.ndarray, np.ndarray]  # U_r, sigma, V_r = A^T U_r Sigma^-1
+
+
+def _factorize(
+    a_mat: np.ndarray, tau: np.ndarray, tols: Tolerances, supplied: Optional[Supplied]
+) -> Factorization:
+    """A's factors from one SVD, or from the supplied factors cut at the rank
+    tolerance, and w0 = V_r (Sigma^-1 (U_r^T tau)) from either.  Solving
+    through the factors keeps the residual A w0 - tau at rounding size
+    however small a kept singular value is; no A^+ is formed."""
+    if supplied is None:
+        col_basis, sigma, row_basis, top = svd_factors(a_mat, tols)
+        col_basis, sigma, row_basis = freeze(col_basis), freeze(sigma), freeze(row_basis)
+    else:
+        col_basis, sigma, row_basis = supplied
+        top = float(sigma[0]) if sigma.size else 0.0
+        rank = _rank(sigma, tols, None)
+        if rank < sigma.size:
+            col_basis, sigma, row_basis = col_basis[:, :rank], sigma[:rank], row_basis[:, :rank]
+    parts = (col_basis, sigma, row_basis, top)
+    w0 = row_basis @ ((col_basis.T @ tau) / sigma)
     if np.linalg.norm(a_mat @ w0 - tau) > tols.membership_rtol * np.linalg.norm(tau):
         return Factorization(*parts, None, "tau is not in col(A); no positive witness exists")
     n_plus = float(w0 @ w0)
@@ -248,6 +349,58 @@ def _factorize(a_mat: np.ndarray, tau: np.ndarray, tols: Tolerances) -> Factoriz
     return Factorization(
         *parts, MinimalWitness(w0=freeze(w0), n_plus=n_plus, n_minus=1.0 / n_plus)
     )
+
+
+def supplied_residual(program: SpanProgram) -> Optional[float]:
+    """How far program's supplied factors are from factoring A: the worst
+    of ||A V_r - U_r Sigma|| / sigma_max, ||U_r^T U_r - I|| and
+    ||W^T A|| / sigma_max, W an orthonormal basis of the complement of
+    span U_r (so the last is the part of col A outside span U_r), in
+    Frobenius norm; inf when sigma is not positive and non-increasing.
+    None when A is factored by an SVD."""
+    if program._supplied is None:
+        return None
+    col_basis, sigma, row_basis = program._supplied
+    a_mat = program.a_mat
+    if sigma.size == 0:
+        return math.inf if a_mat.any() else 0.0
+    if not (sigma[-1] > 0.0 and np.all(np.diff(sigma) <= 0.0)):
+        return math.inf
+    top = float(sigma[0])
+    off = np.linalg.qr(col_basis, mode="complete")[0][:, sigma.size :]
+    return max(
+        float(np.linalg.norm(a_mat @ row_basis - col_basis * sigma)) / top,
+        float(np.linalg.norm(col_basis.T @ col_basis - np.eye(sigma.size))),
+        float(np.linalg.norm(off.T @ a_mat)) / top,
+    )
+
+
+def supply_factors(
+    program: SpanProgram, col_basis: np.ndarray, sigma: np.ndarray
+) -> SpanProgram:
+    """A copy of program that reads A's factors from an orthonormal basis
+    U_r of col(A) (col_basis) and A's nonzero singular values sigma, in
+    non-increasing order, instead of taking an SVD of A: V_r = A^T U_r
+    Sigma^-1.  They are checked here, once: StructuralError unless
+    supplied_residual is at most SUPPLIED_FACTOR_RTOL.  rescale_target and
+    normalize, which keep A, pass them on; scale builds a new A and factors
+    it."""
+    col_basis, sigma = freeze(col_basis), freeze(np.atleast_1d(sigma))
+    if col_basis.ndim != 2 or col_basis.shape != (program.dim_v, sigma.size):
+        raise StructuralError(
+            f"col_basis has shape {col_basis.shape}, expected ({program.dim_v}, {sigma.size})"
+        )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        row_basis = freeze((program.a_mat.T @ col_basis) / sigma)
+    child = dataclasses.replace(program)
+    object.__setattr__(child, "_supplied", (col_basis, sigma, row_basis))
+    residual = supplied_residual(child)
+    if not residual <= SUPPLIED_FACTOR_RTOL:
+        raise StructuralError(
+            f"the supplied factors do not factor A: residual {residual:.3e} "
+            f"above {SUPPLIED_FACTOR_RTOL:.0e}"
+        )
+    return child
 
 
 @dataclass(frozen=True)
@@ -271,7 +424,8 @@ class WitnessReport:
 
 
 def validate(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS) -> ValidationReport:
-    """Check the model invariants: disjoint covering blocks and spanning subspaces."""
+    """Check the model invariants: disjoint covering blocks, spanning
+    subspaces and, when A's factors are supplied, that they factor A."""
     checks: list[tuple[str, bool, str]] = []
 
     all_blocks = list(program.input_blocks) + [program.true_block, program.false_block]
@@ -301,10 +455,50 @@ def validate(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS) -> Validatio
             )
         )
 
+    residual = supplied_residual(program)
+    if residual is not None:
+        checks.append(
+            (
+                "supplied-factors",
+                residual <= SUPPLIED_FACTOR_RTOL,
+                f"the supplied U_r, Sigma factor A: residual {residual:.3e}",
+            )
+        )
     return ValidationReport(tuple(checks))
 
 
-Blocks = list[tuple[np.ndarray, np.ndarray]]
+# (coordinates, basis) pairs; a basis of None is the identity on its coordinates
+Blocks = list[tuple[np.ndarray, Optional[np.ndarray]]]
+
+
+def _runs(
+    layout: _Layout,
+    ids: np.ndarray,
+    kinds: np.ndarray,
+    splits: list,
+    side: int,
+    whole: tuple[int, ...],
+) -> Blocks:
+    """One side of H(x) (0 for Q_H, 1 for Q_perp) in block order, with each
+    run of consecutive identity blocks, whole ending included, merged into
+    one (coordinates, None) entry and blocks without columns left out."""
+    identity = np.repeat(kinds == _IDENTITY, layout.sizes)
+    out: Blocks = []
+    start = 0
+    for j in np.flatnonzero(kinds == _GENERAL):
+        low = layout.starts[j]
+        high = low + layout.sizes[j]
+        run = layout.coords[start:low][identity[start:low]]
+        if run.size:
+            out.append((run, None))
+        out.append((layout.coords[low:high], splits[ids[j]][side]))
+        start = high
+    run = np.concatenate(
+        [layout.coords[start:][identity[start:]], np.array(whole, dtype=np.intp)]
+    )
+    if run.size:
+        out.append((run, None))
+    return out
 
 
 def subspace_blocks(
@@ -312,45 +506,43 @@ def subspace_blocks(
 ) -> tuple[Blocks, Blocks]:
     """Orthonormal bases Q_H of H(x) = H_{1,x_1} + ... + H_{n,x_n} + H_true and
     Q_perp of its complement, each as (coordinate indices, basis in those
-    coordinates) pairs, block by block.  Block j's two parts are the store's
-    bases of H_{j,x_j}; H_true lies wholly in H(x) and H_false wholly outside
-    it, as does H_j when H_{j,x_j} is empty.  Those whole blocks share one
-    read-only identity per block size."""
+    coordinates) pairs.  Block j's two parts are the store's bases of
+    H_{j,x_j}; H_true lies wholly in H(x) and H_false wholly outside it, as
+    does H_j when H_{j,x_j} is empty.  Those whole blocks, and every stored
+    basis that is exactly the identity, are identity blocks: each run of
+    consecutive ones is one (coordinates, None) entry, so the columns keep
+    their order.  Parts without columns are left out.  The st program's
+    H(x) is a single identity entry."""
     x = program.check_input(x)
-    identities: dict[int, np.ndarray] = {}
-
-    def whole(coords: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        if len(coords) not in identities:
-            identities[len(coords)] = freeze(np.eye(len(coords)))
-        return np.array(coords, dtype=int), identities[len(coords)]
-
-    inside, outside = [], []
-    for j, sym in enumerate(x):
-        split = program.subspaces.bases((j, sym), tols)
-        if split is None:
-            outside.append(whole(program.input_blocks[j]))
-            continue
-        block = np.array(program.input_blocks[j], dtype=int)
-        inside.append((block, split[0]))
-        outside.append((block, split[1]))
-    inside.append(whole(program.true_block))
-    outside.append(whole(program.false_block))
+    store = program.subspaces
+    layout = store.layout(program.input_blocks, program.q)
+    ids = layout.which[np.arange(program.n), np.array(x, dtype=np.intp)]
+    kinds, splits = store.decided(ids, tols)
+    inside = _runs(layout, ids, kinds[ids, 0], splits, 0, program.true_block)
+    outside = _runs(layout, ids, kinds[ids, 1], splits, 1, program.false_block)
     return inside, outside
 
 
 def restrict(mat: np.ndarray, blocks: Blocks) -> np.ndarray:
     """M Q for a matrix M on H's coordinates and a basis Q given block by
-    block, as subspace_blocks gives Q_H and Q_perp; A Q_H is A(x)."""
-    return np.concatenate([mat[:, block] @ basis for block, basis in blocks], axis=1)
+    block, as subspace_blocks gives Q_H and Q_perp; A Q_H is A(x).  An
+    identity entry is a gather of M's columns, with no product."""
+    parts = [mat[:, block] if basis is None else mat[:, block] @ basis for block, basis in blocks]
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts, axis=1) if parts else np.zeros((mat.shape[0], 0))
 
 
 def _lift(dim_h: int, blocks: Blocks, coef: np.ndarray) -> np.ndarray:
-    """The vector Q coef of H, for a basis Q given block by block."""
+    """The vector Q coef of H, for a basis Q given block by block; an
+    identity entry scatters its coefficients."""
     w = np.zeros(dim_h)
     start = 0
     for block, basis in blocks:
-        w[block] = basis @ coef[start : start + basis.shape[1]]
-        start += basis.shape[1]
+        width = block.size if basis is None else basis.shape[1]
+        part = coef[start : start + width]
+        w[block] = part if basis is None else basis @ part
+        start += width
     return w
 
 
@@ -358,12 +550,16 @@ def subspace_projector(
     program: SpanProgram, x: Sequence[int], tols: Tolerances = DEFAULT_TOLS
 ) -> np.ndarray:
     """Orthogonal projector onto H(x), block diagonal across the coordinate
-    blocks of subspace_blocks; for the dense oracle and the tests only.
-    Raises OracleSizeError above DENSE_DIM_CAP."""
+    blocks of subspace_blocks, with a unit diagonal on identity entries; for
+    the dense oracle and the tests only.  Raises OracleSizeError above
+    DENSE_DIM_CAP."""
     _check_dense_size(program)
     proj = np.zeros((program.dim_h, program.dim_h))
     for block, basis in subspace_blocks(program, x, tols)[0]:
-        proj[block[:, None], block] = basis @ basis.T
+        if basis is None:
+            proj[block, block] = 1.0
+        else:
+            proj[block[:, None], block] = basis @ basis.T
     return proj
 
 
@@ -583,10 +779,12 @@ def rescale_target(program: SpanProgram, factor: float) -> SpanProgram:
     parent already holds: the same read-only U_r, Sigma, V_r and sigma_max,
     with witness factor * w0, N_+ times factor^2 and N_- over factor^2, or
     the parent's reason for having none.  A Tolerances the parent has not
-    factored under is factored on the new program's first use."""
+    factored under is factored on the new program's first use, from the
+    parent's supplied factors when it has them."""
     if factor <= 0:
         raise ValueError("target rescaling factor must be positive")
     child = dataclasses.replace(program, tau=factor * program.tau)
+    object.__setattr__(child, "_supplied", program._supplied)
     for tols, fact in program._factorizations.items():
         child._factorizations[tols] = _rescaled(fact, factor)
     return child

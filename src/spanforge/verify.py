@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import DEFAULT_TOLS, Tolerances, intersection_dims
+from ._linalg import DEFAULT_TOLS, Tolerances, intersection_dims, sigma_max
 from .generators import (
     all_inputs,
     random_graph,
@@ -30,7 +30,7 @@ from .resistance import (
 )
 from .qsim import outcome_zero_probability
 from .spanprog import input_factors, minimal_negative_value, minimal_witness, normalize, scale
-from .spanprog import subspace_projector, witness_report
+from .spanprog import subspace_projector, supplied_residual, witness_report
 from .spectral import build_U, build_Uprime, decompose_orthogonal, discriminant, kappa_bound
 from .spectral import measure_U, measure_Uprime
 
@@ -211,6 +211,7 @@ def suite_scaling(trials: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> li
             worst_idem,
             float(np.max(np.abs(np.asarray(renormalized.tau) - np.asarray(normalized.tau)))),
         )
+        reports = {x: witness_report(program, x, tols) for x in all_inputs(program)}
         for beta in betas:
             scaled = scale(program, beta, tols)
             mws = minimal_witness(scaled, tols)
@@ -220,8 +221,7 @@ def suite_scaling(trials: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> li
             expect_w0[program.dim_h] = n_plus / (beta**2 + n_plus)
             expect_w0[program.dim_h + 1] = beta / math.sqrt(beta**2 + n_plus)
             worst_eq = max(worst_eq, float(np.max(np.abs(np.asarray(mws.w0) - expect_w0))))
-            for x in all_inputs(program):
-                rep = witness_report(program, x, tols)
+            for x, rep in reports.items():
                 rep_s = witness_report(scaled, x, tols)
                 if math.isfinite(rep.w_minus):
                     expect = beta**2 * rep.w_minus + 1.0
@@ -331,7 +331,12 @@ def suite_kappa(trials: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> list
         lam = lambda2(g)
         if lam > 1e-9:
             worst_sigma = max(worst_sigma, abs(float(factors.sigma[-1]) - math.sqrt(2.0 * lam)))
-        worst_sigma = max(worst_sigma, abs(factors.a_scale - math.sqrt(2.0 * g.n)))
+        # a_scale is the supplied sqrt(2n); a dense SVD of A checks it
+        worst_sigma = max(
+            worst_sigma,
+            abs(factors.a_scale - sigma_max(program.a_mat)),
+            supplied_residual(program),
+        )
         res = exact_resistance(g)
         if math.isfinite(res) and len(g.edges) <= 8:
             worst_res = max(worst_res, abs(res - flow_resistance_bruteforce(g)))
@@ -344,7 +349,8 @@ def suite_kappa(trials: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> list
         _residual_check("kappa/gap-bound-Uprime", worst_up, 1e-8,
                         "same bound for U'(P, x) on positive inputs"),
         _residual_check("kappa/graph-singular-values", worst_sigma, 1e-8,
-                        "sigma_max(A) = sqrt(2n) and sigma_min(A(x)) = sqrt(2 lambda2)"),
+                        "sigma_max(A) = sqrt(2n) against a dense SVD, the supplied factors "
+                        "reproduce A, and sigma_min(A(x)) = sqrt(2 lambda2)"),
         _residual_check("kappa/resistance-oracles", worst_res, 1e-8,
                         "Laplacian pseudo-inverse vs cycle-space flow minimization, and w+ = R/2"),
     ]

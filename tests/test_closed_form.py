@@ -1,0 +1,303 @@
+"""The st program's closed-form factors of A against the SVD route, the
+identity-run walk of H(x) against a block-by-block reference, the guards on
+supplied factors, and the refusal of an st program too large to hold."""
+
+import dataclasses
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from spanforge._linalg import DEFAULT_TOLS, column_space_split
+from spanforge.cli import main
+from spanforge.generators import all_inputs, random_graph, random_span_program
+from spanforge.qsim import outcome_zero_probability
+from spanforge.resistance import build_st_span_program, graph, graph_input
+from spanforge.spanprog import (
+    DENSE_A_ENTRY_CAP,
+    ProgramSizeError,
+    SpanProgramError,
+    StructuralError,
+    _lift,
+    input_factors,
+    minimal_witness,
+    normalize,
+    or_span_program,
+    rescale_target,
+    restrict,
+    scale,
+    subspace_blocks,
+    subspace_projector,
+    supplied_residual,
+    supply_factors,
+    validate,
+    witness_report,
+)
+from spanforge.spectral import measure_U, measure_Uprime
+
+from test_input_route import degenerate_programs
+
+RTOL = 1e-12
+GRIDS = (2, 16, 256)
+ST_SIZES = (2, 3, 4, 8, 16, 32, 64)
+
+
+def svd_route(program):
+    """The same program with its supplied factors dropped: A by one SVD."""
+    twin = dataclasses.replace(program)
+    assert supplied_residual(twin) is None
+    return twin
+
+
+def assert_same_span(mine, theirs):
+    """Equal column spans of two orthonormal bases: equal ranks and
+    ||(I - P_theirs) mine||, the sine of the largest principal angle, at
+    rounding size; for bases of equal rank that is ||P_mine - P_theirs||."""
+    assert mine.shape == theirs.shape
+    assert np.max(np.abs(mine - theirs @ (theirs.T @ mine)), initial=0.0) <= RTOL
+
+
+def close(mine, theirs):
+    """Equal to RTOL relative (absolute below 1), or both infinite."""
+    if math.isinf(theirs):
+        return math.isinf(mine)
+    return abs(mine - theirs) <= RTOL * max(1.0, abs(theirs))
+
+
+def st_inputs(n, s, t, rng):
+    """A random graph, a dense one, and one with s cut off, as inputs."""
+    cut = graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if s not in (u, v)], s, t)
+    graphs = (random_graph(rng, n, 0.4), random_graph(rng, n, 0.8), cut)
+    return [graph_input(dataclasses.replace(g, s=s, t=t)) for g in graphs]
+
+
+@pytest.mark.parametrize("n", ST_SIZES)
+def test_closed_form_factors_match_the_svd_route(n):
+    rng = np.random.default_rng([11, n])
+    for s, t in {(0, n - 1), (n - 1, 0), (n // 2, n // 3 if n // 3 != n // 2 else 0)}:
+        program = build_st_span_program(n, s, t)
+        oracle = svd_route(program)
+        mine, theirs = program.factorization(), oracle.factorization()
+        assert mine.sigma.size == theirs.sigma.size == n - 1
+        np.testing.assert_allclose(mine.sigma, theirs.sigma, rtol=RTOL)
+        assert close(mine.sigma_max, theirs.sigma_max)
+        np.testing.assert_allclose(
+            mine.col_basis @ mine.col_basis.T, theirs.col_basis @ theirs.col_basis.T, atol=RTOL
+        )
+        assert_same_span(mine.row_basis, theirs.row_basis)
+        assert_same_span(theirs.row_basis, mine.row_basis)
+        np.testing.assert_allclose(mine.witness.w0, theirs.witness.w0, atol=RTOL)
+        assert close(mine.witness.n_plus, theirs.witness.n_plus)
+        assert close(mine.witness.n_minus, theirs.witness.n_minus)
+        # w0 = A^T tau / (2n)
+        np.testing.assert_allclose(mine.witness.w0, program.a_mat.T @ program.tau / (2 * n),
+                                   atol=RTOL)
+
+
+@pytest.mark.parametrize("n", ST_SIZES)
+def test_closed_form_inputs_measures_and_witnesses_match_the_svd_route(n):
+    rng = np.random.default_rng([12, n])
+    s, t = n - 1, n // 2 if n > 2 else 0
+    program = build_st_span_program(n, s, t)
+    oracle = svd_route(program)
+    unit, unit_oracle = normalize(program), normalize(oracle)
+    signs = set()
+    for x in st_inputs(n, s, t, rng):
+        mine, theirs = input_factors(program, x), input_factors(oracle, x)
+        assert mine.positive == theirs.positive
+        signs.add(mine.positive)
+        assert mine.a_x.tobytes() == theirs.a_x.tobytes()
+        assert close(mine.a_scale, theirs.a_scale)
+        np.testing.assert_allclose(mine.sigma, theirs.sigma, rtol=RTOL)
+        for part in ("col_basis", "complement"):
+            assert_same_span(getattr(mine, part), getattr(theirs, part))
+
+        pairs = [(measure_U(unit, x), measure_U(unit_oracle, x))]
+        if mine.positive:
+            pairs.append((measure_Uprime(unit, x), measure_Uprime(unit_oracle, x)))
+        for fast, slow in pairs:
+            for grid in GRIDS:
+                assert outcome_zero_probability(fast, grid) == pytest.approx(
+                    outcome_zero_probability(slow, grid), abs=RTOL
+                )
+
+        rep, ref = witness_report(program, x), witness_report(oracle, x)
+        for field in ("w_plus", "w_minus", "e_plus", "e_minus", "w_tilde_plus", "w_tilde_minus"):
+            assert close(getattr(rep, field), getattr(ref, field)), field
+        for field in ("witness_vec", "neg_witness_row"):
+            mine_vec, ref_vec = getattr(rep, field), getattr(ref, field)
+            bound = RTOL * max(1.0, float(np.max(np.abs(ref_vec))))
+            assert np.max(np.abs(mine_vec - ref_vec)) <= bound, field
+    assert signs == {True, False}
+
+
+def loop_walk(program, x):
+    """Q_H and Q_perp block by block, every block with an explicit basis, as
+    the walk was written before identity runs: the reference."""
+    inside, outside = [], []
+    for j, sym in enumerate(x):
+        block = np.array(program.input_blocks[j], dtype=int)
+        mat = program.subspaces.get((j, sym))
+        if mat is None or not mat.size:
+            inside.append((block, np.zeros((block.size, 0))))
+            outside.append((block, np.eye(block.size)))
+        else:
+            col, comp = column_space_split(mat, DEFAULT_TOLS)
+            inside.append((block, col))
+            outside.append((block, comp))
+    for side, whole in ((inside, program.true_block), (outside, program.false_block)):
+        side.append((np.array(whole, dtype=int), np.eye(len(whole))))
+    return inside, outside
+
+
+def loop_restrict(mat, blocks):
+    return np.concatenate([mat[:, block] @ basis for block, basis in blocks], axis=1)
+
+
+def loop_lift(dim_h, blocks, coef):
+    w, start = np.zeros(dim_h), 0
+    for block, basis in blocks:
+        w[block] = basis @ coef[start : start + basis.shape[1]]
+        start += basis.shape[1]
+    return w
+
+
+def walked_programs():
+    programs = {f"random-{s}": random_span_program(np.random.default_rng([13, s]))
+                for s in range(20)}
+    programs["or5"] = or_span_program(5)
+    programs["st4"] = build_st_span_program(4, 0, 3)
+    programs["st6-normalized"] = normalize(build_st_span_program(6, 2, 5))
+    programs["st5-scaled"] = scale(build_st_span_program(5, 1, 4), 0.7)
+    programs.update(degenerate_programs())
+    return programs
+
+
+def same_bits(mine, theirs):
+    return mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(walked_programs()))
+def test_identity_runs_match_the_block_by_block_walk(name):
+    program = walked_programs()[name]
+    rng = np.random.default_rng(14)
+    inputs = list(all_inputs(program))
+    if len(inputs) > 64:
+        inputs = [inputs[k] for k in rng.choice(len(inputs), 64, replace=False)]
+    for x in inputs:
+        q_h, q_perp = subspace_blocks(program, x)
+        ref_h, ref_perp = loop_walk(program, x)
+        for mine, theirs in ((q_h, ref_h), (q_perp, ref_perp)):
+            a_mine, a_ref = restrict(program.a_mat, mine), loop_restrict(program.a_mat, theirs)
+            assert same_bits(a_mine, a_ref)
+            coef = rng.standard_normal(a_ref.shape[1])
+            assert same_bits(_lift(program.dim_h, mine, coef),
+                             loop_lift(program.dim_h, theirs, coef))
+            # consecutive identity blocks are merged: no two identity entries in a row
+            kinds = [basis is None for _, basis in mine]
+            assert not any(a and b for a, b in zip(kinds, kinds[1:]))
+        proj = np.zeros((program.dim_h, program.dim_h))
+        for block, basis in ref_h:
+            proj[block[:, None], block] = basis @ basis.T
+        assert same_bits(subspace_projector(program, x), proj)
+
+
+def test_st_program_reads_h_x_and_c_x_as_one_gather():
+    g = random_graph(np.random.default_rng(15), 12, 0.3)
+    program = build_st_span_program(g.n, g.s, g.t)
+    q_h, q_perp = subspace_blocks(program, graph_input(g))
+    assert len(q_h) == 1 and q_h[0][1] is None
+    assert len(q_perp) == 1 and q_perp[0][1] is None
+    edges = np.flatnonzero(np.repeat(graph_input(g), 2))
+    np.testing.assert_array_equal(q_h[0][0], edges)
+    v_r = program.factorization().row_basis
+    assert same_bits(restrict(program.a_mat, q_h), program.a_mat[:, edges])
+    assert same_bits(restrict(v_r.T, q_h), v_r.T[:, edges])
+
+
+def count_svds(monkeypatch, shape):
+    """A list that grows by one for every SVD of the given shape."""
+    svd, seen = np.linalg.svd, []
+
+    def recording(mat, *args, **kwargs):
+        if np.shape(mat) == shape:
+            seen.append(shape)
+        return svd(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return seen
+
+
+def test_scale_of_a_supplied_program_factors_its_own_a(monkeypatch):
+    program = build_st_span_program(6, 0, 5)
+    scaled = scale(program, 0.5)
+    assert supplied_residual(scaled) is None
+    svds = count_svds(monkeypatch, scaled.a_mat.shape)
+    fact = scaled.factorization()
+    assert len(svds) == 1
+    assert minimal_witness(scaled).n_plus == pytest.approx(1.0, rel=RTOL)
+    assert fact.row_basis.shape == (scaled.dim_h, program.dim_v)
+
+
+def test_rescale_target_and_normalize_keep_the_supplied_factors(monkeypatch):
+    program = build_st_span_program(7, 1, 3)  # not factored yet
+    svds = count_svds(monkeypatch, program.a_mat.shape)
+    for child in (rescale_target(program, 3.0), normalize(program)):
+        assert supplied_residual(child) == supplied_residual(program)
+        fact, parent = child.factorization(), program.factorization()
+        assert fact.col_basis is parent.col_basis and fact.row_basis is parent.row_basis
+        assert validate(child).ok
+    assert svds == []
+    # dataclasses.replace drops them: the copy factors A by one SVD
+    svd_route(program).factorization()
+    assert len(svds) == 1
+
+
+def test_supplied_factors_that_do_not_factor_a_are_refused():
+    program = build_st_span_program(5, 0, 4)
+    fact = program.factorization()
+    col, sigma = np.array(fact.col_basis), np.array(fact.sigma)
+    wrong = {
+        "not orthonormal": (2.0 * col, sigma / 2.0),
+        "another subspace": (np.eye(5)[:, :4], sigma),
+        "wrong singular values": (col, 1.01 * sigma),
+        "increasing": (col, sigma * np.linspace(0.9, 1.1, 4)),
+        "zero": (col, np.append(sigma[:3], 0.0)),
+        "missing a direction": (col[:, :3], sigma[:3]),
+    }
+    for u_r, s in wrong.values():
+        with pytest.raises(StructuralError, match="do not factor A"):
+            supply_factors(program, u_r, s)
+    with pytest.raises(StructuralError, match="shape"):
+        supply_factors(program, col.T, sigma)
+    report = validate(program)
+    assert report.ok and report.checks[-1][0] == "supplied-factors"
+    # a random program's own SVD factors may be supplied back to it
+    other = random_span_program(np.random.default_rng([16, 1]))
+    own = other.factorization()
+    given = supply_factors(other, own.col_basis, own.sigma)
+    np.testing.assert_allclose(given.factorization().witness.w0, own.witness.w0, atol=RTOL)
+
+
+def test_st_program_above_the_dense_cap_is_refused_before_allocating():
+    assert issubclass(ProgramSizeError, SpanProgramError)
+    assert issubclass(ProgramSizeError, ValueError)
+    assert 500 * 500 * 499 <= DENSE_A_ENTRY_CAP < 646 * 646 * 645
+    for n in (646, 2000):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProgramSizeError, match="cap"):
+                build_st_span_program(n, 0, 1)
+            assert tracemalloc.get_traced_memory()[1] < 1e6
+        finally:
+            tracemalloc.stop()
+
+
+def test_cli_refuses_a_graph_too_large_for_a_dense_a(tmp_path, capsys):
+    n = 700
+    path = tmp_path / "path700.graph"
+    path.write_text(f"{n} {n - 1} 1 {n}\n" + "".join(f"{v} {v + 1}\n" for v in range(1, n)))
+    assert main(["resistance", "--graph", str(path), "--eps", "0.2",
+                 "--method", "effective-gap"]) == 3
+    assert "cap" in capsys.readouterr().err

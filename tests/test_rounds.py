@@ -24,6 +24,7 @@ from spanforge.generators import all_inputs, random_graph, random_span_program
 from spanforge.qsim import QueryLedger, outcome_zero_probability
 from spanforge.resistance import (
     EFFECTIVE_GAP,
+    REAL_GAP,
     build_st_span_program,
     complete_graph,
     estimate_resistance,
@@ -221,7 +222,8 @@ def test_witness_estimate_reads_h_x_once_and_rounds_are_rank_sized(monkeypatch):
 
 
 def test_resistance_estimates_factor_a_once_and_walk_h_x_once(monkeypatch):
-    # A(x) is narrower than A here, so an SVD shaped like A is an SVD of A
+    # A(x) is narrower than A here, so an SVD shaped like A is an SVD of A;
+    # the st program reads A's factors in closed form and takes none
     n = 16
     g = lower_bound_family(n, 1, i=1, j=n // 2)
     x = graph_input(g)
@@ -240,13 +242,17 @@ def test_resistance_estimates_factor_a_once_and_walk_h_x_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     program = build_st_span_program(n, g.s, g.t)
     a_shape = (program.dim_v, program.dim_h)
-    kappa_estimate(program, x, 0.25, math.sqrt(n / lambda2(g)), POSITIVE,
-                   np.random.default_rng(1), QueryLedger())
-    assert len(blocks_calls) == 1
-    assert shapes.count(a_shape) == 1
+    for method, mu in ((EFFECTIVE_GAP, None), (REAL_GAP, lambda2(g))):
+        blocks_calls.clear()
+        shapes.clear()
+        estimate_resistance(g, 0.25, method, np.random.default_rng(1), QueryLedger(), mu=mu)
+        assert len(blocks_calls) == 1
+        assert shapes.count(a_shape) == 0
+    # a program without supplied factors factors A by one SVD
     blocks_calls.clear()
     shapes.clear()
-    estimate_resistance(g, 0.25, EFFECTIVE_GAP, np.random.default_rng(1), QueryLedger())
+    kappa_estimate(dataclasses.replace(program), x, 0.25, math.sqrt(n / lambda2(g)),
+                   POSITIVE, np.random.default_rng(1), QueryLedger())
     assert len(blocks_calls) == 1
     assert shapes.count(a_shape) == 1
 

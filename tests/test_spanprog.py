@@ -493,8 +493,21 @@ def test_subspace_store_is_shared_read_only_and_never_stale(monkeypatch):
         or3.subspaces[(0, 1)] = np.zeros((1, 0))
     with pytest.raises(ValueError):
         or3.subspaces[(0, 1)][0, 0] = 2.0
-    with pytest.raises(ValueError):
-        subspace_blocks(or3, (1, 0, 0))[0][0][1][0, 0] = 2.0
+    # OR's bases are identities, which a walk hands out as coordinates
+    # alone; every other basis it hands out is a read-only stored one
+    assert all(basis is None for side in subspace_blocks(or3, (1, 0, 0)) for _, basis in side)
+    handed_out = [
+        basis
+        for target in (program, child)
+        for x in all_inputs(target)
+        for side in subspace_blocks(target, x)
+        for _, basis in side
+        if basis is not None
+    ]
+    assert handed_out
+    for basis in handed_out:
+        with pytest.raises(ValueError):
+            basis[0, 0] = 2.0
 
     # a program given other subspaces gets its own store, not the old bases
     assert positive_witness(or3, (1, 0, 0))[1] == pytest.approx(1.0)
