@@ -12,14 +12,14 @@ level.
 
 A round never builds the scaled program.  witness_estimate factors A(x) once
 (spanprog.input_factors), reads the witness sizes from it, and forms
-C(x) = V_r^T Q_H(x) once (spectral.row_space_cross); each round reads its
-scaled program's measure from C(x) and an (r+1) x (r+1) SVD of the parent's
-factors (spectral.scaled_measure_U / scaled_measure_Uprime).  A C(x) built
-for another program, input or Tolerances is refused.  decision_context and
+C(x) = V_r^T Q_H(x) from it once (spectral.row_space_cross); each round
+reads its scaled program's measure from C(x) and an (r+1) x (r+1) SVD of
+the parent's factors (spectral.scaled_measure_U / scaled_measure_Uprime).
+A C(x) built for another program, input or Tolerances is refused.  decision_context and
 decide_threshold form C(x) for their one round; measure_U / measure_Uprime
 of spanprog.scale(program, beta) is the oracle the rounds are tested against.
 gap_estimate likewise reads the witness size from A(x)'s one SVD and w0's
-measure from the C(x) of the same Q_H (spectral.input_measure_U /
+measure from the C(x) of the same InputFactors (spectral.input_measure_U /
 input_measure_Uprime).
 """
 
@@ -211,7 +211,7 @@ def decide_threshold_success_probability(
     computed by outcome-distribution summation.  None when x falls in the
     promise gap (any answer is then acceptable)."""
     f = input_factors(program, x, tols)
-    ctx = _round_context(program, x, spec, tols, row_space_cross(program, x, f.q_h, tols))
+    ctx = _round_context(program, x, spec, tols, row_space_cross(program, x, f, tols))
     w_val = _witness_size(program, f, spec.side, tols, estimate=False)
     if w_val <= spec.w_bound * (1.0 + 1e-12):
         truth_high = True
@@ -327,7 +327,7 @@ def witness_estimate(
     if w_tilde_bound is None:
         min_error = _min_error_negative if side == POSITIVE else _min_error_positive
         _, _, w_tilde_bound = min_error(program, f, tols)
-    cross = row_space_cross(program, x, f.q_h, tols)
+    cross = row_space_cross(program, x, f, tols)
 
     start_queries = ledger.total
     flags: list[str] = []
@@ -412,7 +412,7 @@ def gap_estimate(
     _assert_normalized(program, tols)
     f = input_factors(program, x, tols)
     _witness_size(program, f, side, tols, estimate=True)
-    cross = row_space_cross(program, x, f.q_h, tols)
+    cross = row_space_cross(program, x, f, tols)
     measure = (input_measure_Uprime if side == POSITIVE else input_measure_U)(cross)
 
     start_queries = ledger.total

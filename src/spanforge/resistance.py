@@ -6,8 +6,9 @@ per unordered pair turns both orientations on or off.  A sends |u,v> to
 st-flows halved over the two orientations and w_+(G) = R_st(G)/2.
 
 exact_resistance is the module's independent oracle: (e_s - e_t)^T L^+
-(e_s - e_t) on the graph Laplacian, with a brute-force flow minimization over
-the cycle space kept as a second, pseudo-inverse-free path for tiny graphs.
+(e_s - e_t) on the graph Laplacian, read from one eigendecomposition of L
+that lambda2 shares, with a brute-force flow minimization over the cycle
+space kept as a second, pseudo-inverse-free path for tiny graphs.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from ._linalg import DEFAULT_TOLS, Tolerances, kernel_basis, pinv
+from ._linalg import DEFAULT_TOLS, Tolerances, kernel_basis
 from .algorithms import kappa_estimate, witness_estimate, POSITIVE
 from .qsim import QueryLedger
-from .spanprog import SpanProgram, check_dense_a_size, normalize, positive_witness, supply_factors
+from .spanprog import SpanProgram, Subspaces, check_dense_a_size, normalize, positive_witness
+from .spanprog import supply_factors
 
 Edge = tuple[int, int]
 
@@ -163,18 +165,28 @@ def laplacian(g: Graph) -> np.ndarray:
     return np.diag(adj.sum(axis=1)) - adj
 
 
+def _spectral_oracle(g: Graph) -> tuple[float, float]:
+    """(lambda2, R_st) of g from one eigh of its Laplacian L = V diag(lam) V^T:
+    lambda2 is lam[1], and R_st = sum_k (V^T chi)_k^2 / lam_k over the
+    eigenvalues pinv keeps, |lam_k| > rank_rtol max |lam|, for
+    chi = e_s - e_t; inf when s, t are disconnected."""
+    lam, vecs = np.linalg.eigh(laplacian(g))
+    if not g.connected_st():
+        return float(lam[1]), math.inf
+    chi = vecs[g.s] - vecs[g.t]
+    kept = np.abs(lam) > DEFAULT_TOLS.rank_rtol * np.max(np.abs(lam))
+    return float(lam[1]), float(np.sum(chi[kept] ** 2 / lam[kept]))
+
+
 def lambda2(g: Graph) -> float:
     """Second-smallest Laplacian eigenvalue (algebraic connectivity)."""
-    return float(np.linalg.eigvalsh(laplacian(g))[1])
+    return _spectral_oracle(g)[0]
 
 
 def exact_resistance(g: Graph) -> float:
-    """R_st via the Laplacian pseudo-inverse; inf when s, t are disconnected."""
-    if not g.connected_st():
-        return math.inf
-    chi = np.zeros(g.n)
-    chi[g.s], chi[g.t] = 1.0, -1.0
-    return float(chi @ pinv(laplacian(g)) @ chi)
+    """R_st through the Laplacian pseudo-inverse, read from L's
+    eigendecomposition; inf when s, t are disconnected."""
+    return _spectral_oracle(g)[1]
 
 
 def flow_resistance_bruteforce(g: Graph) -> float:
@@ -263,15 +275,18 @@ def _ones_complement_basis(n: int) -> np.ndarray:
 def build_st_span_program(n: int, s: int, t: int) -> SpanProgram:
     """The st-connectivity span program on [n]: V = R^n, A|u,v> = |u> - |v>,
     tau = |s> - |t>; the pair-{u,v} input bit selects both ordered coordinates.
-    A is filled from index arrays in ordered_pairs' layout, and every position
-    shares one H_{j,0} = {0} and one H_{j,1} = R^2 matrix, so H(x) is one run
-    of identity blocks and A(x) a column gather of A.
+    A is filled from index arrays in ordered_pairs' layout, and its
+    Subspaces store is given per symbol, H_{j,0} = {0} and H_{j,1} = R^2 at
+    every position, so H(x) is one run of identity blocks and A(x) a column
+    gather of A.
 
     A A^T = 2 (n I - J), so col(A) is the complement of the all-ones vector
     and all n - 1 nonzero singular values are sqrt(2n): the program carries
-    those factors (supply_factors) and takes no SVD of A.  An n whose dense
-    A would exceed spanprog.DENSE_A_ENTRY_CAP is refused with
-    ProgramSizeError before anything is allocated."""
+    those factors (supply_factors), takes no SVD of A and forms no row basis
+    of it.  A and tau are made read-only here, so the program keeps them
+    without a copy.  An n whose dense A would exceed
+    spanprog.DENSE_A_ENTRY_CAP is refused with ProgramSizeError before
+    anything is allocated."""
     if n < 2:
         raise ValueError("need at least two vertices")
     if not (0 <= s < n and 0 <= t < n) or s == t:
@@ -289,14 +304,15 @@ def build_st_span_program(n: int, s: int, t: int) -> SpanProgram:
     a_mat[heads, cols] = -1.0
     tau = np.zeros(n)
     tau[s], tau[t] = 1.0, -1.0
-    empty, whole = np.zeros((2, 0)), np.eye(2)
-    subspaces = {(j, a): mat for j in range(n_inputs) for a, mat in ((0, empty), (1, whole))}
+    for arr in (a_mat, tau):
+        arr.setflags(write=False)
+    subspaces = Subspaces.per_symbol(n_inputs, {0: np.zeros((2, 0)), 1: np.eye(2)})
     program = SpanProgram(
         n=n_inputs,
         q=2,
         dim_h=dim_h,
         dim_v=n,
-        input_blocks=tuple((2 * j, 2 * j + 1) for j in range(n_inputs)),
+        input_blocks=tuple(zip(range(0, dim_h, 2), range(1, dim_h, 2))),
         true_block=(),
         false_block=(),
         subspaces=subspaces,
@@ -373,8 +389,7 @@ def estimate_resistance(
         raise ValueError(f"unknown method {method!r}")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    lam2 = lambda2(g)
-    exact = exact_resistance(g)
+    lam2, exact = _spectral_oracle(g)
     if math.isinf(exact):
         return ResistanceReport(
             exact=math.inf, estimate=math.inf, epsilon=eps, method=method,

@@ -10,9 +10,15 @@ Every quantity about an input comes from A(x) = A Q_H, Q_H an orthonormal
 basis of H(x) kept block by block, with each block's basis taken from the
 program's Subspaces store and each run of identity blocks kept as one set of
 coordinates, so that A(x) of the st program is a column gather of A; only
-the oracle's subspace_projector forms a dim_h x dim_h matrix.  A program
-factors A once per Tolerances, by one SVD or from factors supplied by its
-builder (supply_factors), and solves w0 through the factors.  input_factors
+the oracle's subspace_projector forms a dim_h x dim_h matrix.  The store
+holds the distinct H_{j,a} matrices and an n x q table of their ids; a
+program whose positions share one matrix per symbol gives it per symbol
+(Subspaces.per_symbol), which broadcasts one row of ids, so neither a
+per-key dict nor a per-key check is made.  A program factors A once per
+Tolerances, by one SVD or from factors U_r, Sigma supplied by its builder
+(supply_factors), and solves w0 through the factors.  Supplied factors are
+checked and read in V: w0 = A^T U_r Sigma^-2 U_r^T tau, and the row basis
+V_r = A^T U_r Sigma^-1 is formed only when a caller reads it.  input_factors
 factors A(x) with one SVD and decides once whether tau lies in col A(x);
 the six witness quantities (exact and min-error, both signs) and the kappa
 bound all read that InputFactors.
@@ -27,8 +33,9 @@ holds, with w0 scaled by the factor.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -110,9 +117,9 @@ def _kind(basis: np.ndarray) -> int:
 
 @dataclass(frozen=True)
 class _Layout:
-    """A store's keys laid out for one (input_blocks, q): which[j, a] is the
-    index of H_{j,a}'s distinct matrix, -1 when it is absent or empty, and
-    coords holds every input block's coordinates in order, block j's in
+    """A store laid out for one (input_blocks, q): which[j, a] is the index
+    of H_{j,a}'s distinct matrix, -1 when it is absent or empty, and coords
+    holds every input block's coordinates in order, block j's in
     coords[starts[j]:starts[j] + sizes[j]]."""
 
     input_blocks: tuple[tuple[int, ...], ...]
@@ -123,63 +130,119 @@ class _Layout:
     sizes: np.ndarray
 
 
+def _interned(mats: Iterable[np.ndarray]) -> tuple[list[np.ndarray], list[int]]:
+    """The distinct matrix objects among mats, each frozen once, and the
+    index of each mat among them."""
+    # by id, holding the given object so that no other can take its id
+    seen: dict[int, tuple[np.ndarray, int]] = {}
+    distinct: list[np.ndarray] = []
+    index = []
+    for mat in mats:
+        if id(mat) not in seen:
+            seen[id(mat)] = (mat, len(distinct))
+            distinct.append(freeze(np.atleast_2d(mat)))
+        index.append(seen[id(mat)][1])
+    return distinct, index
+
+
 class Subspaces(Mapping):
     """Read-only store of the H_{j,a} matrices, keyed by (j, a), that the
-    programs derived from one another share.  A matrix object given under
-    several keys is frozen once and shared by them.  Each distinct matrix's
-    bases are decided once per Tolerances, with one SVD per distinct
-    content, and each basis is classed once as having no columns, being
-    exactly the identity on its block, or neither; subspace_blocks reads H(x)
-    from those classes.  The block coordinates are laid out once per
-    (input_blocks, q) the store is used with."""
+    programs derived from one another share.  It holds the distinct
+    matrices and a table of their ids, ids[j, a] = -1 where H_{j,a} is not
+    given; keys iterate in (j, a) order.  A mapping keyed by (j, a) fills
+    the table key by key; per_symbol broadcasts one row, H_{j,a} = H_a at
+    every position.  A matrix object given under several keys is frozen
+    once and shared by them.  Each distinct matrix's bases are decided once
+    per Tolerances, with one SVD per distinct content, and each basis is
+    classed once as having no columns, being exactly the identity on its
+    block, or neither; subspace_blocks reads H(x) from those classes.  The
+    block coordinates are laid out once per (input_blocks, q) the store is
+    used with."""
 
     def __init__(self, mats: Mapping[tuple[int, int], np.ndarray]):
-        # by id, holding the given object so that no other can take its id
-        frozen: dict[int, tuple[np.ndarray, int]] = {}
-        self._distinct: list[np.ndarray] = []
-        self._index: dict[tuple[int, int], int] = {}
-        for key, mat in mats.items():
-            if id(mat) not in frozen:
-                frozen[id(mat)] = (mat, len(self._distinct))
-                self._distinct.append(freeze(np.atleast_2d(mat)))
-            self._index[key] = frozen[id(mat)][1]
+        pairs = [(int(j), int(a)) for j, a in mats]
+        negative = next((key for key in pairs if min(key) < 0), None)
+        if negative is not None:
+            raise StructuralError(f"subspace key {negative} out of range")
+        keys = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        distinct, index = _interned(mats.values())
+        ids = np.full(tuple(keys.max(axis=0) + 1) if keys.size else (0, 0), -1, dtype=np.intp)
+        ids[keys[:, 0], keys[:, 1]] = index
+        ids.setflags(write=False)
+        self._setup(distinct, ids)
+
+    @classmethod
+    def per_symbol(cls, n: int, mats: Mapping[int, np.ndarray]) -> Subspaces:
+        """The store with H_{j,a} = mats[a] at each of n positions j: one
+        row of ids, broadcast down n rows without a copy."""
+        symbols = np.fromiter(map(int, mats), dtype=np.intp, count=len(mats))
+        if n < 0 or np.any(symbols < 0):
+            raise StructuralError("per-symbol subspaces need n >= 0 and symbols >= 0")
+        distinct, index = _interned(mats.values())
+        row = np.full(int(symbols.max(initial=-1)) + 1, -1, dtype=np.intp)
+        row[symbols] = index
+        store = cls.__new__(cls)
+        store._setup(distinct, np.broadcast_to(row, (n, row.size)))
+        return store
+
+    def _setup(self, distinct: list[np.ndarray], ids: np.ndarray) -> None:
+        self._distinct = distinct
+        self._ids = ids
         self._decided: dict[Tolerances, tuple[np.ndarray, list, dict]] = {}
         self._layout: Optional[_Layout] = None
 
     def __getitem__(self, key: tuple[int, int]) -> np.ndarray:
-        return self._distinct[self._index[key]]
+        try:
+            j, a = map(int, key)
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        rows, cols = self._ids.shape
+        d = self._ids[j, a] if 0 <= j < rows and 0 <= a < cols else -1
+        if d < 0:
+            raise KeyError(key)
+        return self._distinct[d]
 
     def __iter__(self):
-        return iter(self._index)
+        return ((int(j), int(a)) for j, a in zip(*np.nonzero(self._ids >= 0)))
 
     def __len__(self) -> int:
-        return len(self._index)
+        return int(np.count_nonzero(self._ids >= 0))
 
     def layout(self, input_blocks: tuple[tuple[int, ...], ...], q: int) -> _Layout:
         """The store laid out for input_blocks and q.  Raises StructuralError
         unless every key (j, a) has j < len(input_blocks) and a < q, and every
-        nonempty H_{j,a} has len(input_blocks[j]) rows.  The layout last built
-        is kept, and given again for the same input_blocks and q."""
+        nonempty H_{j,a} has len(input_blocks[j]) rows; both are one
+        vectorized comparison over the table.  The layout last built is
+        kept, and given again for the same input_blocks and q."""
         kept = self._layout
         if kept is not None and kept.q == q and (
             kept.input_blocks is input_blocks or kept.input_blocks == input_blocks
         ):
             return kept
-        which = np.full((len(input_blocks), q), -1, dtype=np.intp)
-        for (j, a), d in self._index.items():
-            if not (0 <= j < len(input_blocks) and 0 <= a < q):
-                raise StructuralError(f"subspace key {(j, a)} out of range")
-            mat, rows = self._distinct[d], len(input_blocks[j])
-            if mat.size == 0:
-                continue
-            if mat.shape[0] != rows:
-                raise StructuralError(
-                    f"subspace ({j},{a}) has {mat.shape[0]} rows, block has {rows} coordinates"
-                )
-            which[j, a] = d
-        sizes = np.fromiter(map(len, input_blocks), dtype=np.intp, count=len(input_blocks))
+        n = len(input_blocks)
+        ids = self._ids
+        outside = ids >= 0
+        outside[:n, :q] = False
+        if outside.any():
+            j, a = np.argwhere(outside)[0]
+            raise StructuralError(f"subspace key {(int(j), int(a))} out of range")
+        sizes = np.fromiter(map(len, input_blocks), dtype=np.intp, count=n)
+        # per distinct matrix, with a last entry for ids of -1: its rows and
+        # its id in the layout, -1 when it has no columns
+        rows = np.array([mat.shape[0] for mat in self._distinct] + [0], dtype=np.intp)
+        live = np.array([d if mat.size else -1 for d, mat in enumerate(self._distinct)] + [-1],
+                        dtype=np.intp)
+        table = ids[:n, :q]
+        wrong = (live[table] >= 0) & (rows[table] != sizes[: table.shape[0], None])
+        if wrong.any():
+            j, a = np.argwhere(wrong)[0]
+            raise StructuralError(
+                f"subspace ({j},{a}) has {rows[table[j, a]]} rows, block has {sizes[j]} coordinates"
+            )
+        which = np.full((n, q), -1, dtype=np.intp)
+        which[: table.shape[0], : table.shape[1]] = live[table]
         coords = np.fromiter(
-            (c for block in input_blocks for c in block), dtype=np.intp, count=int(sizes.sum())
+            itertools.chain.from_iterable(input_blocks), dtype=np.intp, count=int(sizes.sum())
         )
         starts = np.cumsum(sizes) - sizes
         for arr in (which, coords, starts, sizes):
@@ -201,7 +264,8 @@ class Subspaces(Mapping):
             kinds[-1] = (_NONE, _IDENTITY)
             entry = self._decided[tols] = (kinds, [None] * len(self._distinct), {})
         kinds, splits, by_content = entry
-        for d in np.unique(ids[kinds[ids, 0] < 0]):
+        pending = ids[kinds[ids, 0] < 0]
+        for d in np.unique(pending) if pending.size else ():
             mat = self._distinct[d]
             content = (mat.shape, mat.tobytes())
             if content not in by_content:
@@ -222,7 +286,8 @@ class SpanProgram:
     span H_{j,a}, written in H_j's local coordinates (len(input_blocks[j]) rows).
     Subspaces for different symbols of one position may overlap and need not
     be orthogonal; all that matters is that together they span H_j.  Any
-    mapping is copied into a Subspaces store; a Subspaces is kept as given.
+    mapping is copied into a Subspaces store; a Subspaces, such as one made
+    by Subspaces.per_symbol, is kept as given.
     A and tau are kept as given when they already are read-only float arrays
     that own their data, and copied read-only otherwise.  Factors of A given
     by supply_factors are kept beside the factorizations, not as a field, so
@@ -300,47 +365,86 @@ class MinimalWitness:
     n_minus: float
 
 
+class _Supplied:
+    """Factors of A given by a program's builder: an orthonormal basis U_r
+    of col(A) (col_basis) and the nonzero singular values sigma.  The row
+    bases V_r = A^T U_r Sigma^-1 are formed from them only on demand, one
+    per rank cut, and kept; the programs that rescale_target and normalize
+    derive share this object, and so every V_r it forms."""
+
+    def __init__(self, a_mat: np.ndarray, col_basis: np.ndarray, sigma: np.ndarray):
+        self.a_mat, self.col_basis, self.sigma = a_mat, col_basis, sigma
+        self._row_bases: dict[int, np.ndarray] = {}
+
+    def row_basis(self, rank: int) -> np.ndarray:
+        basis = self._row_bases.get(rank)
+        if basis is None:
+            basis = self._row_bases[rank] = freeze(
+                (self.a_mat.T @ self.col_basis[:, :rank]) / self.sigma[:rank]
+            )
+        return basis
+
+
 @dataclass(frozen=True)
 class Factorization:
     """What every computation on one program needs from A, for one Tolerances.
 
     A = U_r diag(sigma) V_r^T, cut at the package's rank tolerance:
     col_basis is U_r (dim_v x rank), sigma the nonzero singular values and
-    row_basis V_r (dim_h x rank), from one SVD of A or from the supplied
-    factors, with sigma_max the largest singular value.  witness is
-    w0 = A^+ tau = V_r Sigma^-1 U_r^T tau with N_+ and N_-; when no positive
-    witness exists it is None and infeasible says why.
+    row_basis V_r (dim_h x rank), with sigma_max the largest singular value.
+    From one SVD of A all three are at hand.  From supplied factors V_r =
+    A^T U_r Sigma^-1 is formed only when a caller reads row_basis (the
+    oracle's kernel projector and the tests); the estimators read A through
+    U_r and Sigma alone (row_witness, and C(x) in spectral.row_space_cross).
+    witness is w0 = A^+ tau, solved through the factors, with N_+ and N_-;
+    when no positive witness exists it is None and infeasible says why.
     """
 
     col_basis: np.ndarray
     sigma: np.ndarray
-    row_basis: np.ndarray
+    rows: np.ndarray | _Supplied  # the SVD's V_r, or the supplied factors
     sigma_max: float
     witness: Optional[MinimalWitness]
     infeasible: str = ""
 
+    @property
+    def supplied(self) -> bool:
+        """Whether the factors were supplied, so that V_r is formed only on demand."""
+        return isinstance(self.rows, _Supplied)
 
-Supplied = tuple[np.ndarray, np.ndarray, np.ndarray]  # U_r, sigma, V_r = A^T U_r Sigma^-1
+    @property
+    def row_basis(self) -> np.ndarray:
+        return self.rows.row_basis(self.sigma.size) if self.supplied else self.rows
+
+    def row_witness(self, tau: np.ndarray) -> np.ndarray:
+        """y = V_r^T w0 for the witness w0 of tau: Sigma^-1 U_r^T tau from
+        supplied factors, with no V_r formed, and V_r^T w0 from an SVD's."""
+        if self.supplied:
+            return (self.col_basis.T @ tau) / self.sigma
+        return self.row_basis.T @ self.witness.w0
 
 
 def _factorize(
-    a_mat: np.ndarray, tau: np.ndarray, tols: Tolerances, supplied: Optional[Supplied]
+    a_mat: np.ndarray, tau: np.ndarray, tols: Tolerances, supplied: Optional[_Supplied]
 ) -> Factorization:
     """A's factors from one SVD, or from the supplied factors cut at the rank
-    tolerance, and w0 = V_r (Sigma^-1 (U_r^T tau)) from either.  Solving
-    through the factors keeps the residual A w0 - tau at rounding size
-    however small a kept singular value is; no A^+ is formed."""
+    tolerance, and w0 from either: V_r (Sigma^-1 (U_r^T tau)) with the SVD's
+    V_r, A^T (U_r ((U_r^T tau) / sigma^2)) with supplied factors, which
+    forms no V_r.  Solving through the factors keeps the residual A w0 - tau
+    at rounding size however small a kept singular value is; no A^+ is
+    formed."""
     if supplied is None:
-        col_basis, sigma, row_basis, top = svd_factors(a_mat, tols)
-        col_basis, sigma, row_basis = freeze(col_basis), freeze(sigma), freeze(row_basis)
+        col_basis, sigma, rows, top = svd_factors(a_mat, tols)
+        col_basis, sigma, rows = freeze(col_basis), freeze(sigma), freeze(rows)
+        w0 = rows @ ((col_basis.T @ tau) / sigma)
     else:
-        col_basis, sigma, row_basis = supplied
+        col_basis, sigma, rows = supplied.col_basis, supplied.sigma, supplied
         top = float(sigma[0]) if sigma.size else 0.0
         rank = _rank(sigma, tols, None)
         if rank < sigma.size:
-            col_basis, sigma, row_basis = col_basis[:, :rank], sigma[:rank], row_basis[:, :rank]
-    parts = (col_basis, sigma, row_basis, top)
-    w0 = row_basis @ ((col_basis.T @ tau) / sigma)
+            col_basis, sigma = col_basis[:, :rank], sigma[:rank]
+        w0 = a_mat.T @ (col_basis @ ((col_basis.T @ tau) / (sigma * sigma)))
+    parts = (col_basis, sigma, rows, top)
     if np.linalg.norm(a_mat @ w0 - tau) > tols.membership_rtol * np.linalg.norm(tau):
         return Factorization(*parts, None, "tau is not in col(A); no positive witness exists")
     n_plus = float(w0 @ w0)
@@ -353,23 +457,27 @@ def _factorize(
 
 def supplied_residual(program: SpanProgram) -> Optional[float]:
     """How far program's supplied factors are from factoring A: the worst
-    of ||A V_r - U_r Sigma|| / sigma_max, ||U_r^T U_r - I|| and
-    ||W^T A|| / sigma_max, W an orthonormal basis of the complement of
-    span U_r (so the last is the part of col A outside span U_r), in
-    Frobenius norm; inf when sigma is not positive and non-increasing.
-    None when A is factored by an SVD."""
+    of ||(A A^T U_r - U_r Sigma^2) Sigma^-1|| / sigma_max, which is
+    ||A V_r - U_r Sigma|| / sigma_max for V_r = A^T U_r Sigma^-1 read in V
+    with no V_r formed, ||U_r^T U_r - I|| and ||W^T A|| / sigma_max, W an
+    orthonormal basis of the complement of span U_r (so the last is the
+    part of col A outside span U_r), in Frobenius norm; inf when sigma is
+    not positive and non-increasing.  None when A is factored by an SVD."""
     if program._supplied is None:
         return None
-    col_basis, sigma, row_basis = program._supplied
+    col_basis, sigma = program._supplied.col_basis, program._supplied.sigma
     a_mat = program.a_mat
     if sigma.size == 0:
         return math.inf if a_mat.any() else 0.0
     if not (sigma[-1] > 0.0 and np.all(np.diff(sigma) <= 0.0)):
         return math.inf
     top = float(sigma[0])
+    gram = a_mat @ a_mat.T
     off = np.linalg.qr(col_basis, mode="complete")[0][:, sigma.size :]
+    # ||W^T A|| itself, not sqrt(tr(W^T A A^T W)): the square root of a
+    # rounding-size trace would keep only half its digits
     return max(
-        float(np.linalg.norm(a_mat @ row_basis - col_basis * sigma)) / top,
+        float(np.linalg.norm((gram @ col_basis - col_basis * sigma**2) / sigma)) / top,
         float(np.linalg.norm(col_basis.T @ col_basis - np.eye(sigma.size))),
         float(np.linalg.norm(off.T @ a_mat)) / top,
     )
@@ -380,20 +488,18 @@ def supply_factors(
 ) -> SpanProgram:
     """A copy of program that reads A's factors from an orthonormal basis
     U_r of col(A) (col_basis) and A's nonzero singular values sigma, in
-    non-increasing order, instead of taking an SVD of A: V_r = A^T U_r
-    Sigma^-1.  They are checked here, once: StructuralError unless
-    supplied_residual is at most SUPPLIED_FACTOR_RTOL.  rescale_target and
-    normalize, which keep A, pass them on; scale builds a new A and factors
-    it."""
+    non-increasing order, instead of taking an SVD of A; V_r = A^T U_r
+    Sigma^-1 is formed only on demand.  They are checked here, once:
+    StructuralError unless supplied_residual is at most
+    SUPPLIED_FACTOR_RTOL.  rescale_target and normalize, which keep A, pass
+    them on; scale builds a new A and factors it."""
     col_basis, sigma = freeze(col_basis), freeze(np.atleast_1d(sigma))
     if col_basis.ndim != 2 or col_basis.shape != (program.dim_v, sigma.size):
         raise StructuralError(
             f"col_basis has shape {col_basis.shape}, expected ({program.dim_v}, {sigma.size})"
         )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        row_basis = freeze((program.a_mat.T @ col_basis) / sigma)
     child = dataclasses.replace(program)
-    object.__setattr__(child, "_supplied", (col_basis, sigma, row_basis))
+    object.__setattr__(child, "_supplied", _Supplied(child.a_mat, col_basis, sigma))
     residual = supplied_residual(child)
     if not residual <= SUPPLIED_FACTOR_RTOL:
         raise StructuralError(

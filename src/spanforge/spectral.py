@@ -11,10 +11,15 @@ and row(A) (or row(A) minus w0) by Jordan's lemma: a pair of principal
 vectors at angle phi spans a plane that the negated product of the two
 reflections turns by pi - 2 phi = 2 arcsin(cos phi).  The angles are those
 of the cross matrix C(x) = V_r^T Q_H(x), which RowSpaceCross holds as an
-r x r factor from one QR; no dim_h x dim_h array is formed.  A caller that
-already holds Q_H(x) (an estimator, from spanprog.input_factors) forms C(x)
-from it and reads the measure with input_measure_U or input_measure_Uprime,
-so H(x) is walked once per estimate.
+r-row factor with the same C C^T, and the measures read w0 as
+y = V_r^T w0; no dim_h x dim_h array is formed.  With A factored by an
+SVD, the factor comes from one QR of C(x)^T.  With factors U_r, Sigma
+supplied by the program's builder, V_r is never formed: y = Sigma^-1 U_r^T
+tau, and C(x) = Sigma^-1 U_r^T A(x) is read through the SVD of A(x) that
+spanprog.input_factors holds, so the factor is rank-sized and no array as
+wide as A(x) is made.  An estimator, which holds x's InputFactors, forms
+C(x) from them and reads the measure with input_measure_U or
+input_measure_Uprime, so H(x) is walked once per estimate.
 
 A threshold round needs the same measure for the scaled program
 scale(P, beta).  scaled_measure_U and scaled_measure_Uprime read it without
@@ -49,8 +54,8 @@ from ._linalg import (
     kernel_basis,
     singular_values,
 )
-from .spanprog import Blocks, SpanProgram, _check_dense_size, input_factors, minimal_witness
-from .spanprog import restrict, scaled_factors, subspace_blocks, subspace_projector
+from .spanprog import InputFactors, SpanProgram, _check_dense_size, input_factors, minimal_witness
+from .spanprog import restrict, scaled_factors, subspace_projector
 
 PHASE_CLUSTER_TOL = 1e-9  # phases this close together share an eigenspace
 
@@ -291,13 +296,13 @@ def build_Uprime(
 @dataclass(frozen=True)
 class RowSpaceCross:
     """H(x) seen from row(A), for the program, input and Tolerances it was
-    built from: factor is an r x min(r, dim H(x)) matrix F with
-    F F^T = C C^T for C(x) = V_r^T Q_H(x), V_r the row basis of A and Q_H an
-    orthonormal basis of H(x).  w0's spectral measures read C(x) only
-    through C C^T (the left singular pairs of the cross matrix and the inner
-    products of its rows), so F serves for C(x).  C(x) does not depend on
-    beta, so every threshold round on x reads its scaled program's cross
-    matrix from this one factor."""
+    built from: factor is an r-row matrix F = C(x) W, for
+    C(x) = V_r^T Q_H(x), V_r the row basis of A, Q_H an orthonormal basis
+    of H(x) and W with orthonormal columns and C C^T = F F^T.  w0's
+    spectral measures read C(x) only through C C^T (the left singular pairs
+    of the cross matrix and the inner products of its rows), so F serves
+    for C(x).  C(x) does not depend on beta, so every threshold round on x
+    reads its scaled program's cross matrix from this one factor."""
 
     program: SpanProgram
     x: tuple[int, ...]
@@ -311,19 +316,26 @@ class RowSpaceCross:
 
 
 def row_space_cross(
-    program: SpanProgram, x: Sequence[int], q_h: Blocks, tols: Tolerances = DEFAULT_TOLS
+    program: SpanProgram, x: Sequence[int], f: InputFactors, tols: Tolerances = DEFAULT_TOLS
 ) -> RowSpaceCross:
-    """RowSpaceCross of x from Q_H(x) as subspace_blocks(program, x, tols)
-    or x's InputFactors give it; F = R^T from the QR factorization
-    C(x)^T = W R."""
-    v_r = program.factorization(tols).row_basis
-    r_mat = np.linalg.qr(restrict(v_r.T, q_h).T, mode="r")
-    return RowSpaceCross(program, program.check_input(x), tols, freeze(r_mat.T))
+    """RowSpaceCross of x from its InputFactors f.  With V_r from an SVD of
+    A, F = R^T from the QR factorization C(x)^T = W R of the gather or
+    product V_r^T Q_H.  With supplied factors no V_r is formed:
+    C(x) = Sigma^-1 U_r^T A(x), and the SVD A(x) = U_x S_x V_x^T that f
+    holds gives F = C(x) V_x = Sigma^-1 (U_r^T U_x) S_x, r x rank A(x), with
+    no matrix as wide as A(x) formed; directions of H(x) that A(x)'s rank
+    cut drops carry at most rank_rtol of C C^T."""
+    fact = program.factorization(tols)
+    if fact.supplied:
+        factor = (fact.col_basis.T @ f.col_basis) * f.sigma / fact.sigma[:, None]
+    else:
+        factor = np.linalg.qr(restrict(fact.row_basis.T, f.q_h).T, mode="r").T
+    return RowSpaceCross(program, program.check_input(x), tols, freeze(factor))
 
 
 def _input_cross(program: SpanProgram, x: Sequence[int], tols: Tolerances) -> RowSpaceCross:
-    """row_space_cross of x from a fresh walk of H(x)."""
-    return row_space_cross(program, x, subspace_blocks(program, x, tols)[0], tols)
+    """row_space_cross of x from fresh InputFactors."""
+    return row_space_cross(program, x, input_factors(program, x, tols), tols)
 
 
 def _measure_u(y: np.ndarray, cross: np.ndarray) -> SpectralMeasure:
@@ -384,9 +396,9 @@ def measure_Uprime(
 
 
 def _row_witness(cross: RowSpaceCross) -> np.ndarray:
-    """V_r^T w0 of cross's program; w0 = V_r V_r^T w0."""
-    v_r = cross.program.factorization(cross.tols).row_basis
-    return v_r.T @ minimal_witness(cross.program, cross.tols).w0
+    """y = V_r^T w0 of cross's program; w0 = V_r y."""
+    minimal_witness(cross.program, cross.tols)  # raises when tau is outside col(A)
+    return cross.program.factorization(cross.tols).row_witness(cross.program.tau)
 
 
 def input_measure_U(cross: RowSpaceCross) -> SpectralMeasure:

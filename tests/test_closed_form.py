@@ -1,6 +1,8 @@
-"""The st program's closed-form factors of A against the SVD route, the
-identity-run walk of H(x) against a block-by-block reference, the guards on
-supplied factors, and the refusal of an st program too large to hold."""
+"""The st program's closed-form factors of A against the SVD route, its
+per-symbol subspace store against a store keyed by (j, a), the identity-run
+walk of H(x) against a block-by-block reference, the guards on supplied
+factors and per-symbol stores, the memory one estimate holds, and the
+refusal of an st program too large to hold."""
 
 import dataclasses
 import math
@@ -10,15 +12,26 @@ import numpy as np
 import pytest
 
 from spanforge._linalg import DEFAULT_TOLS, column_space_split
+from spanforge import spanprog
 from spanforge.cli import main
 from spanforge.generators import all_inputs, random_graph, random_span_program
-from spanforge.qsim import outcome_zero_probability
-from spanforge.resistance import build_st_span_program, graph, graph_input
+from spanforge.qsim import QueryLedger, outcome_zero_probability
+from spanforge.resistance import (
+    EFFECTIVE_GAP,
+    REAL_GAP,
+    build_st_span_program,
+    complete_graph,
+    estimate_resistance,
+    graph,
+    graph_input,
+    lambda2,
+)
 from spanforge.spanprog import (
     DENSE_A_ENTRY_CAP,
     ProgramSizeError,
     SpanProgramError,
     StructuralError,
+    Subspaces,
     _lift,
     input_factors,
     minimal_witness,
@@ -34,7 +47,13 @@ from spanforge.spanprog import (
     validate,
     witness_report,
 )
-from spanforge.spectral import measure_U, measure_Uprime
+from spanforge.spectral import (
+    input_measure_U,
+    input_measure_Uprime,
+    measure_U,
+    measure_Uprime,
+    row_space_cross,
+)
 
 from test_input_route import degenerate_programs
 
@@ -102,9 +121,19 @@ def test_closed_form_inputs_measures_and_witnesses_match_the_svd_route(n):
     program = build_st_span_program(n, s, t)
     oracle = svd_route(program)
     unit, unit_oracle = normalize(program), normalize(oracle)
+    # the supplied route reads row(A) in its own basis V_r = A^T U_r Sigma^-1;
+    # rot takes its coordinates to those of the SVD's V_r
+    rot = oracle.factorization().row_basis.T @ program.factorization().row_basis
+    y_mine = unit.factorization().row_witness(unit.tau)
+    y_theirs = unit_oracle.factorization().row_witness(unit_oracle.tau)
+    np.testing.assert_allclose(rot @ y_mine, y_theirs, rtol=0.0, atol=RTOL)
     signs = set()
     for x in st_inputs(n, s, t, rng):
         mine, theirs = input_factors(program, x), input_factors(oracle, x)
+        f_mine = row_space_cross(unit, x, input_factors(unit, x)).factor
+        f_theirs = row_space_cross(unit_oracle, x, input_factors(unit_oracle, x)).factor
+        np.testing.assert_allclose(rot @ f_mine @ f_mine.T @ rot.T, f_theirs @ f_theirs.T,
+                                   rtol=0.0, atol=RTOL)
         assert mine.positive == theirs.positive
         signs.add(mine.positive)
         assert mine.a_x.tobytes() == theirs.a_x.tobytes()
@@ -113,9 +142,12 @@ def test_closed_form_inputs_measures_and_witnesses_match_the_svd_route(n):
         for part in ("col_basis", "complement"):
             assert_same_span(getattr(mine, part), getattr(theirs, part))
 
-        pairs = [(measure_U(unit, x), measure_U(unit_oracle, x))]
+        crosses = [row_space_cross(p, x, input_factors(p, x)) for p in (unit, unit_oracle)]
+        pairs = [(measure_U(unit, x), measure_U(unit_oracle, x)),
+                 tuple(input_measure_U(cross) for cross in crosses)]
         if mine.positive:
             pairs.append((measure_Uprime(unit, x), measure_Uprime(unit_oracle, x)))
+            pairs.append(tuple(input_measure_Uprime(cross) for cross in crosses))
         for fast, slow in pairs:
             for grid in GRIDS:
                 assert outcome_zero_probability(fast, grid) == pytest.approx(
@@ -214,6 +246,119 @@ def test_st_program_reads_h_x_and_c_x_as_one_gather():
     v_r = program.factorization().row_basis
     assert same_bits(restrict(program.a_mat, q_h), program.a_mat[:, edges])
     assert same_bits(restrict(v_r.T, q_h), v_r.T[:, edges])
+
+
+def keyed_store_twin(program):
+    """program with its subspaces given as a dict keyed by (j, a), one
+    zeros((2, 0)) and one eye(2) shared by every position as the builder
+    once gave them, and the same supplied factors of A."""
+    empty, whole = np.zeros((2, 0)), np.eye(2)
+    keyed = {(j, a): whole if a else empty for j in range(program.n) for a in range(2)}
+    fact = program.factorization()
+    return supply_factors(dataclasses.replace(program, subspaces=keyed), fact.col_basis, fact.sigma)
+
+
+def same_blocks(mine, theirs):
+    return len(mine) == len(theirs) and all(
+        same_bits(c_mine, c_theirs)
+        and (b_mine is None and b_theirs is None or same_bits(b_mine, b_theirs))
+        for (c_mine, b_mine), (c_theirs, b_theirs) in zip(mine, theirs)
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
+def test_per_symbol_store_matches_a_store_keyed_by_position(n):
+    rng = np.random.default_rng([17, n])
+    program = build_st_span_program(n, 0, n - 1)
+    twin = keyed_store_twin(program)
+    store, keyed = program.subspaces, twin.subspaces
+    assert store is not keyed and len(store) == len(keyed) == 2 * program.n
+    mine = store.layout(program.input_blocks, program.q)
+    theirs = keyed.layout(twin.input_blocks, twin.q)
+    assert same_bits(mine.which, theirs.which)
+    for x in st_inputs(n, 0, n - 1, rng):
+        for blocks_mine, blocks_theirs in zip(subspace_blocks(program, x), subspace_blocks(twin, x)):
+            assert same_blocks(blocks_mine, blocks_theirs)
+        f_mine, f_theirs = input_factors(program, x), input_factors(twin, x)
+        assert same_bits(f_mine.a_x, f_theirs.a_x)
+        assert same_bits(row_space_cross(program, x, f_mine).factor,
+                         row_space_cross(twin, x, f_theirs).factor)
+
+
+def test_malformed_per_symbol_stores_are_refused():
+    program = build_st_span_program(4, 0, 3)
+    malformed = {
+        "rows": {0: np.zeros((2, 0)), 1: np.eye(3)},
+        "out of range": {0: np.zeros((2, 0)), 1: np.eye(2), 2: np.eye(2)},
+    }
+    for match, mats in malformed.items():
+        store = Subspaces.per_symbol(program.n, mats)
+        with pytest.raises(StructuralError, match=match):
+            dataclasses.replace(program, subspaces=store)
+    with pytest.raises(StructuralError, match="symbols"):
+        Subspaces.per_symbol(program.n, {-1: np.eye(2)})
+    with pytest.raises(StructuralError, match="out of range"):
+        Subspaces({(0, -1): np.eye(2)})
+    # one matrix per symbol, shared by every position, frozen once
+    store = program.subspaces
+    assert all(store[(j, 1)] is store[(0, 1)] for j in range(program.n))
+    assert (program.n, 2) not in store and (0, 2) not in store and "key" not in store
+
+
+def test_a_walk_of_decided_bases_sorts_no_ids(monkeypatch):
+    program = build_st_span_program(6, 0, 5)
+    x = graph_input(random_graph(np.random.default_rng(18), 6, 0.5))
+    subspace_blocks(program, x)
+    unique, calls = np.unique, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting)
+    subspace_blocks(normalize(program), x)
+    assert calls == []
+
+
+def test_estimates_on_supplied_factors_form_no_row_basis(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an estimate formed V_r of supplied factors")
+
+    monkeypatch.setattr(spanprog._Supplied, "row_basis", forbidden)
+    g = graph(8, [(0, 1), (1, 2), (2, 3), (3, 7), (0, 4), (4, 5), (5, 7), (2, 6)], 0, 7)
+    for method, mu in ((EFFECTIVE_GAP, None), (REAL_GAP, lambda2(g))):
+        report = estimate_resistance(g, 0.3, method, np.random.default_rng(2), QueryLedger(),
+                                     mu=mu)
+        assert report.queries > 0 and math.isfinite(report.estimate)
+
+
+def test_the_st_builder_holds_one_a_and_no_copy_of_it():
+    n = 200
+    tracemalloc.start()
+    try:
+        program = build_st_span_program(n, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not program.a_mat.flags.writeable and program.a_mat.flags.owndata
+    assert peak <= 1.25 * program.a_mat.nbytes
+
+
+def test_a_real_gap_estimate_at_n_200_holds_few_arrays_the_size_of_a():
+    # at n = 200 A is 200 x 39,800 (64 MB); on the complete graph A(x) and
+    # its right singular vectors are as large, and nothing else is
+    g = complete_graph(200)
+    mu = lambda2(g)
+    a_bytes = 8 * g.n * g.n * (g.n - 1)
+    tracemalloc.start()
+    try:
+        report = estimate_resistance(g, 0.2, REAL_GAP, np.random.default_rng(1), QueryLedger(),
+                                     mu=mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.estimate == pytest.approx(report.exact, rel=0.2)
+    assert peak <= 3.5 * a_bytes
 
 
 def count_svds(monkeypatch, shape):

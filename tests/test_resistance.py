@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from spanforge._linalg import sigma_max, sigma_min_nonzero
+from spanforge._linalg import pinv, sigma_max, sigma_min_nonzero
 from spanforge.generators import random_graph
 from spanforge.qsim import QueryLedger
 from spanforge.resistance import (
@@ -123,6 +123,39 @@ def test_resistance_and_lambda2_ranges():
         # factor 2 is tight (leaf-to-leaf in a star: R = 2, lambda2 = 1), so
         # the sanity bound is 2/lambda2, not 1/lambda2.
         assert res <= 2.0 / lam + 1e-8
+
+
+def test_one_eigh_gives_lambda2_and_resistance_as_eigvalsh_and_pinv_do(monkeypatch):
+    # the former oracles: lambda2 from eigvalsh, R_st from pinv(L) with its
+    # rank cut; a graph with an isolated vertex keeps a second zero eigenvalue
+    rng = np.random.default_rng(33)
+    graphs = [random_graph(rng, n, p) for n in (2, 5, 9, 17, 40) for p in (0.2, 0.6)]
+    graphs += [graph(6, [(0, 1), (1, 2), (2, 5)], 0, 5), lower_bound_family(12, 1, i=1, j=6),
+               complete_graph(7), graph(4, [(0, 1), (2, 3)], 0, 3)]
+    for g in graphs:
+        lap = laplacian(g)
+        assert lambda2(g) == pytest.approx(float(np.linalg.eigvalsh(lap)[1]), abs=1e-12)
+        if not g.connected_st():
+            assert math.isinf(exact_resistance(g))
+            continue
+        chi = np.zeros(g.n)
+        chi[g.s], chi[g.t] = 1.0, -1.0
+        assert exact_resistance(g) == pytest.approx(float(chi @ pinv(lap) @ chi), rel=1e-12)
+
+    # an estimate reads both from a single eigendecomposition of L
+    eigh, calls = np.linalg.eigh, []
+
+    def counting(mat, *args, **kwargs):
+        calls.append(np.shape(mat))
+        return eigh(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    g = lower_bound_family(12, 1, i=1, j=6)
+    mu = lambda2(g)
+    calls.clear()
+    report = estimate_resistance(g, 0.3, "real-gap", np.random.default_rng(1), QueryLedger(), mu=mu)
+    assert calls == [(g.n, g.n)]
+    assert report.lambda2 == mu and report.exact == exact_resistance(g)
 
 
 # -- the st-connectivity span program ----------------------------------------

@@ -34,6 +34,7 @@ from spanforge.resistance import (
     lower_bound_family,
 )
 from spanforge.spanprog import (
+    input_factors,
     minimal_witness,
     normalize,
     or_span_program,
@@ -70,7 +71,7 @@ def refused_rounds(program, x):
     """Compare each round's measures with the direct route's on
     scale(program, beta) to 1e-12; return how many of them both routes
     refused with a ValueError."""
-    cross = row_space_cross(program, x, subspace_blocks(program, x)[0])
+    cross = row_space_cross(program, x, input_factors(program, x))
     refused = 0
     for beta in BETAS:
         scaled = scale(program, beta)
@@ -141,9 +142,9 @@ def test_rounds_keep_a_tau_that_lies_in_col_a_only_to_within_tolerance():
         ranks.append(scale(program, beta).factorization().row_basis.shape[1])
         assert scaled_factors(program, beta).witness.size == ranks[-1]
     assert min(ranks) == fact.sigma.size + 1 and max(ranks) == fact.sigma.size + 2
-    # where rho's direction is kept, w0_beta is no longer a unit vector:
-    # the direct route calls tau_beta infeasible (rounding of the explicit
-    # pseudo-inverse) and the derived one refuses the non-unit state
+    # where rho's direction is kept, w0_beta is no longer a unit vector
+    # (||w0_beta||^2 is 1.11, 1.48 or 1.94 at beta = 0.37, 1 or 4): both
+    # routes refuse the round at SpectralMeasure's unit-state check
     per_input = 2 * sum(rank == fact.sigma.size + 2 for rank in ranks)
     for x in all_inputs(program):
         assert refused_rounds(program, x) == per_input
@@ -171,7 +172,7 @@ def test_measure_uprime_reads_cosines_within_rounding_of_one_as_one():
 def test_round_refuses_c_of_another_program_input_or_tolerances():
     program = normalize(or_span_program(3))
     x = (1, 0, 0)
-    cross = row_space_cross(program, x, subspace_blocks(program, x)[0])
+    cross = row_space_cross(program, x, input_factors(program, x))
     spec = ThresholdSpec(side=POSITIVE, lam=0.5, w_bound=1.0, w_tilde_bound=4.0)
     assert _round_context(program, x, spec, DEFAULT_TOLS, cross) == decision_context(
         program, x, spec
