@@ -16,7 +16,7 @@ from .algorithms import (
     kappa_estimate,
     witness_estimate,
 )
-from .qsim import QueryLedger, amplitude_estimation, amplitude_gap_decide, phase_estimation
+from .qsim import QueryLedger, amplitude_estimation
 from .resistance import (
     Graph,
     build_st_span_program,
@@ -52,8 +52,6 @@ __all__ = [
     "witness_estimate",
     "QueryLedger",
     "amplitude_estimation",
-    "amplitude_gap_decide",
-    "phase_estimation",
     "Graph",
     "build_st_span_program",
     "estimate_resistance",

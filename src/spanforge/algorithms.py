@@ -10,6 +10,11 @@ decisions; gap_estimate and kappa_estimate trade the interval search for a
 known phase-gap lower bound and a single amplitude estimation per precision
 level.
 
+Every estimator samples through one function, qsim.amplitude_estimation:
+repeated amplitude estimations of the exact outcome-zero probability of
+phase estimation, each call of the estimated circuit charged one
+phase-estimation run (qsim.pe_queries).  Nothing else here draws from rng.
+
 A round never builds the scaled program.  witness_estimate factors A(x) once
 (spanprog.input_factors), reads the witness sizes from it, and forms
 C(x) = V_r^T Q_H(x) from it once (spectral.row_space_cross); each round
@@ -34,10 +39,9 @@ import numpy as np
 from ._linalg import DEFAULT_TOLS, Tolerances
 from .qsim import (
     QueryLedger,
-    ae_outcome_distribution,
-    ae_estimates,
     amp_gap_grid_size,
     amp_gap_threshold,
+    amplitude_estimation,
     amplitude_gap_success_probability,
     outcome_zero_probability,
     pe_grid_size,
@@ -45,7 +49,7 @@ from .qsim import (
 )
 from .spanprog import GloballyInfeasibleError, InputFactors, SpanProgram, input_factors
 from .spanprog import minimal_witness, normalize
-from .spanprog import _exact_negative, _exact_positive, _min_error_negative, _min_error_positive
+from .spanprog import _exact_negative, _min_error_negative, _min_error_positive
 from .spectral import RowSpaceCross, _input_cross, input_measure_U, input_measure_Uprime
 from .spectral import row_space_cross
 from .spectral import scaled_measure_U, scaled_measure_Uprime
@@ -252,7 +256,9 @@ def _threshold_votes(
         for flag in ctx.flags:
             if flag not in flags:
                 flags.append(flag)
-    estimates = _sample_ae(ctx.p_exact, grid_ae, ctx.pe_grid, reps, rng, ledger)
+    estimates = amplitude_estimation(
+        ctx.p_exact, grid_ae, reps, rng, ledger, pe_queries(ctx.pe_grid)
+    )
     return int(np.sum(estimates >= amp_gap_threshold(ctx.p0, ctx.p1)))
 
 
@@ -260,11 +266,14 @@ def _witness_size(
     program: SpanProgram, f: InputFactors, side: str, tols: Tolerances, estimate: bool
 ) -> float:
     """The exact witness size w_side(x), read from x's InputFactors f; inf
-    when x has no witness of that sign, where an estimate raises instead."""
+    when x has no witness of that sign, where an estimate raises instead.
+    w_+ is ||S_x^-1 U_x^T tau||^2, the squared norm of A(x)^+ tau in the
+    coordinates of A(x)'s right singular vectors, so no witness is formed."""
     if f.positive != (side == POSITIVE):
         size = math.inf
     elif f.positive:
-        size = _exact_positive(program, f)[1]
+        coef = (f.col_basis.T @ program.tau) / f.sigma
+        size = float(coef @ coef)
     else:
         size = _exact_negative(program, f, tols)[1]
     if estimate and math.isinf(size):
@@ -360,24 +369,6 @@ def witness_estimate(
     )
 
 
-def _sample_ae(
-    p: float,
-    grid_size: int,
-    pe_grid: int,
-    reps: int,
-    rng: np.random.Generator,
-    ledger: QueryLedger,
-) -> np.ndarray:
-    """The estimates of reps independent grid_size-point amplitude
-    estimations of the outcome-zero probability p of pe_grid-point phase
-    estimation, drawn from the exact outcome distribution; each of the
-    grid_size circuit calls of a run is charged one phase estimation."""
-    dist = ae_outcome_distribution(p, grid_size)
-    outcomes = rng.choice(grid_size, size=reps, p=dist / dist.sum())
-    ledger.charge(reps * grid_size * pe_queries(pe_grid))
-    return ae_estimates(grid_size)[outcomes]
-
-
 def _ae_grid_for_stage(eps: float, scale_floor: float) -> int:
     """Grid size guaranteeing |p_tilde - p| <= (eps/4) p for every p >=
     scale_floor (and <= (eps/4) scale_floor below it): M = ceil((pi/sqrt(floor))
@@ -426,12 +417,16 @@ def gap_estimate(
         grid_ae = _ae_grid_for_stage(eps, eps_hat)
         reps = majority_reps((1.0 / 6.0) * 0.5 ** (stage + 1), AE_SUCCESS_FLOOR)
         p_zero = outcome_zero_probability(measure, grid_pe)
-        p_tilde = float(np.median(_sample_ae(p_zero, grid_ae, grid_pe, reps, rng, ledger)))
+        p_tilde = float(np.median(
+            amplitude_estimation(p_zero, grid_ae, reps, rng, ledger, pe_queries(grid_pe))
+        ))
         if p_tilde > 2.0 * (1.0 + eps / 4.0) * eps_hat:
             grid_pe2 = pe_grid_size(delta_lb, (eps / 8.0) * eps_hat)
             reps_fin = majority_reps(1.0 / 6.0, AE_SUCCESS_FLOOR)
             p_zero = outcome_zero_probability(measure, grid_pe2)
-            p_final = float(np.median(_sample_ae(p_zero, grid_ae, grid_pe2, reps_fin, rng, ledger)))
+            p_final = float(np.median(
+                amplitude_estimation(p_zero, grid_ae, reps_fin, rng, ledger, pe_queries(grid_pe2))
+            ))
             if p_final <= 0.0:
                 flags.append("degenerate:zero-amplitude-estimate")
                 value = math.inf

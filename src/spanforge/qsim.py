@@ -1,11 +1,17 @@
 """Query-counting classical simulation of phase and amplitude estimation.
 
-Outcome distributions are computed analytically (Fejer kernel on an M-point
-grid), so every probabilistic guarantee can be checked by summation; sampling
-only happens when an algorithm draws an outcome.  Query accounting follows the
-two-queries-per-application rule for the span program unitaries: one run of
-M-point phase estimation applies the unitary M-1 times and is charged
-2*(M-1) input queries.
+The module holds exact outcome distributions and one sampler.  Phase
+estimation is never sampled: outcome_zero_probability sums the Fejer kernel
+of an M-point grid over a spectral measure, which is the only outcome the
+algorithms read.  amplitude_estimation is the one random step.  It draws
+repeated amplitude estimations of such a probability from their exact
+outcome distribution (Brassard, Hoyer, Mosca and Tapp), and every estimator
+samples through it.  The decision rule (amp_gap_*) and every success
+probability are read from the same distributions by summation.
+
+Query accounting follows the two-queries-per-application rule for the span
+program unitaries: one run of M-point phase estimation applies the unitary
+M-1 times and is charged 2*(M-1) input queries.
 """
 
 from __future__ import annotations
@@ -28,25 +34,6 @@ class QueryLedger:
         if queries < 0:
             raise ValueError("query charges must be non-negative")
         self.total += int(queries)
-
-
-@dataclass(frozen=True)
-class PhaseEstimationOutcome:
-    grid_size: int
-    distribution: np.ndarray
-    outcome: int
-    queries_charged: int
-    theta: float
-    eps: float
-
-
-@dataclass(frozen=True)
-class AmplitudeEstimate:
-    grid_size: int
-    outcome: int
-    p_tilde: float
-    success_bound: float  # exact probability that |p_tilde - p| <= BHMT bound
-    distribution: np.ndarray
 
 
 def fejer_kernel(delta, grid_size: int):
@@ -75,54 +62,10 @@ def pe_queries(grid_size: int) -> int:
     return 2 * (grid_size - 1)
 
 
-def pe_outcome_distribution(measure: SpectralMeasure, grid_size: int) -> np.ndarray:
-    """Exact outcome distribution of M-point phase estimation applied to a
-    state with this spectral measure.
-
-    For a real orthogonal unitary and a real state, the +theta and -theta
-    components carry equal weight, so each phase contributes the symmetrized
-    kernel.
-    """
-    grid = 2.0 * math.pi * np.arange(grid_size) / grid_size
-    dist = np.zeros(grid_size)
-    for theta, weight in zip(measure.phases, measure.weights):
-        dist += weight * 0.5 * (
-            fejer_kernel(theta - grid, grid_size) + fejer_kernel(-theta - grid, grid_size)
-        )
-    return dist
-
-
 def outcome_zero_probability(measure: SpectralMeasure, grid_size: int) -> float:
     """P(outcome 0) without building the whole distribution (the kernel is even)."""
     total = float(measure.weights @ fejer_kernel(measure.phases, grid_size))
     return min(1.0, max(0.0, total))
-
-
-def phase_estimation(
-    measure: SpectralMeasure,
-    theta: float,
-    eps: float,
-    rng: np.random.Generator,
-    ledger: QueryLedger,
-) -> PhaseEstimationOutcome:
-    """Simulate one phase-estimation run and sample its outcome.
-
-    Contract: eigenphase 0 puts all outcome mass on grid point 0; eigenphases
-    of magnitude >= theta contribute at most eps to outcome 0.
-    """
-    grid_size = pe_grid_size(theta, eps)
-    dist = pe_outcome_distribution(measure, grid_size)
-    outcome = int(rng.choice(grid_size, p=dist / dist.sum()))
-    queries = pe_queries(grid_size)
-    ledger.charge(queries)
-    return PhaseEstimationOutcome(
-        grid_size=grid_size,
-        distribution=dist,
-        outcome=outcome,
-        queries_charged=queries,
-        theta=theta,
-        eps=eps,
-    )
 
 
 def ae_error_bound(p: float, grid_size: int) -> float:
@@ -154,26 +97,33 @@ def ae_estimates(grid_size: int) -> np.ndarray:
     return np.square(np.sin(math.pi * np.arange(grid_size) / grid_size))
 
 
-def amplitude_estimation(p: float, grid_size: int, rng: np.random.Generator) -> AmplitudeEstimate:
-    """Sample one amplitude-estimation outcome; the success bound is computed
-    exactly from the distribution, never sampled."""
+def amplitude_estimation(
+    p: float,
+    grid_size: int,
+    reps: int,
+    rng: np.random.Generator,
+    ledger: QueryLedger,
+    cost_per_call: int,
+) -> np.ndarray:
+    """The estimates of reps independent grid_size-point amplitude
+    estimations of p, drawn from the exact outcome distribution.  Each of the
+    grid_size calls of a run to the circuit that prepares p is charged
+    cost_per_call queries."""
     if grid_size < 1:
         raise ValueError("grid size must be at least 1")
+    if reps < 1:
+        raise ValueError("repetitions must be at least 1")
     dist = ae_outcome_distribution(p, grid_size)
-    estimates = ae_estimates(grid_size)
-    outcome = int(rng.choice(grid_size, p=dist / dist.sum()))
-    bound = ae_error_bound(p, grid_size)
-    success = float(np.sum(dist[np.abs(estimates - p) <= bound + 1e-15]))
-    return AmplitudeEstimate(
-        grid_size=grid_size,
-        outcome=outcome,
-        p_tilde=float(estimates[outcome]),
-        success_bound=success,
-        distribution=dist,
-    )
+    outcomes = rng.choice(grid_size, size=reps, p=dist / dist.sum())
+    ledger.charge(reps * grid_size * cost_per_call)
+    return ae_estimates(grid_size)[outcomes]
 
 
 def amp_gap_grid_size(p0: float, p1: float) -> int:
+    """Grid size M = ceil(4 pi sqrt(p0+p1)/(p0-p1)) on which one amplitude
+    estimation tells p >= p0 from p <= p1 with probability >= 3/4."""
+    if not 0.0 <= p1 < p0 <= 1.0:
+        raise ValueError("need 0 <= p1 < p0 <= 1")
     return math.ceil(4.0 * math.pi * math.sqrt(p0 + p1) / (p0 - p1))
 
 
@@ -193,30 +143,10 @@ def amp_gap_threshold(p0: float, p1: float) -> float:
     return ub + gap / 12.0
 
 
-def amplitude_gap_decide(
-    p: float,
-    p0: float,
-    p1: float,
-    rng: np.random.Generator,
-    ledger: QueryLedger,
-    query_cost_per_call: int = 0,
-) -> int:
-    """Decide between p >= p0 ("high", returns 1) and p <= p1 ("low", returns 0).
-
-    Runs amplitude estimation with M = ceil(4 pi sqrt(p0+p1)/(p0-p1)) grid
-    points; correct with probability >= 3/4 when the promise holds.  Each of
-    the M calls to the underlying circuit is charged query_cost_per_call.
-    """
-    if not 0.0 <= p1 < p0 <= 1.0:
-        raise ValueError("need 0 <= p1 < p0 <= 1")
-    grid_size = amp_gap_grid_size(p0, p1)
-    est = amplitude_estimation(p, grid_size, rng)
-    ledger.charge(grid_size * query_cost_per_call)
-    return int(est.p_tilde >= amp_gap_threshold(p0, p1))
-
-
 def amplitude_gap_success_probability(p: float, p0: float, p1: float, high: bool) -> float:
-    """Exact probability that amplitude_gap_decide answers `high` on input p."""
+    """Exact probability that one amplitude estimation of p on the
+    amp_gap_grid_size grid answers `high`: an estimate at or above
+    amp_gap_threshold when high, below it otherwise."""
     grid_size = amp_gap_grid_size(p0, p1)
     dist = ae_outcome_distribution(p, grid_size)
     thr = amp_gap_threshold(p0, p1)

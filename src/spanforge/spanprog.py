@@ -1024,10 +1024,6 @@ def or_span_program(n: int) -> SpanProgram:
     """
     if n < 1:
         raise ValueError("OR needs at least one input bit")
-    subspaces = {}
-    for j in range(n):
-        subspaces[(j, 0)] = np.zeros((1, 0))
-        subspaces[(j, 1)] = np.ones((1, 1))
     return SpanProgram(
         n=n,
         q=2,
@@ -1036,7 +1032,7 @@ def or_span_program(n: int) -> SpanProgram:
         input_blocks=tuple((j,) for j in range(n)),
         true_block=(),
         false_block=(),
-        subspaces=subspaces,
+        subspaces=Subspaces.per_symbol(n, {0: np.zeros((1, 0)), 1: np.ones((1, 1))}),
         a_mat=np.ones((1, n)),
         tau=np.array([1.0]),
     )

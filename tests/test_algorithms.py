@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spanforge import algorithms
 from spanforge.algorithms import (
     DECIDE_SUCCESS_FLOOR,
     NEGATIVE,
@@ -22,7 +23,7 @@ from spanforge.algorithms import (
     majority_reps,
     witness_estimate,
 )
-from spanforge.qsim import QueryLedger
+from spanforge.qsim import QueryLedger, amplitude_estimation
 from spanforge.spanprog import (
     GloballyInfeasibleError,
     minimal_witness,
@@ -31,7 +32,7 @@ from spanforge.spanprog import (
     positive_witness,
 )
 from spanforge.spectral import kappa_bound
-from spanforge.resistance import build_st_span_program, complete_graph, graph_input
+from spanforge.resistance import build_st_span_program, complete_graph, graph, graph_input, lambda2
 
 
 def test_threshold_spec_validation():
@@ -290,3 +291,82 @@ def test_estimate_results_are_frozen_records():
     result = EstimateResult(value=1.0, epsilon=0.1, queries=10, rounds=2)
     with pytest.raises(AttributeError):
         result.value = 2.0
+
+
+# Regression pins, compared with == so that a change to the sampling stream,
+# the grids or the query charges fails.  Each pin ends with the generator's
+# next 32-bit draw, so a run that takes more or fewer draws fails even where
+# majority votes and medians hide it; the last twelve decisions fall in the
+# promise gap, where each vote is 1 with probability about 0.62.
+PINNED_DECISIONS = (
+    [(1, 14742), (0, 29484), (0, 44226), (1, 58968), (0, 95798), (0, 132628),
+     (1, 169458), (0, 206288), (1, 260898), (0, 315508), (0, 370118), (1, 424728),
+     (1, 479338), (1, 533948), (1, 588558), (0, 643168), (0, 697778), (0, 752388),
+     (1, 806998), (0, 861608), (1, 916218), (1, 970828), (1, 1025438), (0, 1080048)],
+    470833256,
+)
+PINNED_OR8 = {
+    POSITIVE: ((1, 1, 0, 1, 0, 0, 0, 0), (2.768354430379747, 258433864, 7, 2995198448)),
+    NEGATIVE: ((0,) * 8, (1.1095890410958904, 78683596, 4, 1199573650)),
+}
+PINNED_ST6 = (0.6958075611560334, 2153364, 4, 2328051963)
+
+
+def next_draw(rng):
+    return int(rng.integers(2**32))
+
+
+def test_decide_threshold_is_pinned():
+    program = or_span_program(4)
+    rng = np.random.default_rng(41)
+    ledger = QueryLedger()
+    seen = []
+    for side, lam, w_bound, wt_bound in (
+        (POSITIVE, 0.5, 0.5, 4.0), (NEGATIVE, 0.5, 4.0, 1.0), (POSITIVE, 0.7, 0.45, 4.0)
+    ):
+        spec = ThresholdSpec(side=side, lam=lam, w_bound=w_bound, w_tilde_bound=wt_bound)
+        for x in ((1, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0), (1, 1, 1, 1)):
+            seen.append((decide_threshold(program, x, spec, rng, ledger), ledger.total))
+    for _ in range(12):
+        seen.append((decide_threshold(program, (1, 1, 0, 0), spec, rng, ledger), ledger.total))
+    assert (seen, next_draw(rng)) == PINNED_DECISIONS
+
+
+@pytest.mark.parametrize("side", [POSITIVE, NEGATIVE])
+def test_witness_estimate_is_pinned(side):
+    x, pinned = PINNED_OR8[side]
+    rng = np.random.default_rng(42)
+    result = witness_estimate(normalize(or_span_program(8)), x, 0.25, side, rng, QueryLedger())
+    assert (result.value, result.queries, result.rounds, next_draw(rng)) == pinned
+    assert result.flags == ()
+
+
+def test_kappa_estimate_is_pinned():
+    g = graph(6, [(0, 1), (1, 2), (2, 5), (0, 3), (3, 4), (4, 5), (1, 4)], s=0, t=5)
+    kappa = math.sqrt(6 / lambda2(g))
+    rng = np.random.default_rng(43)
+    result = kappa_estimate(build_st_span_program(6, 0, 5), graph_input(g), 0.2, kappa,
+                            POSITIVE, rng, QueryLedger())
+    assert (result.value, result.queries, result.rounds, next_draw(rng)) == PINNED_ST6
+    assert result.flags == ()
+
+
+def test_every_estimator_samples_through_qsim(monkeypatch):
+    # the only random step is qsim.amplitude_estimation; counting its calls
+    # leaves every result as it was
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return amplitude_estimation(*args)
+
+    monkeypatch.setattr(algorithms, "amplitude_estimation", counting)
+    test_decide_threshold_is_pinned()
+    assert len(calls) == len(PINNED_DECISIONS[0]) and set(calls) == {1}
+    for side in PINNED_OR8:
+        calls.clear()
+        test_witness_estimate_is_pinned(side)
+        assert len(calls) == PINNED_OR8[side][1][2]
+    calls.clear()
+    test_kappa_estimate_is_pinned()
+    assert len(calls) == PINNED_ST6[2] + 1

@@ -214,3 +214,12 @@ def test_cli_import_loads_neither_scipy_nor_networkx():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    names = spanforge.__all__
+    assert len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(spanforge, name)] == []
+    namespace = {}
+    exec("from spanforge import *", namespace)
+    assert set(names) <= set(namespace)

@@ -1,8 +1,8 @@
-"""The st program's closed-form factors of A against the SVD route, its
-per-symbol subspace store against a store keyed by (j, a), the identity-run
-walk of H(x) against a block-by-block reference, the guards on supplied
-factors and per-symbol stores, the memory one estimate holds, and the
-refusal of an st program too large to hold."""
+"""The st program's closed-form factors of A against the SVD route, the
+per-symbol subspace stores of the st and OR programs against stores keyed
+by (j, a), the identity-run walk of H(x) against a block-by-block
+reference, the guards on supplied factors and per-symbol stores, the memory
+one estimate holds, and the refusal of an st program too large to hold."""
 
 import dataclasses
 import math
@@ -258,6 +258,27 @@ def keyed_store_twin(program):
     return supply_factors(dataclasses.replace(program, subspaces=keyed), fact.col_basis, fact.sigma)
 
 
+def keyed_or_twin(program):
+    """OR with its subspaces given as a dict keyed by (j, a), each position
+    with arrays of its own, as or_span_program once gave them."""
+    keyed = {(j, a): np.ones((1, 1)) if a else np.zeros((1, 0))
+             for j in range(program.n) for a in range(2)}
+    return dataclasses.replace(program, subspaces=keyed)
+
+
+def store_case(family, n, rng):
+    """A program with a per-symbol store, its twin with a store keyed by
+    position, and the inputs to compare them on."""
+    if family == "st":
+        program = build_st_span_program(n, 0, n - 1)
+        return program, keyed_store_twin(program), st_inputs(n, 0, n - 1, rng)
+    program = or_span_program(n)
+    inputs = list(all_inputs(program)) if n <= 4 else [
+        tuple(int(b) for b in rng.integers(0, 2, n)) for _ in range(8)
+    ]
+    return program, keyed_or_twin(program), inputs
+
+
 def same_blocks(mine, theirs):
     return len(mine) == len(theirs) and all(
         same_bits(c_mine, c_theirs)
@@ -266,23 +287,40 @@ def same_blocks(mine, theirs):
     )
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
-def test_per_symbol_store_matches_a_store_keyed_by_position(n):
+def same_report(mine, theirs):
+    fields = [field.name for field in dataclasses.fields(mine)]
+    return all(
+        same_bits(getattr(mine, name), getattr(theirs, name))
+        if isinstance(getattr(mine, name), np.ndarray)
+        else getattr(mine, name) == getattr(theirs, name)
+        for name in fields
+    )
+
+
+@pytest.mark.parametrize(
+    "family, n",
+    [pytest.param("st", n, id=str(n)) for n in (2, 3, 4, 8, 16)]
+    + [pytest.param("or", n, id=f"or-{n}") for n in (1, 2, 3, 4, 8)],
+)
+def test_per_symbol_store_matches_a_store_keyed_by_position(family, n):
     rng = np.random.default_rng([17, n])
-    program = build_st_span_program(n, 0, n - 1)
-    twin = keyed_store_twin(program)
+    program, twin, inputs = store_case(family, n, rng)
     store, keyed = program.subspaces, twin.subspaces
     assert store is not keyed and len(store) == len(keyed) == 2 * program.n
     mine = store.layout(program.input_blocks, program.q)
     theirs = keyed.layout(twin.input_blocks, twin.q)
-    assert same_bits(mine.which, theirs.which)
-    for x in st_inputs(n, 0, n - 1, rng):
+    # OR's twin holds n copies of each matrix, so only its ids differ
+    assert same_bits(mine.which >= 0, theirs.which >= 0)
+    if family == "st":
+        assert same_bits(mine.which, theirs.which)
+    for x in inputs:
         for blocks_mine, blocks_theirs in zip(subspace_blocks(program, x), subspace_blocks(twin, x)):
             assert same_blocks(blocks_mine, blocks_theirs)
         f_mine, f_theirs = input_factors(program, x), input_factors(twin, x)
         assert same_bits(f_mine.a_x, f_theirs.a_x)
         assert same_bits(row_space_cross(program, x, f_mine).factor,
                          row_space_cross(twin, x, f_theirs).factor)
+        assert same_report(witness_report(program, x), witness_report(twin, x))
 
 
 def test_malformed_per_symbol_stores_are_refused():

@@ -1,5 +1,7 @@
-"""Exact-distribution simulation of phase and amplitude estimation."""
+"""Exact-distribution simulation of phase and amplitude estimation, and the
+one sampler every estimator draws through."""
 
+import inspect
 import math
 
 import numpy as np
@@ -7,21 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spanforge import qsim
 from spanforge.qsim import (
     QueryLedger,
     ae_error_bound,
     ae_estimates,
     ae_outcome_distribution,
     amp_gap_grid_size,
+    amp_gap_threshold,
     amplitude_estimation,
-    amplitude_gap_decide,
     amplitude_gap_success_probability,
     fejer_kernel,
     outcome_zero_probability,
     pe_grid_size,
-    pe_outcome_distribution,
     pe_queries,
-    phase_estimation,
 )
 from spanforge.spectral import decompose_orthogonal
 
@@ -85,26 +86,27 @@ def test_pe_grid_size_validates_arguments():
 
 
 def test_phase_estimation_zero_phase_is_deterministic():
+    # eigenphase 0 puts all mass on outcome 0, so amplitude estimation of
+    # that probability on an even grid reads exactly 1 on every run, and each
+    # of the grid's circuit calls is charged one phase-estimation run
     dec = decompose_orthogonal(np.eye(3))
-    state = np.array([1.0, 0.0, 0.0])
+    pe_grid = pe_grid_size(0.5, 0.1)
+    p_zero = outcome_zero_probability(dec.measure(np.array([1.0, 0.0, 0.0])), pe_grid)
+    assert p_zero == pytest.approx(1.0, abs=1e-12)
     ledger = QueryLedger()
-    out = phase_estimation(dec.measure(state), 0.5, 0.1, np.random.default_rng(0), ledger)
-    assert out.outcome == 0
-    assert out.distribution[0] == pytest.approx(1.0, abs=1e-12)
-    assert out.queries_charged == 2 * (out.grid_size - 1)
-    assert ledger.total == out.queries_charged
+    estimates = amplitude_estimation(p_zero, 16, 5, np.random.default_rng(0), ledger,
+                                     pe_queries(pe_grid))
+    assert estimates.shape == (5,) and np.all(estimates == 1.0)
+    assert ledger.total == 5 * 16 * 2 * (pe_grid - 1)
 
 
 def test_phase_estimation_on_grid_phase_is_deterministic():
-    # rotation by exactly 2 pi k / M concentrates all mass on outcome k
+    # a rotation by exactly 2 pi k / M, k != 0, puts no mass on outcome 0
     grid_size = pe_grid_size(0.5, 0.1)
-    k = 3
-    theta = 2 * math.pi * k / grid_size
-    dec = decompose_orthogonal(rotation(theta))
-    dist = pe_outcome_distribution(dec.measure(np.array([1.0, 0.0])), grid_size)
-    # the real state splits evenly between the +/- theta eigenvectors
-    assert dist[k] == pytest.approx(0.5, abs=1e-10)
-    assert dist[grid_size - k] == pytest.approx(0.5, abs=1e-10)
+    for k in (1, 3, grid_size // 2):
+        dec = decompose_orthogonal(rotation(2 * math.pi * k / grid_size))
+        p_zero = outcome_zero_probability(dec.measure(np.array([1.0, 0.0])), grid_size)
+        assert p_zero == pytest.approx(0.0, abs=1e-12)
 
 
 def test_phase_estimation_superposition_bounds():
@@ -122,34 +124,26 @@ def test_phase_estimation_superposition_bounds():
 def test_phase_estimation_rejects_non_unit_state():
     dec = decompose_orthogonal(np.eye(2))
     with pytest.raises(ValueError):
-        phase_estimation(dec.measure(np.array([1.0, 1.0])), 0.5, 0.1,
-                         np.random.default_rng(0), QueryLedger())
-
-
-def test_phase_estimation_distribution_sums_to_one():
-    rng = np.random.default_rng(5)
-    u_mat = block_diag(rotation(0.7), rotation(2.4), -np.eye(1), np.eye(1))
-    dec = decompose_orthogonal(u_mat)
-    state = rng.standard_normal(6)
-    state /= np.linalg.norm(state)
-    dist = pe_outcome_distribution(dec.measure(state), 64)
-    assert float(np.sum(dist)) == pytest.approx(1.0, abs=1e-10)
+        dec.measure(np.array([1.0, 1.0]))
 
 
 def test_amplitude_estimation_extremes():
     rng = np.random.default_rng(1)
-    est0 = amplitude_estimation(0.0, 13, rng)
-    assert est0.p_tilde == 0.0 and est0.outcome == 0
-    assert est0.distribution[0] == pytest.approx(1.0, abs=1e-12)
-    est1 = amplitude_estimation(1.0, 16, rng)
-    assert est1.p_tilde == pytest.approx(1.0, abs=1e-12)
+    ledger = QueryLedger()
+    assert ae_outcome_distribution(0.0, 13)[0] == pytest.approx(1.0, abs=1e-12)
+    assert np.all(amplitude_estimation(0.0, 13, 3, rng, ledger, 1) == 0.0)
+    np.testing.assert_allclose(amplitude_estimation(1.0, 16, 3, rng, ledger, 1), 1.0, atol=1e-12)
+    assert ledger.total == 3 * 13 + 3 * 16
 
 
 def test_amplitude_estimation_success_bound_exact():
-    # frozen with the summation oracle: p = 1/2 on a 16-point grid is on-grid
-    est = amplitude_estimation(0.5, 16, np.random.default_rng(2))
-    assert est.success_bound == pytest.approx(1.0, abs=1e-12)
-    assert est.success_bound >= 8.0 / math.pi**2
+    # frozen with the summation oracle: p = 1/2 on a 16-point grid is on-grid,
+    # so every run lands within the BHMT bound
+    dist = ae_outcome_distribution(0.5, 16)
+    mask = np.abs(ae_estimates(16) - 0.5) <= ae_error_bound(0.5, 16) + 1e-15
+    assert float(np.sum(dist[mask])) == pytest.approx(1.0, abs=1e-12)
+    estimates = amplitude_estimation(0.5, 16, 9, np.random.default_rng(2), QueryLedger(), 0)
+    np.testing.assert_allclose(estimates, 0.5, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -165,8 +159,9 @@ def test_amplitude_estimation_distribution_properties(p, grid):
 
 
 def test_amplitude_estimation_rejects_bad_grid():
-    with pytest.raises(ValueError):
-        amplitude_estimation(0.5, 0, np.random.default_rng(0))
+    for grid_size, reps in ((0, 1), (16, 0)):
+        with pytest.raises(ValueError):
+            amplitude_estimation(0.5, grid_size, reps, np.random.default_rng(0), QueryLedger(), 1)
 
 
 def test_amplitude_gap_grid_size_formula():
@@ -175,8 +170,11 @@ def test_amplitude_gap_grid_size_formula():
 
 
 def test_amplitude_gap_decide_validates_arguments():
-    with pytest.raises(ValueError):
-        amplitude_gap_decide(0.5, 0.1, 0.5, np.random.default_rng(0), QueryLedger())
+    for p0, p1 in ((0.1, 0.5), (0.5, 0.5), (1.5, 0.1), (0.5, -0.1)):
+        with pytest.raises(ValueError):
+            amp_gap_grid_size(p0, p1)
+        with pytest.raises(ValueError):
+            amplitude_gap_success_probability(0.5, p0, p1, True)
 
 
 def test_amplitude_gap_exact_success_probabilities():
@@ -191,13 +189,20 @@ def test_amplitude_gap_exact_success_probabilities():
         assert amplitude_gap_success_probability(p, 0.5, 0.1, high) >= 0.75
 
 
+def gap_decision(p, p0, p1, rng, ledger, cost_per_call=0):
+    """One amplitude-gap decision as the threshold rounds make it: 1 when
+    the estimate on the amp_gap_grid_size grid reaches amp_gap_threshold."""
+    est = amplitude_estimation(p, amp_gap_grid_size(p0, p1), 1, rng, ledger, cost_per_call)
+    return int(est[0] >= amp_gap_threshold(p0, p1))
+
+
 def test_amplitude_gap_trivial_extremes():
     # p0 = 1, p1 = 0: M = ceil(4 pi) = 13 is odd, so p = 1 sits off-grid and
     # the success probability is below 1, but comfortably above 3/4
     ledger = QueryLedger()
     rng = np.random.default_rng(3)
-    assert amplitude_gap_decide(1.0, 1.0, 0.0, rng, ledger) == 1
-    assert amplitude_gap_decide(0.0, 1.0, 0.0, rng, ledger) == 0
+    assert gap_decision(1.0, 1.0, 0.0, rng, ledger) == 1
+    assert gap_decision(0.0, 1.0, 0.0, rng, ledger) == 0
     assert amplitude_gap_success_probability(1.0, 1.0, 0.0, True) >= 0.75
     assert amplitude_gap_success_probability(0.0, 1.0, 0.0, False) == pytest.approx(1.0)
 
@@ -205,23 +210,34 @@ def test_amplitude_gap_trivial_extremes():
 def test_amplitude_gap_charges_per_call():
     ledger = QueryLedger()
     grid = amp_gap_grid_size(0.5, 0.1)
-    amplitude_gap_decide(0.5, 0.5, 0.1, np.random.default_rng(0), ledger,
-                         query_cost_per_call=6)
+    gap_decision(0.5, 0.5, 0.1, np.random.default_rng(0), ledger, cost_per_call=6)
     assert ledger.total == grid * 6
+    amplitude_estimation(0.5, grid, 4, np.random.default_rng(0), ledger, 6)
+    assert ledger.total == 5 * grid * 6
 
 
 def test_determinism_same_seed_same_outcomes():
-    u_mat = block_diag(rotation(0.9), np.eye(1))
-    dec = decompose_orthogonal(u_mat)
-    state = np.array([0.6, 0.0, 0.8])
-
     def run(seed):
         rng = np.random.default_rng(seed)
         ledger = QueryLedger()
-        outs = [phase_estimation(dec.measure(state), 0.4, 0.2, rng, ledger).outcome
-                for _ in range(5)]
-        ests = [amplitude_estimation(0.37, 40, rng).outcome for _ in range(5)]
-        return outs, ests, ledger.total
+        ests = [amplitude_estimation(0.37, 40, 5, rng, ledger, pe_queries(8)) for _ in range(3)]
+        return np.concatenate(ests).tolist(), ledger.total
 
     assert run(123) == run(123)
+    assert run(123)[1] == 3 * 5 * 40 * 14
     assert pe_queries(8) == 14
+
+
+def test_amplitude_estimation_draws_one_choice_from_the_exact_distribution():
+    # the whole stream of reps runs is one rng.choice over the grid
+    dist = ae_outcome_distribution(0.37, 40)
+    expected = ae_estimates(40)[np.random.default_rng(7).choice(40, size=6, p=dist / dist.sum())]
+    estimates = amplitude_estimation(0.37, 40, 6, np.random.default_rng(7), QueryLedger(), 0)
+    assert estimates.tobytes() == expected.tobytes()
+
+
+def test_qsim_has_one_sampler():
+    takes_rng = [name for name, fn in vars(qsim).items()
+                 if inspect.isfunction(fn) and fn.__module__ == qsim.__name__
+                 and "rng" in inspect.signature(fn).parameters]
+    assert takes_rng == ["amplitude_estimation"]

@@ -19,7 +19,13 @@ from spanforge.generators import (
     random_projector_pair,
     random_span_program,
 )
-from spanforge.qsim import QueryLedger, outcome_zero_probability, phase_estimation
+from spanforge.qsim import (
+    QueryLedger,
+    amplitude_estimation,
+    outcome_zero_probability,
+    pe_grid_size,
+    pe_queries,
+)
 from spanforge.resistance import build_st_span_program, graph_input
 from spanforge.spanprog import (
     minimal_witness,
@@ -92,9 +98,13 @@ def test_build_U_is_orthogonal_and_charges_two_queries():
     dec = build_U(program, (1, 0, 1, 0))
     u_mat = np.asarray(dec.matrix)
     np.testing.assert_allclose(u_mat.T @ u_mat, np.eye(4), atol=1e-10)
-    out = phase_estimation(dec.measure(np.full(4, 0.5)), 0.5, 0.1,
-                           np.random.default_rng(0), QueryLedger())
-    assert out.queries_charged == 2 * (out.grid_size - 1)
+    # each circuit call of amplitude estimation is one phase-estimation run
+    # of U, charged two queries per application
+    pe_grid = pe_grid_size(0.5, 0.1)
+    p_zero = outcome_zero_probability(dec.measure(np.full(4, 0.5)), pe_grid)
+    ledger = QueryLedger()
+    amplitude_estimation(p_zero, 13, 1, np.random.default_rng(0), ledger, pe_queries(pe_grid))
+    assert ledger.total == 13 * 2 * (pe_grid - 1)
 
 
 def test_build_U_fixes_exact_negative_witness():
