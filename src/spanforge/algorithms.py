@@ -267,13 +267,11 @@ def _witness_size(
 ) -> float:
     """The exact witness size w_side(x), read from x's InputFactors f; inf
     when x has no witness of that sign, where an estimate raises instead.
-    w_+ is ||S_x^-1 U_x^T tau||^2, the squared norm of A(x)^+ tau in the
-    coordinates of A(x)'s right singular vectors, so no witness is formed."""
+    w_+ is InputFactors.positive_size, so no witness is formed."""
     if f.positive != (side == POSITIVE):
         size = math.inf
     elif f.positive:
-        coef = (f.col_basis.T @ program.tau) / f.sigma
-        size = float(coef @ coef)
+        size = f.positive_size(program.tau)
     else:
         size = _exact_negative(program, f, tols)[1]
     if estimate and math.isinf(size):
@@ -376,6 +374,12 @@ def _ae_grid_for_stage(eps: float, scale_floor: float) -> int:
     return math.ceil(math.pi / math.sqrt(scale_floor) * (8.0 / eps + 1.0))
 
 
+def _median(draws: np.ndarray) -> float:
+    """The median of an odd number of draws (majority_reps gives odd
+    counts): the middle one in sorted order, as np.median gives it."""
+    return float(np.sort(draws)[draws.size // 2])
+
+
 def gap_estimate(
     program: SpanProgram,
     x: Sequence[int],
@@ -417,16 +421,16 @@ def gap_estimate(
         grid_ae = _ae_grid_for_stage(eps, eps_hat)
         reps = majority_reps((1.0 / 6.0) * 0.5 ** (stage + 1), AE_SUCCESS_FLOOR)
         p_zero = outcome_zero_probability(measure, grid_pe)
-        p_tilde = float(np.median(
+        p_tilde = _median(
             amplitude_estimation(p_zero, grid_ae, reps, rng, ledger, pe_queries(grid_pe))
-        ))
+        )
         if p_tilde > 2.0 * (1.0 + eps / 4.0) * eps_hat:
             grid_pe2 = pe_grid_size(delta_lb, (eps / 8.0) * eps_hat)
             reps_fin = majority_reps(1.0 / 6.0, AE_SUCCESS_FLOOR)
             p_zero = outcome_zero_probability(measure, grid_pe2)
-            p_final = float(np.median(
+            p_final = _median(
                 amplitude_estimation(p_zero, grid_ae, reps_fin, rng, ledger, pe_queries(grid_pe2))
-            ))
+            )
             if p_final <= 0.0:
                 flags.append("degenerate:zero-amplitude-estimate")
                 value = math.inf

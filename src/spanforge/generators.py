@@ -90,7 +90,7 @@ def random_span_program(
         true_block=true_block,
         false_block=false_block,
         subspaces=subspaces,
-        a_mat=a_mat,
+        a=a_mat,
         tau=tau,
     )
     assert validate(program).ok

@@ -78,18 +78,29 @@ def ae_outcome_distribution(p: float, grid_size: int) -> np.ndarray:
     """Exact amplitude-estimation outcome distribution for success probability p.
 
     The estimation circuit phase-estimates an operator with eigenphases
-    +/- 2 arcsin(sqrt(p)) on an M-point grid, with equal weight on each branch.
+    +/- 2 theta_p, theta_p = arcsin(sqrt(p)), on an M-point grid, with equal
+    weight on each branch.  The Fejer kernel of either branch at outcome k
+    has the numerator sin^2(M theta_p - pi k) = sin^2(M theta_p) for every
+    k, so the distribution is
+    sin^2(M theta_p) / (2 M^2) [csc^2(theta_p - pi k/M) + csc^2(theta_p + pi k/M)],
+    the second term the first at -k mod M.  The numerator's argument is
+    reduced first, as M r with r = theta_p - pi j/M for the grid point j
+    nearest theta_p, and the one term whose sine can vanish, at j, is read
+    as the kernel of r itself, which is 1 on the grid.
     """
     if not -1e-12 <= p <= 1.0 + 1e-12:
         raise ValueError("p must be a probability")
     p = min(1.0, max(0.0, p))
     theta_p = math.asin(math.sqrt(p))
-    grid = 2.0 * math.pi * np.arange(grid_size) / grid_size
-    dist = 0.5 * (
-        fejer_kernel(2.0 * theta_p - grid, grid_size)
-        + fejer_kernel(-2.0 * theta_p - grid, grid_size)
-    )
-    return dist
+    offsets = theta_p - math.pi * np.arange(grid_size) / grid_size
+    j = round(grid_size * theta_p / math.pi) % grid_size
+    r = float(offsets[j])
+    top = math.sin(grid_size * r)
+    sines = np.square(np.sin(offsets))
+    sines[j] = 1.0
+    branch = top * top / (grid_size * grid_size) / sines
+    branch[j] = (top / (grid_size * math.sin(r))) ** 2 if r else 1.0
+    return 0.5 * (branch + np.concatenate((branch[:1], branch[:0:-1])))
 
 
 def ae_estimates(grid_size: int) -> np.ndarray:
@@ -106,7 +117,8 @@ def amplitude_estimation(
     cost_per_call: int,
 ) -> np.ndarray:
     """The estimates of reps independent grid_size-point amplitude
-    estimations of p, drawn from the exact outcome distribution.  Each of the
+    estimations of p, drawn from the exact outcome distribution, with
+    sin^2(pi k / M) taken at the drawn outcomes k only.  Each of the
     grid_size calls of a run to the circuit that prepares p is charged
     cost_per_call queries."""
     if grid_size < 1:
@@ -116,7 +128,7 @@ def amplitude_estimation(
     dist = ae_outcome_distribution(p, grid_size)
     outcomes = rng.choice(grid_size, size=reps, p=dist / dist.sum())
     ledger.charge(reps * grid_size * cost_per_call)
-    return ae_estimates(grid_size)[outcomes]
+    return np.square(np.sin(math.pi * outcomes / grid_size))
 
 
 def amp_gap_grid_size(p0: float, p1: float) -> int:

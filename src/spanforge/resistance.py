@@ -23,8 +23,8 @@ import numpy as np
 from ._linalg import DEFAULT_TOLS, Tolerances, kernel_basis
 from .algorithms import kappa_estimate, witness_estimate, POSITIVE
 from .qsim import QueryLedger
-from .spanprog import SpanProgram, Subspaces, check_dense_a_size, normalize, positive_witness
-from .spanprog import supply_factors
+from .spanprog import Incidence, SpanProgram, Subspaces, check_incidence_size, normalize
+from .spanprog import positive_witness, supply_factors
 
 Edge = tuple[int, int]
 
@@ -275,37 +275,31 @@ def _ones_complement_basis(n: int) -> np.ndarray:
 def build_st_span_program(n: int, s: int, t: int) -> SpanProgram:
     """The st-connectivity span program on [n]: V = R^n, A|u,v> = |u> - |v>,
     tau = |s> - |t>; the pair-{u,v} input bit selects both ordered coordinates.
-    A is filled from index arrays in ordered_pairs' layout, and its
-    Subspaces store is given per symbol, H_{j,0} = {0} and H_{j,1} = R^2 at
-    every position, so H(x) is one run of identity blocks and A(x) a column
-    gather of A.
+    A is given as signed incidence columns (spanprog.Incidence) in
+    ordered_pairs' layout, built from index arrays, so no dense A is formed;
+    its Subspaces store is given per symbol, H_{j,0} = {0} and H_{j,1} = R^2
+    at every position, so H(x) is one run of identity blocks and A(x) the
+    columns of the present edges, whose Gram is 2 L_G.
 
     A A^T = 2 (n I - J), so col(A) is the complement of the all-ones vector
     and all n - 1 nonzero singular values are sqrt(2n): the program carries
     those factors (supply_factors), takes no SVD of A and forms no row basis
-    of it.  A and tau are made read-only here, so the program keeps them
-    without a copy.  An n whose dense A would exceed
-    spanprog.DENSE_A_ENTRY_CAP is refused with ProgramSizeError before
-    anything is allocated."""
+    of it.  An n whose dim_h = n (n - 1) exceeds
+    spanprog.INCIDENCE_DIM_H_CAP (n above 2048) is refused with
+    ProgramSizeError before anything is allocated."""
     if n < 2:
         raise ValueError("need at least two vertices")
     if not (0 <= s < n and 0 <= t < n) or s == t:
         raise ValueError("s and t must be distinct vertices")
-    check_dense_a_size(n, n * (n - 1))
+    check_incidence_size(n * (n - 1))
     low, high = np.triu_indices(n, 1)  # unordered_pairs(n), in order
     n_inputs = low.size
     dim_h = 2 * n_inputs
     # column 2j is the ordered pair (low_j, high_j) and column 2j + 1 its reverse
-    tails = np.column_stack([low, high]).ravel()
-    heads = np.column_stack([high, low]).ravel()
-    cols = np.arange(dim_h)
-    a_mat = np.zeros((n, dim_h))
-    a_mat[tails, cols] = 1.0
-    a_mat[heads, cols] = -1.0
+    a = Incidence(n, np.column_stack([low, high]).ravel(), np.column_stack([high, low]).ravel())
     tau = np.zeros(n)
     tau[s], tau[t] = 1.0, -1.0
-    for arr in (a_mat, tau):
-        arr.setflags(write=False)
+    tau.setflags(write=False)
     subspaces = Subspaces.per_symbol(n_inputs, {0: np.zeros((2, 0)), 1: np.eye(2)})
     program = SpanProgram(
         n=n_inputs,
@@ -316,15 +310,22 @@ def build_st_span_program(n: int, s: int, t: int) -> SpanProgram:
         true_block=(),
         false_block=(),
         subspaces=subspaces,
-        a_mat=a_mat,
+        a=a,
         tau=tau,
     )
     return supply_factors(program, _ones_complement_basis(n), np.full(n - 1, math.sqrt(2.0 * n)))
 
 
 def graph_input(g: Graph) -> tuple[int, ...]:
-    """The adjacency input string of g for build_st_span_program(g.n, ...)."""
-    return tuple(1 if e in g.edges else 0 for e in unordered_pairs(g.n))
+    """The adjacency input string of g for build_st_span_program(g.n, ...):
+    bit j is 1 when the j-th pair of unordered_pairs(g.n) is an edge."""
+    n = g.n
+    bits = np.zeros(n * (n - 1) // 2, dtype=np.int8)
+    if g.edges:
+        low, high = np.array(list(g.edges), dtype=np.intp).T  # low < high
+        # the low (2n - low - 1) / 2 pairs whose first vertex is below low come first
+        bits[low * (2 * n - low - 1) // 2 + high - low - 1] = 1
+    return tuple(bits.tolist())
 
 
 @dataclass(frozen=True)
@@ -389,6 +390,7 @@ def estimate_resistance(
         raise ValueError(f"unknown method {method!r}")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
+    program = build_st_span_program(g.n, g.s, g.t)  # refuses an n too large first
     lam2, exact = _spectral_oracle(g)
     if math.isinf(exact):
         return ResistanceReport(
@@ -396,7 +398,6 @@ def estimate_resistance(
             mu=mu, queries=0, lambda2=lam2, flags=("disconnected",),
         )
 
-    program = build_st_span_program(g.n, g.s, g.t)
     x = graph_input(g)
     if method == EFFECTIVE_GAP:
         normalized = normalize(program, tols)

@@ -6,20 +6,25 @@ H_{j,a} of H_j, one per alphabet symbol a.  An input string x selects
 H(x) = H_{1,x_1} + ... + H_{n,x_n} + H_true, and x is positive exactly when
 some w in H(x) satisfies A w = tau.
 
-Every quantity about an input comes from A(x) = A Q_H, Q_H an orthonormal
-basis of H(x) kept block by block, with each block's basis taken from the
-program's Subspaces store and each run of identity blocks kept as one set of
-coordinates, so that A(x) of the st program is a column gather of A; only
-the oracle's subspace_projector forms a dim_h x dim_h matrix.  The store
-holds the distinct H_{j,a} matrices and an n x q table of their ids; a
-program whose positions share one matrix per symbol gives it per symbol
-(Subspaces.per_symbol), which broadcasts one row of ids, so neither a
-per-key dict nor a per-key check is made.  A program factors A once per
-Tolerances, by one SVD or from factors U_r, Sigma supplied by its builder
-(supply_factors), and solves w0 through the factors.  Supplied factors are
-checked and read in V: w0 = A^T U_r Sigma^-2 U_r^T tau, and the row basis
-V_r = A^T U_r Sigma^-1 is formed only when a caller reads it.  input_factors
-factors A(x) with one SVD and decides once whether tau lies in col A(x);
+A is a dense matrix or signed incidence columns (Incidence), which the
+estimators read only through A v, A^T u, A A^T and the Gram of a subset of
+columns; SpanProgram.a_mat forms the dense A on demand for the oracle and
+the tests.  Every quantity about an input comes from A(x) = A Q_H, Q_H an
+orthonormal basis of H(x) kept block by block, with each block's basis
+taken from the program's Subspaces store and each run of identity blocks
+kept as one set of coordinates, so that A(x) of the st program is a subset
+of A's columns; only the oracle's subspace_projector forms a dim_h x dim_h
+matrix.  The store holds the distinct H_{j,a} matrices and an n x q table of
+their ids; a program whose positions share one matrix per symbol gives it
+per symbol (Subspaces.per_symbol), which broadcasts one row of ids, so
+neither a per-key dict nor a per-key check is made.  A program factors A
+once per Tolerances, by one SVD or from factors U_r, Sigma supplied by its
+builder (supply_factors), and solves w0 through the factors.  Supplied
+factors are checked and read in V: w0 = A^T U_r Sigma^-2 U_r^T tau, and the
+row basis V_r = A^T U_r Sigma^-1 is formed only when a caller reads it.
+input_factors factors A(x) once, by one eigh of its exact Gram
+G(x) = A(x) A(x)^T when A is incidence columns and A(x) is wider than tall,
+and by one SVD otherwise, and decides once whether tau lies in col A(x);
 the six witness quantities (exact and min-error, both signs) and the kappa
 bound all read that InputFactors.
 Infeasible sizes are math.inf.  scaled_factors reads the factors of
@@ -70,7 +75,8 @@ class OracleSizeError(SpanProgramError):
 
 
 class ProgramSizeError(SpanProgramError):
-    """A program's dense A would hold more than DENSE_A_ENTRY_CAP entries."""
+    """A program's dense A would hold more than DENSE_A_ENTRY_CAP entries, or
+    an incidence program more than INCIDENCE_DIM_H_CAP coordinates."""
 
 
 # dim_h cap of the dense oracle: at the cap one dim_h x dim_h float64 array takes 134 MB
@@ -78,6 +84,10 @@ DENSE_DIM_CAP = 4096
 # entry cap of a dense A: at the cap A takes 2.1 GB as float64; the st
 # program at n = 500 holds 1.25e8 entries, at n = 2000 it would hold 8e9
 DENSE_A_ENTRY_CAP = 2**28
+# dim_h cap of a program whose A is given as incidence columns, which forms
+# dim_h-length vectors only: at the cap one float64 vector takes 34 MB and
+# the two index arrays of A 67 MB; the st program reaches it at n = 2048
+INCIDENCE_DIM_H_CAP = 2**22
 # supplied factors of A must reproduce it to this many times sigma_max
 SUPPLIED_FACTOR_RTOL = 1e-10
 
@@ -99,6 +109,89 @@ def check_dense_a_size(dim_v: int, dim_h: int) -> None:
             f"a dense A of {dim_v} x {dim_h} = {dim_v * dim_h} entries is above "
             f"the cap of {DENSE_A_ENTRY_CAP}"
         )
+
+
+def check_incidence_size(dim_h: int) -> None:
+    """Raise ProgramSizeError, before anything is allocated, when an
+    incidence program would have more than INCIDENCE_DIM_H_CAP coordinates."""
+    if dim_h > INCIDENCE_DIM_H_CAP:
+        raise ProgramSizeError(
+            f"an incidence A with dim_h = {dim_h} columns is above the cap of "
+            f"{INCIDENCE_DIM_H_CAP}"
+        )
+
+
+@dataclass(frozen=True)
+class Incidence:
+    """A dim_v x dim_h matrix A given as signed incidence columns: column k
+    is e_{plus[k]} - e_{minus[k]}.  The estimators read it only through four
+    operations: dot (A v), tdot (A^T u), gram (A A^T) and column_gram (the
+    Gram of a subset of its columns).  Sums of +/-1 are exact, so both Grams
+    are exact; tdot is one subtraction per entry, as a dense product would
+    give it.  columns forms a subset of the columns densely, and dense the
+    whole of A, for SpanProgram.a_mat."""
+
+    dim_v: int
+    plus: np.ndarray
+    minus: np.ndarray
+
+    def __post_init__(self):
+        for name in ("plus", "minus"):
+            arr = np.array(getattr(self, name), dtype=np.intp)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        plus, minus = self.plus, self.minus
+        if plus.ndim != 1 or plus.shape != minus.shape:
+            raise StructuralError("incidence columns need two index arrays of one length")
+        if plus.size and not (
+            0 <= min(plus.min(), minus.min()) and max(plus.max(), minus.max()) < self.dim_v
+        ):
+            raise StructuralError(f"incidence rows must lie in [0, {self.dim_v})")
+        if np.any(plus == minus):
+            raise StructuralError("an incidence column needs two distinct rows")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.dim_v, self.plus.size)
+
+    def dot(self, v: np.ndarray) -> np.ndarray:
+        """A v for a vector v of length dim_h."""
+        return (np.bincount(self.plus, v, self.dim_v)
+                - np.bincount(self.minus, v, self.dim_v))
+
+    def tdot(self, u: np.ndarray) -> np.ndarray:
+        """A^T u for u of dim_v rows, a vector or a matrix."""
+        return u[self.plus] - u[self.minus]
+
+    def column_gram(self, cols: np.ndarray) -> np.ndarray:
+        """A_c A_c^T for the columns c = cols of A: degrees on the diagonal,
+        minus one per column at (plus, minus) and (minus, plus)."""
+        n = self.dim_v
+        plus, minus = self.plus[cols], self.minus[cols]
+        links = np.bincount(plus * n + minus, minlength=n * n).reshape(n, n)
+        degrees = np.bincount(plus, minlength=n) + np.bincount(minus, minlength=n)
+        return np.diag(degrees.astype(float)) - (links + links.T)
+
+    def gram(self) -> np.ndarray:
+        """A A^T."""
+        return self.column_gram(slice(None))
+
+    def columns(self, cols: np.ndarray) -> np.ndarray:
+        """The columns cols of A as a dense dim_v x len(cols) matrix."""
+        plus, minus = self.plus[cols], self.minus[cols]
+        out = np.zeros((self.dim_v, plus.size))
+        at = np.arange(plus.size)
+        out[plus, at] = 1.0
+        out[minus, at] = -1.0
+        return out
+
+    def dense(self) -> np.ndarray:
+        return self.columns(slice(None))
+
+
+def _tdot(a: np.ndarray | Incidence, u: np.ndarray) -> np.ndarray:
+    """A^T u, for A dense or given as incidence columns."""
+    return a.tdot(u) if isinstance(a, Incidence) else a.T @ u
 
 
 # how one stored basis enters a walk of H(x): no columns, exactly the
@@ -288,10 +381,12 @@ class SpanProgram:
     be orthogonal; all that matters is that together they span H_j.  Any
     mapping is copied into a Subspaces store; a Subspaces, such as one made
     by Subspaces.per_symbol, is kept as given.
-    A and tau are kept as given when they already are read-only float arrays
-    that own their data, and copied read-only otherwise.  Factors of A given
-    by supply_factors are kept beside the factorizations, not as a field, so
-    dataclasses.replace drops them.
+    A is a dense matrix or an Incidence, kept as given; a_mat is A as a
+    dense matrix in either case.  A dense A and tau are kept as given when
+    they already are read-only float arrays that own their data, and copied
+    read-only otherwise.  Factors of A given by supply_factors are kept
+    beside the factorizations, not as a field, so dataclasses.replace drops
+    them.
     """
 
     n: int
@@ -302,21 +397,22 @@ class SpanProgram:
     true_block: tuple[int, ...]
     false_block: tuple[int, ...]
     subspaces: Mapping[tuple[int, int], np.ndarray]
-    a_mat: np.ndarray
+    a: np.ndarray | Incidence
     tau: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "_factorizations", {})
         object.__setattr__(self, "_supplied", None)
-        object.__setattr__(self, "a_mat", freeze(np.atleast_2d(self.a_mat)))
+        if not isinstance(self.a, Incidence):
+            object.__setattr__(self, "a", freeze(np.atleast_2d(self.a)))
         object.__setattr__(self, "tau", freeze(np.asarray(self.tau, dtype=float)))
         if not isinstance(self.subspaces, Subspaces):
             object.__setattr__(self, "subspaces", Subspaces(self.subspaces))
         if self.n < 0 or self.q < 1:
             raise StructuralError("need n >= 0 input positions and q >= 1 symbols")
-        if self.a_mat.shape != (self.dim_v, self.dim_h):
+        if self.a.shape != (self.dim_v, self.dim_h):
             raise StructuralError(
-                f"A has shape {self.a_mat.shape}, expected {(self.dim_v, self.dim_h)}"
+                f"A has shape {self.a.shape}, expected {(self.dim_v, self.dim_h)}"
             )
         if self.tau.shape != (self.dim_v,):
             raise StructuralError(f"tau has shape {self.tau.shape}, expected ({self.dim_v},)")
@@ -324,15 +420,26 @@ class SpanProgram:
             raise StructuralError("one coordinate block required per input position")
         self.subspaces.layout(self.input_blocks, self.q)
 
+    @property
+    def a_mat(self) -> np.ndarray:
+        """A as a dense read-only matrix: the array itself for a dense A, and
+        formed anew from incidence columns, for the oracle, validate, scale,
+        the min-error witnesses, verify and the tests.  Raises
+        ProgramSizeError, before allocating, above DENSE_A_ENTRY_CAP."""
+        if not isinstance(self.a, Incidence):
+            return self.a
+        check_dense_a_size(self.dim_v, self.dim_h)
+        mat = self.a.dense()
+        mat.setflags(write=False)
+        return mat
+
     def factorization(self, tols: Tolerances = DEFAULT_TOLS) -> Factorization:
         """A's factorization under tols: computed on first use, from the
         supplied factors when there are any and from one SVD of A otherwise,
         then kept on the program, whose A and tau are read-only."""
         fact = self._factorizations.get(tols)
         if fact is None:
-            fact = self._factorizations[tols] = _factorize(
-                self.a_mat, self.tau, tols, self._supplied
-            )
+            fact = self._factorizations[tols] = _factorize(self, tols)
         return fact
 
     def check_input(self, x: Sequence[int]) -> tuple[int, ...]:
@@ -372,15 +479,15 @@ class _Supplied:
     per rank cut, and kept; the programs that rescale_target and normalize
     derive share this object, and so every V_r it forms."""
 
-    def __init__(self, a_mat: np.ndarray, col_basis: np.ndarray, sigma: np.ndarray):
-        self.a_mat, self.col_basis, self.sigma = a_mat, col_basis, sigma
+    def __init__(self, a: np.ndarray | Incidence, col_basis: np.ndarray, sigma: np.ndarray):
+        self.a, self.col_basis, self.sigma = a, col_basis, sigma
         self._row_bases: dict[int, np.ndarray] = {}
 
     def row_basis(self, rank: int) -> np.ndarray:
         basis = self._row_bases.get(rank)
         if basis is None:
             basis = self._row_bases[rank] = freeze(
-                (self.a_mat.T @ self.col_basis[:, :rank]) / self.sigma[:rank]
+                _tdot(self.a, self.col_basis[:, :rank]) / self.sigma[:rank]
             )
         return basis
 
@@ -424,17 +531,17 @@ class Factorization:
         return self.row_basis.T @ self.witness.w0
 
 
-def _factorize(
-    a_mat: np.ndarray, tau: np.ndarray, tols: Tolerances, supplied: Optional[_Supplied]
-) -> Factorization:
-    """A's factors from one SVD, or from the supplied factors cut at the rank
-    tolerance, and w0 from either: V_r (Sigma^-1 (U_r^T tau)) with the SVD's
-    V_r, A^T (U_r ((U_r^T tau) / sigma^2)) with supplied factors, which
-    forms no V_r.  Solving through the factors keeps the residual A w0 - tau
-    at rounding size however small a kept singular value is; no A^+ is
+def _factorize(program: SpanProgram, tols: Tolerances) -> Factorization:
+    """A's factors from one SVD of the dense A, or from the supplied factors
+    cut at the rank tolerance, and w0 from either: V_r (Sigma^-1 (U_r^T
+    tau)) with the SVD's V_r, A^T (U_r ((U_r^T tau) / sigma^2)) with
+    supplied factors, which forms no V_r and reads A only through A^T u and
+    A v.  Solving through the factors keeps the residual A w0 - tau at
+    rounding size however small a kept singular value is; no A^+ is
     formed."""
+    a, tau, supplied = program.a, program.tau, program._supplied
     if supplied is None:
-        col_basis, sigma, rows, top = svd_factors(a_mat, tols)
+        col_basis, sigma, rows, top = svd_factors(program.a_mat, tols)
         col_basis, sigma, rows = freeze(col_basis), freeze(sigma), freeze(rows)
         w0 = rows @ ((col_basis.T @ tau) / sigma)
     else:
@@ -443,9 +550,10 @@ def _factorize(
         rank = _rank(sigma, tols, None)
         if rank < sigma.size:
             col_basis, sigma = col_basis[:, :rank], sigma[:rank]
-        w0 = a_mat.T @ (col_basis @ ((col_basis.T @ tau) / (sigma * sigma)))
+        w0 = _tdot(a, col_basis @ ((col_basis.T @ tau) / (sigma * sigma)))
     parts = (col_basis, sigma, rows, top)
-    if np.linalg.norm(a_mat @ w0 - tau) > tols.membership_rtol * np.linalg.norm(tau):
+    image = a.dot(w0) if isinstance(a, Incidence) else a @ w0
+    if np.linalg.norm(image - tau) > tols.membership_rtol * np.linalg.norm(tau):
         return Factorization(*parts, None, "tau is not in col(A); no positive witness exists")
     n_plus = float(w0 @ w0)
     if n_plus == 0.0:
@@ -459,27 +567,28 @@ def supplied_residual(program: SpanProgram) -> Optional[float]:
     """How far program's supplied factors are from factoring A: the worst
     of ||(A A^T U_r - U_r Sigma^2) Sigma^-1|| / sigma_max, which is
     ||A V_r - U_r Sigma|| / sigma_max for V_r = A^T U_r Sigma^-1 read in V
-    with no V_r formed, ||U_r^T U_r - I|| and ||W^T A|| / sigma_max, W an
+    with no V_r formed, ||U_r^T U_r - I|| and ||A^T W|| / sigma_max, W an
     orthonormal basis of the complement of span U_r (so the last is the
     part of col A outside span U_r), in Frobenius norm; inf when sigma is
-    not positive and non-increasing.  None when A is factored by an SVD."""
+    not positive and non-increasing.  None when A is factored by an SVD.
+    A is read through A A^T and A^T W, so an incidence A is not formed."""
     if program._supplied is None:
         return None
     col_basis, sigma = program._supplied.col_basis, program._supplied.sigma
-    a_mat = program.a_mat
+    a = program.a
+    gram = a.gram() if isinstance(a, Incidence) else a @ a.T
     if sigma.size == 0:
-        return math.inf if a_mat.any() else 0.0
+        return math.inf if gram.any() else 0.0
     if not (sigma[-1] > 0.0 and np.all(np.diff(sigma) <= 0.0)):
         return math.inf
     top = float(sigma[0])
-    gram = a_mat @ a_mat.T
     off = np.linalg.qr(col_basis, mode="complete")[0][:, sigma.size :]
-    # ||W^T A|| itself, not sqrt(tr(W^T A A^T W)): the square root of a
+    # ||A^T W|| itself, not sqrt(tr(W^T A A^T W)): the square root of a
     # rounding-size trace would keep only half its digits
     return max(
         float(np.linalg.norm((gram @ col_basis - col_basis * sigma**2) / sigma)) / top,
         float(np.linalg.norm(col_basis.T @ col_basis - np.eye(sigma.size))),
-        float(np.linalg.norm(off.T @ a_mat)) / top,
+        float(np.linalg.norm(_tdot(a, off))) / top,
     )
 
 
@@ -499,7 +608,7 @@ def supply_factors(
             f"col_basis has shape {col_basis.shape}, expected ({program.dim_v}, {sigma.size})"
         )
     child = dataclasses.replace(program)
-    object.__setattr__(child, "_supplied", _Supplied(child.a_mat, col_basis, sigma))
+    object.__setattr__(child, "_supplied", _Supplied(child.a, col_basis, sigma))
     residual = supplied_residual(child)
     if not residual <= SUPPLIED_FACTOR_RTOL:
         raise StructuralError(
@@ -629,11 +738,13 @@ def subspace_blocks(
     return inside, outside
 
 
-def restrict(mat: np.ndarray, blocks: Blocks) -> np.ndarray:
-    """M Q for a matrix M on H's coordinates and a basis Q given block by
-    block, as subspace_blocks gives Q_H and Q_perp; A Q_H is A(x).  An
-    identity entry is a gather of M's columns, with no product."""
-    parts = [mat[:, block] if basis is None else mat[:, block] @ basis for block, basis in blocks]
+def restrict(mat: np.ndarray | Incidence, blocks: Blocks) -> np.ndarray:
+    """M Q for a matrix M on H's coordinates, dense or incidence columns,
+    and a basis Q given block by block, as subspace_blocks gives Q_H and
+    Q_perp; A Q_H is A(x).  An identity entry is a gather of M's columns,
+    with no product."""
+    take = mat.columns if isinstance(mat, Incidence) else lambda block: mat[:, block]
+    parts = [take(block) if basis is None else take(block) @ basis for block, basis in blocks]
     if len(parts) == 1:
         return parts[0]
     return np.concatenate(parts, axis=1) if parts else np.zeros((mat.shape[0], 0))
@@ -679,47 +790,115 @@ def minimal_witness(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS) -> Mi
 
 @dataclass(frozen=True)
 class InputFactors:
-    """A(x) = A Q_H for one input and its one SVD, which every per-input
-    quantity reads: orthonormal bases U_r (col_basis) of col A(x) and Z
-    (complement) of its complement, the nonzero singular values sigma, cut
-    relative to a_scale = sigma_max(A), and their right singular vectors.
-    positive, decided once for both signs, is ||Z^T tau|| <= membership_rtol
-    ||tau||: whether tau lies in col A(x)."""
+    """A(x) = A Q_H for one input, factored once; every per-input quantity
+    reads it: orthonormal bases U_x (col_basis) of col A(x) and Z
+    (complement) of its complement, and the nonzero singular values sigma,
+    cut relative to a_scale = sigma_max(A).  row_vectors holds A(x)'s right
+    singular vectors V_x when A(x) was factored by an SVD, and is None when
+    it was read through its Gram, where no V_x is formed.  positive, decided
+    once for both signs, is ||Z^T tau|| <= membership_rtol ||tau||: whether
+    tau lies in col A(x).  a is the program's A, which A(x) is read from."""
 
     q_h: Blocks
     q_perp: Blocks
-    a_x: np.ndarray
+    a: np.ndarray | Incidence
     col_basis: np.ndarray
     complement: np.ndarray
     sigma: np.ndarray
-    row_vectors: np.ndarray
+    row_vectors: Optional[np.ndarray]
     a_scale: float
     positive: bool
 
+    @property
+    def a_x(self) -> np.ndarray:
+        """A(x) as a dense matrix, formed anew."""
+        return restrict(self.a, self.q_h)
+
+    def _rows(self, u: np.ndarray) -> np.ndarray:
+        """A(x)^T u, through A's columns."""
+        return restrict(_tdot(self.a, u)[None, :], self.q_h)[0]
+
     def solve(self, v: np.ndarray) -> np.ndarray:
-        """A(x)^+ v."""
-        return self.row_vectors @ ((self.col_basis.T @ v) / self.sigma)
+        """A(x)^+ v: V_x S_x^-1 U_x^T v, or A(x)^T U_x S_x^-2 U_x^T v through
+        A's columns when no V_x is held."""
+        coef = (self.col_basis.T @ v) / self.sigma
+        if self.row_vectors is not None:
+            return self.row_vectors @ coef
+        return self._rows(self.col_basis @ (coef / self.sigma))
+
+    def positive_size(self, tau: np.ndarray) -> float:
+        """w_+ = ||A(x)^+ tau||^2 for tau in col A(x): ||S_x^-1 U_x^T tau||^2
+        from an SVD.  Through the Gram it is 2 tau^T z - ||A(x)^T z||^2 for
+        z = U_x S_x^-2 U_x^T tau, which is off from w_+ by -||A(x)^T e||^2
+        for z's error e, second order: eigh's z is off by about
+        eps sigma_max^2 / sigma_min^2 relative, and ||S_x^-1 U_x^T tau||^2,
+        first order in e, would keep that (3.8e-12 on the path of 200
+        vertices, where this form is within 1e-15)."""
+        coef = (self.col_basis.T @ tau) / self.sigma
+        if self.row_vectors is not None:
+            return float(coef @ coef)
+        z = self.col_basis @ (coef / self.sigma)
+        rows = self._rows(z)
+        return float(2.0 * (tau @ z) - rows @ rows)
+
+
+def _width(blocks: Blocks) -> int:
+    return sum(block.size if basis is None else basis.shape[1] for block, basis in blocks)
+
+
+def _input_gram(a: Incidence, q_h: Blocks) -> np.ndarray:
+    """G(x) = A(x) A(x)^T: exact over the identity entries of Q_H, a
+    product over the others."""
+    runs = [block for block, basis in q_h if basis is None]
+    gram = a.column_gram(np.concatenate(runs) if runs else np.zeros(0, dtype=np.intp))
+    for block, basis in q_h:
+        if basis is not None:
+            part = a.columns(block) @ basis
+            gram += part @ part.T
+    return gram
 
 
 def input_factors(
     program: SpanProgram, x: Sequence[int], tols: Tolerances = DEFAULT_TOLS
 ) -> InputFactors:
-    """Q_H, Q_perp and A(x) for x, with A(x) factored by one SVD.  U is full
-    only when A(x) is taller than wide; otherwise the thin SVD already holds
-    all of it, so no dim H(x) x dim H(x) array is formed."""
+    """Q_H, Q_perp and the factors of A(x) for x.
+
+    An incidence A(x) wider than tall is read through its exact Gram
+    G(x) = A(x) A(x)^T (2 L_G for the st program) and one dim_v x dim_v
+    eigh, G(x) = U diag(lam) U^T: U_x and Z are U's columns, S_x = sqrt(lam),
+    and no V_x is formed.  An eigenvalue counts as nonzero iff
+    lam > rank_rtol sigma_max(A)^2.  That is a policy of its own: eigh gives
+    lam to within about eps ||G||, so it resolves sigma only to about
+    sqrt(eps) sigma_max, and the SVD route's cut at rank_rtol sigma_max
+    would count that noise as rank.  For the st program the nonzero lam are
+    2 lambda_k(L_G) >= 8/n^2 against sigma_max(A)^2 = 2n, above the cut for
+    every n within INCIDENCE_DIM_H_CAP.
+
+    Every other A(x), dense or tall, is factored by one SVD, with the rank
+    cut at rank_rtol sigma_max(A); U is full only when A(x) is taller than
+    wide, otherwise the thin SVD already holds all of it, so no
+    dim H(x) x dim H(x) array is formed.  That route is the oracle of the
+    Gram route."""
     q_h, q_perp = subspace_blocks(program, x, tols)
-    a_x = restrict(program.a_mat, q_h)
-    u, s, vt = np.linalg.svd(a_x, full_matrices=a_x.shape[1] < a_x.shape[0])
     a_scale = program.factorization(tols).sigma_max
-    r = _rank(s, tols, a_scale)
+    if isinstance(program.a, Incidence) and _width(q_h) > program.dim_v:
+        lam, u = np.linalg.eigh(_input_gram(program.a, q_h))
+        lam, u = lam[::-1], u[:, ::-1]
+        r = int(np.count_nonzero(lam > tols.rank_rtol * a_scale * a_scale))
+        s, vt = np.sqrt(lam[:r]), None
+    else:
+        a_x = restrict(program.a, q_h)
+        u, s, vt = np.linalg.svd(a_x, full_matrices=a_x.shape[1] < a_x.shape[0])
+        r = _rank(s, tols, a_scale)
+        s, vt = s[:r], vt[:r].T
     tau_off = float(np.linalg.norm(u[:, r:].T @ program.tau))
     positive = tau_off <= tols.membership_rtol * float(np.linalg.norm(program.tau))
-    return InputFactors(q_h, q_perp, a_x, u[:, :r], u[:, r:], s[:r], vt[:r].T, a_scale, positive)
+    return InputFactors(q_h, q_perp, program.a, u[:, :r], u[:, r:], s, vt, a_scale, positive)
 
 
 def _exact_positive(program: SpanProgram, f: InputFactors) -> tuple[np.ndarray, float]:
     w = _lift(program.dim_h, f.q_h, f.solve(program.tau))
-    return freeze(w), float(w @ w)
+    return freeze(w), f.positive_size(program.tau)
 
 
 def positive_witness(
@@ -809,10 +988,11 @@ def _min_error_negative(
     g = f.col_basis.T @ program.tau
     h = g / (f.sigma * f.sigma)
     on_col = f.col_basis @ (h / float(g @ h))
-    off_rows = f.complement.T @ program.a_mat
-    beta = -pinv(off_rows.T, tols, scale=f.a_scale) @ (on_col @ program.a_mat)
+    a_mat = program.a_mat
+    off_rows = f.complement.T @ a_mat
+    beta = -pinv(off_rows.T, tols, scale=f.a_scale) @ (on_col @ a_mat)
     omega = on_col + f.complement @ beta
-    row = omega @ program.a_mat
+    row = omega @ a_mat
     on_x = omega @ f.a_x
     return freeze(row), float(on_x @ on_x), float(row @ row)
 
@@ -853,14 +1033,15 @@ def minimal_negative_value(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS
 
     Independent of any input; tested against 1/N_+ and (omega0 A)^dag = w0/N_+.
     """
-    gram = program.a_mat @ program.a_mat.T
+    a_mat = program.a_mat
+    gram = a_mat @ a_mat.T
     a_scale = program.factorization(tols).sigma_max
     nu, value = _min_norm_under_linear_constraint(
         gram, program.tau, tols, gram_scale=a_scale * a_scale
     )
     if nu is None:
         raise StructuralError("tau = 0: no functional maps tau to 1")
-    return freeze(nu @ program.a_mat), value
+    return freeze(nu @ a_mat), value
 
 
 def _rescaled(fact: Factorization, factor: float) -> Factorization:
@@ -917,7 +1098,13 @@ def scale(program: SpanProgram, beta: float, tols: Tolerances = DEFAULT_TOLS) ->
         tau_beta = tau + |h1>
 
     For positive x, w+ becomes w+/beta^2 + beta^2/(N + beta^2); for negative x,
-    w- becomes beta^2 w- + 1; the new minimal witness has unit norm.
+    w- becomes beta^2 w- + 1.  The new minimal witness has unit norm when tau
+    lies in col(A) exactly.  A tau that lies in col(A) only to within
+    membership_rtol passes minimal_witness, but A_beta keeps tau's part off
+    col(A) in its h0 column, so the new minimal witness is not a unit
+    vector (||w0_beta||^2 = 1.11, 1.48, 1.94 at beta = 0.37, 1, 4 on one such
+    program), and the threshold rounds on it are refused where
+    SpectralMeasure checks the unit state.  A is read densely (a_mat).
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -944,7 +1131,7 @@ def scale(program: SpanProgram, beta: float, tols: Tolerances = DEFAULT_TOLS) ->
         dim_v=dim_v,
         true_block=program.true_block + (h1_idx,),
         false_block=program.false_block + (h0_idx,),
-        a_mat=a_new,
+        a=a_new,
         tau=tau_new,
     )
 
@@ -992,7 +1179,10 @@ def scaled_factors(
     """ScaledFactors of scale(program, beta, tols), from one SVD of the
     (r+1) x (r+1) matrix K.  Raises GloballyInfeasibleError when tau_beta
     fails _factorize's membership test, as minimal_witness of the scaled
-    program then does."""
+    program then does.  As with scale, w0_beta is a unit vector only when
+    tau lies in col(A) exactly, that is rho = 0; otherwise ||witness|| is not
+    1 and a round that reads it is refused at SpectralMeasure's unit-state
+    check, as the direct route on scale(program, beta) is."""
     if beta <= 0:
         raise ValueError("beta must be positive")
     n_val = minimal_witness(program, tols).n_plus
@@ -1033,6 +1223,6 @@ def or_span_program(n: int) -> SpanProgram:
         true_block=(),
         false_block=(),
         subspaces=Subspaces.per_symbol(n, {0: np.zeros((1, 0)), 1: np.ones((1, 1))}),
-        a_mat=np.ones((1, n)),
+        a=np.ones((1, n)),
         tau=np.array([1.0]),
     )

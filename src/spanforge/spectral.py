@@ -15,11 +15,14 @@ r-row factor with the same C C^T, and the measures read w0 as
 y = V_r^T w0; no dim_h x dim_h array is formed.  With A factored by an
 SVD, the factor comes from one QR of C(x)^T.  With factors U_r, Sigma
 supplied by the program's builder, V_r is never formed: y = Sigma^-1 U_r^T
-tau, and C(x) = Sigma^-1 U_r^T A(x) is read through the SVD of A(x) that
-spanprog.input_factors holds, so the factor is rank-sized and no array as
-wide as A(x) is made.  An estimator, which holds x's InputFactors, forms
-C(x) from them and reads the measure with input_measure_U or
-input_measure_Uprime, so H(x) is walked once per estimate.
+tau, and C(x) = Sigma^-1 U_r^T A(x) is read through the factors
+A(x) A(x)^T = U_x S_x^2 U_x^T that spanprog.input_factors holds, so the
+factor is rank-sized and no array as wide as A(x) is made.  For the st
+program those factors come from one eigh of A(x) A(x)^T = 2 L_G, and
+neither A(x) nor its right singular vectors are formed.  An estimator,
+which holds x's InputFactors, forms C(x) from them and reads the measure
+with input_measure_U or input_measure_Uprime, so H(x) is walked once per
+estimate.
 
 A threshold round needs the same measure for the scaled program
 scale(P, beta).  scaled_measure_U and scaled_measure_Uprime read it without
@@ -321,10 +324,10 @@ def row_space_cross(
     """RowSpaceCross of x from its InputFactors f.  With V_r from an SVD of
     A, F = R^T from the QR factorization C(x)^T = W R of the gather or
     product V_r^T Q_H.  With supplied factors no V_r is formed:
-    C(x) = Sigma^-1 U_r^T A(x), and the SVD A(x) = U_x S_x V_x^T that f
-    holds gives F = C(x) V_x = Sigma^-1 (U_r^T U_x) S_x, r x rank A(x), with
-    no matrix as wide as A(x) formed; directions of H(x) that A(x)'s rank
-    cut drops carry at most rank_rtol of C C^T."""
+    C(x) = Sigma^-1 U_r^T A(x), and A(x) = U_x S_x V_x^T, from f's SVD or
+    Gram, gives F = C(x) V_x = Sigma^-1 (U_r^T U_x) S_x, r x rank A(x), with
+    neither V_x nor any matrix as wide as A(x) formed; directions of H(x)
+    that A(x)'s rank cut drops carry at most that cut's share of C C^T."""
     fact = program.factorization(tols)
     if fact.supplied:
         factor = (fact.col_basis.T @ f.col_basis) * f.sigma / fact.sigma[:, None]

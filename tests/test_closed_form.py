@@ -1,12 +1,17 @@
-"""The st program's closed-form factors of A against the SVD route, the
-per-symbol subspace stores of the st and OR programs against stores keyed
-by (j, a), the identity-run walk of H(x) against a block-by-block
-reference, the guards on supplied factors and per-symbol stores, the memory
-one estimate holds, and the refusal of an st program too large to hold."""
+"""The st program's closed-form factors of A and the Gram route of A(x)
+against a dense A and the SVD route, the per-symbol subspace stores of the
+st and OR programs against stores keyed by (j, a), the identity-run walk of
+H(x) against a block-by-block reference, the guards on supplied factors and
+per-symbol stores, the memory one estimate holds, what an estimate forms
+and imports, and the refusal of an st program too large to hold."""
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,9 +30,12 @@ from spanforge.resistance import (
     graph,
     graph_input,
     lambda2,
+    lower_bound_family,
 )
 from spanforge.spanprog import (
     DENSE_A_ENTRY_CAP,
+    INCIDENCE_DIM_H_CAP,
+    Incidence,
     ProgramSizeError,
     SpanProgramError,
     StructuralError,
@@ -35,8 +43,10 @@ from spanforge.spanprog import (
     _lift,
     input_factors,
     minimal_witness,
+    negative_witness,
     normalize,
     or_span_program,
+    positive_witness,
     rescale_target,
     restrict,
     scale,
@@ -63,9 +73,10 @@ ST_SIZES = (2, 3, 4, 8, 16, 32, 64)
 
 
 def svd_route(program):
-    """The same program with its supplied factors dropped: A by one SVD."""
-    twin = dataclasses.replace(program)
-    assert supplied_residual(twin) is None
+    """The same program with a dense A and no supplied factors: A and A(x)
+    each by one SVD."""
+    twin = dataclasses.replace(program, a=program.a_mat)
+    assert supplied_residual(twin) is None and isinstance(twin.a, np.ndarray)
     return twin
 
 
@@ -164,6 +175,113 @@ def test_closed_form_inputs_measures_and_witnesses_match_the_svd_route(n):
     assert signs == {True, False}
 
 
+def test_incidence_columns_give_a_through_four_exact_operations():
+    rng = np.random.default_rng(20)
+    plus = rng.integers(0, 7, 30)
+    minus = (plus + rng.integers(1, 7, 30)) % 7
+    a = Incidence(7, plus, minus)
+    dense = a.dense()
+    assert a.shape == dense.shape == (7, 30)
+    assert set(np.unique(dense)) == {-1.0, 0.0, 1.0}
+    v, u = rng.standard_normal(30), rng.standard_normal((7, 3))
+    np.testing.assert_allclose(a.dot(v), dense @ v, rtol=0.0, atol=1e-13)
+    assert same_bits(a.tdot(u), dense.T @ u) and same_bits(a.tdot(u[:, 0]), dense.T @ u[:, 0])
+    assert same_bits(a.gram(), dense @ dense.T)
+    cols = np.array([0, 3, 3, 17, 29])
+    assert same_bits(a.column_gram(cols), dense[:, cols] @ dense[:, cols].T)
+    assert same_bits(a.columns(cols), dense[:, cols])
+    for args in ((7, [0, 1], [1]), (7, [0, 7], [1, 2]), (7, [0, 2], [1, 2]), (7, [-1], [0])):
+        with pytest.raises(StructuralError):
+            Incidence(*args)
+
+
+def test_gram_route_reads_general_blocks_of_an_incidence_program():
+    # blocks of three coordinates, each H_{j,1} a random plane, so Q_H has
+    # no identity entry; the twin holds the same A densely
+    rng = np.random.default_rng(22)
+    n, dim_v = 6, 4
+    dim_h = 3 * n
+    plus = rng.integers(0, dim_v, dim_h)
+    minus = (plus + rng.integers(1, dim_v, dim_h)) % dim_v
+    keyed = {(j, a): rng.standard_normal((3, 2)) if a else np.zeros((3, 0))
+             for j in range(n) for a in range(2)}
+    program = spanprog.SpanProgram(
+        n=n, q=2, dim_h=dim_h, dim_v=dim_v,
+        input_blocks=tuple(tuple(range(3 * j, 3 * j + 3)) for j in range(n)),
+        true_block=(), false_block=(), subspaces=keyed,
+        a=Incidence(dim_v, plus, minus), tau=np.array([1.0, -1.0, 0.0, 0.0]),
+    )
+    twin = svd_route(program)
+    gram_inputs = 0
+    for x in all_inputs(program):
+        mine, theirs = input_factors(program, x), input_factors(twin, x)
+        if sum(x) * 2 <= dim_v:
+            continue  # A(x) is tall: both take the SVD route
+        assert mine.row_vectors is None
+        assert mine.positive == theirs.positive
+        np.testing.assert_allclose(mine.sigma, theirs.sigma, rtol=1e-12)
+        gram_inputs += 1
+        if mine.positive:
+            assert close(mine.positive_size(program.tau), theirs.positive_size(twin.tau))
+            np.testing.assert_allclose(mine.solve(program.tau), theirs.solve(twin.tau),
+                                       rtol=0.0, atol=RTOL)
+    assert gram_inputs > 0
+
+
+def path_graph(n, cut=None):
+    """The path 0 - 1 - ... - (n - 1) from s = 0 to t = n - 1, without the
+    edge {cut, cut + 1} when cut is given."""
+    return graph(n, [(v, v + 1) for v in range(n - 1) if v != cut], 0, n - 1)
+
+
+def gram_route_cases():
+    rng = np.random.default_rng(19)
+    cases = {}
+    for n in (6, 50, 200):
+        cases[f"two-star-{n}"] = lower_bound_family(n, 1, i=1, j=n // 2)
+        cases[f"path-{n}"] = path_graph(n)
+        cases[f"cut-path-{n}"] = path_graph(n, cut=n // 2)
+    for n in (8, 120, 200):
+        cases[f"complete-{n}"] = complete_graph(n)
+        cases[f"random-{n}"] = random_graph(rng, n, 0.2)
+    return cases
+
+
+@pytest.mark.parametrize("name", list(gram_route_cases()))
+def test_gram_route_matches_a_dense_a_and_the_svd_route(name):
+    # the st program reads A(x) through one eigh of its Gram 2 L_G; its twin
+    # holds A densely and factors A and A(x) by SVDs
+    g = gram_route_cases()[name]
+    program = build_st_span_program(g.n, g.s, g.t)
+    twin = svd_route(program)
+    x = graph_input(g)
+    mine, theirs = input_factors(program, x), input_factors(twin, x)
+    assert mine.row_vectors is None and theirs.row_vectors is not None
+    assert mine.positive == theirs.positive == g.connected_st()
+    np.testing.assert_allclose(mine.sigma, theirs.sigma, rtol=1e-11)
+    if mine.positive:
+        assert close(positive_witness(program, x)[1], positive_witness(twin, x)[1])
+    else:
+        assert close(negative_witness(program, x)[1], negative_witness(twin, x)[1])
+
+    unit, unit_twin = normalize(program), normalize(twin)
+    rot = unit_twin.factorization().row_basis.T @ unit.factorization().row_basis
+    y_mine = unit.factorization().row_witness(unit.tau)
+    y_theirs = unit_twin.factorization().row_witness(unit_twin.tau)
+    np.testing.assert_allclose(rot @ y_mine, y_theirs, rtol=0.0, atol=RTOL)
+    cross = row_space_cross(unit, x, input_factors(unit, x))
+    cross_twin = row_space_cross(unit_twin, x, input_factors(unit_twin, x))
+    np.testing.assert_allclose(rot @ cross.factor @ cross.factor.T @ rot.T,
+                               cross_twin.factor @ cross_twin.factor.T, rtol=0.0, atol=RTOL)
+    measures = [input_measure_U] + ([input_measure_Uprime] if mine.positive else [])
+    for measure in measures:
+        fast, slow = measure(cross), measure(cross_twin)
+        for grid in GRIDS:
+            assert outcome_zero_probability(fast, grid) == pytest.approx(
+                outcome_zero_probability(slow, grid), abs=RTOL
+            )
+
+
 def loop_walk(program, x):
     """Q_H and Q_perp block by block, every block with an explicit basis, as
     the walk was written before identity runs: the reference."""
@@ -251,11 +369,13 @@ def test_st_program_reads_h_x_and_c_x_as_one_gather():
 def keyed_store_twin(program):
     """program with its subspaces given as a dict keyed by (j, a), one
     zeros((2, 0)) and one eye(2) shared by every position as the builder
-    once gave them, and the same supplied factors of A."""
+    once gave them, the same incidence A and the same supplied factors."""
     empty, whole = np.zeros((2, 0)), np.eye(2)
     keyed = {(j, a): whole if a else empty for j in range(program.n) for a in range(2)}
     fact = program.factorization()
-    return supply_factors(dataclasses.replace(program, subspaces=keyed), fact.col_basis, fact.sigma)
+    twin = dataclasses.replace(program, subspaces=keyed)
+    assert twin.a is program.a and isinstance(twin.a, Incidence)
+    return supply_factors(twin, fact.col_basis, fact.sigma)
 
 
 def keyed_or_twin(program):
@@ -371,20 +491,29 @@ def test_estimates_on_supplied_factors_form_no_row_basis(monkeypatch):
 
 
 def test_the_st_builder_holds_one_a_and_no_copy_of_it():
+    # A is two index arrays of dim_h entries; the dense 200 x 39,800 A (64 MB)
+    # is formed nowhere
     n = 200
+    dense_bytes = 8 * n * n * (n - 1)
     tracemalloc.start()
     try:
         program = build_st_span_program(n, 0, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not program.a_mat.flags.writeable and program.a_mat.flags.owndata
-    assert peak <= 1.25 * program.a_mat.nbytes
+    a = program.a
+    assert isinstance(a, Incidence)
+    for arr in (a.plus, a.minus):
+        assert not arr.flags.writeable and arr.flags.owndata
+    assert peak <= 0.12 * dense_bytes
+    small = build_st_span_program(5, 0, 4).a_mat
+    assert not small.flags.writeable and small.flags.owndata
 
 
 def test_a_real_gap_estimate_at_n_200_holds_few_arrays_the_size_of_a():
-    # at n = 200 A is 200 x 39,800 (64 MB); on the complete graph A(x) and
-    # its right singular vectors are as large, and nothing else is
+    # at n = 200 a dense A would be 200 x 39,800 (64 MB); on the complete
+    # graph A(x) and its right singular vectors would be as large, and the
+    # estimate forms none of them
     g = complete_graph(200)
     mu = lambda2(g)
     a_bytes = 8 * g.n * g.n * (g.n - 1)
@@ -397,6 +526,47 @@ def test_a_real_gap_estimate_at_n_200_holds_few_arrays_the_size_of_a():
         tracemalloc.stop()
     assert report.estimate == pytest.approx(report.exact, rel=0.2)
     assert peak <= 3.5 * a_bytes
+
+
+LEAN_ESTIMATES = """
+import sys
+import numpy as np
+from spanforge import spanprog
+from spanforge.generators import random_graph
+from spanforge.qsim import QueryLedger
+from spanforge.resistance import estimate_resistance, lambda2, lower_bound_family
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("an estimate formed the dense A or V_r")
+
+spanprog.SpanProgram.a_mat = property(forbidden)
+spanprog._Supplied.row_basis = forbidden
+svd = np.linalg.svd
+
+def narrow(mat, *args, **kwargs):
+    # V_x comes only from an SVD of A(x), which is 2|E| wide
+    assert max(np.shape(mat)) <= LIMIT, np.shape(mat)
+    return svd(mat, *args, **kwargs)
+
+np.linalg.svd = narrow
+for g in (lower_bound_family(16, 1, i=1, j=8), random_graph(np.random.default_rng(3), 24, 0.3)):
+    LIMIT = g.n + 1
+    for method in ("effective-gap", "real-gap"):
+        mu = lambda2(g) if method == "real-gap" else None
+        report = estimate_resistance(g, 0.3, method, np.random.default_rng(4), QueryLedger(), mu=mu)
+        assert 0.0 < report.estimate < 2.0 * report.exact, report
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_an_estimate_imports_no_scipy_and_forms_no_dense_a_or_v_x():
+    # scipy.linalg alone adds about 20 MB of resident memory
+    src = str(Path(spanprog.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", LEAN_ESTIMATES],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def count_svds(monkeypatch, shape):
@@ -466,8 +636,9 @@ def test_supplied_factors_that_do_not_factor_a_are_refused():
 def test_st_program_above_the_dense_cap_is_refused_before_allocating():
     assert issubclass(ProgramSizeError, SpanProgramError)
     assert issubclass(ProgramSizeError, ValueError)
-    assert 500 * 500 * 499 <= DENSE_A_ENTRY_CAP < 646 * 646 * 645
-    for n in (646, 2000):
+    # the builder's cap is on dim_h = n (n - 1), the length of its vectors
+    assert 2048 * 2047 <= INCIDENCE_DIM_H_CAP < 2049 * 2048
+    for n in (2049, 5000):
         tracemalloc.start()
         try:
             with pytest.raises(ProgramSizeError, match="cap"):
@@ -475,11 +646,21 @@ def test_st_program_above_the_dense_cap_is_refused_before_allocating():
             assert tracemalloc.get_traced_memory()[1] < 1e6
         finally:
             tracemalloc.stop()
+    # the dense A of a program that is held keeps its own cap
+    assert 500 * 500 * 499 <= DENSE_A_ENTRY_CAP < 646 * 646 * 645
+    program = build_st_span_program(646, 0, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProgramSizeError, match="cap"):
+            program.a_mat
+        assert tracemalloc.get_traced_memory()[1] < 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def test_cli_refuses_a_graph_too_large_for_a_dense_a(tmp_path, capsys):
-    n = 700
-    path = tmp_path / "path700.graph"
+    n = 2049
+    path = tmp_path / "path2049.graph"
     path.write_text(f"{n} {n - 1} 1 {n}\n" + "".join(f"{v} {v + 1}\n" for v in range(1, n)))
     assert main(["resistance", "--graph", str(path), "--eps", "0.2",
                  "--method", "effective-gap"]) == 3

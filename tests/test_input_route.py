@@ -116,7 +116,7 @@ def degenerate_programs():
         input_blocks=((0,), ()), true_block=(1,), false_block=(2,),
         subspaces={(0, 0): np.zeros((1, 0)), (0, 1): np.ones((1, 1)),
                    (1, 0): np.zeros((0, 0)), (1, 1): np.zeros((0, 0))},
-        a_mat=np.array([[1.0, 1.0, 2.0], [0.0, 1.0, -1.0]]),
+        a=np.array([[1.0, 1.0, 2.0], [0.0, 1.0, -1.0]]),
         tau=np.array([2.0, 1.0]),
     )
     # equal rows: at x = (1, 1, 0) A(x) = [[1, 1], [1, 1]] has rank 1, and x
@@ -125,7 +125,7 @@ def degenerate_programs():
         n=3, q=2, dim_h=3, dim_v=2,
         input_blocks=((0,), (1,), (2,)), true_block=(), false_block=(),
         subspaces={(j, a): np.ones((1, a)) for j in range(3) for a in range(2)},
-        a_mat=np.ones((2, 3)),
+        a=np.ones((2, 3)),
         tau=np.array([1.0, 1.0]),
     )
     # dim H(x) = 1 + |x| < dim_v when |x| <= 1, so A(x) is taller than wide
@@ -134,7 +134,7 @@ def degenerate_programs():
         n=3, q=2, dim_h=4, dim_v=3,
         input_blocks=((0,), (1,), (2,)), true_block=(3,), false_block=(),
         subspaces={(j, a): np.ones((1, a)) for j in range(3) for a in range(2)},
-        a_mat=np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0]]),
+        a=np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0]]),
         tau=np.array([1.0, 1.0, 2.0]),
     )
     return {

@@ -241,3 +241,26 @@ def test_qsim_has_one_sampler():
                  if inspect.isfunction(fn) and fn.__module__ == qsim.__name__
                  and "rng" in inspect.signature(fn).parameters]
     assert takes_rng == ["amplitude_estimation"]
+
+
+def fejer_sum(p, grid_size):
+    """The outcome distribution as the sum of the Fejer kernels of the two
+    branches +/- 2 theta_p, each wrapped onto the grid: the reference."""
+    theta_p = math.asin(math.sqrt(p))
+    grid = 2.0 * math.pi * np.arange(grid_size) / grid_size
+    return 0.5 * (fejer_kernel(2.0 * theta_p - grid, grid_size)
+                  + fejer_kernel(-2.0 * theta_p - grid, grid_size))
+
+
+def test_closed_form_outcome_distribution_matches_the_fejer_sum():
+    # on-grid p, p next to the grid on either side, the ends and random p
+    rng = np.random.default_rng(21)
+    for grid_size in (1, 2, 3, 4, 7, 16, 17, 100, 255, 433, 1024, 1353, 4096):
+        on_grid = [math.sin(math.pi * k / grid_size) ** 2
+                   for k in range(0, grid_size // 2 + 1, max(1, grid_size // 16))]
+        near = [math.sin(math.pi * k / grid_size + d) ** 2
+                for k in range(1, (grid_size + 1) // 2, max(1, grid_size // 8))
+                for d in (1e-13, -1e-9)]
+        for p in on_grid + near + [0.0, 1.0, 1e-12, 1.0 - 1e-12] + list(rng.random(8)):
+            dist = ae_outcome_distribution(p, grid_size)
+            assert np.max(np.abs(dist - fejer_sum(p, grid_size))) <= 1e-12, (p, grid_size)

@@ -142,11 +142,12 @@ def test_one_eigh_gives_lambda2_and_resistance_as_eigvalsh_and_pinv_do(monkeypat
         chi[g.s], chi[g.t] = 1.0, -1.0
         assert exact_resistance(g) == pytest.approx(float(chi @ pinv(lap) @ chi), rel=1e-12)
 
-    # an estimate reads both from a single eigendecomposition of L
+    # an estimate reads both from a single eigendecomposition of L, and A(x)
+    # from one eigendecomposition of its Gram 2 L_G: no other eigh
     eigh, calls = np.linalg.eigh, []
 
     def counting(mat, *args, **kwargs):
-        calls.append(np.shape(mat))
+        calls.append(np.array(mat))
         return eigh(mat, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
@@ -154,7 +155,8 @@ def test_one_eigh_gives_lambda2_and_resistance_as_eigvalsh_and_pinv_do(monkeypat
     mu = lambda2(g)
     calls.clear()
     report = estimate_resistance(g, 0.3, "real-gap", np.random.default_rng(1), QueryLedger(), mu=mu)
-    assert calls == [(g.n, g.n)]
+    assert len(calls) == 2
+    assert np.array_equal(calls[0], laplacian(g)) and np.array_equal(calls[1], 2.0 * laplacian(g))
     assert report.lambda2 == mu and report.exact == exact_resistance(g)
 
 
@@ -191,7 +193,7 @@ def loop_built_st_program(n, s, t):
     return SpanProgram(
         n=n_inputs, q=2, dim_h=len(pairs), dim_v=n,
         input_blocks=tuple((2 * j, 2 * j + 1) for j in range(n_inputs)),
-        true_block=(), false_block=(), subspaces=subspaces, a_mat=a_mat, tau=tau,
+        true_block=(), false_block=(), subspaces=subspaces, a=a_mat, tau=tau,
     )
 
 
@@ -231,6 +233,19 @@ def test_subspace_store_owns_a_shared_matrix_and_checks_each_new_layout():
     with pytest.raises(StructuralError, match="out of range"):
         dataclasses.replace(program, q=1)
     assert dataclasses.replace(program).subspaces is program.subspaces
+
+
+def test_graph_input_marks_each_edge_in_pair_order():
+    # the reference scans every unordered pair against the edge set
+    rng = np.random.default_rng(34)
+    graphs = [graph(2, []), graph(2, [(0, 1)]), graph(9, []), complete_graph(12)]
+    for n in (3, 5, 16, 33, 64):
+        for p in (0.1, 0.5, 0.9):
+            graphs.append(graph(n, [e for e in unordered_pairs(n) if rng.random() < p]))
+    for g in graphs:
+        bits = graph_input(g)
+        assert bits == tuple(1 if e in g.edges else 0 for e in unordered_pairs(g.n))
+        assert all(type(bit) is int for bit in bits)
 
 
 def test_st_program_minimal_witness_norm():

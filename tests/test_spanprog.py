@@ -50,7 +50,7 @@ def test_validate_allows_overlapping_symbol_subspaces():
         input_blocks=((0, 1),), true_block=(), false_block=(),
         subspaces={(0, 0): np.array([[1.0], [0.0]]),
                    (0, 1): np.array([[1.0, 0.0], [0.0, 1.0]])},
-        a_mat=np.array([[1.0, 1.0]]), tau=np.array([1.0]),
+        a=np.array([[1.0, 1.0]]), tau=np.array([1.0]),
     )
     assert validate(program).ok
 
@@ -61,7 +61,7 @@ def test_validate_reports_non_spanning_subspaces():
         input_blocks=((0, 1),), true_block=(), false_block=(),
         subspaces={(0, 0): np.array([[1.0], [0.0]]),
                    (0, 1): np.array([[1.0], [0.0]])},
-        a_mat=np.array([[1.0, 1.0]]), tau=np.array([1.0]),
+        a=np.array([[1.0, 1.0]]), tau=np.array([1.0]),
     )
     report = validate(program)
     assert not report.ok
@@ -74,7 +74,7 @@ def test_wrong_a_shape_is_structural_error():
             n=1, q=2, dim_h=1, dim_v=1,
             input_blocks=((0,),), true_block=(), false_block=(),
             subspaces={(0, 1): np.array([[1.0]])},
-            a_mat=np.ones((1, 2)),  # dim_h + 1 columns
+            a=np.ones((1, 2)),  # dim_h + 1 columns
             tau=np.array([1.0]),
         )
 
@@ -94,7 +94,7 @@ def test_subspace_projector_true_false_blocks():
         n=1, q=2, dim_h=3, dim_v=1,
         input_blocks=((0,),), true_block=(1,), false_block=(2,),
         subspaces={(0, 0): np.zeros((1, 0)), (0, 1): np.array([[1.0]])},
-        a_mat=np.array([[1.0, 1.0, 1.0]]), tau=np.array([1.0]),
+        a=np.array([[1.0, 1.0, 1.0]]), tau=np.array([1.0]),
     )
     for x, want in [((0,), [0.0, 1.0, 0.0]), ((1,), [1.0, 1.0, 0.0])]:
         np.testing.assert_allclose(
@@ -124,7 +124,7 @@ def test_minimal_witness_globally_infeasible():
         n=1, q=2, dim_h=1, dim_v=2,
         input_blocks=((0,),), true_block=(), false_block=(),
         subspaces={(0, 0): np.zeros((1, 0)), (0, 1): np.array([[1.0]])},
-        a_mat=np.array([[1.0], [0.0]]), tau=np.array([0.0, 1.0]),
+        a=np.array([[1.0], [0.0]]), tau=np.array([0.0, 1.0]),
     )
     with pytest.raises(GloballyInfeasibleError):
         minimal_witness(program)
@@ -198,7 +198,7 @@ def test_min_error_negative_rejects_zero_target():
         n=1, q=2, dim_h=1, dim_v=1,
         input_blocks=((0,),), true_block=(), false_block=(),
         subspaces={(0, 0): np.zeros((1, 0)), (0, 1): np.array([[1.0]])},
-        a_mat=np.array([[1.0]]), tau=np.array([0.0]),
+        a=np.array([[1.0]]), tau=np.array([0.0]),
     )
     with pytest.raises(StructuralError):
         min_error_negative(program, (1,))
@@ -324,7 +324,7 @@ def test_tolerance_override_changes_feasibility_cut():
         n=3, q=2, dim_h=3, dim_v=2,
         input_blocks=program.input_blocks, true_block=(), false_block=(),
         subspaces=dict(program.subspaces),
-        a_mat=np.vstack([np.ones(3), np.zeros(3)]),
+        a=np.vstack([np.ones(3), np.zeros(3)]),
         tau=np.array([1.0, 1e-6]),
     )
     _, w_strict = positive_witness(perturbed, (1, 1, 1))
@@ -377,7 +377,7 @@ def _perturbed_or3() -> SpanProgram:
         n=3, q=2, dim_h=3, dim_v=2,
         input_blocks=program.input_blocks, true_block=(), false_block=(),
         subspaces=dict(program.subspaces),
-        a_mat=np.vstack([np.ones(3), np.zeros(3)]),
+        a=np.vstack([np.ones(3), np.zeros(3)]),
         tau=np.array([1.0, 1e-6]),
     )
 
