@@ -390,7 +390,8 @@ def estimate_resistance(
         raise ValueError(f"unknown method {method!r}")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    program = build_st_span_program(g.n, g.s, g.t)  # refuses an n too large first
+    if g.connected_st():
+        check_incidence_size(g.n * (g.n - 1))  # the builder's refusal, before the oracle
     lam2, exact = _spectral_oracle(g)
     if math.isinf(exact):
         return ResistanceReport(
@@ -398,6 +399,7 @@ def estimate_resistance(
             mu=mu, queries=0, lambda2=lam2, flags=("disconnected",),
         )
 
+    program = build_st_span_program(g.n, g.s, g.t)
     x = graph_input(g)
     if method == EFFECTIVE_GAP:
         normalized = normalize(program, tols)

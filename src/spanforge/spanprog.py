@@ -90,6 +90,10 @@ DENSE_A_ENTRY_CAP = 2**28
 INCIDENCE_DIM_H_CAP = 2**22
 # supplied factors of A must reproduce it to this many times sigma_max
 SUPPLIED_FACTOR_RTOL = 1e-10
+# input_factors' floor on the eigenvalues of a Gram G(x), per row of A and
+# relative to sigma_max(A)^2: the kernel eigenvalues of 2 L_G measured at
+# most 0.14 dim_v eps relative, over random graphs cut in two, n <= 800
+GRAM_NOISE_RTOL = 10.0 * np.finfo(float).eps
 
 
 def _check_dense_size(program: SpanProgram) -> None:
@@ -101,12 +105,13 @@ def _check_dense_size(program: SpanProgram) -> None:
         )
 
 
-def check_dense_a_size(dim_v: int, dim_h: int) -> None:
+def check_dense_a_size(dim_v: int, dim_h: int, what: str = "a dense A") -> None:
     """Raise ProgramSizeError, before anything is allocated, when a dense
-    dim_v x dim_h A would hold more than DENSE_A_ENTRY_CAP entries."""
+    dim_v x dim_h A, or another dense array of that shape read from A,
+    would hold more than DENSE_A_ENTRY_CAP entries."""
     if dim_v * dim_h > DENSE_A_ENTRY_CAP:
         raise ProgramSizeError(
-            f"a dense A of {dim_v} x {dim_h} = {dim_v * dim_h} entries is above "
+            f"{what} of {dim_v} x {dim_h} = {dim_v * dim_h} entries is above "
             f"the cap of {DENSE_A_ENTRY_CAP}"
         )
 
@@ -189,9 +194,28 @@ class Incidence:
         return self.columns(slice(None))
 
 
+# the operations through which the estimators read A, dense or given as
+# incidence columns
+
+
+def _dot(a: np.ndarray | Incidence, v: np.ndarray) -> np.ndarray:
+    """A v."""
+    return a.dot(v) if isinstance(a, Incidence) else a @ v
+
+
 def _tdot(a: np.ndarray | Incidence, u: np.ndarray) -> np.ndarray:
-    """A^T u, for A dense or given as incidence columns."""
+    """A^T u."""
     return a.tdot(u) if isinstance(a, Incidence) else a.T @ u
+
+
+def _gram(a: np.ndarray | Incidence) -> np.ndarray:
+    """A A^T."""
+    return a.gram() if isinstance(a, Incidence) else a @ a.T
+
+
+def _columns(a: np.ndarray | Incidence, cols: np.ndarray) -> np.ndarray:
+    """The columns cols of A as a dense matrix."""
+    return a.columns(cols) if isinstance(a, Incidence) else a[:, cols]
 
 
 # how one stored basis enters a walk of H(x): no columns, exactly the
@@ -423,9 +447,10 @@ class SpanProgram:
     @property
     def a_mat(self) -> np.ndarray:
         """A as a dense read-only matrix: the array itself for a dense A, and
-        formed anew from incidence columns, for the oracle, validate, scale,
-        the min-error witnesses, verify and the tests.  Raises
-        ProgramSizeError, before allocating, above DENSE_A_ENTRY_CAP."""
+        formed anew from incidence columns, for the oracle, an SVD of an
+        incidence A without supplied factors, scale, verify and the tests.
+        The witness code reads A through A v, A^T u and A A^T instead.
+        Raises ProgramSizeError, before allocating, above DENSE_A_ENTRY_CAP."""
         if not isinstance(self.a, Incidence):
             return self.a
         check_dense_a_size(self.dim_v, self.dim_h)
@@ -552,7 +577,7 @@ def _factorize(program: SpanProgram, tols: Tolerances) -> Factorization:
             col_basis, sigma = col_basis[:, :rank], sigma[:rank]
         w0 = _tdot(a, col_basis @ ((col_basis.T @ tau) / (sigma * sigma)))
     parts = (col_basis, sigma, rows, top)
-    image = a.dot(w0) if isinstance(a, Incidence) else a @ w0
+    image = _dot(a, w0)
     if np.linalg.norm(image - tau) > tols.membership_rtol * np.linalg.norm(tau):
         return Factorization(*parts, None, "tau is not in col(A); no positive witness exists")
     n_plus = float(w0 @ w0)
@@ -576,7 +601,7 @@ def supplied_residual(program: SpanProgram) -> Optional[float]:
         return None
     col_basis, sigma = program._supplied.col_basis, program._supplied.sigma
     a = program.a
-    gram = a.gram() if isinstance(a, Incidence) else a @ a.T
+    gram = _gram(a)
     if sigma.size == 0:
         return math.inf if gram.any() else 0.0
     if not (sigma[-1] > 0.0 and np.all(np.diff(sigma) <= 0.0)):
@@ -743,8 +768,10 @@ def restrict(mat: np.ndarray | Incidence, blocks: Blocks) -> np.ndarray:
     and a basis Q given block by block, as subspace_blocks gives Q_H and
     Q_perp; A Q_H is A(x).  An identity entry is a gather of M's columns,
     with no product."""
-    take = mat.columns if isinstance(mat, Incidence) else lambda block: mat[:, block]
-    parts = [take(block) if basis is None else take(block) @ basis for block, basis in blocks]
+    parts = [
+        _columns(mat, block) if basis is None else _columns(mat, block) @ basis
+        for block, basis in blocks
+    ]
     if len(parts) == 1:
         return parts[0]
     return np.concatenate(parts, axis=1) if parts else np.zeros((mat.shape[0], 0))
@@ -867,12 +894,18 @@ def input_factors(
     G(x) = A(x) A(x)^T (2 L_G for the st program) and one dim_v x dim_v
     eigh, G(x) = U diag(lam) U^T: U_x and Z are U's columns, S_x = sqrt(lam),
     and no V_x is formed.  An eigenvalue counts as nonzero iff
-    lam > rank_rtol sigma_max(A)^2.  That is a policy of its own: eigh gives
-    lam to within about eps ||G||, so it resolves sigma only to about
-    sqrt(eps) sigma_max, and the SVD route's cut at rank_rtol sigma_max
-    would count that noise as rank.  For the st program the nonzero lam are
-    2 lambda_k(L_G) >= 8/n^2 against sigma_max(A)^2 = 2n, above the cut for
-    every n within INCIDENCE_DIM_H_CAP.
+    lam > max(rank_rtol^2, GRAM_NOISE_RTOL dim_v) sigma_max(A)^2.  The first
+    term is the SVD route's cut at rank_rtol sigma_max, squared, so a
+    caller's rank_rtol means the same on both routes.  The second is a floor
+    at eigh's noise: eigh gives lam only to within a few eps ||G(x)||, and
+    ||G(x)|| <= sigma_max^2, so it resolves sigma only to about
+    sqrt(eps) sigma_max, and a squared cut below that would count noise as
+    rank.  At the default rank_rtol the floor is the cut.  For the st
+    program the nonzero lam are 2 lambda_k(L_G) >= 8/n^2 against
+    sigma_max(A)^2 = 2n, so lam / sigma_max^2 >= 4/n^3: about 100 times the
+    floor at n = 2048, the largest n within INCIDENCE_DIM_H_CAP.  On either
+    route a rank_rtol above 2 n^-1.5, the bound on sigma_min / sigma_max,
+    may cut into that rank.
 
     Every other A(x), dense or tall, is factored by one SVD, with the rank
     cut at rank_rtol sigma_max(A); U is full only when A(x) is taller than
@@ -884,7 +917,8 @@ def input_factors(
     if isinstance(program.a, Incidence) and _width(q_h) > program.dim_v:
         lam, u = np.linalg.eigh(_input_gram(program.a, q_h))
         lam, u = lam[::-1], u[:, ::-1]
-        r = int(np.count_nonzero(lam > tols.rank_rtol * a_scale * a_scale))
+        cut = max(tols.rank_rtol**2, GRAM_NOISE_RTOL * program.dim_v) * a_scale * a_scale
+        r = int(np.count_nonzero(lam > cut))
         s, vt = np.sqrt(lam[:r]), None
     else:
         a_x = restrict(program.a, q_h)
@@ -927,10 +961,17 @@ def _min_norm_under_linear_constraint(
     return y / denom, 1.0 / denom
 
 
+def _complement_rows(program: SpanProgram, f: InputFactors) -> np.ndarray:
+    """Z^T A, read through A^T u; refused with ProgramSizeError, before it
+    is allocated, where it would hold more than DENSE_A_ENTRY_CAP entries."""
+    check_dense_a_size(f.complement.shape[1], program.dim_h, "Z^T A")
+    return _tdot(program.a, f.complement).T
+
+
 def _exact_negative(
     program: SpanProgram, f: InputFactors, tols: Tolerances
 ) -> tuple[np.ndarray, float]:
-    b = f.complement.T @ program.a_mat  # omega = Z nu; Z^T tau != 0 as x is negative
+    b = _complement_rows(program, f)  # omega = Z nu; Z^T tau != 0 as x is negative
     nu, value = _min_norm_under_linear_constraint(
         b @ b.T, f.complement.T @ program.tau, tols, gram_scale=f.a_scale * f.a_scale
     )
@@ -955,10 +996,11 @@ def _min_error_positive(
     program: SpanProgram, f: InputFactors, tols: Tolerances
 ) -> tuple[np.ndarray, float, float]:
     minimal_witness(program, tols)  # raises when tau is outside col(A)
-    a_perp = restrict(program.a_mat, f.q_perp)
-    b = pinv(f.complement.T @ a_perp, tols, scale=f.a_scale) @ (f.complement.T @ program.tau)
-    a = f.solve(program.tau - a_perp @ b)
-    w = _lift(program.dim_h, f.q_h, a) + _lift(program.dim_h, f.q_perp, b)
+    off_perp = restrict(_complement_rows(program, f), f.q_perp)  # Z^T A_perp
+    b = pinv(off_perp, tols, scale=f.a_scale) @ (f.complement.T @ program.tau)
+    w_perp = _lift(program.dim_h, f.q_perp, b)
+    a = f.solve(program.tau - _dot(program.a, w_perp))
+    w = _lift(program.dim_h, f.q_h, a) + w_perp
     return freeze(w), float(b @ b), float(w @ w)
 
 
@@ -988,12 +1030,11 @@ def _min_error_negative(
     g = f.col_basis.T @ program.tau
     h = g / (f.sigma * f.sigma)
     on_col = f.col_basis @ (h / float(g @ h))
-    a_mat = program.a_mat
-    off_rows = f.complement.T @ a_mat
-    beta = -pinv(off_rows.T, tols, scale=f.a_scale) @ (on_col @ a_mat)
+    off_rows = _complement_rows(program, f)
+    beta = -pinv(off_rows.T, tols, scale=f.a_scale) @ _tdot(program.a, on_col)
     omega = on_col + f.complement @ beta
-    row = omega @ a_mat
-    on_x = omega @ f.a_x
+    row = _tdot(program.a, omega)
+    on_x = restrict(row[None, :], f.q_h)[0]  # omega A(x)
     return freeze(row), float(on_x @ on_x), float(row @ row)
 
 
@@ -1033,15 +1074,13 @@ def minimal_negative_value(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS
 
     Independent of any input; tested against 1/N_+ and (omega0 A)^dag = w0/N_+.
     """
-    a_mat = program.a_mat
-    gram = a_mat @ a_mat.T
     a_scale = program.factorization(tols).sigma_max
     nu, value = _min_norm_under_linear_constraint(
-        gram, program.tau, tols, gram_scale=a_scale * a_scale
+        _gram(program.a), program.tau, tols, gram_scale=a_scale * a_scale
     )
     if nu is None:
         raise StructuralError("tau = 0: no functional maps tau to 1")
-    return freeze(nu @ a_mat), value
+    return freeze(_tdot(program.a, nu)), value
 
 
 def _rescaled(fact: Factorization, factor: float) -> Factorization:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spanforge._linalg import DEFAULT_TOLS, column_space_split
+from spanforge._linalg import DEFAULT_TOLS, Tolerances, column_space_split
 from spanforge import spanprog
 from spanforge.cli import main
 from spanforge.generators import all_inputs, random_graph, random_span_program
@@ -42,6 +42,9 @@ from spanforge.spanprog import (
     Subspaces,
     _lift,
     input_factors,
+    min_error_negative,
+    min_error_positive,
+    minimal_negative_value,
     minimal_witness,
     negative_witness,
     normalize,
@@ -234,16 +237,23 @@ def path_graph(n, cut=None):
     return graph(n, [(v, v + 1) for v in range(n - 1) if v != cut], 0, n - 1)
 
 
+# a caller's looser tolerances, as the CLI's --tolerance 1e-3 gives them:
+# sigma_min(A(x)) / sigma_max(A) is 1.1e-3 on the path of 200 vertices
+LOOSE_TOLS = Tolerances(rank_rtol=1e-5, membership_rtol=1e-3)
+
+
 def gram_route_cases():
     rng = np.random.default_rng(19)
     cases = {}
     for n in (6, 50, 200):
-        cases[f"two-star-{n}"] = lower_bound_family(n, 1, i=1, j=n // 2)
-        cases[f"path-{n}"] = path_graph(n)
-        cases[f"cut-path-{n}"] = path_graph(n, cut=n // 2)
+        cases[f"two-star-{n}"] = lower_bound_family(n, 1, i=1, j=n // 2), DEFAULT_TOLS
+        cases[f"path-{n}"] = path_graph(n), DEFAULT_TOLS
+        cases[f"cut-path-{n}"] = path_graph(n, cut=n // 2), DEFAULT_TOLS
     for n in (8, 120, 200):
-        cases[f"complete-{n}"] = complete_graph(n)
-        cases[f"random-{n}"] = random_graph(rng, n, 0.2)
+        cases[f"complete-{n}"] = complete_graph(n), DEFAULT_TOLS
+        cases[f"random-{n}"] = random_graph(rng, n, 0.2), DEFAULT_TOLS
+    cases["path-200-loose"] = path_graph(200), LOOSE_TOLS
+    cases["cut-path-200-loose"] = path_graph(200, cut=100), LOOSE_TOLS
     return cases
 
 
@@ -251,26 +261,26 @@ def gram_route_cases():
 def test_gram_route_matches_a_dense_a_and_the_svd_route(name):
     # the st program reads A(x) through one eigh of its Gram 2 L_G; its twin
     # holds A densely and factors A and A(x) by SVDs
-    g = gram_route_cases()[name]
+    g, tols = gram_route_cases()[name]
     program = build_st_span_program(g.n, g.s, g.t)
     twin = svd_route(program)
     x = graph_input(g)
-    mine, theirs = input_factors(program, x), input_factors(twin, x)
+    mine, theirs = input_factors(program, x, tols), input_factors(twin, x, tols)
     assert mine.row_vectors is None and theirs.row_vectors is not None
     assert mine.positive == theirs.positive == g.connected_st()
     np.testing.assert_allclose(mine.sigma, theirs.sigma, rtol=1e-11)
     if mine.positive:
-        assert close(positive_witness(program, x)[1], positive_witness(twin, x)[1])
+        assert close(positive_witness(program, x, tols)[1], positive_witness(twin, x, tols)[1])
     else:
-        assert close(negative_witness(program, x)[1], negative_witness(twin, x)[1])
+        assert close(negative_witness(program, x, tols)[1], negative_witness(twin, x, tols)[1])
 
-    unit, unit_twin = normalize(program), normalize(twin)
-    rot = unit_twin.factorization().row_basis.T @ unit.factorization().row_basis
-    y_mine = unit.factorization().row_witness(unit.tau)
-    y_theirs = unit_twin.factorization().row_witness(unit_twin.tau)
+    unit, unit_twin = normalize(program, tols), normalize(twin, tols)
+    rot = unit_twin.factorization(tols).row_basis.T @ unit.factorization(tols).row_basis
+    y_mine = unit.factorization(tols).row_witness(unit.tau)
+    y_theirs = unit_twin.factorization(tols).row_witness(unit_twin.tau)
     np.testing.assert_allclose(rot @ y_mine, y_theirs, rtol=0.0, atol=RTOL)
-    cross = row_space_cross(unit, x, input_factors(unit, x))
-    cross_twin = row_space_cross(unit_twin, x, input_factors(unit_twin, x))
+    cross = row_space_cross(unit, x, input_factors(unit, x, tols), tols)
+    cross_twin = row_space_cross(unit_twin, x, input_factors(unit_twin, x, tols), tols)
     np.testing.assert_allclose(rot @ cross.factor @ cross.factor.T @ rot.T,
                                cross_twin.factor @ cross_twin.factor.T, rtol=0.0, atol=RTOL)
     measures = [input_measure_U] + ([input_measure_Uprime] if mine.positive else [])
@@ -280,6 +290,51 @@ def test_gram_route_matches_a_dense_a_and_the_svd_route(name):
             assert outcome_zero_probability(fast, grid) == pytest.approx(
                 outcome_zero_probability(slow, grid), abs=RTOL
             )
+
+
+def forbid_dense_a(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the dense A was formed")
+
+    monkeypatch.setattr(spanprog.SpanProgram, "a_mat", property(refuse))
+
+
+def test_witness_code_reads_an_incidence_a_without_forming_it(monkeypatch):
+    # exact and min-error witnesses of both signs, on a positive and a
+    # negative input, against the dense twin's, with the dense A refused
+    cases = [(path_graph(8), DEFAULT_TOLS), (path_graph(8, cut=3), DEFAULT_TOLS),
+             (random_graph(np.random.default_rng(41), 12, 0.3), LOOSE_TOLS)]
+    expected = []
+    for g, tols in cases:
+        twin = svd_route(build_st_span_program(g.n, g.s, g.t))
+        x = graph_input(g)
+        expected.append((witness_report(twin, x, tols), min_error_positive(twin, x, tols),
+                         min_error_negative(twin, x, tols), minimal_negative_value(twin, tols)))
+    forbid_dense_a(monkeypatch)
+    for (g, tols), (report, pos, neg, glob) in zip(cases, expected):
+        program = build_st_span_program(g.n, g.s, g.t)
+        x = graph_input(g)
+        mine = witness_report(program, x, tols)
+        for field in ("w_plus", "w_minus", "e_plus", "e_minus", "w_tilde_plus", "w_tilde_minus"):
+            assert close(getattr(mine, field), getattr(report, field)), field
+        for got, want in ((min_error_positive(program, x, tols), pos),
+                          (min_error_negative(program, x, tols), neg),
+                          (minimal_negative_value(program, tols), glob)):
+            for a, b in zip(got, want):
+                np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-10)
+
+    # above the dense A's cap, where a_mat is refused: the path of 700
+    # vertices has R_st = 699, and cut after vertex 350 its negative
+    # witness is 1 on the 351 vertices of s's side, of size 2 * 351 * 349
+    n = 700
+    program = build_st_span_program(n, 0, n - 1)
+    assert program.dim_v * program.dim_h > DENSE_A_ENTRY_CAP
+    positive = witness_report(program, graph_input(path_graph(n)))
+    assert positive.w_plus == pytest.approx((n - 1) / 2, rel=1e-9)
+    assert math.isfinite(positive.e_minus) and math.isfinite(positive.w_tilde_minus)
+    negative = witness_report(program, graph_input(path_graph(n, cut=350)))
+    assert negative.w_minus == pytest.approx(2 * 351 * 349, rel=1e-9)
+    assert math.isfinite(negative.e_plus) and math.isfinite(negative.w_tilde_plus)
 
 
 def loop_walk(program, x):

@@ -235,6 +235,31 @@ def test_subspace_store_owns_a_shared_matrix_and_checks_each_new_layout():
     assert dataclasses.replace(program).subspaces is program.subspaces
 
 
+def test_a_disconnected_graph_is_answered_before_the_program_is_built(monkeypatch):
+    from spanforge import resistance, spanprog
+
+    n = 12
+    monkeypatch.setattr(spanprog, "INCIDENCE_DIM_H_CAP", n * (n - 1) - 1)
+
+    def no_build(*args):
+        raise AssertionError("the program was built")
+
+    monkeypatch.setattr(resistance, "build_st_span_program", no_build)
+    cut = graph(n, [(v, v + 1) for v in range(n - 1) if v != 5])
+    report = estimate_resistance(cut, 0.3, "effective-gap", np.random.default_rng(0),
+                                 QueryLedger())
+    assert report.exact == report.estimate == math.inf and report.flags == ("disconnected",)
+
+    # an st-connected graph above the cap is refused before the oracle's eigh
+    def no_oracle(g):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(resistance, "_spectral_oracle", no_oracle)
+    with pytest.raises(spanprog.ProgramSizeError, match="cap"):
+        estimate_resistance(complete_graph(n), 0.3, "effective-gap",
+                            np.random.default_rng(0), QueryLedger())
+
+
 def test_graph_input_marks_each_edge_in_pair_order():
     # the reference scans every unordered pair against the edge set
     rng = np.random.default_rng(34)
