@@ -24,7 +24,7 @@ from ._linalg import DEFAULT_TOLS, Tolerances, kernel_basis
 from .algorithms import kappa_estimate, witness_estimate, POSITIVE
 from .qsim import QueryLedger
 from .spanprog import Incidence, SpanProgram, Subspaces, check_incidence_size, normalize
-from .spanprog import positive_witness, supply_factors
+from .spanprog import positive_witness
 
 Edge = tuple[int, int]
 
@@ -264,14 +264,6 @@ def unordered_pairs(n: int) -> list[Edge]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
-def _ones_complement_basis(n: int) -> np.ndarray:
-    """The Helmert basis of the vectors orthogonal to all-ones in R^n: column
-    k - 1 is (1, ..., 1, -k, 0, ..., 0) / sqrt(k (k + 1)), with k ones."""
-    rows = np.arange(n)[:, None]
-    k = np.arange(1, n)[None, :]
-    return ((rows < k) - k * (rows == k)) / np.sqrt(k * (k + 1.0))
-
-
 def build_st_span_program(n: int, s: int, t: int) -> SpanProgram:
     """The st-connectivity span program on [n]: V = R^n, A|u,v> = |u> - |v>,
     tau = |s> - |t>; the pair-{u,v} input bit selects both ordered coordinates.
@@ -281,12 +273,14 @@ def build_st_span_program(n: int, s: int, t: int) -> SpanProgram:
     at every position, so H(x) is one run of identity blocks and A(x) the
     columns of the present edges, whose Gram is 2 L_G.
 
-    A A^T = 2 (n I - J), so col(A) is the complement of the all-ones vector
-    and all n - 1 nonzero singular values are sqrt(2n): the program carries
-    those factors (supply_factors), takes no SVD of A and forms no row basis
-    of it.  An n whose dim_h = n (n - 1) exceeds
-    spanprog.INCIDENCE_DIM_H_CAP (n above 2048) is refused with
-    ProgramSizeError before anything is allocated."""
+    A A^T = 2 (n I - J) is an exact n x n matrix, and the program factors A
+    by one eigh of it, as it factors A(x) by one eigh of 2 L_G: col(A) is
+    the complement of the all-ones vector and all n - 1 nonzero singular
+    values are sqrt(2n).  No SVD of A is taken and no row basis of it is
+    formed, except at n = 2, where A is square and is factored by an SVD.
+    An n whose dim_h = n (n - 1) exceeds spanprog.INCIDENCE_DIM_H_CAP
+    (n above 2048) is refused with ProgramSizeError before anything is
+    allocated."""
     if n < 2:
         raise ValueError("need at least two vertices")
     if not (0 <= s < n and 0 <= t < n) or s == t:
@@ -301,7 +295,7 @@ def build_st_span_program(n: int, s: int, t: int) -> SpanProgram:
     tau[s], tau[t] = 1.0, -1.0
     tau.setflags(write=False)
     subspaces = Subspaces.per_symbol(n_inputs, {0: np.zeros((2, 0)), 1: np.eye(2)})
-    program = SpanProgram(
+    return SpanProgram(
         n=n_inputs,
         q=2,
         dim_h=dim_h,
@@ -313,7 +307,6 @@ def build_st_span_program(n: int, s: int, t: int) -> SpanProgram:
         a=a,
         tau=tau,
     )
-    return supply_factors(program, _ones_complement_basis(n), np.full(n - 1, math.sqrt(2.0 * n)))
 
 
 def graph_input(g: Graph) -> tuple[int, ...]:

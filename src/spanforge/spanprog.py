@@ -18,15 +18,17 @@ matrix.  The store holds the distinct H_{j,a} matrices and an n x q table of
 their ids; a program whose positions share one matrix per symbol gives it
 per symbol (Subspaces.per_symbol), which broadcasts one row of ids, so
 neither a per-key dict nor a per-key check is made.  A program factors A
-once per Tolerances, by one SVD or from factors U_r, Sigma supplied by its
-builder (supply_factors), and solves w0 through the factors.  Supplied
-factors are checked and read in V: w0 = A^T U_r Sigma^-2 U_r^T tau, and the
-row basis V_r = A^T U_r Sigma^-1 is formed only when a caller reads it.
-input_factors factors A(x) once, by one eigh of its exact Gram
-G(x) = A(x) A(x)^T when A is incidence columns and A(x) is wider than tall,
-and by one SVD otherwise, and decides once whether tau lies in col A(x);
-the six witness quantities (exact and min-error, both signs) and the kappa
-bound all read that InputFactors.
+once per Tolerances and solves w0 through the factors, by the rule
+input_factors follows for A(x): an incidence A wider than tall, such as
+the st program's, is read through one eigh of its exact Gram A A^T, which
+gives w0 = A^T U_r Sigma^-2 U_r^T tau and forms the row basis
+V_r = A^T U_r Sigma^-1 only when a caller reads it; every other A is
+factored by one SVD, the Gram route's oracle.  input_factors factors A(x)
+once, by one eigh of its exact Gram G(x) = A(x) A(x)^T when A is incidence
+columns and A(x) is wider than tall, and by one SVD otherwise, and decides
+once whether tau lies in col A(x); one helper, _gram_factors, holds the
+Gram route and its rank cut for both.  The six witness quantities (exact
+and min-error, both signs) and the kappa bound all read that InputFactors.
 Infeasible sizes are math.inf.  scaled_factors reads the factors of
 scale(program, beta) from the parent's A = U_r Sigma V_r^T with one SVD of
 an (r+1) x (r+1) matrix, for the threshold rounds that would otherwise
@@ -40,6 +42,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import operator
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -88,10 +91,8 @@ DENSE_A_ENTRY_CAP = 2**28
 # dim_h-length vectors only: at the cap one float64 vector takes 34 MB and
 # the two index arrays of A 67 MB; the st program reaches it at n = 2048
 INCIDENCE_DIM_H_CAP = 2**22
-# supplied factors of A must reproduce it to this many times sigma_max
-SUPPLIED_FACTOR_RTOL = 1e-10
-# input_factors' floor on the eigenvalues of a Gram G(x), per row of A and
-# relative to sigma_max(A)^2: the kernel eigenvalues of 2 L_G measured at
+# the Gram route's floor on the eigenvalues of A A^T or G(x), per row of A
+# and relative to sigma_max(A)^2: the kernel eigenvalues of 2 L_G measured at
 # most 0.14 dim_v eps relative, over random graphs cut in two, n <= 800
 GRAM_NOISE_RTOL = 10.0 * np.finfo(float).eps
 
@@ -142,7 +143,10 @@ class Incidence:
 
     def __post_init__(self):
         for name in ("plus", "minus"):
-            arr = np.array(getattr(self, name), dtype=np.intp)
+            given = np.asarray(getattr(self, name))
+            if given.size and given.dtype.kind not in "iu":
+                raise StructuralError(f"incidence rows must be integers, got {given.dtype}")
+            arr = np.array(given, dtype=np.intp)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         plus, minus = self.plus, self.minus
@@ -408,9 +412,7 @@ class SpanProgram:
     A is a dense matrix or an Incidence, kept as given; a_mat is A as a
     dense matrix in either case.  A dense A and tau are kept as given when
     they already are read-only float arrays that own their data, and copied
-    read-only otherwise.  Factors of A given by supply_factors are kept
-    beside the factorizations, not as a field, so dataclasses.replace drops
-    them.
+    read-only otherwise.
     """
 
     n: int
@@ -426,7 +428,6 @@ class SpanProgram:
 
     def __post_init__(self):
         object.__setattr__(self, "_factorizations", {})
-        object.__setattr__(self, "_supplied", None)
         if not isinstance(self.a, Incidence):
             object.__setattr__(self, "a", freeze(np.atleast_2d(self.a)))
         object.__setattr__(self, "tau", freeze(np.asarray(self.tau, dtype=float)))
@@ -447,8 +448,8 @@ class SpanProgram:
     @property
     def a_mat(self) -> np.ndarray:
         """A as a dense read-only matrix: the array itself for a dense A, and
-        formed anew from incidence columns, for the oracle, an SVD of an
-        incidence A without supplied factors, scale, verify and the tests.
+        formed anew from incidence columns, for the oracle, the SVD of a
+        tall incidence A, scale, verify and the tests.
         The witness code reads A through A v, A^T u and A A^T instead.
         Raises ProgramSizeError, before allocating, above DENSE_A_ENTRY_CAP."""
         if not isinstance(self.a, Incidence):
@@ -459,16 +460,27 @@ class SpanProgram:
         return mat
 
     def factorization(self, tols: Tolerances = DEFAULT_TOLS) -> Factorization:
-        """A's factorization under tols: computed on first use, from the
-        supplied factors when there are any and from one SVD of A otherwise,
-        then kept on the program, whose A and tau are read-only."""
+        """A's factorization under tols: computed on first use, through
+        A A^T for an incidence A wider than tall and by one SVD of A
+        otherwise, then kept on the program, whose A and tau are read-only."""
         fact = self._factorizations.get(tols)
         if fact is None:
             fact = self._factorizations[tols] = _factorize(self, tols)
         return fact
 
     def check_input(self, x: Sequence[int]) -> tuple[int, ...]:
-        x = tuple(map(int, x))
+        """x as a tuple of ints.  A symbol is a Python or numpy int or bool,
+        read with operator.index so that none is truncated; StructuralError
+        for any other symbol, a length other than n or a symbol outside
+        [0, q)."""
+        x = tuple(x)
+        try:
+            x = tuple(map(operator.index, x))
+        except TypeError:
+            # operator.index refuses numpy bools, which are symbols too
+            if not all(isinstance(a, (int, np.integer, np.bool_)) for a in x):
+                raise StructuralError("input symbols must be integers") from None
+            x = tuple(map(int, x))
         if len(x) != self.n:
             raise StructuralError(f"input has length {len(x)}, expected {self.n}")
         if x and not (0 <= min(x) and max(x) < self.q):
@@ -497,26 +509,6 @@ class MinimalWitness:
     n_minus: float
 
 
-class _Supplied:
-    """Factors of A given by a program's builder: an orthonormal basis U_r
-    of col(A) (col_basis) and the nonzero singular values sigma.  The row
-    bases V_r = A^T U_r Sigma^-1 are formed from them only on demand, one
-    per rank cut, and kept; the programs that rescale_target and normalize
-    derive share this object, and so every V_r it forms."""
-
-    def __init__(self, a: np.ndarray | Incidence, col_basis: np.ndarray, sigma: np.ndarray):
-        self.a, self.col_basis, self.sigma = a, col_basis, sigma
-        self._row_bases: dict[int, np.ndarray] = {}
-
-    def row_basis(self, rank: int) -> np.ndarray:
-        basis = self._row_bases.get(rank)
-        if basis is None:
-            basis = self._row_bases[rank] = freeze(
-                _tdot(self.a, self.col_basis[:, :rank]) / self.sigma[:rank]
-            )
-        return basis
-
-
 @dataclass(frozen=True)
 class Factorization:
     """What every computation on one program needs from A, for one Tolerances.
@@ -524,59 +516,91 @@ class Factorization:
     A = U_r diag(sigma) V_r^T, cut at the package's rank tolerance:
     col_basis is U_r (dim_v x rank), sigma the nonzero singular values and
     row_basis V_r (dim_h x rank), with sigma_max the largest singular value.
-    From one SVD of A all three are at hand.  From supplied factors V_r =
-    A^T U_r Sigma^-1 is formed only when a caller reads row_basis (the
-    oracle's kernel projector and the tests); the estimators read A through
-    U_r and Sigma alone (row_witness, and C(x) in spectral.row_space_cross).
-    witness is w0 = A^+ tau, solved through the factors, with N_+ and N_-;
-    when no positive witness exists it is None and infeasible says why.
+    rows holds V_r when A was factored by one SVD, and is None when A was
+    read through its Gram: there V_r = A^T U_r Sigma^-1 is formed only when
+    a caller reads row_basis (the oracle's kernel projector and the tests),
+    once, and the copies _rescaled makes share it.  The estimators read A
+    through U_r and Sigma alone (row_witness, and C(x) in
+    spectral.row_space_cross).  witness is w0 = A^+ tau, solved through
+    the factors, with N_+ and N_-; when no positive witness exists it is
+    None and infeasible says why.
     """
 
+    # the program's A, which V_r is read from when rows is None
+    _a: np.ndarray | Incidence = dataclasses.field(repr=False)
     col_basis: np.ndarray
     sigma: np.ndarray
-    rows: np.ndarray | _Supplied  # the SVD's V_r, or the supplied factors
+    rows: Optional[np.ndarray]
     sigma_max: float
     witness: Optional[MinimalWitness]
     infeasible: str = ""
-
-    @property
-    def supplied(self) -> bool:
-        """Whether the factors were supplied, so that V_r is formed only on demand."""
-        return isinstance(self.rows, _Supplied)
+    # V_r once formed when rows is None; dataclasses.replace hands this
+    # same list on, so a copy and its original form it once between them
+    _formed: list = dataclasses.field(default_factory=list, repr=False, compare=False)
 
     @property
     def row_basis(self) -> np.ndarray:
-        return self.rows.row_basis(self.sigma.size) if self.supplied else self.rows
+        if self.rows is not None:
+            return self.rows
+        if not self._formed:
+            basis = _tdot(self._a, self.col_basis)
+            basis /= self.sigma
+            basis.setflags(write=False)
+            self._formed.append(basis)
+        return self._formed[0]
 
     def row_witness(self, tau: np.ndarray) -> np.ndarray:
-        """y = V_r^T w0 for the witness w0 of tau: Sigma^-1 U_r^T tau from
-        supplied factors, with no V_r formed, and V_r^T w0 from an SVD's."""
-        if self.supplied:
+        """y = V_r^T w0 for the witness w0 of tau: V_r^T w0 with V_r held,
+        and Sigma^-1 U_r^T tau, with no V_r formed, otherwise."""
+        if self.rows is None:
             return (self.col_basis.T @ tau) / self.sigma
-        return self.row_basis.T @ self.witness.w0
+        return self.rows.T @ self.witness.w0
+
+
+def _gram_factors(
+    gram: np.ndarray, tols: Tolerances, a_scale: Optional[float] = None
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The factors of a matrix M read from one eigh of its exact Gram
+    G = M M^T = U diag(lam) U^T, lam descending: the whole of U, whose first
+    rank columns span col M and the rest its complement, the nonzero
+    singular values sigma = sqrt(lam) over the kept lam, and the reference
+    sigma_max(A): a_scale when given, as for G(x) = A(x) A(x)^T, and
+    sqrt(lam_max) when M is A itself.
+
+    An eigenvalue counts as nonzero iff
+    lam > max(rank_rtol^2, GRAM_NOISE_RTOL dim_v) sigma_max(A)^2.  The first
+    term is the SVD route's cut at rank_rtol sigma_max, squared, so a
+    caller's rank_rtol means the same on both routes.  The second is a floor
+    at eigh's noise: eigh gives lam only to within a few eps ||G||, and
+    ||G|| <= sigma_max^2, so it resolves sigma only to about
+    sqrt(eps) sigma_max, and a squared cut below that would count noise as
+    rank.  At the default rank_rtol the floor is the cut."""
+    lam, u = np.linalg.eigh(gram)
+    lam, u = lam[::-1], u[:, ::-1]
+    if a_scale is None:
+        a_scale = math.sqrt(float(lam[0]))
+    cut = max(tols.rank_rtol**2, GRAM_NOISE_RTOL * gram.shape[0]) * a_scale * a_scale
+    return u, np.sqrt(lam[: np.count_nonzero(lam > cut)]), a_scale
 
 
 def _factorize(program: SpanProgram, tols: Tolerances) -> Factorization:
-    """A's factors from one SVD of the dense A, or from the supplied factors
-    cut at the rank tolerance, and w0 from either: V_r (Sigma^-1 (U_r^T
-    tau)) with the SVD's V_r, A^T (U_r ((U_r^T tau) / sigma^2)) with
-    supplied factors, which forms no V_r and reads A only through A^T u and
-    A v.  Solving through the factors keeps the residual A w0 - tau at
-    rounding size however small a kept singular value is; no A^+ is
-    formed."""
-    a, tau, supplied = program.a, program.tau, program._supplied
-    if supplied is None:
+    """A's factors, and w0 from them.  An incidence A wider than tall is
+    read through _gram_factors of its exact Gram A A^T, and
+    w0 = A^T (U_r ((U_r^T tau) / sigma^2)) forms no V_r and reads A only
+    through A^T u and A v.  Every other A is factored by one SVD of the
+    dense A, and w0 = V_r (Sigma^-1 (U_r^T tau)) with the SVD's V_r.
+    Solving through the factors keeps the residual A w0 - tau at rounding
+    size however small a kept singular value is; no A^+ is formed."""
+    a, tau = program.a, program.tau
+    if isinstance(a, Incidence) and a.shape[1] > a.shape[0]:
+        u, sigma, top = _gram_factors(a.gram(), tols)
+        col_basis, sigma, rows = freeze(u[:, : sigma.size]), freeze(sigma), None
+        w0 = a.tdot(col_basis @ ((col_basis.T @ tau) / (sigma * sigma)))
+    else:
         col_basis, sigma, rows, top = svd_factors(program.a_mat, tols)
         col_basis, sigma, rows = freeze(col_basis), freeze(sigma), freeze(rows)
         w0 = rows @ ((col_basis.T @ tau) / sigma)
-    else:
-        col_basis, sigma, rows = supplied.col_basis, supplied.sigma, supplied
-        top = float(sigma[0]) if sigma.size else 0.0
-        rank = _rank(sigma, tols, None)
-        if rank < sigma.size:
-            col_basis, sigma = col_basis[:, :rank], sigma[:rank]
-        w0 = _tdot(a, col_basis @ ((col_basis.T @ tau) / (sigma * sigma)))
-    parts = (col_basis, sigma, rows, top)
+    parts = (a, col_basis, sigma, rows, top)
     image = _dot(a, w0)
     if np.linalg.norm(image - tau) > tols.membership_rtol * np.linalg.norm(tau):
         return Factorization(*parts, None, "tau is not in col(A); no positive witness exists")
@@ -586,61 +610,6 @@ def _factorize(program: SpanProgram, tols: Tolerances) -> Factorization:
     return Factorization(
         *parts, MinimalWitness(w0=freeze(w0), n_plus=n_plus, n_minus=1.0 / n_plus)
     )
-
-
-def supplied_residual(program: SpanProgram) -> Optional[float]:
-    """How far program's supplied factors are from factoring A: the worst
-    of ||(A A^T U_r - U_r Sigma^2) Sigma^-1|| / sigma_max, which is
-    ||A V_r - U_r Sigma|| / sigma_max for V_r = A^T U_r Sigma^-1 read in V
-    with no V_r formed, ||U_r^T U_r - I|| and ||A^T W|| / sigma_max, W an
-    orthonormal basis of the complement of span U_r (so the last is the
-    part of col A outside span U_r), in Frobenius norm; inf when sigma is
-    not positive and non-increasing.  None when A is factored by an SVD.
-    A is read through A A^T and A^T W, so an incidence A is not formed."""
-    if program._supplied is None:
-        return None
-    col_basis, sigma = program._supplied.col_basis, program._supplied.sigma
-    a = program.a
-    gram = _gram(a)
-    if sigma.size == 0:
-        return math.inf if gram.any() else 0.0
-    if not (sigma[-1] > 0.0 and np.all(np.diff(sigma) <= 0.0)):
-        return math.inf
-    top = float(sigma[0])
-    off = np.linalg.qr(col_basis, mode="complete")[0][:, sigma.size :]
-    # ||A^T W|| itself, not sqrt(tr(W^T A A^T W)): the square root of a
-    # rounding-size trace would keep only half its digits
-    return max(
-        float(np.linalg.norm((gram @ col_basis - col_basis * sigma**2) / sigma)) / top,
-        float(np.linalg.norm(col_basis.T @ col_basis - np.eye(sigma.size))),
-        float(np.linalg.norm(_tdot(a, off))) / top,
-    )
-
-
-def supply_factors(
-    program: SpanProgram, col_basis: np.ndarray, sigma: np.ndarray
-) -> SpanProgram:
-    """A copy of program that reads A's factors from an orthonormal basis
-    U_r of col(A) (col_basis) and A's nonzero singular values sigma, in
-    non-increasing order, instead of taking an SVD of A; V_r = A^T U_r
-    Sigma^-1 is formed only on demand.  They are checked here, once:
-    StructuralError unless supplied_residual is at most
-    SUPPLIED_FACTOR_RTOL.  rescale_target and normalize, which keep A, pass
-    them on; scale builds a new A and factors it."""
-    col_basis, sigma = freeze(col_basis), freeze(np.atleast_1d(sigma))
-    if col_basis.ndim != 2 or col_basis.shape != (program.dim_v, sigma.size):
-        raise StructuralError(
-            f"col_basis has shape {col_basis.shape}, expected ({program.dim_v}, {sigma.size})"
-        )
-    child = dataclasses.replace(program)
-    object.__setattr__(child, "_supplied", _Supplied(child.a, col_basis, sigma))
-    residual = supplied_residual(child)
-    if not residual <= SUPPLIED_FACTOR_RTOL:
-        raise StructuralError(
-            f"the supplied factors do not factor A: residual {residual:.3e} "
-            f"above {SUPPLIED_FACTOR_RTOL:.0e}"
-        )
-    return child
 
 
 @dataclass(frozen=True)
@@ -664,8 +633,8 @@ class WitnessReport:
 
 
 def validate(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS) -> ValidationReport:
-    """Check the model invariants: disjoint covering blocks, spanning
-    subspaces and, when A's factors are supplied, that they factor A."""
+    """Check the model invariants: disjoint covering blocks and spanning
+    subspaces."""
     checks: list[tuple[str, bool, str]] = []
 
     all_blocks = list(program.input_blocks) + [program.true_block, program.false_block]
@@ -692,16 +661,6 @@ def validate(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS) -> Validatio
                 f"subspaces-span-H_{j}",
                 spanning,
                 "H_{j,1} + ... + H_{j,q} must equal H_j",
-            )
-        )
-
-    residual = supplied_residual(program)
-    if residual is not None:
-        checks.append(
-            (
-                "supplied-factors",
-                residual <= SUPPLIED_FACTOR_RTOL,
-                f"the supplied U_r, Sigma factor A: residual {residual:.3e}",
             )
         )
     return ValidationReport(tuple(checks))
@@ -845,13 +804,21 @@ class InputFactors:
         """A(x)^T u, through A's columns."""
         return restrict(_tdot(self.a, u)[None, :], self.q_h)[0]
 
+    def _gram_solve(self, v: np.ndarray) -> np.ndarray:
+        """A(x)^T U_x S_x^-2 U_x^T v, through A's columns."""
+        return self._rows(self.col_basis @ ((self.col_basis.T @ v) / self.sigma / self.sigma))
+
     def solve(self, v: np.ndarray) -> np.ndarray:
-        """A(x)^+ v: V_x S_x^-1 U_x^T v, or A(x)^T U_x S_x^-2 U_x^T v through
-        A's columns when no V_x is held."""
-        coef = (self.col_basis.T @ v) / self.sigma
+        """A(x)^+ v: V_x S_x^-1 U_x^T v when V_x is held.  Through the Gram,
+        w = A(x)^T U_x S_x^-2 U_x^T v keeps eigh's error of about
+        kappa(G(x)) eps relative (7.6e-12 in ||w||^2 on the path of 200
+        vertices), so one step of refinement, w + A(x)^+ (v - A(x) w),
+        follows, with A(x) w read through A's columns."""
         if self.row_vectors is not None:
-            return self.row_vectors @ coef
-        return self._rows(self.col_basis @ (coef / self.sigma))
+            return self.row_vectors @ ((self.col_basis.T @ v) / self.sigma)
+        w = self._gram_solve(v)
+        image = _dot(self.a, _lift(self.a.shape[1], self.q_h, w))  # A(x) w
+        return w + self._gram_solve(v - image)
 
     def positive_size(self, tau: np.ndarray) -> float:
         """w_+ = ||A(x)^+ tau||^2 for tau in col A(x): ||S_x^-1 U_x^T tau||^2
@@ -891,17 +858,10 @@ def input_factors(
     """Q_H, Q_perp and the factors of A(x) for x.
 
     An incidence A(x) wider than tall is read through its exact Gram
-    G(x) = A(x) A(x)^T (2 L_G for the st program) and one dim_v x dim_v
-    eigh, G(x) = U diag(lam) U^T: U_x and Z are U's columns, S_x = sqrt(lam),
-    and no V_x is formed.  An eigenvalue counts as nonzero iff
-    lam > max(rank_rtol^2, GRAM_NOISE_RTOL dim_v) sigma_max(A)^2.  The first
-    term is the SVD route's cut at rank_rtol sigma_max, squared, so a
-    caller's rank_rtol means the same on both routes.  The second is a floor
-    at eigh's noise: eigh gives lam only to within a few eps ||G(x)||, and
-    ||G(x)|| <= sigma_max^2, so it resolves sigma only to about
-    sqrt(eps) sigma_max, and a squared cut below that would count noise as
-    rank.  At the default rank_rtol the floor is the cut.  For the st
-    program the nonzero lam are 2 lambda_k(L_G) >= 8/n^2 against
+    G(x) = A(x) A(x)^T (2 L_G for the st program) by _gram_factors, one
+    dim_v x dim_v eigh cut against sigma_max(A) from A's factorization:
+    U_x and Z are the eigenvectors, S_x = sqrt(lam), and no V_x is formed.
+    For the st program the nonzero lam are 2 lambda_k(L_G) >= 8/n^2 against
     sigma_max(A)^2 = 2n, so lam / sigma_max^2 >= 4/n^3: about 100 times the
     floor at n = 2048, the largest n within INCIDENCE_DIM_H_CAP.  On either
     route a rank_rtol above 2 n^-1.5, the bound on sigma_min / sigma_max,
@@ -915,11 +875,8 @@ def input_factors(
     q_h, q_perp = subspace_blocks(program, x, tols)
     a_scale = program.factorization(tols).sigma_max
     if isinstance(program.a, Incidence) and _width(q_h) > program.dim_v:
-        lam, u = np.linalg.eigh(_input_gram(program.a, q_h))
-        lam, u = lam[::-1], u[:, ::-1]
-        cut = max(tols.rank_rtol**2, GRAM_NOISE_RTOL * program.dim_v) * a_scale * a_scale
-        r = int(np.count_nonzero(lam > cut))
-        s, vt = np.sqrt(lam[:r]), None
+        u, s, _ = _gram_factors(_input_gram(program.a, q_h), tols, a_scale)
+        r, vt = s.size, None
     else:
         a_x = restrict(program.a, q_h)
         u, s, vt = np.linalg.svd(a_x, full_matrices=a_x.shape[1] < a_x.shape[0])
@@ -1105,12 +1062,10 @@ def rescale_target(program: SpanProgram, factor: float) -> SpanProgram:
     parent already holds: the same read-only U_r, Sigma, V_r and sigma_max,
     with witness factor * w0, N_+ times factor^2 and N_- over factor^2, or
     the parent's reason for having none.  A Tolerances the parent has not
-    factored under is factored on the new program's first use, from the
-    parent's supplied factors when it has them."""
+    factored under is factored on the new program's first use."""
     if factor <= 0:
         raise ValueError("target rescaling factor must be positive")
     child = dataclasses.replace(program, tau=factor * program.tau)
-    object.__setattr__(child, "_supplied", program._supplied)
     for tols, fact in program._factorizations.items():
         child._factorizations[tols] = _rescaled(fact, factor)
     return child

@@ -13,12 +13,12 @@ reflections turns by pi - 2 phi = 2 arcsin(cos phi).  The angles are those
 of the cross matrix C(x) = V_r^T Q_H(x), which RowSpaceCross holds as an
 r-row factor with the same C C^T, and the measures read w0 as
 y = V_r^T w0; no dim_h x dim_h array is formed.  With A factored by an
-SVD, the factor comes from one QR of C(x)^T.  With factors U_r, Sigma
-supplied by the program's builder, V_r is never formed: y = Sigma^-1 U_r^T
-tau, and C(x) = Sigma^-1 U_r^T A(x) is read through the factors
-A(x) A(x)^T = U_x S_x^2 U_x^T that spanprog.input_factors holds, so the
-factor is rank-sized and no array as wide as A(x) is made.  For the st
-program those factors come from one eigh of A(x) A(x)^T = 2 L_G, and
+SVD, which holds V_r, the factor comes from one QR of C(x)^T.  With A read
+through its Gram A A^T, as the st program's is, V_r is never formed:
+y = Sigma^-1 U_r^T tau, and C(x) = Sigma^-1 U_r^T A(x) is read through the
+factors A(x) A(x)^T = U_x S_x^2 U_x^T that spanprog.input_factors holds,
+so the factor is rank-sized and no array as wide as A(x) is made.  For the
+st program those factors come from one eigh of A(x) A(x)^T = 2 L_G, and
 neither A(x) nor its right singular vectors are formed.  An estimator,
 which holds x's InputFactors, forms C(x) from them and reads the measure
 with input_measure_U or input_measure_Uprime, so H(x) is walked once per
@@ -321,15 +321,15 @@ class RowSpaceCross:
 def row_space_cross(
     program: SpanProgram, x: Sequence[int], f: InputFactors, tols: Tolerances = DEFAULT_TOLS
 ) -> RowSpaceCross:
-    """RowSpaceCross of x from its InputFactors f.  With V_r from an SVD of
-    A, F = R^T from the QR factorization C(x)^T = W R of the gather or
-    product V_r^T Q_H.  With supplied factors no V_r is formed:
+    """RowSpaceCross of x from its InputFactors f.  With V_r held from an
+    SVD of A, F = R^T from the QR factorization C(x)^T = W R of the gather
+    or product V_r^T Q_H.  With A read through its Gram no V_r is formed:
     C(x) = Sigma^-1 U_r^T A(x), and A(x) = U_x S_x V_x^T, from f's SVD or
     Gram, gives F = C(x) V_x = Sigma^-1 (U_r^T U_x) S_x, r x rank A(x), with
     neither V_x nor any matrix as wide as A(x) formed; directions of H(x)
     that A(x)'s rank cut drops carry at most that cut's share of C C^T."""
     fact = program.factorization(tols)
-    if fact.supplied:
+    if fact.rows is None:
         factor = (fact.col_basis.T @ f.col_basis) * f.sigma / fact.sigma[:, None]
     else:
         factor = np.linalg.qr(restrict(fact.row_basis.T, f.q_h).T, mode="r").T

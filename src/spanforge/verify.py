@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import DEFAULT_TOLS, Tolerances, intersection_dims, sigma_max
+from ._linalg import DEFAULT_TOLS, Tolerances, intersection_dims, svd_factors
 from .generators import (
     all_inputs,
     random_graph,
@@ -30,7 +30,7 @@ from .resistance import (
 )
 from .qsim import outcome_zero_probability
 from .spanprog import input_factors, minimal_negative_value, minimal_witness, normalize, scale
-from .spanprog import subspace_projector, supplied_residual, witness_report
+from .spanprog import subspace_projector, witness_report
 from .spectral import build_U, build_Uprime, decompose_orthogonal, discriminant, kappa_bound
 from .spectral import measure_U, measure_Uprime
 
@@ -331,11 +331,16 @@ def suite_kappa(trials: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> list
         lam = lambda2(g)
         if lam > 1e-9:
             worst_sigma = max(worst_sigma, abs(float(factors.sigma[-1]) - math.sqrt(2.0 * lam)))
-        # a_scale is the supplied sqrt(2n); a dense SVD of A checks it
+        # A's factors come from one eigh of A A^T; a dense SVD of A checks
+        # sigma_max = sqrt(2n), every sigma and the projector U_r U_r^T
+        fact = program.factorization(tols)
+        col_basis, sigma, _, top = svd_factors(program.a_mat, tols)
         worst_sigma = max(
             worst_sigma,
-            abs(factors.a_scale - sigma_max(program.a_mat)),
-            supplied_residual(program),
+            abs(factors.a_scale - top),
+            float(np.max(np.abs(fact.sigma - sigma)))
+            if fact.sigma.shape == sigma.shape else math.inf,
+            float(np.max(np.abs(fact.col_basis @ fact.col_basis.T - col_basis @ col_basis.T))),
         )
         res = exact_resistance(g)
         if math.isfinite(res) and len(g.edges) <= 8:
@@ -349,8 +354,8 @@ def suite_kappa(trials: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> list
         _residual_check("kappa/gap-bound-Uprime", worst_up, 1e-8,
                         "same bound for U'(P, x) on positive inputs"),
         _residual_check("kappa/graph-singular-values", worst_sigma, 1e-8,
-                        "sigma_max(A) = sqrt(2n) against a dense SVD, the supplied factors "
-                        "reproduce A, and sigma_min(A(x)) = sqrt(2 lambda2)"),
+                        "A's Gram-route sigma_max = sqrt(2n), sigma and U_r U_r^T against "
+                        "a dense SVD, and sigma_min(A(x)) = sqrt(2 lambda2)"),
         _residual_check("kappa/resistance-oracles", worst_res, 1e-8,
                         "Laplacian pseudo-inverse vs cycle-space flow minimization, and w+ = R/2"),
     ]

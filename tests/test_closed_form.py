@@ -1,9 +1,10 @@
-"""The st program's closed-form factors of A and the Gram route of A(x)
-against a dense A and the SVD route, the per-symbol subspace stores of the
-st and OR programs against stores keyed by (j, a), the identity-run walk of
-H(x) against a block-by-block reference, the guards on supplied factors and
-per-symbol stores, the memory one estimate holds, what an estimate forms
-and imports, and the refusal of an st program too large to hold."""
+"""The Gram route of the st program's A and A(x) against a dense A and the
+SVD route, the per-symbol subspace stores of the st and OR programs against
+stores keyed by (j, a), the identity-run walk of H(x) against a
+block-by-block reference, the guards on incidence columns and per-symbol
+stores, the factors derived programs share, the memory one estimate holds,
+what an estimate forms and imports, and the refusal of an st program too
+large to hold."""
 
 import dataclasses
 import math
@@ -55,8 +56,6 @@ from spanforge.spanprog import (
     scale,
     subspace_blocks,
     subspace_projector,
-    supplied_residual,
-    supply_factors,
     validate,
     witness_report,
 )
@@ -76,10 +75,12 @@ ST_SIZES = (2, 3, 4, 8, 16, 32, 64)
 
 
 def svd_route(program):
-    """The same program with a dense A and no supplied factors: A and A(x)
-    each by one SVD."""
+    """The same program with a dense A: A and A(x) each by one SVD.  The
+    incidence program itself reads A through its Gram, unless A is no wider
+    than tall."""
     twin = dataclasses.replace(program, a=program.a_mat)
-    assert supplied_residual(twin) is None and isinstance(twin.a, np.ndarray)
+    assert isinstance(program.a, Incidence) and isinstance(twin.a, np.ndarray)
+    assert (program.factorization().rows is None) == (program.dim_h > program.dim_v)
     return twin
 
 
@@ -135,7 +136,7 @@ def test_closed_form_inputs_measures_and_witnesses_match_the_svd_route(n):
     program = build_st_span_program(n, s, t)
     oracle = svd_route(program)
     unit, unit_oracle = normalize(program), normalize(oracle)
-    # the supplied route reads row(A) in its own basis V_r = A^T U_r Sigma^-1;
+    # the Gram route reads row(A) in its own basis V_r = A^T U_r Sigma^-1;
     # rot takes its coordinates to those of the SVD's V_r
     rot = oracle.factorization().row_basis.T @ program.factorization().row_basis
     y_mine = unit.factorization().row_witness(unit.tau)
@@ -193,7 +194,9 @@ def test_incidence_columns_give_a_through_four_exact_operations():
     cols = np.array([0, 3, 3, 17, 29])
     assert same_bits(a.column_gram(cols), dense[:, cols] @ dense[:, cols].T)
     assert same_bits(a.columns(cols), dense[:, cols])
-    for args in ((7, [0, 1], [1]), (7, [0, 7], [1, 2]), (7, [0, 2], [1, 2]), (7, [-1], [0])):
+    malformed = ((7, [0, 1], [1]), (7, [0, 7], [1, 2]), (7, [0, 2], [1, 2]), (7, [-1], [0]),
+                 (3, [0.7, 2.9], [1.2, 0.0]))
+    for args in malformed:
         with pytest.raises(StructuralError):
             Incidence(*args)
 
@@ -271,6 +274,11 @@ def test_gram_route_matches_a_dense_a_and_the_svd_route(name):
     np.testing.assert_allclose(mine.sigma, theirs.sigma, rtol=1e-11)
     if mine.positive:
         assert close(positive_witness(program, x, tols)[1], positive_witness(twin, x, tols)[1])
+        if name == "path-200":
+            # the witness vector itself, refined once, has R_st / 2 = 99.5 as
+            # its squared norm
+            w = positive_witness(program, x, tols)[0]
+            assert abs(w @ w - 99.5) <= 1e-13 * 99.5
     else:
         assert close(negative_witness(program, x, tols)[1], negative_witness(twin, x, tols)[1])
 
@@ -424,13 +432,15 @@ def test_st_program_reads_h_x_and_c_x_as_one_gather():
 def keyed_store_twin(program):
     """program with its subspaces given as a dict keyed by (j, a), one
     zeros((2, 0)) and one eye(2) shared by every position as the builder
-    once gave them, the same incidence A and the same supplied factors."""
+    once gave them, and the same incidence A, which both read through its
+    Gram unless it is no wider than tall."""
     empty, whole = np.zeros((2, 0)), np.eye(2)
     keyed = {(j, a): whole if a else empty for j in range(program.n) for a in range(2)}
-    fact = program.factorization()
     twin = dataclasses.replace(program, subspaces=keyed)
     assert twin.a is program.a and isinstance(twin.a, Incidence)
-    return supply_factors(twin, fact.col_basis, fact.sigma)
+    for p in (program, twin):
+        assert (p.factorization().rows is None) == (p.dim_h > p.dim_v)
+    return twin
 
 
 def keyed_or_twin(program):
@@ -534,10 +544,11 @@ def test_a_walk_of_decided_bases_sorts_no_ids(monkeypatch):
 
 
 def test_estimates_on_supplied_factors_form_no_row_basis(monkeypatch):
+    # the st program reads A through its Gram, so no estimate reads V_r
     def forbidden(*args, **kwargs):
-        raise AssertionError("an estimate formed V_r of supplied factors")
+        raise AssertionError("an estimate formed V_r of A")
 
-    monkeypatch.setattr(spanprog._Supplied, "row_basis", forbidden)
+    monkeypatch.setattr(spanprog.Factorization, "row_basis", property(forbidden))
     g = graph(8, [(0, 1), (1, 2), (2, 3), (3, 7), (0, 4), (4, 5), (5, 7), (2, 6)], 0, 7)
     for method, mu in ((EFFECTIVE_GAP, None), (REAL_GAP, lambda2(g))):
         report = estimate_resistance(g, 0.3, method, np.random.default_rng(2), QueryLedger(),
@@ -595,7 +606,7 @@ def forbidden(*args, **kwargs):
     raise AssertionError("an estimate formed the dense A or V_r")
 
 spanprog.SpanProgram.a_mat = property(forbidden)
-spanprog._Supplied.row_basis = forbidden
+spanprog.Factorization.row_basis = property(forbidden)
 svd = np.linalg.svd
 
 def narrow(mat, *args, **kwargs):
@@ -637,10 +648,23 @@ def count_svds(monkeypatch, shape):
     return seen
 
 
+def count_eighs(monkeypatch, gram):
+    """A list that grows by one for every eigh of a matrix equal to gram."""
+    eigh, seen = np.linalg.eigh, []
+
+    def recording(mat, *args, **kwargs):
+        if np.shape(mat) == gram.shape and np.array_equal(mat, gram):
+            seen.append(gram.shape)
+        return eigh(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return seen
+
+
 def test_scale_of_a_supplied_program_factors_its_own_a(monkeypatch):
     program = build_st_span_program(6, 0, 5)
     scaled = scale(program, 0.5)
-    assert supplied_residual(scaled) is None
+    assert isinstance(scaled.a, np.ndarray)
     svds = count_svds(monkeypatch, scaled.a_mat.shape)
     fact = scaled.factorization()
     assert len(svds) == 1
@@ -649,43 +673,23 @@ def test_scale_of_a_supplied_program_factors_its_own_a(monkeypatch):
 
 
 def test_rescale_target_and_normalize_keep_the_supplied_factors(monkeypatch):
-    program = build_st_span_program(7, 1, 3)  # not factored yet
+    # normalize factors the parent, by one eigh of A A^T, and both children
+    # share those factors, V_r formed on demand included
+    program = build_st_span_program(7, 1, 3)
     svds = count_svds(monkeypatch, program.a_mat.shape)
-    for child in (rescale_target(program, 3.0), normalize(program)):
-        assert supplied_residual(child) == supplied_residual(program)
+    eighs = count_eighs(monkeypatch, program.a.gram())
+    for child in (normalize(program), rescale_target(program, 3.0)):
         fact, parent = child.factorization(), program.factorization()
+        assert fact.rows is None
         assert fact.col_basis is parent.col_basis and fact.row_basis is parent.row_basis
         assert validate(child).ok
-    assert svds == []
-    # dataclasses.replace drops them: the copy factors A by one SVD
-    svd_route(program).factorization()
-    assert len(svds) == 1
-
-
-def test_supplied_factors_that_do_not_factor_a_are_refused():
-    program = build_st_span_program(5, 0, 4)
-    fact = program.factorization()
-    col, sigma = np.array(fact.col_basis), np.array(fact.sigma)
-    wrong = {
-        "not orthonormal": (2.0 * col, sigma / 2.0),
-        "another subspace": (np.eye(5)[:, :4], sigma),
-        "wrong singular values": (col, 1.01 * sigma),
-        "increasing": (col, sigma * np.linspace(0.9, 1.1, 4)),
-        "zero": (col, np.append(sigma[:3], 0.0)),
-        "missing a direction": (col[:, :3], sigma[:3]),
-    }
-    for u_r, s in wrong.values():
-        with pytest.raises(StructuralError, match="do not factor A"):
-            supply_factors(program, u_r, s)
-    with pytest.raises(StructuralError, match="shape"):
-        supply_factors(program, col.T, sigma)
-    report = validate(program)
-    assert report.ok and report.checks[-1][0] == "supplied-factors"
-    # a random program's own SVD factors may be supplied back to it
-    other = random_span_program(np.random.default_rng([16, 1]))
-    own = other.factorization()
-    given = supply_factors(other, own.col_basis, own.sigma)
-    np.testing.assert_allclose(given.factorization().witness.w0, own.witness.w0, atol=RTOL)
+    assert svds == [] and len(eighs) == 1
+    # a copy by dataclasses.replace factors A anew: by one more eigh, or by
+    # one SVD when A is dense
+    dataclasses.replace(program).factorization()
+    assert svds == [] and len(eighs) == 2
+    dataclasses.replace(program, a=program.a_mat).factorization()
+    assert len(svds) == 1 and len(eighs) == 2
 
 
 def test_st_program_above_the_dense_cap_is_refused_before_allocating():

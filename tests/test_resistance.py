@@ -142,8 +142,9 @@ def test_one_eigh_gives_lambda2_and_resistance_as_eigvalsh_and_pinv_do(monkeypat
         chi[g.s], chi[g.t] = 1.0, -1.0
         assert exact_resistance(g) == pytest.approx(float(chi @ pinv(lap) @ chi), rel=1e-12)
 
-    # an estimate reads both from a single eigendecomposition of L, and A(x)
-    # from one eigendecomposition of its Gram 2 L_G: no other eigh
+    # an estimate reads both from a single eigendecomposition of L, A from
+    # one of its Gram A A^T = 2 (n I - J), and A(x) from one of its Gram
+    # 2 L_G: no other eigh
     eigh, calls = np.linalg.eigh, []
 
     def counting(mat, *args, **kwargs):
@@ -155,8 +156,10 @@ def test_one_eigh_gives_lambda2_and_resistance_as_eigvalsh_and_pinv_do(monkeypat
     mu = lambda2(g)
     calls.clear()
     report = estimate_resistance(g, 0.3, "real-gap", np.random.default_rng(1), QueryLedger(), mu=mu)
-    assert len(calls) == 2
-    assert np.array_equal(calls[0], laplacian(g)) and np.array_equal(calls[1], 2.0 * laplacian(g))
+    assert len(calls) == 3
+    assert np.array_equal(calls[0], laplacian(g))
+    assert np.array_equal(calls[1], 2.0 * (g.n * np.eye(g.n) - np.ones((g.n, g.n))))
+    assert np.array_equal(calls[2], 2.0 * laplacian(g))
     assert report.lambda2 == mu and report.exact == exact_resistance(g)
 
 

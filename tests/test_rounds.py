@@ -224,12 +224,12 @@ def test_witness_estimate_reads_h_x_once_and_rounds_are_rank_sized(monkeypatch):
 
 def test_resistance_estimates_factor_a_once_and_walk_h_x_once(monkeypatch):
     # A(x) is narrower than A here, so an SVD shaped like A is an SVD of A;
-    # the st program reads A's factors in closed form and takes none
+    # the st program factors A by one eigh of its Gram A A^T and takes none
     n = 16
     g = lower_bound_family(n, 1, i=1, j=n // 2)
     x = graph_input(g)
-    blocks_calls, shapes = [], []
-    blocks, svd = spanprog.subspace_blocks, np.linalg.svd
+    blocks_calls, shapes, grams = [], [], []
+    blocks, svd, eigh = spanprog.subspace_blocks, np.linalg.svd, np.linalg.eigh
 
     def counting_blocks(*args, **kwargs):
         blocks_calls.append(args[1])
@@ -239,23 +239,35 @@ def test_resistance_estimates_factor_a_once_and_walk_h_x_once(monkeypatch):
         shapes.append(np.shape(mat))
         return svd(mat, *args, **kwargs)
 
+    def recording_eigh(mat, *args, **kwargs):
+        grams.append(np.array(mat))
+        return eigh(mat, *args, **kwargs)
+
     patch_everywhere(monkeypatch, "subspace_blocks", counting_blocks)
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     program = build_st_span_program(n, g.s, g.t)
     a_shape = (program.dim_v, program.dim_h)
+    a_gram = program.a.gram()
+
+    def eighs_of_a():
+        return sum(np.array_equal(gram, a_gram) for gram in grams)
+
     for method, mu in ((EFFECTIVE_GAP, None), (REAL_GAP, lambda2(g))):
         blocks_calls.clear()
         shapes.clear()
+        grams.clear()
         estimate_resistance(g, 0.25, method, np.random.default_rng(1), QueryLedger(), mu=mu)
         assert len(blocks_calls) == 1
-        assert shapes.count(a_shape) == 0
-    # a program without supplied factors factors A by one SVD
+        assert shapes.count(a_shape) == 0 and eighs_of_a() == 1
+    # a copy by dataclasses.replace factors its own A, by one eigh
     blocks_calls.clear()
     shapes.clear()
+    grams.clear()
     kappa_estimate(dataclasses.replace(program), x, 0.25, math.sqrt(n / lambda2(g)),
                    POSITIVE, np.random.default_rng(1), QueryLedger())
     assert len(blocks_calls) == 1
-    assert shapes.count(a_shape) == 1
+    assert shapes.count(a_shape) == 0 and eighs_of_a() == 1
 
 
 def test_equal_subspaces_are_decided_once_per_store(monkeypatch):

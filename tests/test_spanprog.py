@@ -110,6 +110,21 @@ def test_input_validation():
         subspace_projector(program, (1, 0, 2))  # symbol out of range
 
 
+def test_input_symbols_are_read_without_truncation():
+    # Python and numpy ints and bools are symbols; a float is refused, not
+    # read as the int it truncates to
+    program = or_span_program(3)
+    want = witness_report(program, (1, 0, 0))
+    for x in ((True, 0, 0), (np.int8(1), np.int64(0), 0), (np.True_, np.False_, False),
+              np.array([1, 0, 0])):
+        got = program.check_input(x)
+        assert got == (1, 0, 0) and all(type(a) is int for a in got)
+        assert witness_report(program, x).w_plus == want.w_plus
+    for x in ((0.9, 0, 0), (1.0, 0, 0), ("1", 0, 0), np.array([0.9, 0.0, 0.0])):
+        with pytest.raises(StructuralError, match="integers"):
+            witness_report(program, x)
+
+
 def test_minimal_witness_or():
     program = or_span_program(5)
     mw = minimal_witness(program)
