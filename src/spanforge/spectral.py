@@ -33,10 +33,10 @@ which takes (V^T w0, V^T Q_H).  The direct route on scale(P, beta) is the
 oracle the rounds are tested against.
 
 The oracle, for verify and the tests, builds U or U' densely (build_U,
-build_Uprime) and decomposes it through the real Schur form
-(decompose_orthogonal, the only user of scipy): for orthogonal matrices it is
-block diagonal, 2x2 rotation blocks carrying the nontrivial phases and 1x1
-blocks carrying +/-1.
+build_Uprime) and decomposes it (decompose_orthogonal) from one complex
+eigendecomposition: an eigenvalue e^{i theta} carries its phase, and the real
+and imaginary parts of its eigenvector span the plane it turns; +/-1 carry
+real eigenvectors.
 """
 
 from __future__ import annotations
@@ -200,57 +200,48 @@ class DiscriminantReport:
 
 
 def decompose_orthogonal(u_mat: np.ndarray) -> UnitaryDecomposition:
-    """Full phase decomposition of a real orthogonal matrix via real Schur form."""
-    import scipy.linalg
+    """Full phase decomposition of a real orthogonal matrix from one complex
+    eigendecomposition.
 
+    An eigenvalue e^{i theta} with theta in (0, pi) gives its unsigned phase,
+    read by atan2 so that it is accurate near 0 and pi, and its eigenvector
+    v the invariant plane spanned by Re v and Im v; a real eigenvalue +/-1
+    gives its real eigenvector.  Eigenvectors of equal or nearby eigenvalues
+    need not be orthogonal, nor Re v and Im v of a phase near 0 or pi, so one
+    QR of these columns, in phase order with each plane's two adjacent,
+    makes them orthonormal.  Every prefix of that order spans an invariant
+    subspace, so each cluster's columns do too, and each adjacent pair of a
+    rotation cluster spans one invariant plane, as complex_eigenpairs reads
+    them.  Phases are snapped to 0 or pi within PHASE_ROUND_TOL and grouped
+    within PHASE_CLUSTER_TOL of a group's smallest phase."""
     u_mat = np.asarray(u_mat, dtype=float)
     dim = u_mat.shape[0]
     ortho_defect = np.max(np.abs(u_mat.T @ u_mat - np.eye(dim)))
     if ortho_defect > 1e-8:
         raise ValueError(f"matrix is not orthogonal (defect {ortho_defect:.2e})")
 
-    t_mat, q_mat = scipy.linalg.schur(u_mat, output="real")
+    vals, vecs = np.linalg.eig(u_mat)
+    thetas = np.arctan2(np.abs(np.imag(vals)), np.real(vals))
+    thetas[thetas <= PHASE_ROUND_TOL] = 0.0
+    thetas[math.pi - thetas <= PHASE_ROUND_TOL] = math.pi
+    # LAPACK returns a real eigenvalue with imaginary part exactly 0, and a
+    # pair as adjacent exact conjugates, the one with positive imaginary part
+    # first: Re v of the first and Im v of the second span the pair's plane.
+    # A stable sort on the phase, equal for both, keeps them adjacent.
+    order = np.argsort(thetas, kind="stable")
+    columns = np.where(np.imag(vals) >= 0.0, np.real(vecs), np.imag(vecs))
+    q_mat = np.linalg.qr(columns[:, order])[0]
 
-    # LAPACK's standard form has exact zeros between 1x1 blocks: any other entry opens a 2x2 block
-    raw: list[tuple[float, list[int]]] = []
-    i = 0
-    while i < dim:
-        if i + 1 < dim and t_mat[i + 1, i] != 0.0:
-            c = 0.5 * (t_mat[i, i] + t_mat[i + 1, i + 1])
-            s = 0.5 * (t_mat[i + 1, i] - t_mat[i, i + 1])
-            theta = abs(math.atan2(s, c))
-            raw.append((theta, [i, i + 1]))
-            i += 2
-        else:
-            theta = 0.0 if t_mat[i, i] > 0.0 else math.pi
-            raw.append((theta, [i]))
-            i += 1
-
-    snapped = []
-    for theta, cols in raw:
-        if theta <= PHASE_ROUND_TOL:
-            theta = 0.0
-        elif math.pi - theta <= PHASE_ROUND_TOL:
-            theta = math.pi
-        snapped.append((theta, cols))
-    snapped.sort(key=lambda item: item[0])
-
-    clusters: list[PhaseCluster] = []
-    group_theta: Optional[float] = None
-    group_cols: list[int] = []
-    for theta, cols in snapped:
-        if group_theta is None or theta - group_theta > PHASE_CLUSTER_TOL:
-            if group_theta is not None:
-                clusters.append(
-                    PhaseCluster(theta=group_theta, basis=freeze(q_mat[:, group_cols]))
-                )
-            group_theta, group_cols = theta, list(cols)
-        else:
-            group_cols.extend(cols)
-    if group_theta is not None:
-        clusters.append(PhaseCluster(theta=group_theta, basis=freeze(q_mat[:, group_cols])))
-
-    return UnitaryDecomposition(matrix=freeze(u_mat), clusters=tuple(clusters))
+    groups: list[tuple[float, int]] = []  # (phase, first column) of each cluster
+    for column, theta in enumerate(thetas[order].tolist()):
+        if not groups or theta - groups[-1][0] > PHASE_CLUSTER_TOL:
+            groups.append((theta, column))
+    ends = [first for _, first in groups[1:]] + [dim]
+    clusters = tuple(
+        PhaseCluster(theta=theta, basis=freeze(q_mat[:, first:end]))
+        for (theta, first), end in zip(groups, ends)
+    )
+    return UnitaryDecomposition(matrix=freeze(u_mat), clusters=clusters)
 
 
 def kernel_projector(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:

@@ -328,17 +328,20 @@ def suite_kappa(trials: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> list
         g = random_graph(rng, n, edge_prob=0.6)
         program = build_st_span_program(g.n, g.s, g.t)
         factors = input_factors(program, graph_input(g), tols)
-        lam = lambda2(g)
-        if lam > 1e-9:
-            worst_sigma = max(worst_sigma, abs(float(factors.sigma[-1]) - math.sqrt(2.0 * lam)))
         # A's factors come from one eigh of A A^T; a dense SVD of A checks
-        # sigma_max = sqrt(2n), every sigma and the projector U_r U_r^T
+        # sigma_max = sqrt(2n) and every sigma, relative to its sigma_max,
+        # and the projector U_r U_r^T
         fact = program.factorization(tols)
         col_basis, sigma, _, top = svd_factors(program.a_mat, tols)
+        lam = lambda2(g)
+        if lam > 1e-9:
+            worst_sigma = max(
+                worst_sigma, abs(float(factors.sigma[-1]) - math.sqrt(2.0 * lam)) / top
+            )
         worst_sigma = max(
             worst_sigma,
-            abs(factors.a_scale - top),
-            float(np.max(np.abs(fact.sigma - sigma)))
+            abs(factors.a_scale - top) / top,
+            float(np.max(np.abs(fact.sigma - sigma))) / top
             if fact.sigma.shape == sigma.shape else math.inf,
             float(np.max(np.abs(fact.col_basis @ fact.col_basis.T - col_basis @ col_basis.T))),
         )
@@ -353,9 +356,10 @@ def suite_kappa(trials: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> list
                         "phase gap of U(P, x) is at least 2 sigma_min(A(x))/sigma_max(A)"),
         _residual_check("kappa/gap-bound-Uprime", worst_up, 1e-8,
                         "same bound for U'(P, x) on positive inputs"),
-        _residual_check("kappa/graph-singular-values", worst_sigma, 1e-8,
-                        "A's Gram-route sigma_max = sqrt(2n), sigma and U_r U_r^T against "
-                        "a dense SVD, and sigma_min(A(x)) = sqrt(2 lambda2)"),
+        _residual_check("kappa/graph-singular-values", worst_sigma, 1e-12,
+                        "A's Gram-route sigma_max = sqrt(2n) and sigma against a dense SVD, "
+                        "and sigma_min(A(x)) = sqrt(2 lambda2), relative to sigma_max; "
+                        "U_r U_r^T against the SVD's"),
         _residual_check("kappa/resistance-oracles", worst_res, 1e-8,
                         "Laplacian pseudo-inverse vs cycle-space flow minimization, and w+ = R/2"),
     ]
@@ -392,8 +396,8 @@ def suite_appendix_b(tols: Tolerances = DEFAULT_TOLS) -> list[Check]:
 
 
 SUITES = ("duality", "spectral", "scaling", "szegedy", "kappa", "appendixB")
-# szegedy draws dims x dims projector pairs and takes a real Schur form of
-# their reflection product: at this cap each dense array is 8 MB
+# szegedy draws dims x dims projector pairs and takes an eigendecomposition
+# of their reflection product: at this cap each dense array is 8 MB
 MAX_DIMS = 1024
 
 

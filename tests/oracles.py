@@ -2,14 +2,20 @@
 
 These solve the same optimization problems as the library but along different
 numerical routes (stacked KKT systems and min-norm least squares instead of
-null-space parametrizations), so agreement is meaningful.
+null-space parametrizations, the real Schur form instead of a complex
+eigendecomposition), so agreement is meaningful.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
+import numpy as np
+import scipy.linalg
+
+from spanforge._linalg import PHASE_ROUND_TOL
 from spanforge.spanprog import SpanProgram, subspace_projector
+from spanforge.spectral import PHASE_CLUSTER_TOL
 
 
 def kkt_equality_ls(c_mat: np.ndarray, d: np.ndarray, e_mat: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -75,3 +81,36 @@ def oracle_min_error_negative(program: SpanProgram, x) -> tuple[float, float, np
     u2 = kkt_equality_ls(a_mat.T, np.zeros(program.dim_h), cons2, f2)
     row = a_mat.T @ u2
     return e_minus, float(row @ row), row
+
+
+def schur_phase_clusters(u_mat: np.ndarray) -> list[tuple[float, np.ndarray]]:
+    """(unsigned phase, projector) per phase cluster of a real orthogonal
+    matrix, from scipy's real Schur form: a 2 x 2 block of T carries the
+    phase of its rotation, a 1 x 1 block +/-1.  Phases are snapped to 0 or pi
+    within PHASE_ROUND_TOL and grouped within PHASE_CLUSTER_TOL of a group's
+    smallest phase, as spectral.decompose_orthogonal groups them."""
+    t_mat, q_mat = scipy.linalg.schur(u_mat, output="real")
+    blocks: list[tuple[float, list[int]]] = []
+    i = 0
+    while i < len(t_mat):
+        # LAPACK's standard form has exact zeros between 1 x 1 blocks
+        if i + 1 < len(t_mat) and t_mat[i + 1, i] != 0.0:
+            cos = 0.5 * (t_mat[i, i] + t_mat[i + 1, i + 1])
+            sin = 0.5 * (t_mat[i + 1, i] - t_mat[i, i + 1])
+            blocks.append((abs(math.atan2(sin, cos)), [i, i + 1]))
+            i += 2
+        else:
+            blocks.append((0.0 if t_mat[i, i] > 0.0 else math.pi, [i]))
+            i += 1
+    snapped = sorted(
+        (0.0 if theta <= PHASE_ROUND_TOL else math.pi if math.pi - theta <= PHASE_ROUND_TOL
+         else theta, cols)
+        for theta, cols in blocks
+    )
+    groups: list[tuple[float, list[int]]] = []
+    for theta, cols in snapped:
+        if groups and theta - groups[-1][0] <= PHASE_CLUSTER_TOL:
+            groups[-1][1].extend(cols)
+        else:
+            groups.append((theta, list(cols)))
+    return [(theta, q_mat[:, cols] @ q_mat[:, cols].T) for theta, cols in groups]

@@ -207,13 +207,49 @@ def test_or_demo_zero_weight_sample(tmp_path):
 
 
 def test_cli_import_loads_neither_scipy_nor_networkx():
-    # scipy serves only the dense oracle, networkx only the graph atlas
+    # the package runs on numpy alone: scipy serves only the tests' Schur
+    # oracle and the benchmark, networkx only the tests' graph atlas
     src = str(Path(spanforge.__file__).resolve().parents[1])
     code = ("import sys, spanforge.cli; "
             "print([m for m in ('scipy', 'networkx') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+NUMPY_ONLY = """
+import sys
+sys.modules["scipy"] = None  # an import of scipy or of a submodule now raises
+import numpy as np
+from spanforge.cli import main
+from spanforge.generators import random_graph
+from spanforge.qsim import QueryLedger
+from spanforge.resistance import estimate_resistance, lambda2
+from spanforge.verify import run_suite
+
+failed = [c.name for c in run_suite("all", trials=2, dims=8, seed=1) if not c.passed]
+assert failed == [], failed
+assert main(["verify", "--suite", "all", "--trials", "2", "--seed", "1", "--out", OUT]) == 0
+g = random_graph(np.random.default_rng(3), 10, 0.5)
+for method in ("effective-gap", "real-gap"):
+    mu = lambda2(g) if method == "real-gap" else None
+    report = estimate_resistance(g, 0.3, method, np.random.default_rng(4), QueryLedger(), mu=mu)
+    assert 0.0 < report.estimate < 2.0 * report.exact, report
+print(sorted(name for name, module in sys.modules.items()
+             if name.split(".")[0] == "scipy" and module is not None))
+"""
+
+
+def test_verify_and_estimates_run_with_scipy_blocked(tmp_path):
+    src = str(Path(spanforge.__file__).resolve().parents[1])
+    out_path = tmp_path / "verify.json"
+    code = f"OUT = {str(out_path)!r}\n{NUMPY_ONLY}"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+    report = json.loads(out_path.read_text())
+    assert report["passed"] and len(report["checks"]) == 37
 
 
 def test_every_exported_name_resolves():

@@ -66,6 +66,7 @@ from spanforge.spectral import (
     measure_Uprime,
     row_space_cross,
 )
+from spanforge.verify import suite_kappa
 
 from test_input_route import degenerate_programs
 
@@ -127,6 +128,25 @@ def test_closed_form_factors_match_the_svd_route(n):
         # w0 = A^T tau / (2n)
         np.testing.assert_allclose(mine.witness.w0, program.a_mat.T @ program.tau / (2 * n),
                                    atol=RTOL)
+
+
+def test_verify_refuses_gram_route_factors_off_by_one_part_in_1e9(monkeypatch):
+    def graph_check():
+        (check,) = [c for c in suite_kappa(8, 1) if c.name == "kappa/graph-singular-values"]
+        return check
+
+    assert graph_check().passed
+    gram_factors = spanprog._gram_factors
+
+    def skewed(gram, tols, a_scale=None):
+        u, sigma, top = gram_factors(gram, tols, a_scale)
+        if a_scale is None:  # A's own factors; A(x)'s read a_scale from them
+            sigma, top = sigma * (1.0 + 1e-9), top * (1.0 + 1e-9)
+        return u, sigma, top
+
+    monkeypatch.setattr(spanprog, "_gram_factors", skewed)
+    check = graph_check()
+    assert not check.passed and check.observed == pytest.approx(1e-9, rel=1e-3)
 
 
 @pytest.mark.parametrize("n", ST_SIZES)

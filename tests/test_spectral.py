@@ -1,8 +1,9 @@
 """Phase decompositions, discriminants, and the spectral lemmas.
 
-The independent oracle for phase structure is numpy's complex
-eigendecomposition; the library's dense route decomposes via the real Schur
-form, and its principal-angle measures are compared against that route.
+The library's dense route decomposes through numpy's complex
+eigendecomposition.  Its oracles are matrices planted with known phases and
+scipy's real Schur form (tests/oracles.py), and its principal-angle measures
+are compared against that route.
 """
 
 import math
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import schur_phase_clusters
 from spanforge._linalg import intersection_dims
 from spanforge.generators import (
     all_inputs,
@@ -86,6 +88,77 @@ def test_decompose_matches_eig_oracle():
         # each complexified eigenvector is a true eigenvector
         for theta, vec in dec.complex_eigenpairs():
             assert np.linalg.norm(u_mat @ vec - np.exp(1j * theta) * vec) <= 1e-8
+        # eigvals is the LAPACK routine decompose_orthogonal calls, so the
+        # clusters are also held to the real Schur form's
+        oracle = schur_phase_clusters(u_mat)
+        assert [cl.theta for cl in dec.clusters] == pytest.approx(
+            [theta for theta, _ in oracle], abs=1e-12
+        )
+        for cl, (_, proj) in zip(dec.clusters, oracle):
+            np.testing.assert_allclose(cl.projector(), proj, atol=1e-12)
+
+
+def planted_orthogonal(phases, rng):
+    """Q B Q^T for a random orthogonal Q and B block diagonal: a 1 x 1 block
+    +/-1 for a phase 0 or pi, a 2 x 2 rotation for any other phase."""
+    dim = sum(1 if theta in (0.0, math.pi) else 2 for theta in phases)
+    block, i = np.zeros((dim, dim)), 0
+    for theta in phases:
+        k = 1 if theta in (0.0, math.pi) else 2
+        block[i : i + k, i : i + k] = math.cos(theta) if k == 1 else rotation(theta)
+        i += k
+    q_mat, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return q_mat @ block @ q_mat.T
+
+
+# phase patterns with their clusters (unsigned phase, dimension), known by
+# construction; each is planted once and twice over, so that dim <= 32
+PLANTED = {
+    "repeated": ([0.4, 0.4, 0.4, 1.9, 1.9, 0.0, 0.0, math.pi],
+                 [(0.0, 2), (0.4, 6), (1.9, 4), (math.pi, 1)]),
+    "near-repeated": ([1.1, 1.1 + 1e-13, 1.1 + 1e-11, 2.5, 2.5 + 1e-13, 0.0],
+                      [(0.0, 1), (1.1, 6), (2.5, 4)]),
+    "near-0-and-pi": ([5e-9, 1e-7, math.pi - 5e-9, math.pi - 1e-7, 0.0, math.pi, 0.6],
+                      [(0.0, 1), (5e-9, 2), (1e-7, 2), (0.6, 2), (math.pi - 1e-7, 2),
+                       (math.pi - 5e-9, 2), (math.pi, 1)]),
+    "plus-minus-one": ([0.0] * 5 + [math.pi] * 4 + [0.8, 1e-10, math.pi - 1e-10],
+                       [(0.0, 7), (0.8, 2), (math.pi, 6)]),
+}
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+@pytest.mark.parametrize("pattern", sorted(PLANTED))
+def test_decompose_reads_planted_phases_and_orthonormal_invariant_clusters(pattern, copies):
+    phases, clusters = PLANTED[pattern]
+    rng = np.random.default_rng([copies, len(phases)])
+    for _ in range(10):
+        u_mat = planted_orthogonal(phases * copies, rng)
+        dec = decompose_orthogonal(u_mat)
+        assert [cl.theta for cl in dec.clusters] == pytest.approx(
+            [theta for theta, _ in clusters], abs=1e-12
+        )
+        assert [cl.dim for cl in dec.clusters] == [dim * copies for _, dim in clusters]
+        stacked = np.hstack([cl.basis for cl in dec.clusters])
+        assert np.max(np.abs(stacked.T @ stacked - np.eye(len(u_mat)))) <= 1e-12
+        for cl in dec.clusters:
+            image = u_mat @ cl.basis
+            assert np.linalg.norm(image - cl.basis @ (cl.basis.T @ image), 2) <= 1e-12
+
+
+def test_complex_eigenpairs_of_a_repeated_rotation_cluster():
+    # each adjacent pair of a rotation cluster's columns spans one invariant
+    # plane, so every pair read from them is an eigenpair
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        u_mat = planted_orthogonal([0.7, 0.7, 0.7, 2.2, 2.2, 0.0, math.pi], rng)
+        dec = decompose_orthogonal(u_mat)
+        assert [cl.dim for cl in dec.clusters] == [1, 6, 4, 1]
+        pairs = dec.complex_eigenpairs()
+        assert sorted(theta for theta, _ in pairs) == dec.phases
+        for theta, vec in pairs:
+            assert np.linalg.norm(u_mat @ vec - np.exp(1j * theta) * vec) <= 1e-12
+        vecs = np.column_stack([vec for _, vec in pairs])
+        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(len(u_mat)))) <= 1e-12
 
 
 def test_decompose_rejects_non_orthogonal():
@@ -384,7 +457,7 @@ def small_phase_mass(measure, theta):
 
 
 def assert_measures_match_oracle(program, x):
-    """measure_U, and measure_Uprime on positive x, against the dense Schur
+    """measure_U, and measure_Uprime on positive x, against the dense
     route at 1e-10: outcome-zero probabilities, the phase-0 weight (1/w- for
     U, 1/w+ for U') and the mass at phases <= Theta."""
     w0 = np.asarray(minimal_witness(program).w0)
