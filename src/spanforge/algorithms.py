@@ -18,8 +18,8 @@ phase-estimation run (qsim.pe_queries).  Nothing else here draws from rng.
 A round never builds the scaled program.  witness_estimate factors A(x) once
 (spanprog.input_factors), reads the witness sizes from it, and forms
 C(x) = V_r^T Q_H(x) from it once (spectral.row_space_cross); each round
-reads its scaled program's measure from C(x) and an (r+1) x (r+1) SVD of
-the parent's factors (spectral.scaled_measure_U / scaled_measure_Uprime).
+reads its scaled program's measure from C(x) and w0 by a rank-one change
+and one SVD (spectral.scaled_measure_U / scaled_measure_Uprime).
 A C(x) built for another program, input or Tolerances is refused.  decision_context and
 decide_threshold form C(x) for their one round; measure_U / measure_Uprime
 of spanprog.scale(program, beta) is the oracle the rounds are tested against.

@@ -31,8 +31,10 @@ Gram route and its rank cut for both.  The six witness quantities (exact
 and min-error, both signs) and the kappa bound all read that InputFactors.
 Infeasible sizes are math.inf.  scaled_factors reads the factors of
 scale(program, beta) from the parent's A = U_r Sigma V_r^T with one SVD of
-an (r+1) x (r+1) matrix, for the threshold rounds that would otherwise
-factor each scaled program anew.  rescale_target and normalize change tau
+an (r+1) x (r+1) matrix.  The threshold rounds take it where their closed
+form in spectral does not hold, when tau lies in col(A) only to within
+membership_rtol or beta cuts a direction of A_beta, and the tests take it
+as that closed form's oracle.  rescale_target and normalize change tau
 alone, so the program they derive shares every factorization of A its parent
 holds, with w0 scaled by the factor.
 """

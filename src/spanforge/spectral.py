@@ -26,11 +26,17 @@ estimate.
 
 A threshold round needs the same measure for the scaled program
 scale(P, beta).  scaled_measure_U and scaled_measure_Uprime read it without
-building that program: its row basis and w0 come from
-spanprog.scaled_factors, and its cross matrix from C(x) = V_r^T Q_H(x) of P,
-which does not depend on beta.  Both routes share one tail per unitary,
-which takes (V^T w0, V^T Q_H).  The direct route on scale(P, beta) is the
-oracle the rounds are tested against.
+building that program, from C(x) = V_r^T Q_H(x) of P, which does not depend
+on beta.  When tau lies in col(A) to within rounding and beta cuts no
+direction of A_beta, the scaled program's row space is row(A) minus one
+direction plus one, so a pair (w_beta, L_beta) with the inner products of
+its (V^T w0, V^T Q_H) is a rank-one change of (y, F), built in O(r k) from
+what RowSpaceCross holds; otherwise the scaled program's row basis and w0
+come from spanprog.scaled_factors, one (r+1) x (r+1) SVD.  Every route
+shares one tail per unitary, which takes (V^T w0, V^T Q_H) or such a pair
+and makes one SVD: of the cross matrix for U, and of the cross matrix with
+w0's direction projected out of its rows for U'.  The direct route on
+scale(P, beta) is the oracle the rounds are tested against.
 
 The oracle, for verify and the tests, builds U or U' densely (build_U,
 build_Uprime) and decomposes it (decompose_orthogonal) from one complex
@@ -54,7 +60,6 @@ from ._linalg import (
     _rank,
     freeze,
     is_orthogonal_projector,
-    kernel_basis,
     singular_values,
 )
 from .spanprog import InputFactors, SpanProgram, _check_dense_size, input_factors, minimal_witness
@@ -287,6 +292,17 @@ def build_Uprime(
     return decompose_orthogonal(u_prime)
 
 
+# A tau whose residual rho = ||tau - U_r U_r^T tau|| off col(A) is at most
+# this many ulps per row of V times ||tau|| lies in col(A) to within
+# rounding: U_r^T tau and U_r (U_r^T tau) are dim_v-term sums, each off by
+# at most about dim_v eps ||tau||, and U_r's columns are orthonormal to
+# within a few eps dim_v, so an exact member of col(A) reads rho below it.
+# Only then do the threshold rounds take their closed form; a tau that lies
+# in col(A) only to within membership_rtol (rho = 1e-9 ||tau||, say) keeps
+# the scaled_factors route, which sees rho.
+_COL_RESIDUAL_RTOL = 10.0 * np.finfo(float).eps
+
+
 @dataclass(frozen=True)
 class RowSpaceCross:
     """H(x) seen from row(A), for the program, input and Tolerances it was
@@ -296,12 +312,26 @@ class RowSpaceCross:
     spectral measures read C(x) only through C C^T (the left singular pairs
     of the cross matrix and the inner products of its rows), so F serves
     for C(x).  C(x) does not depend on beta, so every threshold round on x
-    reads its scaled program's cross matrix from this one factor."""
+    reads its scaled program's cross matrix from this one factor.
+
+    What the rounds' closed form (_scaled_pair) reads besides F does not
+    depend on beta either: y_hat = y / ||y|| for y = V_r^T w0, n_val =
+    ||y||^2 and f_y_hat = F^T y_hat, held when tau lies in col(A) to within
+    min(_COL_RESIDUAL_RTOL dim_v, rank_rtol) relative and None otherwise,
+    and for the per-round margins A's extreme singular values sigma_min and
+    sigma_max and tau2 = ||g||^2 + rho^2, for g = U_r^T tau and
+    rho = ||tau - U_r g||."""
 
     program: SpanProgram
     x: tuple[int, ...]
     tols: Tolerances
     factor: np.ndarray
+    y_hat: Optional[np.ndarray]
+    n_val: float
+    f_y_hat: Optional[np.ndarray]
+    sigma_min: float
+    sigma_max: float
+    tau2: float
 
     def check(self, program: SpanProgram, x: Sequence[int], tols: Tolerances) -> None:
         """Raise ValueError unless this was built for program, x and tols."""
@@ -324,7 +354,29 @@ def row_space_cross(
         factor = (fact.col_basis.T @ f.col_basis) * f.sigma / fact.sigma[:, None]
     else:
         factor = np.linalg.qr(restrict(fact.row_basis.T, f.q_h).T, mode="r").T
-    return RowSpaceCross(program, program.check_input(x), tols, freeze(factor))
+    factor = freeze(factor)
+    y_hat = f_y_hat = None
+    n_val = sigma_min = tau2 = 0.0
+    if fact.witness is not None:
+        tau = program.tau
+        g = fact.col_basis.T @ tau
+        off = tau - fact.col_basis @ g
+        rho2 = float(off @ off)
+        tau2 = float(g @ g) + rho2
+        sigma_min = float(fact.sigma[-1])
+        # rank_rtol ||tau|| bounds rho too, so that A_beta's cut drops rho's direction
+        cut = min(_COL_RESIDUAL_RTOL * program.dim_v, tols.rank_rtol)
+        if math.sqrt(rho2) <= cut * math.sqrt(tau2):
+            y = g / fact.sigma  # V_r^T w0 = Sigma^-1 U_r^T tau
+            n_val = float(y @ y)
+            y_hat = y / math.sqrt(n_val)
+            f_y_hat = y_hat @ factor
+            y_hat.setflags(write=False)
+            f_y_hat.setflags(write=False)
+    return RowSpaceCross(
+        program, program.check_input(x), tols, factor,
+        y_hat, n_val, f_y_hat, sigma_min, fact.sigma_max, tau2,
+    )
 
 
 def _input_cross(program: SpanProgram, x: Sequence[int], tols: Tolerances) -> RowSpaceCross:
@@ -343,11 +395,15 @@ def _measure_u(y: np.ndarray, cross: np.ndarray) -> SpectralMeasure:
 
 
 def _measure_uprime(y: np.ndarray, cross: np.ndarray, tols: Tolerances) -> SpectralMeasure:
-    t_perp = kernel_basis(y[None, :], tols)  # T^perp = V_r t_perp
-    a_mat, sigmas, _ = np.linalg.svd(cross.T @ t_perp, full_matrices=False)
+    # (I - y_hat y_hat^T) cross = Q_T^perp Q_T^perp^T cross, with T^perp =
+    # V_r Q_T^perp, has the singular values and the right singular vectors
+    # of cross^T Q_T^perp, and one more at zero when the cross matrix is no
+    # taller than wide; that one's weight joins phase 0 either way
+    y_hat = y / math.sqrt(float(y @ y))
+    _, sigmas, vt = np.linalg.svd(cross - np.outer(y_hat, y_hat @ cross), full_matrices=False)
     w0_hx = cross.T @ y  # Q_H^T w0
-    coef = a_mat.T @ w0_hx
-    rest = w0_hx - a_mat @ coef
+    coef = vt @ w0_hx
+    rest = w0_hx - vt.T @ coef
     # 1 - sigma^2 is known only to within rounding, and dividing a rounding
     # coefficient by it makes a weight out of nothing: a squared sine of at
     # most rank_rtol is read as sigma = 1, a direction of H(x) cap T^perp,
@@ -385,7 +441,10 @@ def measure_Uprime(
     spans with its partner in T^perp a plane turned by 2 arcsin(sigma_k), on
     which w0 weighs (a_k . Q_H^T w0)^2 / (1 - sigma_k^2).  The rest of
     Q_H^T w0 lies in H(x) cap T (phase 0); what is left lies in H(x)^perp cap
-    T (phase pi).  C(x) is read as measure_U reads it (input_measure_Uprime)."""
+    T (phase pi).  The pairs (sigma_k, a_k) are read from one thin SVD of
+    (I - y_hat y_hat^T) C(x), y_hat = V_r^T w0 / ||w0||, whose right singular
+    vectors they are, so no basis of T^perp is formed.  C(x) is read as
+    measure_U reads it (input_measure_Uprime)."""
     return input_measure_Uprime(_input_cross(program, x, tols))
 
 
@@ -407,19 +466,61 @@ def input_measure_Uprime(cross: RowSpaceCross) -> SpectralMeasure:
     return _measure_uprime(_row_witness(cross), cross.factor, cross.tols)
 
 
-def scaled_measure_U(cross: RowSpaceCross, beta: float) -> SpectralMeasure:
-    """measure_U(scale(P, beta), x) for cross = C(x) of P, from rank-sized
-    factors: the scaled program's row basis and w0 come from scaled_factors
-    and its cross matrix from C(x), so neither P_beta nor H(x) is built again."""
+def _scaled_pair(cross: RowSpaceCross, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (w, L) that the measure tails read for scale(P, beta):
+    (y_beta, cross_beta) = (V_beta^T w0_beta, V_beta^T Q_H_beta(x)), or a
+    pair with the same inner products, L^T L = cross_beta^T cross_beta,
+    L^T w = cross_beta^T y_beta and ||w|| = ||y_beta||, which give both
+    measures.
+
+    For tau in col(A), the rows [beta A, tau] of A_beta span, in the
+    coordinates blockdiag(V_r, 1) of H and h0, the complement of
+    n = [-y; beta] / R, R = sqrt(beta^2 + N), N = ||y||^2; the h1 row adds
+    h1 to row(A_beta) and to H_beta(x).  So cross_beta^T cross_beta is
+    blockdiag(F^T (I - (N / R^2) y_hat y_hat^T) F, 1), and
+    L = blockdiag((I - eps y_hat y_hat^T) F, 1) has that Gram, since
+    (1 - eps)^2 = 1 - N / R^2 for eps = 1 - beta / R = N / (R (R + beta)),
+    the form without cancellation.  w0_beta is the unit vector
+    [beta y / R^2 ; N / R^2 ; beta / R] in those coordinates and h1's, and
+    w = [(sqrt(N) / R) y_hat ; beta / R] gives L^T w = cross_beta^T y_beta.
+    That is O(r k) after row_space_cross.
+
+    The closed form holds when A_beta's rank cut drops no direction but
+    rho's.  The margins below decide that from bounds on the singular
+    values of K = [[beta Sigma, g], [0, rho]] (scaled_factors): its r
+    leading ones are at least beta sigma_min, the largest is at most
+    sqrt(beta^2 sigma_max^2 + tau2), and the last is at most rho, which
+    row_space_cross has held below rank_rtol ||tau|| <= rank_rtol s_max(K).
+    Otherwise, and whenever y_hat is None, the pair is (y_beta, cross_beta)
+    from scaled_factors, one (r+1) x (r+1) SVD, which also refuses
+    beta <= 0."""
+    if cross.y_hat is not None and beta > 0.0:
+        n_val, rtol = cross.n_val, cross.tols.rank_rtol
+        big_r = math.sqrt(beta * beta + n_val)
+        c = big_r / beta  # A_beta's h1 entry
+        k_top = math.sqrt(beta * beta * cross.sigma_max * cross.sigma_max + cross.tau2)
+        if beta * cross.sigma_min > rtol * max(k_top, c) and c > rtol * k_top:
+            eps = n_val / (big_r * (big_r + beta))
+            r, k = cross.factor.shape
+            l_mat = np.zeros((r + 1, k + 1))
+            l_mat[:r, :k] = cross.factor - eps * np.outer(cross.y_hat, cross.f_y_hat)
+            l_mat[r, k] = 1.0
+            return np.append((math.sqrt(n_val) / big_r) * cross.y_hat, beta / big_r), l_mat
     scaled = scaled_factors(cross.program, beta, cross.tols)
-    return _measure_u(scaled.witness, scaled.cross(cross.factor))
+    return scaled.witness, scaled.cross(cross.factor)
+
+
+def scaled_measure_U(cross: RowSpaceCross, beta: float) -> SpectralMeasure:
+    """measure_U(scale(P, beta), x) for cross = C(x) of P, from the
+    (r+1)-row pair _scaled_pair builds, so that neither P_beta nor H(x) is
+    built again; one SVD, of L_beta."""
+    return _measure_u(*_scaled_pair(cross, beta))
 
 
 def scaled_measure_Uprime(cross: RowSpaceCross, beta: float) -> SpectralMeasure:
     """measure_Uprime(scale(P, beta), x) for cross = C(x) of P, read as
-    scaled_measure_U reads it."""
-    scaled = scaled_factors(cross.program, beta, cross.tols)
-    return _measure_uprime(scaled.witness, scaled.cross(cross.factor), cross.tols)
+    scaled_measure_U reads it; one SVD, of (I - w_hat w_hat^T) L_beta."""
+    return _measure_uprime(*_scaled_pair(cross, beta), cross.tols)
 
 
 def discriminant(

@@ -1,7 +1,8 @@
 """Threshold rounds read the scaled program from the parent's factors:
 differential tests of scaled_measure_U/scaled_measure_Uprime against
-measure_U/measure_Uprime of scale(program, beta), the calls one estimate
-makes, and the guard against a C(x) of another program or input."""
+measure_U/measure_Uprime of scale(program, beta), on both sides of the
+choice between the closed form and the scaled_factors route, the calls one
+estimate makes, and the guard against a C(x) of another program or input."""
 
 import dataclasses
 import math
@@ -10,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from spanforge import spanprog
+from spanforge import algorithms, spanprog, spectral
 from spanforge._linalg import DEFAULT_TOLS, Tolerances
 from spanforge.algorithms import (
     POSITIVE,
@@ -55,6 +56,11 @@ from spanforge.spectral import (
 from test_input_route import degenerate_programs
 
 BETAS = (1e-3, 0.37, 1.0, 4.0, 1e3)
+# rounds are also compared at the ends: at 1e-6 beta Sigma falls under the
+# rank cut against c = sqrt(beta^2 + N)/beta on most programs, so the round
+# takes the scaled_factors route, and at 1e6 it keeps the closed form.  Kept
+# out of BETAS, whose ranks the nearly feasible program's test pins.
+ROUND_BETAS = (1e-6,) + BETAS + (1e6,)
 GRIDS = (2, 16, 256)
 
 
@@ -73,7 +79,7 @@ def refused_rounds(program, x):
     refused with a ValueError."""
     cross = row_space_cross(program, x, input_factors(program, x))
     refused = 0
-    for beta in BETAS:
+    for beta in ROUND_BETAS:
         scaled = scale(program, beta)
         pairs = ((measure_U, scaled_measure_U), (measure_Uprime, scaled_measure_Uprime))
         for direct, derived in pairs:
@@ -286,3 +292,143 @@ def test_equal_subspaces_are_decided_once_per_store(monkeypatch):
         for _ in range(5):
             witness_report(derived, graph_input(random_graph(rng, 8, 0.4)))
     assert calls == [(2, 2)]
+
+
+def count_scaled_factors(monkeypatch):
+    """Count the calls of scaled_factors made by the rounds."""
+    calls = []
+    real = spanprog.scaled_factors
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    patch_everywhere(monkeypatch, "scaled_factors", counting)
+    return calls
+
+
+def test_closed_form_is_taken_only_within_its_margins(monkeypatch):
+    calls = count_scaled_factors(monkeypatch)
+    program = normalize(random_span_program(np.random.default_rng([8, 3])))
+    fact = program.factorization()
+    assert fact.sigma[-1] < 100.0  # so beta = 1e-6 cuts beta sigma_min against c = 1e6
+    x = next(x for x in all_inputs(program) if input_factors(program, x).positive)
+    cross = row_space_cross(program, x, input_factors(program, x))
+    for beta in ROUND_BETAS:
+        scaled_measure_U(cross, beta)
+        scaled_measure_Uprime(cross, beta)
+    assert calls == [1e-6, 1e-6]
+    # tau off col(A) by 1e-9 relative: every round keeps the scaled_factors route
+    calls.clear()
+    program = nearly_feasible_program()
+    cross = row_space_cross(program, x, input_factors(program, x))
+    assert cross.y_hat is None
+    for beta in ROUND_BETAS:
+        outcome_zero_probabilities(scaled_measure_Uprime, cross, beta)
+    assert calls == list(ROUND_BETAS)
+    # sigma_max(A) = sqrt(3) 1e6: at beta = 1e6, c = sqrt(beta^2 + N)/beta is
+    # cut against beta sigma_max, so both routes refuse the rounds there
+    calls.clear()
+    program = normalize(dataclasses.replace(or_span_program(3), a=np.full((1, 3), 1e6)))
+    for x in all_inputs(program):
+        assert refused_rounds(program, x) == 2
+    assert set(calls) == {1e6}
+
+
+def estimate_betas(monkeypatch, program, x, n):
+    """The betas of the rounds of one effective-gap witness_estimate."""
+    betas = []
+    real = algorithms._scaled_parameters
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        betas.append(out[0])
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(algorithms, "_scaled_parameters", recording)
+        witness_estimate(program, x, 0.25, POSITIVE, np.random.default_rng(1), QueryLedger(),
+                         w_tilde_bound=2.0 * n)
+    assert len(betas) > 1
+    return betas
+
+
+def path_graph(n):
+    return graph(n, [(u, u + 1) for u in range(n - 1)], s=0, t=n - 1)
+
+
+ESTIMATE_GRAPHS = {
+    "K8": lambda: complete_graph(8, s=0, t=1),
+    "K16": lambda: complete_graph(16, s=0, t=1),
+    "lower-bound-16": lambda: lower_bound_family(16, 1, i=1, j=8),
+    "path-32": lambda: path_graph(32),
+    "path-200": lambda: path_graph(200),
+}
+
+
+def forbidden_scaled_factors(*args, **kwargs):
+    raise AssertionError("a round took the scaled_factors route")
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATE_GRAPHS))
+def test_rounds_match_over_the_betas_of_an_estimate(monkeypatch, name):
+    g = ESTIMATE_GRAPHS[name]()
+    program = normalize(build_st_span_program(g.n, g.s, g.t))
+    x = graph_input(g)
+    betas = estimate_betas(monkeypatch, program, x, g.n)
+    cross = row_space_cross(program, x, input_factors(program, x))
+    for beta in betas:
+        if g.n <= 32:
+            scaled = scale(program, beta)
+            want = [outcome_zero_probabilities(m, scaled, x) for m in (measure_U, measure_Uprime)]
+        else:  # scale() would form a dense 201 x 39,802 A_beta
+            factors = scaled_factors(program, beta)
+            pair = (factors.witness, factors.cross(cross.factor))
+            want = [outcome_zero_probabilities(spectral._measure_u, *pair),
+                    outcome_zero_probabilities(spectral._measure_uprime, *pair, DEFAULT_TOLS)]
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "scaled_factors", forbidden_scaled_factors)
+            got = [outcome_zero_probabilities(m, cross, beta)
+                   for m in (scaled_measure_U, scaled_measure_Uprime)]
+        assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-12
+
+
+def guarded_estimates():
+    """(estimate, queries) of two effective-gap resistance estimates and of
+    the or-demo's counting estimate on OR(8)."""
+    out = []
+    for n in (8, 16):
+        g = lower_bound_family(n, 1, i=1, j=n // 2)
+        report = estimate_resistance(g, 0.25, EFFECTIVE_GAP, np.random.default_rng(1),
+                                     QueryLedger())
+        out.append((report.estimate, report.queries))
+    program = normalize(or_span_program(8))
+    result = witness_estimate(program, (0, 1, 0, 0, 1, 1, 0, 0), 0.1, POSITIVE,
+                              np.random.default_rng([1, 2]), QueryLedger(), w_tilde_bound=1.0)
+    out.append((result.value, result.queries))
+    return out
+
+
+def test_a_round_takes_one_svd_and_no_scaled_factors(monkeypatch):
+    want = guarded_estimates()
+    svd, round_context = np.linalg.svd, algorithms._round_context
+    calls, per_round = [], []
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    def counting_round(*args, **kwargs):
+        before = len(calls)
+        out = round_context(*args, **kwargs)
+        per_round.append(len(calls) - before)
+        return out
+
+    patch_everywhere(monkeypatch, "scaled_factors", forbidden_scaled_factors)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(algorithms, "_round_context", counting_round)
+    assert guarded_estimates() == want
+    assert len(per_round) > 3 and per_round == [1] * len(per_round)
+    # beyond the rounds: one split of each st program's subspace store, and
+    # on OR(8) its store's split and the SVDs of A and of A(x)
+    assert len(calls) - len(per_round) == 1 + 1 + 3
