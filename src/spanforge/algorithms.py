@@ -329,6 +329,7 @@ def witness_estimate(
         raise ValueError("eps must lie in (0, 1)")
 
     _assert_normalized(program, tols)
+    x = program.check_input(x)  # read once; each round's check then matches by identity
     f = input_factors(program, x, tols)
     w_true = _witness_size(program, f, side, tols, estimate=True)
     if w_tilde_bound is None:

@@ -38,7 +38,11 @@ class GraphParseError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices 0..n-1 with marked s != t."""
+    """Simple undirected graph on vertices 0..n-1 with marked s != t.
+
+    edges is normalized at construction to pairs (low, high), low < high.
+    The graph also holds them as a read-only (m, 2) index array in sorted
+    order, which graph_input and adjacency read with no walk of the edges."""
 
     n: int
     edges: frozenset[Edge]
@@ -65,11 +69,14 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         object.__setattr__(self, "_adj", tuple(tuple(sorted(nbrs)) for nbrs in adj))
+        pairs = np.array(sorted(norm), dtype=np.intp).reshape(-1, 2)
+        pairs.setflags(write=False)
+        object.__setattr__(self, "_pairs", pairs)
 
     def adjacency(self) -> np.ndarray:
         adj = np.zeros((self.n, self.n))
-        for u, v in self.edges:
-            adj[u, v] = adj[v, u] = 1.0
+        low, high = self._pairs.T
+        adj[low, high] = adj[high, low] = 1.0
         return adj
 
     def neighbors(self, u: int) -> tuple[int, ...]:
@@ -165,13 +172,14 @@ def laplacian(g: Graph) -> np.ndarray:
     return np.diag(adj.sum(axis=1)) - adj
 
 
-def _spectral_oracle(g: Graph) -> tuple[float, float]:
+def _spectral_oracle(g: Graph, connected_st: bool) -> tuple[float, float]:
     """(lambda2, R_st) of g from one eigh of its Laplacian L = V diag(lam) V^T:
     lambda2 is lam[1], and R_st = sum_k (V^T chi)_k^2 / lam_k over the
     eigenvalues pinv keeps, |lam_k| > rank_rtol max |lam|, for
-    chi = e_s - e_t; inf when s, t are disconnected."""
+    chi = e_s - e_t; inf when s, t are disconnected, which the caller has
+    read from g.connected_st(), so that an estimate walks g once."""
     lam, vecs = np.linalg.eigh(laplacian(g))
-    if not g.connected_st():
+    if not connected_st:
         return float(lam[1]), math.inf
     chi = vecs[g.s] - vecs[g.t]
     kept = np.abs(lam) > DEFAULT_TOLS.rank_rtol * np.max(np.abs(lam))
@@ -180,13 +188,13 @@ def _spectral_oracle(g: Graph) -> tuple[float, float]:
 
 def lambda2(g: Graph) -> float:
     """Second-smallest Laplacian eigenvalue (algebraic connectivity)."""
-    return _spectral_oracle(g)[0]
+    return _spectral_oracle(g, g.connected_st())[0]
 
 
 def exact_resistance(g: Graph) -> float:
     """R_st through the Laplacian pseudo-inverse, read from L's
     eigendecomposition; inf when s, t are disconnected."""
-    return _spectral_oracle(g)[1]
+    return _spectral_oracle(g, g.connected_st())[1]
 
 
 def flow_resistance_bruteforce(g: Graph) -> float:
@@ -267,11 +275,14 @@ def unordered_pairs(n: int) -> list[Edge]:
 def build_st_span_program(n: int, s: int, t: int) -> SpanProgram:
     """The st-connectivity span program on [n]: V = R^n, A|u,v> = |u> - |v>,
     tau = |s> - |t>; the pair-{u,v} input bit selects both ordered coordinates.
-    A is given as signed incidence columns (spanprog.Incidence) in
-    ordered_pairs' layout, built from index arrays, so no dense A is formed;
-    its Subspaces store is given per symbol, H_{j,0} = {0} and H_{j,1} = R^2
-    at every position, so H(x) is one run of identity blocks and A(x) the
-    columns of the present edges, whose Gram is 2 L_G.
+    Everything of size C(n, 2) is an index array, and no Python object is
+    made per pair: A is given as signed incidence columns
+    (spanprog.Incidence) in ordered_pairs' layout, the input blocks as the
+    (C(n, 2), 2) array whose row j is (2j, 2j + 1), held as arange(dim_h)
+    with block size 2, and the Subspaces store per symbol, H_{j,0} = {0} and
+    H_{j,1} = R^2 at every position, one row of ids broadcast.  So H(x) is
+    one run of identity blocks and A(x) the columns of the present edges,
+    whose Gram is 2 L_G.
 
     A A^T = 2 (n I - J) is an exact n x n matrix, and the program factors A
     by one eigh of it, as it factors A(x) by one eigh of 2 L_G: col(A) is
@@ -289,8 +300,15 @@ def build_st_span_program(n: int, s: int, t: int) -> SpanProgram:
     low, high = np.triu_indices(n, 1)  # unordered_pairs(n), in order
     n_inputs = low.size
     dim_h = 2 * n_inputs
-    # column 2j is the ordered pair (low_j, high_j) and column 2j + 1 its reverse
-    a = Incidence(n, np.column_stack([low, high]).ravel(), np.column_stack([high, low]).ravel())
+    # column 2j is the ordered pair (low_j, high_j) and column 2j + 1 its
+    # reverse; each index array owns its data and is read-only, so that
+    # Incidence and SpanProgram hold it without a copy
+    plus = np.vstack([low, high]).ravel(order="F")
+    minus = np.vstack([high, low]).ravel(order="F")
+    blocks = 2 * np.arange(n_inputs)[:, None] + np.arange(2)  # row j is (2j, 2j + 1)
+    for arr in (plus, minus, blocks):
+        arr.setflags(write=False)
+    a = Incidence(n, plus, minus)
     tau = np.zeros(n)
     tau[s], tau[t] = 1.0, -1.0
     tau.setflags(write=False)
@@ -300,7 +318,7 @@ def build_st_span_program(n: int, s: int, t: int) -> SpanProgram:
         q=2,
         dim_h=dim_h,
         dim_v=n,
-        input_blocks=tuple(zip(range(0, dim_h, 2), range(1, dim_h, 2))),
+        input_blocks=blocks,
         true_block=(),
         false_block=(),
         subspaces=subspaces,
@@ -309,16 +327,18 @@ def build_st_span_program(n: int, s: int, t: int) -> SpanProgram:
     )
 
 
-def graph_input(g: Graph) -> tuple[int, ...]:
-    """The adjacency input string of g for build_st_span_program(g.n, ...):
-    bit j is 1 when the j-th pair of unordered_pairs(g.n) is an edge."""
+def graph_input(g: Graph) -> np.ndarray:
+    """The adjacency input string of g for build_st_span_program(g.n, ...),
+    as a read-only intp array that SpanProgram.check_input keeps as it is:
+    bit j is 1 when the j-th pair of unordered_pairs(g.n) is an edge.  It is
+    read from g's edge array, with no walk of the edges."""
     n = g.n
-    bits = np.zeros(n * (n - 1) // 2, dtype=np.int8)
-    if g.edges:
-        low, high = np.array(list(g.edges), dtype=np.intp).T  # low < high
-        # the low (2n - low - 1) / 2 pairs whose first vertex is below low come first
-        bits[low * (2 * n - low - 1) // 2 + high - low - 1] = 1
-    return tuple(bits.tolist())
+    bits = np.zeros(n * (n - 1) // 2, dtype=np.intp)
+    low, high = g._pairs.T  # low < high
+    # the low (2n - low - 1) / 2 pairs whose first vertex is below low come first
+    bits[low * (2 * n - low - 1) // 2 + high - low - 1] = 1
+    bits.setflags(write=False)
+    return bits
 
 
 @dataclass(frozen=True)
@@ -383,9 +403,10 @@ def estimate_resistance(
         raise ValueError(f"unknown method {method!r}")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    if g.connected_st():
+    connected = g.connected_st()
+    if connected:
         check_incidence_size(g.n * (g.n - 1))  # the builder's refusal, before the oracle
-    lam2, exact = _spectral_oracle(g)
+    lam2, exact = _spectral_oracle(g, connected)
     if math.isinf(exact):
         return ResistanceReport(
             exact=math.inf, estimate=math.inf, epsilon=eps, method=method,

@@ -6,6 +6,17 @@ H_{j,a} of H_j, one per alphabet symbol a.  An input string x selects
 H(x) = H_{1,x_1} + ... + H_{n,x_n} + H_true, and x is positive exactly when
 some w in H(x) satisfies A w = tau.
 
+Everything an estimate reads per input position is a read-only index
+array, made once.  A program holds its input blocks as _InputBlocks: the
+coordinates of H_1, ..., H_n in one array, as a CSR matrix holds its column
+indices, and one block width when all blocks share it (the st program's is
+2), per-block sizes and starts otherwise; a tuple of index tuples is
+converted at construction.  check_input reads an input string, a sequence
+or an array, as a read-only intp array, validated in one vectorized pass
+over an array; the Subspaces store's table of ids is laid out once per
+(input_blocks, q) in a _Layout, one broadcast row for a per-symbol store,
+so that H(x)'s walk indexes it with x directly.
+
 A is a dense matrix or signed incidence columns (Incidence), which the
 estimators read only through A v, A^T u, A A^T and the Gram of a subset of
 columns; SpanProgram.a_mat forms the dense A on demand for the oracle and
@@ -34,9 +45,11 @@ scale(program, beta) from the parent's A = U_r Sigma V_r^T with one SVD of
 an (r+1) x (r+1) matrix.  The threshold rounds take it where their closed
 form in spectral does not hold, when tau lies in col(A) only to within
 membership_rtol or beta cuts a direction of A_beta, and the tests take it
-as that closed form's oracle.  rescale_target and normalize change tau
-alone, so the program they derive shares every factorization of A its parent
-holds, with w0 scaled by the factor.
+as that closed form's oracle; what that closed form reads of tau in A's
+factors (_TargetFactors) is computed once per Factorization.
+rescale_target and normalize change tau alone, so the program they derive
+shares every factorization of A its parent holds, with w0 scaled by the
+factor, and computes its own _TargetFactors.
 """
 
 from __future__ import annotations
@@ -44,7 +57,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-import operator
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -129,10 +141,26 @@ def check_incidence_size(dim_h: int) -> None:
         )
 
 
+_INTP = np.dtype(np.intp)
+
+
+def _frozen_index(arr: np.ndarray) -> np.ndarray:
+    """An integer array as a read-only intp array: arr itself when it
+    already is one that owns its data, as freeze keeps a float array, and a
+    read-only copy otherwise."""
+    if arr.dtype is _INTP and arr.flags.owndata and not arr.flags.writeable:
+        return arr
+    out = arr.astype(np.intp)
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class Incidence:
     """A dim_v x dim_h matrix A given as signed incidence columns: column k
-    is e_{plus[k]} - e_{minus[k]}.  The estimators read it only through four
+    is e_{plus[k]} - e_{minus[k]}, with plus and minus held as read-only
+    intp arrays, kept as given when they already are ones that own their
+    data and copied otherwise.  The estimators read it only through four
     operations: dot (A v), tdot (A^T u), gram (A A^T) and column_gram (the
     Gram of a subset of its columns).  Sums of +/-1 are exact, so both Grams
     are exact; tdot is one subtraction per entry, as a dense product would
@@ -148,9 +176,7 @@ class Incidence:
             given = np.asarray(getattr(self, name))
             if given.size and given.dtype.kind not in "iu":
                 raise StructuralError(f"incidence rows must be integers, got {given.dtype}")
-            arr = np.array(given, dtype=np.intp)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen_index(given))
         plus, minus = self.plus, self.minus
         if plus.ndim != 1 or plus.shape != minus.shape:
             raise StructuralError("incidence columns need two index arrays of one length")
@@ -238,19 +264,101 @@ def _kind(basis: np.ndarray) -> int:
     return _GENERAL
 
 
+@dataclass(frozen=True, eq=False)
+class _InputBlocks:
+    """The coordinates of H_1, ..., H_n as read-only index arrays, laid out
+    as the column indices of a CSR matrix (Eisenstat et al., "Yale sparse
+    matrix package", 1977): coords holds every block's coordinates in block
+    order.  When all n blocks have one size, width holds it and no
+    per-block array is kept; otherwise sizes holds each block's size and
+    starts its first entry in coords, as CSR row pointers do.  blocks[j] is
+    block j's coordinates, a read-only view of coords."""
+
+    n: int
+    coords: np.ndarray
+    width: Optional[int]
+    sizes: Optional[np.ndarray]
+    starts: Optional[np.ndarray]
+
+    @classmethod
+    def of(cls, given) -> _InputBlocks:
+        """given as index arrays, converted once: an (n, width) integer array
+        is n blocks of width coordinates each, one row per block; any other
+        sequence of index sequences is read block by block.  An
+        _InputBlocks is kept as it is."""
+        if isinstance(given, _InputBlocks):
+            return given
+        if isinstance(given, np.ndarray):
+            if given.ndim != 2 or (given.size and given.dtype.kind not in "iu"):
+                raise StructuralError(
+                    f"input blocks as an array must be an (n, width) integer array, "
+                    f"got {given.dtype} of shape {given.shape}"
+                )
+            return cls(given.shape[0], _frozen_index(given).reshape(-1), given.shape[1], None, None)
+        n = len(given)
+        sizes = np.fromiter(map(len, given), dtype=np.intp, count=n)
+        coords = np.fromiter(
+            itertools.chain.from_iterable(given), dtype=np.intp, count=int(sizes.sum())
+        )
+        coords.setflags(write=False)
+        if n == 0 or np.all(sizes == sizes[0]):
+            return cls(n, coords, int(sizes[0]) if n else 0, None, None)
+        starts = np.cumsum(sizes) - sizes
+        sizes.setflags(write=False)
+        starts.setflags(write=False)
+        return cls(n, coords, None, sizes, starts)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def span(self, j: int) -> tuple[int, int]:
+        """Block j's entries of coords, as coords[low:high]."""
+        if self.width is not None:
+            return j * self.width, (j + 1) * self.width
+        low = int(self.starts[j])
+        return low, low + int(self.sizes[j])
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        if not 0 <= j < self.n:
+            raise IndexError(f"block {j} out of range for {self.n} blocks")
+        low, high = self.span(j)
+        return self.coords[low:high]
+
+    def __iter__(self):
+        return (self[j] for j in range(self.n))
+
+    @property
+    def repeats(self) -> int | np.ndarray:
+        """The size of every block: width, or sizes when they differ."""
+        return self.width if self.width is not None else self.sizes
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _InputBlocks):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and self.width == other.width
+            and np.array_equal(self.coords, other.coords)
+            and (self.width is not None or np.array_equal(self.sizes, other.sizes))
+        )
+
+
 @dataclass(frozen=True)
 class _Layout:
     """A store laid out for one (input_blocks, q): which[j, a] is the index
-    of H_{j,a}'s distinct matrix, -1 when it is absent or empty, and coords
-    holds every input block's coordinates in order, block j's in
-    coords[starts[j]:starts[j] + sizes[j]]."""
+    of H_{j,a}'s distinct matrix, -1 when it is absent or empty.  A
+    per-symbol store's which is one row broadcast down the n positions,
+    with no n x q copy."""
 
-    input_blocks: tuple[tuple[int, ...], ...]
+    input_blocks: _InputBlocks
     q: int
     which: np.ndarray
-    coords: np.ndarray
-    starts: np.ndarray
-    sizes: np.ndarray
+
+    def ids(self, x: np.ndarray) -> np.ndarray:
+        """which[j, x_j] at each position j."""
+        if x.size and self.which.strides[0] == 0:
+            return self.which[0, x]
+        return self.which[np.arange(x.size), x]
 
 
 def _interned(mats: Iterable[np.ndarray]) -> tuple[list[np.ndarray], list[int]]:
@@ -279,8 +387,9 @@ class Subspaces(Mapping):
     per Tolerances, with one SVD per distinct content, and each basis is
     classed once as having no columns, being exactly the identity on its
     block, or neither; subspace_blocks reads H(x) from those classes.  The
-    block coordinates are laid out once per (input_blocks, q) the store is
-    used with."""
+    table is checked against, and laid out for, each (input_blocks, q) the
+    store is used with once; the coordinates stay the program's own index
+    arrays."""
 
     def __init__(self, mats: Mapping[tuple[int, int], np.ndarray]):
         pairs = [(int(j), int(a)) for j, a in mats]
@@ -331,12 +440,13 @@ class Subspaces(Mapping):
     def __len__(self) -> int:
         return int(np.count_nonzero(self._ids >= 0))
 
-    def layout(self, input_blocks: tuple[tuple[int, ...], ...], q: int) -> _Layout:
+    def layout(self, input_blocks: _InputBlocks, q: int) -> _Layout:
         """The store laid out for input_blocks and q.  Raises StructuralError
         unless every key (j, a) has j < len(input_blocks) and a < q, and every
         nonempty H_{j,a} has len(input_blocks[j]) rows; both are one
-        vectorized comparison over the table.  The layout last built is
-        kept, and given again for the same input_blocks and q."""
+        vectorized comparison over the table, over its one row for a
+        per-symbol store.  The layout last built is kept, and given again
+        for the same input_blocks and q."""
         kept = self._layout
         if kept is not None and kept.q == q and (
             kept.input_blocks is input_blocks or kept.input_blocks == input_blocks
@@ -344,33 +454,35 @@ class Subspaces(Mapping):
             return kept
         n = len(input_blocks)
         ids = self._ids
-        outside = ids >= 0
-        outside[:n, :q] = False
-        if outside.any():
-            j, a = np.argwhere(outside)[0]
-            raise StructuralError(f"subspace key {(int(j), int(a))} out of range")
-        sizes = np.fromiter(map(len, input_blocks), dtype=np.intp, count=n)
+        # the table ends at its largest key (j, a), which is given
+        if ids.size and (ids.shape[0] > n or ids.shape[1] > q):
+            j = ids.shape[0] - 1 if ids.shape[0] > n else int(np.argmax(ids[:, -1] >= 0))
+            a = ids.shape[1] - 1 if ids.shape[0] <= n else int(np.argmax(ids[-1] >= 0))
+            raise StructuralError(f"subspace key {(j, a)} out of range")
+        # a per-symbol table repeats one row: check and lay out that row alone
+        shared = ids.strides[0] == 0 and ids.shape[0] == n > 0
+        table = ids[:1] if shared else ids[:n, :q]
         # per distinct matrix, with a last entry for ids of -1: its rows and
         # its id in the layout, -1 when it has no columns
         rows = np.array([mat.shape[0] for mat in self._distinct] + [0], dtype=np.intp)
         live = np.array([d if mat.size else -1 for d, mat in enumerate(self._distinct)] + [-1],
                         dtype=np.intp)
-        table = ids[:n, :q]
-        wrong = (live[table] >= 0) & (rows[table] != sizes[: table.shape[0], None])
+        sizes = input_blocks.repeats
+        if input_blocks.width is None:
+            sizes = sizes[: ids.shape[0], None]
+        wrong = (live[table] >= 0) & (rows[table] != sizes)
         if wrong.any():
             j, a = np.argwhere(wrong)[0]
             raise StructuralError(
-                f"subspace ({j},{a}) has {rows[table[j, a]]} rows, block has {sizes[j]} coordinates"
+                f"subspace ({j},{a}) has {rows[ids[j, a]]} rows, "
+                f"block has {len(input_blocks[j])} coordinates"
             )
-        which = np.full((n, q), -1, dtype=np.intp)
+        which = np.full((table.shape[0] if shared else n, q), -1, dtype=np.intp)
         which[: table.shape[0], : table.shape[1]] = live[table]
-        coords = np.fromiter(
-            itertools.chain.from_iterable(input_blocks), dtype=np.intp, count=int(sizes.sum())
-        )
-        starts = np.cumsum(sizes) - sizes
-        for arr in (which, coords, starts, sizes):
-            arr.setflags(write=False)
-        self._layout = _Layout(input_blocks, q, which, coords, starts, sizes)
+        which.setflags(write=False)
+        if shared:
+            which = np.broadcast_to(which, (n, q))
+        self._layout = _Layout(input_blocks, q, which)
         return self._layout
 
     def decided(
@@ -404,9 +516,15 @@ class Subspaces(Mapping):
 class SpanProgram:
     """Immutable span program data.
 
-    blocks are index tuples into the dim_h standard coordinates; they must be
-    disjoint and cover everything.  subspaces[(j, a)] is a matrix whose columns
-    span H_{j,a}, written in H_j's local coordinates (len(input_blocks[j]) rows).
+    input_blocks gives each H_j's coordinates among the dim_h standard ones:
+    a sequence of index sequences, one per position, or an (n, width)
+    integer array whose row j is H_j's, for blocks of one width.  Either is
+    converted once, at construction, into read-only index arrays
+    (_InputBlocks), which the program holds; with one width no per-block
+    array is kept.  true_block and false_block are index tuples.  The
+    blocks must be disjoint and cover everything.  subspaces[(j, a)] is a
+    matrix whose columns span H_{j,a}, written in H_j's local coordinates
+    (len(input_blocks[j]) rows).
     Subspaces for different symbols of one position may overlap and need not
     be orthogonal; all that matters is that together they span H_j.  Any
     mapping is copied into a Subspaces store; a Subspaces, such as one made
@@ -421,7 +539,7 @@ class SpanProgram:
     q: int
     dim_h: int
     dim_v: int
-    input_blocks: tuple[tuple[int, ...], ...]
+    input_blocks: _InputBlocks
     true_block: tuple[int, ...]
     false_block: tuple[int, ...]
     subspaces: Mapping[tuple[int, int], np.ndarray]
@@ -433,6 +551,7 @@ class SpanProgram:
         if not isinstance(self.a, Incidence):
             object.__setattr__(self, "a", freeze(np.atleast_2d(self.a)))
         object.__setattr__(self, "tau", freeze(np.asarray(self.tau, dtype=float)))
+        object.__setattr__(self, "input_blocks", _InputBlocks.of(self.input_blocks))
         if not isinstance(self.subspaces, Subspaces):
             object.__setattr__(self, "subspaces", Subspaces(self.subspaces))
         if self.n < 0 or self.q < 1:
@@ -470,22 +589,41 @@ class SpanProgram:
             fact = self._factorizations[tols] = _factorize(self, tols)
         return fact
 
-    def check_input(self, x: Sequence[int]) -> tuple[int, ...]:
-        """x as a tuple of ints.  A symbol is a Python or numpy int or bool,
-        read with operator.index so that none is truncated; StructuralError
-        for any other symbol, a length other than n or a symbol outside
-        [0, q)."""
-        x = tuple(x)
-        try:
-            x = tuple(map(operator.index, x))
-        except TypeError:
-            # operator.index refuses numpy bools, which are symbols too
-            if not all(isinstance(a, (int, np.integer, np.bool_)) for a in x):
+    def check_input(self, x: Sequence[int] | np.ndarray) -> np.ndarray:
+        """x as a read-only intp array of n symbols in [0, q).  A symbol is
+        a Python or numpy int or bool; StructuralError for a float, string
+        or other object (none is truncated), an int that no int64 holds, an
+        x that is not one-dimensional, a length other than n or a symbol
+        outside [0, q).  An array is checked in one vectorized pass.  A
+        read-only intp array that owns its data is returned as it is; any
+        other x, a caller's writeable array included, is copied, so that
+        writing to it later changes nothing built from it."""
+        given = x
+        if not isinstance(x, np.ndarray):
+            try:
+                x = np.array(x)
+            except (ValueError, OverflowError):  # ragged, or an int past uint64
                 raise StructuralError("input symbols must be integers") from None
-            x = tuple(map(int, x))
-        if len(x) != self.n:
-            raise StructuralError(f"input has length {len(x)}, expected {self.n}")
-        if x and not (0 <= min(x) and max(x) < self.q):
+        # np.array(()) is float: an empty x has no symbol to refuse
+        if x.dtype.kind not in "biu" and x.size:
+            raise StructuralError("input symbols must be integers")
+        if x.shape != (self.n,):
+            if x.ndim != 1:
+                raise StructuralError(f"input must be one-dimensional, got shape {x.shape}")
+            raise StructuralError(f"input has length {x.size}, expected {self.n}")
+        if x is given:
+            x = _frozen_index(x)
+            # a negative symbol reads as one above 2^63 unsigned, so one
+            # reduction checks both ends
+            out = self.n and np.maximum.reduce(x.view(np.uintp)) >= self.q
+        else:
+            # np.array read the sequence element by element; its own min
+            # and max cost less than a reduction over a short array
+            if x.dtype is not _INTP:
+                x = x.astype(np.intp)
+            x.setflags(write=False)
+            out = self.n and (min(given) < 0 or max(given) >= self.q)
+        if out:
             raise StructuralError(f"input symbols must lie in [0, {self.q})")
         return x
 
@@ -509,6 +647,34 @@ class MinimalWitness:
     w0: np.ndarray
     n_plus: float
     n_minus: float
+
+
+# A tau whose residual rho = ||tau - U_r U_r^T tau|| off col(A) is at most
+# this many ulps per row of V times ||tau|| lies in col(A) to within
+# rounding: U_r^T tau and U_r (U_r^T tau) are dim_v-term sums, each off by
+# at most about dim_v eps ||tau||, and U_r's columns are orthonormal to
+# within a few eps dim_v, so an exact member of col(A) reads rho below it.
+# Only then do the threshold rounds take their closed form; a tau that lies
+# in col(A) only to within membership_rtol (rho = 1e-9 ||tau||, say) keeps
+# the scaled_factors route, which sees rho.
+_COL_RESIDUAL_RTOL = 10.0 * np.finfo(float).eps
+
+
+@dataclass(frozen=True)
+class _TargetFactors:
+    """tau read in A's factors U_r Sigma V_r^T, as the threshold rounds'
+    closed form (spectral._scaled_pair) reads it; it depends on the program
+    and Tolerances alone.  With g = U_r^T tau and rho = ||tau - U_r g||,
+    tau2 = ||g||^2 + rho^2 and sigma_min is A's least kept singular value.
+    y_hat = y / ||y|| and n_val = ||y||^2, for y = V_r^T w0 = Sigma^-1 g,
+    are held when tau lies in col(A) to within
+    min(_COL_RESIDUAL_RTOL dim_v, rank_rtol) relative, and are None and 0.0
+    otherwise; every field is None or 0.0 when no positive witness exists."""
+
+    y_hat: Optional[np.ndarray]
+    n_val: float
+    sigma_min: float
+    tau2: float
 
 
 @dataclass(frozen=True)
@@ -539,6 +705,12 @@ class Factorization:
     # V_r once formed when rows is None; dataclasses.replace hands this
     # same list on, so a copy and its original form it once between them
     _formed: list = dataclasses.field(default_factory=list, repr=False, compare=False)
+    # tau in these factors, filled on first use by _target_factors; as it is
+    # not an init field, dataclasses.replace leaves a copy, whose tau
+    # _rescaled scales, without it
+    _target: Optional[_TargetFactors] = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def row_basis(self) -> np.ndarray:
@@ -557,6 +729,33 @@ class Factorization:
         if self.rows is None:
             return (self.col_basis.T @ tau) / self.sigma
         return self.rows.T @ self.witness.w0
+
+
+def _target_factors(program: SpanProgram, tols: Tolerances) -> _TargetFactors:
+    """program's _TargetFactors under tols: computed on the first call,
+    then held on program.factorization(tols)."""
+    fact = program.factorization(tols)
+    if fact._target is not None:
+        return fact._target
+    y_hat = None
+    n_val = sigma_min = tau2 = 0.0
+    if fact.witness is not None:
+        tau = program.tau
+        g = fact.col_basis.T @ tau
+        off = tau - fact.col_basis @ g
+        rho2 = float(off @ off)
+        tau2 = float(g @ g) + rho2
+        sigma_min = float(fact.sigma[-1])
+        # rank_rtol ||tau|| bounds rho too, so that A_beta's cut drops rho's direction
+        cut = min(_COL_RESIDUAL_RTOL * program.dim_v, tols.rank_rtol)
+        if math.sqrt(rho2) <= cut * math.sqrt(tau2):
+            y = g / fact.sigma  # V_r^T w0 = Sigma^-1 U_r^T tau
+            n_val = float(y @ y)
+            y_hat = y / math.sqrt(n_val)
+            y_hat.setflags(write=False)
+    target = _TargetFactors(y_hat, n_val, sigma_min, tau2)
+    object.__setattr__(fact, "_target", target)
+    return target
 
 
 def _gram_factors(
@@ -639,16 +838,15 @@ def validate(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS) -> Validatio
     subspaces."""
     checks: list[tuple[str, bool, str]] = []
 
-    all_blocks = list(program.input_blocks) + [program.true_block, program.false_block]
-    seen: list[int] = []
-    for blk in all_blocks:
-        seen.extend(blk)
-    disjoint = len(seen) == len(set(seen))
-    covering = sorted(set(seen)) == list(range(program.dim_h))
+    # the blocks partition the coordinates iff, sorted together, they are 0..dim_h-1
+    seen = np.concatenate([
+        program.input_blocks.coords,
+        np.array(program.true_block + program.false_block, dtype=np.intp),
+    ])
     checks.append(
         (
             "blocks-disjoint-cover",
-            disjoint and covering,
+            np.array_equal(np.sort(seen), np.arange(program.dim_h)),
             "H_1..H_n, H_true, H_false must partition the dim_h coordinates",
         )
     )
@@ -683,20 +881,19 @@ def _runs(
     """One side of H(x) (0 for Q_H, 1 for Q_perp) in block order, with each
     run of consecutive identity blocks, whole ending included, merged into
     one (coordinates, None) entry and blocks without columns left out."""
-    identity = np.repeat(kinds == _IDENTITY, layout.sizes)
+    blocks = layout.input_blocks
+    coords = blocks.coords
+    identity = np.repeat(kinds == _IDENTITY, blocks.repeats)
     out: Blocks = []
     start = 0
     for j in np.flatnonzero(kinds == _GENERAL):
-        low = layout.starts[j]
-        high = low + layout.sizes[j]
-        run = layout.coords[start:low][identity[start:low]]
+        low, high = blocks.span(j)
+        run = coords[start:low][identity[start:low]]
         if run.size:
             out.append((run, None))
-        out.append((layout.coords[low:high], splits[ids[j]][side]))
+        out.append((coords[low:high], splits[ids[j]][side]))
         start = high
-    run = np.concatenate(
-        [layout.coords[start:][identity[start:]], np.array(whole, dtype=np.intp)]
-    )
+    run = np.concatenate([coords[start:][identity[start:]], np.array(whole, dtype=np.intp)])
     if run.size:
         out.append((run, None))
     return out
@@ -717,7 +914,7 @@ def subspace_blocks(
     x = program.check_input(x)
     store = program.subspaces
     layout = store.layout(program.input_blocks, program.q)
-    ids = layout.which[np.arange(program.n), np.array(x, dtype=np.intp)]
+    ids = layout.ids(x)
     kinds, splits = store.decided(ids, tols)
     inside = _runs(layout, ids, kinds[ids, 0], splits, 0, program.true_block)
     outside = _runs(layout, ids, kinds[ids, 1], splits, 1, program.false_block)

@@ -63,7 +63,7 @@ from ._linalg import (
     singular_values,
 )
 from .spanprog import InputFactors, SpanProgram, _check_dense_size, input_factors, minimal_witness
-from .spanprog import restrict, scaled_factors, subspace_projector
+from .spanprog import _target_factors, restrict, scaled_factors, subspace_projector
 
 PHASE_CLUSTER_TOL = 1e-9  # phases this close together share an eigenspace
 
@@ -292,17 +292,6 @@ def build_Uprime(
     return decompose_orthogonal(u_prime)
 
 
-# A tau whose residual rho = ||tau - U_r U_r^T tau|| off col(A) is at most
-# this many ulps per row of V times ||tau|| lies in col(A) to within
-# rounding: U_r^T tau and U_r (U_r^T tau) are dim_v-term sums, each off by
-# at most about dim_v eps ||tau||, and U_r's columns are orthonormal to
-# within a few eps dim_v, so an exact member of col(A) reads rho below it.
-# Only then do the threshold rounds take their closed form; a tau that lies
-# in col(A) only to within membership_rtol (rho = 1e-9 ||tau||, say) keeps
-# the scaled_factors route, which sees rho.
-_COL_RESIDUAL_RTOL = 10.0 * np.finfo(float).eps
-
-
 @dataclass(frozen=True)
 class RowSpaceCross:
     """H(x) seen from row(A), for the program, input and Tolerances it was
@@ -315,15 +304,18 @@ class RowSpaceCross:
     reads its scaled program's cross matrix from this one factor.
 
     What the rounds' closed form (_scaled_pair) reads besides F does not
-    depend on beta either: y_hat = y / ||y|| for y = V_r^T w0, n_val =
-    ||y||^2 and f_y_hat = F^T y_hat, held when tau lies in col(A) to within
-    min(_COL_RESIDUAL_RTOL dim_v, rank_rtol) relative and None otherwise,
-    and for the per-round margins A's extreme singular values sigma_min and
-    sigma_max and tau2 = ||g||^2 + rho^2, for g = U_r^T tau and
-    rho = ||tau - U_r g||."""
+    depend on beta either: y_hat, n_val, sigma_min and tau2 depend on the
+    program and Tolerances alone, and are read from the program's
+    spanprog._TargetFactors, held once per Factorization (y_hat is None
+    unless tau lies in col(A) to within rounding); f_y_hat = F^T y_hat is
+    held per input, and sigma_max is A's largest singular value.
+
+    x is the input as program.check_input gives it, a read-only intp array.
+    check compares by identity first and by value otherwise, so that no
+    call answers for an input other than the one C(x) was built for."""
 
     program: SpanProgram
-    x: tuple[int, ...]
+    x: np.ndarray
     tols: Tolerances
     factor: np.ndarray
     y_hat: Optional[np.ndarray]
@@ -333,14 +325,19 @@ class RowSpaceCross:
     sigma_max: float
     tau2: float
 
-    def check(self, program: SpanProgram, x: Sequence[int], tols: Tolerances) -> None:
+    def check(self, program: SpanProgram, x: Sequence[int] | np.ndarray, tols: Tolerances) -> None:
         """Raise ValueError unless this was built for program, x and tols."""
-        if self.program is not program or self.x != tuple(x) or self.tols != tols:
+        if (
+            self.program is not program
+            or self.tols != tols
+            or not (self.x is x or np.array_equal(self.x, program.check_input(x)))
+        ):
             raise ValueError("C(x) was built for another program, input or tolerances")
 
 
 def row_space_cross(
-    program: SpanProgram, x: Sequence[int], f: InputFactors, tols: Tolerances = DEFAULT_TOLS
+    program: SpanProgram, x: Sequence[int] | np.ndarray, f: InputFactors,
+    tols: Tolerances = DEFAULT_TOLS,
 ) -> RowSpaceCross:
     """RowSpaceCross of x from its InputFactors f.  With V_r held from an
     SVD of A, F = R^T from the QR factorization C(x)^T = W R of the gather
@@ -355,27 +352,14 @@ def row_space_cross(
     else:
         factor = np.linalg.qr(restrict(fact.row_basis.T, f.q_h).T, mode="r").T
     factor = freeze(factor)
-    y_hat = f_y_hat = None
-    n_val = sigma_min = tau2 = 0.0
-    if fact.witness is not None:
-        tau = program.tau
-        g = fact.col_basis.T @ tau
-        off = tau - fact.col_basis @ g
-        rho2 = float(off @ off)
-        tau2 = float(g @ g) + rho2
-        sigma_min = float(fact.sigma[-1])
-        # rank_rtol ||tau|| bounds rho too, so that A_beta's cut drops rho's direction
-        cut = min(_COL_RESIDUAL_RTOL * program.dim_v, tols.rank_rtol)
-        if math.sqrt(rho2) <= cut * math.sqrt(tau2):
-            y = g / fact.sigma  # V_r^T w0 = Sigma^-1 U_r^T tau
-            n_val = float(y @ y)
-            y_hat = y / math.sqrt(n_val)
-            f_y_hat = y_hat @ factor
-            y_hat.setflags(write=False)
-            f_y_hat.setflags(write=False)
+    target = _target_factors(program, tols)
+    f_y_hat = None
+    if target.y_hat is not None:
+        f_y_hat = target.y_hat @ factor
+        f_y_hat.setflags(write=False)
     return RowSpaceCross(
-        program, program.check_input(x), tols, factor,
-        y_hat, n_val, f_y_hat, sigma_min, fact.sigma_max, tau2,
+        program, program.check_input(x), tols, factor, target.y_hat, target.n_val,
+        f_y_hat, target.sigma_min, fact.sigma_max, target.tau2,
     )
 
 

@@ -204,8 +204,15 @@ def loop_built_st_program(n, s, t):
 def test_st_program_matches_a_loop_built_reference(n):
     s, t = n - 1, n // 3
     fast, slow = build_st_span_program(n, s, t), loop_built_st_program(n, s, t)
-    for field in ("n", "q", "dim_h", "dim_v", "input_blocks", "true_block", "false_block"):
+    for field in ("n", "q", "dim_h", "dim_v", "true_block", "false_block"):
         assert getattr(fast, field) == getattr(slow, field), field
+    # the blocks are held as read-only index arrays, with the same values
+    mine, theirs = fast.input_blocks, slow.input_blocks
+    assert mine == theirs and len(mine) == len(theirs) == slow.n
+    assert [block.tolist() for block in mine] == [[2 * j, 2 * j + 1] for j in range(slow.n)]
+    for blocks in (mine, theirs):
+        assert blocks.coords.dtype == np.intp and not blocks.coords.flags.writeable
+        assert blocks.width == 2 and blocks.sizes is None and blocks.starts is None
     for field in ("a_mat", "tau"):
         mine, theirs = getattr(fast, field), getattr(slow, field)
         assert mine.shape == theirs.shape and mine.dtype == theirs.dtype, field
@@ -272,8 +279,8 @@ def test_graph_input_marks_each_edge_in_pair_order():
             graphs.append(graph(n, [e for e in unordered_pairs(n) if rng.random() < p]))
     for g in graphs:
         bits = graph_input(g)
-        assert bits == tuple(1 if e in g.edges else 0 for e in unordered_pairs(g.n))
-        assert all(type(bit) is int for bit in bits)
+        assert bits.tolist() == [1 if e in g.edges else 0 for e in unordered_pairs(g.n)]
+        assert bits.dtype == np.intp and not bits.flags.writeable
 
 
 def test_st_program_minimal_witness_norm():
