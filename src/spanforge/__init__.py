@@ -24,7 +24,6 @@ from .resistance import (
     exact_resistance,
     lower_bound_family,
     parse_graph_file,
-    verify_reflection_factorization,
 )
 from .spanprog import (
     MinimalWitness,
@@ -33,11 +32,11 @@ from .spanprog import (
     minimal_witness,
     normalize,
     or_span_program,
-    scale,
     validate,
     witness_report,
 )
-from .spectral import build_U, build_Uprime, discriminant, kappa_bound
+from .spectral import kappa_bound
+from .oracle import build_U, build_Uprime, discriminant, scale, verify_reflection_factorization
 
 __version__ = "0.1.0"
 

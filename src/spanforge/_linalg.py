@@ -11,7 +11,6 @@ exactly zero instead of having its noise inverted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -66,22 +65,6 @@ def numerical_rank(
     return _rank(singular_values(mat), tols, scale)
 
 
-def sigma_max(mat: np.ndarray) -> float:
-    s = singular_values(mat)
-    return float(s[0]) if s.size else 0.0
-
-
-def sigma_min_nonzero(
-    mat: np.ndarray, tols: Tolerances = DEFAULT_TOLS, scale: Optional[float] = None
-) -> float:
-    """Smallest nonzero singular value; raises on the zero matrix."""
-    s = singular_values(mat)
-    rank = _rank(s, tols, scale)
-    if rank == 0:
-        raise ValueError("matrix has no nonzero singular value")
-    return float(s[rank - 1])
-
-
 def _svd(
     mat: np.ndarray, tols: Tolerances, scale: Optional[float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -129,55 +112,6 @@ def column_space_split(
     u, s, _ = np.linalg.svd(mat, full_matrices=True)
     rank = _rank(s, tols, scale)
     return u[:, :rank], u[:, rank:]
-
-
-def kernel_basis(
-    mat: np.ndarray, tols: Tolerances = DEFAULT_TOLS, scale: Optional[float] = None
-) -> np.ndarray:
-    """Orthonormal basis of ker(mat) (right null space) as columns."""
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    ncols = mat.shape[1]
-    if ncols == 0:
-        return np.zeros((0, 0))
-    _, s, vt = np.linalg.svd(mat, full_matrices=True)
-    rank = _rank(s, tols, scale)
-    return vt[rank:].T if rank else np.eye(ncols)
-
-
-def is_orthogonal_projector(mat: np.ndarray, tol: float = 1e-10) -> bool:
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        return False
-    return bool(
-        np.max(np.abs(mat - mat.T)) <= tol and np.max(np.abs(mat @ mat - mat)) <= tol
-    )
-
-
-def intersection_dims(
-    pi_a: np.ndarray, pi_b: np.ndarray, tol: float = math.sin(PHASE_ROUND_TOL / 2.0)
-) -> dict:
-    """Dimensions of the four intersections of the subspaces behind two projectors.
-
-    dim(P cap Q) = dim P - rank(Pi_{Q^perp} Pi_P): a unit vector of P at
-    principal angle phi from Q keeps a component sin(phi) outside Q, and a
-    singular value at most tol counts as zero.  The reflection product
-    (2 Pi_A - I)(2 Pi_B - I) turns the plane of such a vector by 2 phi, so the
-    default cutoff counts a direction exactly when its phase is snapped to 0 or
-    pi.
-    """
-    eye = np.eye(pi_a.shape[0])
-    ca, cb = eye - pi_a, eye - pi_b
-
-    def meet(pi_p: np.ndarray, pi_q_perp: np.ndarray) -> int:
-        dim_p = int(round(float(np.trace(pi_p))))
-        return dim_p - int(np.sum(singular_values(pi_q_perp @ pi_p) > tol))
-
-    return {
-        "a_and_b": meet(pi_a, cb),
-        "a_and_bperp": meet(pi_a, pi_b),
-        "aperp_and_b": meet(ca, cb),
-        "aperp_and_bperp": meet(ca, pi_b),
-    }
 
 
 def freeze(arr: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ reads its scaled program's measure from C(x) and w0 by a rank-one change
 and one SVD (spectral.scaled_measure_U / scaled_measure_Uprime).
 A C(x) built for another program, input or Tolerances is refused.  decision_context and
 decide_threshold form C(x) for their one round; measure_U / measure_Uprime
-of spanprog.scale(program, beta) is the oracle the rounds are tested against.
+of oracle.scale(program, beta) is the oracle the rounds are tested against.
 gap_estimate likewise reads the witness size from A(x)'s one SVD and w0's
 measure from the C(x) of the same InputFactors (spectral.input_measure_U /
 input_measure_Uprime).

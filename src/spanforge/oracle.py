@@ -1,0 +1,541 @@
+"""The dense reference that verify and the tests compare the estimators against.
+
+It forms the dim_h x dim_h arrays the estimators never form: the projectors
+onto ker(A) and H(x), U(P, x) and U'(P, x) with their full phase
+decompositions (one complex eigendecomposition each), the discriminant of
+two projectors, scale(P, beta) with a dense A_beta, a brute-force flow
+resistance, and the reflection factorization of the st program.  No
+estimator module imports it.  A dim_h above DENSE_DIM_CAP is refused with
+OracleSizeError before anything is allocated.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+from dataclasses import dataclass
+from typing import Optional, Sequence
+
+import numpy as np
+
+from ._linalg import DEFAULT_TOLS, PHASE_ROUND_TOL, Tolerances, _rank, freeze, singular_values
+from .resistance import Graph, build_st_span_program, ordered_pairs
+from .spanprog import SpanProgram, SpanProgramError, minimal_witness, subspace_blocks
+from .spectral import SpectralMeasure
+
+PHASE_CLUSTER_TOL = 1e-9  # phases this close together share an eigenspace
+# dim_h cap of the dense oracle: at the cap one dim_h x dim_h float64 array takes 134 MB
+DENSE_DIM_CAP = 4096
+
+
+class OracleSizeError(SpanProgramError):
+    """The dense oracle was asked for dim_h x dim_h arrays above DENSE_DIM_CAP."""
+
+
+def _check_dense_size(program: SpanProgram) -> None:
+    """Refuse, before allocating, a dense dim_h x dim_h array above the cap."""
+    if program.dim_h > DENSE_DIM_CAP:
+        raise OracleSizeError(
+            f"the dense oracle forms dim_h x dim_h arrays: dim_h = {program.dim_h} "
+            f"is above the cap of {DENSE_DIM_CAP}"
+        )
+
+
+def subspace_projector(
+    program: SpanProgram, x: Sequence[int], tols: Tolerances = DEFAULT_TOLS
+) -> np.ndarray:
+    """Orthogonal projector onto H(x), block diagonal across the coordinate
+    blocks of spanprog.subspace_blocks, with a unit diagonal on identity
+    entries.  Raises OracleSizeError above DENSE_DIM_CAP."""
+    _check_dense_size(program)
+    proj = np.zeros((program.dim_h, program.dim_h))
+    for block, basis in subspace_blocks(program, x, tols)[0]:
+        if basis is None:
+            proj[block, block] = 1.0
+        else:
+            proj[block[:, None], block] = basis @ basis.T
+    return proj
+
+
+def kernel_projector(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+    """Orthogonal projector I - V_r V_r^T onto ker(A), V_r the row basis of A.
+    Raises OracleSizeError above DENSE_DIM_CAP."""
+    _check_dense_size(program)
+    v_r = program.factorization(tols).row_basis
+    return np.eye(program.dim_h) - v_r @ v_r.T
+
+
+@dataclass(frozen=True)
+class PhaseCluster:
+    """One invariant subspace: unsigned phase theta in [0, pi] and an
+    orthonormal basis of the real invariant subspace (both signs combined)."""
+
+    theta: float
+    basis: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[1]
+
+    def projector(self) -> np.ndarray:
+        return self.basis @ self.basis.T
+
+
+@dataclass(frozen=True)
+class UnitaryDecomposition:
+    """A real orthogonal matrix with its full phase decomposition.
+
+    clusters are sorted by unsigned phase; a cluster at theta in (0, pi)
+    represents the conjugate pair e^{+/- i theta} and has even dimension.
+    """
+
+    matrix: np.ndarray
+    clusters: tuple[PhaseCluster, ...]
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def phases(self) -> list[float]:
+        """Signed phases in (-pi, pi], one per complexified eigenvector."""
+        out: list[float] = []
+        for cl in self.clusters:
+            if cl.theta == 0.0 or cl.theta == math.pi:
+                out.extend([cl.theta] * cl.dim)
+            else:
+                out.extend([cl.theta] * (cl.dim // 2))
+                out.extend([-cl.theta] * (cl.dim // 2))
+        return sorted(out)
+
+    def measure(self, state: np.ndarray) -> SpectralMeasure:
+        """Spectral measure of state: its squared overlap with each cluster."""
+        weights = [float(np.sum(np.square(cl.basis.T @ state))) for cl in self.clusters]
+        return SpectralMeasure(np.array([cl.theta for cl in self.clusters]), np.array(weights))
+
+    def small_phase_projector(self, theta_max: float) -> np.ndarray:
+        """Projector onto the span of eigenspaces with |phase| <= theta_max."""
+        if not 0.0 <= theta_max < math.pi:
+            raise ValueError("theta_max must lie in [0, pi)")
+        proj = np.zeros((self.dim, self.dim))
+        for cl in self.clusters:
+            if cl.theta <= theta_max:
+                proj += cl.projector()
+        return proj
+
+    def fixed_projector(self) -> np.ndarray:
+        return self.small_phase_projector(0.0)
+
+    def phase_gap(self) -> float:
+        """Smallest nonzero |phase|; inf when the matrix is the identity."""
+        nonzero = [cl.theta for cl in self.clusters if cl.theta > 0.0]
+        return min(nonzero) if nonzero else math.inf
+
+    def minus_one_projector(self) -> np.ndarray:
+        for cl in self.clusters:
+            if cl.theta == math.pi:
+                return cl.projector()
+        return np.zeros((self.dim, self.dim))
+
+    def complex_eigenpairs(self) -> list[tuple[float, np.ndarray]]:
+        """(signed phase, complex unit eigenvector) pairs, for verification."""
+        pairs: list[tuple[float, np.ndarray]] = []
+        for cl in self.clusters:
+            if cl.theta == 0.0 or cl.theta == math.pi:
+                for k in range(cl.dim):
+                    pairs.append((cl.theta, cl.basis[:, k].astype(complex)))
+                continue
+            for k in range(0, cl.dim, 2):
+                q1, q2 = cl.basis[:, k], cl.basis[:, k + 1]
+                s = float(q2 @ (self.matrix @ q1))
+                v = (q1 - 1j * q2) / math.sqrt(2.0)
+                if s < 0:  # orient the pair so v carries e^{+i theta}
+                    v = np.conj(v)
+                pairs.append((cl.theta, v))
+                pairs.append((-cl.theta, np.conj(v)))
+        return pairs
+
+
+def decompose_orthogonal(u_mat: np.ndarray) -> UnitaryDecomposition:
+    """Full phase decomposition of a real orthogonal matrix from one complex
+    eigendecomposition.
+
+    An eigenvalue e^{i theta} with theta in (0, pi) gives its unsigned phase,
+    read by atan2 so that it is accurate near 0 and pi, and its eigenvector
+    v the invariant plane spanned by Re v and Im v; a real eigenvalue +/-1
+    gives its real eigenvector.  Eigenvectors of equal or nearby eigenvalues
+    need not be orthogonal, nor Re v and Im v of a phase near 0 or pi, so one
+    QR of these columns, in phase order with each plane's two adjacent,
+    makes them orthonormal.  Every prefix of that order spans an invariant
+    subspace, so each cluster's columns do too, and each adjacent pair of a
+    rotation cluster spans one invariant plane, as complex_eigenpairs reads
+    them.  Phases are snapped to 0 or pi within PHASE_ROUND_TOL and grouped
+    within PHASE_CLUSTER_TOL of a group's smallest phase."""
+    u_mat = np.asarray(u_mat, dtype=float)
+    dim = u_mat.shape[0]
+    ortho_defect = np.max(np.abs(u_mat.T @ u_mat - np.eye(dim)))
+    if ortho_defect > 1e-8:
+        raise ValueError(f"matrix is not orthogonal (defect {ortho_defect:.2e})")
+
+    vals, vecs = np.linalg.eig(u_mat)
+    thetas = np.arctan2(np.abs(np.imag(vals)), np.real(vals))
+    thetas[thetas <= PHASE_ROUND_TOL] = 0.0
+    thetas[math.pi - thetas <= PHASE_ROUND_TOL] = math.pi
+    # LAPACK returns a real eigenvalue with imaginary part exactly 0, and a
+    # pair as adjacent exact conjugates, the one with positive imaginary part
+    # first: Re v of the first and Im v of the second span the pair's plane.
+    # A stable sort on the phase, equal for both, keeps them adjacent.
+    order = np.argsort(thetas, kind="stable")
+    columns = np.where(np.imag(vals) >= 0.0, np.real(vecs), np.imag(vecs))
+    q_mat = np.linalg.qr(columns[:, order])[0]
+
+    groups: list[tuple[float, int]] = []  # (phase, first column) of each cluster
+    for column, theta in enumerate(thetas[order].tolist()):
+        if not groups or theta - groups[-1][0] > PHASE_CLUSTER_TOL:
+            groups.append((theta, column))
+    ends = [first for _, first in groups[1:]] + [dim]
+    clusters = tuple(
+        PhaseCluster(theta=theta, basis=freeze(q_mat[:, first:end]))
+        for (theta, first), end in zip(groups, ends)
+    )
+    return UnitaryDecomposition(matrix=freeze(u_mat), clusters=clusters)
+
+
+def _u_parts(
+    program: SpanProgram, x: Sequence[int], tols: Tolerances
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pi_ker(A), Pi_H(x) and U = (2 Pi_ker(A) - I)(2 Pi_H(x) - I), which
+    build_U decomposes and build_Uprime checks its factorization against."""
+    pi_ker = kernel_projector(program, tols)
+    pi_hx = subspace_projector(program, x, tols)
+    eye = np.eye(program.dim_h)
+    return pi_ker, pi_hx, (2.0 * pi_ker - eye) @ (2.0 * pi_hx - eye)
+
+
+def build_U(
+    program: SpanProgram, x: Sequence[int], tols: Tolerances = DEFAULT_TOLS
+) -> UnitaryDecomposition:
+    """U(P, x) = (2 Pi_ker(A) - I)(2 Pi_H(x) - I); one application costs 2 queries."""
+    return decompose_orthogonal(_u_parts(program, x, tols)[2])
+
+
+def build_Uprime(
+    program: SpanProgram, x: Sequence[int], tols: Tolerances = DEFAULT_TOLS
+) -> UnitaryDecomposition:
+    """U'(P, x) = (2 Pi_H(x) - I)(2 Pi_T - I) with T = ker(A) + span{w0}.
+
+    Also verifies the factorization U' = U^T (I - 2 w0 w0^T / ||w0||^2) against
+    a direct matrix product before returning.
+    """
+    pi_ker, pi_hx, u = _u_parts(program, x, tols)
+    mw = minimal_witness(program, tols)
+    w0_hat = np.asarray(mw.w0) / math.sqrt(mw.n_plus)
+    eye = np.eye(program.dim_h)
+    u_prime = (2.0 * pi_hx - eye) @ (2.0 * (pi_ker + np.outer(w0_hat, w0_hat)) - eye)
+    defect = np.max(np.abs(u_prime - u.T @ (eye - 2.0 * np.outer(w0_hat, w0_hat))))
+    if defect > 1e-10:
+        raise RuntimeError(f"U' factorization identity violated (defect {defect:.2e})")
+    return decompose_orthogonal(u_prime)
+
+
+def is_orthogonal_projector(mat: np.ndarray, tol: float = 1e-10) -> bool:
+    mat = np.asarray(mat, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        return False
+    return bool(
+        np.max(np.abs(mat - mat.T)) <= tol and np.max(np.abs(mat @ mat - mat)) <= tol
+    )
+
+
+def intersection_dims(
+    pi_a: np.ndarray, pi_b: np.ndarray, tol: float = math.sin(PHASE_ROUND_TOL / 2.0)
+) -> dict:
+    """Dimensions of the four intersections of the subspaces behind two projectors.
+
+    dim(P cap Q) = dim P - rank(Pi_{Q^perp} Pi_P): a unit vector of P at
+    principal angle phi from Q keeps a component sin(phi) outside Q, and a
+    singular value at most tol counts as zero.  The reflection product
+    (2 Pi_A - I)(2 Pi_B - I) turns the plane of such a vector by 2 phi, so the
+    default cutoff counts a direction exactly when its phase is snapped to 0 or
+    pi.
+    """
+    eye = np.eye(pi_a.shape[0])
+    ca, cb = eye - pi_a, eye - pi_b
+
+    def meet(pi_p: np.ndarray, pi_q_perp: np.ndarray) -> int:
+        dim_p = int(round(float(np.trace(pi_p))))
+        return dim_p - int(np.sum(singular_values(pi_q_perp @ pi_p) > tol))
+
+    return {
+        "a_and_b": meet(pi_a, cb),
+        "a_and_bperp": meet(pi_a, pi_b),
+        "aperp_and_b": meet(ca, cb),
+        "aperp_and_bperp": meet(ca, pi_b),
+    }
+
+
+@dataclass(frozen=True)
+class DiscriminantReport:
+    """D = Pi_A Pi_B with its singular values (descending) and the smallest
+    nonzero one; sigma_min is None when D = 0.  complement_values are the
+    singular values of Pi_B^perp Pi_A: the sines of the principal angles
+    whose cosines D carries."""
+
+    d_mat: np.ndarray
+    singular_values: np.ndarray
+    sigma_min: Optional[float]
+    complement_values: np.ndarray
+
+    def expected_rotation_phases(self) -> list[float]:
+        """Unsigned phases 2 phi predicted for the reflection product, one per
+        principal angle phi, each read where it is well conditioned: from
+        cos phi = sigma(D) when sigma <= 1/sqrt(2), otherwise from the sine.
+        Phases within PHASE_ROUND_TOL of 0 or pi are left out."""
+        half = math.sqrt(0.5)
+        out = [2.0 * math.acos(float(s)) for s in self.singular_values if s <= half]
+        out += [2.0 * math.asin(float(s)) for s in self.complement_values if s < half]
+        return sorted(p for p in out if PHASE_ROUND_TOL < p < math.pi - PHASE_ROUND_TOL)
+
+
+def discriminant(
+    pi_a: np.ndarray, pi_b: np.ndarray, tols: Tolerances = DEFAULT_TOLS
+) -> DiscriminantReport:
+    """Discriminant D = Pi_A Pi_B of the reflection product (2Pi_A - I)(2Pi_B - I)."""
+    for name, mat in (("Pi_A", pi_a), ("Pi_B", pi_b)):
+        if not is_orthogonal_projector(mat):
+            raise ValueError(f"{name} is not an orthogonal projector")
+    d_mat = pi_a @ pi_b
+    s = singular_values(d_mat)
+    rank = _rank(s, tols, scale=1.0)  # projector product: scale 1
+    return DiscriminantReport(
+        d_mat=freeze(d_mat),
+        singular_values=freeze(s),
+        sigma_min=float(s[rank - 1]) if rank else None,
+        complement_values=freeze(singular_values((np.eye(len(pi_b)) - pi_b) @ pi_a)),
+    )
+
+
+def scale(program: SpanProgram, beta: float, tols: Tolerances = DEFAULT_TOLS) -> SpanProgram:
+    """Augmented scaling construction: normalized program with witnesses scaled by beta.
+
+    Appends coordinate h0 (false side) then h1 (true side) as the last two H
+    coordinates, and h1 as the last V coordinate:
+
+        A_beta = beta * A + tau <h0| + (sqrt(beta^2 + N)/beta) |h1><h1|
+        tau_beta = tau + |h1>
+
+    For positive x, w+ becomes w+/beta^2 + beta^2/(N + beta^2); for negative x,
+    w- becomes beta^2 w- + 1.  The new minimal witness has unit norm when tau
+    lies in col(A) exactly.  A tau that lies in col(A) only to within
+    membership_rtol passes minimal_witness, but A_beta keeps tau's part off
+    col(A) in its h0 column, so the new minimal witness is not a unit
+    vector (||w0_beta||^2 = 1.11, 1.48, 1.94 at beta = 0.37, 1, 4 on one such
+    program), and the threshold rounds on it are refused where
+    SpectralMeasure checks the unit state.  A is read densely (a_mat).
+    """
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    mw = minimal_witness(program, tols)
+    n_val = mw.n_plus
+
+    dim_h = program.dim_h + 2
+    dim_v = program.dim_v + 1
+    h0_idx, h1_idx = program.dim_h, program.dim_h + 1
+    v1_idx = program.dim_v
+
+    a_new = np.zeros((dim_v, dim_h))
+    a_new[: program.dim_v, : program.dim_h] = beta * program.a_mat
+    a_new[: program.dim_v, h0_idx] = program.tau
+    a_new[v1_idx, h1_idx] = math.sqrt(beta * beta + n_val) / beta
+
+    tau_new = np.zeros(dim_v)
+    tau_new[: program.dim_v] = program.tau
+    tau_new[v1_idx] = 1.0
+
+    return dataclasses.replace(
+        program,
+        dim_h=dim_h,
+        dim_v=dim_v,
+        true_block=program.true_block + (h1_idx,),
+        false_block=program.false_block + (h0_idx,),
+        a=a_new,
+        tau=tau_new,
+    )
+
+
+def flow_resistance_bruteforce(g: Graph) -> float:
+    """Independent flow-minimization oracle over the cycle space.
+
+    Builds a particular unit st-flow along a tree path, parametrizes all unit
+    flows by fundamental cycles of a spanning forest, and minimizes the energy
+    by a dense normal-equation solve.  Intended for tiny graphs.
+    """
+    if not g.connected_st():
+        return math.inf
+    edges = sorted(g.edges)
+    index = {e: i for i, e in enumerate(edges)}
+
+    parent = g.spanning_tree(g.s)
+
+    def tree_path_flow(a: int, b: int) -> np.ndarray:
+        """Unit flow from a to b along tree edges (signed on sorted edges)."""
+        def path_to_root(v):
+            out = []
+            while parent[v] is not None:
+                out.append(v)
+                v = parent[v]
+            out.append(v)
+            return out
+        pa, pb = path_to_root(a), path_to_root(b)
+        sa, sb = set(pa), set(pb)
+        meet = next(v for v in pa if v in sb)
+        flow = np.zeros(len(edges))
+        def push(u, v, amount):  # oriented u -> v
+            e = (min(u, v), max(u, v))
+            sign = 1.0 if (u, v) == e else -1.0
+            flow[index[e]] += sign * amount
+        v = a
+        while v != meet:
+            push(v, parent[v], 1.0)
+            v = parent[v]
+        v = b
+        while v != meet:
+            push(parent[v], v, 1.0)
+            v = parent[v]
+        return flow
+
+    theta0 = tree_path_flow(g.s, g.t)
+
+    tree_edges = {(min(u, v), max(u, v)) for v, u in parent.items() if u is not None}
+    cycles = []
+    for u, v in edges:
+        if (u, v) in tree_edges or u not in parent or v not in parent:
+            continue
+        cyc = tree_path_flow(v, u)  # close the non-tree edge u -> v
+        cyc[index[(u, v)]] += 1.0
+        cycles.append(cyc)
+
+    if not cycles:
+        return float(theta0 @ theta0)
+    c_mat = np.column_stack(cycles)
+    coeff = np.linalg.solve(c_mat.T @ c_mat, -(c_mat.T @ theta0))
+    theta = theta0 + c_mat @ coeff
+    return float(theta @ theta)
+
+
+def kernel_basis(mat: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+    """Orthonormal basis of ker(mat) (right null space) as columns."""
+    mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    ncols = mat.shape[1]
+    if ncols == 0:
+        return np.zeros((0, 0))
+    _, s, vt = np.linalg.svd(mat, full_matrices=True)
+    rank = _rank(s, tols, None)
+    return vt[rank:].T if rank else np.eye(ncols)
+
+
+@dataclass(frozen=True)
+class FactorizationCheck:
+    """Residuals of the reflection-factorization identities on the 2 n^3
+    dimensional four-register space."""
+
+    n: int
+    my_isometry_defect: float
+    mz_isometry_defect: float
+    factorization_defect: float
+    minus_one_defect: float
+    plus_one_defect: float
+    rotation_phase: float  # actual phase on the image of (ker A)^perp
+    predicted_rotation_phase: float
+    # worst || (W + W^T) y - 2 cos(theta_n) y || over unit y in M_Y (ker A)^perp
+    rotation_identity_defect: float
+
+
+def reflection_factorization_operators(n: int):
+    """The isometries M_Z, M_Y of the four-register construction and the
+    st-connectivity A on ordered pairs (target-independent)."""
+    if not 2 <= n <= 8:
+        raise ValueError("construction materialized only for 2 <= n <= 8 (dim = 2 n^3)")
+    dim = 2 * n**3
+
+    def flat(b: int, r1: int, r2: int, r3: int) -> int:
+        return ((b * n + r1) * n + r2) * n + r3
+
+    mz = np.zeros((dim, n))
+    norm = 1.0 / math.sqrt(2.0 * (n - 1))
+    for u in range(n):
+        for v in range(n):
+            if v == u:
+                continue
+            mz[flat(0, u, u, v), u] += norm
+            mz[flat(1, u, v, u), u] += norm
+
+    pairs = ordered_pairs(n)
+    my = np.zeros((dim, len(pairs)))
+    for col, (u, v) in enumerate(pairs):
+        my[flat(0, u, u, v), col] += 1.0 / math.sqrt(2.0)
+        my[flat(1, v, u, v), col] -= 1.0 / math.sqrt(2.0)
+
+    return mz, my, build_st_span_program(n, 0, 1).a_mat
+
+
+def verify_reflection_factorization(n: int, tols: Tolerances = DEFAULT_TOLS) -> FactorizationCheck:
+    """Measure every identity of the reflection factorization.
+
+    (a) M_Y (and M_Z) are isometries; (b) M_Z^T M_Y = A / (2 sqrt(n-1));
+    (c) M_Y maps ker A into the -1-eigenspace of W = (2 Pi_Z - I)(2 Pi_Y - I)
+    and (ker A)^perp into the eigenspaces of W at phases +-theta_n, where
+    theta_n = 2 arccos sqrt(n/(2(n-1))): (W + W^T) M_Y v = 2 cos(theta_n) M_Y v
+    for every v in (ker A)^perp.
+
+    Both parts of (c) are exact identities.  The image of (ker A)^perp is not
+    fixed by W for n >= 3: by (b) it meets Z at principal angle
+    arccos sqrt(n / (2(n-1))) > 0, so W rotates it by theta_n <= pi/2 and the
+    gap pi - theta_n >= pi/2 separates it from the -1-eigenspace.
+    ``rotation_identity_defect`` is the operator norm of the residual of the
+    rotation identity on the whole image; ``plus_one_defect`` is the literal
+    +1-containment defect, which is positive, and ``rotation_phase`` is the
+    phase measured on the first basis vector of the image.
+    """
+    if not 3 <= n <= 6:
+        raise ValueError("verification supported for 3 <= n <= 6")
+    mz, my, a_mat = reflection_factorization_operators(n)
+    row_basis = build_st_span_program(n, 0, 1).factorization(tols).row_basis
+    ker_basis = kernel_basis(a_mat, tols)
+    dim = mz.shape[0]
+
+    my_defect = float(np.max(np.abs(my.T @ my - np.eye(my.shape[1]))))
+    mz_defect = float(np.max(np.abs(mz.T @ mz - np.eye(n))))
+    fact_defect = float(np.max(np.abs(mz.T @ my - a_mat / (2.0 * math.sqrt(n - 1)))))
+
+    pi_z = mz @ mz.T
+    pi_y = my @ my.T
+    eye = np.eye(dim)
+    walk = (2.0 * pi_z - eye) @ (2.0 * pi_y - eye)
+
+    img_ker = my @ ker_basis
+    img_row = my @ row_basis
+    minus_defect = float(np.max(np.abs(walk @ img_ker + img_ker))) if img_ker.size else 0.0
+    plus_defect = float(np.max(np.abs(walk @ img_row - img_row)))
+
+    # actual rotation phase on the rowA image: W acts as a rotation there
+    v0 = img_row[:, 0]
+    cos_actual = float(v0 @ (walk @ v0))
+    rotation_phase = math.acos(max(-1.0, min(1.0, cos_actual)))
+    predicted = 2.0 * math.acos(math.sqrt(n / (2.0 * (n - 1.0))))
+    # img_row has orthonormal columns, so the spectral norm of the residual is
+    # the worst residual over unit vectors of the whole image
+    rotation_residual = (walk + walk.T) @ img_row - 2.0 * math.cos(predicted) * img_row
+    rotation_defect = float(np.linalg.norm(rotation_residual, 2))
+
+    return FactorizationCheck(
+        n=n,
+        my_isometry_defect=my_defect,
+        mz_isometry_defect=mz_defect,
+        factorization_defect=fact_defect,
+        minus_one_defect=minus_defect,
+        plus_one_defect=plus_defect,
+        rotation_phase=rotation_phase,
+        predicted_rotation_phase=predicted,
+        rotation_identity_defect=rotation_defect,
+    )

@@ -7,8 +7,9 @@ st-flows halved over the two orientations and w_+(G) = R_st(G)/2.
 
 exact_resistance is the module's independent oracle: (e_s - e_t)^T L^+
 (e_s - e_t) on the graph Laplacian, read from one eigendecomposition of L
-that lambda2 shares, with a brute-force flow minimization over the cycle
-space kept as a second, pseudo-inverse-free path for tiny graphs.
+that lambda2 shares; oracle.flow_resistance_bruteforce, a flow
+minimization over the cycle space, is a second, pseudo-inverse-free path
+for tiny graphs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from ._linalg import DEFAULT_TOLS, Tolerances, kernel_basis
+from ._linalg import DEFAULT_TOLS, Tolerances
 from .algorithms import kappa_estimate, witness_estimate, POSITIVE
 from .qsim import QueryLedger
 from .spanprog import Incidence, SpanProgram, Subspaces, check_incidence_size, normalize
@@ -195,66 +196,6 @@ def exact_resistance(g: Graph) -> float:
     """R_st through the Laplacian pseudo-inverse, read from L's
     eigendecomposition; inf when s, t are disconnected."""
     return _spectral_oracle(g, g.connected_st())[1]
-
-
-def flow_resistance_bruteforce(g: Graph) -> float:
-    """Independent flow-minimization oracle over the cycle space.
-
-    Builds a particular unit st-flow along a tree path, parametrizes all unit
-    flows by fundamental cycles of a spanning forest, and minimizes the energy
-    by a dense normal-equation solve.  Intended for tiny graphs.
-    """
-    if not g.connected_st():
-        return math.inf
-    edges = sorted(g.edges)
-    index = {e: i for i, e in enumerate(edges)}
-
-    parent = g.spanning_tree(g.s)
-
-    def tree_path_flow(a: int, b: int) -> np.ndarray:
-        """Unit flow from a to b along tree edges (signed on sorted edges)."""
-        def path_to_root(v):
-            out = []
-            while parent[v] is not None:
-                out.append(v)
-                v = parent[v]
-            out.append(v)
-            return out
-        pa, pb = path_to_root(a), path_to_root(b)
-        sa, sb = set(pa), set(pb)
-        meet = next(v for v in pa if v in sb)
-        flow = np.zeros(len(edges))
-        def push(u, v, amount):  # oriented u -> v
-            e = (min(u, v), max(u, v))
-            sign = 1.0 if (u, v) == e else -1.0
-            flow[index[e]] += sign * amount
-        v = a
-        while v != meet:
-            push(v, parent[v], 1.0)
-            v = parent[v]
-        v = b
-        while v != meet:
-            push(parent[v], v, 1.0)
-            v = parent[v]
-        return flow
-
-    theta0 = tree_path_flow(g.s, g.t)
-
-    tree_edges = {(min(u, v), max(u, v)) for v, u in parent.items() if u is not None}
-    cycles = []
-    for u, v in edges:
-        if (u, v) in tree_edges or u not in parent or v not in parent:
-            continue
-        cyc = tree_path_flow(v, u)  # close the non-tree edge u -> v
-        cyc[index[(u, v)]] += 1.0
-        cycles.append(cyc)
-
-    if not cycles:
-        return float(theta0 @ theta0)
-    c_mat = np.column_stack(cycles)
-    coeff = np.linalg.solve(c_mat.T @ c_mat, -(c_mat.T @ theta0))
-    theta = theta0 + c_mat @ coeff
-    return float(theta @ theta)
 
 
 def ordered_pairs(n: int) -> list[tuple[int, int]]:
@@ -473,110 +414,3 @@ def lower_bound_family(
             )
         edges.append((i, j))
     return Graph(n=n, edges=frozenset(edges), s=s, t=t)
-
-
-@dataclass(frozen=True)
-class FactorizationCheck:
-    """Residuals of the reflection-factorization identities on the 2 n^3
-    dimensional four-register space."""
-
-    n: int
-    my_isometry_defect: float
-    mz_isometry_defect: float
-    factorization_defect: float
-    minus_one_defect: float
-    plus_one_defect: float
-    rotation_phase: float  # actual phase on the image of (ker A)^perp
-    predicted_rotation_phase: float
-    # worst || (W + W^T) y - 2 cos(theta_n) y || over unit y in M_Y (ker A)^perp
-    rotation_identity_defect: float
-
-
-def reflection_factorization_operators(n: int):
-    """The isometries M_Z, M_Y of the four-register construction and the
-    st-connectivity A on ordered pairs (target-independent)."""
-    if not 2 <= n <= 8:
-        raise ValueError("construction materialized only for 2 <= n <= 8 (dim = 2 n^3)")
-    dim = 2 * n**3
-
-    def flat(b: int, r1: int, r2: int, r3: int) -> int:
-        return ((b * n + r1) * n + r2) * n + r3
-
-    mz = np.zeros((dim, n))
-    norm = 1.0 / math.sqrt(2.0 * (n - 1))
-    for u in range(n):
-        for v in range(n):
-            if v == u:
-                continue
-            mz[flat(0, u, u, v), u] += norm
-            mz[flat(1, u, v, u), u] += norm
-
-    pairs = ordered_pairs(n)
-    my = np.zeros((dim, len(pairs)))
-    for col, (u, v) in enumerate(pairs):
-        my[flat(0, u, u, v), col] += 1.0 / math.sqrt(2.0)
-        my[flat(1, v, u, v), col] -= 1.0 / math.sqrt(2.0)
-
-    return mz, my, build_st_span_program(n, 0, 1).a_mat
-
-
-def verify_reflection_factorization(n: int, tols: Tolerances = DEFAULT_TOLS) -> FactorizationCheck:
-    """Measure every identity of the reflection factorization.
-
-    (a) M_Y (and M_Z) are isometries; (b) M_Z^T M_Y = A / (2 sqrt(n-1));
-    (c) M_Y maps ker A into the -1-eigenspace of W = (2 Pi_Z - I)(2 Pi_Y - I)
-    and (ker A)^perp into the eigenspaces of W at phases +-theta_n, where
-    theta_n = 2 arccos sqrt(n/(2(n-1))): (W + W^T) M_Y v = 2 cos(theta_n) M_Y v
-    for every v in (ker A)^perp.
-
-    Both parts of (c) are exact identities.  The image of (ker A)^perp is not
-    fixed by W for n >= 3: by (b) it meets Z at principal angle
-    arccos sqrt(n / (2(n-1))) > 0, so W rotates it by theta_n <= pi/2 and the
-    gap pi - theta_n >= pi/2 separates it from the -1-eigenspace.
-    ``rotation_identity_defect`` is the operator norm of the residual of the
-    rotation identity on the whole image; ``plus_one_defect`` is the literal
-    +1-containment defect, which is positive, and ``rotation_phase`` is the
-    phase measured on the first basis vector of the image.
-    """
-    if not 3 <= n <= 6:
-        raise ValueError("verification supported for 3 <= n <= 6")
-    mz, my, a_mat = reflection_factorization_operators(n)
-    row_basis = build_st_span_program(n, 0, 1).factorization(tols).row_basis
-    ker_basis = kernel_basis(a_mat, tols)
-    dim = mz.shape[0]
-
-    my_defect = float(np.max(np.abs(my.T @ my - np.eye(my.shape[1]))))
-    mz_defect = float(np.max(np.abs(mz.T @ mz - np.eye(n))))
-    fact_defect = float(np.max(np.abs(mz.T @ my - a_mat / (2.0 * math.sqrt(n - 1)))))
-
-    pi_z = mz @ mz.T
-    pi_y = my @ my.T
-    eye = np.eye(dim)
-    walk = (2.0 * pi_z - eye) @ (2.0 * pi_y - eye)
-
-    img_ker = my @ ker_basis
-    img_row = my @ row_basis
-    minus_defect = float(np.max(np.abs(walk @ img_ker + img_ker))) if img_ker.size else 0.0
-    plus_defect = float(np.max(np.abs(walk @ img_row - img_row)))
-
-    # actual rotation phase on the rowA image: W acts as a rotation there
-    v0 = img_row[:, 0]
-    cos_actual = float(v0 @ (walk @ v0))
-    rotation_phase = math.acos(max(-1.0, min(1.0, cos_actual)))
-    predicted = 2.0 * math.acos(math.sqrt(n / (2.0 * (n - 1.0))))
-    # img_row has orthonormal columns, so the spectral norm of the residual is
-    # the worst residual over unit vectors of the whole image
-    rotation_residual = (walk + walk.T) @ img_row - 2.0 * math.cos(predicted) * img_row
-    rotation_defect = float(np.linalg.norm(rotation_residual, 2))
-
-    return FactorizationCheck(
-        n=n,
-        my_isometry_defect=my_defect,
-        mz_isometry_defect=mz_defect,
-        factorization_defect=fact_defect,
-        minus_one_defect=minus_defect,
-        plus_one_defect=plus_defect,
-        rotation_phase=rotation_phase,
-        predicted_rotation_phase=predicted,
-        rotation_identity_defect=rotation_defect,
-    )

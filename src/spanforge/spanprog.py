@@ -19,15 +19,15 @@ so that H(x)'s walk indexes it with x directly.
 
 A is a dense matrix or signed incidence columns (Incidence), which the
 estimators read only through A v, A^T u, A A^T and the Gram of a subset of
-columns; SpanProgram.a_mat forms the dense A on demand for the oracle and
-the tests.  Every quantity about an input comes from A(x) = A Q_H, Q_H an
+columns; SpanProgram.a_mat forms the dense A on demand for spanforge.oracle
+and the tests.  Every quantity about an input comes from A(x) = A Q_H, Q_H an
 orthonormal basis of H(x) kept block by block, with each block's basis
 taken from the program's Subspaces store and each run of identity blocks
 kept as one set of coordinates, so that A(x) of the st program is a subset
-of A's columns; only the oracle's subspace_projector forms a dim_h x dim_h
-matrix.  The store holds the distinct H_{j,a} matrices and an n x q table of
-their ids; a program whose positions share one matrix per symbol gives it
-per symbol (Subspaces.per_symbol), which broadcasts one row of ids, so
+of A's columns; no dim_h x dim_h matrix is formed.  The store holds the
+distinct H_{j,a} matrices and an n x q table of their ids; a program
+whose positions share one matrix per symbol gives it per symbol
+(Subspaces.per_symbol), which broadcasts one row of ids, so
 neither a per-key dict nor a per-key check is made.  A program factors A
 once per Tolerances and solves w0 through the factors, by the rule
 input_factors follows for A(x): an incidence A wider than tall, such as
@@ -41,7 +41,7 @@ once whether tau lies in col A(x); one helper, _gram_factors, holds the
 Gram route and its rank cut for both.  The six witness quantities (exact
 and min-error, both signs) and the kappa bound all read that InputFactors.
 Infeasible sizes are math.inf.  scaled_factors reads the factors of
-scale(program, beta) from the parent's A = U_r Sigma V_r^T with one SVD of
+oracle.scale(program, beta) from A = U_r Sigma V_r^T with one SVD of
 an (r+1) x (r+1) matrix.  The threshold rounds take it where their closed
 form in spectral does not hold, when tau lies in col(A) only to within
 membership_rtol or beta cuts a direction of A_beta, and the tests take it
@@ -87,17 +87,11 @@ class GloballyInfeasibleError(SpanProgramError):
     """tau is not in the column space of A: no input has a positive witness."""
 
 
-class OracleSizeError(SpanProgramError):
-    """The dense oracle was asked for dim_h x dim_h arrays above DENSE_DIM_CAP."""
-
-
 class ProgramSizeError(SpanProgramError):
     """A program's dense A would hold more than DENSE_A_ENTRY_CAP entries, or
     an incidence program more than INCIDENCE_DIM_H_CAP coordinates."""
 
 
-# dim_h cap of the dense oracle: at the cap one dim_h x dim_h float64 array takes 134 MB
-DENSE_DIM_CAP = 4096
 # entry cap of a dense A: at the cap A takes 2.1 GB as float64; the st
 # program at n = 500 holds 1.25e8 entries, at n = 2000 it would hold 8e9
 DENSE_A_ENTRY_CAP = 2**28
@@ -109,15 +103,6 @@ INCIDENCE_DIM_H_CAP = 2**22
 # and relative to sigma_max(A)^2: the kernel eigenvalues of 2 L_G measured at
 # most 0.14 dim_v eps relative, over random graphs cut in two, n <= 800
 GRAM_NOISE_RTOL = 10.0 * np.finfo(float).eps
-
-
-def _check_dense_size(program: SpanProgram) -> None:
-    """Refuse, before allocating, a dense dim_h x dim_h array above the cap."""
-    if program.dim_h > DENSE_DIM_CAP:
-        raise OracleSizeError(
-            f"the dense oracle forms dim_h x dim_h arrays: dim_h = {program.dim_h} "
-            f"is above the cap of {DENSE_DIM_CAP}"
-        )
 
 
 def check_dense_a_size(dim_v: int, dim_h: int, what: str = "a dense A") -> None:
@@ -202,12 +187,15 @@ class Incidence:
 
     def column_gram(self, cols: np.ndarray) -> np.ndarray:
         """A_c A_c^T for the columns c = cols of A: degrees on the diagonal,
-        minus one per column at (plus, minus) and (minus, plus)."""
+        minus one per column at (plus, minus) and (minus, plus), in place."""
         n = self.dim_v
         plus, minus = self.plus[cols], self.minus[cols]
         links = np.bincount(plus * n + minus, minlength=n * n).reshape(n, n)
-        degrees = np.bincount(plus, minlength=n) + np.bincount(minus, minlength=n)
-        return np.diag(degrees.astype(float)) - (links + links.T)
+        out = np.zeros((n, n))
+        out.flat[:: n + 1] = np.bincount(plus, minlength=n) + np.bincount(minus, minlength=n)
+        out -= links  # subtracted from +0.0, not negated, so no entry is -0.0
+        out -= links.T
+        return out
 
     def gram(self) -> np.ndarray:
         """A A^T."""
@@ -948,23 +936,6 @@ def _lift(dim_h: int, blocks: Blocks, coef: np.ndarray) -> np.ndarray:
     return w
 
 
-def subspace_projector(
-    program: SpanProgram, x: Sequence[int], tols: Tolerances = DEFAULT_TOLS
-) -> np.ndarray:
-    """Orthogonal projector onto H(x), block diagonal across the coordinate
-    blocks of subspace_blocks, with a unit diagonal on identity entries; for
-    the dense oracle and the tests only.  Raises OracleSizeError above
-    DENSE_DIM_CAP."""
-    _check_dense_size(program)
-    proj = np.zeros((program.dim_h, program.dim_h))
-    for block, basis in subspace_blocks(program, x, tols)[0]:
-        if basis is None:
-            proj[block, block] = 1.0
-        else:
-            proj[block[:, None], block] = basis @ basis.T
-    return proj
-
-
 def minimal_witness(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS) -> MinimalWitness:
     """w0 = A^+ tau, N_+ = ||w0||^2, and N_- = 1/N_+ (the reciprocal identity)."""
     fact = program.factorization(tols)
@@ -1246,8 +1217,10 @@ def _rescaled(fact: Factorization, factor: float) -> Factorization:
     mw = fact.witness
     if mw is None:
         return fact
+    w0 = factor * mw.w0  # a fresh array, made read-only without a copy
+    w0.setflags(write=False)
     witness = MinimalWitness(
-        w0=freeze(factor * mw.w0),
+        w0=w0,
         n_plus=mw.n_plus * factor * factor,
         n_minus=mw.n_minus / (factor * factor),
     )
@@ -1281,57 +1254,9 @@ def normalize(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS) -> SpanProg
     return rescale_target(program, 1.0 / math.sqrt(mw.n_plus))
 
 
-def scale(program: SpanProgram, beta: float, tols: Tolerances = DEFAULT_TOLS) -> SpanProgram:
-    """Augmented scaling construction: normalized program with witnesses scaled by beta.
-
-    Appends coordinate h0 (false side) then h1 (true side) as the last two H
-    coordinates, and h1 as the last V coordinate:
-
-        A_beta = beta * A + tau <h0| + (sqrt(beta^2 + N)/beta) |h1><h1|
-        tau_beta = tau + |h1>
-
-    For positive x, w+ becomes w+/beta^2 + beta^2/(N + beta^2); for negative x,
-    w- becomes beta^2 w- + 1.  The new minimal witness has unit norm when tau
-    lies in col(A) exactly.  A tau that lies in col(A) only to within
-    membership_rtol passes minimal_witness, but A_beta keeps tau's part off
-    col(A) in its h0 column, so the new minimal witness is not a unit
-    vector (||w0_beta||^2 = 1.11, 1.48, 1.94 at beta = 0.37, 1, 4 on one such
-    program), and the threshold rounds on it are refused where
-    SpectralMeasure checks the unit state.  A is read densely (a_mat).
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    mw = minimal_witness(program, tols)
-    n_val = mw.n_plus
-
-    dim_h = program.dim_h + 2
-    dim_v = program.dim_v + 1
-    h0_idx, h1_idx = program.dim_h, program.dim_h + 1
-    v1_idx = program.dim_v
-
-    a_new = np.zeros((dim_v, dim_h))
-    a_new[: program.dim_v, : program.dim_h] = beta * program.a_mat
-    a_new[: program.dim_v, h0_idx] = program.tau
-    a_new[v1_idx, h1_idx] = math.sqrt(beta * beta + n_val) / beta
-
-    tau_new = np.zeros(dim_v)
-    tau_new[: program.dim_v] = program.tau
-    tau_new[v1_idx] = 1.0
-
-    return dataclasses.replace(
-        program,
-        dim_h=dim_h,
-        dim_v=dim_v,
-        true_block=program.true_block + (h1_idx,),
-        false_block=program.false_block + (h0_idx,),
-        a=a_new,
-        tau=tau_new,
-    )
-
-
 @dataclass(frozen=True)
 class ScaledFactors:
-    """The factors of scale(program, beta)'s A_beta that w0's spectral
+    """The factors of oracle.scale(program, beta)'s A_beta that w0's spectral
     measure reads, derived from the parent's A = U_r Sigma V_r^T.
 
     With g = U_r^T tau and rho = tau - U_r g, the rows [beta A, tau] of A_beta
@@ -1369,7 +1294,7 @@ class ScaledFactors:
 def scaled_factors(
     program: SpanProgram, beta: float, tols: Tolerances = DEFAULT_TOLS
 ) -> ScaledFactors:
-    """ScaledFactors of scale(program, beta, tols), from one SVD of the
+    """ScaledFactors of oracle.scale(program, beta, tols), from one SVD of the
     (r+1) x (r+1) matrix K.  Raises GloballyInfeasibleError when tau_beta
     fails _factorize's membership test, as minimal_witness of the scaled
     program then does.  As with scale, w0_beta is a unit vector only when

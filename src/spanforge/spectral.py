@@ -1,9 +1,9 @@
-"""Reflection-product unitaries for span programs and their exact phase structure.
+"""w0's spectral measure under the reflection products of a span program.
 
 U(P, x) is the product of the reflection about ker(A) with the reflection
 about H(x); U'(P, x) swaps in the reflection about T = ker(A) + span{w0}.
 Both are real orthogonal, so their spectra decompose into an invariant
-subspace per phase, phases coming in +/- pairs.
+subspace per phase, phases coming in +/- pairs.  spanforge.oracle forms them.
 
 The estimators need only w0's spectral measure: its phases and their weights.
 measure_U and measure_Uprime read it from the principal angles between H(x)
@@ -36,13 +36,7 @@ come from spanprog.scaled_factors, one (r+1) x (r+1) SVD.  Every route
 shares one tail per unitary, which takes (V^T w0, V^T Q_H) or such a pair
 and makes one SVD: of the cross matrix for U, and of the cross matrix with
 w0's direction projected out of its rows for U'.  The direct route on
-scale(P, beta) is the oracle the rounds are tested against.
-
-The oracle, for verify and the tests, builds U or U' densely (build_U,
-build_Uprime) and decomposes it (decompose_orthogonal) from one complex
-eigendecomposition: an eigenvalue e^{i theta} carries its phase, and the real
-and imaginary parts of its eigenvector span the plane it turns; +/-1 carry
-real eigenvectors.
+oracle.scale(P, beta) is the oracle the rounds are tested against.
 """
 
 from __future__ import annotations
@@ -53,19 +47,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._linalg import (
-    DEFAULT_TOLS,
-    PHASE_ROUND_TOL,
-    Tolerances,
-    _rank,
-    freeze,
-    is_orthogonal_projector,
-    singular_values,
-)
-from .spanprog import InputFactors, SpanProgram, _check_dense_size, input_factors, minimal_witness
-from .spanprog import _target_factors, restrict, scaled_factors, subspace_projector
-
-PHASE_CLUSTER_TOL = 1e-9  # phases this close together share an eigenspace
+from ._linalg import DEFAULT_TOLS, PHASE_ROUND_TOL, Tolerances, freeze
+from .spanprog import InputFactors, SpanProgram, input_factors, minimal_witness
+from .spanprog import _target_factors, restrict, scaled_factors
 
 
 @dataclass(frozen=True)
@@ -88,208 +72,6 @@ class SpectralMeasure:
             raise ValueError("phase estimation expects a unit initial state")
         object.__setattr__(self, "phases", freeze(phases))
         object.__setattr__(self, "weights", freeze(np.maximum(weights, 0.0)))
-
-
-@dataclass(frozen=True)
-class PhaseCluster:
-    """One invariant subspace: unsigned phase theta in [0, pi] and an
-    orthonormal basis of the real invariant subspace (both signs combined)."""
-
-    theta: float
-    basis: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.T
-
-
-@dataclass(frozen=True)
-class UnitaryDecomposition:
-    """A real orthogonal matrix with its full phase decomposition.
-
-    clusters are sorted by unsigned phase; a cluster at theta in (0, pi)
-    represents the conjugate pair e^{+/- i theta} and has even dimension.
-    """
-
-    matrix: np.ndarray
-    clusters: tuple[PhaseCluster, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def phases(self) -> list[float]:
-        """Signed phases in (-pi, pi], one per complexified eigenvector."""
-        out: list[float] = []
-        for cl in self.clusters:
-            if cl.theta == 0.0 or cl.theta == math.pi:
-                out.extend([cl.theta] * cl.dim)
-            else:
-                out.extend([cl.theta] * (cl.dim // 2))
-                out.extend([-cl.theta] * (cl.dim // 2))
-        return sorted(out)
-
-    def measure(self, state: np.ndarray) -> SpectralMeasure:
-        """Spectral measure of state: its squared overlap with each cluster."""
-        weights = [float(np.sum(np.square(cl.basis.T @ state))) for cl in self.clusters]
-        return SpectralMeasure(np.array([cl.theta for cl in self.clusters]), np.array(weights))
-
-    def small_phase_projector(self, theta_max: float) -> np.ndarray:
-        """Projector onto the span of eigenspaces with |phase| <= theta_max."""
-        if not 0.0 <= theta_max < math.pi:
-            raise ValueError("theta_max must lie in [0, pi)")
-        proj = np.zeros((self.dim, self.dim))
-        for cl in self.clusters:
-            if cl.theta <= theta_max:
-                proj += cl.projector()
-        return proj
-
-    def fixed_projector(self) -> np.ndarray:
-        return self.small_phase_projector(0.0)
-
-    def phase_gap(self) -> float:
-        """Smallest nonzero |phase|; inf when the matrix is the identity."""
-        nonzero = [cl.theta for cl in self.clusters if cl.theta > 0.0]
-        return min(nonzero) if nonzero else math.inf
-
-    def minus_one_projector(self) -> np.ndarray:
-        for cl in self.clusters:
-            if cl.theta == math.pi:
-                return cl.projector()
-        return np.zeros((self.dim, self.dim))
-
-    def complex_eigenpairs(self) -> list[tuple[float, np.ndarray]]:
-        """(signed phase, complex unit eigenvector) pairs, for verification."""
-        pairs: list[tuple[float, np.ndarray]] = []
-        for cl in self.clusters:
-            if cl.theta == 0.0 or cl.theta == math.pi:
-                for k in range(cl.dim):
-                    pairs.append((cl.theta, cl.basis[:, k].astype(complex)))
-                continue
-            for k in range(0, cl.dim, 2):
-                q1, q2 = cl.basis[:, k], cl.basis[:, k + 1]
-                s = float(q2 @ (self.matrix @ q1))
-                v = (q1 - 1j * q2) / math.sqrt(2.0)
-                if s < 0:  # orient the pair so v carries e^{+i theta}
-                    v = np.conj(v)
-                pairs.append((cl.theta, v))
-                pairs.append((-cl.theta, np.conj(v)))
-        return pairs
-
-
-@dataclass(frozen=True)
-class DiscriminantReport:
-    """D = Pi_A Pi_B with its singular values (descending) and the smallest
-    nonzero one; sigma_min is None when D = 0.  complement_values are the
-    singular values of Pi_B^perp Pi_A: the sines of the principal angles
-    whose cosines D carries."""
-
-    d_mat: np.ndarray
-    singular_values: np.ndarray
-    sigma_min: Optional[float]
-    complement_values: np.ndarray
-
-    def expected_rotation_phases(self) -> list[float]:
-        """Unsigned phases 2 phi predicted for the reflection product, one per
-        principal angle phi, each read where it is well conditioned: from
-        cos phi = sigma(D) when sigma <= 1/sqrt(2), otherwise from the sine.
-        Phases within PHASE_ROUND_TOL of 0 or pi are left out."""
-        half = math.sqrt(0.5)
-        out = [2.0 * math.acos(float(s)) for s in self.singular_values if s <= half]
-        out += [2.0 * math.asin(float(s)) for s in self.complement_values if s < half]
-        return sorted(p for p in out if PHASE_ROUND_TOL < p < math.pi - PHASE_ROUND_TOL)
-
-
-def decompose_orthogonal(u_mat: np.ndarray) -> UnitaryDecomposition:
-    """Full phase decomposition of a real orthogonal matrix from one complex
-    eigendecomposition.
-
-    An eigenvalue e^{i theta} with theta in (0, pi) gives its unsigned phase,
-    read by atan2 so that it is accurate near 0 and pi, and its eigenvector
-    v the invariant plane spanned by Re v and Im v; a real eigenvalue +/-1
-    gives its real eigenvector.  Eigenvectors of equal or nearby eigenvalues
-    need not be orthogonal, nor Re v and Im v of a phase near 0 or pi, so one
-    QR of these columns, in phase order with each plane's two adjacent,
-    makes them orthonormal.  Every prefix of that order spans an invariant
-    subspace, so each cluster's columns do too, and each adjacent pair of a
-    rotation cluster spans one invariant plane, as complex_eigenpairs reads
-    them.  Phases are snapped to 0 or pi within PHASE_ROUND_TOL and grouped
-    within PHASE_CLUSTER_TOL of a group's smallest phase."""
-    u_mat = np.asarray(u_mat, dtype=float)
-    dim = u_mat.shape[0]
-    ortho_defect = np.max(np.abs(u_mat.T @ u_mat - np.eye(dim)))
-    if ortho_defect > 1e-8:
-        raise ValueError(f"matrix is not orthogonal (defect {ortho_defect:.2e})")
-
-    vals, vecs = np.linalg.eig(u_mat)
-    thetas = np.arctan2(np.abs(np.imag(vals)), np.real(vals))
-    thetas[thetas <= PHASE_ROUND_TOL] = 0.0
-    thetas[math.pi - thetas <= PHASE_ROUND_TOL] = math.pi
-    # LAPACK returns a real eigenvalue with imaginary part exactly 0, and a
-    # pair as adjacent exact conjugates, the one with positive imaginary part
-    # first: Re v of the first and Im v of the second span the pair's plane.
-    # A stable sort on the phase, equal for both, keeps them adjacent.
-    order = np.argsort(thetas, kind="stable")
-    columns = np.where(np.imag(vals) >= 0.0, np.real(vecs), np.imag(vecs))
-    q_mat = np.linalg.qr(columns[:, order])[0]
-
-    groups: list[tuple[float, int]] = []  # (phase, first column) of each cluster
-    for column, theta in enumerate(thetas[order].tolist()):
-        if not groups or theta - groups[-1][0] > PHASE_CLUSTER_TOL:
-            groups.append((theta, column))
-    ends = [first for _, first in groups[1:]] + [dim]
-    clusters = tuple(
-        PhaseCluster(theta=theta, basis=freeze(q_mat[:, first:end]))
-        for (theta, first), end in zip(groups, ends)
-    )
-    return UnitaryDecomposition(matrix=freeze(u_mat), clusters=clusters)
-
-
-def kernel_projector(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Orthogonal projector I - V_r V_r^T onto ker(A), V_r the row basis of A.
-    Raises OracleSizeError above DENSE_DIM_CAP."""
-    _check_dense_size(program)
-    v_r = program.factorization(tols).row_basis
-    return np.eye(program.dim_h) - v_r @ v_r.T
-
-
-def build_U(
-    program: SpanProgram, x: Sequence[int], tols: Tolerances = DEFAULT_TOLS
-) -> UnitaryDecomposition:
-    """U(P, x) = (2 Pi_ker(A) - I)(2 Pi_H(x) - I); one application costs 2 queries."""
-    pi_ker = kernel_projector(program, tols)
-    pi_hx = subspace_projector(program, x, tols)
-    u = (2.0 * pi_ker - np.eye(program.dim_h)) @ (2.0 * pi_hx - np.eye(program.dim_h))
-    return decompose_orthogonal(u)
-
-
-def build_Uprime(
-    program: SpanProgram, x: Sequence[int], tols: Tolerances = DEFAULT_TOLS
-) -> UnitaryDecomposition:
-    """U'(P, x) = (2 Pi_H(x) - I)(2 Pi_T - I) with T = ker(A) + span{w0}.
-
-    Also verifies the factorization U' = U^T (I - 2 w0 w0^T / ||w0||^2) against
-    a direct matrix product before returning.
-    """
-    pi_ker = kernel_projector(program, tols)
-    mw = minimal_witness(program, tols)
-    w0_hat = np.asarray(mw.w0) / math.sqrt(mw.n_plus)
-    pi_t = pi_ker + np.outer(w0_hat, w0_hat)
-    pi_hx = subspace_projector(program, x, tols)
-    eye = np.eye(program.dim_h)
-    u_prime = (2.0 * pi_hx - eye) @ (2.0 * pi_t - eye)
-
-    u = (2.0 * pi_ker - eye) @ (2.0 * pi_hx - eye)
-    alt = u.T @ (eye - 2.0 * np.outer(w0_hat, w0_hat))
-    defect = np.max(np.abs(u_prime - alt))
-    if defect > 1e-10:
-        raise RuntimeError(f"U' factorization identity violated (defect {defect:.2e})")
-
-    return decompose_orthogonal(u_prime)
 
 
 @dataclass(frozen=True)
@@ -505,24 +287,6 @@ def scaled_measure_Uprime(cross: RowSpaceCross, beta: float) -> SpectralMeasure:
     """measure_Uprime(scale(P, beta), x) for cross = C(x) of P, read as
     scaled_measure_U reads it; one SVD, of (I - w_hat w_hat^T) L_beta."""
     return _measure_uprime(*_scaled_pair(cross, beta), cross.tols)
-
-
-def discriminant(
-    pi_a: np.ndarray, pi_b: np.ndarray, tols: Tolerances = DEFAULT_TOLS
-) -> DiscriminantReport:
-    """Discriminant D = Pi_A Pi_B of the reflection product (2Pi_A - I)(2Pi_B - I)."""
-    for name, mat in (("Pi_A", pi_a), ("Pi_B", pi_b)):
-        if not is_orthogonal_projector(mat):
-            raise ValueError(f"{name} is not an orthogonal projector")
-    d_mat = pi_a @ pi_b
-    s = singular_values(d_mat)
-    rank = _rank(s, tols, scale=1.0)  # projector product: scale 1
-    return DiscriminantReport(
-        d_mat=freeze(d_mat),
-        singular_values=freeze(s),
-        sigma_min=float(s[rank - 1]) if rank else None,
-        complement_values=freeze(singular_values((np.eye(len(pi_b)) - pi_b) @ pi_a)),
-    )
 
 
 def kappa_bound(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import DEFAULT_TOLS, Tolerances, intersection_dims, svd_factors
+from ._linalg import DEFAULT_TOLS, Tolerances, svd_factors
 from .generators import (
     all_inputs,
     random_graph,
@@ -22,17 +22,16 @@ from .generators import (
 from .resistance import (
     build_st_span_program,
     exact_resistance,
-    flow_resistance_bruteforce,
     graph_input,
     lambda2,
-    verify_reflection_factorization,
     witness_equals_half_resistance,
 )
+from .oracle import build_U, build_Uprime, decompose_orthogonal, discriminant, scale
+from .oracle import flow_resistance_bruteforce, intersection_dims, subspace_projector
+from .oracle import verify_reflection_factorization
 from .qsim import outcome_zero_probability
-from .spanprog import input_factors, minimal_negative_value, minimal_witness, normalize, scale
-from .spanprog import subspace_projector, witness_report
-from .spectral import build_U, build_Uprime, decompose_orthogonal, discriminant, kappa_bound
-from .spectral import measure_U, measure_Uprime
+from .spanprog import input_factors, minimal_negative_value, minimal_witness, normalize, witness_report
+from .spectral import kappa_bound, measure_U, measure_Uprime
 
 THETA_GRID = [0.05 * k for k in range(1, 31)]
 PE_GRIDS = (2, 16, 256)  # phase-estimation grid sizes the estimator path is compared on

@@ -14,8 +14,8 @@ import numpy as np
 import scipy.linalg
 
 from spanforge._linalg import PHASE_ROUND_TOL
-from spanforge.spanprog import SpanProgram, subspace_projector
-from spanforge.spectral import PHASE_CLUSTER_TOL
+from spanforge.oracle import PHASE_CLUSTER_TOL, subspace_projector
+from spanforge.spanprog import SpanProgram
 
 
 def kkt_equality_ls(c_mat: np.ndarray, d: np.ndarray, e_mat: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -88,7 +88,7 @@ def schur_phase_clusters(u_mat: np.ndarray) -> list[tuple[float, np.ndarray]]:
     matrix, from scipy's real Schur form: a 2 x 2 block of T carries the
     phase of its rotation, a 1 x 1 block +/-1.  Phases are snapped to 0 or pi
     within PHASE_ROUND_TOL and grouped within PHASE_CLUSTER_TOL of a group's
-    smallest phase, as spectral.decompose_orthogonal groups them."""
+    smallest phase, as oracle.decompose_orthogonal groups them."""
     t_mat, q_mat = scipy.linalg.schur(u_mat, output="real")
     blocks: list[tuple[float, list[int]]] = []
     i = 0

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from spanforge._linalg import intersection_dims, sigma_max, sigma_min_nonzero
+from spanforge._linalg import DEFAULT_TOLS, singular_values
 from spanforge.algorithms import POSITIVE, witness_estimate
 from spanforge.generators import (
     all_inputs,
@@ -31,6 +31,15 @@ from spanforge.resistance import (
     graph_input,
     lambda2,
     lower_bound_family,
+)
+from spanforge.oracle import (
+    build_U,
+    build_Uprime,
+    decompose_orthogonal,
+    discriminant,
+    intersection_dims,
+    scale,
+    subspace_projector,
     verify_reflection_factorization,
 )
 from spanforge.spanprog import (
@@ -38,11 +47,9 @@ from spanforge.spanprog import (
     normalize,
     or_span_program,
     positive_witness,
-    scale,
-    subspace_projector,
     witness_report,
 )
-from spanforge.spectral import build_U, build_Uprime, decompose_orthogonal, discriminant, kappa_bound
+from spanforge.spectral import kappa_bound
 
 from graph_atlas import connected_graphs_upto
 
@@ -212,11 +219,11 @@ def test_criterion_07_resistance_identity():
         res = exact_resistance(g)
         assert abs(w_plus - res / 2.0) <= 1e-8 * max(1.0, res)
         ax = np.asarray(program.a_mat) @ subspace_projector(program, x)
-        assert abs(sigma_max(program.a_mat) - math.sqrt(2.0 * g.n)) <= 1e-8
-        assert abs(
-            sigma_min_nonzero(ax, scale=sigma_max(program.a_mat))
-            - math.sqrt(2.0 * lambda2(g))
-        ) <= 1e-8
+        top = singular_values(program.a_mat)[0]
+        assert abs(top - math.sqrt(2.0 * g.n)) <= 1e-8
+        sigmas = singular_values(ax)
+        smallest = sigmas[sigmas > DEFAULT_TOLS.rank_rtol * top][-1]
+        assert abs(smallest - math.sqrt(2.0 * lambda2(g))) <= 1e-8
 
     for trial in range(100):
         rng = np.random.default_rng([ENSEMBLE_SEED + 4, trial])

@@ -21,6 +21,7 @@ from spanforge._linalg import DEFAULT_TOLS, Tolerances, column_space_split
 from spanforge import spanprog
 from spanforge.cli import main
 from spanforge.generators import all_inputs, random_graph, random_span_program
+from spanforge.oracle import scale, subspace_projector
 from spanforge.qsim import QueryLedger, outcome_zero_probability
 from spanforge.resistance import (
     EFFECTIVE_GAP,
@@ -53,9 +54,7 @@ from spanforge.spanprog import (
     positive_witness,
     rescale_target,
     restrict,
-    scale,
     subspace_blocks,
-    subspace_projector,
     validate,
     witness_report,
 )
@@ -596,6 +595,62 @@ def test_the_st_builder_holds_one_a_and_no_copy_of_it():
     assert not small.flags.writeable and small.flags.owndata
 
 
+def column_gram_reference(a, cols):
+    """A_c A_c^T as column_gram formed it with four n x n temporaries."""
+    n = a.dim_v
+    plus, minus = a.plus[cols], a.minus[cols]
+    links = np.bincount(plus * n + minus, minlength=n * n).reshape(n, n)
+    degrees = np.bincount(plus, minlength=n) + np.bincount(minus, minlength=n)
+    return np.diag(degrees.astype(float)) - (links + links.T)
+
+
+@pytest.fixture(scope="module")
+def st_1000():
+    """The st program on random_graph(default_rng(1000), 1000, 0.1), with
+    its A's factorization, and the coordinates of its H(x)."""
+    g = random_graph(np.random.default_rng(1000), 1000, 0.1)
+    program = build_st_span_program(g.n, g.s, g.t)
+    minimal_witness(program)
+    return program, subspace_blocks(program, graph_input(g))[0][0][0]
+
+
+def test_column_gram_is_formed_in_place_and_bit_identical(st_1000):
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        n, m = int(rng.integers(2, 20)), int(rng.integers(0, 40))
+        plus = rng.integers(0, n, m)
+        a = Incidence(n, plus, (plus + rng.integers(1, n, m)) % n)
+        for cols in (slice(None), np.flatnonzero(rng.random(m) < 0.5)):
+            assert a.column_gram(cols).tobytes() == column_gram_reference(a, cols).tobytes()
+    # G(x) at n = 1000 is 8 MB; the count array beside it is as large
+    program, cols = st_1000
+    reference = column_gram_reference(program.a, cols)
+    tracemalloc.start()
+    try:
+        gram = program.a.column_gram(cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gram.tobytes() == reference.tobytes()
+    assert peak <= 2.5 * gram.nbytes
+
+
+def test_rescaling_the_target_scales_w0_without_a_second_copy(st_1000):
+    program, _ = st_1000
+    fact = program.factorization(DEFAULT_TOLS)
+    w0 = fact.witness.w0
+    tracemalloc.start()
+    try:
+        child = spanprog._rescaled(fact, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    scaled = child.witness.w0
+    assert not scaled.flags.writeable and scaled.flags.owndata
+    assert scaled.tobytes() == (0.3 * w0).tobytes()
+    assert peak < 1.25 * w0.nbytes
+
+
 def test_a_real_gap_estimate_at_n_200_holds_few_arrays_the_size_of_a():
     # at n = 200 a dense A would be 200 x 39,800 (64 MB); on the complete
     # graph A(x) and its right singular vectors would be as large, and the
@@ -617,7 +672,7 @@ def test_a_real_gap_estimate_at_n_200_holds_few_arrays_the_size_of_a():
 LEAN_ESTIMATES = """
 import sys
 import numpy as np
-from spanforge import spanprog
+from spanforge import oracle, spanprog
 from spanforge.generators import random_graph
 from spanforge.qsim import QueryLedger
 from spanforge.resistance import estimate_resistance, lambda2, lower_bound_family
@@ -635,6 +690,22 @@ def narrow(mat, *args, **kwargs):
     return svd(mat, *args, **kwargs)
 
 np.linalg.svd = narrow
+
+def refused(*args, **kwargs):
+    raise AssertionError("an estimate reached spanforge.oracle")
+
+# every public callable of spanforge.oracle, in every namespace that holds it
+dense = {id(value) for name, value in vars(oracle).items()
+         if callable(value) and not name.startswith("_")
+         and getattr(value, "__module__", None) == oracle.__name__}
+patched = set()
+for name, module in list(sys.modules.items()):
+    if name.split(".")[0] == "spanforge":
+        for attr, value in list(vars(module).items()):
+            if id(value) in dense:
+                patched.add(id(value))
+                setattr(module, attr, refused)
+assert patched == dense, len(dense - patched)
 for g in (lower_bound_family(16, 1, i=1, j=8), random_graph(np.random.default_rng(3), 24, 0.3)):
     LIMIT = g.n + 1
     for method in ("effective-gap", "real-gap"):
@@ -646,7 +717,8 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 
 
 def test_an_estimate_imports_no_scipy_and_forms_no_dense_a_or_v_x():
-    # scipy.linalg alone adds about 20 MB of resident memory
+    # scipy.linalg alone adds about 20 MB of resident memory; both methods
+    # run with every public callable of spanforge.oracle raising
     src = str(Path(spanprog.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", LEAN_ESTIMATES],
                          env={**os.environ, "PYTHONPATH": src},

@@ -23,6 +23,7 @@ from spanforge.algorithms import (
     interval_update,
     majority_reps,
 )
+from spanforge.oracle import build_Uprime
 from spanforge.qsim import (
     ae_estimates,
     ae_outcome_distribution,
@@ -33,7 +34,7 @@ from spanforge.qsim import (
 )
 from spanforge.resistance import build_st_span_program, complete_graph, graph, graph_input
 from spanforge.spanprog import minimal_witness, normalize, or_span_program, positive_witness
-from spanforge.spectral import build_Uprime, kappa_bound
+from spanforge.spectral import kappa_bound
 
 
 def majority_tail(p_one: float, reps: int) -> float:

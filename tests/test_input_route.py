@@ -1,18 +1,31 @@
 """Every per-input quantity comes from A(x) = A Q_H: differential tests
-against the dense projector route, a guard that the estimators never reach
-the dense oracle, and the memory the per-input route allocates."""
+against the dense projector route, guards that the estimators never reach
+the dense oracle (at run time, and in the import graph), and the memory the
+per-input route allocates."""
 
+import ast
 import math
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spanforge import oracle
 from spanforge.algorithms import NEGATIVE, POSITIVE, gap_estimate, witness_estimate
 from spanforge.generators import all_inputs, random_span_program
+from spanforge.oracle import (
+    DENSE_DIM_CAP,
+    OracleSizeError,
+    build_U,
+    build_Uprime,
+    kernel_projector,
+    scale,
+    subspace_projector,
+)
 from spanforge.qsim import QueryLedger
 from spanforge.resistance import (
     build_st_span_program,
@@ -23,8 +36,6 @@ from spanforge.resistance import (
     lambda2,
 )
 from spanforge.spanprog import (
-    DENSE_DIM_CAP,
-    OracleSizeError,
     SpanProgram,
     input_factors,
     minimal_witness,
@@ -32,13 +43,11 @@ from spanforge.spanprog import (
     or_span_program,
     positive_witness,
     restrict,
-    scale,
     subspace_blocks,
-    subspace_projector,
     validate,
     witness_report,
 )
-from spanforge.spectral import build_U, build_Uprime, kappa_bound, kernel_projector
+from spanforge.spectral import kappa_bound
 
 from oracles import (
     oracle_min_error_negative,
@@ -215,28 +224,74 @@ def test_dense_oracle_refuses_programs_above_the_cap_before_allocating():
             tracemalloc.stop()
 
 
-ORACLE_ONLY = (
-    "subspace_projector",
-    "kernel_projector",
-    "build_U",
-    "build_Uprime",
-    "decompose_orthogonal",
-)
+# the modules an estimate runs through; none of them may import spanforge.oracle
+ESTIMATOR_MODULES = ("_linalg", "spanprog", "spectral", "qsim", "algorithms", "resistance")
+
+
+def oracle_callables() -> set:
+    """The ids of the public functions and classes spanforge.oracle defines."""
+    return {
+        id(value) for name, value in vars(oracle).items()
+        if callable(value) and not name.startswith("_")
+        and getattr(value, "__module__", None) == oracle.__name__
+    }
 
 
 @pytest.fixture
 def dense_oracle_forbidden(monkeypatch):
-    """Replace the dense oracle's builders in every spanforge namespace that
-    holds them, so any call on the estimator path raises."""
+    """Replace every public callable of spanforge.oracle in every spanforge
+    namespace that holds it, so any call on the estimator path raises."""
 
     def forbidden(*args, **kwargs):
         raise AssertionError("an estimator reached the dense oracle")
 
+    dense = oracle_callables()
+    assert {id(oracle.build_U), id(oracle.scale), id(oracle.OracleSizeError)} <= dense
+    patched = set()
     for name, module in list(sys.modules.items()):
         if name == "spanforge" or name.startswith("spanforge."):
-            for attr in ORACLE_ONLY:
-                if hasattr(module, attr):
+            for attr, value in list(vars(module).items()):
+                if id(value) in dense:
+                    patched.add(id(value))
                     monkeypatch.setattr(module, attr, forbidden)
+    assert patched == dense
+
+
+def oracle_imports(source: str) -> list[str]:
+    """The import statements of a spanforge module's source that reach
+    spanforge.oracle, relatively or absolutely, and any attribute named
+    oracle it reads (spanforge.oracle after a bare import spanforge)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[:2] == ["spanforge", "oracle"]]
+        elif isinstance(node, ast.ImportFrom):
+            parts = (["spanforge"] if node.level else []) + (node.module or "").split(".")
+            parts = [p for p in parts if p]
+            names = [a.name for a in node.names]
+            if parts[:2] == ["spanforge", "oracle"] or (parts == ["spanforge"] and "oracle" in names):
+                found.append(ast.unparse(node))
+        elif isinstance(node, ast.Attribute) and node.attr == "oracle":
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_the_import_check_sees_every_form_of_importing_the_oracle():
+    for line in ("from .oracle import build_U", "from . import oracle",
+                 "from . import spectral, oracle", "import spanforge.oracle",
+                 "import spanforge.oracle as o", "from spanforge import oracle",
+                 "from spanforge.oracle import scale", "def f():\n    from .oracle import scale",
+                 "import spanforge\nspanforge.oracle.scale"):
+        assert oracle_imports(line), line
+    for line in ("from .spectral import measure_U", "from . import spectral",
+                 "import spanforge.spectral", "from spanforge.spanprog import oracle_free"):
+        assert not oracle_imports(line), line
+
+
+@pytest.mark.parametrize("module", ESTIMATOR_MODULES)
+def test_no_estimator_module_imports_the_oracle(module):
+    source = (Path(oracle.__file__).parent / f"{module}.py").read_text()
+    assert oracle_imports(source) == []
 
 
 def test_estimators_never_reach_the_dense_oracle(dense_oracle_forbidden):

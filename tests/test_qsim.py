@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spanforge import qsim
+from spanforge.oracle import decompose_orthogonal
 from spanforge.qsim import (
     QueryLedger,
     ae_error_bound,
@@ -24,7 +25,6 @@ from spanforge.qsim import (
     pe_grid_size,
     pe_queries,
 )
-from spanforge.spectral import decompose_orthogonal
 
 
 def rotation(theta):

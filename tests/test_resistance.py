@@ -6,8 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from spanforge._linalg import pinv, sigma_max, sigma_min_nonzero
+from spanforge._linalg import DEFAULT_TOLS, pinv, singular_values
 from spanforge.generators import random_graph
+from spanforge.oracle import (
+    flow_resistance_bruteforce,
+    reflection_factorization_operators,
+    subspace_projector,
+    verify_reflection_factorization,
+)
 from spanforge.qsim import QueryLedger
 from spanforge.resistance import (
     Graph,
@@ -16,7 +22,6 @@ from spanforge.resistance import (
     complete_graph,
     estimate_resistance,
     exact_resistance,
-    flow_resistance_bruteforce,
     graph,
     graph_input,
     lambda2,
@@ -24,9 +29,7 @@ from spanforge.resistance import (
     lower_bound_family,
     ordered_pairs,
     parse_graph_file,
-    reflection_factorization_operators,
     unordered_pairs,
-    verify_reflection_factorization,
     witness_equals_half_resistance,
 )
 from spanforge.spanprog import (
@@ -36,7 +39,6 @@ from spanforge.spanprog import (
     min_error_negative,
     negative_witness,
     positive_witness,
-    subspace_projector,
     validate,
 )
 
@@ -173,7 +175,7 @@ def test_st_program_structure():
     np.testing.assert_allclose(
         a_mat @ a_mat.T, 2.0 * laplacian(complete_graph(4)), atol=1e-12
     )
-    assert sigma_max(a_mat) == pytest.approx(math.sqrt(8.0), rel=1e-10)
+    assert singular_values(a_mat)[0] == pytest.approx(math.sqrt(8.0), rel=1e-10)
     # tau in col A since K_n is connected
     minimal_witness(program)
 
@@ -334,7 +336,8 @@ def test_st_program_sigma_min_is_sqrt_two_lambda2():
         lam = lambda2(g)
         if lam < 1e-9:
             continue
-        observed = sigma_min_nonzero(ax, scale=sigma_max(program.a_mat))
+        sigmas = singular_values(ax)
+        observed = sigmas[sigmas > DEFAULT_TOLS.rank_rtol * singular_values(program.a_mat)[0]][-1]
         assert observed == pytest.approx(math.sqrt(2.0 * lam), abs=1e-8)
 
 

@@ -22,6 +22,7 @@ from spanforge.algorithms import (
     witness_estimate,
 )
 from spanforge.generators import all_inputs, random_graph, random_span_program
+from spanforge.oracle import build_Uprime, scale
 from spanforge.qsim import QueryLedger, outcome_zero_probability
 from spanforge.resistance import (
     EFFECTIVE_GAP,
@@ -39,13 +40,11 @@ from spanforge.spanprog import (
     minimal_witness,
     normalize,
     or_span_program,
-    scale,
     scaled_factors,
     subspace_blocks,
     witness_report,
 )
 from spanforge.spectral import (
-    build_Uprime,
     measure_U,
     measure_Uprime,
     row_space_cross,

@@ -10,6 +10,7 @@ import pytest
 from spanforge import spanprog
 from spanforge._linalg import DEFAULT_TOLS, Tolerances
 from spanforge.generators import all_inputs, random_span_program
+from spanforge.oracle import scale, subspace_projector
 from spanforge.resistance import build_st_span_program
 from spanforge.spanprog import (
     GloballyInfeasibleError,
@@ -24,9 +25,7 @@ from spanforge.spanprog import (
     or_span_program,
     positive_witness,
     rescale_target,
-    scale,
     subspace_blocks,
-    subspace_projector,
     validate,
     witness_report,
 )

@@ -14,12 +14,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import schur_phase_clusters
-from spanforge._linalg import intersection_dims
 from spanforge.generators import (
     all_inputs,
     random_graph,
     random_projector_pair,
     random_span_program,
+)
+from spanforge.oracle import (
+    build_U,
+    build_Uprime,
+    decompose_orthogonal,
+    discriminant,
+    intersection_dims,
+    kernel_projector,
+    scale,
 )
 from spanforge.qsim import (
     QueryLedger,
@@ -35,19 +43,9 @@ from spanforge.spanprog import (
     normalize,
     or_span_program,
     positive_witness,
-    scale,
     witness_report,
 )
-from spanforge.spectral import (
-    build_U,
-    build_Uprime,
-    decompose_orthogonal,
-    discriminant,
-    kappa_bound,
-    kernel_projector,
-    measure_U,
-    measure_Uprime,
-)
+from spanforge.spectral import kappa_bound, measure_U, measure_Uprime
 from spanforge.verify import THETA_GRID
 
 
