@@ -259,7 +259,7 @@ def _threshold_votes(
     estimates = amplitude_estimation(
         ctx.p_exact, grid_ae, reps, rng, ledger, pe_queries(ctx.pe_grid)
     )
-    return int(np.sum(estimates >= amp_gap_threshold(ctx.p0, ctx.p1)))
+    return int(np.count_nonzero(estimates >= amp_gap_threshold(ctx.p0, ctx.p1)))
 
 
 def _witness_size(

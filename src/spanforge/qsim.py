@@ -6,8 +6,13 @@ of an M-point grid over a spectral measure, which is the only outcome the
 algorithms read.  amplitude_estimation is the one random step.  It draws
 repeated amplitude estimations of such a probability from their exact
 outcome distribution (Brassard, Hoyer, Mosca and Tapp), and every estimator
-samples through it.  The decision rule (amp_gap_*) and every success
-probability are read from the same distributions by summation.
+samples through it.  It samples by inverse CDF: one uniform per run from
+rng.random, searched in the distribution's normalized cumulative sum.  That
+is how Generator.choice(M, size=reps, p=dist / dist.sum()) draws, so the
+draws are bit-identical to it; the distribution is checked to be finite,
+non-negative and of sum 1 first, as choice checks it.  The decision rule
+(amp_gap_*) and every success probability are read from the same
+distributions by summation.
 
 Query accounting follows the two-queries-per-application rule for the span
 program unitaries: one run of M-point phase estimation applies the unitary
@@ -22,6 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import SpectralMeasure
+
+
+# a normal number whose products with any grid size stay far below the
+# sine's first rounding (fejer_kernel)
+_TINY = 1e-300
+
+# how far an outcome distribution's sum may stray from 1: Generator.choice's
+# own bound (amplitude_estimation)
+_SUM_ATOL = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass
@@ -39,11 +53,15 @@ class QueryLedger:
 def fejer_kernel(delta, grid_size: int):
     """Probability that M-point phase estimation of an eigenphase offset by
     delta from a grid point reports that grid point:
-    |1/M sum_l e^{i l delta}|^2 = (sin(M delta/2) / (M sin(delta/2)))^2."""
-    delta = np.mod(np.asarray(delta, dtype=float) + math.pi, 2.0 * math.pi) - math.pi
-    half = delta / (2.0 * math.pi)
-    ratio = np.sinc(grid_size * half) / np.sinc(half)
-    return np.square(ratio)
+    |1/M sum_l e^{i l delta}|^2 = (sin(M delta/2) / (M sin(delta/2)))^2.
+
+    It is read at h = delta/2 wrapped into [-pi/2, pi/2), which is 0 or at
+    least 1e-16 in magnitude; _TINY added to h changes the latter not at
+    all and makes the ratio at h = 0 its limit 1, exactly, as sin(_TINY) is
+    _TINY and M _TINY rounds alike above and below."""
+    half = np.mod(0.5 * np.asarray(delta, dtype=float) + 0.5 * math.pi, math.pi) - 0.5 * math.pi
+    half += _TINY
+    return np.square(np.sin(grid_size * half) / (grid_size * np.sin(half)))
 
 
 def pe_grid_size(theta: float, eps: float) -> int:
@@ -96,11 +114,17 @@ def ae_outcome_distribution(p: float, grid_size: int) -> np.ndarray:
     j = round(grid_size * theta_p / math.pi) % grid_size
     r = float(offsets[j])
     top = math.sin(grid_size * r)
-    sines = np.square(np.sin(offsets))
-    sines[j] = 1.0
-    branch = top * top / (grid_size * grid_size) / sines
+    # the squared sines of the offsets, turned in place into one branch
+    branch = np.sin(offsets, out=offsets)
+    np.square(branch, out=branch)
+    branch[j] = 1.0
+    np.divide(top * top / (grid_size * grid_size), branch, out=branch)
     branch[j] = (top / (grid_size * math.sin(r))) ** 2 if r else 1.0
-    return 0.5 * (branch + np.concatenate((branch[:1], branch[:0:-1])))
+    # the other branch is the first at -k mod M
+    dist = np.concatenate((branch[:1], branch[:0:-1]))
+    dist += branch
+    dist *= 0.5
+    return dist
 
 
 def ae_estimates(grid_size: int) -> np.ndarray:
@@ -120,13 +144,22 @@ def amplitude_estimation(
     estimations of p, drawn from the exact outcome distribution, with
     sin^2(pi k / M) taken at the drawn outcomes k only.  Each of the
     grid_size calls of a run to the circuit that prepares p is charged
-    cost_per_call queries."""
+    cost_per_call queries.  The outcomes are drawn by inverse CDF, as
+    Generator.choice draws them (module docstring)."""
     if grid_size < 1:
         raise ValueError("grid size must be at least 1")
     if reps < 1:
         raise ValueError("repetitions must be at least 1")
     dist = ae_outcome_distribution(p, grid_size)
-    outcomes = rng.choice(grid_size, size=reps, p=dist / dist.sum())
+    total = dist.sum()
+    # a NaN entry fails both comparisons, an infinite one either of them
+    if not (dist.min() >= 0.0 and abs(total - 1.0) <= _SUM_ATOL):
+        raise ValueError("the outcome distribution must be finite, non-negative and sum to 1")
+    # inverse-CDF draws, as Generator.choice(grid_size, size=reps, p=dist / total) makes them
+    cdf = np.divide(dist, total, out=dist)
+    cdf.cumsum(out=cdf)
+    cdf /= cdf[-1]
+    outcomes = cdf.searchsorted(rng.random(reps), side="right")
     ledger.charge(reps * grid_size * cost_per_call)
     return np.square(np.sin(math.pi * outcomes / grid_size))
 

@@ -238,14 +238,20 @@ def build_st_span_program(n: int, s: int, t: int) -> SpanProgram:
     if not (0 <= s < n and 0 <= t < n) or s == t:
         raise ValueError("s and t must be distinct vertices")
     check_incidence_size(n * (n - 1))
-    low, high = np.triu_indices(n, 1)  # unordered_pairs(n), in order
+    # unordered_pairs(n), in order: vertex i is low in the n - 1 - i pairs
+    # from start_i on, whose highs run i + 1, ..., n - 1
+    counts = np.arange(n - 1, -1, -1)
+    low = np.repeat(np.arange(n), counts)
     n_inputs = low.size
+    starts = np.cumsum(counts) - counts
+    high = np.arange(n_inputs) - np.repeat(starts, counts) + low + 1
     dim_h = 2 * n_inputs
     # column 2j is the ordered pair (low_j, high_j) and column 2j + 1 its
     # reverse; each index array owns its data and is read-only, so that
     # Incidence and SpanProgram hold it without a copy
-    plus = np.vstack([low, high]).ravel(order="F")
-    minus = np.vstack([high, low]).ravel(order="F")
+    plus, minus = np.empty(dim_h, dtype=np.intp), np.empty(dim_h, dtype=np.intp)
+    plus[0::2] = minus[1::2] = low
+    plus[1::2] = minus[0::2] = high
     blocks = 2 * np.arange(n_inputs)[:, None] + np.arange(2)  # row j is (2j, 2j + 1)
     for arr in (plus, minus, blocks):
         arr.setflags(write=False)

@@ -59,6 +59,7 @@ import itertools
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -372,7 +373,8 @@ class Subspaces(Mapping):
     the table key by key; per_symbol broadcasts one row, H_{j,a} = H_a at
     every position.  A matrix object given under several keys is frozen
     once and shared by them.  Each distinct matrix's bases are decided once
-    per Tolerances, with one SVD per distinct content, and each basis is
+    per Tolerances, with one SVD per distinct content; an empty matrix and
+    one exactly the identity on its block need no SVD.  Each basis is
     classed once as having no columns, being exactly the identity on its
     block, or neither; subspace_blocks reads H(x) from those classes.  The
     table is checked against, and laid out for, each (input_blocks, q) the
@@ -408,7 +410,7 @@ class Subspaces(Mapping):
     def _setup(self, distinct: list[np.ndarray], ids: np.ndarray) -> None:
         self._distinct = distinct
         self._ids = ids
-        self._decided: dict[Tolerances, tuple[np.ndarray, list, dict]] = {}
+        self._decided: dict[Tolerances, tuple[np.ndarray, list, dict, set]] = {}
         self._layout: Optional[_Layout] = None
 
     def __getitem__(self, key: tuple[int, int]) -> np.ndarray:
@@ -480,13 +482,18 @@ class Subspaces(Mapping):
         decided: splits[d] holds read-only orthonormal bases of matrix d's
         column space and of its complement in its block, and kinds[d] their
         two classes.  kinds[-1] classes an absent or empty H_{j,a}, which
-        leaves its whole block outside H(x)."""
+        leaves its whole block outside H(x).
+
+        An empty matrix, and one exactly the identity on its block, is
+        decided without an SVD when tols is first asked for; every other
+        matrix when ids first holds it, by one SVD per distinct content.
+        Once every matrix is decided, ids is not read."""
         entry = self._decided.get(tols)
         if entry is None:
-            kinds = np.full((len(self._distinct) + 1, 2), -1, dtype=np.int8)
-            kinds[-1] = (_NONE, _IDENTITY)
-            entry = self._decided[tols] = (kinds, [None] * len(self._distinct), {})
-        kinds, splits, by_content = entry
+            entry = self._decided[tols] = self._free_decisions()
+        kinds, splits, by_content, left = entry
+        if not left:
+            return kinds, splits
         pending = ids[kinds[ids, 0] < 0]
         for d in np.unique(pending) if pending.size else ():
             mat = self._distinct[d]
@@ -497,7 +504,35 @@ class Subspaces(Mapping):
                     part.setflags(write=False)
             splits[d] = by_content[content]
             kinds[d] = [_kind(part) for part in splits[d]]
+            left.discard(d)
         return kinds, splits
+
+    def _free_decisions(self) -> tuple[np.ndarray, list, dict, set]:
+        """A fresh per-Tolerances entry (kinds, splits, by_content, left),
+        with the empty and identity matrices decided and left holding the
+        ids of the others."""
+        kinds = np.full((len(self._distinct) + 1, 2), -1, dtype=np.int8)
+        kinds[-1] = (_NONE, _IDENTITY)
+        splits: list = [None] * len(self._distinct)
+        left = set()
+        for d, mat in enumerate(self._distinct):
+            rows, cols = mat.shape
+            if mat.size == 0:
+                splits[d] = (_frozen_eye(rows, 0), _frozen_eye(rows, rows))
+            elif rows == cols and np.array_equal(mat, np.eye(rows)):
+                splits[d] = (_frozen_eye(rows, rows), _frozen_eye(rows, 0))
+            else:
+                left.add(d)
+                continue
+            kinds[d] = [_kind(part) for part in splits[d]]
+        return kinds, splits, {}, left
+
+
+def _frozen_eye(rows: int, cols: int) -> np.ndarray:
+    """The first cols columns of eye(rows), read-only."""
+    out = np.eye(rows, cols)
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -887,6 +922,17 @@ def _runs(
     return out
 
 
+def _walk(program: SpanProgram, x: np.ndarray, tols: Tolerances, side: int) -> Blocks:
+    """One side of H(x), for x as check_input gives it: Q_H for side 0,
+    Q_perp for side 1 (subspace_blocks)."""
+    store = program.subspaces
+    layout = store.layout(program.input_blocks, program.q)
+    ids = layout.ids(x)
+    kinds, splits = store.decided(ids, tols)
+    whole = program.false_block if side else program.true_block
+    return _runs(layout, ids, kinds[ids, side], splits, side, whole)
+
+
 def subspace_blocks(
     program: SpanProgram, x: Sequence[int], tols: Tolerances = DEFAULT_TOLS
 ) -> tuple[Blocks, Blocks]:
@@ -898,15 +944,10 @@ def subspace_blocks(
     basis that is exactly the identity, are identity blocks: each run of
     consecutive ones is one (coordinates, None) entry, so the columns keep
     their order.  Parts without columns are left out.  The st program's
-    H(x) is a single identity entry."""
+    H(x) is a single identity entry.  input_factors walks Q_H alone, and
+    InputFactors walks Q_perp when it is first read."""
     x = program.check_input(x)
-    store = program.subspaces
-    layout = store.layout(program.input_blocks, program.q)
-    ids = layout.ids(x)
-    kinds, splits = store.decided(ids, tols)
-    inside = _runs(layout, ids, kinds[ids, 0], splits, 0, program.true_block)
-    outside = _runs(layout, ids, kinds[ids, 1], splits, 1, program.false_block)
-    return inside, outside
+    return _walk(program, x, tols, 0), _walk(program, x, tols, 1)
 
 
 def restrict(mat: np.ndarray | Incidence, blocks: Blocks) -> np.ndarray:
@@ -953,17 +994,30 @@ class InputFactors:
     singular vectors V_x when A(x) was factored by an SVD, and is None when
     it was read through its Gram, where no V_x is formed.  positive, decided
     once for both signs, is ||Z^T tau|| <= membership_rtol ||tau||: whether
-    tau lies in col A(x).  a is the program's A, which A(x) is read from."""
+    tau lies in col A(x).  program, x (as check_input gives it) and tols are
+    what it was built for; A(x) is read from the program's A.  Q_perp, which
+    only the min-error positive witness reads, is walked when q_perp is
+    first read, and kept."""
 
+    program: SpanProgram
+    x: np.ndarray
+    tols: Tolerances
     q_h: Blocks
-    q_perp: Blocks
-    a: np.ndarray | Incidence
     col_basis: np.ndarray
     complement: np.ndarray
     sigma: np.ndarray
     row_vectors: Optional[np.ndarray]
     a_scale: float
     positive: bool
+
+    @property
+    def a(self) -> np.ndarray | Incidence:
+        return self.program.a
+
+    @cached_property
+    def q_perp(self) -> Blocks:
+        """Q_perp of x, as subspace_blocks gives it."""
+        return _walk(self.program, self.x, self.tols, 1)
 
     @property
     def a_x(self) -> np.ndarray:
@@ -1025,7 +1079,7 @@ def _input_gram(a: Incidence, q_h: Blocks) -> np.ndarray:
 def input_factors(
     program: SpanProgram, x: Sequence[int], tols: Tolerances = DEFAULT_TOLS
 ) -> InputFactors:
-    """Q_H, Q_perp and the factors of A(x) for x.
+    """Q_H and the factors of A(x) for x; Q_perp is walked only when read.
 
     An incidence A(x) wider than tall is read through its exact Gram
     G(x) = A(x) A(x)^T (2 L_G for the st program) by _gram_factors, one
@@ -1042,7 +1096,8 @@ def input_factors(
     wide, otherwise the thin SVD already holds all of it, so no
     dim H(x) x dim H(x) array is formed.  That route is the oracle of the
     Gram route."""
-    q_h, q_perp = subspace_blocks(program, x, tols)
+    x = program.check_input(x)
+    q_h = _walk(program, x, tols, 0)
     a_scale = program.factorization(tols).sigma_max
     if isinstance(program.a, Incidence) and _width(q_h) > program.dim_v:
         u, s, _ = _gram_factors(_input_gram(program.a, q_h), tols, a_scale)
@@ -1054,7 +1109,7 @@ def input_factors(
         s, vt = s[:r], vt[:r].T
     tau_off = float(np.linalg.norm(u[:, r:].T @ program.tau))
     positive = tau_off <= tols.membership_rtol * float(np.linalg.norm(program.tau))
-    return InputFactors(q_h, q_perp, program.a, u[:, :r], u[:, r:], s, vt, a_scale, positive)
+    return InputFactors(program, x, tols, q_h, u[:, :r], u[:, r:], s, vt, a_scale, positive)
 
 
 def _exact_positive(program: SpanProgram, f: InputFactors) -> tuple[np.ndarray, float]:

@@ -35,7 +35,9 @@ what RowSpaceCross holds; otherwise the scaled program's row basis and w0
 come from spanprog.scaled_factors, one (r+1) x (r+1) SVD.  Every route
 shares one tail per unitary, which takes (V^T w0, V^T Q_H) or such a pair
 and makes one SVD: of the cross matrix for U, and of the cross matrix with
-w0's direction projected out of its rows for U'.  The direct route on
+w0's direction projected out of its rows for U'.  Each tail writes its
+phases and weights into arrays of their final size, which SpectralMeasure
+copies once to snap and validate.  The direct route on
 oracle.scale(P, beta) is the oracle the rounds are tested against.
 """
 
@@ -56,22 +58,40 @@ from .spanprog import _target_factors, restrict, scaled_factors
 class SpectralMeasure:
     """Spectral measure of a unit state under a real orthogonal matrix: unsigned
     phases in [0, pi], snapped to 0 or pi within PHASE_ROUND_TOL, and the
-    state's weight on each (a phase in (0, pi) stands for the pair +/- phase)."""
+    state's weight on each (a phase in (0, pi) stands for the pair +/- phase).
+
+    Each array is copied once, as float64, and snapped and validated in
+    place.  ValueError refuses phases and weights that are not 1-D arrays of
+    one length, any phase or weight that is not finite, a weight below
+    -1e-12 and weights whose sum is off 1 by more than 1e-8; weights within
+    rounding below 0 are read as 0."""
 
     phases: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        phases = np.clip(np.asarray(self.phases, dtype=float), 0.0, math.pi)
+        phases = np.array(self.phases, dtype=float)
+        weights = np.array(self.weights, dtype=float)
+        if phases.ndim != 1 or weights.shape != phases.shape:
+            raise ValueError(
+                f"phases and weights must be 1-D arrays of one length, "
+                f"got shapes {phases.shape} and {weights.shape}"
+            )
+        if not (np.isfinite(phases).all() and np.isfinite(weights).all()):
+            raise ValueError("spectral phases and weights must be finite")
+        total = float(weights.sum())
+        if weights.min(initial=0.0) < -1e-12:
+            raise ValueError(f"negative spectral weight {weights.min():.2e}")
+        if abs(total - 1.0) > 1e-8:
+            raise ValueError("phase estimation expects a unit initial state")
+        # the snaps clip too: a phase below 0 goes to 0, one above pi to pi
         phases[phases <= PHASE_ROUND_TOL] = 0.0
         phases[math.pi - phases <= PHASE_ROUND_TOL] = math.pi
-        weights = np.asarray(self.weights, dtype=float)
-        if np.any(weights < -1e-12):
-            raise ValueError(f"negative spectral weight {weights.min():.2e}")
-        if abs(float(weights.sum()) - 1.0) > 1e-8:
-            raise ValueError("phase estimation expects a unit initial state")
-        object.__setattr__(self, "phases", freeze(phases))
-        object.__setattr__(self, "weights", freeze(np.maximum(weights, 0.0)))
+        np.maximum(weights, 0.0, out=weights)
+        phases.setflags(write=False)
+        weights.setflags(write=False)
+        object.__setattr__(self, "phases", phases)
+        object.__setattr__(self, "weights", weights)
 
 
 @dataclass(frozen=True)
@@ -154,10 +174,15 @@ def _measure_u(y: np.ndarray, cross: np.ndarray) -> SpectralMeasure:
     c_mat, sigmas, _ = np.linalg.svd(cross, full_matrices=False)
     coef = c_mat.T @ y
     rest = y - c_mat @ coef
-    return SpectralMeasure(
-        np.append(2.0 * np.arcsin(np.minimum(sigmas, 1.0)), 0.0),
-        np.append(coef * coef, rest @ rest),
-    )
+    k = sigmas.size
+    phases, weights = np.empty(k + 1), np.empty(k + 1)
+    np.minimum(sigmas, 1.0, out=phases[:k])
+    np.arcsin(phases[:k], out=phases[:k])
+    phases[:k] *= 2.0
+    phases[k] = 0.0
+    np.square(coef, out=weights[:k])
+    weights[k] = rest @ rest
+    return SpectralMeasure(phases, weights)
 
 
 def _measure_uprime(y: np.ndarray, cross: np.ndarray, tols: Tolerances) -> SpectralMeasure:
@@ -165,8 +190,11 @@ def _measure_uprime(y: np.ndarray, cross: np.ndarray, tols: Tolerances) -> Spect
     # V_r Q_T^perp, has the singular values and the right singular vectors
     # of cross^T Q_T^perp, and one more at zero when the cross matrix is no
     # taller than wide; that one's weight joins phase 0 either way
-    y_hat = y / math.sqrt(float(y @ y))
-    _, sigmas, vt = np.linalg.svd(cross - np.outer(y_hat, y_hat @ cross), full_matrices=False)
+    norm2 = float(y @ y)
+    y_hat = y / math.sqrt(norm2)
+    projected = np.multiply(y_hat[:, None], y_hat @ cross)
+    np.subtract(cross, projected, out=projected)
+    _, sigmas, vt = np.linalg.svd(projected, full_matrices=False)
     w0_hx = cross.T @ y  # Q_H^T w0
     coef = vt @ w0_hx
     rest = w0_hx - vt.T @ coef
@@ -176,13 +204,19 @@ def _measure_uprime(y: np.ndarray, cross: np.ndarray, tols: Tolerances) -> Spect
     # which w0 does not meet; its phase pi joins the remainder
     sines2 = (1.0 - sigmas) * (1.0 + sigmas)
     plane = sines2 > tols.rank_rtol
-    weights = coef[plane] ** 2 / sines2[plane]
+    m = int(np.count_nonzero(plane))
+    phases, weights = np.empty(m + 2), np.empty(m + 2)
+    np.arcsin(sigmas[plane], out=phases[:m])
+    phases[:m] *= 2.0
+    phases[m] = 0.0
+    phases[m + 1] = math.pi
+    np.square(coef[plane], out=weights[:m])
+    weights[:m] /= sines2[plane]
     fixed = float(rest @ rest)
+    weights[m] = fixed
     # the phase-pi weight is a difference, so a zero one can come out at -1e-12
-    return SpectralMeasure(
-        np.concatenate([2.0 * np.arcsin(sigmas[plane]), [0.0, math.pi]]),
-        np.concatenate([weights, [fixed, max(0.0, float(y @ y) - weights.sum() - fixed)]]),
-    )
+    weights[m + 1] = max(0.0, norm2 - weights[:m].sum() - fixed)
+    return SpectralMeasure(phases, weights)
 
 
 def measure_U(
@@ -249,7 +283,8 @@ def _scaled_pair(cross: RowSpaceCross, beta: float) -> tuple[np.ndarray, np.ndar
     the form without cancellation.  w0_beta is the unit vector
     [beta y / R^2 ; N / R^2 ; beta / R] in those coordinates and h1's, and
     w = [(sqrt(N) / R) y_hat ; beta / R] gives L^T w = cross_beta^T y_beta.
-    That is O(r k) after row_space_cross.
+    That is O(r k) after row_space_cross; L and w are written in place,
+    each into one array of its final shape.
 
     The closed form holds when A_beta's rank cut drops no direction but
     rho's.  The margins below decide that from bounds on the singular
@@ -267,11 +302,18 @@ def _scaled_pair(cross: RowSpaceCross, beta: float) -> tuple[np.ndarray, np.ndar
         k_top = math.sqrt(beta * beta * cross.sigma_max * cross.sigma_max + cross.tau2)
         if beta * cross.sigma_min > rtol * max(k_top, c) and c > rtol * k_top:
             eps = n_val / (big_r * (big_r + beta))
-            r, k = cross.factor.shape
-            l_mat = np.zeros((r + 1, k + 1))
-            l_mat[:r, :k] = cross.factor - eps * np.outer(cross.y_hat, cross.f_y_hat)
+            y_hat, (r, k) = cross.y_hat, cross.factor.shape
+            l_mat = np.empty((r + 1, k + 1))
+            top = np.multiply(y_hat[:, None], cross.f_y_hat, out=l_mat[:r, :k])
+            top *= eps
+            np.subtract(cross.factor, top, out=top)
+            l_mat[:r, k] = 0.0
+            l_mat[r, :k] = 0.0
             l_mat[r, k] = 1.0
-            return np.append((math.sqrt(n_val) / big_r) * cross.y_hat, beta / big_r), l_mat
+            w = np.empty(r + 1)
+            np.multiply(y_hat, math.sqrt(n_val) / big_r, out=w[:r])
+            w[r] = beta / big_r
+            return w, l_mat
     scaled = scaled_factors(cross.program, beta, cross.tols)
     return scaled.witness, scaled.cross(cross.factor)
 

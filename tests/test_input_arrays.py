@@ -16,6 +16,7 @@ from spanforge.generators import all_inputs, random_graph, random_span_program
 from spanforge.qsim import QueryLedger
 from spanforge.resistance import build_st_span_program, estimate_resistance, graph, graph_input
 from spanforge.spanprog import (
+    InputFactors,
     SpanProgram,
     StructuralError,
     input_factors,
@@ -130,17 +131,20 @@ def assert_same_bits(mine, theirs):
     if isinstance(mine, type) or isinstance(theirs, type):
         assert mine is theirs
         return
-    for field in dataclasses.fields(mine):
-        a, b = getattr(mine, field.name), getattr(theirs, field.name)
+    names = [field.name for field in dataclasses.fields(mine)]
+    if isinstance(mine, InputFactors):
+        names.append("q_perp")  # walked on first read, not a field
+    for name in names:
+        a, b = getattr(mine, name), getattr(theirs, name)
         if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            assert same_bits(a, b), field.name
-        elif field.name in ("q_h", "q_perp"):
+            assert same_bits(a, b), name
+        elif name in ("q_h", "q_perp"):
             assert len(a) == len(b) and all(
                 same_bits(ca, cb) and (ba is None and bb is None or same_bits(ba, bb))
                 for (ca, ba), (cb, bb) in zip(a, b)
-            ), field.name
-        elif not isinstance(a, (SpanProgram,)) and field.name != "a":
-            assert a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b)), field.name
+            ), name
+        elif not isinstance(a, (SpanProgram,)) and name != "a":
+            assert a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b)), name
 
 
 def assert_forms_agree(program, x):

@@ -264,3 +264,56 @@ def test_closed_form_outcome_distribution_matches_the_fejer_sum():
         for p in on_grid + near + [0.0, 1.0, 1e-12, 1.0 - 1e-12] + list(rng.random(8)):
             dist = ae_outcome_distribution(p, grid_size)
             assert np.max(np.abs(dist - fejer_sum(p, grid_size))) <= 1e-12, (p, grid_size)
+
+
+def sinc_fejer(delta, grid_size):
+    """The Fejer kernel as two np.sinc calls, its earlier form: the
+    reference of the sine ratio."""
+    delta = np.mod(np.asarray(delta, dtype=float) + math.pi, 2.0 * math.pi) - math.pi
+    half = delta / (2.0 * math.pi)
+    return np.square(np.sinc(grid_size * half) / np.sinc(half))
+
+
+def test_fejer_sine_ratio_matches_the_sinc_form():
+    rng = np.random.default_rng(31)
+    special = [0.0, math.pi, -math.pi, 1e-300, -1e-300, 5e-324]
+    special += [2.0 * math.pi * k for k in range(-6, 7)]
+    deltas = np.concatenate([special, rng.uniform(-40.0, 40.0, 4000),
+                             rng.uniform(0.0, math.pi, 4000), 10.0 ** rng.uniform(-17, 0, 500)])
+    for grid_size in (1, 2, 3, 7, 16, 100, 1024, 4097, 2**16, 2**20):
+        got = fejer_kernel(deltas, grid_size)
+        assert np.max(np.abs(got - sinc_fejer(deltas, grid_size))) <= 1e-15, grid_size
+        for delta in special:  # scalars give scalars, and the limit at 0 is exact
+            value = fejer_kernel(delta, grid_size)
+            assert np.ndim(value) == 0
+            assert abs(value - sinc_fejer(delta, grid_size)) <= 1e-15
+        assert fejer_kernel(0.0, grid_size) == 1.0 and fejer_kernel(1e-300, grid_size) == 1.0
+        assert np.all(fejer_kernel(2.0 * math.pi * np.arange(-6, 7), grid_size) == 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    grid_size=st.integers(min_value=1, max_value=4096),
+    reps=st.integers(min_value=1, max_value=200),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_inverse_cdf_draws_are_generator_choice_bit_for_bit(p, grid_size, reps, seed):
+    dist = ae_outcome_distribution(p, grid_size)
+    outcomes = np.random.default_rng(seed).choice(grid_size, size=reps, p=dist / dist.sum())
+    ledger = QueryLedger()
+    got = amplitude_estimation(p, grid_size, reps, np.random.default_rng(seed), ledger, 3)
+    assert got.tobytes() == ae_estimates(grid_size)[outcomes].tobytes()
+    assert ledger.total == reps * grid_size * 3
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([0.5, math.nan, 0.5]),
+    np.array([0.5, math.inf, 0.5]),
+    np.array([1.2, -0.2, 0.0]),
+    np.array([0.5, 0.25, 0.0]),
+])
+def test_the_sampler_refuses_a_distribution_that_is_not_one(monkeypatch, bad):
+    monkeypatch.setattr(qsim, "ae_outcome_distribution", lambda p, grid_size: bad.copy())
+    with pytest.raises(ValueError, match="outcome distribution"):
+        amplitude_estimation(0.3, 3, 4, np.random.default_rng(1), QueryLedger(), 1)

@@ -36,6 +36,7 @@ from spanforge.resistance import (
     lower_bound_family,
 )
 from spanforge.spanprog import (
+    Subspaces,
     input_factors,
     minimal_witness,
     normalize,
@@ -201,12 +202,12 @@ def test_witness_estimate_reads_h_x_once_and_rounds_are_rank_sized(monkeypatch):
     program = normalize(build_st_span_program(n, 0, 1))
     x = graph_input(complete_graph(n, s=0, t=1))
     minimal_witness(program)  # A's own SVD is per program
-    blocks_calls, shapes = [], []
-    blocks, svd = spanprog.subspace_blocks, np.linalg.svd
+    walks, shapes = [], []
+    walk, svd = spanprog._walk, np.linalg.svd
 
-    def counting_blocks(*args, **kwargs):
-        blocks_calls.append(args[1])
-        return blocks(*args, **kwargs)
+    def counting_walk(program, x, tols, side):
+        walks.append(side)
+        return walk(program, x, tols, side)
 
     def recording_svd(mat, *args, **kwargs):
         shapes.append(np.shape(mat))
@@ -215,13 +216,13 @@ def test_witness_estimate_reads_h_x_once_and_rounds_are_rank_sized(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a round built the scaled program")
 
-    patch_everywhere(monkeypatch, "subspace_blocks", counting_blocks)
+    monkeypatch.setattr(spanprog, "_walk", counting_walk)
     patch_everywhere(monkeypatch, "scale", forbidden)
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     result = witness_estimate(program, x, 0.25, POSITIVE, np.random.default_rng(1),
                               QueryLedger(), w_tilde_bound=2.0 * n)
     assert result.rounds > 1
-    assert len(blocks_calls) == 1
+    assert walks == [0]  # Q_H once, and no Q_perp
     assert not any(shape[-1] == program.dim_h + 2 for shape in shapes)
     # A(x) is read through its Gram, so no SVD is wider than rank(A) + 2
     assert not any(max(shape) > program.dim_v + 1 for shape in shapes)
@@ -233,12 +234,12 @@ def test_resistance_estimates_factor_a_once_and_walk_h_x_once(monkeypatch):
     n = 16
     g = lower_bound_family(n, 1, i=1, j=n // 2)
     x = graph_input(g)
-    blocks_calls, shapes, grams = [], [], []
-    blocks, svd, eigh = spanprog.subspace_blocks, np.linalg.svd, np.linalg.eigh
+    walks, shapes, grams = [], [], []
+    walk, svd, eigh = spanprog._walk, np.linalg.svd, np.linalg.eigh
 
-    def counting_blocks(*args, **kwargs):
-        blocks_calls.append(args[1])
-        return blocks(*args, **kwargs)
+    def counting_walk(program, x, tols, side):
+        walks.append(side)
+        return walk(program, x, tols, side)
 
     def recording_svd(mat, *args, **kwargs):
         shapes.append(np.shape(mat))
@@ -248,7 +249,7 @@ def test_resistance_estimates_factor_a_once_and_walk_h_x_once(monkeypatch):
         grams.append(np.array(mat))
         return eigh(mat, *args, **kwargs)
 
-    patch_everywhere(monkeypatch, "subspace_blocks", counting_blocks)
+    monkeypatch.setattr(spanprog, "_walk", counting_walk)
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     program = build_st_span_program(n, g.s, g.t)
@@ -259,24 +260,25 @@ def test_resistance_estimates_factor_a_once_and_walk_h_x_once(monkeypatch):
         return sum(np.array_equal(gram, a_gram) for gram in grams)
 
     for method, mu in ((EFFECTIVE_GAP, None), (REAL_GAP, lambda2(g))):
-        blocks_calls.clear()
+        walks.clear()
         shapes.clear()
         grams.clear()
         estimate_resistance(g, 0.25, method, np.random.default_rng(1), QueryLedger(), mu=mu)
-        assert len(blocks_calls) == 1
+        assert walks == [0]
         assert shapes.count(a_shape) == 0 and eighs_of_a() == 1
     # a copy by dataclasses.replace factors its own A, by one eigh
-    blocks_calls.clear()
+    walks.clear()
     shapes.clear()
     grams.clear()
     kappa_estimate(dataclasses.replace(program), x, 0.25, math.sqrt(n / lambda2(g)),
                    POSITIVE, np.random.default_rng(1), QueryLedger())
-    assert len(blocks_calls) == 1
+    assert walks == [0]
     assert shapes.count(a_shape) == 0 and eighs_of_a() == 1
 
 
 def test_equal_subspaces_are_decided_once_per_store(monkeypatch):
-    # every H_{j,1} of the st program is eye(2) and every H_{j,0} is empty
+    # every H_{j,1} of the st program is eye(2) and every H_{j,0} is empty:
+    # neither needs an SVD
     program = build_st_span_program(8, 0, 7)
     split = spanprog.column_space_split
     calls = []
@@ -290,7 +292,23 @@ def test_equal_subspaces_are_decided_once_per_store(monkeypatch):
     for derived in (program, normalize(program)):  # one store, shared
         for _ in range(5):
             witness_report(derived, graph_input(random_graph(rng, 8, 0.4)))
-    assert calls == [(2, 2)]
+    assert calls == []
+    # a general matrix given at every position, as one object and as equal
+    # copies, takes one SVD per distinct content and Tolerances
+    general = np.array([[1.0, 1.0], [1.0, -1.0]])
+    for mats in ({1: general}, None):
+        calls.clear()
+        if mats is None:
+            subspaces = {(j, 1): general.copy() for j in range(program.n)}
+            subspaces[(0, 1)] = 2.0 * general
+        else:
+            subspaces = Subspaces.per_symbol(program.n, mats)
+        twin = dataclasses.replace(program, subspaces=subspaces)
+        for _ in range(3):
+            for tols in (DEFAULT_TOLS, Tolerances(rank_rtol=1e-9)):
+                witness_report(twin, graph_input(complete_graph(8)), tols)
+        distinct = 1 if mats is not None else 2
+        assert calls == [(2, 2)] * (2 * distinct)
 
 
 def count_scaled_factors(monkeypatch):
@@ -428,6 +446,97 @@ def test_a_round_takes_one_svd_and_no_scaled_factors(monkeypatch):
     monkeypatch.setattr(algorithms, "_round_context", counting_round)
     assert guarded_estimates() == want
     assert len(per_round) > 3 and per_round == [1] * len(per_round)
-    # beyond the rounds: one split of each st program's subspace store, and
-    # on OR(8) its store's split and the SVDs of A and of A(x)
-    assert len(calls) - len(per_round) == 1 + 1 + 3
+    # beyond the rounds: the SVDs of OR(8)'s A and A(x); no store takes one,
+    # as eye(2), [[1]] and the empty matrices are decided without an SVD
+    assert len(calls) - len(per_round) == 2
+
+
+class CountingGenerator(np.random.Generator):
+    """A Generator that counts its choice calls; its stream is
+    default_rng's for the same seed."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.choices = 0
+
+    def choice(self, *args, **kwargs):
+        self.choices += 1
+        return super().choice(*args, **kwargs)
+
+
+@pytest.mark.parametrize("method, n", [(EFFECTIVE_GAP, 8), (EFFECTIVE_GAP, 16),
+                                       (REAL_GAP, 8), (REAL_GAP, 16), (REAL_GAP, 32)])
+def test_an_estimate_takes_one_svd_per_round_and_no_split_or_choice(monkeypatch, method, n):
+    # the fixed cost of a round or an st set-up must not come back unseen:
+    # no store split (eye(2) and the empty matrix need none), no
+    # Generator.choice (the sampler draws by inverse CDF), and one SVD per
+    # threshold round; a real-gap estimate reads its one measure once
+    g = random_graph(np.random.default_rng([n, 5]), n, 0.5)
+    assert g.connected_st()
+    mu = lambda2(g) if method == REAL_GAP else None
+    want = estimate_resistance(g, 0.2, method, np.random.default_rng(1), QueryLedger(), mu=mu)
+    svd, split, round_context = np.linalg.svd, spanprog.column_space_split, algorithms._round_context
+    svds, splits, per_round = [], [], []
+
+    def counting_svd(mat, *args, **kwargs):
+        svds.append(np.array(mat))
+        return svd(mat, *args, **kwargs)
+
+    def counting_split(*args, **kwargs):
+        splits.append(1)
+        return split(*args, **kwargs)
+
+    def counting_round(*args, **kwargs):
+        before = len(svds)
+        out = round_context(*args, **kwargs)
+        per_round.append(len(svds) - before)
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    patch_everywhere(monkeypatch, "column_space_split", counting_split)
+    monkeypatch.setattr(algorithms, "_round_context", counting_round)
+    rng = CountingGenerator(1)
+    got = estimate_resistance(g, 0.2, method, rng, QueryLedger(), mu=mu)
+    assert (got.estimate, got.queries) == (want.estimate, want.queries)
+    assert splits == [] and rng.choices == 0
+    assert not any(mat.shape == (2, 2) and np.array_equal(mat, np.eye(2)) for mat in svds)
+    if method == EFFECTIVE_GAP:
+        assert len(per_round) > 3 and per_round == [1] * len(per_round)
+        assert len(svds) == len(per_round)
+    else:
+        assert per_round == [] and len(svds) == 1
+
+
+def test_q_perp_is_walked_on_first_read_and_keeps_the_witness_bits(monkeypatch):
+    # (that no estimate walks Q_perp, the walk-once tests above check)
+    walk = spanprog._walk
+    sides = []
+
+    def counting_walk(program, x, tols, side):
+        sides.append(side)
+        return walk(program, x, tols, side)
+
+    monkeypatch.setattr(spanprog, "_walk", counting_walk)
+    # Q_perp is walked on its first read only, and gives the min-error
+    # positive witness the bits that an eagerly walked Q_perp gives
+    negatives = 0
+    for seed in range(10):
+        program = random_span_program(np.random.default_rng([21, seed]))
+        for x in all_inputs(program):
+            sides.clear()
+            f = input_factors(program, x)
+            assert sides == [0] and "q_perp" not in vars(f)
+            perp = f.q_perp
+            assert f.q_perp is perp and sides == [0, 1]
+            eager = subspace_blocks(program, x)[1]
+            assert len(perp) == len(eager)
+            for (coords, basis), (coords_e, basis_e) in zip(perp, eager):
+                assert coords.tobytes() == coords_e.tobytes()
+                assert (basis is None and basis_e is None) or basis.tobytes() == basis_e.tobytes()
+            if not f.positive:  # the report's witness_vec is the min-error positive one
+                negatives += 1
+                report = witness_report(program, x)
+                vec, e_plus, wt_plus = spanprog._min_error_positive(program, f, DEFAULT_TOLS)
+                assert vec.tobytes() == report.witness_vec.tobytes()
+                assert (e_plus, wt_plus) == (report.e_plus, report.w_tilde_plus)
+    assert negatives > 5

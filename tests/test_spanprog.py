@@ -494,7 +494,11 @@ def test_subspace_store_is_shared_read_only_and_never_stale(monkeypatch):
     for target in (program, child):
         for x in all_inputs(target):
             witness_report(target, x)
-    assert sorted(calls) == list(range(len(mats)))
+    # an exact identity is decided without an SVD
+    general = [k for k, m in enumerate(mats)
+               if m.shape[0] != m.shape[1] or not np.array_equal(m, np.eye(m.shape[0]))]
+    assert 0 < len(general) < len(mats)
+    assert sorted(calls) == general
     calls.clear()
     for target in (program, child, program, child):
         for x in all_inputs(target):

@@ -45,7 +45,7 @@ from spanforge.spanprog import (
     positive_witness,
     witness_report,
 )
-from spanforge.spectral import kappa_bound, measure_U, measure_Uprime
+from spanforge.spectral import SpectralMeasure, kappa_bound, measure_U, measure_Uprime
 from spanforge.verify import THETA_GRID
 
 
@@ -513,3 +513,45 @@ def test_measures_match_oracle_on_scaled_st_programs(n):
     program = build_st_span_program(g.n, g.s, g.t)
     for beta in (0.5, 2.0):
         assert_measures_match_oracle(scale(program, beta), graph_input(g))
+
+
+@pytest.mark.parametrize("phases, weights", [
+    ([0.1, math.nan], [0.5, 0.5]),  # once read as outcome-zero probability 0
+    ([0.1, 0.2], [math.nan, 0.5]),
+    ([0.1, math.inf], [0.5, 0.5]),  # once clipped to pi
+    ([-math.inf, 0.2], [0.5, 0.5]),
+    ([0.1, 0.2], [math.inf, 0.5]),
+    ([0.1, 0.2], [-math.inf, 0.5]),
+    ([0.1, 0.2], [math.inf, -math.inf]),
+])
+def test_spectral_measure_refuses_values_that_are_not_finite(phases, weights):
+    with pytest.raises(ValueError, match="finite"):
+        SpectralMeasure(np.array(phases), np.array(weights))
+
+
+@pytest.mark.parametrize("phases, weights", [
+    ([0.1, 0.2, 0.3], [0.5, 0.5]),
+    ([0.1], [0.5, 0.5]),
+    ([[0.1, 0.2]], [[0.5, 0.5]]),
+    (0.1, 1.0),
+])
+def test_spectral_measure_refuses_arrays_that_are_not_1d_of_one_length(phases, weights):
+    with pytest.raises(ValueError, match="1-D arrays of one length"):
+        SpectralMeasure(np.array(phases), np.array(weights))
+
+
+def test_spectral_measure_snaps_a_copy_in_place():
+    phases = np.array([-0.5, 1e-10, 1.0, math.pi - 1e-10, 4.0])
+    weights = np.array([0.25, 0.25, 0.5 + 1e-13, 0.0, -1e-13])
+    measure = SpectralMeasure(phases, weights)
+    assert measure.phases.tolist() == [0.0, 0.0, 1.0, math.pi, math.pi]
+    assert measure.weights.tolist() == [0.25, 0.25, 0.5 + 1e-13, 0.0, 0.0]
+    assert phases[0] == -0.5 and weights[-1] == -1e-13  # the caller's arrays are not written
+    for arr in (measure.phases, measure.weights):
+        assert arr.dtype == np.float64 and arr.flags.owndata and not arr.flags.writeable
+    with pytest.raises(ValueError, match="negative spectral weight"):
+        SpectralMeasure(np.array([0.1, 0.2]), np.array([1.1, -0.1]))
+    with pytest.raises(ValueError, match="unit initial state"):
+        SpectralMeasure(np.array([0.1, 0.2]), np.array([0.5, 0.4]))
+    with pytest.raises(ValueError, match="unit initial state"):
+        SpectralMeasure(np.zeros(0), np.zeros(0))
