@@ -37,7 +37,7 @@ from .resistance import (
     parse_graph_file,
 )
 from .spanprog import normalize, or_span_program
-from .verify import MAX_DIMS, SUITES, SuiteArgumentError, run_suite
+from .verify import MAX_DIMS, SUITES, SuiteArgumentError, run_suite, suite_workers
 
 SCHEMA = "spanforge-report/1"
 
@@ -203,9 +203,10 @@ def cmd_verify(args, tols: Tolerances) -> int:
     }
     _emit(payload, args.out)
     failed = [c.name for c in checks if not c.passed]
+    workers = suite_workers(args.suite, args.trials)
     print(
         f"verify[{args.suite}]: {len(checks) - len(failed)}/{len(checks)} checks passed "
-        f"in {elapsed:.2f}s",
+        f"in {elapsed:.2f}s on {workers} worker{'s' if workers > 1 else ''}",
         file=sys.stderr,
     )
     return EXIT_OK if not failed else EXIT_CHECK_FAILED

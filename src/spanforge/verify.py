@@ -3,11 +3,34 @@
 Each suite draws its instances from per-task substreams ((seed, task index)
 seeded generators), aggregates worst-case residuals, and returns a flat list
 of checks; the CLI turns them into a report and its exit code.
+
+The trial-driven suites (all but appendixB) split into a per-trial function,
+which returns that trial's worst values and counts, and a reduction of those
+in trial order with the serial loop's max() and += from the same starting
+values.  So every check, observed value included, is bit-identical whatever
+the number of processes.  The trials of one suite run in a pool of
+min(usable CPUs, trials) forked processes (os.sched_getaffinity), handed out
+one at a time.  They run in-process when that number is 1, on a platform
+without sched_getaffinity, and when the caller is itself a daemonic process
+such as a multiprocessing.Pool worker, which may not start children.
+Fork lets the workers inherit the caller's state (a monkeypatched function,
+a blocked import), and a fork pool starts in about 10 ms where a spawned
+worker imports the package afresh.
+
+Each worker holds its own trial's arrays, so at large dims the suites'
+memory grows with the worker count: a worker's peak RSS is about 90 MB at
+dims=1024.
+CPython 3.12 and later issue a DeprecationWarning when a process with live
+OS threads forks.  numpy's OpenBLAS starts its threads at import; the
+bundled libscipy_openblas64_ registers openblas_fork_handler through
+pthread_atfork, which stops them around the fork.  The warning is left as
+it is.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,44 +80,115 @@ def _residual_check(name: str, observed: float, tol: float, detail: str = "") ->
                  tolerance=float(tol), detail=detail)
 
 
-def suite_duality(trials: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> list[Check]:
-    """Witness-size/error reciprocity and the optimal-witness vector identities
-    on random programs, every input enumerated."""
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot tell."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return len(getaffinity(0)) if getaffinity else 1
+
+
+def _workers(trials: int) -> int:
+    """Processes that `trials` trials run on; 1 means in-process.  A daemonic
+    process (a multiprocessing.Pool worker) may not start children."""
+    workers = min(_usable_cpus(), trials)
+    if workers < 2:
+        return 1
+    import multiprocessing  # paid only by a run that may start a pool
+
+    return 1 if multiprocessing.current_process().daemon else workers
+
+
+_trial_job = None  # (per-trial function, seed, further arguments), set in each pool worker
+
+
+def _start_worker(fn, seed: int, args: tuple) -> None:
+    global _trial_job
+    _trial_job = (fn, seed, args)
+
+
+def _run_trial(trial: int):
+    fn, seed, args = _trial_job
+    return fn(seed, trial, *args)
+
+
+def _map_trials(fn, trials: int, seed: int, *args) -> list:
+    """[fn(seed, trial, *args) for trial in range(trials)], in trial order.
+
+    With more than one worker the trials run in a pool of forked processes,
+    handed out one at a time because their costs differ.  The workers inherit
+    fn and args by the fork, so neither is pickled; only the trial numbers and
+    the results are.  The pool is shut down and its processes joined before
+    this returns or raises; a trial's exception is raised here, and a worker
+    killed from outside raises BrokenProcessPool."""
+    workers = _workers(trials)
+    if workers == 1:
+        return [fn(seed, trial, *args) for trial in range(trials)]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_start_worker, initargs=(fn, seed, args))
+    try:
+        return list(pool.map(_run_trial, range(trials)))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _fold(partials, start: tuple) -> list:
+    """Reduce per-trial tuples into start, in trial order: a float slot keeps
+    its running max (as the serial loop's max() would), an int slot counts."""
+    out = list(start)
+    for partial in partials:
+        out = [acc + value if isinstance(acc, int) else max(acc, value)
+               for acc, value in zip(out, partial)]
+    return out
+
+
+def _duality_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
+    """One duality trial: its worst residuals and its partition violations."""
     worst_neg = worst_pos = worst_vec_neg = worst_vec_pos = 0.0
     worst_nn = worst_mwvec = 0.0
     partition_violations = 0
-    for trial in range(trials):
-        program = random_span_program(_rng(seed, trial))
-        mw = minimal_witness(program, tols)
-        row0, n_minus = minimal_negative_value(program, tols)
-        worst_nn = max(worst_nn, abs(mw.n_plus * n_minus - 1.0))
-        worst_mwvec = max(
-            worst_mwvec,
-            float(np.max(np.abs(np.asarray(row0) - np.asarray(mw.w0) / mw.n_plus))),
-        )
-        for x in all_inputs(program):
-            rep = witness_report(program, x, tols)
-            if math.isinf(rep.w_plus) == math.isinf(rep.w_minus):
-                partition_violations += 1
-                continue
-            proj = subspace_projector(program, x, tols)
-            if math.isfinite(rep.w_minus):
-                worst_neg = max(worst_neg, abs(rep.w_minus * rep.e_plus - 1.0) / rep.w_minus)
-                err = (np.eye(program.dim_h) - proj) @ np.asarray(rep.witness_vec)
-                pred = err / float(err @ err)
-                worst_vec_neg = max(
-                    worst_vec_neg,
-                    float(np.max(np.abs(np.asarray(rep.neg_witness_row) - pred))),
-                )
-            else:
-                worst_pos = max(worst_pos, abs(rep.w_plus * rep.e_minus - 1.0) / rep.w_plus)
-                row = np.asarray(rep.neg_witness_row)
-                on_x = row @ proj
-                pred = (proj @ row) / float(on_x @ on_x)
-                worst_vec_pos = max(
-                    worst_vec_pos,
-                    float(np.max(np.abs(np.asarray(rep.witness_vec) - pred))),
-                )
+    program = random_span_program(_rng(seed, trial))
+    mw = minimal_witness(program, tols)
+    row0, n_minus = minimal_negative_value(program, tols)
+    worst_nn = max(worst_nn, abs(mw.n_plus * n_minus - 1.0))
+    worst_mwvec = max(
+        worst_mwvec,
+        float(np.max(np.abs(np.asarray(row0) - np.asarray(mw.w0) / mw.n_plus))),
+    )
+    for x in all_inputs(program):
+        rep = witness_report(program, x, tols)
+        if math.isinf(rep.w_plus) == math.isinf(rep.w_minus):
+            partition_violations += 1
+            continue
+        proj = subspace_projector(program, x, tols)
+        if math.isfinite(rep.w_minus):
+            worst_neg = max(worst_neg, abs(rep.w_minus * rep.e_plus - 1.0) / rep.w_minus)
+            err = (np.eye(program.dim_h) - proj) @ np.asarray(rep.witness_vec)
+            pred = err / float(err @ err)
+            worst_vec_neg = max(
+                worst_vec_neg,
+                float(np.max(np.abs(np.asarray(rep.neg_witness_row) - pred))),
+            )
+        else:
+            worst_pos = max(worst_pos, abs(rep.w_plus * rep.e_minus - 1.0) / rep.w_plus)
+            row = np.asarray(rep.neg_witness_row)
+            on_x = row @ proj
+            pred = (proj @ row) / float(on_x @ on_x)
+            worst_vec_pos = max(
+                worst_vec_pos,
+                float(np.max(np.abs(np.asarray(rep.witness_vec) - pred))),
+            )
+    return (worst_neg, worst_pos, worst_vec_neg, worst_vec_pos, worst_nn, worst_mwvec,
+            partition_violations)
+
+
+def suite_duality(trials: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> list[Check]:
+    """Witness-size/error reciprocity and the optimal-witness vector identities
+    on random programs, every input enumerated."""
+    (worst_neg, worst_pos, worst_vec_neg, worst_vec_pos, worst_nn, worst_mwvec,
+     partition_violations) = _fold(_map_trials(_duality_trial, trials, seed, tols),
+                                   (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0))
     return [
         Check("duality/partition", partition_violations == 0, float(partition_violations), 0.0,
               "exactly one of w+, w- finite per input"),
@@ -113,59 +207,68 @@ def suite_duality(trials: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> li
     ]
 
 
-def suite_spectral(trials: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> list[Check]:
-    """Fixed-space overlaps and the effective-spectral-gap inequalities on
-    normalized random programs, the estimator path's spectral measures
-    against the dense oracle's, plus the raw two-reflection overlap lemma."""
+def _spectral_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
+    """One spectral trial's worst residuals, in suite_spectral's order."""
     worst_p0_neg = worst_p0_pos = 0.0
     worst_measure_u = worst_measure_up = 0.0
     worst_th_neg = worst_th_pos = -math.inf
     worst_raw = -math.inf
-    for trial in range(trials):
-        rng = _rng(seed, trial)
-        program = normalize(random_span_program(rng), tols)
-        w0 = np.asarray(minimal_witness(program, tols).w0)
-        for x in all_inputs(program):
-            rep = witness_report(program, x, tols)
-            dec = build_U(program, x, tols)
-            decp = build_Uprime(program, x, tols)
-            worst_measure_u = max(
-                worst_measure_u, _measure_gap(measure_U(program, x, tols), dec.measure(w0))
+    rng = _rng(seed, trial)
+    program = normalize(random_span_program(rng), tols)
+    w0 = np.asarray(minimal_witness(program, tols).w0)
+    for x in all_inputs(program):
+        rep = witness_report(program, x, tols)
+        dec = build_U(program, x, tols)
+        decp = build_Uprime(program, x, tols)
+        worst_measure_u = max(
+            worst_measure_u, _measure_gap(measure_U(program, x, tols), dec.measure(w0))
+        )
+        if math.isfinite(rep.w_plus):
+            worst_measure_up = max(
+                worst_measure_up,
+                _measure_gap(measure_Uprime(program, x, tols), decp.measure(w0)),
             )
-            if math.isfinite(rep.w_plus):
-                worst_measure_up = max(
-                    worst_measure_up,
-                    _measure_gap(measure_Uprime(program, x, tols), decp.measure(w0)),
-                )
-            inv_wm = 0.0 if math.isinf(rep.w_minus) else 1.0 / rep.w_minus
-            inv_wp = 0.0 if math.isinf(rep.w_plus) else 1.0 / rep.w_plus
-            worst_p0_neg = max(
-                worst_p0_neg, abs(float(w0 @ dec.fixed_projector() @ w0) - inv_wm)
+        inv_wm = 0.0 if math.isinf(rep.w_minus) else 1.0 / rep.w_minus
+        inv_wp = 0.0 if math.isinf(rep.w_plus) else 1.0 / rep.w_plus
+        worst_p0_neg = max(
+            worst_p0_neg, abs(float(w0 @ dec.fixed_projector() @ w0) - inv_wm)
+        )
+        worst_p0_pos = max(
+            worst_p0_pos, abs(float(w0 @ decp.fixed_projector() @ w0) - inv_wp)
+        )
+        for theta in THETA_GRID:
+            lhs = float(w0 @ dec.small_phase_projector(theta) @ w0)
+            worst_th_neg = max(
+                worst_th_neg, lhs - (theta**2 / 4.0 * rep.w_tilde_plus + inv_wm)
             )
-            worst_p0_pos = max(
-                worst_p0_pos, abs(float(w0 @ decp.fixed_projector() @ w0) - inv_wp)
+            lhs = float(w0 @ decp.small_phase_projector(theta) @ w0)
+            worst_th_pos = max(
+                worst_th_pos, lhs - (theta**2 / 4.0 * rep.w_tilde_minus + inv_wp)
             )
-            for theta in THETA_GRID:
-                lhs = float(w0 @ dec.small_phase_projector(theta) @ w0)
-                worst_th_neg = max(
-                    worst_th_neg, lhs - (theta**2 / 4.0 * rep.w_tilde_plus + inv_wm)
-                )
-                lhs = float(w0 @ decp.small_phase_projector(theta) @ w0)
-                worst_th_pos = max(
-                    worst_th_pos, lhs - (theta**2 / 4.0 * rep.w_tilde_minus + inv_wp)
-                )
-        # raw overlap lemma on a random reflection pair from the same stream
-        dim = int(rng.integers(3, 9))
-        pi_a, pi_b = random_projector_pair(rng, dim)
-        u_dec = decompose_orthogonal((2.0 * pi_a - np.eye(dim)) @ (2.0 * pi_b - np.eye(dim)))
-        vec = rng.standard_normal(dim)
-        vec -= pi_a @ vec  # now Pi_A vec = 0
-        if np.linalg.norm(vec) > 1e-9:
-            for theta in THETA_GRID:
-                lhs = float(
-                    np.linalg.norm(u_dec.small_phase_projector(theta) @ (pi_b @ vec))
-                )
-                worst_raw = max(worst_raw, lhs - theta / 2.0 * float(np.linalg.norm(vec)))
+    # raw overlap lemma on a random reflection pair from the same stream
+    dim = int(rng.integers(3, 9))
+    pi_a, pi_b = random_projector_pair(rng, dim)
+    u_dec = decompose_orthogonal((2.0 * pi_a - np.eye(dim)) @ (2.0 * pi_b - np.eye(dim)))
+    vec = rng.standard_normal(dim)
+    vec -= pi_a @ vec  # now Pi_A vec = 0
+    if np.linalg.norm(vec) > 1e-9:
+        for theta in THETA_GRID:
+            lhs = float(
+                np.linalg.norm(u_dec.small_phase_projector(theta) @ (pi_b @ vec))
+            )
+            worst_raw = max(worst_raw, lhs - theta / 2.0 * float(np.linalg.norm(vec)))
+    return (worst_p0_neg, worst_p0_pos, worst_th_neg, worst_th_pos, worst_raw,
+            worst_measure_u, worst_measure_up)
+
+
+def suite_spectral(trials: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> list[Check]:
+    """Fixed-space overlaps and the effective-spectral-gap inequalities on
+    normalized random programs, the estimator path's spectral measures
+    against the dense oracle's, plus the raw two-reflection overlap lemma."""
+    (worst_p0_neg, worst_p0_pos, worst_th_neg, worst_th_pos, worst_raw,
+     worst_measure_u, worst_measure_up) = _fold(
+        _map_trials(_spectral_trial, trials, seed, tols),
+        (0.0, 0.0, -math.inf, -math.inf, -math.inf, 0.0, 0.0))
     return [
         _residual_check("spectral/fixed-space-neg", worst_p0_neg, 1e-8,
                         "||Pi_0 w0||^2 = 1/w- for U(P, x)"),
@@ -192,50 +295,56 @@ def _measure_gap(measure, oracle) -> float:
     )
 
 
-def suite_scaling(trials: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> list[Check]:
-    """Equalities and inequalities of the beta-scaling construction, plus
-    normalization idempotence."""
+def _scaling_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
+    """One scaling trial's worst residuals, in suite_scaling's order."""
     betas = (0.25, 1.0, 4.0)
     worst_eq = 0.0
     worst_ineq = -math.inf
     worst_unit = 0.0
     worst_idem = 0.0
-    for trial in range(trials):
-        program = random_span_program(_rng(seed, trial))
-        n_plus = minimal_witness(program, tols).n_plus
-        w0 = np.asarray(minimal_witness(program, tols).w0)
-        normalized = normalize(program, tols)
-        renormalized = normalize(normalized, tols)
-        worst_idem = max(
-            worst_idem,
-            float(np.max(np.abs(np.asarray(renormalized.tau) - np.asarray(normalized.tau)))),
-        )
-        reports = {x: witness_report(program, x, tols) for x in all_inputs(program)}
-        for beta in betas:
-            scaled = scale(program, beta, tols)
-            mws = minimal_witness(scaled, tols)
-            worst_unit = max(worst_unit, abs(mws.n_plus - 1.0))
-            expect_w0 = np.zeros(program.dim_h + 2)
-            expect_w0[: program.dim_h] = beta / (beta**2 + n_plus) * w0
-            expect_w0[program.dim_h] = n_plus / (beta**2 + n_plus)
-            expect_w0[program.dim_h + 1] = beta / math.sqrt(beta**2 + n_plus)
-            worst_eq = max(worst_eq, float(np.max(np.abs(np.asarray(mws.w0) - expect_w0))))
-            for x, rep in reports.items():
-                rep_s = witness_report(scaled, x, tols)
-                if math.isfinite(rep.w_minus):
-                    expect = beta**2 * rep.w_minus + 1.0
-                    worst_eq = max(worst_eq, abs(rep_s.w_minus - expect) / expect)
-                    worst_ineq = max(
-                        worst_ineq,
-                        rep_s.w_tilde_plus - (rep.w_tilde_plus / beta**2 + 2.0),
-                    )
-                else:
-                    expect = rep.w_plus / beta**2 + beta**2 / (n_plus + beta**2)
-                    worst_eq = max(worst_eq, abs(rep_s.w_plus - expect) / expect)
-                    worst_ineq = max(
-                        worst_ineq,
-                        rep_s.w_tilde_minus - (beta**2 * rep.w_tilde_minus + 2.0),
-                    )
+    program = random_span_program(_rng(seed, trial))
+    n_plus = minimal_witness(program, tols).n_plus
+    w0 = np.asarray(minimal_witness(program, tols).w0)
+    normalized = normalize(program, tols)
+    renormalized = normalize(normalized, tols)
+    worst_idem = max(
+        worst_idem,
+        float(np.max(np.abs(np.asarray(renormalized.tau) - np.asarray(normalized.tau)))),
+    )
+    reports = {x: witness_report(program, x, tols) for x in all_inputs(program)}
+    for beta in betas:
+        scaled = scale(program, beta, tols)
+        mws = minimal_witness(scaled, tols)
+        worst_unit = max(worst_unit, abs(mws.n_plus - 1.0))
+        expect_w0 = np.zeros(program.dim_h + 2)
+        expect_w0[: program.dim_h] = beta / (beta**2 + n_plus) * w0
+        expect_w0[program.dim_h] = n_plus / (beta**2 + n_plus)
+        expect_w0[program.dim_h + 1] = beta / math.sqrt(beta**2 + n_plus)
+        worst_eq = max(worst_eq, float(np.max(np.abs(np.asarray(mws.w0) - expect_w0))))
+        for x, rep in reports.items():
+            rep_s = witness_report(scaled, x, tols)
+            if math.isfinite(rep.w_minus):
+                expect = beta**2 * rep.w_minus + 1.0
+                worst_eq = max(worst_eq, abs(rep_s.w_minus - expect) / expect)
+                worst_ineq = max(
+                    worst_ineq,
+                    rep_s.w_tilde_plus - (rep.w_tilde_plus / beta**2 + 2.0),
+                )
+            else:
+                expect = rep.w_plus / beta**2 + beta**2 / (n_plus + beta**2)
+                worst_eq = max(worst_eq, abs(rep_s.w_plus - expect) / expect)
+                worst_ineq = max(
+                    worst_ineq,
+                    rep_s.w_tilde_minus - (beta**2 * rep.w_tilde_minus + 2.0),
+                )
+    return worst_eq, worst_ineq, worst_unit, worst_idem
+
+
+def suite_scaling(trials: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> list[Check]:
+    """Equalities and inequalities of the beta-scaling construction, plus
+    normalization idempotence."""
+    worst_eq, worst_ineq, worst_unit, worst_idem = _fold(
+        _map_trials(_scaling_trial, trials, seed, tols), (0.0, -math.inf, 0.0, 0.0))
     return [
         _residual_check("scaling/equalities", worst_eq, 1e-8,
                         "scaled witness sizes and minimal witness vector (beta in {1/4, 1, 4})"),
@@ -248,51 +357,58 @@ def suite_scaling(trials: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> li
     ]
 
 
-def suite_szegedy(trials: int, dims: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> list[Check]:
-    """Spectrum correspondence between a product of reflections and its
-    discriminant, and the +/-1-eigenspace dimension count."""
+def _szegedy_trial(seed: int, trial: int, dims: int, tols: Tolerances) -> tuple:
+    """One szegedy trial: its worst phase and gap residuals and its
+    eigenspace-dimension mismatches."""
     worst_phase = 0.0
     worst_dims = 0
     worst_gap = -math.inf
-    for trial in range(trials):
-        rng = _rng(seed, trial)
-        dim = int(rng.integers(3, max(4, dims + 1)))
-        forced = trial % 3 == 0
-        pi_a, pi_b = random_projector_pair(
-            rng,
-            dim,
-            shared=int(rng.integers(1, 3)) if forced else 0,
-            a_only=int(rng.integers(0, 2)) if forced else 0,
+    rng = _rng(seed, trial)
+    dim = int(rng.integers(3, max(4, dims + 1)))
+    forced = trial % 3 == 0
+    pi_a, pi_b = random_projector_pair(
+        rng,
+        dim,
+        shared=int(rng.integers(1, 3)) if forced else 0,
+        a_only=int(rng.integers(0, 2)) if forced else 0,
+    )
+    u_mat = (2.0 * pi_a - np.eye(dim)) @ (2.0 * pi_b - np.eye(dim))
+    dec = decompose_orthogonal(u_mat)
+    report = discriminant(pi_a, pi_b, tols)
+
+    expected = report.expected_rotation_phases()
+    actual = sorted(
+        cl.theta
+        for cl in dec.clusters
+        if cl.theta not in (0.0, math.pi)
+        for _ in range(cl.dim // 2)
+    )
+    if len(expected) != len(actual):
+        worst_phase = max(worst_phase, math.inf)
+    elif expected:
+        worst_phase = max(
+            worst_phase, float(np.max(np.abs(np.array(expected) - np.array(actual))))
         )
-        u_mat = (2.0 * pi_a - np.eye(dim)) @ (2.0 * pi_b - np.eye(dim))
-        dec = decompose_orthogonal(u_mat)
-        report = discriminant(pi_a, pi_b, tols)
 
-        expected = report.expected_rotation_phases()
-        actual = sorted(
-            cl.theta
-            for cl in dec.clusters
-            if cl.theta not in (0.0, math.pi)
-            for _ in range(cl.dim // 2)
-        )
-        if len(expected) != len(actual):
-            worst_phase = max(worst_phase, math.inf)
-        elif expected:
-            worst_phase = max(
-                worst_phase, float(np.max(np.abs(np.array(expected) - np.array(actual))))
-            )
+    dims_map = intersection_dims(pi_a, pi_b)
+    plus_dim = sum(cl.dim for cl in dec.clusters if cl.theta == 0.0)
+    minus_dim = sum(cl.dim for cl in dec.clusters if cl.theta == math.pi)
+    if plus_dim != dims_map["a_and_b"] + dims_map["aperp_and_bperp"]:
+        worst_dims += 1
+    if minus_dim != dims_map["a_and_bperp"] + dims_map["aperp_and_b"]:
+        worst_dims += 1
 
-        dims_map = intersection_dims(pi_a, pi_b)
-        plus_dim = sum(cl.dim for cl in dec.clusters if cl.theta == 0.0)
-        minus_dim = sum(cl.dim for cl in dec.clusters if cl.theta == math.pi)
-        if plus_dim != dims_map["a_and_b"] + dims_map["aperp_and_bperp"]:
-            worst_dims += 1
-        if minus_dim != dims_map["a_and_bperp"] + dims_map["aperp_and_b"]:
-            worst_dims += 1
+    minus_u = decompose_orthogonal(-u_mat)
+    if report.sigma_min is not None:
+        worst_gap = max(worst_gap, 2.0 * report.sigma_min - minus_u.phase_gap())
+    return worst_phase, worst_gap, worst_dims
 
-        minus_u = decompose_orthogonal(-u_mat)
-        if report.sigma_min is not None:
-            worst_gap = max(worst_gap, 2.0 * report.sigma_min - minus_u.phase_gap())
+
+def suite_szegedy(trials: int, dims: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> list[Check]:
+    """Spectrum correspondence between a product of reflections and its
+    discriminant, and the +/-1-eigenspace dimension count."""
+    worst_phase, worst_gap, worst_dims = _fold(
+        _map_trials(_szegedy_trial, trials, seed, dims, tols), (0.0, -math.inf, 0))
     return [
         _residual_check("szegedy/phase-correspondence", worst_phase, 1e-8,
                         "non-trivial phases equal +/- 2 arccos(singular values of D)"),
@@ -303,53 +419,59 @@ def suite_szegedy(trials: int, dims: int, seed: int, tols: Tolerances = DEFAULT_
     ]
 
 
+def _kappa_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
+    """One kappa trial's worst residuals, in suite_kappa's order."""
+    worst_u = worst_up = -math.inf
+    worst_sigma = worst_res = 0.0
+    rng = _rng(seed, trial)
+    program = random_span_program(rng)
+    for x in all_inputs(program):
+        try:
+            bound, _ = kappa_bound(program, x, tols)
+        except ValueError:
+            continue
+        dec = build_U(program, x, tols)
+        worst_u = max(worst_u, bound - dec.phase_gap())
+        rep = witness_report(program, x, tols)
+        if math.isfinite(rep.w_plus):
+            decp = build_Uprime(program, x, tols)
+            worst_up = max(worst_up, bound - decp.phase_gap())
+
+    n = int(rng.integers(3, 8))
+    g = random_graph(rng, n, edge_prob=0.6)
+    program = build_st_span_program(g.n, g.s, g.t)
+    factors = input_factors(program, graph_input(g), tols)
+    # A's factors come from one eigh of A A^T; a dense SVD of A checks
+    # sigma_max = sqrt(2n) and every sigma, relative to its sigma_max,
+    # and the projector U_r U_r^T
+    fact = program.factorization(tols)
+    col_basis, sigma, _, top = svd_factors(program.a_mat, tols)
+    lam = lambda2(g)
+    if lam > 1e-9:
+        worst_sigma = max(
+            worst_sigma, abs(float(factors.sigma[-1]) - math.sqrt(2.0 * lam)) / top
+        )
+    worst_sigma = max(
+        worst_sigma,
+        abs(factors.a_scale - top) / top,
+        float(np.max(np.abs(fact.sigma - sigma))) / top
+        if fact.sigma.shape == sigma.shape else math.inf,
+        float(np.max(np.abs(fact.col_basis @ fact.col_basis.T - col_basis @ col_basis.T))),
+    )
+    res = exact_resistance(g)
+    if math.isfinite(res) and len(g.edges) <= 8:
+        worst_res = max(worst_res, abs(res - flow_resistance_bruteforce(g)))
+    check = witness_equals_half_resistance(g, tols)
+    if not check.ok:
+        worst_res = math.inf
+    return worst_u, worst_up, worst_sigma, worst_res
+
+
 def suite_kappa(trials: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> list[Check]:
     """Phase-gap lower bounds on random programs and on graph instances,
     including the graph spectral identities the bound rests on."""
-    worst_u = worst_up = -math.inf
-    worst_sigma = worst_res = 0.0
-    for trial in range(trials):
-        rng = _rng(seed, trial)
-        program = random_span_program(rng)
-        for x in all_inputs(program):
-            try:
-                bound, _ = kappa_bound(program, x, tols)
-            except ValueError:
-                continue
-            dec = build_U(program, x, tols)
-            worst_u = max(worst_u, bound - dec.phase_gap())
-            rep = witness_report(program, x, tols)
-            if math.isfinite(rep.w_plus):
-                decp = build_Uprime(program, x, tols)
-                worst_up = max(worst_up, bound - decp.phase_gap())
-
-        n = int(rng.integers(3, 8))
-        g = random_graph(rng, n, edge_prob=0.6)
-        program = build_st_span_program(g.n, g.s, g.t)
-        factors = input_factors(program, graph_input(g), tols)
-        # A's factors come from one eigh of A A^T; a dense SVD of A checks
-        # sigma_max = sqrt(2n) and every sigma, relative to its sigma_max,
-        # and the projector U_r U_r^T
-        fact = program.factorization(tols)
-        col_basis, sigma, _, top = svd_factors(program.a_mat, tols)
-        lam = lambda2(g)
-        if lam > 1e-9:
-            worst_sigma = max(
-                worst_sigma, abs(float(factors.sigma[-1]) - math.sqrt(2.0 * lam)) / top
-            )
-        worst_sigma = max(
-            worst_sigma,
-            abs(factors.a_scale - top) / top,
-            float(np.max(np.abs(fact.sigma - sigma))) / top
-            if fact.sigma.shape == sigma.shape else math.inf,
-            float(np.max(np.abs(fact.col_basis @ fact.col_basis.T - col_basis @ col_basis.T))),
-        )
-        res = exact_resistance(g)
-        if math.isfinite(res) and len(g.edges) <= 8:
-            worst_res = max(worst_res, abs(res - flow_resistance_bruteforce(g)))
-        check = witness_equals_half_resistance(g, tols)
-        if not check.ok:
-            worst_res = math.inf
+    worst_u, worst_up, worst_sigma, worst_res = _fold(
+        _map_trials(_kappa_trial, trials, seed, tols), (-math.inf, -math.inf, 0.0, 0.0))
     return [
         _residual_check("kappa/gap-bound-U", worst_u, 1e-8,
                         "phase gap of U(P, x) is at least 2 sigma_min(A(x))/sigma_max(A)"),
@@ -404,6 +526,20 @@ class SuiteArgumentError(ValueError):
     """run_suite was asked for a suite or a size it does not run."""
 
 
+def _suite_trials(name: str, trials: int) -> int:
+    """Trials run_suite gives one suite: the costlier suites run a quarter."""
+    if name == "appendixB":
+        return 0
+    return max(1, trials // 4) if name in ("spectral", "scaling", "kappa") else trials
+
+
+def suite_workers(name: str, trials: int = 50) -> int:
+    """The most processes run_suite(name, trials) spreads one suite's trials
+    over; 1 means every trial runs in-process."""
+    return max(_workers(_suite_trials(sub, trials))
+               for sub in (SUITES if name == "all" else (name,)))
+
+
 def run_suite(
     name: str,
     trials: int = 50,
@@ -418,21 +554,19 @@ def run_suite(
         raise SuiteArgumentError(f"trials must be at least 1, got {trials}")
     if not 3 <= dims <= MAX_DIMS:
         raise SuiteArgumentError(f"dims must lie in [3, {MAX_DIMS}], got {dims}")
-    if name == "duality":
-        return suite_duality(trials, seed, tols)
-    if name == "spectral":
-        return suite_spectral(max(1, trials // 4), seed, tols)
-    if name == "scaling":
-        return suite_scaling(max(1, trials // 4), seed, tols)
-    if name == "szegedy":
-        return suite_szegedy(trials, dims, seed, tols)
-    if name == "kappa":
-        return suite_kappa(max(1, trials // 4), seed, tols)
-    if name == "appendixB":
-        return suite_appendix_b(tols)
     if name == "all":
-        out: list[Check] = []
-        for sub in SUITES:
-            out.extend(run_suite(sub, trials, dims, seed, tols))
-        return out
-    raise SuiteArgumentError(f"unknown suite {name!r}")
+        return [c for sub in SUITES for c in run_suite(sub, trials, dims, seed, tols)]
+    if name not in SUITES:
+        raise SuiteArgumentError(f"unknown suite {name!r}")
+    share = _suite_trials(name, trials)
+    if name == "duality":
+        return suite_duality(share, seed, tols)
+    if name == "spectral":
+        return suite_spectral(share, seed, tols)
+    if name == "scaling":
+        return suite_scaling(share, seed, tols)
+    if name == "szegedy":
+        return suite_szegedy(share, dims, seed, tols)
+    if name == "kappa":
+        return suite_kappa(share, seed, tols)
+    return suite_appendix_b(tols)
