@@ -8,29 +8,40 @@ The trial-driven suites (all but appendixB) split into a per-trial function,
 which returns that trial's worst values and counts, and a reduction of those
 in trial order with the serial loop's max() and += from the same starting
 values.  So every check, observed value included, is bit-identical whatever
-the number of processes.  The trials of one suite run in a pool of
-min(usable CPUs, trials) forked processes (os.sched_getaffinity), handed out
-one at a time.  They run in-process when that number is 1, on a platform
-without sched_getaffinity, and when the caller is itself a daemonic process
-such as a multiprocessing.Pool worker, which may not start children.
-Fork lets the workers inherit the caller's state (a monkeypatched function,
-a blocked import), and a fork pool starts in about 10 ms where a spawned
-worker imports the package afresh.
+the number of processes.
 
-Each worker holds its own trial's arrays, so at large dims the suites'
-memory grows with the worker count: a worker's peak RSS is about 90 MB at
-dims=1024.
-CPython 3.12 and later issue a DeprecationWarning when a process with live
-OS threads forks.  numpy's OpenBLAS starts its threads at import; the
-bundled libscipy_openblas64_ registers openblas_fork_handler through
-pthread_atfork, which stops them around the fork.  The warning is left as
-it is.
+The trials of duality, spectral, scaling and kappa run in a pool of forked
+processes, handed out one at a time: min(usable CPUs, trials // floor) of
+them, the usable CPUs read from os.sched_getaffinity.  The floor
+(_MIN_TRIALS_PER_WORKER) is 32 duality, 8 spectral or 16 scaling or kappa
+trials, about 150 ms of work against the 30 ms a worker costs to fork and
+join.  On 2 cores each of these suites at twice its floor took 0.43 to 0.91
+of its in-process time over seeds 0 to 2.  Everything else runs in-process:
+a suite with fewer trials, a platform without sched_getaffinity, a caller
+that is itself a daemonic process (a multiprocessing.Pool worker may not
+start children), and every szegedy trial.  A szegedy trial at small dims
+takes about 1 ms, and from about dims=64 numpy's BLAS spreads its calls over
+threads of its own, which workers on every CPU would oversubscribe (2
+workers on 2 cores took 0.9 to 27 s where the in-process loop took 0.1 to
+0.7 s at dims=128).  The other suites' programs are small enough that BLAS
+never starts a thread for them, so each worker keeps to one CPU.
+
+The pool starts no thread in the parent, and every worker is forked before
+the first trial is sent, so no Python thread is alive at a fork on any
+supported Python version.  Fork lets the workers inherit the caller's state
+(a monkeypatched function, a blocked import).  Each worker holds its own
+copy of what it writes, so memory grows with the worker count.  CPython 3.12
+and later issue a DeprecationWarning when a process with live OS threads
+forks.  numpy's OpenBLAS starts its threads at import; the bundled
+libscipy_openblas64_ registers openblas_fork_handler through pthread_atfork,
+which stops them around the fork.  The warning is left as it is.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,10 +97,19 @@ def _usable_cpus() -> int:
     return len(getaffinity(0)) if getaffinity else 1
 
 
-def _workers(trials: int) -> int:
-    """Processes that `trials` trials run on; 1 means in-process.  A daemonic
-    process (a multiprocessing.Pool worker) may not start children."""
-    workers = min(_usable_cpus(), trials)
+# the fewest trials a worker is given, per suite: forking a worker and
+# joining it costs about 30 ms, and on one core at dims=8 a duality trial
+# takes about 5 ms, a spectral trial 25 ms, a scaling or kappa trial 10 ms.
+# szegedy, absent here, runs in-process (see the module docstring).
+_MIN_TRIALS_PER_WORKER = {"duality": 32, "spectral": 8, "scaling": 16, "kappa": 16}
+
+
+def _workers(suite: str, trials: int) -> int:
+    """Processes that the suite's `trials` trials run on; 1 means in-process.
+    A daemonic process (a multiprocessing.Pool worker) may not start
+    children."""
+    floor = _MIN_TRIALS_PER_WORKER.get(suite)
+    workers = min(_usable_cpus(), trials // floor) if floor else 1
     if workers < 2:
         return 1
     import multiprocessing  # paid only by a run that may start a pool
@@ -97,40 +117,73 @@ def _workers(trials: int) -> int:
     return 1 if multiprocessing.current_process().daemon else workers
 
 
-_trial_job = None  # (per-trial function, seed, further arguments), set in each pool worker
+def _serve_trials(conn, fn, seed: int, args: tuple) -> None:
+    """A pool worker, until it is terminated: run each trial number received
+    and send back (True, result) or (False, exception, traceback text)."""
+    while True:
+        trial = conn.recv()
+        try:
+            conn.send((True, fn(seed, trial, *args)))
+        except Exception as exc:
+            conn.send((False, exc, traceback.format_exc()))
 
 
-def _start_worker(fn, seed: int, args: tuple) -> None:
-    global _trial_job
-    _trial_job = (fn, seed, args)
-
-
-def _run_trial(trial: int):
-    fn, seed, args = _trial_job
-    return fn(seed, trial, *args)
-
-
-def _map_trials(fn, trials: int, seed: int, *args) -> list:
+def _map_trials(suite: str, fn, trials: int, seed: int, *args) -> list:
     """[fn(seed, trial, *args) for trial in range(trials)], in trial order.
 
-    With more than one worker the trials run in a pool of forked processes,
-    handed out one at a time because their costs differ.  The workers inherit
-    fn and args by the fork, so neither is pickled; only the trial numbers and
-    the results are.  The pool is shut down and its processes joined before
-    this returns or raises; a trial's exception is raised here, and a worker
-    killed from outside raises BrokenProcessPool."""
-    workers = _workers(trials)
+    With more than one worker the trials run on forked processes, handed out
+    one at a time because their costs differ.  The workers inherit fn and
+    args by the fork, so neither is pickled; only the trial numbers and the
+    results are.  A trial's exception is raised here, with the worker's
+    traceback as its cause; a worker that dies raises ChildProcessError.
+    The workers are terminated and joined before this returns or raises."""
+    workers = _workers(suite, trials)
     if workers == 1:
         return [fn(seed, trial, *args) for trial in range(trials)]
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing.connection import wait
 
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_start_worker, initargs=(fn, seed, args))
+    context = multiprocessing.get_context("fork")
+    procs, conns = [], []
     try:
-        return list(pool.map(_run_trial, range(trials)))
+        for _ in range(workers):
+            conn, child_conn = context.Pipe()
+            proc = context.Process(target=_serve_trials, args=(child_conn, fn, seed, args),
+                                   daemon=True)
+            proc.start()
+            child_conn.close()  # the worker's death now reads as EOF on conn
+            procs.append(proc)
+            conns.append(conn)
+        results = [None] * trials
+        running = {}  # connection -> the trial its worker runs
+        todo = iter(range(trials))
+        ready = conns
+        while True:
+            for conn in ready:
+                trial = next(todo, None)
+                if trial is None:
+                    break
+                conn.send(trial)
+                running[conn] = trial
+            if not running:
+                return results
+            ready = wait(list(running))
+            for conn in ready:
+                trial = running.pop(conn)
+                try:
+                    reply = conn.recv()
+                except EOFError:
+                    raise ChildProcessError(f"a verify worker died running trial {trial}") from None
+                if not reply[0]:
+                    raise reply[1] from ChildProcessError(f"trial {trial} raised:\n{reply[2]}")
+                results[trial] = reply[1]
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        for proc in procs:
+            proc.terminate()
+        for proc in procs:
+            proc.join()
+        for conn in conns:
+            conn.close()
 
 
 def _fold(partials, start: tuple) -> list:
@@ -187,7 +240,7 @@ def suite_duality(trials: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> li
     """Witness-size/error reciprocity and the optimal-witness vector identities
     on random programs, every input enumerated."""
     (worst_neg, worst_pos, worst_vec_neg, worst_vec_pos, worst_nn, worst_mwvec,
-     partition_violations) = _fold(_map_trials(_duality_trial, trials, seed, tols),
+     partition_violations) = _fold(_map_trials("duality", _duality_trial, trials, seed, tols),
                                    (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0))
     return [
         Check("duality/partition", partition_violations == 0, float(partition_violations), 0.0,
@@ -267,7 +320,7 @@ def suite_spectral(trials: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> l
     against the dense oracle's, plus the raw two-reflection overlap lemma."""
     (worst_p0_neg, worst_p0_pos, worst_th_neg, worst_th_pos, worst_raw,
      worst_measure_u, worst_measure_up) = _fold(
-        _map_trials(_spectral_trial, trials, seed, tols),
+        _map_trials("spectral", _spectral_trial, trials, seed, tols),
         (0.0, 0.0, -math.inf, -math.inf, -math.inf, 0.0, 0.0))
     return [
         _residual_check("spectral/fixed-space-neg", worst_p0_neg, 1e-8,
@@ -344,7 +397,7 @@ def suite_scaling(trials: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> li
     """Equalities and inequalities of the beta-scaling construction, plus
     normalization idempotence."""
     worst_eq, worst_ineq, worst_unit, worst_idem = _fold(
-        _map_trials(_scaling_trial, trials, seed, tols), (0.0, -math.inf, 0.0, 0.0))
+        _map_trials("scaling", _scaling_trial, trials, seed, tols), (0.0, -math.inf, 0.0, 0.0))
     return [
         _residual_check("scaling/equalities", worst_eq, 1e-8,
                         "scaled witness sizes and minimal witness vector (beta in {1/4, 1, 4})"),
@@ -408,7 +461,7 @@ def suite_szegedy(trials: int, dims: int, seed: int, tols: Tolerances = DEFAULT_
     """Spectrum correspondence between a product of reflections and its
     discriminant, and the +/-1-eigenspace dimension count."""
     worst_phase, worst_gap, worst_dims = _fold(
-        _map_trials(_szegedy_trial, trials, seed, dims, tols), (0.0, -math.inf, 0))
+        _map_trials("szegedy", _szegedy_trial, trials, seed, dims, tols), (0.0, -math.inf, 0))
     return [
         _residual_check("szegedy/phase-correspondence", worst_phase, 1e-8,
                         "non-trivial phases equal +/- 2 arccos(singular values of D)"),
@@ -471,7 +524,7 @@ def suite_kappa(trials: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> list
     """Phase-gap lower bounds on random programs and on graph instances,
     including the graph spectral identities the bound rests on."""
     worst_u, worst_up, worst_sigma, worst_res = _fold(
-        _map_trials(_kappa_trial, trials, seed, tols), (-math.inf, -math.inf, 0.0, 0.0))
+        _map_trials("kappa", _kappa_trial, trials, seed, tols), (-math.inf, -math.inf, 0.0, 0.0))
     return [
         _residual_check("kappa/gap-bound-U", worst_u, 1e-8,
                         "phase gap of U(P, x) is at least 2 sigma_min(A(x))/sigma_max(A)"),
@@ -536,7 +589,7 @@ def _suite_trials(name: str, trials: int) -> int:
 def suite_workers(name: str, trials: int = 50) -> int:
     """The most processes run_suite(name, trials) spreads one suite's trials
     over; 1 means every trial runs in-process."""
-    return max(_workers(_suite_trials(sub, trials))
+    return max(_workers(sub, _suite_trials(sub, trials))
                for sub in (SUITES if name == "all" else (name,)))
 
 

@@ -208,10 +208,12 @@ def test_or_demo_zero_weight_sample(tmp_path):
 
 def test_cli_import_loads_neither_scipy_nor_networkx():
     # the package runs on numpy alone: scipy serves only the tests' Schur
-    # oracle and the benchmark, networkx only the tests' graph atlas
+    # oracle and the benchmark, networkx only the tests' graph atlas; verify
+    # imports multiprocessing only when it may start workers
     src = str(Path(spanforge.__file__).resolve().parents[1])
     code = ("import sys, spanforge.cli; "
-            "print([m for m in ('scipy', 'networkx') if m in sys.modules])")
+            "print([m for m in ('scipy', 'networkx', 'multiprocessing', 'concurrent.futures') "
+            "if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -1,22 +1,21 @@
 """verify's trials spread over forked workers: the checks equal the in-process
 run's bit for bit, the reduction keeps max()'s order-sensitive cases, a
-trial's exception reaches the caller, no process outlives run_suite, a
-daemonic caller runs in-process, and the CLI names the workers it used."""
+trial's exception and a worker's death reach the caller, no process outlives
+run_suite, workers inherit the caller's monkeypatches, a daemonic caller runs
+in-process, a suite gets workers only where each has enough trials, and
+the CLI names the workers it used."""
 
 import functools
 import math
 import multiprocessing
 import os
-import subprocess
-import sys
-from pathlib import Path
+import signal
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-import spanforge
-from spanforge import verify
+from spanforge import spanprog, verify
 from spanforge.cli import main
 
 
@@ -30,8 +29,21 @@ def cpus(monkeypatch):
     return lambda n: monkeypatch.setattr(verify, "_usable_cpus", lambda: n)
 
 
+@pytest.fixture
+def one_trial_floor(monkeypatch):
+    """Give a worker as few as one trial of each suite that may run on
+    workers, so that short runs take the pool path."""
+    floors = dict.fromkeys(verify._MIN_TRIALS_PER_WORKER, 1)
+    monkeypatch.setattr(verify, "_MIN_TRIALS_PER_WORKER", floors)
+
+
+@pytest.fixture
+def small_pools(cpus, one_trial_floor):
+    cpus(2)
+
+
 @pytest.mark.parametrize("seed", [1, 2])
-def test_pool_and_in_process_runs_give_identical_checks(cpus, seed):
+def test_pool_and_in_process_runs_give_identical_checks(cpus, one_trial_floor, seed):
     cpus(1)
     assert verify.suite_workers("all", 12) == 1
     serial = verify.run_suite("all", trials=12, dims=8, seed=seed)
@@ -60,8 +72,7 @@ def test_fold_of_per_trial_maxima_is_the_serial_max(trials, start):
     assert count == sum(len(trial) for trial in trials)
 
 
-def test_a_trials_exception_reaches_the_caller_and_no_worker_outlives_it(cpus, monkeypatch):
-    cpus(2)
+def test_a_trials_exception_reaches_the_caller_and_no_worker_outlives_it(small_pools, monkeypatch):
     assert verify.run_suite("duality", trials=6, seed=1)
     assert multiprocessing.active_children() == []
     trial_fn = verify._duality_trial
@@ -76,11 +87,42 @@ def test_a_trials_exception_reaches_the_caller_and_no_worker_outlives_it(cpus, m
         verify.run_suite("duality", trials=6, seed=1)
     assert type(info.value) is ArithmeticError
     assert str(info.value) == "trial 3 of seed 1 refused"
+    assert "refuse_trial_3" in str(info.value.__cause__)  # the worker's traceback
     assert multiprocessing.active_children() == []
 
 
-def test_a_daemonic_caller_runs_in_process(cpus):
-    cpus(2)
+def test_a_worker_that_dies_raises_and_leaves_no_process(small_pools, monkeypatch):
+    trial_fn = verify._duality_trial
+
+    def die_on_trial_2(seed, trial, tols):
+        if trial == 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return trial_fn(seed, trial, tols)
+
+    monkeypatch.setattr(verify, "_duality_trial", die_on_trial_2)
+    with pytest.raises(ChildProcessError, match="died running trial 2"):
+        verify.run_suite("duality", trials=6, seed=1)
+    assert multiprocessing.active_children() == []
+
+
+def test_workers_inherit_a_monkeypatched_estimator(small_pools, monkeypatch):
+    # as test_verify_refuses_gram_route_factors_off_by_one_part_in_1e9, with
+    # the trials on two workers
+    assert verify._workers("kappa", 8) == 2
+    gram_factors = spanprog._gram_factors
+
+    def skewed(gram, tols, a_scale=None):
+        u, sigma, top = gram_factors(gram, tols, a_scale)
+        if a_scale is None:
+            sigma, top = sigma * (1.0 + 1e-9), top * (1.0 + 1e-9)
+        return u, sigma, top
+
+    monkeypatch.setattr(spanprog, "_gram_factors", skewed)
+    (check,) = [c for c in verify.suite_kappa(8, 1) if c.name == "kappa/graph-singular-values"]
+    assert not check.passed and check.observed == pytest.approx(1e-9, rel=1e-3)
+
+
+def test_a_daemonic_caller_runs_in_process(small_pools):
     expected = fields(verify.run_suite("all", trials=8, dims=8, seed=1))
     with multiprocessing.get_context("fork").Pool(1) as pool:
         assert pool.apply_async(verify.suite_workers, ("all", 8)).get(timeout=60) == 1
@@ -88,16 +130,30 @@ def test_a_daemonic_caller_runs_in_process(cpus):
     assert fields(checks) == expected
 
 
-@pytest.mark.parametrize("suite, trials, workers", [
-    ("szegedy", 4, 2), ("spectral", 4, 1), ("appendixB", 50, 1), ("all", 4, 2),
+@pytest.mark.parametrize("usable, suite, trials, workers", [
+    (2, "all", 50, 1),  # every suite below its floor: duality 32, the rest 8 or 16 of a quarter
+    (2, "duality", 63, 1),
+    (2, "duality", 64, 2),
+    (2, "spectral", 63, 1),  # spectral runs trials // 4, at least 8 to a worker
+    (2, "spectral", 64, 2),
+    (2, "scaling", 127, 1),
+    (2, "scaling", 128, 2),
+    (2, "kappa", 128, 2),
+    (2, "szegedy", 10_000, 1),  # szegedy always runs in-process
+    (2, "appendixB", 10_000, 1),
+    (2, "all", 200, 2),
+    (64, "duality", 200, 6),
+    (64, "all", 200, 6),  # spectral's 50 trials give 6 too
+    (64, "kappa", 200, 3),
+    (1, "all", 10_000, 1),
 ])
-def test_suite_workers_follows_each_suites_trial_count(cpus, suite, trials, workers):
-    cpus(2)
+def test_suite_workers_keeps_each_suites_floor(cpus, usable, suite, trials, workers):
+    cpus(usable)
     assert verify.suite_workers(suite, trials) == workers
 
 
 def test_cli_names_its_workers_and_writes_the_same_report(cpus, tmp_path, capsys):
-    args = ["verify", "--suite", "szegedy", "--trials", "6", "--seed", "4", "--out"]
+    args = ["verify", "--suite", "duality", "--trials", "64", "--seed", "4", "--out"]
     lines = {}
     for n in (1, 2):
         cpus(n)
@@ -105,12 +161,3 @@ def test_cli_names_its_workers_and_writes_the_same_report(cpus, tmp_path, capsys
         lines[n] = capsys.readouterr().err.strip()
     assert lines[1].endswith("on 1 worker") and lines[2].endswith("on 2 workers")
     assert (tmp_path / "1.json").read_bytes() == (tmp_path / "2.json").read_bytes()
-
-
-def test_importing_the_cli_does_not_import_multiprocessing():
-    src = str(Path(spanforge.__file__).resolve().parents[1])
-    code = ("import sys, spanforge.cli\n"
-            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
