@@ -19,10 +19,12 @@ A round never builds the scaled program.  witness_estimate factors A(x) once
 (spanprog.input_factors), reads the witness sizes from it, and forms
 C(x) = V_r^T Q_H(x) from it once (spectral.row_space_cross); each round
 reads its scaled program's measure from C(x) and w0 by a rank-one change
-and one SVD (spectral.scaled_measure_U / scaled_measure_Uprime).
-A C(x) built for another program, input or Tolerances is refused.  decision_context and
-decide_threshold form C(x) for their one round; measure_U / measure_Uprime
-of oracle.scale(program, beta) is the oracle the rounds are tested against.
+and one SVD (spectral.scaled_measure_U / scaled_measure_Uprime).  The
+round and the witness sizes take C(x) or the InputFactors alone and read
+the program, x and Tolerances from the InputFactors, so none can be handed
+those of another input.  decision_context and decide_threshold form C(x)
+for their one round; measure_U / measure_Uprime of
+oracle.scale(program, beta) is the oracle the rounds are tested against.
 gap_estimate likewise reads the witness size from A(x)'s one SVD and w0's
 measure from the C(x) of the same InputFactors (spectral.input_measure_U /
 input_measure_Uprime).
@@ -50,8 +52,7 @@ from .qsim import (
 from .spanprog import GloballyInfeasibleError, InputFactors, SpanProgram, input_factors
 from .spanprog import minimal_witness, normalize
 from .spanprog import _exact_negative, _min_error_negative, _min_error_positive
-from .spectral import RowSpaceCross, _input_cross, input_measure_U, input_measure_Uprime
-from .spectral import row_space_cross
+from .spectral import RowSpaceCross, input_measure_U, input_measure_Uprime, row_space_cross
 from .spectral import scaled_measure_U, scaled_measure_Uprime
 
 POSITIVE = "positive"
@@ -144,19 +145,12 @@ def _scaled_parameters(
     return beta, w_new, wt_new, lam_new
 
 
-def _round_context(
-    program: SpanProgram,
-    x: Sequence[int],
-    spec: ThresholdSpec,
-    tols: Tolerances,
-    cross: RowSpaceCross,
-) -> _DecisionContext:
-    """One threshold round: w0's spectral measure under the right unitary of
-    the scaled program, read from x's C(x), and the exact outcome-0
-    probability of phase estimation."""
-    cross.check(program, x, tols)
+def _round_context(cross: RowSpaceCross, spec: ThresholdSpec) -> _DecisionContext:
+    """One threshold round on the program and input of cross = C(x): w0's
+    spectral measure under the right unitary of the scaled program, read
+    from C(x), and the exact outcome-0 probability of phase estimation."""
     flags: list[str] = []
-    beta, w_new, wt_new, lam_new = _scaled_parameters(program, spec, tols)
+    beta, w_new, wt_new, lam_new = _scaled_parameters(cross.program, spec, cross.tols)
 
     theta = math.sqrt(4.0 * (1.0 - lam_new) / (3.0 * w_new * wt_new))
     eps_pe = _clamp01((1.0 - lam_new) / (6.0 * w_new), "eps_pe", flags)
@@ -186,7 +180,7 @@ def decision_context(
     """Take w0's spectral measure under the right unitary of the scaled
     program and evaluate the exact outcome-0 probability of phase estimation,
     for one round."""
-    return _round_context(program, x, spec, tols, _input_cross(program, x, tols))
+    return _round_context(row_space_cross(input_factors(program, x, tols)), spec)
 
 
 def decide_threshold(
@@ -201,8 +195,8 @@ def decide_threshold(
     0 when it is large (>= spec.w_bound / spec.lam); correct with probability
     >= 2/3 under that promise, arbitrary in the gap.
     """
-    cross = _input_cross(program, x, tols)
-    return _threshold_votes(program, x, spec, 1, rng, ledger, tols, cross)
+    cross = row_space_cross(input_factors(program, x, tols))
+    return _threshold_votes(cross, spec, 1, rng, ledger)
 
 
 def decide_threshold_success_probability(
@@ -215,8 +209,8 @@ def decide_threshold_success_probability(
     computed by outcome-distribution summation.  None when x falls in the
     promise gap (any answer is then acceptable)."""
     f = input_factors(program, x, tols)
-    ctx = _round_context(program, x, spec, tols, row_space_cross(program, x, f, tols))
-    w_val = _witness_size(program, f, spec.side, tols, estimate=False)
+    ctx = _round_context(row_space_cross(f), spec)
+    w_val = _witness_size(f, spec.side, estimate=False)
     if w_val <= spec.w_bound * (1.0 + 1e-12):
         truth_high = True
     elif w_val >= spec.w_bound / spec.lam * (1.0 - 1e-12):
@@ -237,20 +231,18 @@ def majority_reps(err_budget: float, base_success: float) -> int:
 
 
 def _threshold_votes(
-    program: SpanProgram,
-    x: Sequence[int],
+    cross: RowSpaceCross,
     spec: ThresholdSpec,
     reps: int,
     rng: np.random.Generator,
     ledger: QueryLedger,
-    tols: Tolerances,
-    cross: RowSpaceCross,
     flags: Optional[list[str]] = None,
 ) -> int:
-    """Number of 1-votes among reps independent threshold decisions, each an
-    amplitude estimation of the exact outcome-zero probability on the
-    amp_gap_grid_size grid, read as 1 at or above amp_gap_threshold."""
-    ctx = _round_context(program, x, spec, tols, cross)
+    """Number of 1-votes among reps independent threshold decisions on the
+    program and input of cross = C(x), each an amplitude estimation of the
+    exact outcome-zero probability on the amp_gap_grid_size grid, read as 1
+    at or above amp_gap_threshold."""
+    ctx = _round_context(cross, spec)
     grid_ae = amp_gap_grid_size(ctx.p0, ctx.p1)
     if flags is not None:
         for flag in ctx.flags:
@@ -262,18 +254,16 @@ def _threshold_votes(
     return int(np.count_nonzero(estimates >= amp_gap_threshold(ctx.p0, ctx.p1)))
 
 
-def _witness_size(
-    program: SpanProgram, f: InputFactors, side: str, tols: Tolerances, estimate: bool
-) -> float:
+def _witness_size(f: InputFactors, side: str, estimate: bool) -> float:
     """The exact witness size w_side(x), read from x's InputFactors f; inf
     when x has no witness of that sign, where an estimate raises instead.
     w_+ is InputFactors.positive_size, so no witness is formed."""
     if f.positive != (side == POSITIVE):
         size = math.inf
     elif f.positive:
-        size = f.positive_size(program.tau)
+        size = f.positive_size(f.program.tau)
     else:
-        size = _exact_negative(program, f, tols)[1]
+        size = _exact_negative(f)[1]
     if estimate and math.isinf(size):
         sign = "+" if side == POSITIVE else "-"
         raise GloballyInfeasibleError(f"x has no {side} witness; cannot estimate w_{sign}")
@@ -329,13 +319,12 @@ def witness_estimate(
         raise ValueError("eps must lie in (0, 1)")
 
     _assert_normalized(program, tols)
-    x = program.check_input(x)  # read once; each round's check then matches by identity
     f = input_factors(program, x, tols)
-    w_true = _witness_size(program, f, side, tols, estimate=True)
+    w_true = _witness_size(f, side, estimate=True)
     if w_tilde_bound is None:
         min_error = _min_error_negative if side == POSITIVE else _min_error_positive
-        _, _, w_tilde_bound = min_error(program, f, tols)
-    cross = row_space_cross(program, x, f, tols)
+        _, _, w_tilde_bound = min_error(f)
+    cross = row_space_cross(f)
 
     start_queries = ledger.total
     flags: list[str] = []
@@ -353,7 +342,7 @@ def witness_estimate(
             side=side, lam=e0 / e1, w_bound=1.0 / e1, w_tilde_bound=w_tilde_bound
         )
         reps = majority_reps((1.0 / 9.0) * (2.0 / 3.0) ** (rounds - 1), DECIDE_SUCCESS_FLOOR)
-        votes = _threshold_votes(program, x, spec, reps, rng, ledger, tols, cross, flags)
+        votes = _threshold_votes(cross, spec, reps, rng, ledger, flags)
         e_max, e_min = interval_update(e_max, e_min, 2 * votes > reps)
         if e_max <= (1.0 + eps) * e_min:
             break
@@ -407,9 +396,8 @@ def gap_estimate(
         raise ValueError("eps must lie in (0, 1)")
     _assert_normalized(program, tols)
     f = input_factors(program, x, tols)
-    _witness_size(program, f, side, tols, estimate=True)
-    cross = row_space_cross(program, x, f, tols)
-    measure = (input_measure_Uprime if side == POSITIVE else input_measure_U)(cross)
+    _witness_size(f, side, estimate=True)
+    measure = (input_measure_Uprime if side == POSITIVE else input_measure_U)(row_space_cross(f))
 
     start_queries = ledger.total
     flags: list[str] = []

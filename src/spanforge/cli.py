@@ -36,7 +36,7 @@ from .resistance import (
     estimate_resistance,
     parse_graph_file,
 )
-from .spanprog import normalize, or_span_program
+from .spanprog import ProgramSizeError, normalize, or_span_program
 from .verify import MAX_DIMS, SUITES, SuiteArgumentError, run_suite, suite_workers
 
 SCHEMA = "spanforge-report/1"
@@ -224,7 +224,11 @@ def cmd_or_demo(args, tols: Tolerances) -> int:
         return EXIT_ARGUMENT_ERROR
 
     n, t = args.n, args.t
-    program = or_span_program(n)
+    try:
+        program = or_span_program(n)
+    except ProgramSizeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ARGUMENT_ERROR
     spec = ThresholdSpec(side=POSITIVE, lam=args.lam, w_bound=1.0 / t, w_tilde_bound=float(n))
     start = time.perf_counter()
 

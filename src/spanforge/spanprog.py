@@ -39,17 +39,19 @@ once, by one eigh of its exact Gram G(x) = A(x) A(x)^T when A is incidence
 columns and A(x) is wider than tall, and by one SVD otherwise, and decides
 once whether tau lies in col A(x); one helper, _gram_factors, holds the
 Gram route and its rank cut for both.  The six witness quantities (exact
-and min-error, both signs) and the kappa bound all read that InputFactors.
-Infeasible sizes are math.inf.  scaled_factors reads the factors of
-oracle.scale(program, beta) from A = U_r Sigma V_r^T with one SVD of
-an (r+1) x (r+1) matrix.  The threshold rounds take it where their closed
-form in spectral does not hold, when tau lies in col(A) only to within
-membership_rtol or beta cuts a direction of A_beta, and the tests take it
-as that closed form's oracle; what that closed form reads of tau in A's
-factors (_TargetFactors) is computed once per Factorization.
+and min-error, both signs) and the kappa bound all read that InputFactors,
+which owns the program, x and Tolerances it was built for: a helper given
+it is given none of them beside it.  Infeasible sizes are math.inf.
+scaled_factors reads the factors of oracle.scale(program, beta) from
+A = U_r Sigma V_r^T with one SVD of an (r+1) x (r+1) matrix.  The
+threshold rounds take it where their closed form in spectral does not
+hold, when tau lies in col(A) only to within membership_rtol or beta cuts
+a direction of A_beta, and the tests take it as that closed form's oracle;
+what that closed form reads of tau in A's factors (_TargetFactors) is a
+field of the Factorization, computed where the Factorization is made.
 rescale_target and normalize change tau alone, so the program they derive
-shares every factorization of A its parent holds, with w0 scaled by the
-factor, and computes its own _TargetFactors.
+shares the factors of A of every Factorization its parent holds, with w0
+scaled by the factor and _TargetFactors computed from the new tau.
 """
 
 from __future__ import annotations
@@ -692,12 +694,16 @@ class _TargetFactors:
     y_hat = y / ||y|| and n_val = ||y||^2, for y = V_r^T w0 = Sigma^-1 g,
     are held when tau lies in col(A) to within
     min(_COL_RESIDUAL_RTOL dim_v, rank_rtol) relative, and are None and 0.0
-    otherwise; every field is None or 0.0 when no positive witness exists."""
+    otherwise; every field is None or 0.0 when no positive witness exists
+    (_NO_TARGET)."""
 
     y_hat: Optional[np.ndarray]
     n_val: float
     sigma_min: float
     tau2: float
+
+
+_NO_TARGET = _TargetFactors(None, 0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -714,7 +720,8 @@ class Factorization:
     through U_r and Sigma alone (row_witness, and C(x) in
     spectral.row_space_cross).  witness is w0 = A^+ tau, solved through
     the factors, with N_+ and N_-; when no positive witness exists it is
-    None and infeasible says why.
+    None and infeasible says why.  target is tau read in the factors, as
+    the threshold rounds' closed form reads it.
     """
 
     # the program's A, which V_r is read from when rows is None
@@ -724,16 +731,11 @@ class Factorization:
     rows: Optional[np.ndarray]
     sigma_max: float
     witness: Optional[MinimalWitness]
+    target: _TargetFactors
     infeasible: str = ""
     # V_r once formed when rows is None; dataclasses.replace hands this
     # same list on, so a copy and its original form it once between them
     _formed: list = dataclasses.field(default_factory=list, repr=False, compare=False)
-    # tau in these factors, filled on first use by _target_factors; as it is
-    # not an init field, dataclasses.replace leaves a copy, whose tau
-    # _rescaled scales, without it
-    _target: Optional[_TargetFactors] = dataclasses.field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def row_basis(self) -> np.ndarray:
@@ -754,31 +756,25 @@ class Factorization:
         return self.rows.T @ self.witness.w0
 
 
-def _target_factors(program: SpanProgram, tols: Tolerances) -> _TargetFactors:
-    """program's _TargetFactors under tols: computed on the first call,
-    then held on program.factorization(tols)."""
-    fact = program.factorization(tols)
-    if fact._target is not None:
-        return fact._target
-    y_hat = None
-    n_val = sigma_min = tau2 = 0.0
-    if fact.witness is not None:
-        tau = program.tau
-        g = fact.col_basis.T @ tau
-        off = tau - fact.col_basis @ g
-        rho2 = float(off @ off)
-        tau2 = float(g @ g) + rho2
-        sigma_min = float(fact.sigma[-1])
-        # rank_rtol ||tau|| bounds rho too, so that A_beta's cut drops rho's direction
-        cut = min(_COL_RESIDUAL_RTOL * program.dim_v, tols.rank_rtol)
-        if math.sqrt(rho2) <= cut * math.sqrt(tau2):
-            y = g / fact.sigma  # V_r^T w0 = Sigma^-1 U_r^T tau
-            n_val = float(y @ y)
-            y_hat = y / math.sqrt(n_val)
-            y_hat.setflags(write=False)
-    target = _TargetFactors(y_hat, n_val, sigma_min, tau2)
-    object.__setattr__(fact, "_target", target)
-    return target
+def _target_factors(
+    col_basis: np.ndarray, sigma: np.ndarray, tau: np.ndarray, tols: Tolerances
+) -> _TargetFactors:
+    """The _TargetFactors of a tau that has a positive witness, in A's
+    factors U_r (col_basis) and Sigma."""
+    g = col_basis.T @ tau
+    off = tau - col_basis @ g
+    rho2 = float(off @ off)
+    tau2 = float(g @ g) + rho2
+    sigma_min = float(sigma[-1])
+    # rank_rtol ||tau|| bounds rho too, so that A_beta's cut drops rho's direction
+    cut = min(_COL_RESIDUAL_RTOL * tau.size, tols.rank_rtol)
+    if math.sqrt(rho2) > cut * math.sqrt(tau2):
+        return _TargetFactors(None, 0.0, sigma_min, tau2)
+    y = g / sigma  # V_r^T w0 = Sigma^-1 U_r^T tau
+    n_val = float(y @ y)
+    y_hat = y / math.sqrt(n_val)
+    y_hat.setflags(write=False)
+    return _TargetFactors(y_hat, n_val, sigma_min, tau2)
 
 
 def _gram_factors(
@@ -814,7 +810,8 @@ def _factorize(program: SpanProgram, tols: Tolerances) -> Factorization:
     through A^T u and A v.  Every other A is factored by one SVD of the
     dense A, and w0 = V_r (Sigma^-1 (U_r^T tau)) with the SVD's V_r.
     Solving through the factors keeps the residual A w0 - tau at rounding
-    size however small a kept singular value is; no A^+ is formed."""
+    size however small a kept singular value is; no A^+ is formed.  tau's
+    _TargetFactors are read from the same factors."""
     a, tau = program.a, program.tau
     if isinstance(a, Incidence) and a.shape[1] > a.shape[0]:
         u, sigma, top = _gram_factors(a.gram(), tols)
@@ -827,12 +824,16 @@ def _factorize(program: SpanProgram, tols: Tolerances) -> Factorization:
     parts = (a, col_basis, sigma, rows, top)
     image = _dot(a, w0)
     if np.linalg.norm(image - tau) > tols.membership_rtol * np.linalg.norm(tau):
-        return Factorization(*parts, None, "tau is not in col(A); no positive witness exists")
+        return Factorization(
+            *parts, None, _NO_TARGET, "tau is not in col(A); no positive witness exists"
+        )
     n_plus = float(w0 @ w0)
     if n_plus == 0.0:
-        return Factorization(*parts, None, "tau = 0 gives a degenerate program")
+        return Factorization(*parts, None, _NO_TARGET, "tau = 0 gives a degenerate program")
     return Factorization(
-        *parts, MinimalWitness(w0=freeze(w0), n_plus=n_plus, n_minus=1.0 / n_plus)
+        *parts,
+        MinimalWitness(w0=freeze(w0), n_plus=n_plus, n_minus=1.0 / n_plus),
+        _target_factors(col_basis, sigma, tau, tols),
     )
 
 
@@ -995,7 +996,8 @@ class InputFactors:
     it was read through its Gram, where no V_x is formed.  positive, decided
     once for both signs, is ||Z^T tau|| <= membership_rtol ||tau||: whether
     tau lies in col A(x).  program, x (as check_input gives it) and tols are
-    what it was built for; A(x) is read from the program's A.  Q_perp, which
+    what it was built for, and the one place every quantity read from it
+    takes them from; A(x) is read from the program's A.  Q_perp, which
     only the min-error positive witness reads, is walked when q_perp is
     first read, and kept."""
 
@@ -1112,9 +1114,9 @@ def input_factors(
     return InputFactors(program, x, tols, q_h, u[:, :r], u[:, r:], s, vt, a_scale, positive)
 
 
-def _exact_positive(program: SpanProgram, f: InputFactors) -> tuple[np.ndarray, float]:
-    w = _lift(program.dim_h, f.q_h, f.solve(program.tau))
-    return freeze(w), f.positive_size(program.tau)
+def _exact_positive(f: InputFactors) -> tuple[np.ndarray, float]:
+    w = _lift(f.program.dim_h, f.q_h, f.solve(f.program.tau))
+    return freeze(w), f.positive_size(f.program.tau)
 
 
 def positive_witness(
@@ -1122,7 +1124,7 @@ def positive_witness(
 ) -> tuple[Optional[np.ndarray], float]:
     """Optimal exact positive witness Q_H A(x)^+ tau, or (None, inf)."""
     f = input_factors(program, x, tols)
-    return _exact_positive(program, f) if f.positive else (None, math.inf)
+    return _exact_positive(f) if f.positive else (None, math.inf)
 
 
 def _min_norm_under_linear_constraint(
@@ -1143,19 +1145,17 @@ def _min_norm_under_linear_constraint(
     return y / denom, 1.0 / denom
 
 
-def _complement_rows(program: SpanProgram, f: InputFactors) -> np.ndarray:
+def _complement_rows(f: InputFactors) -> np.ndarray:
     """Z^T A, read through A^T u; refused with ProgramSizeError, before it
     is allocated, where it would hold more than DENSE_A_ENTRY_CAP entries."""
-    check_dense_a_size(f.complement.shape[1], program.dim_h, "Z^T A")
-    return _tdot(program.a, f.complement).T
+    check_dense_a_size(f.complement.shape[1], f.program.dim_h, "Z^T A")
+    return _tdot(f.a, f.complement).T
 
 
-def _exact_negative(
-    program: SpanProgram, f: InputFactors, tols: Tolerances
-) -> tuple[np.ndarray, float]:
-    b = _complement_rows(program, f)  # omega = Z nu; Z^T tau != 0 as x is negative
+def _exact_negative(f: InputFactors) -> tuple[np.ndarray, float]:
+    b = _complement_rows(f)  # omega = Z nu; Z^T tau != 0 as x is negative
     nu, value = _min_norm_under_linear_constraint(
-        b @ b.T, f.complement.T @ program.tau, tols, gram_scale=f.a_scale * f.a_scale
+        b @ b.T, f.complement.T @ f.program.tau, f.tols, gram_scale=f.a_scale * f.a_scale
     )
     return freeze(nu @ b), value
 
@@ -1171,14 +1171,13 @@ def negative_witness(
     positive.
     """
     f = input_factors(program, x, tols)
-    return (None, math.inf) if f.positive else _exact_negative(program, f, tols)
+    return (None, math.inf) if f.positive else _exact_negative(f)
 
 
-def _min_error_positive(
-    program: SpanProgram, f: InputFactors, tols: Tolerances
-) -> tuple[np.ndarray, float, float]:
+def _min_error_positive(f: InputFactors) -> tuple[np.ndarray, float, float]:
+    program, tols = f.program, f.tols
     minimal_witness(program, tols)  # raises when tau is outside col(A)
-    off_perp = restrict(_complement_rows(program, f), f.q_perp)  # Z^T A_perp
+    off_perp = restrict(_complement_rows(f), f.q_perp)  # Z^T A_perp
     b = pinv(off_perp, tols, scale=f.a_scale) @ (f.complement.T @ program.tau)
     w_perp = _lift(program.dim_h, f.q_perp, b)
     a = f.solve(program.tau - _dot(program.a, w_perp))
@@ -1197,23 +1196,22 @@ def min_error_positive(
     min-norm solution b = (Z^T A_perp)^+ Z^T tau is the unique minimal error
     coordinate; then a = A(x)^+ (tau - A_perp b) minimizes ||w||^2.
     """
-    return _min_error_positive(program, input_factors(program, x, tols), tols)
+    return _min_error_positive(input_factors(program, x, tols))
 
 
-def _min_error_negative(
-    program: SpanProgram, f: InputFactors, tols: Tolerances
-) -> tuple[np.ndarray, float, float]:
+def _min_error_negative(f: InputFactors) -> tuple[np.ndarray, float, float]:
+    program = f.program
     if not program.tau.any():
         raise StructuralError("tau = 0: no functional maps tau to 1")
     if not f.positive:
-        row, w_minus = _exact_negative(program, f, tols)
+        row, w_minus = _exact_negative(f)
         return row, 0.0, w_minus
     # omega = U_r alpha + Z beta, where Z^T tau = 0: stage one fixes alpha
     g = f.col_basis.T @ program.tau
     h = g / (f.sigma * f.sigma)
     on_col = f.col_basis @ (h / float(g @ h))
-    off_rows = _complement_rows(program, f)
-    beta = -pinv(off_rows.T, tols, scale=f.a_scale) @ _tdot(program.a, on_col)
+    off_rows = _complement_rows(f)
+    beta = -pinv(off_rows.T, f.tols, scale=f.a_scale) @ _tdot(program.a, on_col)
     omega = on_col + f.complement @ beta
     row = _tdot(program.a, omega)
     on_x = restrict(row[None, :], f.q_h)[0]  # omega A(x)
@@ -1232,7 +1230,7 @@ def min_error_negative(
     fixes alpha = Sigma^-2 g / (g^T Sigma^-2 g) and stage two is a least-squares
     problem in beta.
     """
-    return _min_error_negative(program, input_factors(program, x, tols), tols)
+    return _min_error_negative(input_factors(program, x, tols))
 
 
 def witness_report(
@@ -1243,11 +1241,11 @@ def witness_report(
     witness of the other."""
     f = input_factors(program, x, tols)
     if f.positive:
-        vec, w_plus = _exact_positive(program, f)
-        row, e_minus, wt_minus = _min_error_negative(program, f, tols)
+        vec, w_plus = _exact_positive(f)
+        row, e_minus, wt_minus = _min_error_negative(f)
         return WitnessReport(w_plus, math.inf, 0.0, e_minus, w_plus, wt_minus, vec, row)
-    row, w_minus = _exact_negative(program, f, tols)
-    vec, e_plus, wt_plus = _min_error_positive(program, f, tols)
+    row, w_minus = _exact_negative(f)
+    vec, e_plus, wt_plus = _min_error_positive(f)
     return WitnessReport(math.inf, w_minus, e_plus, 0.0, wt_plus, w_minus, vec, row)
 
 
@@ -1265,10 +1263,13 @@ def minimal_negative_value(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS
     return freeze(_tdot(program.a, nu)), value
 
 
-def _rescaled(fact: Factorization, factor: float) -> Factorization:
-    """fact for tau scaled by factor: the same factors of A, with w0 scaled
-    by factor.  _factorize's membership test is scale-invariant, so an
-    infeasible fact stays infeasible for the same reason."""
+def _rescaled(
+    fact: Factorization, factor: float, tau: np.ndarray, tols: Tolerances
+) -> Factorization:
+    """fact, made under tols, for the target tau = factor times its own:
+    the same factors of A, with w0 scaled by factor and tau's
+    _TargetFactors.  _factorize's membership test is scale-invariant, so
+    an infeasible fact stays infeasible for the same reason."""
     mw = fact.witness
     if mw is None:
         return fact
@@ -1279,7 +1280,8 @@ def _rescaled(fact: Factorization, factor: float) -> Factorization:
         n_plus=mw.n_plus * factor * factor,
         n_minus=mw.n_minus / (factor * factor),
     )
-    return dataclasses.replace(fact, witness=witness)
+    target = _target_factors(fact.col_basis, fact.sigma, tau, tols)
+    return dataclasses.replace(fact, witness=witness, target=target)
 
 
 def rescale_target(program: SpanProgram, factor: float) -> SpanProgram:
@@ -1287,14 +1289,15 @@ def rescale_target(program: SpanProgram, factor: float) -> SpanProgram:
 
     A is unchanged, so the new program shares every Factorization the
     parent already holds: the same read-only U_r, Sigma, V_r and sigma_max,
-    with witness factor * w0, N_+ times factor^2 and N_- over factor^2, or
-    the parent's reason for having none.  A Tolerances the parent has not
-    factored under is factored on the new program's first use."""
+    with witness factor * w0, N_+ times factor^2, N_- over factor^2 and
+    the new tau's _TargetFactors, or the parent's reason for having none.
+    A Tolerances the parent has not factored under is factored on the new
+    program's first use."""
     if factor <= 0:
         raise ValueError("target rescaling factor must be positive")
     child = dataclasses.replace(program, tau=factor * program.tau)
     for tols, fact in program._factorizations.items():
-        child._factorizations[tols] = _rescaled(fact, factor)
+        child._factorizations[tols] = _rescaled(fact, factor, child.tau, tols)
     return child
 
 
@@ -1384,9 +1387,12 @@ def scaled_factors(
 def or_span_program(n: int) -> SpanProgram:
     """The canonical OR program: H = R^n, H_{j,1} = span{e_j}, H_{j,0} = {0},
     V = R, A the all-ones row, tau = 1.  w_+(x) = 1/|x| and w_-(0...0) = n.
+    An n above DENSE_A_ENTRY_CAP is refused with ProgramSizeError before
+    anything is allocated.
     """
     if n < 1:
         raise ValueError("OR needs at least one input bit")
+    check_dense_a_size(1, n)
     return SpanProgram(
         n=n,
         q=2,

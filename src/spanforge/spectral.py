@@ -22,7 +22,9 @@ st program those factors come from one eigh of A(x) A(x)^T = 2 L_G, and
 neither A(x) nor its right singular vectors are formed.  An estimator,
 which holds x's InputFactors, forms C(x) from them and reads the measure
 with input_measure_U or input_measure_Uprime, so H(x) is walked once per
-estimate.
+estimate.  row_space_cross takes the InputFactors alone, and C(x) holds
+it: the program, x and Tolerances a measure or a round reads are those
+C(x) was built for, by construction.
 
 A threshold round needs the same measure for the scaled program
 scale(P, beta).  scaled_measure_U and scaled_measure_Uprime read it without
@@ -51,7 +53,7 @@ import numpy as np
 
 from ._linalg import DEFAULT_TOLS, PHASE_ROUND_TOL, Tolerances, freeze
 from .spanprog import InputFactors, SpanProgram, input_factors, minimal_witness
-from .spanprog import _target_factors, restrict, scaled_factors
+from .spanprog import _TargetFactors, restrict, scaled_factors
 
 
 @dataclass(frozen=True)
@@ -96,8 +98,8 @@ class SpectralMeasure:
 
 @dataclass(frozen=True)
 class RowSpaceCross:
-    """H(x) seen from row(A), for the program, input and Tolerances it was
-    built from: factor is an r-row matrix F = C(x) W, for
+    """H(x) seen from row(A), for the input whose InputFactors it holds
+    (inputs): factor is an r-row matrix F = C(x) W, for
     C(x) = V_r^T Q_H(x), V_r the row basis of A, Q_H an orthonormal basis
     of H(x) and W with orthonormal columns and C C^T = F F^T.  w0's
     spectral measures read C(x) only through C C^T (the left singular pairs
@@ -106,68 +108,50 @@ class RowSpaceCross:
     reads its scaled program's cross matrix from this one factor.
 
     What the rounds' closed form (_scaled_pair) reads besides F does not
-    depend on beta either: y_hat, n_val, sigma_min and tau2 depend on the
-    program and Tolerances alone, and are read from the program's
-    spanprog._TargetFactors, held once per Factorization (y_hat is None
-    unless tau lies in col(A) to within rounding); f_y_hat = F^T y_hat is
-    held per input, and sigma_max is A's largest singular value.
+    depend on beta either: target is the Factorization's
+    spanprog._TargetFactors (y_hat, n_val, sigma_min and tau2, which depend
+    on the program and Tolerances alone; y_hat is None unless tau lies in
+    col(A) to within rounding), f_y_hat = F^T y_hat is held per input, and
+    A's largest singular value is inputs.a_scale.
 
-    x is the input as program.check_input gives it, a read-only intp array.
-    check compares by identity first and by value otherwise, so that no
-    call answers for an input other than the one C(x) was built for."""
+    program and tols are read through inputs, so a measure or a round
+    given a RowSpaceCross is given no program, input or Tolerances beside
+    it, and cannot be given those of another."""
 
-    program: SpanProgram
-    x: np.ndarray
-    tols: Tolerances
+    inputs: InputFactors
     factor: np.ndarray
-    y_hat: Optional[np.ndarray]
-    n_val: float
+    target: _TargetFactors
     f_y_hat: Optional[np.ndarray]
-    sigma_min: float
-    sigma_max: float
-    tau2: float
 
-    def check(self, program: SpanProgram, x: Sequence[int] | np.ndarray, tols: Tolerances) -> None:
-        """Raise ValueError unless this was built for program, x and tols."""
-        if (
-            self.program is not program
-            or self.tols != tols
-            or not (self.x is x or np.array_equal(self.x, program.check_input(x)))
-        ):
-            raise ValueError("C(x) was built for another program, input or tolerances")
+    @property
+    def program(self) -> SpanProgram:
+        return self.inputs.program
+
+    @property
+    def tols(self) -> Tolerances:
+        return self.inputs.tols
 
 
-def row_space_cross(
-    program: SpanProgram, x: Sequence[int] | np.ndarray, f: InputFactors,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> RowSpaceCross:
-    """RowSpaceCross of x from its InputFactors f.  With V_r held from an
-    SVD of A, F = R^T from the QR factorization C(x)^T = W R of the gather
-    or product V_r^T Q_H.  With A read through its Gram no V_r is formed:
+def row_space_cross(f: InputFactors) -> RowSpaceCross:
+    """RowSpaceCross of x from its InputFactors f alone, for the program
+    and Tolerances f was built for.  With V_r held from an SVD of A,
+    F = R^T from the QR factorization C(x)^T = W R of the gather or
+    product V_r^T Q_H.  With A read through its Gram no V_r is formed:
     C(x) = Sigma^-1 U_r^T A(x), and A(x) = U_x S_x V_x^T, from f's SVD or
     Gram, gives F = C(x) V_x = Sigma^-1 (U_r^T U_x) S_x, r x rank A(x), with
     neither V_x nor any matrix as wide as A(x) formed; directions of H(x)
     that A(x)'s rank cut drops carry at most that cut's share of C C^T."""
-    fact = program.factorization(tols)
+    fact = f.program.factorization(f.tols)
     if fact.rows is None:
         factor = (fact.col_basis.T @ f.col_basis) * f.sigma / fact.sigma[:, None]
     else:
         factor = np.linalg.qr(restrict(fact.row_basis.T, f.q_h).T, mode="r").T
     factor = freeze(factor)
-    target = _target_factors(program, tols)
     f_y_hat = None
-    if target.y_hat is not None:
-        f_y_hat = target.y_hat @ factor
+    if fact.target.y_hat is not None:
+        f_y_hat = fact.target.y_hat @ factor
         f_y_hat.setflags(write=False)
-    return RowSpaceCross(
-        program, program.check_input(x), tols, factor, target.y_hat, target.n_val,
-        f_y_hat, target.sigma_min, fact.sigma_max, target.tau2,
-    )
-
-
-def _input_cross(program: SpanProgram, x: Sequence[int], tols: Tolerances) -> RowSpaceCross:
-    """row_space_cross of x from fresh InputFactors."""
-    return row_space_cross(program, x, input_factors(program, x, tols), tols)
+    return RowSpaceCross(f, factor, fact.target, f_y_hat)
 
 
 def _measure_u(y: np.ndarray, cross: np.ndarray) -> SpectralMeasure:
@@ -228,7 +212,7 @@ def measure_U(
     2 arcsin(sigma_k) and weight (c_k . V_r^T w0)^2; the rest of V_r^T w0 lies
     in H(x)^perp, fixed by U.  C(x) = V_r^T Q_H is read as row_space_cross
     gives it (input_measure_U)."""
-    return input_measure_U(_input_cross(program, x, tols))
+    return input_measure_U(row_space_cross(input_factors(program, x, tols)))
 
 
 def measure_Uprime(
@@ -245,7 +229,7 @@ def measure_Uprime(
     (I - y_hat y_hat^T) C(x), y_hat = V_r^T w0 / ||w0||, whose right singular
     vectors they are, so no basis of T^perp is formed.  C(x) is read as
     measure_U reads it (input_measure_Uprime)."""
-    return input_measure_Uprime(_input_cross(program, x, tols))
+    return input_measure_Uprime(row_space_cross(input_factors(program, x, tols)))
 
 
 def _row_witness(cross: RowSpaceCross) -> np.ndarray:
@@ -290,19 +274,20 @@ def _scaled_pair(cross: RowSpaceCross, beta: float) -> tuple[np.ndarray, np.ndar
     rho's.  The margins below decide that from bounds on the singular
     values of K = [[beta Sigma, g], [0, rho]] (scaled_factors): its r
     leading ones are at least beta sigma_min, the largest is at most
-    sqrt(beta^2 sigma_max^2 + tau2), and the last is at most rho, which
-    row_space_cross has held below rank_rtol ||tau|| <= rank_rtol s_max(K).
+    sqrt(beta^2 sigma_max^2 + tau2), and the last is at most rho, which a
+    target with a y_hat has below rank_rtol ||tau|| <= rank_rtol s_max(K).
     Otherwise, and whenever y_hat is None, the pair is (y_beta, cross_beta)
     from scaled_factors, one (r+1) x (r+1) SVD, which also refuses
     beta <= 0."""
-    if cross.y_hat is not None and beta > 0.0:
-        n_val, rtol = cross.n_val, cross.tols.rank_rtol
+    target = cross.target
+    if target.y_hat is not None and beta > 0.0:
+        n_val, rtol, sigma_max = target.n_val, cross.tols.rank_rtol, cross.inputs.a_scale
         big_r = math.sqrt(beta * beta + n_val)
         c = big_r / beta  # A_beta's h1 entry
-        k_top = math.sqrt(beta * beta * cross.sigma_max * cross.sigma_max + cross.tau2)
-        if beta * cross.sigma_min > rtol * max(k_top, c) and c > rtol * k_top:
+        k_top = math.sqrt(beta * beta * sigma_max * sigma_max + target.tau2)
+        if beta * target.sigma_min > rtol * max(k_top, c) and c > rtol * k_top:
             eps = n_val / (big_r * (big_r + beta))
-            y_hat, (r, k) = cross.y_hat, cross.factor.shape
+            y_hat, (r, k) = target.y_hat, cross.factor.shape
             l_mat = np.empty((r + 1, k + 1))
             top = np.multiply(y_hat[:, None], cross.f_y_hat, out=l_mat[:r, :k])
             top *= eps

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -171,6 +172,18 @@ def test_or_demo_threshold_out_of_range():
     assert main(["or-demo", "--n", "4", "--t", "5"]) == 3
     assert main(["or-demo", "--n", "4", "--t", "0"]) == 3
     assert main(["or-demo", "--n", "4", "--t", "2", "--lam", "1.5"]) == 3
+
+
+def test_or_demo_refuses_an_n_above_the_dense_cap_before_allocating(capsys):
+    # a 1 x n dense A at n = 2^28 + 1 would take 2.1 GB
+    tracemalloc.start()
+    try:
+        code = main(["or-demo", "--n", str(2**28 + 1), "--t", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and peak < 2**20
+    assert "above the cap" in capsys.readouterr().err
 
 
 def test_reports_print_to_stdout_without_out(k4_path, capsys):

@@ -164,8 +164,8 @@ def test_closed_form_inputs_measures_and_witnesses_match_the_svd_route(n):
     signs = set()
     for x in st_inputs(n, s, t, rng):
         mine, theirs = input_factors(program, x), input_factors(oracle, x)
-        f_mine = row_space_cross(unit, x, input_factors(unit, x)).factor
-        f_theirs = row_space_cross(unit_oracle, x, input_factors(unit_oracle, x)).factor
+        f_mine = row_space_cross(input_factors(unit, x)).factor
+        f_theirs = row_space_cross(input_factors(unit_oracle, x)).factor
         np.testing.assert_allclose(rot @ f_mine @ f_mine.T @ rot.T, f_theirs @ f_theirs.T,
                                    rtol=0.0, atol=RTOL)
         assert mine.positive == theirs.positive
@@ -176,7 +176,7 @@ def test_closed_form_inputs_measures_and_witnesses_match_the_svd_route(n):
         for part in ("col_basis", "complement"):
             assert_same_span(getattr(mine, part), getattr(theirs, part))
 
-        crosses = [row_space_cross(p, x, input_factors(p, x)) for p in (unit, unit_oracle)]
+        crosses = [row_space_cross(input_factors(p, x)) for p in (unit, unit_oracle)]
         pairs = [(measure_U(unit, x), measure_U(unit_oracle, x)),
                  tuple(input_measure_U(cross) for cross in crosses)]
         if mine.positive:
@@ -306,8 +306,8 @@ def test_gram_route_matches_a_dense_a_and_the_svd_route(name):
     y_mine = unit.factorization(tols).row_witness(unit.tau)
     y_theirs = unit_twin.factorization(tols).row_witness(unit_twin.tau)
     np.testing.assert_allclose(rot @ y_mine, y_theirs, rtol=0.0, atol=RTOL)
-    cross = row_space_cross(unit, x, input_factors(unit, x, tols), tols)
-    cross_twin = row_space_cross(unit_twin, x, input_factors(unit_twin, x, tols), tols)
+    cross = row_space_cross(input_factors(unit, x, tols))
+    cross_twin = row_space_cross(input_factors(unit_twin, x, tols))
     np.testing.assert_allclose(rot @ cross.factor @ cross.factor.T @ rot.T,
                                cross_twin.factor @ cross_twin.factor.T, rtol=0.0, atol=RTOL)
     measures = [input_measure_U] + ([input_measure_Uprime] if mine.positive else [])
@@ -522,8 +522,7 @@ def test_per_symbol_store_matches_a_store_keyed_by_position(family, n):
             assert same_blocks(blocks_mine, blocks_theirs)
         f_mine, f_theirs = input_factors(program, x), input_factors(twin, x)
         assert same_bits(f_mine.a_x, f_theirs.a_x)
-        assert same_bits(row_space_cross(program, x, f_mine).factor,
-                         row_space_cross(twin, x, f_theirs).factor)
+        assert same_bits(row_space_cross(f_mine).factor, row_space_cross(f_theirs).factor)
         assert same_report(witness_report(program, x), witness_report(twin, x))
 
 
@@ -641,7 +640,7 @@ def test_rescaling_the_target_scales_w0_without_a_second_copy(st_1000):
     w0 = fact.witness.w0
     tracemalloc.start()
     try:
-        child = spanprog._rescaled(fact, 0.3)
+        child = spanprog._rescaled(fact, 0.3, 0.3 * program.tau, DEFAULT_TOLS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

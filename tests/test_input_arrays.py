@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spanforge._linalg import DEFAULT_TOLS
 from spanforge.generators import all_inputs, random_graph, random_span_program
 from spanforge.qsim import QueryLedger
 from spanforge.resistance import build_st_span_program, estimate_resistance, graph, graph_input
@@ -107,16 +106,9 @@ def test_check_input_keeps_a_held_array_and_copies_a_writeable_one():
     view.setflags(write=False)
     assert program.check_input(view) is not view
 
-    f = input_factors(program, caller)
-    cross = row_space_cross(program, caller, f)
-    cross.check(program, cross.x, DEFAULT_TOLS)  # by identity
-    cross.check(program, (1, 0, 0), DEFAULT_TOLS)  # by value
+    cross = row_space_cross(input_factors(program, caller))
     caller[:] = (0, 1, 1)  # the caller writes its array after the build
-    assert cross.x.tolist() == [1, 0, 0]
-    with pytest.raises(ValueError, match="another"):
-        cross.check(program, caller, DEFAULT_TOLS)
-    with pytest.raises(StructuralError, match="integers"):  # refused, not read as (1, 0, 0)
-        cross.check(program, (1.0, 0, 0), DEFAULT_TOLS)
+    assert cross.inputs.x.tolist() == [1, 0, 0]
 
 
 def outcome(fn, *args):
@@ -267,10 +259,10 @@ def test_tau_in_factors_is_held_per_program_and_not_handed_to_a_rescaled_one():
     program = or_span_program(4)
     x = (1, 0, 1, 0)
     f = input_factors(program, x)
-    first, second = row_space_cross(program, x, f), row_space_cross(program, x, f)
-    assert first.y_hat is second.y_hat  # computed once per Factorization
+    first, second = row_space_cross(f).target, row_space_cross(f).target
+    assert first is second  # computed once per Factorization
     child = rescale_target(program, 3.0)
-    cross = row_space_cross(child, x, input_factors(child, x))
-    assert cross.n_val == pytest.approx(9.0 * first.n_val, rel=1e-12)
-    assert cross.tau2 == pytest.approx(9.0 * first.tau2, rel=1e-12)
-    np.testing.assert_allclose(cross.y_hat, first.y_hat, rtol=1e-12)
+    target = row_space_cross(input_factors(child, x)).target
+    assert target.n_val == pytest.approx(9.0 * first.n_val, rel=1e-12)
+    assert target.tau2 == pytest.approx(9.0 * first.tau2, rel=1e-12)
+    np.testing.assert_allclose(target.y_hat, first.y_hat, rtol=1e-12)

@@ -77,7 +77,7 @@ def refused_rounds(program, x):
     """Compare each round's measures with the direct route's on
     scale(program, beta) to 1e-12; return how many of them both routes
     refused with a ValueError."""
-    cross = row_space_cross(program, x, input_factors(program, x))
+    cross = row_space_cross(input_factors(program, x))
     refused = 0
     for beta in ROUND_BETAS:
         scaled = scale(program, beta)
@@ -175,20 +175,14 @@ def test_measure_uprime_reads_cosines_within_rounding_of_one_as_one():
     )
 
 
-def test_round_refuses_c_of_another_program_input_or_tolerances():
+def test_round_on_a_cross_matches_decision_context():
+    # a round takes C(x) alone, so it reads the program, x and Tolerances
+    # that C(x) was built for
     program = normalize(or_span_program(3))
     x = (1, 0, 0)
-    cross = row_space_cross(program, x, input_factors(program, x))
+    cross = row_space_cross(input_factors(program, x))
     spec = ThresholdSpec(side=POSITIVE, lam=0.5, w_bound=1.0, w_tilde_bound=4.0)
-    assert _round_context(program, x, spec, DEFAULT_TOLS, cross) == decision_context(
-        program, x, spec
-    )
-    twin = normalize(or_span_program(3))  # equal data, another program
-    looser = Tolerances(rank_rtol=1e-9)
-    for other, other_x, tols in ((twin, x, DEFAULT_TOLS), (program, (1, 1, 0), DEFAULT_TOLS),
-                                 (program, x, looser)):
-        with pytest.raises(ValueError, match="another program, input or tolerances"):
-            _round_context(other, other_x, spec, tols, cross)
+    assert _round_context(cross, spec) == decision_context(program, x, spec)
 
 
 def patch_everywhere(monkeypatch, name, replacement):
@@ -330,7 +324,7 @@ def test_closed_form_is_taken_only_within_its_margins(monkeypatch):
     fact = program.factorization()
     assert fact.sigma[-1] < 100.0  # so beta = 1e-6 cuts beta sigma_min against c = 1e6
     x = next(x for x in all_inputs(program) if input_factors(program, x).positive)
-    cross = row_space_cross(program, x, input_factors(program, x))
+    cross = row_space_cross(input_factors(program, x))
     for beta in ROUND_BETAS:
         scaled_measure_U(cross, beta)
         scaled_measure_Uprime(cross, beta)
@@ -338,8 +332,8 @@ def test_closed_form_is_taken_only_within_its_margins(monkeypatch):
     # tau off col(A) by 1e-9 relative: every round keeps the scaled_factors route
     calls.clear()
     program = nearly_feasible_program()
-    cross = row_space_cross(program, x, input_factors(program, x))
-    assert cross.y_hat is None
+    cross = row_space_cross(input_factors(program, x))
+    assert cross.target.y_hat is None
     for beta in ROUND_BETAS:
         outcome_zero_probabilities(scaled_measure_Uprime, cross, beta)
     assert calls == list(ROUND_BETAS)
@@ -393,7 +387,7 @@ def test_rounds_match_over_the_betas_of_an_estimate(monkeypatch, name):
     program = normalize(build_st_span_program(g.n, g.s, g.t))
     x = graph_input(g)
     betas = estimate_betas(monkeypatch, program, x, g.n)
-    cross = row_space_cross(program, x, input_factors(program, x))
+    cross = row_space_cross(input_factors(program, x))
     for beta in betas:
         if g.n <= 32:
             scaled = scale(program, beta)
@@ -536,7 +530,7 @@ def test_q_perp_is_walked_on_first_read_and_keeps_the_witness_bits(monkeypatch):
             if not f.positive:  # the report's witness_vec is the min-error positive one
                 negatives += 1
                 report = witness_report(program, x)
-                vec, e_plus, wt_plus = spanprog._min_error_positive(program, f, DEFAULT_TOLS)
+                vec, e_plus, wt_plus = spanprog._min_error_positive(f)
                 assert vec.tobytes() == report.witness_vec.tobytes()
                 assert (e_plus, wt_plus) == (report.e_plus, report.w_tilde_plus)
     assert negatives > 5

@@ -416,7 +416,7 @@ LOOSE = Tolerances(rank_rtol=1e-6, membership_rtol=1e-2)
 INHERITANCE_PROGRAMS = {
     **{f"random-{seed}": lambda seed=seed: random_span_program(np.random.default_rng([seed, 109]))
        for seed in range(20)},
-    **{f"st-{n}": lambda n=n: build_st_span_program(n, 0, n - 1) for n in (4, 8, 16)},
+    **{f"st-{n}": lambda n=n: build_st_span_program(n, 0, n - 1) for n in (4, 8, 9, 16)},
     "or-5": lambda: or_span_program(5),
     **{f"degenerate-{name}": lambda name=name: degenerate_programs()[name]
        for name in degenerate_programs()},
@@ -426,6 +426,13 @@ INHERITANCE_PROGRAMS = {
 
 def assert_factorizations_agree(inherited, fresh, rtol=1e-12):
     assert inherited.infeasible == fresh.infeasible
+    # tau's _TargetFactors come from the parent's factors of A (_rescaled)
+    # and from the rebuild's own (_factorize), with the same bits
+    mine, theirs = inherited.target, fresh.target
+    assert (mine.y_hat is None) == (theirs.y_hat is None)
+    if theirs.y_hat is not None:
+        assert mine.y_hat.tobytes() == theirs.y_hat.tobytes()
+    assert (mine.n_val, mine.sigma_min, mine.tau2) == (theirs.n_val, theirs.sigma_min, theirs.tau2)
     np.testing.assert_allclose(inherited.sigma, fresh.sigma, rtol=rtol, atol=0.0)
     assert inherited.sigma_max == pytest.approx(fresh.sigma_max, rel=rtol)
     for name in ("row_basis", "col_basis"):
