@@ -20,7 +20,7 @@ import numpy as np
 
 from ._linalg import DEFAULT_TOLS, PHASE_ROUND_TOL, Tolerances, _rank, freeze, singular_values
 from .resistance import Graph, build_st_span_program, ordered_pairs
-from .spanprog import SpanProgram, SpanProgramError, minimal_witness, subspace_blocks
+from .spanprog import SpanProgram, SpanProgramError, _walk, minimal_witness
 from .spectral import SpectralMeasure
 
 PHASE_CLUSTER_TOL = 1e-9  # phases this close together share an eigenspace
@@ -46,10 +46,11 @@ def subspace_projector(
 ) -> np.ndarray:
     """Orthogonal projector onto H(x), block diagonal across the coordinate
     blocks of spanprog.subspace_blocks, with a unit diagonal on identity
-    entries.  Raises OracleSizeError above DENSE_DIM_CAP."""
+    entries.  Only Q_H is walked.  Raises OracleSizeError above
+    DENSE_DIM_CAP."""
     _check_dense_size(program)
     proj = np.zeros((program.dim_h, program.dim_h))
-    for block, basis in subspace_blocks(program, x, tols)[0]:
+    for block, basis in _walk(program, program.check_input(x), tols, 0):
         if basis is None:
             proj[block, block] = 1.0
         else:
@@ -113,18 +114,33 @@ class UnitaryDecomposition:
         weights = [float(np.sum(np.square(cl.basis.T @ state))) for cl in self.clusters]
         return SpectralMeasure(np.array([cl.theta for cl in self.clusters]), np.array(weights))
 
+    def small_phase_projectors(self, thetas: Sequence[float]) -> list[np.ndarray]:
+        """Projectors onto the span of eigenspaces with |phase| <= theta, one
+        per theta of a non-decreasing grid in [0, pi).  The clusters are
+        sorted by phase, so the clusters at or below theta are a prefix of
+        them: each projector is a prefix sum, added in cluster order from
+        zeros, and each cluster's projector is formed once for the grid."""
+        thetas = list(thetas)
+        if not all(0.0 <= theta < math.pi for theta in thetas):
+            raise ValueError("each theta must lie in [0, pi)")
+        if any(later < earlier for earlier, later in zip(thetas, thetas[1:])):
+            raise ValueError("thetas must be non-decreasing")
+        out = []
+        proj = np.zeros((self.dim, self.dim))
+        k = 0
+        for theta in thetas:
+            while k < len(self.clusters) and self.clusters[k].theta <= theta:
+                proj += self.clusters[k].projector()
+                k += 1
+            out.append(proj.copy())
+        return out
+
     def small_phase_projector(self, theta_max: float) -> np.ndarray:
         """Projector onto the span of eigenspaces with |phase| <= theta_max."""
-        if not 0.0 <= theta_max < math.pi:
-            raise ValueError("theta_max must lie in [0, pi)")
-        proj = np.zeros((self.dim, self.dim))
-        for cl in self.clusters:
-            if cl.theta <= theta_max:
-                proj += cl.projector()
-        return proj
+        return self.small_phase_projectors((theta_max,))[0]
 
     def fixed_projector(self) -> np.ndarray:
-        return self.small_phase_projector(0.0)
+        return self.small_phase_projectors((0.0,))[0]
 
     def phase_gap(self) -> float:
         """Smallest nonzero |phase|; inf when the matrix is the identity."""
@@ -205,7 +221,7 @@ def _u_parts(
     program: SpanProgram, x: Sequence[int], tols: Tolerances
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pi_ker(A), Pi_H(x) and U = (2 Pi_ker(A) - I)(2 Pi_H(x) - I), which
-    build_U decomposes and build_Uprime checks its factorization against."""
+    build_U decomposes and _uprime checks its factorization against."""
     pi_ker = kernel_projector(program, tols)
     pi_hx = subspace_projector(program, x, tols)
     eye = np.eye(program.dim_h)
@@ -227,7 +243,22 @@ def build_Uprime(
     Also verifies the factorization U' = U^T (I - 2 w0 w0^T / ||w0||^2) against
     a direct matrix product before returning.
     """
-    pi_ker, pi_hx, u = _u_parts(program, x, tols)
+    return _uprime(program, tols, *_u_parts(program, x, tols))
+
+
+def build_U_and_Uprime(
+    program: SpanProgram, x: Sequence[int], tols: Tolerances = DEFAULT_TOLS
+) -> tuple[UnitaryDecomposition, UnitaryDecomposition]:
+    """(build_U(program, x, tols), build_Uprime(program, x, tols)), with
+    Pi_ker(A), Pi_H(x) and U formed once for both."""
+    parts = _u_parts(program, x, tols)
+    return decompose_orthogonal(parts[2]), _uprime(program, tols, *parts)
+
+
+def _uprime(
+    program: SpanProgram, tols: Tolerances, pi_ker: np.ndarray, pi_hx: np.ndarray, u: np.ndarray
+) -> UnitaryDecomposition:
+    """build_Uprime's decomposition from _u_parts' three matrices."""
     mw = minimal_witness(program, tols)
     w0_hat = np.asarray(mw.w0) / math.sqrt(mw.n_plus)
     eye = np.eye(program.dim_h)

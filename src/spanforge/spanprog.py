@@ -1239,7 +1239,12 @@ def witness_report(
     """Compute all six witness quantities and the optimal witness vectors
     from one InputFactors: the exact witness of x's sign and the min-error
     witness of the other."""
-    f = input_factors(program, x, tols)
+    return _witness_report(input_factors(program, x, tols))
+
+
+def _witness_report(f: InputFactors) -> WitnessReport:
+    """witness_report for the input whose factors f are, so that a caller
+    holding f factors A(x) no second time."""
     if f.positive:
         vec, w_plus = _exact_positive(f)
         row, e_minus, wt_minus = _min_error_negative(f)

@@ -321,8 +321,12 @@ def kappa_bound(
 ) -> tuple[float, float]:
     """Phase-gap lower bound 2 sigma_min(A(x)) / sigma_max(A), valid for both
     U(P, x) and (when x is positive) U'(P, x); returned once per unitary."""
-    f = input_factors(program, x, tols)
+    bound = _kappa_bound(input_factors(program, x, tols))
+    return bound, bound
+
+
+def _kappa_bound(f: InputFactors) -> float:
+    """kappa_bound's bound, read once, from the input's factors f."""
     if f.sigma.size == 0:
         raise ValueError("A(x) = 0: the phase-gap bound is degenerate")
-    bound = 2.0 * float(f.sigma[-1]) / f.a_scale
-    return bound, bound
+    return 2.0 * float(f.sigma[-1]) / f.a_scale

@@ -14,7 +14,7 @@ The trials of duality, spectral, scaling and kappa run in a pool of forked
 processes, handed out one at a time: min(usable CPUs, trials // floor) of
 them, the usable CPUs read from os.sched_getaffinity.  The floor
 (_MIN_TRIALS_PER_WORKER) is 32 duality, 8 spectral or 16 scaling or kappa
-trials, about 150 ms of work against the 30 ms a worker costs to fork and
+trials, 160 to 270 ms of work against the 30 ms a worker costs to fork and
 join.  On 2 cores each of these suites at twice its floor took 0.43 to 0.91
 of its in-process time over seeds 0 to 2.  Everything else runs in-process:
 a suite with fewer trials, a platform without sched_getaffinity, a caller
@@ -40,6 +40,7 @@ which stops them around the fork.  The warning is left as it is.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import traceback
 from dataclasses import dataclass
@@ -60,12 +61,13 @@ from .resistance import (
     lambda2,
     witness_equals_half_resistance,
 )
-from .oracle import build_U, build_Uprime, decompose_orthogonal, discriminant, scale
+from .oracle import build_U, build_U_and_Uprime, decompose_orthogonal, discriminant, scale
 from .oracle import flow_resistance_bruteforce, intersection_dims, subspace_projector
 from .oracle import verify_reflection_factorization
 from .qsim import outcome_zero_probability
-from .spanprog import input_factors, minimal_negative_value, minimal_witness, normalize, witness_report
-from .spectral import kappa_bound, measure_U, measure_Uprime
+from .spanprog import _witness_report, input_factors, minimal_negative_value, minimal_witness
+from .spanprog import normalize, witness_report
+from .spectral import _kappa_bound, input_measure_U, input_measure_Uprime, row_space_cross
 
 THETA_GRID = [0.05 * k for k in range(1, 31)]
 PE_GRIDS = (2, 16, 256)  # phase-estimation grid sizes the estimator path is compared on
@@ -98,9 +100,11 @@ def _usable_cpus() -> int:
 
 
 # the fewest trials a worker is given, per suite: forking a worker and
-# joining it costs about 30 ms, and on one core at dims=8 a duality trial
-# takes about 5 ms, a spectral trial 25 ms, a scaling or kappa trial 10 ms.
-# szegedy, absent here, runs in-process (see the module docstring).
+# joining it costs about 30 ms, and on one core of a 2-core machine a
+# duality trial takes 5 to 6 ms, a spectral trial 23 to 25 ms, a scaling
+# trial 16 to 17 ms and a kappa trial 10 ms (the mean of trials 0-63 at
+# seeds 0-2).  szegedy, absent here, runs in-process (see the module
+# docstring).
 _MIN_TRIALS_PER_WORKER = {"duality": 32, "spectral": 8, "scaling": 16, "kappa": 16}
 
 
@@ -269,32 +273,32 @@ def _spectral_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
     rng = _rng(seed, trial)
     program = normalize(random_span_program(rng), tols)
     w0 = np.asarray(minimal_witness(program, tols).w0)
+    grid = [0.0] + THETA_GRID  # the fixed space, then the Theta grid
     for x in all_inputs(program):
-        rep = witness_report(program, x, tols)
-        dec = build_U(program, x, tols)
-        decp = build_Uprime(program, x, tols)
+        # one factoring of A(x) serves the witness report and both measures
+        f = input_factors(program, x, tols)
+        rep = _witness_report(f)
+        cross = row_space_cross(f)
+        dec, decp = build_U_and_Uprime(program, x, tols)
         worst_measure_u = max(
-            worst_measure_u, _measure_gap(measure_U(program, x, tols), dec.measure(w0))
+            worst_measure_u, _measure_gap(input_measure_U(cross), dec.measure(w0))
         )
         if math.isfinite(rep.w_plus):
             worst_measure_up = max(
-                worst_measure_up,
-                _measure_gap(measure_Uprime(program, x, tols), decp.measure(w0)),
+                worst_measure_up, _measure_gap(input_measure_Uprime(cross), decp.measure(w0))
             )
         inv_wm = 0.0 if math.isinf(rep.w_minus) else 1.0 / rep.w_minus
         inv_wp = 0.0 if math.isinf(rep.w_plus) else 1.0 / rep.w_plus
-        worst_p0_neg = max(
-            worst_p0_neg, abs(float(w0 @ dec.fixed_projector() @ w0) - inv_wm)
-        )
-        worst_p0_pos = max(
-            worst_p0_pos, abs(float(w0 @ decp.fixed_projector() @ w0) - inv_wp)
-        )
-        for theta in THETA_GRID:
-            lhs = float(w0 @ dec.small_phase_projector(theta) @ w0)
+        p0, *small = dec.small_phase_projectors(grid)
+        p0p, *smallp = decp.small_phase_projectors(grid)
+        worst_p0_neg = max(worst_p0_neg, abs(float(w0 @ p0 @ w0) - inv_wm))
+        worst_p0_pos = max(worst_p0_pos, abs(float(w0 @ p0p @ w0) - inv_wp))
+        for theta, proj, projp in zip(THETA_GRID, small, smallp):
+            lhs = float(w0 @ proj @ w0)
             worst_th_neg = max(
                 worst_th_neg, lhs - (theta**2 / 4.0 * rep.w_tilde_plus + inv_wm)
             )
-            lhs = float(w0 @ decp.small_phase_projector(theta) @ w0)
+            lhs = float(w0 @ projp @ w0)
             worst_th_pos = max(
                 worst_th_pos, lhs - (theta**2 / 4.0 * rep.w_tilde_minus + inv_wp)
             )
@@ -305,10 +309,9 @@ def _spectral_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
     vec = rng.standard_normal(dim)
     vec -= pi_a @ vec  # now Pi_A vec = 0
     if np.linalg.norm(vec) > 1e-9:
-        for theta in THETA_GRID:
-            lhs = float(
-                np.linalg.norm(u_dec.small_phase_projector(theta) @ (pi_b @ vec))
-            )
+        on_b = pi_b @ vec
+        for theta, proj in zip(THETA_GRID, u_dec.small_phase_projectors(THETA_GRID)):
+            lhs = float(np.linalg.norm(proj @ on_b))
             worst_raw = max(worst_raw, lhs - theta / 2.0 * float(np.linalg.norm(vec)))
     return (worst_p0_neg, worst_p0_pos, worst_th_neg, worst_th_pos, worst_raw,
             worst_measure_u, worst_measure_up)
@@ -479,16 +482,17 @@ def _kappa_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
     rng = _rng(seed, trial)
     program = random_span_program(rng)
     for x in all_inputs(program):
+        f = input_factors(program, x, tols)
         try:
-            bound, _ = kappa_bound(program, x, tols)
+            bound = _kappa_bound(f)
         except ValueError:
             continue
-        dec = build_U(program, x, tols)
-        worst_u = max(worst_u, bound - dec.phase_gap())
-        rep = witness_report(program, x, tols)
-        if math.isfinite(rep.w_plus):
-            decp = build_Uprime(program, x, tols)
+        if f.positive:
+            dec, decp = build_U_and_Uprime(program, x, tols)
             worst_up = max(worst_up, bound - decp.phase_gap())
+        else:
+            dec = build_U(program, x, tols)
+        worst_u = max(worst_u, bound - dec.phase_gap())
 
     n = int(rng.integers(3, 8))
     g = random_graph(rng, n, edge_prob=0.6)
@@ -593,6 +597,16 @@ def suite_workers(name: str, trials: int = 50) -> int:
                for sub in (SUITES if name == "all" else (name,)))
 
 
+def _integer(arg: str, value) -> int:
+    """value as an int, or SuiteArgumentError for a bool or a non-integer."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise SuiteArgumentError(f"{arg} must be an integer, got {value!r}")
+
+
 def run_suite(
     name: str,
     trials: int = 50,
@@ -601,8 +615,11 @@ def run_suite(
     tols: Tolerances = DEFAULT_TOLS,
 ) -> list[Check]:
     """Run one suite, or all of them.  Raises SuiteArgumentError before any
-    check runs for an unknown suite, for trials < 1 (which checks nothing) and
-    for dims outside [3, MAX_DIMS] (below 3 the suite runs at 3)."""
+    check runs for an unknown suite, for a trials, dims or seed that is a
+    bool or not an integer (numpy integers are integers), for trials < 1
+    (which checks nothing) and for dims outside [3, MAX_DIMS] (below 3 the
+    suite runs at 3)."""
+    trials, dims, seed = _integer("trials", trials), _integer("dims", dims), _integer("seed", seed)
     if trials < 1:
         raise SuiteArgumentError(f"trials must be at least 1, got {trials}")
     if not 3 <= dims <= MAX_DIMS:

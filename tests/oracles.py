@@ -4,6 +4,11 @@ These solve the same optimization problems as the library but along different
 numerical routes (stacked KKT systems and min-norm least squares instead of
 null-space parametrizations, the real Schur form instead of a complex
 eigendecomposition), so agreement is meaningful.
+
+per_call_spectral_trial and per_call_kappa_trial are verify's spectral and
+kappa trials as they read an input before each trial read it once: every
+quantity from its own public call, which factors A(x) anew, and one
+small_phase_projector per theta.  The trials must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -13,9 +18,17 @@ import math
 import numpy as np
 import scipy.linalg
 
-from spanforge._linalg import PHASE_ROUND_TOL
-from spanforge.oracle import PHASE_CLUSTER_TOL, subspace_projector
-from spanforge.spanprog import SpanProgram
+from spanforge._linalg import PHASE_ROUND_TOL, Tolerances, svd_factors
+from spanforge.generators import all_inputs, random_graph, random_projector_pair
+from spanforge.generators import random_span_program
+from spanforge.oracle import PHASE_CLUSTER_TOL, build_U, build_Uprime, decompose_orthogonal
+from spanforge.oracle import flow_resistance_bruteforce, subspace_projector
+from spanforge.resistance import build_st_span_program, exact_resistance, graph_input, lambda2
+from spanforge.resistance import witness_equals_half_resistance
+from spanforge.spanprog import SpanProgram, input_factors, minimal_witness, normalize
+from spanforge.spanprog import witness_report
+from spanforge.spectral import kappa_bound, measure_U, measure_Uprime
+from spanforge.verify import THETA_GRID, _measure_gap, _rng
 
 
 def kkt_equality_ls(c_mat: np.ndarray, d: np.ndarray, e_mat: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -114,3 +127,101 @@ def schur_phase_clusters(u_mat: np.ndarray) -> list[tuple[float, np.ndarray]]:
         else:
             groups.append((theta, list(cols)))
     return [(theta, q_mat[:, cols] @ q_mat[:, cols].T) for theta, cols in groups]
+
+
+def per_call_spectral_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
+    """verify._spectral_trial, each quantity from its own public call."""
+    worst_p0_neg = worst_p0_pos = 0.0
+    worst_measure_u = worst_measure_up = 0.0
+    worst_th_neg = worst_th_pos = -math.inf
+    worst_raw = -math.inf
+    rng = _rng(seed, trial)
+    program = normalize(random_span_program(rng), tols)
+    w0 = np.asarray(minimal_witness(program, tols).w0)
+    for x in all_inputs(program):
+        rep = witness_report(program, x, tols)
+        dec = build_U(program, x, tols)
+        decp = build_Uprime(program, x, tols)
+        worst_measure_u = max(
+            worst_measure_u, _measure_gap(measure_U(program, x, tols), dec.measure(w0))
+        )
+        if math.isfinite(rep.w_plus):
+            worst_measure_up = max(
+                worst_measure_up,
+                _measure_gap(measure_Uprime(program, x, tols), decp.measure(w0)),
+            )
+        inv_wm = 0.0 if math.isinf(rep.w_minus) else 1.0 / rep.w_minus
+        inv_wp = 0.0 if math.isinf(rep.w_plus) else 1.0 / rep.w_plus
+        worst_p0_neg = max(
+            worst_p0_neg, abs(float(w0 @ dec.fixed_projector() @ w0) - inv_wm)
+        )
+        worst_p0_pos = max(
+            worst_p0_pos, abs(float(w0 @ decp.fixed_projector() @ w0) - inv_wp)
+        )
+        for theta in THETA_GRID:
+            lhs = float(w0 @ dec.small_phase_projector(theta) @ w0)
+            worst_th_neg = max(
+                worst_th_neg, lhs - (theta**2 / 4.0 * rep.w_tilde_plus + inv_wm)
+            )
+            lhs = float(w0 @ decp.small_phase_projector(theta) @ w0)
+            worst_th_pos = max(
+                worst_th_pos, lhs - (theta**2 / 4.0 * rep.w_tilde_minus + inv_wp)
+            )
+    dim = int(rng.integers(3, 9))
+    pi_a, pi_b = random_projector_pair(rng, dim)
+    u_dec = decompose_orthogonal((2.0 * pi_a - np.eye(dim)) @ (2.0 * pi_b - np.eye(dim)))
+    vec = rng.standard_normal(dim)
+    vec -= pi_a @ vec
+    if np.linalg.norm(vec) > 1e-9:
+        for theta in THETA_GRID:
+            lhs = float(
+                np.linalg.norm(u_dec.small_phase_projector(theta) @ (pi_b @ vec))
+            )
+            worst_raw = max(worst_raw, lhs - theta / 2.0 * float(np.linalg.norm(vec)))
+    return (worst_p0_neg, worst_p0_pos, worst_th_neg, worst_th_pos, worst_raw,
+            worst_measure_u, worst_measure_up)
+
+
+def per_call_kappa_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
+    """verify._kappa_trial, each quantity from its own public call."""
+    worst_u = worst_up = -math.inf
+    worst_sigma = worst_res = 0.0
+    rng = _rng(seed, trial)
+    program = random_span_program(rng)
+    for x in all_inputs(program):
+        try:
+            bound, _ = kappa_bound(program, x, tols)
+        except ValueError:
+            continue
+        dec = build_U(program, x, tols)
+        worst_u = max(worst_u, bound - dec.phase_gap())
+        rep = witness_report(program, x, tols)
+        if math.isfinite(rep.w_plus):
+            decp = build_Uprime(program, x, tols)
+            worst_up = max(worst_up, bound - decp.phase_gap())
+
+    n = int(rng.integers(3, 8))
+    g = random_graph(rng, n, edge_prob=0.6)
+    program = build_st_span_program(g.n, g.s, g.t)
+    factors = input_factors(program, graph_input(g), tols)
+    fact = program.factorization(tols)
+    col_basis, sigma, _, top = svd_factors(program.a_mat, tols)
+    lam = lambda2(g)
+    if lam > 1e-9:
+        worst_sigma = max(
+            worst_sigma, abs(float(factors.sigma[-1]) - math.sqrt(2.0 * lam)) / top
+        )
+    worst_sigma = max(
+        worst_sigma,
+        abs(factors.a_scale - top) / top,
+        float(np.max(np.abs(fact.sigma - sigma))) / top
+        if fact.sigma.shape == sigma.shape else math.inf,
+        float(np.max(np.abs(fact.col_basis @ fact.col_basis.T - col_basis @ col_basis.T))),
+    )
+    res = exact_resistance(g)
+    if math.isfinite(res) and len(g.edges) <= 8:
+        worst_res = max(worst_res, abs(res - flow_resistance_bruteforce(g)))
+    check = witness_equals_half_resistance(g, tols)
+    if not check.ok:
+        worst_res = math.inf
+    return worst_u, worst_up, worst_sigma, worst_res

@@ -7,11 +7,13 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spanforge
+from spanforge import verify
 from spanforge.cli import main
-from spanforge.verify import MAX_DIMS, run_suite
+from spanforge.verify import MAX_DIMS, SuiteArgumentError, run_suite
 
 K4_FILE = """# complete graph on 4 vertices
 4 6 1 4
@@ -141,6 +143,31 @@ def test_run_suite_rejects_arguments_before_running():
         run_suite("duality", trials=0)
     with pytest.raises(ValueError, match="dims"):
         run_suite("szegedy", trials=1, dims=MAX_DIMS + 1)
+
+
+@pytest.mark.parametrize("arguments", [
+    {"trials": 2.5},  # used to raise a bare TypeError from inside the loop
+    {"dims": 8.5},  # used to run
+    {"trials": True},  # used to run one trial
+    {"seed": 1.5},  # used to fail in the first trial
+    {"seed": np.float64(2.0)},
+    {"dims": np.True_},
+    {"trials": "4"},
+])
+def test_run_suite_refuses_a_bool_or_a_non_integer_before_running(arguments, monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    for suite in ("duality", "spectral", "scaling", "szegedy", "kappa"):
+        monkeypatch.setattr(verify, f"suite_{suite}", no_trial)
+    with pytest.raises(SuiteArgumentError, match=next(iter(arguments))):
+        run_suite("all", **{"trials": 4, "dims": 8, "seed": 2, **arguments})
+
+
+def test_run_suite_accepts_numpy_integers():
+    checks = run_suite("all", np.int64(4), np.int64(8), np.int64(2))
+    assert [(c.name, c.observed) for c in checks] == [
+        (c.name, c.observed) for c in run_suite("all", 4, 8, 2)]
 
 
 def test_verify_reports_are_deterministic(tmp_path):

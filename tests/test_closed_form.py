@@ -433,6 +433,14 @@ def test_identity_runs_match_the_block_by_block_walk(name):
         for block, basis in ref_h:
             proj[block[:, None], block] = basis @ basis.T
         assert same_bits(subspace_projector(program, x), proj)
+        # and against the projector assembled from subspace_blocks' Q_H
+        proj = np.zeros((program.dim_h, program.dim_h))
+        for block, basis in q_h:
+            if basis is None:
+                proj[block, block] = 1.0
+            else:
+                proj[block[:, None], block] = basis @ basis.T
+        assert same_bits(subspace_projector(program, x), proj)
 
 
 def test_st_program_reads_h_x_and_c_x_as_one_gather():

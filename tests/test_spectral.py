@@ -22,6 +22,7 @@ from spanforge.generators import (
 )
 from spanforge.oracle import (
     build_U,
+    build_U_and_Uprime,
     build_Uprime,
     decompose_orthogonal,
     discriminant,
@@ -216,6 +217,13 @@ def test_uprime_factorization_identity_random():
             up = np.asarray(build_Uprime(program, x).matrix)
             alt = u.T @ (np.eye(program.dim_h) - 2.0 * np.outer(w0, w0))
             np.testing.assert_allclose(up, alt, atol=1e-10)
+            # the pair from one set of projectors is the two built apart, bit for bit
+            pair = build_U_and_Uprime(program, x)
+            for mine, apart in zip(pair, (build_U(program, x), build_Uprime(program, x))):
+                assert mine.matrix.tobytes() == apart.matrix.tobytes()
+                assert [cl.theta for cl in mine.clusters] == [cl.theta for cl in apart.clusters]
+                assert all(a.basis.shape == b.basis.shape and a.basis.tobytes() == b.basis.tobytes()
+                           for a, b in zip(mine.clusters, apart.clusters))
 
 
 def test_small_phase_projector_bounds():
@@ -224,6 +232,32 @@ def test_small_phase_projector_bounds():
         dec.small_phase_projector(math.pi)
     with pytest.raises(ValueError):
         dec.small_phase_projector(-0.1)
+    for grid in ([0.0, math.pi], [0.5, 0.2], [0.1, math.nan], [0.0, 0.3, 0.3, 0.29]):
+        with pytest.raises(ValueError):
+            dec.small_phase_projectors(grid)
+
+
+@pytest.mark.parametrize("shared, a_only", [(0, 0), (1, 1), (2, 0), (2, 2)])
+def test_small_phase_projectors_are_the_per_theta_sums(shared, a_only):
+    # clusters at 0 and pi of several dimensions, rotation clusters of two
+    # planes at one phase (two copies of the product), and grids that hit
+    # each cluster's phase exactly, repeat a theta and start at 0: each grid
+    # entry is the sum in cluster order from zeros
+    rng = np.random.default_rng([29, shared, a_only])
+    for dim in (3, 6, 9):
+        pi_a, pi_b = random_projector_pair(rng, dim, dim // 2, dim // 2, shared, a_only)
+        u_mat = (2 * pi_a - np.eye(dim)) @ (2 * pi_b - np.eye(dim))
+        for dec in (decompose_orthogonal(u_mat), decompose_orthogonal(np.kron(np.eye(2), u_mat))):
+            phases = [cl.theta for cl in dec.clusters if cl.theta < math.pi]
+            for grid in ([0.0] + THETA_GRID, sorted(phases + phases + [0.0, math.pi - 1e-9]),
+                         [0.0, 0.0], [1.0]):
+                for theta, proj in zip(grid, dec.small_phase_projectors(grid)):
+                    summed = np.zeros((dec.dim, dec.dim))
+                    for cl in dec.clusters:
+                        if cl.theta <= theta:
+                            summed += cl.basis @ cl.basis.T
+                    assert proj.tobytes() == summed.tobytes()
+                    assert proj.tobytes() == dec.small_phase_projector(theta).tobytes()
 
 
 def test_small_phase_projector_near_pi_is_identity_minus_pi_space():

@@ -3,7 +3,9 @@ run's bit for bit, the reduction keeps max()'s order-sensitive cases, a
 trial's exception and a worker's death reach the caller, no process outlives
 run_suite, workers inherit the caller's monkeypatches, a daemonic caller runs
 in-process, a suite gets workers only where each has enough trials, and
-the CLI names the workers it used."""
+the CLI names the workers it used.  The spectral and kappa trials, which
+factor each input once, match the per-call route of tests/oracles.py bit
+for bit."""
 
 import functools
 import math
@@ -15,8 +17,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from oracles import per_call_kappa_trial, per_call_spectral_trial
 from spanforge import spanprog, verify
+from spanforge._linalg import DEFAULT_TOLS
 from spanforge.cli import main
+from spanforge.generators import all_inputs, random_span_program
 
 
 def fields(checks):
@@ -161,3 +166,26 @@ def test_cli_names_its_workers_and_writes_the_same_report(cpus, tmp_path, capsys
         lines[n] = capsys.readouterr().err.strip()
     assert lines[1].endswith("on 1 worker") and lines[2].endswith("on 2 workers")
     assert (tmp_path / "1.json").read_bytes() == (tmp_path / "2.json").read_bytes()
+
+
+# (seed, trial) pairs: (0, 0), (0, 20), (1, 27), (3, 34) and (3, 35) draw
+# programs with 81 inputs, and the kappa trials of (0, 1), (0, 9), (0, 20),
+# (1, 10), (2, 2) and (3, 34) meet inputs with A(x) = 0
+PER_CALL_PAIRS = [(0, 0), (0, 20), (1, 27), (3, 34), (3, 35), (0, 1), (0, 9), (1, 10),
+                  (2, 2), (0, 11), (2, 21), (1, 0)]
+
+
+def test_per_call_pairs_hold_an_81_input_program_and_an_input_with_a_x_zero():
+    programs = [random_span_program(verify._rng(seed, trial)) for seed, trial in PER_CALL_PAIRS]
+    assert max(len(list(all_inputs(p))) for p in programs) == 81
+    assert any(spanprog.input_factors(p, x).sigma.size == 0
+               for p in programs for x in all_inputs(p))
+
+
+@pytest.mark.parametrize("seed, trial", PER_CALL_PAIRS)
+def test_trials_match_the_per_call_route_bit_for_bit(seed, trial):
+    for trial_fn, per_call in ((verify._spectral_trial, per_call_spectral_trial),
+                               (verify._kappa_trial, per_call_kappa_trial)):
+        mine = trial_fn(seed, trial, DEFAULT_TOLS)
+        theirs = per_call(seed, trial, DEFAULT_TOLS)
+        assert [v.hex() for v in mine] == [v.hex() for v in theirs]
