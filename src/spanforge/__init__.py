@@ -29,6 +29,7 @@ from .spanprog import (
     MinimalWitness,
     SpanProgram,
     WitnessReport,
+    input_factors,
     minimal_witness,
     normalize,
     or_span_program,
@@ -61,6 +62,7 @@ __all__ = [
     "MinimalWitness",
     "SpanProgram",
     "WitnessReport",
+    "input_factors",
     "minimal_witness",
     "normalize",
     "or_span_program",

@@ -20,14 +20,14 @@ A round never builds the scaled program.  witness_estimate factors A(x) once
 C(x) = V_r^T Q_H(x) from it once (spectral.row_space_cross); each round
 reads its scaled program's measure from C(x) and w0 by a rank-one change
 and one SVD (spectral.scaled_measure_U / scaled_measure_Uprime).  The
-round and the witness sizes take C(x) or the InputFactors alone and read
-the program, x and Tolerances from the InputFactors, so none can be handed
-those of another input.  decision_context and decide_threshold form C(x)
-for their one round; measure_U / measure_Uprime of
-oracle.scale(program, beta) is the oracle the rounds are tested against.
-gap_estimate likewise reads the witness size from A(x)'s one SVD and w0's
-measure from the C(x) of the same InputFactors (spectral.input_measure_U /
-input_measure_Uprime).
+round, decision_context(cross, spec), and the witness sizes take C(x) or
+the InputFactors alone and read the program, x and Tolerances from the
+InputFactors, so none can be handed those of another input.
+decide_threshold and decide_threshold_success_probability form C(x) for
+their one round; the measures of oracle.scale(program, beta) are the
+oracle the rounds are tested against.  gap_estimate likewise reads the
+witness size from A(x)'s one factoring and w0's measure from the C(x) of
+the same InputFactors (spectral.measure_U / measure_Uprime).
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ from .qsim import (
     pe_queries,
 )
 from .spanprog import GloballyInfeasibleError, InputFactors, SpanProgram, input_factors
-from .spanprog import minimal_witness, normalize
-from .spanprog import _exact_negative, _min_error_negative, _min_error_positive
-from .spectral import RowSpaceCross, input_measure_U, input_measure_Uprime, row_space_cross
+from .spanprog import min_error_negative, min_error_positive, minimal_witness
+from .spanprog import negative_witness, normalize
+from .spectral import RowSpaceCross, measure_U, measure_Uprime, row_space_cross
 from .spectral import scaled_measure_U, scaled_measure_Uprime
 
 POSITIVE = "positive"
@@ -145,7 +145,7 @@ def _scaled_parameters(
     return beta, w_new, wt_new, lam_new
 
 
-def _round_context(cross: RowSpaceCross, spec: ThresholdSpec) -> _DecisionContext:
+def decision_context(cross: RowSpaceCross, spec: ThresholdSpec) -> _DecisionContext:
     """One threshold round on the program and input of cross = C(x): w0's
     spectral measure under the right unitary of the scaled program, read
     from C(x), and the exact outcome-0 probability of phase estimation."""
@@ -169,18 +169,6 @@ def _round_context(cross: RowSpaceCross, spec: ThresholdSpec) -> _DecisionContex
     return _DecisionContext(
         p_exact=p_exact, p0=p0, p1=p1, pe_grid=grid, flags=tuple(flags)
     )
-
-
-def decision_context(
-    program: SpanProgram,
-    x: Sequence[int],
-    spec: ThresholdSpec,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> _DecisionContext:
-    """Take w0's spectral measure under the right unitary of the scaled
-    program and evaluate the exact outcome-0 probability of phase estimation,
-    for one round."""
-    return _round_context(row_space_cross(input_factors(program, x, tols)), spec)
 
 
 def decide_threshold(
@@ -209,7 +197,7 @@ def decide_threshold_success_probability(
     computed by outcome-distribution summation.  None when x falls in the
     promise gap (any answer is then acceptable)."""
     f = input_factors(program, x, tols)
-    ctx = _round_context(row_space_cross(f), spec)
+    ctx = decision_context(row_space_cross(f), spec)
     w_val = _witness_size(f, spec.side, estimate=False)
     if w_val <= spec.w_bound * (1.0 + 1e-12):
         truth_high = True
@@ -242,7 +230,7 @@ def _threshold_votes(
     program and input of cross = C(x), each an amplitude estimation of the
     exact outcome-zero probability on the amp_gap_grid_size grid, read as 1
     at or above amp_gap_threshold."""
-    ctx = _round_context(cross, spec)
+    ctx = decision_context(cross, spec)
     grid_ae = amp_gap_grid_size(ctx.p0, ctx.p1)
     if flags is not None:
         for flag in ctx.flags:
@@ -263,7 +251,7 @@ def _witness_size(f: InputFactors, side: str, estimate: bool) -> float:
     elif f.positive:
         size = f.positive_size(f.program.tau)
     else:
-        size = _exact_negative(f)[1]
+        size = negative_witness(f)[1]
     if estimate and math.isinf(size):
         sign = "+" if side == POSITIVE else "-"
         raise GloballyInfeasibleError(f"x has no {side} witness; cannot estimate w_{sign}")
@@ -322,7 +310,7 @@ def witness_estimate(
     f = input_factors(program, x, tols)
     w_true = _witness_size(f, side, estimate=True)
     if w_tilde_bound is None:
-        min_error = _min_error_negative if side == POSITIVE else _min_error_positive
+        min_error = min_error_negative if side == POSITIVE else min_error_positive
         _, _, w_tilde_bound = min_error(f)
     cross = row_space_cross(f)
 
@@ -397,7 +385,7 @@ def gap_estimate(
     _assert_normalized(program, tols)
     f = input_factors(program, x, tols)
     _witness_size(f, side, estimate=True)
-    measure = (input_measure_Uprime if side == POSITIVE else input_measure_U)(row_space_cross(f))
+    measure = (measure_Uprime if side == POSITIVE else measure_U)(row_space_cross(f))
 
     start_queries = ledger.total
     flags: list[str] = []

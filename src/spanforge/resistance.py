@@ -25,7 +25,7 @@ from ._linalg import DEFAULT_TOLS, Tolerances
 from .algorithms import kappa_estimate, witness_estimate, POSITIVE
 from .qsim import QueryLedger
 from .spanprog import Incidence, SpanProgram, Subspaces, check_incidence_size, normalize
-from .spanprog import positive_witness
+from .spanprog import InputFactors, positive_witness
 
 Edge = tuple[int, int]
 
@@ -297,17 +297,19 @@ class WitnessResistanceCheck:
 
 
 def witness_equals_half_resistance(
-    g: Graph, tols: Tolerances = DEFAULT_TOLS, tol: float = 1e-8
+    f: InputFactors, resistance: float, tol: float = 1e-8
 ) -> WitnessResistanceCheck:
-    """Check w_+(G) = R_st(G)/2 (both infinite together when disconnected)."""
-    program = build_st_span_program(g.n, g.s, g.t)
-    _, w_plus = positive_witness(program, graph_input(g), tols)
-    res = exact_resistance(g)
-    if math.isinf(w_plus) or math.isinf(res):
-        ok = math.isinf(w_plus) and math.isinf(res)
-        return WitnessResistanceCheck(w_plus=w_plus, resistance=res, residual=math.inf if not ok else 0.0, ok=ok)
-    residual = abs(w_plus - res / 2.0)
-    return WitnessResistanceCheck(w_plus=w_plus, resistance=res, residual=residual, ok=residual <= tol * max(1.0, res))
+    """Check w_+(G) = R_st(G)/2 (both infinite together when disconnected),
+    for f the InputFactors of G's input to the st program and resistance
+    R_st(G), as exact_resistance gives it."""
+    _, w_plus = positive_witness(f)
+    if math.isinf(w_plus) or math.isinf(resistance):
+        ok = math.isinf(w_plus) and math.isinf(resistance)
+        return WitnessResistanceCheck(w_plus=w_plus, resistance=resistance,
+                                      residual=math.inf if not ok else 0.0, ok=ok)
+    residual = abs(w_plus - resistance / 2.0)
+    return WitnessResistanceCheck(w_plus=w_plus, resistance=resistance, residual=residual,
+                                  ok=residual <= tol * max(1.0, resistance))
 
 
 @dataclass(frozen=True)

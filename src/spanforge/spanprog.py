@@ -38,10 +38,12 @@ factored by one SVD, the Gram route's oracle.  input_factors factors A(x)
 once, by one eigh of its exact Gram G(x) = A(x) A(x)^T when A is incidence
 columns and A(x) is wider than tall, and by one SVD otherwise, and decides
 once whether tau lies in col A(x); one helper, _gram_factors, holds the
-Gram route and its rank cut for both.  The six witness quantities (exact
-and min-error, both signs) and the kappa bound all read that InputFactors,
-which owns the program, x and Tolerances it was built for: a helper given
-it is given none of them beside it.  Infeasible sizes are math.inf.
+Gram route and its rank cut for both.  The witness functions
+(positive_witness, negative_witness, min_error_positive,
+min_error_negative and witness_report) and spectral.kappa_bound take that
+InputFactors alone, which owns the program, x and Tolerances it was built
+for, so none can be handed those of another input; a caller factors once
+with input_factors(program, x, tols).  Infeasible sizes are math.inf.
 scaled_factors reads the factors of oracle.scale(program, beta) from
 A = U_r Sigma V_r^T with one SVD of an (r+1) x (r+1) matrix.  The
 threshold rounds take it where their closed form in spectral does not
@@ -1114,17 +1116,13 @@ def input_factors(
     return InputFactors(program, x, tols, q_h, u[:, :r], u[:, r:], s, vt, a_scale, positive)
 
 
-def _exact_positive(f: InputFactors) -> tuple[np.ndarray, float]:
+def positive_witness(f: InputFactors) -> tuple[Optional[np.ndarray], float]:
+    """Optimal exact positive witness Q_H A(x)^+ tau for the input whose
+    factors f are, or (None, inf) when x is negative."""
+    if not f.positive:
+        return None, math.inf
     w = _lift(f.program.dim_h, f.q_h, f.solve(f.program.tau))
     return freeze(w), f.positive_size(f.program.tau)
-
-
-def positive_witness(
-    program: SpanProgram, x: Sequence[int], tols: Tolerances = DEFAULT_TOLS
-) -> tuple[Optional[np.ndarray], float]:
-    """Optimal exact positive witness Q_H A(x)^+ tau, or (None, inf)."""
-    f = input_factors(program, x, tols)
-    return _exact_positive(f) if f.positive else (None, math.inf)
 
 
 def _min_norm_under_linear_constraint(
@@ -1152,7 +1150,16 @@ def _complement_rows(f: InputFactors) -> np.ndarray:
     return _tdot(f.a, f.complement).T
 
 
-def _exact_negative(f: InputFactors) -> tuple[np.ndarray, float]:
+def negative_witness(f: InputFactors) -> tuple[Optional[np.ndarray], float]:
+    """Optimal exact negative witness for the input whose factors f are.
+
+    Solves min ||omega A||^2 subject to omega A(x) = 0 and omega tau = 1 by
+    writing omega = Z nu for an orthonormal basis Z of col(A(x))^perp.
+    Returns (omega A as a length-dim_h row, w_minus); (None, inf) when x is
+    positive.
+    """
+    if f.positive:
+        return None, math.inf
     b = _complement_rows(f)  # omega = Z nu; Z^T tau != 0 as x is negative
     nu, value = _min_norm_under_linear_constraint(
         b @ b.T, f.complement.T @ f.program.tau, f.tols, gram_scale=f.a_scale * f.a_scale
@@ -1160,21 +1167,16 @@ def _exact_negative(f: InputFactors) -> tuple[np.ndarray, float]:
     return freeze(nu @ b), value
 
 
-def negative_witness(
-    program: SpanProgram, x: Sequence[int], tols: Tolerances = DEFAULT_TOLS
-) -> tuple[Optional[np.ndarray], float]:
-    """Optimal exact negative witness for x.
+def min_error_positive(f: InputFactors) -> tuple[np.ndarray, float, float]:
+    """Optimal min-error positive witness for the input whose factors f are:
+    (w_tilde, e_plus, w_tilde_plus).
 
-    Solves min ||omega A||^2 subject to omega A(x) = 0 and omega tau = 1 by
-    writing omega = Z nu for an orthonormal basis Z of col(A(x))^perp.
-    Returns (omega A as a length-dim_h row, w_minus); (None, inf) when x is
-    positive.
+    Writes w = Q_H a + Q_perp b, so A w = A(x) a + A_perp b with
+    A_perp = A Q_perp, and the error is ||b||^2.  Read in the basis Z of
+    col A(x)^perp, the constraint on b alone is Z^T A_perp b = Z^T tau, whose
+    min-norm solution b = (Z^T A_perp)^+ Z^T tau is the unique minimal error
+    coordinate; then a = A(x)^+ (tau - A_perp b) minimizes ||w||^2.
     """
-    f = input_factors(program, x, tols)
-    return (None, math.inf) if f.positive else _exact_negative(f)
-
-
-def _min_error_positive(f: InputFactors) -> tuple[np.ndarray, float, float]:
     program, tols = f.program, f.tols
     minimal_witness(program, tols)  # raises when tau is outside col(A)
     off_perp = restrict(_complement_rows(f), f.q_perp)  # Z^T A_perp
@@ -1185,26 +1187,22 @@ def _min_error_positive(f: InputFactors) -> tuple[np.ndarray, float, float]:
     return freeze(w), float(b @ b), float(w @ w)
 
 
-def min_error_positive(
-    program: SpanProgram, x: Sequence[int], tols: Tolerances = DEFAULT_TOLS
-) -> tuple[np.ndarray, float, float]:
-    """Optimal min-error positive witness: (w_tilde, e_plus, w_tilde_plus).
+def min_error_negative(f: InputFactors) -> tuple[np.ndarray, float, float]:
+    """Optimal min-error negative witness for the input whose factors f are:
+    (omega_tilde A, e_minus, w_tilde_minus).
 
-    Writes w = Q_H a + Q_perp b, so A w = A(x) a + A_perp b with
-    A_perp = A Q_perp, and the error is ||b||^2.  Read in the basis Z of
-    col A(x)^perp, the constraint on b alone is Z^T A_perp b = Z^T tau, whose
-    min-norm solution b = (Z^T A_perp)^+ Z^T tau is the unique minimal error
-    coordinate; then a = A(x)^+ (tau - A_perp b) minimizes ||w||^2.
+    Stage one minimizes ||omega A(x)||^2 over {omega : omega tau = 1}, stage
+    two minimizes ||omega A||^2 among the stage-one minimizers.  On a negative
+    x stage one reaches 0 and the result is the exact negative witness.  On a
+    positive x, with omega = U_r alpha + Z beta and g = U_r^T tau, stage one
+    fixes alpha = Sigma^-2 g / (g^T Sigma^-2 g) and stage two is a least-squares
+    problem in beta.
     """
-    return _min_error_positive(input_factors(program, x, tols))
-
-
-def _min_error_negative(f: InputFactors) -> tuple[np.ndarray, float, float]:
     program = f.program
     if not program.tau.any():
         raise StructuralError("tau = 0: no functional maps tau to 1")
     if not f.positive:
-        row, w_minus = _exact_negative(f)
+        row, w_minus = negative_witness(f)
         return row, 0.0, w_minus
     # omega = U_r alpha + Z beta, where Z^T tau = 0: stage one fixes alpha
     g = f.col_basis.T @ program.tau
@@ -1218,39 +1216,16 @@ def _min_error_negative(f: InputFactors) -> tuple[np.ndarray, float, float]:
     return freeze(row), float(on_x @ on_x), float(row @ row)
 
 
-def min_error_negative(
-    program: SpanProgram, x: Sequence[int], tols: Tolerances = DEFAULT_TOLS
-) -> tuple[np.ndarray, float, float]:
-    """Optimal min-error negative witness: (omega_tilde A, e_minus, w_tilde_minus).
-
-    Stage one minimizes ||omega A(x)||^2 over {omega : omega tau = 1}, stage
-    two minimizes ||omega A||^2 among the stage-one minimizers.  On a negative
-    x stage one reaches 0 and the result is the exact negative witness.  On a
-    positive x, with omega = U_r alpha + Z beta and g = U_r^T tau, stage one
-    fixes alpha = Sigma^-2 g / (g^T Sigma^-2 g) and stage two is a least-squares
-    problem in beta.
-    """
-    return _min_error_negative(input_factors(program, x, tols))
-
-
-def witness_report(
-    program: SpanProgram, x: Sequence[int], tols: Tolerances = DEFAULT_TOLS
-) -> WitnessReport:
-    """Compute all six witness quantities and the optimal witness vectors
-    from one InputFactors: the exact witness of x's sign and the min-error
-    witness of the other."""
-    return _witness_report(input_factors(program, x, tols))
-
-
-def _witness_report(f: InputFactors) -> WitnessReport:
-    """witness_report for the input whose factors f are, so that a caller
-    holding f factors A(x) no second time."""
+def witness_report(f: InputFactors) -> WitnessReport:
+    """All six witness quantities and the optimal witness vectors of the
+    input whose factors f are: the exact witness of x's sign and the
+    min-error witness of the other."""
     if f.positive:
-        vec, w_plus = _exact_positive(f)
-        row, e_minus, wt_minus = _min_error_negative(f)
+        vec, w_plus = positive_witness(f)
+        row, e_minus, wt_minus = min_error_negative(f)
         return WitnessReport(w_plus, math.inf, 0.0, e_minus, w_plus, wt_minus, vec, row)
-    row, w_minus = _exact_negative(f)
-    vec, e_plus, wt_plus = _min_error_positive(f)
+    row, w_minus = negative_witness(f)
+    vec, e_plus, wt_plus = min_error_positive(f)
     return WitnessReport(math.inf, w_minus, e_plus, 0.0, wt_plus, w_minus, vec, row)
 
 

@@ -20,11 +20,11 @@ factors A(x) A(x)^T = U_x S_x^2 U_x^T that spanprog.input_factors holds,
 so the factor is rank-sized and no array as wide as A(x) is made.  For the
 st program those factors come from one eigh of A(x) A(x)^T = 2 L_G, and
 neither A(x) nor its right singular vectors are formed.  An estimator,
-which holds x's InputFactors, forms C(x) from them and reads the measure
-with input_measure_U or input_measure_Uprime, so H(x) is walked once per
-estimate.  row_space_cross takes the InputFactors alone, and C(x) holds
-it: the program, x and Tolerances a measure or a round reads are those
-C(x) was built for, by construction.
+which holds x's InputFactors, forms C(x) from them once and hands it to
+measure_U or measure_Uprime, so H(x) is walked once per estimate.
+row_space_cross and kappa_bound take the InputFactors alone, and C(x)
+holds it; the measures take C(x) alone.  So the program, x and Tolerances
+that each reads are those its argument was built for, by construction.
 
 A threshold round needs the same measure for the scaled program
 scale(P, beta).  scaled_measure_U and scaled_measure_Uprime read it without
@@ -47,12 +47,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from ._linalg import DEFAULT_TOLS, PHASE_ROUND_TOL, Tolerances, freeze
-from .spanprog import InputFactors, SpanProgram, input_factors, minimal_witness
+from ._linalg import PHASE_ROUND_TOL, Tolerances, freeze
+from .spanprog import InputFactors, SpanProgram, minimal_witness
 from .spanprog import _TargetFactors, restrict, scaled_factors
 
 
@@ -203,23 +203,26 @@ def _measure_uprime(y: np.ndarray, cross: np.ndarray, tols: Tolerances) -> Spect
     return SpectralMeasure(phases, weights)
 
 
-def measure_U(
-    program: SpanProgram, x: Sequence[int], tols: Tolerances = DEFAULT_TOLS
-) -> SpectralMeasure:
-    """Spectral measure of w0 under U(P, x) = -R_row(A) R_H(x); w0 lies in row(A).
+def _row_witness(cross: RowSpaceCross) -> np.ndarray:
+    """y = V_r^T w0 of cross's program; w0 = V_r y."""
+    minimal_witness(cross.program, cross.tols)  # raises when tau is outside col(A)
+    return cross.program.factorization(cross.tols).row_witness(cross.program.tau)
+
+
+def measure_U(cross: RowSpaceCross) -> SpectralMeasure:
+    """Spectral measure of w0 under U(P, x) = -R_row(A) R_H(x), for
+    cross = C(x) of P; w0 lies in row(A).
 
     Left singular vector c_k of V_r^T Q_H, at singular value sigma_k, has phase
     2 arcsin(sigma_k) and weight (c_k . V_r^T w0)^2; the rest of V_r^T w0 lies
     in H(x)^perp, fixed by U.  C(x) = V_r^T Q_H is read as row_space_cross
-    gives it (input_measure_U)."""
-    return input_measure_U(row_space_cross(input_factors(program, x, tols)))
+    gives it."""
+    return _measure_u(_row_witness(cross), cross.factor)
 
 
-def measure_Uprime(
-    program: SpanProgram, x: Sequence[int], tols: Tolerances = DEFAULT_TOLS
-) -> SpectralMeasure:
-    """Spectral measure of w0 under U'(P, x) = -R_H(x) R_T^perp, where
-    T^perp = row(A) minus w0 is orthogonal to w0.
+def measure_Uprime(cross: RowSpaceCross) -> SpectralMeasure:
+    """Spectral measure of w0 under U'(P, x) = -R_H(x) R_T^perp, for
+    cross = C(x) of P, where T^perp = row(A) minus w0 is orthogonal to w0.
 
     Left singular vector a_k of Q_H^T Q_T^perp, at singular value sigma_k < 1,
     spans with its partner in T^perp a plane turned by 2 arcsin(sigma_k), on
@@ -228,25 +231,7 @@ def measure_Uprime(
     T (phase pi).  The pairs (sigma_k, a_k) are read from one thin SVD of
     (I - y_hat y_hat^T) C(x), y_hat = V_r^T w0 / ||w0||, whose right singular
     vectors they are, so no basis of T^perp is formed.  C(x) is read as
-    measure_U reads it (input_measure_Uprime)."""
-    return input_measure_Uprime(row_space_cross(input_factors(program, x, tols)))
-
-
-def _row_witness(cross: RowSpaceCross) -> np.ndarray:
-    """y = V_r^T w0 of cross's program; w0 = V_r y."""
-    minimal_witness(cross.program, cross.tols)  # raises when tau is outside col(A)
-    return cross.program.factorization(cross.tols).row_witness(cross.program.tau)
-
-
-def input_measure_U(cross: RowSpaceCross) -> SpectralMeasure:
-    """measure_U(P, x) for cross = C(x) of P, so that a caller holding x's
-    Q_H (an InputFactors) walks H(x) no second time."""
-    return _measure_u(_row_witness(cross), cross.factor)
-
-
-def input_measure_Uprime(cross: RowSpaceCross) -> SpectralMeasure:
-    """measure_Uprime(P, x) for cross = C(x) of P, read as input_measure_U
-    reads it."""
+    measure_U reads it."""
     return _measure_uprime(_row_witness(cross), cross.factor, cross.tols)
 
 
@@ -304,29 +289,22 @@ def _scaled_pair(cross: RowSpaceCross, beta: float) -> tuple[np.ndarray, np.ndar
 
 
 def scaled_measure_U(cross: RowSpaceCross, beta: float) -> SpectralMeasure:
-    """measure_U(scale(P, beta), x) for cross = C(x) of P, from the
+    """measure_U of scale(P, beta) at x, for cross = C(x) of P, from the
     (r+1)-row pair _scaled_pair builds, so that neither P_beta nor H(x) is
     built again; one SVD, of L_beta."""
     return _measure_u(*_scaled_pair(cross, beta))
 
 
 def scaled_measure_Uprime(cross: RowSpaceCross, beta: float) -> SpectralMeasure:
-    """measure_Uprime(scale(P, beta), x) for cross = C(x) of P, read as
-    scaled_measure_U reads it; one SVD, of (I - w_hat w_hat^T) L_beta."""
+    """measure_Uprime of scale(P, beta) at x, for cross = C(x) of P, read
+    as scaled_measure_U reads it; one SVD, of (I - w_hat w_hat^T) L_beta."""
     return _measure_uprime(*_scaled_pair(cross, beta), cross.tols)
 
 
-def kappa_bound(
-    program: SpanProgram, x: Sequence[int], tols: Tolerances = DEFAULT_TOLS
-) -> tuple[float, float]:
-    """Phase-gap lower bound 2 sigma_min(A(x)) / sigma_max(A), valid for both
-    U(P, x) and (when x is positive) U'(P, x); returned once per unitary."""
-    bound = _kappa_bound(input_factors(program, x, tols))
-    return bound, bound
-
-
-def _kappa_bound(f: InputFactors) -> float:
-    """kappa_bound's bound, read once, from the input's factors f."""
+def kappa_bound(f: InputFactors) -> float:
+    """Phase-gap lower bound 2 sigma_min(A(x)) / sigma_max(A) of the input
+    whose factors f are, valid for both U(P, x) and (when x is positive)
+    U'(P, x).  Raises ValueError when A(x) = 0."""
     if f.sigma.size == 0:
         raise ValueError("A(x) = 0: the phase-gap bound is degenerate")
     return 2.0 * float(f.sigma[-1]) / f.a_scale

@@ -54,20 +54,15 @@ from .generators import (
     random_projector_pair,
     random_span_program,
 )
-from .resistance import (
-    build_st_span_program,
-    exact_resistance,
-    graph_input,
-    lambda2,
-    witness_equals_half_resistance,
-)
+from .resistance import _spectral_oracle, build_st_span_program, graph_input
+from .resistance import witness_equals_half_resistance
 from .oracle import build_U, build_U_and_Uprime, decompose_orthogonal, discriminant, scale
 from .oracle import flow_resistance_bruteforce, intersection_dims, subspace_projector
 from .oracle import verify_reflection_factorization
 from .qsim import outcome_zero_probability
-from .spanprog import _witness_report, input_factors, minimal_negative_value, minimal_witness
-from .spanprog import normalize, witness_report
-from .spectral import _kappa_bound, input_measure_U, input_measure_Uprime, row_space_cross
+from .spanprog import input_factors, minimal_negative_value, minimal_witness, normalize
+from .spanprog import witness_report
+from .spectral import kappa_bound, measure_U, measure_Uprime, row_space_cross
 
 THETA_GRID = [0.05 * k for k in range(1, 31)]
 PE_GRIDS = (2, 16, 256)  # phase-estimation grid sizes the estimator path is compared on
@@ -214,7 +209,7 @@ def _duality_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
         float(np.max(np.abs(np.asarray(row0) - np.asarray(mw.w0) / mw.n_plus))),
     )
     for x in all_inputs(program):
-        rep = witness_report(program, x, tols)
+        rep = witness_report(input_factors(program, x, tols))
         if math.isinf(rep.w_plus) == math.isinf(rep.w_minus):
             partition_violations += 1
             continue
@@ -277,15 +272,15 @@ def _spectral_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
     for x in all_inputs(program):
         # one factoring of A(x) serves the witness report and both measures
         f = input_factors(program, x, tols)
-        rep = _witness_report(f)
+        rep = witness_report(f)
         cross = row_space_cross(f)
         dec, decp = build_U_and_Uprime(program, x, tols)
         worst_measure_u = max(
-            worst_measure_u, _measure_gap(input_measure_U(cross), dec.measure(w0))
+            worst_measure_u, _measure_gap(measure_U(cross), dec.measure(w0))
         )
         if math.isfinite(rep.w_plus):
             worst_measure_up = max(
-                worst_measure_up, _measure_gap(input_measure_Uprime(cross), decp.measure(w0))
+                worst_measure_up, _measure_gap(measure_Uprime(cross), decp.measure(w0))
             )
         inv_wm = 0.0 if math.isinf(rep.w_minus) else 1.0 / rep.w_minus
         inv_wp = 0.0 if math.isinf(rep.w_plus) else 1.0 / rep.w_plus
@@ -367,7 +362,7 @@ def _scaling_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
         worst_idem,
         float(np.max(np.abs(np.asarray(renormalized.tau) - np.asarray(normalized.tau)))),
     )
-    reports = {x: witness_report(program, x, tols) for x in all_inputs(program)}
+    reports = {x: witness_report(input_factors(program, x, tols)) for x in all_inputs(program)}
     for beta in betas:
         scaled = scale(program, beta, tols)
         mws = minimal_witness(scaled, tols)
@@ -378,7 +373,7 @@ def _scaling_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
         expect_w0[program.dim_h + 1] = beta / math.sqrt(beta**2 + n_plus)
         worst_eq = max(worst_eq, float(np.max(np.abs(np.asarray(mws.w0) - expect_w0))))
         for x, rep in reports.items():
-            rep_s = witness_report(scaled, x, tols)
+            rep_s = witness_report(input_factors(scaled, x, tols))
             if math.isfinite(rep.w_minus):
                 expect = beta**2 * rep.w_minus + 1.0
                 worst_eq = max(worst_eq, abs(rep_s.w_minus - expect) / expect)
@@ -484,7 +479,7 @@ def _kappa_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
     for x in all_inputs(program):
         f = input_factors(program, x, tols)
         try:
-            bound = _kappa_bound(f)
+            bound = kappa_bound(f)
         except ValueError:
             continue
         if f.positive:
@@ -503,7 +498,8 @@ def _kappa_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
     # and the projector U_r U_r^T
     fact = program.factorization(tols)
     col_basis, sigma, _, top = svd_factors(program.a_mat, tols)
-    lam = lambda2(g)
+    # lambda2 and R_st from one eigh of the Laplacian
+    lam, res = _spectral_oracle(g, g.connected_st())
     if lam > 1e-9:
         worst_sigma = max(
             worst_sigma, abs(float(factors.sigma[-1]) - math.sqrt(2.0 * lam)) / top
@@ -515,10 +511,9 @@ def _kappa_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
         if fact.sigma.shape == sigma.shape else math.inf,
         float(np.max(np.abs(fact.col_basis @ fact.col_basis.T - col_basis @ col_basis.T))),
     )
-    res = exact_resistance(g)
     if math.isfinite(res) and len(g.edges) <= 8:
         worst_res = max(worst_res, abs(res - flow_resistance_bruteforce(g)))
-    check = witness_equals_half_resistance(g, tols)
+    check = witness_equals_half_resistance(factors, res)
     if not check.ok:
         worst_res = math.inf
     return worst_u, worst_up, worst_sigma, worst_res

@@ -27,7 +27,7 @@ from spanforge.resistance import build_st_span_program, exact_resistance, graph_
 from spanforge.resistance import witness_equals_half_resistance
 from spanforge.spanprog import SpanProgram, input_factors, minimal_witness, normalize
 from spanforge.spanprog import witness_report
-from spanforge.spectral import kappa_bound, measure_U, measure_Uprime
+from spanforge.spectral import kappa_bound, measure_U, measure_Uprime, row_space_cross
 from spanforge.verify import THETA_GRID, _measure_gap, _rng
 
 
@@ -139,17 +139,14 @@ def per_call_spectral_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
     program = normalize(random_span_program(rng), tols)
     w0 = np.asarray(minimal_witness(program, tols).w0)
     for x in all_inputs(program):
-        rep = witness_report(program, x, tols)
+        rep = witness_report(input_factors(program, x, tols))
         dec = build_U(program, x, tols)
         decp = build_Uprime(program, x, tols)
-        worst_measure_u = max(
-            worst_measure_u, _measure_gap(measure_U(program, x, tols), dec.measure(w0))
-        )
+        fast_u = measure_U(row_space_cross(input_factors(program, x, tols)))
+        worst_measure_u = max(worst_measure_u, _measure_gap(fast_u, dec.measure(w0)))
         if math.isfinite(rep.w_plus):
-            worst_measure_up = max(
-                worst_measure_up,
-                _measure_gap(measure_Uprime(program, x, tols), decp.measure(w0)),
-            )
+            fast_up = measure_Uprime(row_space_cross(input_factors(program, x, tols)))
+            worst_measure_up = max(worst_measure_up, _measure_gap(fast_up, decp.measure(w0)))
         inv_wm = 0.0 if math.isinf(rep.w_minus) else 1.0 / rep.w_minus
         inv_wp = 0.0 if math.isinf(rep.w_plus) else 1.0 / rep.w_plus
         worst_p0_neg = max(
@@ -190,12 +187,12 @@ def per_call_kappa_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
     program = random_span_program(rng)
     for x in all_inputs(program):
         try:
-            bound, _ = kappa_bound(program, x, tols)
+            bound = kappa_bound(input_factors(program, x, tols))
         except ValueError:
             continue
         dec = build_U(program, x, tols)
         worst_u = max(worst_u, bound - dec.phase_gap())
-        rep = witness_report(program, x, tols)
+        rep = witness_report(input_factors(program, x, tols))
         if math.isfinite(rep.w_plus):
             decp = build_Uprime(program, x, tols)
             worst_up = max(worst_up, bound - decp.phase_gap())
@@ -221,7 +218,9 @@ def per_call_kappa_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
     res = exact_resistance(g)
     if math.isfinite(res) and len(g.edges) <= 8:
         worst_res = max(worst_res, abs(res - flow_resistance_bruteforce(g)))
-    check = witness_equals_half_resistance(g, tols)
+    st = build_st_span_program(g.n, g.s, g.t)
+    check = witness_equals_half_resistance(input_factors(st, graph_input(g), tols),
+                                           exact_resistance(g))
     if not check.ok:
         worst_res = math.inf
     return worst_u, worst_up, worst_sigma, worst_res

@@ -43,6 +43,7 @@ from spanforge.oracle import (
     verify_reflection_factorization,
 )
 from spanforge.spanprog import (
+    input_factors,
     minimal_witness,
     normalize,
     or_span_program,
@@ -85,7 +86,7 @@ def test_criterion_01_duality_products():
     for index in range(ENSEMBLE_SIZE):
         program = ensemble_program(index)
         for x in all_inputs(program):
-            rep = witness_report(program, x)
+            rep = witness_report(input_factors(program, x))
             assert math.isinf(rep.w_plus) != math.isinf(rep.w_minus)
             if math.isfinite(rep.w_minus):
                 assert abs(rep.w_minus * rep.e_plus - 1.0) <= 1e-8 * rep.w_minus
@@ -103,7 +104,7 @@ def test_criterion_02_and_03_fixed_space_and_effective_gap():
         program = normalize(ensemble_program(index))
         w0 = np.asarray(minimal_witness(program).w0)
         for x in all_inputs(program):
-            rep = witness_report(program, x)
+            rep = witness_report(input_factors(program, x))
             inv_wm = 0.0 if math.isinf(rep.w_minus) else 1.0 / rep.w_minus
             inv_wp = 0.0 if math.isinf(rep.w_plus) else 1.0 / rep.w_plus
             over_u = cluster_overlaps(build_U(program, x), w0)
@@ -162,19 +163,19 @@ def test_criterion_05_phase_gap_bounds():
             if checked >= 100:
                 break
             try:
-                bound, _ = kappa_bound(program, x)
+                bound = kappa_bound(input_factors(program, x))
             except ValueError:
                 continue
             checked += 1
             assert build_U(program, x).phase_gap() >= bound - 1e-8
-            _, w_plus = positive_witness(program, x)
+            _, w_plus = positive_witness(input_factors(program, x))
             if math.isfinite(w_plus):
                 assert build_Uprime(program, x).phase_gap() >= bound - 1e-8
 
     for g in connected_graphs_upto(7):
         program = build_st_span_program(g.n, g.s, g.t)
         x = graph_input(g)
-        bound, _ = kappa_bound(program, x)
+        bound = kappa_bound(input_factors(program, x))
         assert build_U(program, x).phase_gap() >= bound - 1e-8
         assert build_Uprime(program, x).phase_gap() >= bound - 1e-8
 
@@ -196,8 +197,8 @@ def test_criterion_06_scaling_theorem():
             expect_w0[program.dim_h + 1] = beta / math.sqrt(beta**2 + n_plus)
             np.testing.assert_allclose(np.asarray(mws.w0), expect_w0, atol=1e-8)
             for x in all_inputs(program):
-                rep = witness_report(program, x)
-                rep_s = witness_report(scaled, x)
+                rep = witness_report(input_factors(program, x))
+                rep_s = witness_report(input_factors(scaled, x))
                 if math.isfinite(rep.w_minus):
                     expect = beta**2 * rep.w_minus + 1.0
                     assert abs(rep_s.w_minus - expect) <= 1e-8 * expect
@@ -215,7 +216,7 @@ def test_criterion_07_resistance_identity():
     for g in connected_graphs_upto(7):
         program = build_st_span_program(g.n, g.s, g.t)
         x = graph_input(g)
-        _, w_plus = positive_witness(program, x)
+        _, w_plus = positive_witness(input_factors(program, x))
         res = exact_resistance(g)
         assert abs(w_plus - res / 2.0) <= 1e-8 * max(1.0, res)
         ax = np.asarray(program.a_mat) @ subspace_projector(program, x)
@@ -230,7 +231,7 @@ def test_criterion_07_resistance_identity():
         g = random_graph(rng, int(rng.integers(3, 9)), edge_prob=0.5,
                          require_connected=False)
         program = build_st_span_program(g.n, g.s, g.t)
-        _, w_plus = positive_witness(program, graph_input(g))
+        _, w_plus = positive_witness(input_factors(program, graph_input(g)))
         res = exact_resistance(g)
         if math.isinf(res):
             assert math.isinf(w_plus)

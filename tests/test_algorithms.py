@@ -26,12 +26,13 @@ from spanforge.algorithms import (
 from spanforge.qsim import QueryLedger, amplitude_estimation
 from spanforge.spanprog import (
     GloballyInfeasibleError,
+    input_factors,
     minimal_witness,
     normalize,
     or_span_program,
     positive_witness,
 )
-from spanforge.spectral import kappa_bound
+from spanforge.spectral import kappa_bound, row_space_cross
 from spanforge.resistance import build_st_span_program, complete_graph, graph, graph_input, lambda2
 
 
@@ -89,7 +90,7 @@ def test_decide_threshold_query_accounting_factorizes():
 
     program = or_span_program(4)
     spec = ThresholdSpec(side=POSITIVE, lam=0.5, w_bound=0.5, w_tilde_bound=4.0)
-    ctx = decision_context(program, (1, 1, 0, 0), spec)
+    ctx = decision_context(row_space_cross(input_factors(program, (1, 1, 0, 0))), spec)
     ledger = QueryLedger()
     decide_threshold(program, (1, 1, 0, 0), spec, np.random.default_rng(0), ledger)
     expected = amp_gap_grid_size(ctx.p0, ctx.p1) * 2 * (ctx.pe_grid - 1)
@@ -212,7 +213,7 @@ def test_witness_estimate_pinned_seed_reproducible():
 def test_gap_estimate_or():
     program = normalize(or_span_program(4))
     x = (1, 1, 0, 0)
-    bound, _ = kappa_bound(program, x)
+    bound = kappa_bound(input_factors(program, x))
     hits = 0
     for seed in range(30):
         rng = np.random.default_rng([seed, 14])
@@ -228,7 +229,8 @@ def test_estimates_on_one_program_answer_for_their_own_input():
     # (w+ = 1): the second estimate must match one made on a fresh program
     program = normalize(or_span_program(6))
     first, second = (1, 0, 0, 0, 0, 0), (1, 1, 1, 1, 1, 1)
-    bound = min(kappa_bound(program, first)[0], kappa_bound(program, second)[0])
+    bound = min(kappa_bound(input_factors(program, first)),
+                kappa_bound(input_factors(program, second)))
 
     def witness(p, x):
         return witness_estimate(p, x, 0.25, POSITIVE, np.random.default_rng(3), QueryLedger())
@@ -275,8 +277,8 @@ def test_kappa_estimate_normalized_witness_relation():
     x = graph_input(complete_graph(4))
     n_plus = minimal_witness(program).n_plus
     normalized = normalize(program)
-    _, w_raw = positive_witness(program, x)
-    _, w_norm = positive_witness(normalized, x)
+    _, w_raw = positive_witness(input_factors(program, x))
+    _, w_norm = positive_witness(input_factors(normalized, x))
     assert w_norm == pytest.approx(w_raw / n_plus, rel=1e-10)
 
 

@@ -58,13 +58,7 @@ from spanforge.spanprog import (
     validate,
     witness_report,
 )
-from spanforge.spectral import (
-    input_measure_U,
-    input_measure_Uprime,
-    measure_U,
-    measure_Uprime,
-    row_space_cross,
-)
+from spanforge.spectral import measure_U, measure_Uprime, row_space_cross
 from spanforge.verify import suite_kappa
 
 from test_input_route import degenerate_programs
@@ -177,18 +171,16 @@ def test_closed_form_inputs_measures_and_witnesses_match_the_svd_route(n):
             assert_same_span(getattr(mine, part), getattr(theirs, part))
 
         crosses = [row_space_cross(input_factors(p, x)) for p in (unit, unit_oracle)]
-        pairs = [(measure_U(unit, x), measure_U(unit_oracle, x)),
-                 tuple(input_measure_U(cross) for cross in crosses)]
+        pairs = [tuple(measure_U(cross) for cross in crosses)]
         if mine.positive:
-            pairs.append((measure_Uprime(unit, x), measure_Uprime(unit_oracle, x)))
-            pairs.append(tuple(input_measure_Uprime(cross) for cross in crosses))
+            pairs.append(tuple(measure_Uprime(cross) for cross in crosses))
         for fast, slow in pairs:
             for grid in GRIDS:
                 assert outcome_zero_probability(fast, grid) == pytest.approx(
                     outcome_zero_probability(slow, grid), abs=RTOL
                 )
 
-        rep, ref = witness_report(program, x), witness_report(oracle, x)
+        rep, ref = witness_report(mine), witness_report(theirs)
         for field in ("w_plus", "w_minus", "e_plus", "e_minus", "w_tilde_plus", "w_tilde_minus"):
             assert close(getattr(rep, field), getattr(ref, field)), field
         for field in ("witness_vec", "neg_witness_row"):
@@ -292,14 +284,14 @@ def test_gram_route_matches_a_dense_a_and_the_svd_route(name):
     assert mine.positive == theirs.positive == g.connected_st()
     np.testing.assert_allclose(mine.sigma, theirs.sigma, rtol=1e-11)
     if mine.positive:
-        assert close(positive_witness(program, x, tols)[1], positive_witness(twin, x, tols)[1])
+        assert close(positive_witness(mine)[1], positive_witness(theirs)[1])
         if name == "path-200":
             # the witness vector itself, refined once, has R_st / 2 = 99.5 as
             # its squared norm
-            w = positive_witness(program, x, tols)[0]
+            w = positive_witness(mine)[0]
             assert abs(w @ w - 99.5) <= 1e-13 * 99.5
     else:
-        assert close(negative_witness(program, x, tols)[1], negative_witness(twin, x, tols)[1])
+        assert close(negative_witness(mine)[1], negative_witness(theirs)[1])
 
     unit, unit_twin = normalize(program, tols), normalize(twin, tols)
     rot = unit_twin.factorization(tols).row_basis.T @ unit.factorization(tols).row_basis
@@ -310,7 +302,7 @@ def test_gram_route_matches_a_dense_a_and_the_svd_route(name):
     cross_twin = row_space_cross(input_factors(unit_twin, x, tols))
     np.testing.assert_allclose(rot @ cross.factor @ cross.factor.T @ rot.T,
                                cross_twin.factor @ cross_twin.factor.T, rtol=0.0, atol=RTOL)
-    measures = [input_measure_U] + ([input_measure_Uprime] if mine.positive else [])
+    measures = [measure_U] + ([measure_Uprime] if mine.positive else [])
     for measure in measures:
         fast, slow = measure(cross), measure(cross_twin)
         for grid in GRIDS:
@@ -335,17 +327,19 @@ def test_witness_code_reads_an_incidence_a_without_forming_it(monkeypatch):
     for g, tols in cases:
         twin = svd_route(build_st_span_program(g.n, g.s, g.t))
         x = graph_input(g)
-        expected.append((witness_report(twin, x, tols), min_error_positive(twin, x, tols),
-                         min_error_negative(twin, x, tols), minimal_negative_value(twin, tols)))
+        f = input_factors(twin, x, tols)
+        expected.append((witness_report(f), min_error_positive(f), min_error_negative(f),
+                         minimal_negative_value(twin, tols)))
     forbid_dense_a(monkeypatch)
     for (g, tols), (report, pos, neg, glob) in zip(cases, expected):
         program = build_st_span_program(g.n, g.s, g.t)
         x = graph_input(g)
-        mine = witness_report(program, x, tols)
+        f = input_factors(program, x, tols)
+        mine = witness_report(f)
         for field in ("w_plus", "w_minus", "e_plus", "e_minus", "w_tilde_plus", "w_tilde_minus"):
             assert close(getattr(mine, field), getattr(report, field)), field
-        for got, want in ((min_error_positive(program, x, tols), pos),
-                          (min_error_negative(program, x, tols), neg),
+        for got, want in ((min_error_positive(f), pos),
+                          (min_error_negative(f), neg),
                           (minimal_negative_value(program, tols), glob)):
             for a, b in zip(got, want):
                 np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-10)
@@ -356,10 +350,10 @@ def test_witness_code_reads_an_incidence_a_without_forming_it(monkeypatch):
     n = 700
     program = build_st_span_program(n, 0, n - 1)
     assert program.dim_v * program.dim_h > DENSE_A_ENTRY_CAP
-    positive = witness_report(program, graph_input(path_graph(n)))
+    positive = witness_report(input_factors(program, graph_input(path_graph(n))))
     assert positive.w_plus == pytest.approx((n - 1) / 2, rel=1e-9)
     assert math.isfinite(positive.e_minus) and math.isfinite(positive.w_tilde_minus)
-    negative = witness_report(program, graph_input(path_graph(n, cut=350)))
+    negative = witness_report(input_factors(program, graph_input(path_graph(n, cut=350))))
     assert negative.w_minus == pytest.approx(2 * 351 * 349, rel=1e-9)
     assert math.isfinite(negative.e_plus) and math.isfinite(negative.w_tilde_plus)
 
@@ -531,7 +525,7 @@ def test_per_symbol_store_matches_a_store_keyed_by_position(family, n):
         f_mine, f_theirs = input_factors(program, x), input_factors(twin, x)
         assert same_bits(f_mine.a_x, f_theirs.a_x)
         assert same_bits(row_space_cross(f_mine).factor, row_space_cross(f_theirs).factor)
-        assert same_report(witness_report(program, x), witness_report(twin, x))
+        assert same_report(witness_report(f_mine), witness_report(f_theirs))
 
 
 def test_malformed_per_symbol_stores_are_refused():

@@ -33,8 +33,9 @@ from spanforge.qsim import (
     pe_grid_size,
 )
 from spanforge.resistance import build_st_span_program, complete_graph, graph, graph_input
-from spanforge.spanprog import minimal_witness, normalize, or_span_program, positive_witness
-from spanforge.spectral import kappa_bound
+from spanforge.spanprog import input_factors, minimal_witness, normalize, or_span_program
+from spanforge.spanprog import positive_witness
+from spanforge.spectral import kappa_bound, row_space_cross
 
 
 def majority_tail(p_one: float, reps: int) -> float:
@@ -66,7 +67,7 @@ def exact_witness_estimate_success(program, x, eps, w_true, wt_bound) -> float:
         if key not in ctx_cache:
             spec = ThresholdSpec(side=POSITIVE, lam=e0 / e1, w_bound=1.0 / e1,
                                  w_tilde_bound=wt_bound)
-            ctx = decision_context(program, x, spec)
+            ctx = decision_context(row_space_cross(input_factors(program, x)), spec)
             grid = amp_gap_grid_size(ctx.p0, ctx.p1)
             dist = ae_outcome_distribution(ctx.p_exact, grid)
             p_high = float(np.sum(dist[ae_estimates(grid) >= amp_gap_threshold(ctx.p0, ctx.p1)]))
@@ -140,7 +141,7 @@ def test_witness_estimate_success_probability_exact_path_graph():
     g = graph(3, [(0, 1), (1, 2)], 0, 2)
     program = normalize(build_st_span_program(g.n, g.s, g.t))
     x = graph_input(g)
-    _, w_true = positive_witness(program, x)
+    _, w_true = positive_witness(input_factors(program, x))
     success = exact_witness_estimate_success(program, x, 0.2, w_true, 2.0 * g.n)
     assert success >= 2.0 / 3.0, f"exact success probability {success:.4f}"
 
@@ -150,8 +151,8 @@ def test_gap_estimate_success_probability_exact():
     g = complete_graph(4)
     program = normalize(build_st_span_program(g.n, g.s, g.t))
     x = graph_input(g)
-    _, w_true = positive_witness(program, x)
-    delta_lb, _ = kappa_bound(program, x)
+    _, w_true = positive_witness(input_factors(program, x))
+    delta_lb = kappa_bound(input_factors(program, x))
     dec = build_Uprime(program, x)
     w0 = np.asarray(minimal_witness(program).w0)
     success = exact_gap_estimate_success(dec, w0, w_true, 0.2, delta_lb)
@@ -162,7 +163,7 @@ def test_gap_estimate_success_probability_exact_path_graph():
     g = graph(3, [(0, 1), (1, 2)], 0, 2)
     program = normalize(build_st_span_program(g.n, g.s, g.t))
     x = graph_input(g)
-    _, w_true = positive_witness(program, x)
+    _, w_true = positive_witness(input_factors(program, x))
     lam2 = 1.0  # exact algebraic connectivity of the 3-path
     delta_lb = 2.0 / math.sqrt(g.n / lam2)
     dec = build_Uprime(program, x)

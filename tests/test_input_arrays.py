@@ -92,7 +92,7 @@ def test_check_input_takes_the_empty_input_of_a_program_without_positions():
         assert got.shape == (0,) and got.dtype == np.intp and not got.flags.writeable
     with pytest.raises(StructuralError, match="length"):
         program.check_input((0,))
-    assert witness_report(program, ()).w_plus == pytest.approx(1.0)
+    assert witness_report(input_factors(program, ())).w_plus == pytest.approx(1.0)
 
 
 def test_check_input_keeps_a_held_array_and_copies_a_writeable_one():
@@ -142,7 +142,13 @@ def assert_same_bits(mine, theirs):
 def assert_forms_agree(program, x):
     """The tuple and array forms of x give the same bits everywhere."""
     forms = (tuple(int(a) for a in x), np.array(x), np.array(x, dtype=np.int8))
-    for fn in (witness_report, input_factors, measure_U, measure_Uprime):
+    routes = (
+        lambda p, x: witness_report(input_factors(p, x)),
+        input_factors,
+        lambda p, x: measure_U(row_space_cross(input_factors(p, x))),
+        lambda p, x: measure_Uprime(row_space_cross(input_factors(p, x))),
+    )
+    for fn in routes:
         want = outcome(fn, program, forms[0])
         for form in forms[1:]:
             assert_same_bits(outcome(fn, program, form), want)

@@ -4,6 +4,7 @@ the dense oracle (at run time, and in the import graph), and the memory the
 per-input route allocates."""
 
 import ast
+import inspect
 import math
 import sys
 import tracemalloc
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spanforge import oracle
+import spanforge
+from spanforge import algorithms, oracle, spanprog, spectral
 from spanforge.algorithms import NEGATIVE, POSITIVE, gap_estimate, witness_estimate
 from spanforge.generators import all_inputs, random_span_program
 from spanforge.oracle import (
@@ -36,6 +38,7 @@ from spanforge.resistance import (
     lambda2,
 )
 from spanforge.spanprog import (
+    InputFactors,
     SpanProgram,
     input_factors,
     minimal_witness,
@@ -47,7 +50,7 @@ from spanforge.spanprog import (
     validate,
     witness_report,
 )
-from spanforge.spectral import kappa_bound
+from spanforge.spectral import RowSpaceCross, kappa_bound
 
 from oracles import (
     oracle_min_error_negative,
@@ -81,7 +84,7 @@ def dense_kappa_bound(program, x):
 
 
 def assert_matches_dense_references(program, x):
-    rep = witness_report(program, x)
+    rep = witness_report(input_factors(program, x))
     w_ref = dense_positive_witness(program, x)
     assert (w_ref is None) == math.isinf(rep.w_plus)
     if w_ref is None:
@@ -104,9 +107,9 @@ def assert_matches_dense_references(program, x):
     bound_ref = dense_kappa_bound(program, x)
     if bound_ref is None:
         with pytest.raises(ValueError):
-            kappa_bound(program, x)
+            kappa_bound(input_factors(program, x))
     else:
-        assert kappa_bound(program, x) == pytest.approx((bound_ref, bound_ref), rel=RTOL)
+        assert kappa_bound(input_factors(program, x)) == pytest.approx(bound_ref, rel=RTOL)
 
 
 @settings(max_examples=60, deadline=None)
@@ -170,7 +173,7 @@ def test_degenerate_programs_reach_their_cases():
     only_true = subspace_projector(programs["empty-symbols"], (0, 0))
     assert np.allclose(only_true, np.diag([0.0, 1.0, 0.0]))
     deficient = programs["rank-deficient"]
-    _, w_plus = positive_witness(deficient, (1, 1, 0))
+    _, w_plus = positive_witness(input_factors(deficient, (1, 1, 0)))
     assert w_plus == pytest.approx(0.5, rel=RTOL)
     ax = deficient.a_mat @ subspace_projector(deficient, (1, 1, 0))
     assert np.linalg.matrix_rank(ax) == 1
@@ -197,7 +200,7 @@ def test_witness_report_takes_one_svd_of_a_x(monkeypatch):
     for x in all_inputs(program):
         ax = restrict(program.a_mat, subspace_blocks(program, x)[0])
         seen.clear()
-        rep = witness_report(program, x)
+        rep = witness_report(input_factors(program, x))
         signs.add(math.isfinite(rep.w_plus))
         assert sum(m.shape == ax.shape and np.array_equal(m, ax) for m in seen) == 1
     assert signs == {True, False}
@@ -294,6 +297,55 @@ def test_no_estimator_module_imports_the_oracle(module):
     assert oracle_imports(source) == []
 
 
+# each per-input quantity is one function of x's InputFactors, or of the
+# RowSpaceCross built from them; these are the private twins it replaced
+PER_INPUT = {
+    spanprog.positive_witness: InputFactors,
+    spanprog.negative_witness: InputFactors,
+    spanprog.min_error_positive: InputFactors,
+    spanprog.min_error_negative: InputFactors,
+    spanprog.witness_report: InputFactors,
+    spectral.kappa_bound: InputFactors,
+    spectral.measure_U: RowSpaceCross,
+    spectral.measure_Uprime: RowSpaceCross,
+    algorithms.decision_context: RowSpaceCross,
+}
+TWINS = {"_exact_positive", "_exact_negative", "_min_error_positive", "_min_error_negative",
+         "_witness_report", "_kappa_bound", "_round_context"}
+
+
+def twin_imports(source: str) -> list[str]:
+    """The import statements of a module's source that bring in one of
+    TWINS, and any attribute of that name it reads, walked as
+    oracle_imports walks them."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and TWINS & {
+            name for a in node.names for name in (a.name, a.asname)
+        }:
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Attribute) and node.attr in TWINS:
+            found.append(ast.unparse(node))
+    return found
+
+
+@pytest.mark.parametrize("fn", list(PER_INPUT), ids=lambda fn: fn.__name__)
+def test_a_per_input_quantity_takes_the_factors_alone(fn):
+    params = inspect.signature(fn, eval_str=True).parameters.values()
+    required = [p for p in params if p.default is p.empty and p.name != "spec"]
+    assert [p.annotation for p in required] == [PER_INPUT[fn]]
+
+
+def test_no_module_imports_a_private_twin():
+    assert twin_imports("from .spanprog import _exact_negative, input_factors")
+    assert twin_imports("from . import algorithms\nalgorithms._round_context(c, s)")
+    assert not twin_imports("from .spanprog import negative_witness")
+    for path in sorted(Path(oracle.__file__).parent.glob("*.py")):
+        assert twin_imports(path.read_text()) == [], path.name
+    assert "input_factors" in spanforge.__all__
+    assert spanforge.input_factors is spanprog.input_factors
+
+
 def test_estimators_never_reach_the_dense_oracle(dense_oracle_forbidden):
     rng = np.random.default_rng(3)
     g = graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 3), (1, 4)], s=0, t=5)
@@ -311,7 +363,7 @@ def test_estimators_never_reach_the_dense_oracle(dense_oracle_forbidden):
     program = normalize(build_st_span_program(4, 0, 3))
     for edges, side in (([(0, 1), (1, 2), (2, 3)], POSITIVE), ([(0, 1), (2, 3)], NEGATIVE)):
         x = graph_input(graph(4, edges, s=0, t=3))
-        delta, _ = kappa_bound(program, x)
+        delta = kappa_bound(input_factors(program, x))
         result = gap_estimate(program, x, 0.25, delta, side, rng, QueryLedger())
         assert result.queries > 0
 
@@ -330,5 +382,5 @@ def test_per_input_route_allocates_no_dim_h_squared_array():
     program = normalize(build_st_span_program(48, 0, 1))
     x = graph_input(complete_graph(48, s=0, t=1))
     minimal_witness(program)  # A's factorization is per program, not per input
-    assert peak_bytes(lambda: positive_witness(program, x)) < 10e6
-    assert peak_bytes(lambda: kappa_bound(program, x)) < 10e6
+    assert peak_bytes(lambda: positive_witness(input_factors(program, x))) < 10e6
+    assert peak_bytes(lambda: kappa_bound(input_factors(program, x))) < 10e6

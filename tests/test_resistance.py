@@ -35,6 +35,7 @@ from spanforge.resistance import (
 from spanforge.spanprog import (
     SpanProgram,
     StructuralError,
+    input_factors,
     minimal_witness,
     min_error_negative,
     negative_witness,
@@ -237,7 +238,7 @@ def test_subspace_store_owns_a_shared_matrix_and_checks_each_new_layout():
     np.testing.assert_array_equal(stored[0], np.eye(2))
     with pytest.raises(ValueError):
         stored[0][0, 1] = 5.0
-    assert positive_witness(program, (1, 1, 1))[1] == pytest.approx(1.0 / 3.0)
+    assert positive_witness(input_factors(program, (1, 1, 1)))[1] == pytest.approx(1.0 / 3.0)
 
     # the store was checked against the old layout; a new one is checked again
     with pytest.raises(StructuralError, match="rows"):
@@ -315,14 +316,14 @@ def test_st_program_projector_selects_edge_coordinates():
 def test_st_program_triangle_positive_witness():
     # frozen from the Laplacian oracle: R(K3) = 2/3, so w_+ = 1/3
     program = build_st_span_program(3, 0, 1)
-    _, w_plus = positive_witness(program, graph_input(complete_graph(3, 0, 1)))
+    _, w_plus = positive_witness(input_factors(program, graph_input(complete_graph(3, 0, 1))))
     assert w_plus == pytest.approx(1.0 / 3.0, rel=1e-10)
 
 
 def test_st_program_empty_graph_negative_witness():
     # frozen from the KKT oracle: the empty graph gives w_- = n = N_-
     program = build_st_span_program(4, 0, 3)
-    _, w_minus = negative_witness(program, (0,) * 6)
+    _, w_minus = negative_witness(input_factors(program, (0,) * 6))
     assert w_minus == pytest.approx(4.0, rel=1e-8)
     assert minimal_witness(program).n_minus == pytest.approx(4.0, rel=1e-10)
 
@@ -341,12 +342,19 @@ def test_st_program_sigma_min_is_sqrt_two_lambda2():
         assert observed == pytest.approx(math.sqrt(2.0 * lam), abs=1e-8)
 
 
+def half_resistance_check(g):
+    """witness_equals_half_resistance on g's st program and input."""
+    program = build_st_span_program(g.n, g.s, g.t)
+    return witness_equals_half_resistance(input_factors(program, graph_input(g)),
+                                          exact_resistance(g))
+
+
 def test_witness_equals_half_resistance_examples():
-    check = witness_equals_half_resistance(complete_graph(4))
+    check = half_resistance_check(complete_graph(4))
     assert check.ok
     assert check.w_plus == pytest.approx(0.25, rel=1e-10)
     assert check.resistance == pytest.approx(0.5, rel=1e-10)
-    disconnected = witness_equals_half_resistance(graph(4, [(0, 1), (2, 3)], 0, 3))
+    disconnected = half_resistance_check(graph(4, [(0, 1), (2, 3)], 0, 3))
     assert disconnected.ok and math.isinf(disconnected.w_plus)
 
 
@@ -354,7 +362,7 @@ def test_witness_equals_half_resistance_random():
     rng = np.random.default_rng(34)
     for _ in range(20):
         g = random_graph(rng, int(rng.integers(3, 9)), edge_prob=0.5, require_connected=False)
-        assert witness_equals_half_resistance(g).ok
+        assert half_resistance_check(g).ok
 
 
 def test_approximate_negative_witness_bound_connected():
@@ -363,7 +371,7 @@ def test_approximate_negative_witness_bound_connected():
     for _ in range(10):
         g = random_graph(rng, int(rng.integers(3, 7)), edge_prob=0.6)
         program = build_st_span_program(g.n, g.s, g.t)
-        _, _, w_tilde_minus = min_error_negative(program, graph_input(g))
+        _, _, w_tilde_minus = min_error_negative(input_factors(program, graph_input(g)))
         assert w_tilde_minus <= 2.0 * g.n**2 + 1e-8
 
 

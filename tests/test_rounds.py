@@ -16,7 +16,6 @@ from spanforge._linalg import DEFAULT_TOLS, Tolerances
 from spanforge.algorithms import (
     POSITIVE,
     ThresholdSpec,
-    _round_context,
     decision_context,
     kappa_estimate,
     witness_estimate,
@@ -38,6 +37,7 @@ from spanforge.resistance import (
 from spanforge.spanprog import (
     Subspaces,
     input_factors,
+    min_error_positive,
     minimal_witness,
     normalize,
     or_span_program,
@@ -80,10 +80,10 @@ def refused_rounds(program, x):
     cross = row_space_cross(input_factors(program, x))
     refused = 0
     for beta in ROUND_BETAS:
-        scaled = scale(program, beta)
+        scaled_cross = row_space_cross(input_factors(scale(program, beta), x))
         pairs = ((measure_U, scaled_measure_U), (measure_Uprime, scaled_measure_Uprime))
         for direct, derived in pairs:
-            want = outcome_zero_probabilities(direct, scaled, x)
+            want = outcome_zero_probabilities(direct, scaled_cross)
             got = outcome_zero_probabilities(derived, cross, beta)
             assert (want is None) == (got is None)
             if want is None:
@@ -162,14 +162,14 @@ def test_measure_uprime_reads_cosines_within_rounding_of_one_as_one():
     parent = normalize(random_span_program(np.random.default_rng([7, 3])))
     program, x = scale(parent, 1e-3), (1, 1, 0)
     oracle = build_Uprime(program, x).measure(np.asarray(minimal_witness(program).w0))
-    fast = measure_Uprime(program, x)
+    fast = measure_Uprime(row_space_cross(input_factors(program, x)))
     for grid in GRIDS:
         assert outcome_zero_probability(fast, grid) == pytest.approx(
             outcome_zero_probability(oracle, grid), abs=1e-10
         )
     # the same input through a threshold round: beta = sqrt(w_bound) = 1e-3
     spec = ThresholdSpec(side=POSITIVE, lam=0.5, w_bound=1e-6, w_tilde_bound=1.0)
-    ctx = decision_context(parent, x, spec)
+    ctx = decision_context(row_space_cross(input_factors(parent, x)), spec)
     assert ctx.p_exact == pytest.approx(
         outcome_zero_probability(oracle, ctx.pe_grid), abs=1e-10
     )
@@ -182,7 +182,9 @@ def test_round_on_a_cross_matches_decision_context():
     x = (1, 0, 0)
     cross = row_space_cross(input_factors(program, x))
     spec = ThresholdSpec(side=POSITIVE, lam=0.5, w_bound=1.0, w_tilde_bound=4.0)
-    assert _round_context(cross, spec) == decision_context(program, x, spec)
+    assert decision_context(cross, spec) == decision_context(
+        row_space_cross(input_factors(program, x)), spec
+    )
 
 
 def patch_everywhere(monkeypatch, name, replacement):
@@ -285,7 +287,7 @@ def test_equal_subspaces_are_decided_once_per_store(monkeypatch):
     rng = np.random.default_rng(8)
     for derived in (program, normalize(program)):  # one store, shared
         for _ in range(5):
-            witness_report(derived, graph_input(random_graph(rng, 8, 0.4)))
+            witness_report(input_factors(derived, graph_input(random_graph(rng, 8, 0.4))))
     assert calls == []
     # a general matrix given at every position, as one object and as equal
     # copies, takes one SVD per distinct content and Tolerances
@@ -300,7 +302,7 @@ def test_equal_subspaces_are_decided_once_per_store(monkeypatch):
         twin = dataclasses.replace(program, subspaces=subspaces)
         for _ in range(3):
             for tols in (DEFAULT_TOLS, Tolerances(rank_rtol=1e-9)):
-                witness_report(twin, graph_input(complete_graph(8)), tols)
+                witness_report(input_factors(twin, graph_input(complete_graph(8)), tols))
         distinct = 1 if mats is not None else 2
         assert calls == [(2, 2)] * (2 * distinct)
 
@@ -390,8 +392,9 @@ def test_rounds_match_over_the_betas_of_an_estimate(monkeypatch, name):
     cross = row_space_cross(input_factors(program, x))
     for beta in betas:
         if g.n <= 32:
-            scaled = scale(program, beta)
-            want = [outcome_zero_probabilities(m, scaled, x) for m in (measure_U, measure_Uprime)]
+            scaled_cross = row_space_cross(input_factors(scale(program, beta), x))
+            want = [outcome_zero_probabilities(m, scaled_cross)
+                    for m in (measure_U, measure_Uprime)]
         else:  # scale() would form a dense 201 x 39,802 A_beta
             factors = scaled_factors(program, beta)
             pair = (factors.witness, factors.cross(cross.factor))
@@ -422,7 +425,7 @@ def guarded_estimates():
 
 def test_a_round_takes_one_svd_and_no_scaled_factors(monkeypatch):
     want = guarded_estimates()
-    svd, round_context = np.linalg.svd, algorithms._round_context
+    svd, round_context = np.linalg.svd, algorithms.decision_context
     calls, per_round = [], []
 
     def counting_svd(*args, **kwargs):
@@ -437,7 +440,7 @@ def test_a_round_takes_one_svd_and_no_scaled_factors(monkeypatch):
 
     patch_everywhere(monkeypatch, "scaled_factors", forbidden_scaled_factors)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    monkeypatch.setattr(algorithms, "_round_context", counting_round)
+    monkeypatch.setattr(algorithms, "decision_context", counting_round)
     assert guarded_estimates() == want
     assert len(per_round) > 3 and per_round == [1] * len(per_round)
     # beyond the rounds: the SVDs of OR(8)'s A and A(x); no store takes one,
@@ -469,7 +472,8 @@ def test_an_estimate_takes_one_svd_per_round_and_no_split_or_choice(monkeypatch,
     assert g.connected_st()
     mu = lambda2(g) if method == REAL_GAP else None
     want = estimate_resistance(g, 0.2, method, np.random.default_rng(1), QueryLedger(), mu=mu)
-    svd, split, round_context = np.linalg.svd, spanprog.column_space_split, algorithms._round_context
+    svd, split = np.linalg.svd, spanprog.column_space_split
+    round_context = algorithms.decision_context
     svds, splits, per_round = [], [], []
 
     def counting_svd(mat, *args, **kwargs):
@@ -488,7 +492,7 @@ def test_an_estimate_takes_one_svd_per_round_and_no_split_or_choice(monkeypatch,
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     patch_everywhere(monkeypatch, "column_space_split", counting_split)
-    monkeypatch.setattr(algorithms, "_round_context", counting_round)
+    monkeypatch.setattr(algorithms, "decision_context", counting_round)
     rng = CountingGenerator(1)
     got = estimate_resistance(g, 0.2, method, rng, QueryLedger(), mu=mu)
     assert (got.estimate, got.queries) == (want.estimate, want.queries)
@@ -529,8 +533,8 @@ def test_q_perp_is_walked_on_first_read_and_keeps_the_witness_bits(monkeypatch):
                 assert (basis is None and basis_e is None) or basis.tobytes() == basis_e.tobytes()
             if not f.positive:  # the report's witness_vec is the min-error positive one
                 negatives += 1
-                report = witness_report(program, x)
-                vec, e_plus, wt_plus = spanprog._min_error_positive(f)
+                report = witness_report(input_factors(program, x))
+                vec, e_plus, wt_plus = min_error_positive(f)
                 assert vec.tobytes() == report.witness_vec.tobytes()
                 assert (e_plus, wt_plus) == (report.e_plus, report.w_tilde_plus)
     assert negatives > 5

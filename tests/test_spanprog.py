@@ -16,6 +16,7 @@ from spanforge.spanprog import (
     GloballyInfeasibleError,
     SpanProgram,
     StructuralError,
+    input_factors,
     minimal_negative_value,
     minimal_witness,
     min_error_negative,
@@ -113,15 +114,15 @@ def test_input_symbols_are_read_without_truncation():
     # Python and numpy ints and bools are symbols; a float is refused, not
     # read as the int it truncates to
     program = or_span_program(3)
-    want = witness_report(program, (1, 0, 0))
+    want = witness_report(input_factors(program, (1, 0, 0)))
     for x in ((True, 0, 0), (np.int8(1), np.int64(0), 0), (np.True_, np.False_, False),
               np.array([1, 0, 0])):
         got = program.check_input(x)
         assert got.tolist() == [1, 0, 0] and got.dtype == np.intp and not got.flags.writeable
-        assert witness_report(program, x).w_plus == want.w_plus
+        assert witness_report(input_factors(program, x)).w_plus == want.w_plus
     for x in ((0.9, 0, 0), (1.0, 0, 0), ("1", 0, 0), np.array([0.9, 0.0, 0.0])):
         with pytest.raises(StructuralError, match="integers"):
-            witness_report(program, x)
+            witness_report(input_factors(program, x))
 
 
 def test_minimal_witness_or():
@@ -146,7 +147,7 @@ def test_minimal_witness_globally_infeasible():
 
 def test_positive_witness_or():
     program = or_span_program(3)
-    vec, w_plus = positive_witness(program, (1, 1, 0))
+    vec, w_plus = positive_witness(input_factors(program, (1, 1, 0)))
     assert w_plus == pytest.approx(0.5, rel=1e-12)
     np.testing.assert_allclose(np.asarray(vec), [0.5, 0.5, 0.0], atol=1e-12)
     # witness lies in H(x) and satisfies A w = tau exactly
@@ -155,37 +156,37 @@ def test_positive_witness_or():
 
 def test_positive_witness_infeasible_is_inf():
     program = or_span_program(3)
-    vec, w_plus = positive_witness(program, (0, 0, 0))
+    vec, w_plus = positive_witness(input_factors(program, (0, 0, 0)))
     assert vec is None and math.isinf(w_plus)
 
 
 def test_negative_witness_or_all_zero():
     # frozen from the KKT oracle: w_- = n, omega A = the all-ones row
     program = or_span_program(4)
-    row, w_minus = negative_witness(program, (0, 0, 0, 0))
+    row, w_minus = negative_witness(input_factors(program, (0, 0, 0, 0)))
     assert w_minus == pytest.approx(4.0, rel=1e-10)
     np.testing.assert_allclose(np.asarray(row), np.ones(4), atol=1e-10)
 
 
 def test_negative_witness_positive_input_is_inf():
     program = or_span_program(4)
-    row, w_minus = negative_witness(program, (0, 1, 0, 0))
+    row, w_minus = negative_witness(input_factors(program, (0, 1, 0, 0)))
     assert row is None and math.isinf(w_minus)
 
 
 def test_min_error_positive_or_zero_string():
     # frozen from the KKT oracle: e_+ = 1/4 and the min-error witness is w0
     program = or_span_program(4)
-    vec, e_plus, w_tilde = min_error_positive(program, (0, 0, 0, 0))
+    vec, e_plus, w_tilde = min_error_positive(input_factors(program, (0, 0, 0, 0)))
     assert e_plus == pytest.approx(0.25, rel=1e-10)
     assert w_tilde == pytest.approx(0.25, rel=1e-10)
-    _, w_minus = negative_witness(program, (0, 0, 0, 0))
+    _, w_minus = negative_witness(input_factors(program, (0, 0, 0, 0)))
     assert w_minus * e_plus == pytest.approx(1.0, rel=1e-10)
 
 
 def test_min_error_positive_on_positive_input_reduces_to_witness():
     program = or_span_program(4)
-    vec, e_plus, w_tilde = min_error_positive(program, (1, 0, 1, 0))
+    vec, e_plus, w_tilde = min_error_positive(input_factors(program, (1, 0, 1, 0)))
     assert e_plus == pytest.approx(0.0, abs=1e-12)
     assert w_tilde == pytest.approx(0.5, rel=1e-10)
 
@@ -193,16 +194,16 @@ def test_min_error_positive_on_positive_input_reduces_to_witness():
 def test_min_error_negative_or():
     # frozen from the KKT oracle: e_- = |x| = 2, w_tilde_- = n = 4
     program = or_span_program(4)
-    row, e_minus, w_tilde = min_error_negative(program, (1, 1, 0, 0))
+    row, e_minus, w_tilde = min_error_negative(input_factors(program, (1, 1, 0, 0)))
     assert e_minus == pytest.approx(2.0, rel=1e-10)
     assert w_tilde == pytest.approx(4.0, rel=1e-10)
-    _, w_plus = positive_witness(program, (1, 1, 0, 0))
+    _, w_plus = positive_witness(input_factors(program, (1, 1, 0, 0)))
     assert w_plus * e_minus == pytest.approx(1.0, rel=1e-10)
 
 
 def test_min_error_negative_on_negative_input_reduces_to_witness():
     program = or_span_program(4)
-    row, e_minus, w_tilde = min_error_negative(program, (0, 0, 0, 0))
+    row, e_minus, w_tilde = min_error_negative(input_factors(program, (0, 0, 0, 0)))
     assert e_minus == pytest.approx(0.0, abs=1e-12)
     assert w_tilde == pytest.approx(4.0, rel=1e-10)
 
@@ -215,7 +216,7 @@ def test_min_error_negative_rejects_zero_target():
         a=np.array([[1.0]]), tau=np.array([0.0]),
     )
     with pytest.raises(StructuralError):
-        min_error_negative(program, (1,))
+        min_error_negative(input_factors(program, (1,)))
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -223,7 +224,7 @@ def test_witness_quantities_match_kkt_oracles(seed):
     rng = np.random.default_rng([seed, 101])
     program = random_span_program(rng)
     for x in all_inputs(program):
-        rep = witness_report(program, x)
+        rep = witness_report(input_factors(program, x))
         assert math.isinf(rep.w_plus) != math.isinf(rep.w_minus)
         e_plus, w_tilde_plus, _ = oracle_min_error_positive(program, x)
         assert rep.e_plus == pytest.approx(e_plus, rel=1e-7, abs=1e-9)
@@ -243,7 +244,7 @@ def test_duality_products_random(seed):
     rng = np.random.default_rng([seed, 102])
     program = random_span_program(rng)
     for x in all_inputs(program):
-        rep = witness_report(program, x)
+        rep = witness_report(input_factors(program, x))
         if math.isfinite(rep.w_minus):
             assert abs(rep.w_minus * rep.e_plus - 1.0) <= 1e-8 * rep.w_minus
         else:
@@ -256,7 +257,7 @@ def test_positive_witness_feasibility_residuals(seed):
     rng = np.random.default_rng([seed, 105])
     program = random_span_program(rng)
     for x in all_inputs(program):
-        vec, w_plus = positive_witness(program, x)
+        vec, w_plus = positive_witness(input_factors(program, x))
         if math.isinf(w_plus):
             continue
         proj = subspace_projector(program, x)
@@ -281,8 +282,8 @@ def test_normalize_or():
     assert minimal_witness(normalized).n_plus == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(normalized.tau, [2.0], atol=1e-12)  # tau / sqrt(1/4)
     # positive witness sizes scale by 1/N+
-    _, w_before = positive_witness(program, (1, 0, 0, 0))
-    _, w_after = positive_witness(normalized, (1, 0, 0, 0))
+    _, w_before = positive_witness(input_factors(program, (1, 0, 0, 0)))
+    _, w_after = positive_witness(input_factors(normalized, (1, 0, 0, 0)))
     assert w_after == pytest.approx(w_before / minimal_witness(program).n_plus, rel=1e-10)
 
 
@@ -305,9 +306,9 @@ def test_scale_witness_relations():
         assert w0[program.dim_h + 1] == pytest.approx(
             beta / math.sqrt(beta**2 + n_plus), rel=1e-10
         )
-        _, w_minus = negative_witness(scaled, (0, 0, 0, 0))
+        _, w_minus = negative_witness(input_factors(scaled, (0, 0, 0, 0)))
         assert w_minus == pytest.approx(beta**2 * 4.0 + 1.0, rel=1e-8)
-        _, w_plus = positive_witness(scaled, (1, 1, 0, 0))
+        _, w_plus = positive_witness(input_factors(scaled, (1, 1, 0, 0)))
         expect = 0.5 / beta**2 + beta**2 / (n_plus + beta**2)
         assert w_plus == pytest.approx(expect, rel=1e-8)
 
@@ -323,8 +324,8 @@ def test_scale_min_error_inequalities_random():
         for beta in (0.25, 1.0, 4.0):
             scaled = scale(program, beta)
             for x in all_inputs(program):
-                rep = witness_report(program, x)
-                rep_s = witness_report(scaled, x)
+                rep = witness_report(input_factors(program, x))
+                rep_s = witness_report(input_factors(scaled, x))
                 if math.isfinite(rep.w_minus):
                     assert rep_s.w_tilde_plus <= rep.w_tilde_plus / beta**2 + 2.0 + 1e-8
                 else:
@@ -341,10 +342,10 @@ def test_tolerance_override_changes_feasibility_cut():
         a=np.vstack([np.ones(3), np.zeros(3)]),
         tau=np.array([1.0, 1e-6]),
     )
-    _, w_strict = positive_witness(perturbed, (1, 1, 1))
+    _, w_strict = positive_witness(input_factors(perturbed, (1, 1, 1)))
     assert math.isinf(w_strict)
     loose = Tolerances(rank_rtol=1e-10, membership_rtol=1e-2)
-    _, w_loose = positive_witness(perturbed, (1, 1, 1), tols=loose)
+    _, w_loose = positive_witness(input_factors(perturbed, (1, 1, 1), tols=loose))
     assert math.isfinite(w_loose)
 
 
@@ -401,7 +402,7 @@ def test_factorization_is_kept_per_tolerances():
     for order in ((DEFAULT_TOLS, loose), (loose, DEFAULT_TOLS)):
         program = _perturbed_or3()
         for tols in order:
-            _, w_plus = positive_witness(program, (1, 1, 1), tols=tols)
+            _, w_plus = positive_witness(input_factors(program, (1, 1, 1), tols=tols))
             if tols is loose:
                 assert minimal_witness(program, tols).n_plus == pytest.approx(1.0 / 3.0)
                 assert math.isfinite(w_plus)
@@ -500,7 +501,7 @@ def test_subspace_store_is_shared_read_only_and_never_stale(monkeypatch):
     monkeypatch.setattr(spanprog, "column_space_split", counting)
     for target in (program, child):
         for x in all_inputs(target):
-            witness_report(target, x)
+            witness_report(input_factors(target, x))
     # an exact identity is decided without an SVD
     general = [k for k, m in enumerate(mats)
                if m.shape[0] != m.shape[1] or not np.array_equal(m, np.eye(m.shape[0]))]
@@ -509,7 +510,7 @@ def test_subspace_store_is_shared_read_only_and_never_stale(monkeypatch):
     calls.clear()
     for target in (program, child, program, child):
         for x in all_inputs(target):
-            witness_report(target, x)
+            witness_report(input_factors(target, x))
     assert calls == []
 
     # neither the matrices nor their bases can be written
@@ -535,13 +536,13 @@ def test_subspace_store_is_shared_read_only_and_never_stale(monkeypatch):
             basis[0, 0] = 2.0
 
     # a program given other subspaces gets its own store, not the old bases
-    assert positive_witness(or3, (1, 0, 0))[1] == pytest.approx(1.0)
+    assert positive_witness(input_factors(or3, (1, 0, 0)))[1] == pytest.approx(1.0)
     other = dict(or3.subspaces)
     other[(0, 1)] = np.zeros((1, 0))
     changed = dataclasses.replace(or3, subspaces=other)
     assert changed.subspaces is not or3.subspaces
-    assert math.isinf(positive_witness(changed, (1, 0, 0))[1])
-    assert positive_witness(or3, (1, 0, 0))[1] == pytest.approx(1.0)
+    assert math.isinf(positive_witness(input_factors(changed, (1, 0, 0)))[1])
+    assert positive_witness(input_factors(or3, (1, 0, 0)))[1] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("field", ["rank_rtol", "membership_rtol"])

@@ -39,6 +39,7 @@ from spanforge.qsim import (
 )
 from spanforge.resistance import build_st_span_program, graph_input
 from spanforge.spanprog import (
+    input_factors,
     minimal_witness,
     negative_witness,
     normalize,
@@ -47,6 +48,7 @@ from spanforge.spanprog import (
     witness_report,
 )
 from spanforge.spectral import SpectralMeasure, kappa_bound, measure_U, measure_Uprime
+from spanforge.spectral import row_space_cross
 from spanforge.verify import THETA_GRID
 
 
@@ -182,7 +184,7 @@ def test_build_U_is_orthogonal_and_charges_two_queries():
 def test_build_U_fixes_exact_negative_witness():
     program = normalize(or_span_program(4))
     x = (0, 0, 0, 0)
-    row, _ = negative_witness(program, x)
+    row, _ = negative_witness(input_factors(program, x))
     dec = build_U(program, x)
     vec = np.asarray(row)
     np.testing.assert_allclose(dec.matrix @ vec, vec, atol=1e-10)
@@ -200,7 +202,7 @@ def test_build_U_all_zero_input_reduces_to_reflection_product():
 def test_build_Uprime_fixes_optimal_positive_witness():
     program = normalize(or_span_program(4))
     x = (1, 1, 0, 0)
-    vec, _ = positive_witness(program, x)
+    vec, _ = positive_witness(input_factors(program, x))
     dec = build_Uprime(program, x)
     np.testing.assert_allclose(dec.matrix @ np.asarray(vec), np.asarray(vec), atol=1e-10)
     u_mat = np.asarray(dec.matrix)
@@ -280,13 +282,13 @@ def test_fixed_space_overlap_identities():
     assert float(w0 @ dec.fixed_projector() @ w0) == pytest.approx(0.0, abs=1e-8)
     # negative input: overlap is exactly 1/w-
     dec0 = build_U(program, (0, 0, 0, 0))
-    rep = witness_report(program, (0, 0, 0, 0))
+    rep = witness_report(input_factors(program, (0, 0, 0, 0)))
     assert float(w0 @ dec0.fixed_projector() @ w0) == pytest.approx(
         1.0 / rep.w_minus, abs=1e-8
     )
     # and for U': overlap is 1/w+
     decp = build_Uprime(program, (1, 1, 0, 0))
-    rep1 = witness_report(program, (1, 1, 0, 0))
+    rep1 = witness_report(input_factors(program, (1, 1, 0, 0)))
     assert float(w0 @ decp.fixed_projector() @ w0) == pytest.approx(
         1.0 / rep1.w_plus, abs=1e-8
     )
@@ -315,7 +317,7 @@ def test_effective_gap_inequalities_random():
         program = normalize(random_span_program(np.random.default_rng([seed, 202])))
         w0 = np.asarray(minimal_witness(program).w0)
         for x in all_inputs(program):
-            rep = witness_report(program, x)
+            rep = witness_report(input_factors(program, x))
             inv_wm = 0.0 if math.isinf(rep.w_minus) else 1.0 / rep.w_minus
             inv_wp = 0.0 if math.isinf(rep.w_plus) else 1.0 / rep.w_plus
             dec = build_U(program, x)
@@ -416,15 +418,15 @@ def test_kappa_bound_complete_graph_is_two():
 
     g = complete_graph(4)
     program = build_st_span_program(4, 0, 3)
-    bound_u, bound_up = kappa_bound(program, graph_input(g))
-    assert bound_u == pytest.approx(2.0, rel=1e-10)
-    assert bound_up == pytest.approx(2.0, rel=1e-10)
+    # one bound serves both U and U'
+    bound = kappa_bound(input_factors(program, graph_input(g)))
+    assert bound == pytest.approx(2.0, rel=1e-10)
 
 
 def test_kappa_bound_degenerate_input():
     program = or_span_program(3)
     with pytest.raises(ValueError):
-        kappa_bound(program, (0, 0, 0))
+        kappa_bound(input_factors(program, (0, 0, 0)))
 
 
 def test_kappa_bound_caps_phase_gap_random():
@@ -432,11 +434,11 @@ def test_kappa_bound_caps_phase_gap_random():
         program = random_span_program(np.random.default_rng([seed, 203]))
         for x in all_inputs(program):
             try:
-                bound, _ = kappa_bound(program, x)
+                bound = kappa_bound(input_factors(program, x))
             except ValueError:
                 continue
             assert build_U(program, x).phase_gap() >= bound - 1e-8
-            _, w_plus = positive_witness(program, x)
+            _, w_plus = positive_witness(input_factors(program, x))
             if math.isfinite(w_plus):
                 assert build_Uprime(program, x).phase_gap() >= bound - 1e-8
 
@@ -493,11 +495,12 @@ def assert_measures_match_oracle(program, x):
     route at 1e-10: outcome-zero probabilities, the phase-0 weight (1/w- for
     U, 1/w+ for U') and the mass at phases <= Theta."""
     w0 = np.asarray(minimal_witness(program).w0)
-    rep = witness_report(program, x)
-    pairs = [(measure_U(program, x), build_U(program, x).measure(w0), rep.w_minus)]
+    f = input_factors(program, x)
+    rep, cross = witness_report(f), row_space_cross(f)
+    pairs = [(measure_U(cross), build_U(program, x).measure(w0), rep.w_minus)]
     if math.isfinite(rep.w_plus):
         oracle = build_Uprime(program, x).measure(w0)
-        pairs.append((measure_Uprime(program, x), oracle, rep.w_plus))
+        pairs.append((measure_Uprime(cross), oracle, rep.w_plus))
     for fast, oracle, w_size in pairs:
         for grid in OUTCOME_GRIDS:
             assert outcome_zero_probability(fast, grid) == pytest.approx(
@@ -522,16 +525,16 @@ def test_measures_match_oracle_on_random_programs(seed):
 def test_measures_match_oracle_on_degenerate_programs():
     or4 = normalize(or_span_program(4))
     # empty H(x): U reflects about row(A), which holds w0
-    empty = measure_U(or4, (0, 0, 0, 0))
+    empty = measure_U(row_space_cross(input_factors(or4, (0, 0, 0, 0))))
     assert small_phase_mass(empty, 0.0) == pytest.approx(1.0, abs=1e-12)
     # H(x) = H: sigma = 1 exactly, so U sends w0 to -w0
-    full = measure_U(or4, (1, 1, 1, 1))
+    full = measure_U(row_space_cross(input_factors(or4, (1, 1, 1, 1))))
     assert small_phase_mass(full, math.pi - 1e-6) == pytest.approx(0.0, abs=1e-12)
     # scaled OR at x = 0: h1 (true block) lies in row(A) cap H(x), sigma = 1,
     # and the rest of row(A), which meets h0 (false block), is orthogonal to
     # H(x), sigma = 0
     scaled = scale(or_span_program(3), 0.5)
-    split = measure_U(scaled, (0, 0, 0))
+    split = measure_U(row_space_cross(input_factors(scaled, (0, 0, 0))))
     assert set(split.phases[split.weights > 1e-12]) == {0.0, math.pi}
     # scaling by 0.1 leaves row(A) conditioned so that U''s zero phase-pi
     # remainder at x = (0,) rounds to -1.1e-12
