@@ -19,7 +19,8 @@ A round never builds the scaled program.  witness_estimate factors A(x) once
 (spanprog.input_factors), reads the witness sizes from it, and forms
 C(x) = V_r^T Q_H(x) from it once (spectral.row_space_cross); each round
 reads its scaled program's measure from C(x) and w0 by a rank-one change
-and one SVD (spectral.scaled_measure_U / scaled_measure_Uprime).  The
+and one SVD (spectral.scaled_measure_U / scaled_measure_Uprime), and a
+degenerate beta raises spanprog.DegenerateRoundError.  The
 round, decision_context(cross, spec), and the witness sizes take C(x) or
 the InputFactors alone and read the program, x and Tolerances from the
 InputFactors, so none can be handed those of another input.
@@ -148,8 +149,10 @@ def _scaled_parameters(
 def decision_context(cross: RowSpaceCross, spec: ThresholdSpec) -> _DecisionContext:
     """One threshold round on the program and input of cross = C(x): w0's
     spectral measure under the right unitary of the scaled program, read
-    from C(x), and the exact outcome-0 probability of phase estimation."""
-    flags: list[str] = []
+    from C(x), and the exact outcome-0 probability of phase estimation.
+    The flag tau-projected records a tau read as its projection onto col(A)
+    (spanprog._TargetFactors)."""
+    flags = ["tau-projected"] if cross.target.projected else []
     beta, w_new, wt_new, lam_new = _scaled_parameters(cross.program, spec, cross.tols)
 
     theta = math.sqrt(4.0 * (1.0 - lam_new) / (3.0 * w_new * wt_new))

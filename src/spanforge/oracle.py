@@ -3,9 +3,11 @@
 It forms the dim_h x dim_h arrays the estimators never form: the projectors
 onto ker(A) and H(x), U(P, x) and U'(P, x) with their full phase
 decompositions (one complex eigendecomposition each), the discriminant of
-two projectors, scale(P, beta) with a dense A_beta, a brute-force flow
-resistance, and the reflection factorization of the st program.  No
-estimator module imports it.  A dim_h above DENSE_DIM_CAP is refused with
+two projectors, scale(P, beta) with a dense A_beta, the rank-sized factors
+of scale(P, beta) that the threshold rounds are tested against where a
+dense A_beta is too large (scaled_factors), a brute-force flow resistance,
+and the reflection factorization of the st program.  No estimator module
+imports it.  A dim_h above DENSE_DIM_CAP is refused with
 OracleSizeError before anything is allocated.
 """
 
@@ -20,7 +22,8 @@ import numpy as np
 
 from ._linalg import DEFAULT_TOLS, PHASE_ROUND_TOL, Tolerances, _rank, freeze, singular_values
 from .resistance import Graph, build_st_span_program, ordered_pairs
-from .spanprog import SpanProgram, SpanProgramError, _walk, minimal_witness
+from .spanprog import Blocks, GloballyInfeasibleError, SpanProgram, SpanProgramError, _walk
+from .spanprog import minimal_witness
 from .spectral import SpectralMeasure
 
 PHASE_CLUSTER_TOL = 1e-9  # phases this close together share an eigenspace
@@ -41,21 +44,27 @@ def _check_dense_size(program: SpanProgram) -> None:
         )
 
 
-def subspace_projector(
-    program: SpanProgram, x: Sequence[int], tols: Tolerances = DEFAULT_TOLS
-) -> np.ndarray:
-    """Orthogonal projector onto H(x), block diagonal across the coordinate
-    blocks of spanprog.subspace_blocks, with a unit diagonal on identity
-    entries.  Only Q_H is walked.  Raises OracleSizeError above
+def blocks_projector(program: SpanProgram, blocks: Blocks) -> np.ndarray:
+    """Orthogonal projector onto the span of blocks, as
+    spanprog.subspace_blocks or InputFactors.q_h give them: block diagonal,
+    with a unit diagonal on identity entries.  Raises OracleSizeError above
     DENSE_DIM_CAP."""
     _check_dense_size(program)
     proj = np.zeros((program.dim_h, program.dim_h))
-    for block, basis in _walk(program, program.check_input(x), tols, 0):
+    for block, basis in blocks:
         if basis is None:
             proj[block, block] = 1.0
         else:
             proj[block[:, None], block] = basis @ basis.T
     return proj
+
+
+def subspace_projector(
+    program: SpanProgram, x: Sequence[int], tols: Tolerances = DEFAULT_TOLS
+) -> np.ndarray:
+    """Orthogonal projector onto H(x): blocks_projector of Q_H, the only walk."""
+    _check_dense_size(program)
+    return blocks_projector(program, _walk(program, program.check_input(x), tols, 0))
 
 
 def kernel_projector(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
@@ -218,11 +227,12 @@ def decompose_orthogonal(u_mat: np.ndarray) -> UnitaryDecomposition:
 
 
 def _u_parts(
-    program: SpanProgram, x: Sequence[int], tols: Tolerances
+    program: SpanProgram, x: Sequence[int], tols: Tolerances, pi_ker: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pi_ker(A), Pi_H(x) and U = (2 Pi_ker(A) - I)(2 Pi_H(x) - I), which
-    build_U decomposes and _uprime checks its factorization against."""
-    pi_ker = kernel_projector(program, tols)
+    build_U decomposes and _uprime checks its factorization against;
+    pi_ker, kernel_projector(program, tols), is formed unless given."""
+    pi_ker = kernel_projector(program, tols) if pi_ker is None else pi_ker
     pi_hx = subspace_projector(program, x, tols)
     eye = np.eye(program.dim_h)
     return pi_ker, pi_hx, (2.0 * pi_ker - eye) @ (2.0 * pi_hx - eye)
@@ -346,6 +356,14 @@ def discriminant(
     )
 
 
+def _scaled_tau(program: SpanProgram, tols: Tolerances) -> np.ndarray:
+    """tau as scale reads it: U_r U_r^T tau where the target is projected."""
+    fact = program.factorization(tols)
+    if fact.target.projected:
+        return fact.col_basis @ (fact.col_basis.T @ program.tau)
+    return program.tau
+
+
 def scale(program: SpanProgram, beta: float, tols: Tolerances = DEFAULT_TOLS) -> SpanProgram:
     """Augmented scaling construction: normalized program with witnesses scaled by beta.
 
@@ -357,30 +375,26 @@ def scale(program: SpanProgram, beta: float, tols: Tolerances = DEFAULT_TOLS) ->
 
     For positive x, w+ becomes w+/beta^2 + beta^2/(N + beta^2); for negative x,
     w- becomes beta^2 w- + 1.  The new minimal witness has unit norm when tau
-    lies in col(A) exactly.  A tau that lies in col(A) only to within
-    membership_rtol passes minimal_witness, but A_beta keeps tau's part off
-    col(A) in its h0 column, so the new minimal witness is not a unit
-    vector (||w0_beta||^2 = 1.11, 1.48, 1.94 at beta = 0.37, 1, 4 on one such
-    program), and the threshold rounds on it are refused where
-    SpectralMeasure checks the unit state.  A is read densely (a_mat).
+    lies in col(A).  A tau that lies in col(A) only to within membership_rtol
+    (the Factorization's target is projected) is read as its projection
+    U_r U_r^T tau onto col(A), in both places, as the threshold rounds read
+    it.  A is read densely (a_mat).
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    mw = minimal_witness(program, tols)
-    n_val = mw.n_plus
+    n_val = minimal_witness(program, tols).n_plus
+    tau = _scaled_tau(program, tols)
 
-    dim_h = program.dim_h + 2
-    dim_v = program.dim_v + 1
-    h0_idx, h1_idx = program.dim_h, program.dim_h + 1
-    v1_idx = program.dim_v
+    dim_h, dim_v = program.dim_h + 2, program.dim_v + 1
+    h0_idx, h1_idx, v1_idx = program.dim_h, program.dim_h + 1, program.dim_v
 
     a_new = np.zeros((dim_v, dim_h))
     a_new[: program.dim_v, : program.dim_h] = beta * program.a_mat
-    a_new[: program.dim_v, h0_idx] = program.tau
+    a_new[: program.dim_v, h0_idx] = tau
     a_new[v1_idx, h1_idx] = math.sqrt(beta * beta + n_val) / beta
 
     tau_new = np.zeros(dim_v)
-    tau_new[: program.dim_v] = program.tau
+    tau_new[: program.dim_v] = tau
     tau_new[v1_idx] = 1.0
 
     return dataclasses.replace(
@@ -392,6 +406,69 @@ def scale(program: SpanProgram, beta: float, tols: Tolerances = DEFAULT_TOLS) ->
         a=a_new,
         tau=tau_new,
     )
+
+
+@dataclass(frozen=True)
+class ScaledFactors:
+    """The factors of scale(program, beta)'s A_beta that w0's spectral
+    measure reads, from the parent's A = U_r Sigma V_r^T with no A_beta
+    formed: the rounds' reference where a dense A_beta is too large.
+
+    For tau as scale reads it, g = U_r^T tau and rho = tau - U_r g, the rows
+    [beta A, tau] of A_beta are [U_r, e] K blockdiag(V_r^T, 1), e a unit
+    vector off col(A), K = [[beta Sigma, g], [0, ||rho||]]; its last row is
+    c = sqrt(beta^2 + N)/beta on h1.  From K = P S Q^T, A_beta's nonzero
+    singular values are the kept values of S and c, cut against max(S, c).
+    Its row basis is V_beta = blockdiag(blockdiag(V_r, 1) row_map, 1),
+    row_map the kept columns of Q, and witness is y = V_beta^T w0_beta =
+    [S^-1 P^T [g; ||rho||]; 1/c] over the kept values; h1's entries come
+    last and are absent when c itself is cut."""
+
+    row_map: np.ndarray
+    witness: np.ndarray
+
+    def cross(self, parent_cross: np.ndarray) -> np.ndarray:
+        """V_beta^T Q_{H_beta}(x) = blockdiag(row_map[:r]^T C(x), 1) from the
+        parent's C(x) = V_r^T Q_H(x), or C(x) W (W with orthonormal columns),
+        since H_beta(x) is H(x) plus h1 (h0 lies in the false block)."""
+        top = self.row_map[:-1].T @ parent_cross
+        if self.witness.size == self.row_map.shape[1]:
+            return top
+        out = np.zeros((top.shape[0] + 1, top.shape[1] + 1))
+        out[:-1, :-1] = top
+        out[-1, -1] = 1.0
+        return out
+
+
+def scaled_factors(
+    program: SpanProgram, beta: float, tols: Tolerances = DEFAULT_TOLS
+) -> ScaledFactors:
+    """ScaledFactors of scale(program, beta, tols), from one SVD of K;
+    GloballyInfeasibleError where minimal_witness of that program raises."""
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    n_val = minimal_witness(program, tols).n_plus
+    fact = program.factorization(tols)
+    tau = _scaled_tau(program, tols)
+    g = fact.col_basis.T @ tau
+    rho = float(np.linalg.norm(tau - fact.col_basis @ g))
+    r = g.size
+    k_mat = np.zeros((r + 1, r + 1))
+    k_mat[:r, :r] = np.diag(beta * fact.sigma)
+    k_mat[:r, r] = g
+    k_mat[r, r] = rho
+    p_mat, s, qt = np.linalg.svd(k_mat)
+    c = math.sqrt(beta * beta + n_val) / beta
+    kept = _rank(s, tols, c)
+    h1_kept = _rank(np.array([c]), tols, float(s[0])) == 1
+    on_tau = p_mat.T @ np.append(g, rho)
+    missed = math.hypot(float(np.linalg.norm(on_tau[kept:])), 0.0 if h1_kept else 1.0)
+    if missed > tols.membership_rtol * math.sqrt(float(tau @ tau) + 1.0):
+        raise GloballyInfeasibleError("tau is not in col(A); no positive witness exists")
+    y = on_tau[:kept] / s[:kept]
+    if h1_kept:
+        y = np.append(y, 1.0 / c)
+    return ScaledFactors(freeze(qt[:kept].T), freeze(y))
 
 
 def flow_resistance_bruteforce(g: Graph) -> float:

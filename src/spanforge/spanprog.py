@@ -6,51 +6,34 @@ H_{j,a} of H_j, one per alphabet symbol a.  An input string x selects
 H(x) = H_{1,x_1} + ... + H_{n,x_n} + H_true, and x is positive exactly when
 some w in H(x) satisfies A w = tau.
 
-Everything an estimate reads per input position is a read-only index
-array, made once.  A program holds its input blocks as _InputBlocks: the
-coordinates of H_1, ..., H_n in one array, as a CSR matrix holds its column
-indices, and one block width when all blocks share it (the st program's is
-2), per-block sizes and starts otherwise; a tuple of index tuples is
-converted at construction.  check_input reads an input string, a sequence
-or an array, as a read-only intp array, validated in one vectorized pass
-over an array; the Subspaces store's table of ids is laid out once per
-(input_blocks, q) in a _Layout, one broadcast row for a per-symbol store,
-so that H(x)'s walk indexes it with x directly.
+Everything an estimate reads per input position is a read-only index array,
+made once: _InputBlocks holds the coordinates of H_1, ..., H_n in one array,
+as a CSR matrix holds its column indices, with one block width when all
+blocks share it (the st program's is 2).  check_input reads an input as a
+read-only intp array in one vectorized pass.  The Subspaces store holds the
+distinct H_{j,a} matrices and an n x q table of their ids (one broadcast
+row for a per-symbol store), laid out once per (input_blocks, q) in a
+_Layout, so that H(x)'s walk indexes it with x directly.
 
 A is a dense matrix or signed incidence columns (Incidence), which the
 estimators read only through A v, A^T u, A A^T and the Gram of a subset of
 columns; SpanProgram.a_mat forms the dense A on demand for spanforge.oracle
 and the tests.  Every quantity about an input comes from A(x) = A Q_H, Q_H an
-orthonormal basis of H(x) kept block by block, with each block's basis
-taken from the program's Subspaces store and each run of identity blocks
-kept as one set of coordinates, so that A(x) of the st program is a subset
-of A's columns; no dim_h x dim_h matrix is formed.  The store holds the
-distinct H_{j,a} matrices and an n x q table of their ids; a program
-whose positions share one matrix per symbol gives it per symbol
-(Subspaces.per_symbol), which broadcasts one row of ids, so
-neither a per-key dict nor a per-key check is made.  A program factors A
-once per Tolerances and solves w0 through the factors, by the rule
-input_factors follows for A(x): an incidence A wider than tall, such as
-the st program's, is read through one eigh of its exact Gram A A^T, which
-gives w0 = A^T U_r Sigma^-2 U_r^T tau and forms the row basis
-V_r = A^T U_r Sigma^-1 only when a caller reads it; every other A is
-factored by one SVD, the Gram route's oracle.  input_factors factors A(x)
-once, by one eigh of its exact Gram G(x) = A(x) A(x)^T when A is incidence
-columns and A(x) is wider than tall, and by one SVD otherwise, and decides
-once whether tau lies in col A(x); one helper, _gram_factors, holds the
-Gram route and its rank cut for both.  The witness functions
-(positive_witness, negative_witness, min_error_positive,
-min_error_negative and witness_report) and spectral.kappa_bound take that
-InputFactors alone, which owns the program, x and Tolerances it was built
-for, so none can be handed those of another input; a caller factors once
-with input_factors(program, x, tols).  Infeasible sizes are math.inf.
-scaled_factors reads the factors of oracle.scale(program, beta) from
-A = U_r Sigma V_r^T with one SVD of an (r+1) x (r+1) matrix.  The
-threshold rounds take it where their closed form in spectral does not
-hold, when tau lies in col(A) only to within membership_rtol or beta cuts
-a direction of A_beta, and the tests take it as that closed form's oracle;
-what that closed form reads of tau in A's factors (_TargetFactors) is a
-field of the Factorization, computed where the Factorization is made.
+orthonormal basis of H(x) kept block by block, with each run of identity
+blocks kept as one set of coordinates, so that A(x) of the st program is a
+subset of A's columns; no dim_h x dim_h matrix is formed.  A program
+factors A once per Tolerances and solves w0 through the factors: an
+incidence A wider than tall, such as the st program's, through one eigh of
+its exact Gram A A^T, forming V_r = A^T U_r Sigma^-1 only when a caller
+reads it; every other A by one SVD, the Gram route's oracle.  input_factors
+factors A(x) once by the same rule (_gram_factors holds the Gram route and
+its rank cut for both) and decides once whether tau lies in col A(x).  The
+witness functions and spectral.kappa_bound take that InputFactors alone,
+which owns the program, x and Tolerances it was built for; infeasible sizes
+are math.inf.  What the threshold rounds' closed form in spectral reads of
+tau in A's factors (_TargetFactors, which also decides whether tau is read
+as its projection onto col(A)) is computed where the Factorization is made;
+a round where that closed form does not hold raises DegenerateRoundError.
 rescale_target and normalize change tau alone, so the program they derive
 shares the factors of A of every Factorization its parent holds, with w0
 scaled by the factor and _TargetFactors computed from the new tau.
@@ -95,6 +78,12 @@ class GloballyInfeasibleError(SpanProgramError):
 class ProgramSizeError(SpanProgramError):
     """A program's dense A would hold more than DENSE_A_ENTRY_CAP entries, or
     an incidence program more than INCIDENCE_DIM_H_CAP coordinates."""
+
+
+class DegenerateRoundError(SpanProgramError):
+    """A threshold round at a beta where A_beta's rank cut drops a direction
+    of beta A or its h1 row, such as beta = 1e-6 against sigma_min(A) near
+    1: the rounds' closed form (spectral._scaled_pair) does not hold there."""
 
 
 # entry cap of a dense A: at the cap A takes 2.1 GB as float64; the st
@@ -681,9 +670,8 @@ class MinimalWitness:
 # rounding: U_r^T tau and U_r (U_r^T tau) are dim_v-term sums, each off by
 # at most about dim_v eps ||tau||, and U_r's columns are orthonormal to
 # within a few eps dim_v, so an exact member of col(A) reads rho below it.
-# Only then do the threshold rounds take their closed form; a tau that lies
-# in col(A) only to within membership_rtol (rho = 1e-9 ||tau||, say) keeps
-# the scaled_factors route, which sees rho.
+# A tau above it lies in col(A) only to within membership_rtol (rho = 1e-9
+# ||tau||, say), and is read as its projection (_TargetFactors.projected).
 _COL_RESIDUAL_RTOL = 10.0 * np.finfo(float).eps
 
 
@@ -692,20 +680,24 @@ class _TargetFactors:
     """tau read in A's factors U_r Sigma V_r^T, as the threshold rounds'
     closed form (spectral._scaled_pair) reads it; it depends on the program
     and Tolerances alone.  With g = U_r^T tau and rho = ||tau - U_r g||,
-    tau2 = ||g||^2 + rho^2 and sigma_min is A's least kept singular value.
-    y_hat = y / ||y|| and n_val = ||y||^2, for y = V_r^T w0 = Sigma^-1 g,
-    are held when tau lies in col(A) to within
-    min(_COL_RESIDUAL_RTOL dim_v, rank_rtol) relative, and are None and 0.0
-    otherwise; every field is None or 0.0 when no positive witness exists
-    (_NO_TARGET)."""
+    tau2 = ||g||^2 + rho^2, sigma_min is A's least kept singular value, and
+    y_hat = y / ||y|| and n_val = ||y||^2 for y = V_r^T w0 = Sigma^-1 g.
+    projected is rho > min(_COL_RESIDUAL_RTOL dim_v, rank_rtol) ||tau||:
+    tau lies in col(A) only to within membership_rtol, and the rounds,
+    oracle.scale and the oracle's rank-sized factors of it read tau as its
+    projection U_r g, so the scaled program has a unit minimal witness; a
+    round records the flag tau-projected.  Below the cut the closed form
+    reads U_r g too, and oracle.scale reads tau itself.  Every field is
+    None, 0.0 or False when no positive witness exists (_NO_TARGET)."""
 
     y_hat: Optional[np.ndarray]
     n_val: float
     sigma_min: float
     tau2: float
+    projected: bool
 
 
-_NO_TARGET = _TargetFactors(None, 0.0, 0.0, 0.0)
+_NO_TARGET = _TargetFactors(None, 0.0, 0.0, 0.0, False)
 
 
 @dataclass(frozen=True)
@@ -770,13 +762,12 @@ def _target_factors(
     sigma_min = float(sigma[-1])
     # rank_rtol ||tau|| bounds rho too, so that A_beta's cut drops rho's direction
     cut = min(_COL_RESIDUAL_RTOL * tau.size, tols.rank_rtol)
-    if math.sqrt(rho2) > cut * math.sqrt(tau2):
-        return _TargetFactors(None, 0.0, sigma_min, tau2)
+    projected = math.sqrt(rho2) > cut * math.sqrt(tau2)
     y = g / sigma  # V_r^T w0 = Sigma^-1 U_r^T tau
     n_val = float(y @ y)
     y_hat = y / math.sqrt(n_val)
     y_hat.setflags(write=False)
-    return _TargetFactors(y_hat, n_val, sigma_min, tau2)
+    return _TargetFactors(y_hat, n_val, sigma_min, tau2, projected)
 
 
 def _gram_factors(
@@ -1255,11 +1246,7 @@ def _rescaled(
         return fact
     w0 = factor * mw.w0  # a fresh array, made read-only without a copy
     w0.setflags(write=False)
-    witness = MinimalWitness(
-        w0=w0,
-        n_plus=mw.n_plus * factor * factor,
-        n_minus=mw.n_minus / (factor * factor),
-    )
+    witness = MinimalWitness(w0, mw.n_plus * factor * factor, mw.n_minus / (factor * factor))
     target = _target_factors(fact.col_basis, fact.sigma, tau, tols)
     return dataclasses.replace(fact, witness=witness, target=target)
 
@@ -1290,78 +1277,6 @@ def normalize(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS) -> SpanProg
     """
     mw = minimal_witness(program, tols)
     return rescale_target(program, 1.0 / math.sqrt(mw.n_plus))
-
-
-@dataclass(frozen=True)
-class ScaledFactors:
-    """The factors of oracle.scale(program, beta)'s A_beta that w0's spectral
-    measure reads, derived from the parent's A = U_r Sigma V_r^T.
-
-    With g = U_r^T tau and rho = tau - U_r g, the rows [beta A, tau] of A_beta
-    on V are [U_r, e] K blockdiag(V_r^T, 1) for e = rho/||rho|| (any unit
-    vector off col(A) when rho = 0) and the (r+1) x (r+1) matrix
-    K = [[beta Sigma, g], [0, ||rho||]].  Keeping rho keeps a tau that lies
-    in col(A) only to within membership_rtol as the direct SVD sees it.  The
-    last row of A_beta is c = sqrt(beta^2 + N)/beta on h1 alone.  From
-    K = P S Q^T, A_beta's nonzero singular values are the kept values of S
-    and c, cut against max(S, c) as _factorize cuts them.  Its row basis is
-    V_beta = blockdiag(blockdiag(V_r, 1) row_map, 1), row_map the kept
-    columns of Q, and witness is
-    y = V_beta^T w0_beta = [S^-1 P^T [g; ||rho||]; 1/c] over the kept values;
-    h1's entries come last and are absent when c itself is cut.
-    """
-
-    row_map: np.ndarray
-    witness: np.ndarray
-
-    def cross(self, parent_cross: np.ndarray) -> np.ndarray:
-        """V_beta^T Q_{H_beta}(x) from the parent's C(x) = V_r^T Q_H(x):
-        h0 lies in the false block and h1 in the true one, so H_beta(x) is
-        H(x) plus h1 and the matrix is blockdiag(row_map[:r]^T C(x), 1).
-        Given C(x) W for W with orthonormal columns, it returns the same
-        matrix times blockdiag(W, 1)."""
-        top = self.row_map[:-1].T @ parent_cross
-        if self.witness.size == self.row_map.shape[1]:
-            return top
-        out = np.zeros((top.shape[0] + 1, top.shape[1] + 1))
-        out[:-1, :-1] = top
-        out[-1, -1] = 1.0
-        return out
-
-
-def scaled_factors(
-    program: SpanProgram, beta: float, tols: Tolerances = DEFAULT_TOLS
-) -> ScaledFactors:
-    """ScaledFactors of oracle.scale(program, beta, tols), from one SVD of the
-    (r+1) x (r+1) matrix K.  Raises GloballyInfeasibleError when tau_beta
-    fails _factorize's membership test, as minimal_witness of the scaled
-    program then does.  As with scale, w0_beta is a unit vector only when
-    tau lies in col(A) exactly, that is rho = 0; otherwise ||witness|| is not
-    1 and a round that reads it is refused at SpectralMeasure's unit-state
-    check, as the direct route on scale(program, beta) is."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    n_val = minimal_witness(program, tols).n_plus
-    fact = program.factorization(tols)
-    g = fact.col_basis.T @ program.tau
-    rho = float(np.linalg.norm(program.tau - fact.col_basis @ g))
-    r = g.size
-    k_mat = np.zeros((r + 1, r + 1))
-    k_mat[:r, :r] = np.diag(beta * fact.sigma)
-    k_mat[:r, r] = g
-    k_mat[r, r] = rho
-    p_mat, s, qt = np.linalg.svd(k_mat)
-    c = math.sqrt(beta * beta + n_val) / beta
-    kept = _rank(s, tols, c)
-    h1_kept = _rank(np.array([c]), tols, float(s[0])) == 1
-    on_tau = p_mat.T @ np.append(g, rho)
-    missed = math.hypot(float(np.linalg.norm(on_tau[kept:])), 0.0 if h1_kept else 1.0)
-    if missed > tols.membership_rtol * math.sqrt(float(program.tau @ program.tau) + 1.0):
-        raise GloballyInfeasibleError("tau is not in col(A); no positive witness exists")
-    y = on_tau[:kept] / s[:kept]
-    if h1_kept:
-        y = np.append(y, 1.0 / c)
-    return ScaledFactors(freeze(qt[:kept].T), freeze(y))
 
 
 def or_span_program(n: int) -> SpanProgram:

@@ -29,18 +29,16 @@ that each reads are those its argument was built for, by construction.
 A threshold round needs the same measure for the scaled program
 scale(P, beta).  scaled_measure_U and scaled_measure_Uprime read it without
 building that program, from C(x) = V_r^T Q_H(x) of P, which does not depend
-on beta.  When tau lies in col(A) to within rounding and beta cuts no
-direction of A_beta, the scaled program's row space is row(A) minus one
-direction plus one, so a pair (w_beta, L_beta) with the inner products of
-its (V^T w0, V^T Q_H) is a rank-one change of (y, F), built in O(r k) from
-what RowSpaceCross holds; otherwise the scaled program's row basis and w0
-come from spanprog.scaled_factors, one (r+1) x (r+1) SVD.  Every route
-shares one tail per unitary, which takes (V^T w0, V^T Q_H) or such a pair
-and makes one SVD: of the cross matrix for U, and of the cross matrix with
-w0's direction projected out of its rows for U'.  Each tail writes its
-phases and weights into arrays of their final size, which SpectralMeasure
-copies once to snap and validate.  The direct route on
-oracle.scale(P, beta) is the oracle the rounds are tested against.
+on beta.  tau is read as its projection onto col(A), so the scaled
+program's row space is row(A) minus one direction plus one, and a pair
+(w_beta, L_beta) with the inner products of its (V^T w0, V^T Q_H) is a
+rank-one change of (y, F), built in O(r k) from what RowSpaceCross holds;
+a degenerate beta raises spanprog.DegenerateRoundError.  Each unitary has
+one tail, which takes (V^T w0, V^T Q_H) or such a pair and makes one SVD:
+of the cross matrix for U, and of it with w0's direction projected out of
+its rows for U'.  It writes phases and weights into arrays of their final
+size, which SpectralMeasure copies once to snap and validate.  The rounds
+are tested against oracle.scale(P, beta) and its rank-sized oracle form.
 """
 
 from __future__ import annotations
@@ -52,8 +50,8 @@ from typing import Optional
 import numpy as np
 
 from ._linalg import PHASE_ROUND_TOL, Tolerances, freeze
-from .spanprog import InputFactors, SpanProgram, minimal_witness
-from .spanprog import _TargetFactors, restrict, scaled_factors
+from .spanprog import DegenerateRoundError, InputFactors, SpanProgram, minimal_witness
+from .spanprog import _TargetFactors, restrict
 
 
 @dataclass(frozen=True)
@@ -110,8 +108,8 @@ class RowSpaceCross:
     What the rounds' closed form (_scaled_pair) reads besides F does not
     depend on beta either: target is the Factorization's
     spanprog._TargetFactors (y_hat, n_val, sigma_min and tau2, which depend
-    on the program and Tolerances alone; y_hat is None unless tau lies in
-    col(A) to within rounding), f_y_hat = F^T y_hat is held per input, and
+    on the program and Tolerances alone; y_hat is None only when no
+    positive witness exists), f_y_hat = F^T y_hat is held per input, and
     A's largest singular value is inputs.a_scale.
 
     program and tols are read through inputs, so a measure or a round
@@ -242,7 +240,8 @@ def _scaled_pair(cross: RowSpaceCross, beta: float) -> tuple[np.ndarray, np.ndar
     L^T w = cross_beta^T y_beta and ||w|| = ||y_beta||, which give both
     measures.
 
-    For tau in col(A), the rows [beta A, tau] of A_beta span, in the
+    For tau in col(A), or read as its projection U_r g onto col(A) (see
+    spanprog._TargetFactors), the rows [beta A, tau] of A_beta span, in the
     coordinates blockdiag(V_r, 1) of H and h0, the complement of
     n = [-y; beta] / R, R = sqrt(beta^2 + N), N = ||y||^2; the h1 row adds
     h1 to row(A_beta) and to H_beta(x).  So cross_beta^T cross_beta is
@@ -255,37 +254,40 @@ def _scaled_pair(cross: RowSpaceCross, beta: float) -> tuple[np.ndarray, np.ndar
     That is O(r k) after row_space_cross; L and w are written in place,
     each into one array of its final shape.
 
-    The closed form holds when A_beta's rank cut drops no direction but
-    rho's.  The margins below decide that from bounds on the singular
-    values of K = [[beta Sigma, g], [0, rho]] (scaled_factors): its r
-    leading ones are at least beta sigma_min, the largest is at most
-    sqrt(beta^2 sigma_max^2 + tau2), and the last is at most rho, which a
-    target with a y_hat has below rank_rtol ||tau|| <= rank_rtol s_max(K).
-    Otherwise, and whenever y_hat is None, the pair is (y_beta, cross_beta)
-    from scaled_factors, one (r+1) x (r+1) SVD, which also refuses
-    beta <= 0."""
-    target = cross.target
-    if target.y_hat is not None and beta > 0.0:
-        n_val, rtol, sigma_max = target.n_val, cross.tols.rank_rtol, cross.inputs.a_scale
-        big_r = math.sqrt(beta * beta + n_val)
-        c = big_r / beta  # A_beta's h1 entry
-        k_top = math.sqrt(beta * beta * sigma_max * sigma_max + target.tau2)
-        if beta * target.sigma_min > rtol * max(k_top, c) and c > rtol * k_top:
-            eps = n_val / (big_r * (big_r + beta))
-            y_hat, (r, k) = target.y_hat, cross.factor.shape
-            l_mat = np.empty((r + 1, k + 1))
-            top = np.multiply(y_hat[:, None], cross.f_y_hat, out=l_mat[:r, :k])
-            top *= eps
-            np.subtract(cross.factor, top, out=top)
-            l_mat[:r, k] = 0.0
-            l_mat[r, :k] = 0.0
-            l_mat[r, k] = 1.0
-            w = np.empty(r + 1)
-            np.multiply(y_hat, math.sqrt(n_val) / big_r, out=w[:r])
-            w[r] = beta / big_r
-            return w, l_mat
-    scaled = scaled_factors(cross.program, beta, cross.tols)
-    return scaled.witness, scaled.cross(cross.factor)
+    This holds when A_beta's rank cut drops no direction but rho's.  The
+    rows [beta A, tau] are [U_r, e] K blockdiag(V_r^T, 1) for a unit e off
+    col(A) and K = [[beta Sigma, g], [0, rho]], and the margins below bound
+    K's singular values: its r leading ones are at least beta sigma_min, the
+    largest is at most sqrt(beta^2 sigma_max^2 + tau2), and the last is at
+    most rho, which is below rank_rtol ||tau|| <= rank_rtol s_max(K), or 0
+    for a projected tau.
+    Where a margin fails, or beta <= 0, it raises DegenerateRoundError."""
+    minimal_witness(cross.program, cross.tols)  # raises when tau is outside col(A)
+    if not beta > 0.0:
+        raise DegenerateRoundError(f"beta = {beta!r}: a threshold round needs beta > 0")
+    target, rtol, sigma_max = cross.target, cross.tols.rank_rtol, cross.inputs.a_scale
+    n_val = target.n_val
+    big_r = math.sqrt(beta * beta + n_val)
+    c = big_r / beta  # A_beta's h1 entry
+    k_top = math.sqrt(beta * beta * sigma_max * sigma_max + target.tau2)
+    for margin, value, cut in (("beta sigma_min(A)", beta * target.sigma_min, max(k_top, c)),
+                               ("the h1 entry c", c, k_top)):
+        if not value > rtol * cut:
+            raise DegenerateRoundError(f"beta = {beta!r}: {margin} = {value:.3e} is not above "
+                                       f"A_beta's rank cut rank_rtol * {cut:.3e}")
+    eps = n_val / (big_r * (big_r + beta))
+    y_hat, (r, k) = target.y_hat, cross.factor.shape
+    l_mat = np.empty((r + 1, k + 1))
+    top = np.multiply(y_hat[:, None], cross.f_y_hat, out=l_mat[:r, :k])
+    top *= eps
+    np.subtract(cross.factor, top, out=top)
+    l_mat[:r, k] = 0.0
+    l_mat[r, :k] = 0.0
+    l_mat[r, k] = 1.0
+    w = np.empty(r + 1)
+    np.multiply(y_hat, math.sqrt(n_val) / big_r, out=w[:r])
+    w[r] = beta / big_r
+    return w, l_mat
 
 
 def scaled_measure_U(cross: RowSpaceCross, beta: float) -> SpectralMeasure:

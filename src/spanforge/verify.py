@@ -56,8 +56,8 @@ from .generators import (
 )
 from .resistance import _spectral_oracle, build_st_span_program, graph_input
 from .resistance import witness_equals_half_resistance
-from .oracle import build_U, build_U_and_Uprime, decompose_orthogonal, discriminant, scale
-from .oracle import flow_resistance_bruteforce, intersection_dims, subspace_projector
+from .oracle import _u_parts, _uprime, blocks_projector, decompose_orthogonal, discriminant
+from .oracle import flow_resistance_bruteforce, intersection_dims, kernel_projector, scale
 from .oracle import verify_reflection_factorization
 from .qsim import outcome_zero_probability
 from .spanprog import input_factors, minimal_negative_value, minimal_witness, normalize
@@ -209,11 +209,12 @@ def _duality_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
         float(np.max(np.abs(np.asarray(row0) - np.asarray(mw.w0) / mw.n_plus))),
     )
     for x in all_inputs(program):
-        rep = witness_report(input_factors(program, x, tols))
+        f = input_factors(program, x, tols)
+        rep = witness_report(f)
         if math.isinf(rep.w_plus) == math.isinf(rep.w_minus):
             partition_violations += 1
             continue
-        proj = subspace_projector(program, x, tols)
+        proj = blocks_projector(program, f.q_h)  # H(x) walked once per input
         if math.isfinite(rep.w_minus):
             worst_neg = max(worst_neg, abs(rep.w_minus * rep.e_plus - 1.0) / rep.w_minus)
             err = (np.eye(program.dim_h) - proj) @ np.asarray(rep.witness_vec)
@@ -268,13 +269,15 @@ def _spectral_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
     rng = _rng(seed, trial)
     program = normalize(random_span_program(rng), tols)
     w0 = np.asarray(minimal_witness(program, tols).w0)
+    pi_ker = kernel_projector(program, tols)  # one per program, not per input
     grid = [0.0] + THETA_GRID  # the fixed space, then the Theta grid
     for x in all_inputs(program):
         # one factoring of A(x) serves the witness report and both measures
         f = input_factors(program, x, tols)
         rep = witness_report(f)
         cross = row_space_cross(f)
-        dec, decp = build_U_and_Uprime(program, x, tols)
+        parts = _u_parts(program, x, tols, pi_ker)
+        dec, decp = decompose_orthogonal(parts[2]), _uprime(program, tols, *parts)
         worst_measure_u = max(
             worst_measure_u, _measure_gap(measure_U(cross), dec.measure(w0))
         )
@@ -476,18 +479,17 @@ def _kappa_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
     worst_sigma = worst_res = 0.0
     rng = _rng(seed, trial)
     program = random_span_program(rng)
+    pi_ker = kernel_projector(program, tols)  # one per program, not per input
     for x in all_inputs(program):
         f = input_factors(program, x, tols)
         try:
             bound = kappa_bound(f)
         except ValueError:
             continue
+        parts = _u_parts(program, x, tols, pi_ker)
         if f.positive:
-            dec, decp = build_U_and_Uprime(program, x, tols)
-            worst_up = max(worst_up, bound - decp.phase_gap())
-        else:
-            dec = build_U(program, x, tols)
-        worst_u = max(worst_u, bound - dec.phase_gap())
+            worst_up = max(worst_up, bound - _uprime(program, tols, *parts).phase_gap())
+        worst_u = max(worst_u, bound - decompose_orthogonal(parts[2]).phase_gap())
 
     n = int(rng.integers(3, 8))
     g = random_graph(rng, n, edge_prob=0.6)

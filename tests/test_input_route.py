@@ -297,6 +297,46 @@ def test_no_estimator_module_imports_the_oracle(module):
     assert oracle_imports(source) == []
 
 
+# the rounds' scalable reference, which lives in spanforge.oracle: no
+# estimator module may name it, so a round has the closed form alone
+SCALED_FACTORS = {"scaled_factors", "ScaledFactors"}
+
+
+def scaled_factors_names(source: str) -> list[str]:
+    """Each place a module's source names one of SCALED_FACTORS, as an
+    import, a name, an attribute or a definition, by line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = {part for a in node.names for part in (*a.name.split("."), a.asname)}
+        elif isinstance(node, ast.Name):
+            names = {node.id}
+        elif isinstance(node, ast.Attribute):
+            names = {node.attr}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = {node.name}
+        else:
+            continue
+        found += [f"{node.lineno}: {name}" for name in sorted(names & SCALED_FACTORS)]
+    return found
+
+
+def test_the_name_check_sees_every_form_of_naming_scaled_factors():
+    for line in ("from .oracle import scaled_factors", "from .spanprog import ScaledFactors as S",
+                 "from . import oracle\noracle.scaled_factors(p, 1.0)", "f = scaled_factors",
+                 "def scaled_factors(p, beta):\n    pass", "class ScaledFactors:\n    pass"):
+        assert scaled_factors_names(line), line
+    for line in ("from .oracle import scale", "scaled = scale(p, beta)", "# scaled_factors"):
+        assert not scaled_factors_names(line), line
+
+
+@pytest.mark.parametrize("module", ESTIMATOR_MODULES)
+def test_no_estimator_module_names_scaled_factors(module):
+    source = (Path(oracle.__file__).parent / f"{module}.py").read_text()
+    assert scaled_factors_names(source) == []
+    assert isinstance(oracle.ScaledFactors, type) and callable(oracle.scaled_factors)
+
+
 # each per-input quantity is one function of x's InputFactors, or of the
 # RowSpaceCross built from them; these are the private twins it replaced
 PER_INPUT = {

@@ -1,7 +1,10 @@
-"""Threshold rounds read the scaled program from the parent's factors:
-differential tests of scaled_measure_U/scaled_measure_Uprime against
-measure_U/measure_Uprime of scale(program, beta), on both sides of the
-choice between the closed form and the scaled_factors route, the calls one
+"""Threshold rounds read the scaled program from the parent's factors by one
+closed form: differential tests of scaled_measure_U/scaled_measure_Uprime
+against measure_U/measure_Uprime of scale(program, beta), with tau read as
+its projection onto col(A) where it lies there only to within
+membership_rtol; at a degenerate beta, where the closed form's margins
+fail, the round raises DegenerateRoundError and the oracle's scaled_factors
+route is compared with the direct one in its place.  Also the calls one
 estimate makes, and the guard against a C(x) of another program or input."""
 
 import dataclasses
@@ -14,6 +17,7 @@ import pytest
 from spanforge import algorithms, spanprog, spectral
 from spanforge._linalg import DEFAULT_TOLS, Tolerances
 from spanforge.algorithms import (
+    NEGATIVE,
     POSITIVE,
     ThresholdSpec,
     decision_context,
@@ -21,7 +25,7 @@ from spanforge.algorithms import (
     witness_estimate,
 )
 from spanforge.generators import all_inputs, random_graph, random_span_program
-from spanforge.oracle import build_Uprime, scale
+from spanforge.oracle import build_Uprime, scale, scaled_factors
 from spanforge.qsim import QueryLedger, outcome_zero_probability
 from spanforge.resistance import (
     EFFECTIVE_GAP,
@@ -35,13 +39,14 @@ from spanforge.resistance import (
     lower_bound_family,
 )
 from spanforge.spanprog import (
+    DegenerateRoundError,
+    SpanProgramError,
     Subspaces,
     input_factors,
     min_error_positive,
     minimal_witness,
     normalize,
     or_span_program,
-    scaled_factors,
     subspace_blocks,
     witness_report,
 )
@@ -55,46 +60,84 @@ from spanforge.spectral import (
 
 from test_input_route import degenerate_programs
 
-BETAS = (1e-3, 0.37, 1.0, 4.0, 1e3)
-# rounds are also compared at the ends: at 1e-6 beta Sigma falls under the
-# rank cut against c = sqrt(beta^2 + N)/beta on most programs, so the round
-# takes the scaled_factors route, and at 1e6 it keeps the closed form.  Kept
-# out of BETAS, whose ranks the nearly feasible program's test pins.
-ROUND_BETAS = (1e-6,) + BETAS + (1e6,)
+BETAS = (1e-3, 0.37, 1.0, 4.0, 1e3, 1e6)
+# rounds are also compared at 1e-6, where beta Sigma falls under the rank
+# cut against c = sqrt(beta^2 + N)/beta on most programs, so the round
+# raises DegenerateRoundError
+ROUND_BETAS = (1e-6,) + BETAS
 GRIDS = (2, 16, 256)
+DIRECT = (measure_U, measure_Uprime)
+ROUNDS = (scaled_measure_U, scaled_measure_Uprime)
 
 
 def outcome_zero_probabilities(measure, *args):
-    """outcome_zero_probability on GRIDS, or None when measure raises ValueError."""
+    """outcome_zero_probability on GRIDS, or None when measure raises a
+    ValueError other than DegenerateRoundError, which propagates."""
     try:
         got = measure(*args)
+    except DegenerateRoundError:
+        raise
     except ValueError:
         return None
     return np.array([outcome_zero_probability(got, grid) for grid in GRIDS])
 
 
-def refused_rounds(program, x):
+def margins_hold(program, beta):
+    """The closed form's two margins at beta, recomputed from A's factors:
+    beta sigma_min(A) above rank_rtol max(k, c) and c above rank_rtol k,
+    for c = sqrt(beta^2 + N)/beta and k = sqrt(beta^2 sigma_max^2 + ||tau||^2)."""
+    fact, rtol = program.factorization(), DEFAULT_TOLS.rank_rtol
+    c = math.sqrt(beta * beta + minimal_witness(program).n_plus) / beta
+    k_top = math.hypot(beta * fact.sigma_max, float(np.linalg.norm(program.tau)))
+    return beta * fact.sigma[-1] > rtol * max(k_top, c) and c > rtol * k_top
+
+
+def scaled_factors_rounds(program, cross, beta):
+    """outcome_zero_probabilities of both measures on the pair the oracle's
+    scaled_factors gives at beta, each None where scaled_factors refuses."""
+    try:
+        factors = scaled_factors(program, beta)
+    except ValueError:
+        return [None, None]
+    pair = (factors.witness, factors.cross(cross.factor))
+    return [outcome_zero_probabilities(spectral._measure_u, *pair),
+            outcome_zero_probabilities(spectral._measure_uprime, *pair, DEFAULT_TOLS)]
+
+
+def refused_rounds(program, x, degenerate=None):
     """Compare each round's measures with the direct route's on
     scale(program, beta) to 1e-12; return how many of them both routes
-    refused with a ValueError."""
+    refused with a ValueError.  Where margins_hold fails, and only there,
+    the round must raise DegenerateRoundError naming beta, and the oracle's
+    scaled_factors route is compared in its place; such betas are appended
+    to degenerate."""
     cross = row_space_cross(input_factors(program, x))
     refused = 0
     for beta in ROUND_BETAS:
         scaled_cross = row_space_cross(input_factors(scale(program, beta), x))
-        pairs = ((measure_U, scaled_measure_U), (measure_Uprime, scaled_measure_Uprime))
-        for direct, derived in pairs:
-            want = outcome_zero_probabilities(direct, scaled_cross)
-            got = outcome_zero_probabilities(derived, cross, beta)
-            assert (want is None) == (got is None)
-            if want is None:
+        want = [outcome_zero_probabilities(direct, scaled_cross) for direct in DIRECT]
+        if margins_hold(program, beta):
+            got = [outcome_zero_probabilities(derived, cross, beta) for derived in ROUNDS]
+        else:
+            for derived in ROUNDS:
+                with pytest.raises(DegenerateRoundError, match=f"beta = {beta!r}: "):
+                    derived(cross, beta)
+            got = scaled_factors_rounds(program, cross, beta)
+            if degenerate is not None:
+                degenerate.append(beta)
+        for w, g in zip(want, got):
+            assert (w is None) == (g is None)
+            if w is None:
                 refused += 1
             else:
-                assert np.max(np.abs(got - want)) <= 1e-12
+                assert np.max(np.abs(g - w)) <= 1e-12
     return refused
 
 
 def assert_rounds_match_scaled_program(program, x):
-    assert refused_rounds(program, x) == 0
+    degenerate = []
+    assert refused_rounds(program, x, degenerate) == 0
+    assert set(degenerate) <= {1e-6}  # only the degenerate beta leaves the closed form
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
@@ -136,24 +179,48 @@ def nearly_feasible_program():
 
 
 def test_rounds_keep_a_tau_that_lies_in_col_a_only_to_within_tolerance():
+    # tau is read as its projection onto col(A), by the rounds and by scale:
+    # the scaled program keeps no direction of rho and has a unit minimal
+    # witness, and every round answers, flagged tau-projected, as the
+    # direct route on scale(program, beta) does
     program = nearly_feasible_program()
     fact = program.factorization()
     g = fact.col_basis.T @ program.tau
     rho = np.linalg.norm(program.tau - fact.col_basis @ g)
     assert 1e-10 < rho / np.linalg.norm(program.tau) < 1e-8
-    ranks = []
+    assert fact.target.projected and fact.target.y_hat is not None
     for beta in BETAS:
-        # the scaled program's rank counts rho's direction as the direct SVD
-        # does: kept next to beta Sigma, cut next to c = sqrt(beta^2 + N)/beta
-        ranks.append(scale(program, beta).factorization().row_basis.shape[1])
-        assert scaled_factors(program, beta).witness.size == ranks[-1]
-    assert min(ranks) == fact.sigma.size + 1 and max(ranks) == fact.sigma.size + 2
-    # where rho's direction is kept, w0_beta is no longer a unit vector
-    # (||w0_beta||^2 is 1.11, 1.48 or 1.94 at beta = 0.37, 1 or 4): both
-    # routes refuse the round at SpectralMeasure's unit-state check
-    per_input = 2 * sum(rank == fact.sigma.size + 2 for rank in ranks)
+        scaled = scale(program, beta)
+        assert scaled.factorization().row_basis.shape[1] == fact.sigma.size + 1
+        assert minimal_witness(scaled).n_plus == pytest.approx(1.0, abs=1e-12)
     for x in all_inputs(program):
-        assert refused_rounds(program, x) == per_input
+        cross = row_space_cross(input_factors(program, x))
+        for beta in BETAS:
+            scaled_cross = row_space_cross(input_factors(scale(program, beta), x))
+            for direct, derived, side, w_bound in zip(DIRECT, ROUNDS, (NEGATIVE, POSITIVE),
+                                                      (beta**-2, beta**2)):
+                want = outcome_zero_probabilities(direct, scaled_cross)
+                got = outcome_zero_probabilities(derived, cross, beta)
+                assert want is not None and got is not None
+                assert np.max(np.abs(got - want)) <= 1e-12
+                # the round at this beta: beta = 1/sqrt(W-) or sqrt(W+)
+                spec = ThresholdSpec(side=side, lam=0.5, w_bound=w_bound, w_tilde_bound=1.0)
+                ctx = decision_context(cross, spec)
+                assert "tau-projected" in ctx.flags
+                assert ctx.p_exact == pytest.approx(
+                    outcome_zero_probability(direct(scaled_cross), ctx.pe_grid), abs=1e-12
+                )
+    # an estimate carries the flag
+    x = next(x for x in all_inputs(program) if input_factors(program, x).positive)
+    result = witness_estimate(normalize(program), x, 0.25, POSITIVE, np.random.default_rng(1),
+                              QueryLedger())
+    assert "tau-projected" in result.flags
+    # the same program with tau in col(A) to within rounding: no flag
+    exact = normalize(random_span_program(np.random.default_rng([8, 3])))
+    assert not exact.factorization().target.projected
+    spec = ThresholdSpec(side=POSITIVE, lam=0.5, w_bound=4.0, w_tilde_bound=1.0)
+    cross = row_space_cross(input_factors(exact, x))
+    assert "tau-projected" not in decision_context(cross, spec).flags
 
 
 def test_measure_uprime_reads_cosines_within_rounding_of_one_as_one():
@@ -307,45 +374,41 @@ def test_equal_subspaces_are_decided_once_per_store(monkeypatch):
         assert calls == [(2, 2)] * (2 * distinct)
 
 
-def count_scaled_factors(monkeypatch):
-    """Count the calls of scaled_factors made by the rounds."""
-    calls = []
-    real = spanprog.scaled_factors
-
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
-
-    patch_everywhere(monkeypatch, "scaled_factors", counting)
-    return calls
-
-
-def test_closed_form_is_taken_only_within_its_margins(monkeypatch):
-    calls = count_scaled_factors(monkeypatch)
+def test_closed_form_is_taken_only_within_its_margins():
+    assert issubclass(DegenerateRoundError, SpanProgramError)
+    assert issubclass(DegenerateRoundError, ValueError)
     program = normalize(random_span_program(np.random.default_rng([8, 3])))
     fact = program.factorization()
     assert fact.sigma[-1] < 100.0  # so beta = 1e-6 cuts beta sigma_min against c = 1e6
     x = next(x for x in all_inputs(program) if input_factors(program, x).positive)
     cross = row_space_cross(input_factors(program, x))
     for beta in ROUND_BETAS:
-        scaled_measure_U(cross, beta)
-        scaled_measure_Uprime(cross, beta)
-    assert calls == [1e-6, 1e-6]
-    # tau off col(A) by 1e-9 relative: every round keeps the scaled_factors route
-    calls.clear()
+        assert margins_hold(program, beta) == (beta != 1e-6)
+        for derived in ROUNDS:
+            if beta != 1e-6:
+                derived(cross, beta)
+                continue
+            with pytest.raises(DegenerateRoundError,
+                               match=r"beta = 1e-06: beta sigma_min\(A\) = .* rank cut"):
+                derived(cross, beta)
+    for beta in (0.0, -1.0):
+        with pytest.raises(DegenerateRoundError, match="needs beta > 0"):
+            scaled_measure_U(cross, beta)
+    # tau off col(A) by 1e-9 relative is read as its projection, so its
+    # rounds leave the closed form only at the degenerate beta as well
     program = nearly_feasible_program()
-    cross = row_space_cross(input_factors(program, x))
-    assert cross.target.y_hat is None
-    for beta in ROUND_BETAS:
-        outcome_zero_probabilities(scaled_measure_Uprime, cross, beta)
-    assert calls == list(ROUND_BETAS)
+    for x in all_inputs(program):
+        assert_rounds_match_scaled_program(program, x)
     # sigma_max(A) = sqrt(3) 1e6: at beta = 1e6, c = sqrt(beta^2 + N)/beta is
-    # cut against beta sigma_max, so both routes refuse the rounds there
-    calls.clear()
+    # cut against beta sigma_max, so the round raises, and both the direct
+    # and the scaled_factors route refuse it
     program = normalize(dataclasses.replace(or_span_program(3), a=np.full((1, 3), 1e6)))
     for x in all_inputs(program):
-        assert refused_rounds(program, x) == 2
-    assert set(calls) == {1e6}
+        degenerate = []
+        assert refused_rounds(program, x, degenerate) == 2
+        assert degenerate == [1e6]
+    with pytest.raises(DegenerateRoundError, match=r"beta = 1000000.0: the h1 entry c"):
+        scaled_measure_Uprime(row_space_cross(input_factors(program, x)), 1e6)
 
 
 def estimate_betas(monkeypatch, program, x, n):
@@ -380,7 +443,7 @@ ESTIMATE_GRAPHS = {
 
 
 def forbidden_scaled_factors(*args, **kwargs):
-    raise AssertionError("a round took the scaled_factors route")
+    raise AssertionError("a round reached the oracle's scaled_factors")
 
 
 @pytest.mark.parametrize("name", sorted(ESTIMATE_GRAPHS))
@@ -396,14 +459,8 @@ def test_rounds_match_over_the_betas_of_an_estimate(monkeypatch, name):
             want = [outcome_zero_probabilities(m, scaled_cross)
                     for m in (measure_U, measure_Uprime)]
         else:  # scale() would form a dense 201 x 39,802 A_beta
-            factors = scaled_factors(program, beta)
-            pair = (factors.witness, factors.cross(cross.factor))
-            want = [outcome_zero_probabilities(spectral._measure_u, *pair),
-                    outcome_zero_probabilities(spectral._measure_uprime, *pair, DEFAULT_TOLS)]
-        with monkeypatch.context() as patch:
-            patch.setattr(spectral, "scaled_factors", forbidden_scaled_factors)
-            got = [outcome_zero_probabilities(m, cross, beta)
-                   for m in (scaled_measure_U, scaled_measure_Uprime)]
+            want = scaled_factors_rounds(program, cross, beta)
+        got = [outcome_zero_probabilities(m, cross, beta) for m in ROUNDS]
         assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-12
 
 

@@ -433,7 +433,8 @@ def assert_factorizations_agree(inherited, fresh, rtol=1e-12):
     assert (mine.y_hat is None) == (theirs.y_hat is None)
     if theirs.y_hat is not None:
         assert mine.y_hat.tobytes() == theirs.y_hat.tobytes()
-    assert (mine.n_val, mine.sigma_min, mine.tau2) == (theirs.n_val, theirs.sigma_min, theirs.tau2)
+    assert (mine.n_val, mine.sigma_min, mine.tau2, mine.projected) == (
+        theirs.n_val, theirs.sigma_min, theirs.tau2, theirs.projected)
     np.testing.assert_allclose(inherited.sigma, fresh.sigma, rtol=rtol, atol=0.0)
     assert inherited.sigma_max == pytest.approx(fresh.sigma_max, rel=rtol)
     for name in ("row_basis", "col_basis"):
