@@ -340,6 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.seed < 0:  # numpy seeds no generator from a negative integer
+        print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
+        return EXIT_ARGUMENT_ERROR
     try:
         tols = _tolerances(args)
     except ValueError as exc:

@@ -227,13 +227,18 @@ def decompose_orthogonal(u_mat: np.ndarray) -> UnitaryDecomposition:
 
 
 def _u_parts(
-    program: SpanProgram, x: Sequence[int], tols: Tolerances, pi_ker: Optional[np.ndarray] = None
+    program: SpanProgram,
+    x: Sequence[int],
+    tols: Tolerances,
+    pi_ker: Optional[np.ndarray] = None,
+    pi_hx: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pi_ker(A), Pi_H(x) and U = (2 Pi_ker(A) - I)(2 Pi_H(x) - I), which
-    build_U decomposes and _uprime checks its factorization against;
-    pi_ker, kernel_projector(program, tols), is formed unless given."""
+    build_U decomposes and _uprime checks its factorization against.
+    pi_ker, kernel_projector(program, tols), and pi_hx,
+    subspace_projector(program, x, tols), are formed unless given."""
     pi_ker = kernel_projector(program, tols) if pi_ker is None else pi_ker
-    pi_hx = subspace_projector(program, x, tols)
+    pi_hx = subspace_projector(program, x, tols) if pi_hx is None else pi_hx
     eye = np.eye(program.dim_h)
     return pi_ker, pi_hx, (2.0 * pi_ker - eye) @ (2.0 * pi_hx - eye)
 

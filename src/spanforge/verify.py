@@ -4,16 +4,17 @@ Each suite draws its instances from per-task substreams ((seed, task index)
 seeded generators), aggregates worst-case residuals, and returns a flat list
 of checks; the CLI turns them into a report and its exit code.
 
-The trial-driven suites (all but appendixB) split into a per-trial function,
-which returns that trial's worst values and counts, and a reduction of those
-in trial order with the serial loop's max() and += from the same starting
-values.  So every check, observed value included, is bit-identical whatever
-the number of processes.
+Each trial-driven suite (all but appendixB) is one entry of _TRIAL_SUITES:
+a per-trial function, which returns that trial's worst value or count for
+each check, and the checks, each declared once as (name, fold start,
+tolerance, detail).  One runner reduces the trials' values in trial order
+with the serial loop's max() and += from those starts.  So every check,
+observed value included, is bit-identical whatever the number of processes.
 
 The trials of duality, spectral, scaling and kappa run in a pool of forked
 processes, handed out one at a time: min(usable CPUs, trials // floor) of
-them, the usable CPUs read from os.sched_getaffinity.  The floor
-(_MIN_TRIALS_PER_WORKER) is 32 duality, 8 spectral or 16 scaling or kappa
+them, the usable CPUs read from os.sched_getaffinity.  The floor (each
+entry's worker floor) is 32 duality, 8 spectral or 16 scaling or kappa
 trials, 160 to 270 ms of work against the 30 ms a worker costs to fork and
 join.  On 2 cores each of these suites at twice its floor took 0.43 to 0.91
 of its in-process time over seeds 0 to 2.  Everything else runs in-process:
@@ -44,6 +45,7 @@ import operator
 import os
 import traceback
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -94,20 +96,11 @@ def _usable_cpus() -> int:
     return len(getaffinity(0)) if getaffinity else 1
 
 
-# the fewest trials a worker is given, per suite: forking a worker and
-# joining it costs about 30 ms, and on one core of a 2-core machine a
-# duality trial takes 5 to 6 ms, a spectral trial 23 to 25 ms, a scaling
-# trial 16 to 17 ms and a kappa trial 10 ms (the mean of trials 0-63 at
-# seeds 0-2).  szegedy, absent here, runs in-process (see the module
-# docstring).
-_MIN_TRIALS_PER_WORKER = {"duality": 32, "spectral": 8, "scaling": 16, "kappa": 16}
-
-
 def _workers(suite: str, trials: int) -> int:
     """Processes that the suite's `trials` trials run on; 1 means in-process.
     A daemonic process (a multiprocessing.Pool worker) may not start
     children."""
-    floor = _MIN_TRIALS_PER_WORKER.get(suite)
+    floor = _TRIAL_SUITES[suite].floor
     workers = min(_usable_cpus(), trials // floor) if floor else 1
     if workers < 2:
         return 1
@@ -191,12 +184,12 @@ def _fold(partials, start: tuple) -> list:
     out = list(start)
     for partial in partials:
         out = [acc + value if isinstance(acc, int) else max(acc, value)
-               for acc, value in zip(out, partial)]
+               for acc, value in zip(out, partial, strict=True)]
     return out
 
 
 def _duality_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
-    """One duality trial: its worst residuals and its partition violations."""
+    """One duality trial: its partition violations and its worst residuals."""
     worst_neg = worst_pos = worst_vec_neg = worst_vec_pos = 0.0
     worst_nn = worst_mwvec = 0.0
     partition_violations = 0
@@ -232,36 +225,12 @@ def _duality_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
                 worst_vec_pos,
                 float(np.max(np.abs(np.asarray(rep.witness_vec) - pred))),
             )
-    return (worst_neg, worst_pos, worst_vec_neg, worst_vec_pos, worst_nn, worst_mwvec,
-            partition_violations)
-
-
-def suite_duality(trials: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> list[Check]:
-    """Witness-size/error reciprocity and the optimal-witness vector identities
-    on random programs, every input enumerated."""
-    (worst_neg, worst_pos, worst_vec_neg, worst_vec_pos, worst_nn, worst_mwvec,
-     partition_violations) = _fold(_map_trials("duality", _duality_trial, trials, seed, tols),
-                                   (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0))
-    return [
-        Check("duality/partition", partition_violations == 0, float(partition_violations), 0.0,
-              "exactly one of w+, w- finite per input"),
-        _residual_check("duality/neg-size-times-pos-error", worst_neg, 1e-8,
-                        "relative deviation of w- * e+ from 1 on negative inputs"),
-        _residual_check("duality/pos-size-times-neg-error", worst_pos, 1e-8,
-                        "relative deviation of w+ * e- from 1 on positive inputs"),
-        _residual_check("duality/neg-witness-vector-identity", worst_vec_neg, 1e-8,
-                        "(omega A)^dag vs normalized off-subspace error of the min-error witness"),
-        _residual_check("duality/pos-witness-vector-identity", worst_vec_pos, 1e-8,
-                        "w_x vs normalized on-subspace part of the min-error negative witness"),
-        _residual_check("duality/minimal-witness-reciprocal", worst_nn, 1e-8,
-                        "N+ * N- = 1 with N- from the global quadratic program"),
-        _residual_check("duality/minimal-witness-vector", worst_mwvec, 1e-8,
-                        "(omega0 A)^dag = w0 / N+"),
-    ]
+    return (partition_violations, worst_neg, worst_pos, worst_vec_neg, worst_vec_pos, worst_nn,
+            worst_mwvec)
 
 
 def _spectral_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
-    """One spectral trial's worst residuals, in suite_spectral's order."""
+    """One spectral trial's worst residuals, in its checks' order."""
     worst_p0_neg = worst_p0_pos = 0.0
     worst_measure_u = worst_measure_up = 0.0
     worst_th_neg = worst_th_pos = -math.inf
@@ -276,7 +245,7 @@ def _spectral_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
         f = input_factors(program, x, tols)
         rep = witness_report(f)
         cross = row_space_cross(f)
-        parts = _u_parts(program, x, tols, pi_ker)
+        parts = _u_parts(program, x, tols, pi_ker, blocks_projector(program, f.q_h))
         dec, decp = decompose_orthogonal(parts[2]), _uprime(program, tols, *parts)
         worst_measure_u = max(
             worst_measure_u, _measure_gap(measure_U(cross), dec.measure(w0))
@@ -315,32 +284,6 @@ def _spectral_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
             worst_measure_u, worst_measure_up)
 
 
-def suite_spectral(trials: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> list[Check]:
-    """Fixed-space overlaps and the effective-spectral-gap inequalities on
-    normalized random programs, the estimator path's spectral measures
-    against the dense oracle's, plus the raw two-reflection overlap lemma."""
-    (worst_p0_neg, worst_p0_pos, worst_th_neg, worst_th_pos, worst_raw,
-     worst_measure_u, worst_measure_up) = _fold(
-        _map_trials("spectral", _spectral_trial, trials, seed, tols),
-        (0.0, 0.0, -math.inf, -math.inf, -math.inf, 0.0, 0.0))
-    return [
-        _residual_check("spectral/fixed-space-neg", worst_p0_neg, 1e-8,
-                        "||Pi_0 w0||^2 = 1/w- for U(P, x)"),
-        _residual_check("spectral/fixed-space-pos", worst_p0_pos, 1e-8,
-                        "||Pi_0 w0||^2 = 1/w+ for U'(P, x)"),
-        _residual_check("spectral/small-phase-neg", worst_th_neg, 1e-8,
-                        "||Pi_Theta w0||^2 <= Theta^2/4 wt+ + 1/w- over the Theta grid"),
-        _residual_check("spectral/small-phase-pos", worst_th_pos, 1e-8,
-                        "||Pi_Theta w0||^2 <= Theta^2/4 wt- + 1/w+ over the Theta grid"),
-        _residual_check("spectral/two-reflection-overlap", worst_raw, 1e-8,
-                        "||Pi_Theta Pi_B u|| <= Theta/2 ||u|| when Pi_A u = 0"),
-        _residual_check("spectral/measure-U-vs-oracle", worst_measure_u, 1e-10,
-                        f"outcome-zero probability of measure_U vs the oracle's, M in {PE_GRIDS}"),
-        _residual_check("spectral/measure-Uprime-vs-oracle", worst_measure_up, 1e-10,
-                        "the same for measure_Uprime on positive inputs"),
-    ]
-
-
 def _measure_gap(measure, oracle) -> float:
     """Largest outcome-zero probability difference of two measures over PE_GRIDS."""
     return max(
@@ -350,7 +293,7 @@ def _measure_gap(measure, oracle) -> float:
 
 
 def _scaling_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
-    """One scaling trial's worst residuals, in suite_scaling's order."""
+    """One scaling trial's worst residuals, in its checks' order."""
     betas = (0.25, 1.0, 4.0)
     worst_eq = 0.0
     worst_ineq = -math.inf
@@ -394,26 +337,9 @@ def _scaling_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
     return worst_eq, worst_ineq, worst_unit, worst_idem
 
 
-def suite_scaling(trials: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> list[Check]:
-    """Equalities and inequalities of the beta-scaling construction, plus
-    normalization idempotence."""
-    worst_eq, worst_ineq, worst_unit, worst_idem = _fold(
-        _map_trials("scaling", _scaling_trial, trials, seed, tols), (0.0, -math.inf, 0.0, 0.0))
-    return [
-        _residual_check("scaling/equalities", worst_eq, 1e-8,
-                        "scaled witness sizes and minimal witness vector (beta in {1/4, 1, 4})"),
-        _residual_check("scaling/min-error-inequalities", worst_ineq, 1e-8,
-                        "wt+/wt- growth bounds under scaling"),
-        _residual_check("scaling/unit-minimal-witness", worst_unit, 1e-8,
-                        "scaled program is normalized"),
-        _residual_check("scaling/normalize-idempotent", worst_idem, 1e-8,
-                        "normalizing twice changes nothing"),
-    ]
-
-
 def _szegedy_trial(seed: int, trial: int, dims: int, tols: Tolerances) -> tuple:
-    """One szegedy trial: its worst phase and gap residuals and its
-    eigenspace-dimension mismatches."""
+    """One szegedy trial: its worst phase residual, its eigenspace-dimension
+    mismatches and its worst gap residual."""
     worst_phase = 0.0
     worst_dims = 0
     worst_gap = -math.inf
@@ -455,26 +381,11 @@ def _szegedy_trial(seed: int, trial: int, dims: int, tols: Tolerances) -> tuple:
     minus_u = decompose_orthogonal(-u_mat)
     if report.sigma_min is not None:
         worst_gap = max(worst_gap, 2.0 * report.sigma_min - minus_u.phase_gap())
-    return worst_phase, worst_gap, worst_dims
-
-
-def suite_szegedy(trials: int, dims: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> list[Check]:
-    """Spectrum correspondence between a product of reflections and its
-    discriminant, and the +/-1-eigenspace dimension count."""
-    worst_phase, worst_gap, worst_dims = _fold(
-        _map_trials("szegedy", _szegedy_trial, trials, seed, dims, tols), (0.0, -math.inf, 0))
-    return [
-        _residual_check("szegedy/phase-correspondence", worst_phase, 1e-8,
-                        "non-trivial phases equal +/- 2 arccos(singular values of D)"),
-        Check("szegedy/eigenspace-dimensions", worst_dims == 0, float(worst_dims), 0.0,
-              "+/-1-eigenspace dimensions equal the four intersection dimensions"),
-        _residual_check("szegedy/phase-gap-vs-discriminant", worst_gap, 1e-8,
-                        "phase gap of -U is at least twice the smallest nonzero singular value of D"),
-    ]
+    return worst_phase, worst_dims, worst_gap
 
 
 def _kappa_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
-    """One kappa trial's worst residuals, in suite_kappa's order."""
+    """One kappa trial's worst residuals, in its checks' order."""
     worst_u = worst_up = -math.inf
     worst_sigma = worst_res = 0.0
     rng = _rng(seed, trial)
@@ -486,7 +397,7 @@ def _kappa_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
             bound = kappa_bound(f)
         except ValueError:
             continue
-        parts = _u_parts(program, x, tols, pi_ker)
+        parts = _u_parts(program, x, tols, pi_ker, blocks_projector(program, f.q_h))
         if f.positive:
             worst_up = max(worst_up, bound - _uprime(program, tols, *parts).phase_gap())
         worst_u = max(worst_u, bound - decompose_orthogonal(parts[2]).phase_gap())
@@ -521,25 +432,6 @@ def _kappa_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
     return worst_u, worst_up, worst_sigma, worst_res
 
 
-def suite_kappa(trials: int, seed: int, tols: Tolerances = DEFAULT_TOLS) -> list[Check]:
-    """Phase-gap lower bounds on random programs and on graph instances,
-    including the graph spectral identities the bound rests on."""
-    worst_u, worst_up, worst_sigma, worst_res = _fold(
-        _map_trials("kappa", _kappa_trial, trials, seed, tols), (-math.inf, -math.inf, 0.0, 0.0))
-    return [
-        _residual_check("kappa/gap-bound-U", worst_u, 1e-8,
-                        "phase gap of U(P, x) is at least 2 sigma_min(A(x))/sigma_max(A)"),
-        _residual_check("kappa/gap-bound-Uprime", worst_up, 1e-8,
-                        "same bound for U'(P, x) on positive inputs"),
-        _residual_check("kappa/graph-singular-values", worst_sigma, 1e-12,
-                        "A's Gram-route sigma_max = sqrt(2n) and sigma against a dense SVD, "
-                        "and sigma_min(A(x)) = sqrt(2 lambda2), relative to sigma_max; "
-                        "U_r U_r^T against the SVD's"),
-        _residual_check("kappa/resistance-oracles", worst_res, 1e-8,
-                        "Laplacian pseudo-inverse vs cycle-space flow minimization, and w+ = R/2"),
-    ]
-
-
 def suite_appendix_b(tols: Tolerances = DEFAULT_TOLS) -> list[Check]:
     """Reflection-factorization identities on the four-register space.
 
@@ -570,7 +462,100 @@ def suite_appendix_b(tols: Tolerances = DEFAULT_TOLS) -> list[Check]:
     return checks
 
 
-SUITES = ("duality", "spectral", "scaling", "szegedy", "kappa", "appendixB")
+@dataclass(frozen=True)
+class _TrialSuite:
+    """One trial-driven suite.  trial(seed, trial number, dims, tols) returns
+    one value per check, in the checks' order; a check is (name, fold start,
+    tolerance, detail), and an int start makes its slot a count."""
+
+    trial: Callable[[int, int, int, Tolerances], tuple]
+    divisor: int  # the suite runs max(1, trials // divisor) of run_suite's trials
+    floor: Optional[int]  # the fewest trials a worker is given; None: in-process
+    checks: tuple[tuple[str, float, float, str], ...]
+
+    def share(self, trials: int) -> int:
+        return max(1, trials // self.divisor)
+
+
+# Each trial is called through a lambda, so a trial function patched on this
+# module is the one that runs.  The floors: forking a worker and joining it
+# costs about 30 ms, and on one core of a 2-core machine a duality trial takes
+# 5 to 6 ms, a spectral trial 23 to 25 ms, a scaling trial 16 to 17 ms and a
+# kappa trial 10 ms (the mean of trials 0-63 at seeds 0-2).  szegedy runs
+# in-process (see the module docstring).
+_TRIAL_SUITES = {
+    # witness-size/error reciprocity and the optimal-witness vector identities
+    # on random programs, every input enumerated
+    "duality": _TrialSuite(lambda seed, trial, dims, tols: _duality_trial(seed, trial, tols),
+                           1, 32, (
+        ("duality/partition", 0, 0.0, "exactly one of w+, w- finite per input"),
+        ("duality/neg-size-times-pos-error", 0.0, 1e-8,
+         "relative deviation of w- * e+ from 1 on negative inputs"),
+        ("duality/pos-size-times-neg-error", 0.0, 1e-8,
+         "relative deviation of w+ * e- from 1 on positive inputs"),
+        ("duality/neg-witness-vector-identity", 0.0, 1e-8,
+         "(omega A)^dag vs normalized off-subspace error of the min-error witness"),
+        ("duality/pos-witness-vector-identity", 0.0, 1e-8,
+         "w_x vs normalized on-subspace part of the min-error negative witness"),
+        ("duality/minimal-witness-reciprocal", 0.0, 1e-8,
+         "N+ * N- = 1 with N- from the global quadratic program"),
+        ("duality/minimal-witness-vector", 0.0, 1e-8, "(omega0 A)^dag = w0 / N+"),
+    )),
+    # fixed-space overlaps and the effective-spectral-gap inequalities on
+    # normalized random programs, the estimator path's spectral measures
+    # against the dense oracle's, plus the raw two-reflection overlap lemma
+    "spectral": _TrialSuite(lambda seed, trial, dims, tols: _spectral_trial(seed, trial, tols),
+                            4, 8, (
+        ("spectral/fixed-space-neg", 0.0, 1e-8, "||Pi_0 w0||^2 = 1/w- for U(P, x)"),
+        ("spectral/fixed-space-pos", 0.0, 1e-8, "||Pi_0 w0||^2 = 1/w+ for U'(P, x)"),
+        ("spectral/small-phase-neg", -math.inf, 1e-8,
+         "||Pi_Theta w0||^2 <= Theta^2/4 wt+ + 1/w- over the Theta grid"),
+        ("spectral/small-phase-pos", -math.inf, 1e-8,
+         "||Pi_Theta w0||^2 <= Theta^2/4 wt- + 1/w+ over the Theta grid"),
+        ("spectral/two-reflection-overlap", -math.inf, 1e-8,
+         "||Pi_Theta Pi_B u|| <= Theta/2 ||u|| when Pi_A u = 0"),
+        ("spectral/measure-U-vs-oracle", 0.0, 1e-10,
+         f"outcome-zero probability of measure_U vs the oracle's, M in {PE_GRIDS}"),
+        ("spectral/measure-Uprime-vs-oracle", 0.0, 1e-10,
+         "the same for measure_Uprime on positive inputs"),
+    )),
+    # equalities and inequalities of the beta-scaling construction, plus
+    # normalization idempotence
+    "scaling": _TrialSuite(lambda seed, trial, dims, tols: _scaling_trial(seed, trial, tols),
+                           4, 16, (
+        ("scaling/equalities", 0.0, 1e-8,
+         "scaled witness sizes and minimal witness vector (beta in {1/4, 1, 4})"),
+        ("scaling/min-error-inequalities", -math.inf, 1e-8, "wt+/wt- growth bounds under scaling"),
+        ("scaling/unit-minimal-witness", 0.0, 1e-8, "scaled program is normalized"),
+        ("scaling/normalize-idempotent", 0.0, 1e-8, "normalizing twice changes nothing"),
+    )),
+    # spectrum correspondence between a product of reflections and its
+    # discriminant, and the +/-1-eigenspace dimension count
+    "szegedy": _TrialSuite(lambda seed, trial, dims, tols: _szegedy_trial(seed, trial, dims, tols),
+                           1, None, (
+        ("szegedy/phase-correspondence", 0.0, 1e-8,
+         "non-trivial phases equal +/- 2 arccos(singular values of D)"),
+        ("szegedy/eigenspace-dimensions", 0, 0.0,
+         "+/-1-eigenspace dimensions equal the four intersection dimensions"),
+        ("szegedy/phase-gap-vs-discriminant", -math.inf, 1e-8,
+         "phase gap of -U is at least twice the smallest nonzero singular value of D"),
+    )),
+    # phase-gap lower bounds on random programs and on graph instances,
+    # including the graph spectral identities the bound rests on
+    "kappa": _TrialSuite(lambda seed, trial, dims, tols: _kappa_trial(seed, trial, tols),
+                         4, 16, (
+        ("kappa/gap-bound-U", -math.inf, 1e-8,
+         "phase gap of U(P, x) is at least 2 sigma_min(A(x))/sigma_max(A)"),
+        ("kappa/gap-bound-Uprime", -math.inf, 1e-8, "same bound for U'(P, x) on positive inputs"),
+        ("kappa/graph-singular-values", 0.0, 1e-12,
+         "A's Gram-route sigma_max = sqrt(2n) and sigma against a dense SVD, "
+         "and sigma_min(A(x)) = sqrt(2 lambda2), relative to sigma_max; "
+         "U_r U_r^T against the SVD's"),
+        ("kappa/resistance-oracles", 0.0, 1e-8,
+         "Laplacian pseudo-inverse vs cycle-space flow minimization, and w+ = R/2"),
+    )),
+}
+SUITES = (*_TRIAL_SUITES, "appendixB")
 # szegedy draws dims x dims projector pairs and takes an eigendecomposition
 # of their reflection product: at this cap each dense array is 8 MB
 MAX_DIMS = 1024
@@ -580,18 +565,21 @@ class SuiteArgumentError(ValueError):
     """run_suite was asked for a suite or a size it does not run."""
 
 
-def _suite_trials(name: str, trials: int) -> int:
-    """Trials run_suite gives one suite: the costlier suites run a quarter."""
-    if name == "appendixB":
-        return 0
-    return max(1, trials // 4) if name in ("spectral", "scaling", "kappa") else trials
+def _run_trials(name: str, trials: int, dims: int, seed: int, tols: Tolerances) -> list[Check]:
+    """The checks of a _TRIAL_SUITES entry: its share of trials, each slot
+    folded in trial order from its start and held against its tolerance."""
+    suite = _TRIAL_SUITES[name]
+    worst = _fold(_map_trials(name, suite.trial, suite.share(trials), seed, dims, tols),
+                  [start for _, start, _, _ in suite.checks])
+    return [_residual_check(check, value, tol, detail)
+            for (check, _, tol, detail), value in zip(suite.checks, worst)]
 
 
 def suite_workers(name: str, trials: int = 50) -> int:
     """The most processes run_suite(name, trials) spreads one suite's trials
     over; 1 means every trial runs in-process."""
-    return max(_workers(sub, _suite_trials(sub, trials))
-               for sub in (SUITES if name == "all" else (name,)))
+    return max((_workers(sub, suite.share(trials)) for sub, suite in _TRIAL_SUITES.items()
+                if name in (sub, "all")), default=1)
 
 
 def _integer(arg: str, value) -> int:
@@ -614,26 +602,20 @@ def run_suite(
     """Run one suite, or all of them.  Raises SuiteArgumentError before any
     check runs for an unknown suite, for a trials, dims or seed that is a
     bool or not an integer (numpy integers are integers), for trials < 1
-    (which checks nothing) and for dims outside [3, MAX_DIMS] (below 3 the
-    suite runs at 3)."""
+    (which checks nothing), for dims outside [3, MAX_DIMS] (below 3 the
+    suite runs at 3) and for a negative seed (numpy seeds no generator
+    from it)."""
     trials, dims, seed = _integer("trials", trials), _integer("dims", dims), _integer("seed", seed)
     if trials < 1:
         raise SuiteArgumentError(f"trials must be at least 1, got {trials}")
     if not 3 <= dims <= MAX_DIMS:
         raise SuiteArgumentError(f"dims must lie in [3, {MAX_DIMS}], got {dims}")
+    if seed < 0:
+        raise SuiteArgumentError(f"seed must be non-negative, got {seed}")
     if name == "all":
         return [c for sub in SUITES for c in run_suite(sub, trials, dims, seed, tols)]
-    if name not in SUITES:
+    if name == "appendixB":
+        return suite_appendix_b(tols)
+    if name not in _TRIAL_SUITES:
         raise SuiteArgumentError(f"unknown suite {name!r}")
-    share = _suite_trials(name, trials)
-    if name == "duality":
-        return suite_duality(share, seed, tols)
-    if name == "spectral":
-        return suite_spectral(share, seed, tols)
-    if name == "scaling":
-        return suite_scaling(share, seed, tols)
-    if name == "szegedy":
-        return suite_szegedy(share, dims, seed, tols)
-    if name == "kappa":
-        return suite_kappa(share, seed, tols)
-    return suite_appendix_b(tols)
+    return _run_trials(name, trials, dims, seed, tols)

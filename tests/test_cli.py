@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import spanforge
-from spanforge import verify
+from spanforge import cli, verify
 from spanforge.cli import main
 from spanforge.verify import MAX_DIMS, SuiteArgumentError, run_suite
 
@@ -145,6 +145,16 @@ def test_run_suite_rejects_arguments_before_running():
         run_suite("szegedy", trials=1, dims=MAX_DIMS + 1)
 
 
+@pytest.fixture
+def no_check_runs(monkeypatch):
+    """Make every trial and the appendixB suite fail the test if they run."""
+    def no_check(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify, "_map_trials", no_check)
+    monkeypatch.setattr(verify, "suite_appendix_b", no_check)
+
+
 @pytest.mark.parametrize("arguments", [
     {"trials": 2.5},  # used to raise a bare TypeError from inside the loop
     {"dims": 8.5},  # used to run
@@ -154,14 +164,108 @@ def test_run_suite_rejects_arguments_before_running():
     {"dims": np.True_},
     {"trials": "4"},
 ])
-def test_run_suite_refuses_a_bool_or_a_non_integer_before_running(arguments, monkeypatch):
-    def no_trial(*args):
-        raise AssertionError("a trial ran")
-
-    for suite in ("duality", "spectral", "scaling", "szegedy", "kappa"):
-        monkeypatch.setattr(verify, f"suite_{suite}", no_trial)
+def test_run_suite_refuses_a_bool_or_a_non_integer_before_running(arguments, no_check_runs):
     with pytest.raises(SuiteArgumentError, match=next(iter(arguments))):
         run_suite("all", **{"trials": 4, "dims": 8, "seed": 2, **arguments})
+
+
+@pytest.mark.parametrize("suite", verify.SUITES + ("all",))
+@pytest.mark.parametrize("seed", [-1, np.int64(-2)])
+def test_run_suite_refuses_a_negative_seed_before_running(suite, seed, no_check_runs):
+    # numpy raised "expected non-negative integer" from the first trial
+    with pytest.raises(SuiteArgumentError, match="seed must be non-negative"):
+        run_suite(suite, trials=2, dims=8, seed=seed)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "duality", "--trials", "2"],
+    ["resistance", "--graph", "K4"],
+    ["or-demo"],
+])
+def test_a_negative_seed_exits_3_with_one_error_line(argv, k4_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a trial or an estimate ran")
+
+    for name in ("run_suite", "estimate_resistance", "decide_threshold", "witness_estimate"):
+        monkeypatch.setattr(cli, name, no_work)
+    argv = [k4_path if arg == "K4" else arg for arg in argv]
+    assert main(argv + ["--seed", "-1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --seed must be non-negative, got -1\n"
+
+
+# (name, tolerance, detail) of every check of run_suite("all", 4, 8, 2), in report order
+REPORTED_CHECKS = [
+    ("duality/partition", 0.0, "exactly one of w+, w- finite per input"),
+    ("duality/neg-size-times-pos-error", 1e-08,
+     "relative deviation of w- * e+ from 1 on negative inputs"),
+    ("duality/pos-size-times-neg-error", 1e-08,
+     "relative deviation of w+ * e- from 1 on positive inputs"),
+    ("duality/neg-witness-vector-identity", 1e-08,
+     "(omega A)^dag vs normalized off-subspace error of the min-error witness"),
+    ("duality/pos-witness-vector-identity", 1e-08,
+     "w_x vs normalized on-subspace part of the min-error negative witness"),
+    ("duality/minimal-witness-reciprocal", 1e-08,
+     "N+ * N- = 1 with N- from the global quadratic program"),
+    ("duality/minimal-witness-vector", 1e-08, "(omega0 A)^dag = w0 / N+"),
+    ("spectral/fixed-space-neg", 1e-08, "||Pi_0 w0||^2 = 1/w- for U(P, x)"),
+    ("spectral/fixed-space-pos", 1e-08, "||Pi_0 w0||^2 = 1/w+ for U'(P, x)"),
+    ("spectral/small-phase-neg", 1e-08,
+     "||Pi_Theta w0||^2 <= Theta^2/4 wt+ + 1/w- over the Theta grid"),
+    ("spectral/small-phase-pos", 1e-08,
+     "||Pi_Theta w0||^2 <= Theta^2/4 wt- + 1/w+ over the Theta grid"),
+    ("spectral/two-reflection-overlap", 1e-08,
+     "||Pi_Theta Pi_B u|| <= Theta/2 ||u|| when Pi_A u = 0"),
+    ("spectral/measure-U-vs-oracle", 1e-10,
+     "outcome-zero probability of measure_U vs the oracle's, M in (2, 16, 256)"),
+    ("spectral/measure-Uprime-vs-oracle", 1e-10, "the same for measure_Uprime on positive inputs"),
+    ("scaling/equalities", 1e-08,
+     "scaled witness sizes and minimal witness vector (beta in {1/4, 1, 4})"),
+    ("scaling/min-error-inequalities", 1e-08, "wt+/wt- growth bounds under scaling"),
+    ("scaling/unit-minimal-witness", 1e-08, "scaled program is normalized"),
+    ("scaling/normalize-idempotent", 1e-08, "normalizing twice changes nothing"),
+    ("szegedy/phase-correspondence", 1e-08,
+     "non-trivial phases equal +/- 2 arccos(singular values of D)"),
+    ("szegedy/eigenspace-dimensions", 0.0,
+     "+/-1-eigenspace dimensions equal the four intersection dimensions"),
+    ("szegedy/phase-gap-vs-discriminant", 1e-08,
+     "phase gap of -U is at least twice the smallest nonzero singular value of D"),
+    ("kappa/gap-bound-U", 1e-08, "phase gap of U(P, x) is at least 2 sigma_min(A(x))/sigma_max(A)"),
+    ("kappa/gap-bound-Uprime", 1e-08, "same bound for U'(P, x) on positive inputs"),
+    ("kappa/graph-singular-values", 1e-12,
+     "A's Gram-route sigma_max = sqrt(2n) and sigma against a dense SVD, and sigma_min(A(x)) "
+     "= sqrt(2 lambda2), relative to sigma_max; U_r U_r^T against the SVD's"),
+    ("kappa/resistance-oracles", 1e-08,
+     "Laplacian pseudo-inverse vs cycle-space flow minimization, and w+ = R/2"),
+    ("appendixB/n3/isometries", 1e-12, "M_Y and M_Z have orthonormal columns"),
+    ("appendixB/n3/factorization", 1e-12, "M_Z^T M_Y = A / (2 sqrt(n-1))"),
+    ("appendixB/n3/minus-one-containment", 1e-10,
+     "M_Y maps ker A into the -1-eigenspace of the walk"),
+    ("appendixB/n3/row-image-rotation", 1e-10,
+     "(W + W^T) y = 2 cos(theta_n) y on the whole (ker A)^perp image: it is rotated by "
+     "theta_n = 2 arccos sqrt(n/(2(n-1))), not fixed; literal +1-containment defect is "
+     "4.038e-01"),
+    ("appendixB/n4/isometries", 1e-12, "M_Y and M_Z have orthonormal columns"),
+    ("appendixB/n4/factorization", 1e-12, "M_Z^T M_Y = A / (2 sqrt(n-1))"),
+    ("appendixB/n4/minus-one-containment", 1e-10,
+     "M_Y maps ker A into the -1-eigenspace of the walk"),
+    ("appendixB/n4/row-image-rotation", 1e-10,
+     "(W + W^T) y = 2 cos(theta_n) y on the whole (ker A)^perp image: it is rotated by "
+     "theta_n = 2 arccos sqrt(n/(2(n-1))), not fixed; literal +1-containment defect is "
+     "4.006e-01"),
+    ("appendixB/n5/isometries", 1e-12, "M_Y and M_Z have orthonormal columns"),
+    ("appendixB/n5/factorization", 1e-12, "M_Z^T M_Y = A / (2 sqrt(n-1))"),
+    ("appendixB/n5/minus-one-containment", 1e-10,
+     "M_Y maps ker A into the -1-eigenspace of the walk"),
+    ("appendixB/n5/row-image-rotation", 1e-10,
+     "(W + W^T) y = 2 cos(theta_n) y on the whole (ker A)^perp image: it is rotated by "
+     "theta_n = 2 arccos sqrt(n/(2(n-1))), not fixed; literal +1-containment defect is "
+     "3.651e-01"),
+]
+
+
+def test_run_suite_reports_each_checks_name_tolerance_and_detail_in_order():
+    assert [(c.name, c.tolerance, c.detail) for c in run_suite("all", 4, 8, 2)] == REPORTED_CHECKS
 
 
 def test_run_suite_accepts_numpy_integers():

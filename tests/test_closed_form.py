@@ -59,7 +59,7 @@ from spanforge.spanprog import (
     witness_report,
 )
 from spanforge.spectral import measure_U, measure_Uprime, row_space_cross
-from spanforge.verify import suite_kappa
+from spanforge.verify import run_suite
 
 from test_input_route import degenerate_programs
 
@@ -125,7 +125,8 @@ def test_closed_form_factors_match_the_svd_route(n):
 
 def test_verify_refuses_gram_route_factors_off_by_one_part_in_1e9(monkeypatch):
     def graph_check():
-        (check,) = [c for c in suite_kappa(8, 1) if c.name == "kappa/graph-singular-values"]
+        (check,) = [c for c in run_suite("kappa", 32, seed=1)
+                    if c.name == "kappa/graph-singular-values"]
         return check
 
     assert graph_check().passed

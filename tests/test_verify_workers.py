@@ -7,6 +7,7 @@ the CLI names the workers it used.  The spectral and kappa trials, which
 factor each input once, match the per-call route of tests/oracles.py bit
 for bit."""
 
+import dataclasses
 import functools
 import math
 import multiprocessing
@@ -38,8 +39,9 @@ def cpus(monkeypatch):
 def one_trial_floor(monkeypatch):
     """Give a worker as few as one trial of each suite that may run on
     workers, so that short runs take the pool path."""
-    floors = dict.fromkeys(verify._MIN_TRIALS_PER_WORKER, 1)
-    monkeypatch.setattr(verify, "_MIN_TRIALS_PER_WORKER", floors)
+    for name, suite in verify._TRIAL_SUITES.items():
+        if suite.floor is not None:
+            monkeypatch.setitem(verify._TRIAL_SUITES, name, dataclasses.replace(suite, floor=1))
 
 
 @pytest.fixture
@@ -123,7 +125,8 @@ def test_workers_inherit_a_monkeypatched_estimator(small_pools, monkeypatch):
         return u, sigma, top
 
     monkeypatch.setattr(spanprog, "_gram_factors", skewed)
-    (check,) = [c for c in verify.suite_kappa(8, 1) if c.name == "kappa/graph-singular-values"]
+    (check,) = [c for c in verify.run_suite("kappa", 32, seed=1)
+                if c.name == "kappa/graph-singular-values"]
     assert not check.passed and check.observed == pytest.approx(1e-9, rel=1e-3)
 
 
