@@ -67,6 +67,10 @@ DECIDE_SUCCESS_FLOOR = 2.0 / 3.0
 # probability >= 8/pi^2; used when amplifying by median.
 AE_SUCCESS_FLOOR = 8.0 / math.pi**2
 
+# Rounds witness_estimate may run past the ceil(log_{3/2}(w / eps) + 1) its
+# interval needs before it stops as a simulation anomaly.
+SPARE_ROUNDS = 60
+
 
 @dataclass(frozen=True)
 class ThresholdSpec:
@@ -291,7 +295,6 @@ def witness_estimate(
     ledger: QueryLedger,
     tols: Tolerances = DEFAULT_TOLS,
     w_tilde_bound: Optional[float] = None,
-    max_rounds: Optional[int] = None,
 ) -> EstimateResult:
     """Estimate w_side(x) of a normalized program to relative accuracy eps.
 
@@ -320,8 +323,7 @@ def witness_estimate(
     start_queries = ledger.total
     flags: list[str] = []
     e_max, e_min = 1.0, 0.0
-    if max_rounds is None:
-        max_rounds = math.ceil(math.log(w_true / eps, 1.5) + 1.0) + 60
+    max_rounds = math.ceil(math.log(w_true / eps, 1.5) + 1.0) + SPARE_ROUNDS
 
     rounds = 0
     while True:

@@ -16,6 +16,9 @@ from ._linalg import column_space_split, numerical_rank
 from .resistance import Graph
 from .spanprog import SpanProgram, validate
 
+# draws random_graph makes before it gives up on a connected graph
+GRAPH_ATTEMPTS = 10_000
+
 
 def random_span_program(
     rng: np.random.Generator,
@@ -149,10 +152,10 @@ def random_graph(
     n: int,
     edge_prob: float = 0.5,
     require_connected: bool = True,
-    max_attempts: int = 10_000,
 ) -> Graph:
-    """Erdos-Renyi graph with random distinct s, t."""
-    for _ in range(max_attempts):
+    """Erdos-Renyi graph with random distinct s, t; RuntimeError when
+    require_connected and none of GRAPH_ATTEMPTS draws is connected."""
+    for _ in range(GRAPH_ATTEMPTS):
         edges = [
             (u, v)
             for u in range(n)

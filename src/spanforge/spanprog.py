@@ -10,10 +10,13 @@ Everything an estimate reads per input position is a read-only index array,
 made once: _InputBlocks holds the coordinates of H_1, ..., H_n in one array,
 as a CSR matrix holds its column indices, with one block width when all
 blocks share it (the st program's is 2).  check_input reads an input as a
-read-only intp array in one vectorized pass.  The Subspaces store holds the
-distinct H_{j,a} matrices and an n x q table of their ids (one broadcast
-row for a per-symbol store), laid out once per (input_blocks, q) in a
-_Layout, so that H(x)'s walk indexes it with x directly.
+read-only intp array in one vectorized pass.  The Subspaces store holds
+each distinct content among the H_{j,a} matrices once, frozen, and an
+n x q table of their ids (one broadcast row for a per-symbol store).  A
+program keeps the store laid out for its (input_blocks, q) in a _Layout,
+and the store decides every distinct matrix once per Tolerances, into one
+_Decisions record, so that H(x)'s walk reads those two and indexes them
+with x directly.
 
 A is a dense matrix or signed incidence columns (Incidence), which the
 estimators read only through A v, A^T u, A A^T and the Gram of a subset of
@@ -344,35 +347,79 @@ class _Layout:
 
 
 def _interned(mats: Iterable[np.ndarray]) -> tuple[list[np.ndarray], list[int]]:
-    """The distinct matrix objects among mats, each frozen once, and the
-    index of each mat among them."""
-    # by id, holding the given object so that no other can take its id
-    seen: dict[int, tuple[np.ndarray, int]] = {}
+    """The distinct contents among mats, each frozen once, and the index of
+    each mat among them; two matrices share a content when their frozen
+    forms have one shape and the same bytes."""
+    seen: dict[tuple[tuple[int, ...], bytes], int] = {}
     distinct: list[np.ndarray] = []
     index = []
     for mat in mats:
-        if id(mat) not in seen:
-            seen[id(mat)] = (mat, len(distinct))
-            distinct.append(freeze(np.atleast_2d(mat)))
-        index.append(seen[id(mat)][1])
+        frozen = freeze(np.atleast_2d(mat))
+        d = seen.setdefault((frozen.shape, frozen.tobytes()), len(distinct))
+        if d == len(distinct):
+            distinct.append(frozen)
+        index.append(d)
     return distinct, index
+
+
+def _frozen_eye(rows: int, cols: int) -> np.ndarray:
+    """The first cols columns of eye(rows), read-only."""
+    out = np.eye(rows, cols)
+    out.setflags(write=False)
+    return out
+
+
+def _split(mat: np.ndarray, tols: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only orthonormal bases of col(mat) and of its complement in its
+    block: with no SVD for an empty matrix and one exactly the identity on
+    its block, by column_space_split otherwise."""
+    rows, cols = mat.shape
+    if mat.size == 0:
+        return _frozen_eye(rows, 0), _frozen_eye(rows, rows)
+    if rows == cols and np.array_equal(mat, np.eye(rows)):
+        return _frozen_eye(rows, rows), _frozen_eye(rows, 0)
+    split = column_space_split(mat, tols)
+    for part in split:
+        part.setflags(write=False)
+    return split
+
+
+@dataclass(frozen=True)
+class _Decisions:
+    """Every distinct matrix of a store decided under one Tolerances:
+    splits[d] holds read-only orthonormal bases of matrix d's column space
+    and of its complement in its block, and kinds[d] their two classes.
+    kinds[-1] classes an absent or empty H_{j,a}, which leaves its whole
+    block outside H(x)."""
+
+    kinds: np.ndarray
+    splits: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    @classmethod
+    def of(cls, distinct: Sequence[np.ndarray], tols: Tolerances) -> _Decisions:
+        splits = tuple(_split(mat, tols) for mat in distinct)
+        kinds = np.array([[_kind(part) for part in split] for split in splits]
+                         + [[_NONE, _IDENTITY]], dtype=np.int8)
+        kinds.setflags(write=False)
+        return cls(kinds, splits)
 
 
 class Subspaces(Mapping):
     """Read-only store of the H_{j,a} matrices, keyed by (j, a), that the
-    programs derived from one another share.  It holds the distinct
-    matrices and a table of their ids, ids[j, a] = -1 where H_{j,a} is not
-    given; keys iterate in (j, a) order.  A mapping keyed by (j, a) fills
-    the table key by key; per_symbol broadcasts one row, H_{j,a} = H_a at
-    every position.  A matrix object given under several keys is frozen
-    once and shared by them.  Each distinct matrix's bases are decided once
-    per Tolerances, with one SVD per distinct content; an empty matrix and
-    one exactly the identity on its block need no SVD.  Each basis is
-    classed once as having no columns, being exactly the identity on its
-    block, or neither; subspace_blocks reads H(x) from those classes.  The
-    table is checked against, and laid out for, each (input_blocks, q) the
-    store is used with once; the coordinates stay the program's own index
-    arrays."""
+    programs derived from one another share.  It holds each distinct
+    content among the given matrices once, frozen, and a table of their
+    ids, ids[j, a] = -1 where H_{j,a} is not given; keys iterate in (j, a)
+    order.  A mapping keyed by (j, a) fills the table key by key;
+    per_symbol broadcasts one row, H_{j,a} = H_a at every position.  Equal
+    matrices given under several keys, as one object or as copies, are
+    one frozen matrix that every such key gives.  decisions(tols) decides
+    every distinct matrix the first time tols is asked for, into one
+    _Decisions record kept per Tolerances: one SVD per distinct content,
+    and none for an empty matrix or one exactly the identity on its block,
+    with each basis classed as having no columns, being exactly the
+    identity on its block, or neither.  The table is checked against, and
+    laid out for, the (input_blocks, q) of each program built on the store;
+    the coordinates stay the program's own index arrays."""
 
     def __init__(self, mats: Mapping[tuple[int, int], np.ndarray]):
         pairs = [(int(j), int(a)) for j, a in mats]
@@ -403,7 +450,7 @@ class Subspaces(Mapping):
     def _setup(self, distinct: list[np.ndarray], ids: np.ndarray) -> None:
         self._distinct = distinct
         self._ids = ids
-        self._decided: dict[Tolerances, tuple[np.ndarray, list, dict, set]] = {}
+        self._decisions: dict[Tolerances, _Decisions] = {}
         self._layout: Optional[_Layout] = None
 
     def __getitem__(self, key: tuple[int, int]) -> np.ndarray:
@@ -468,64 +515,13 @@ class Subspaces(Mapping):
         self._layout = _Layout(input_blocks, q, which)
         return self._layout
 
-    def decided(
-        self, ids: np.ndarray, tols: Tolerances
-    ) -> tuple[np.ndarray, list[Optional[tuple[np.ndarray, np.ndarray]]]]:
-        """(kinds, splits) under tols, with every distinct matrix in ids
-        decided: splits[d] holds read-only orthonormal bases of matrix d's
-        column space and of its complement in its block, and kinds[d] their
-        two classes.  kinds[-1] classes an absent or empty H_{j,a}, which
-        leaves its whole block outside H(x).
-
-        An empty matrix, and one exactly the identity on its block, is
-        decided without an SVD when tols is first asked for; every other
-        matrix when ids first holds it, by one SVD per distinct content.
-        Once every matrix is decided, ids is not read."""
-        entry = self._decided.get(tols)
-        if entry is None:
-            entry = self._decided[tols] = self._free_decisions()
-        kinds, splits, by_content, left = entry
-        if not left:
-            return kinds, splits
-        pending = ids[kinds[ids, 0] < 0]
-        for d in np.unique(pending) if pending.size else ():
-            mat = self._distinct[d]
-            content = (mat.shape, mat.tobytes())
-            if content not in by_content:
-                split = by_content[content] = column_space_split(mat, tols)
-                for part in split:
-                    part.setflags(write=False)
-            splits[d] = by_content[content]
-            kinds[d] = [_kind(part) for part in splits[d]]
-            left.discard(d)
-        return kinds, splits
-
-    def _free_decisions(self) -> tuple[np.ndarray, list, dict, set]:
-        """A fresh per-Tolerances entry (kinds, splits, by_content, left),
-        with the empty and identity matrices decided and left holding the
-        ids of the others."""
-        kinds = np.full((len(self._distinct) + 1, 2), -1, dtype=np.int8)
-        kinds[-1] = (_NONE, _IDENTITY)
-        splits: list = [None] * len(self._distinct)
-        left = set()
-        for d, mat in enumerate(self._distinct):
-            rows, cols = mat.shape
-            if mat.size == 0:
-                splits[d] = (_frozen_eye(rows, 0), _frozen_eye(rows, rows))
-            elif rows == cols and np.array_equal(mat, np.eye(rows)):
-                splits[d] = (_frozen_eye(rows, rows), _frozen_eye(rows, 0))
-            else:
-                left.add(d)
-                continue
-            kinds[d] = [_kind(part) for part in splits[d]]
-        return kinds, splits, {}, left
-
-
-def _frozen_eye(rows: int, cols: int) -> np.ndarray:
-    """The first cols columns of eye(rows), read-only."""
-    out = np.eye(rows, cols)
-    out.setflags(write=False)
-    return out
+    def decisions(self, tols: Tolerances) -> _Decisions:
+        """Every distinct matrix decided under tols, on the first call for
+        tols, and the same record on every later one."""
+        found = self._decisions.get(tols)
+        if found is None:
+            found = self._decisions[tols] = _Decisions.of(self._distinct, tols)
+        return found
 
 
 @dataclass(frozen=True)
@@ -561,6 +557,10 @@ class SpanProgram:
     subspaces: Mapping[tuple[int, int], np.ndarray]
     a: np.ndarray | Incidence
     tau: np.ndarray
+    # the store laid out for input_blocks and q, which every walk of H(x) reads
+    _layout: _Layout = dataclasses.field(init=False, repr=False, compare=False)
+    # A's Factorization per Tolerances, made on first use (factorization)
+    _factorizations: dict = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_factorizations", {})
@@ -580,7 +580,7 @@ class SpanProgram:
             raise StructuralError(f"tau has shape {self.tau.shape}, expected ({self.dim_v},)")
         if len(self.input_blocks) != self.n:
             raise StructuralError("one coordinate block required per input position")
-        self.subspaces.layout(self.input_blocks, self.q)
+        object.__setattr__(self, "_layout", self.subspaces.layout(self.input_blocks, self.q))
 
     @property
     def a_mat(self) -> np.ndarray:
@@ -887,17 +887,16 @@ def validate(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS) -> Validatio
 Blocks = list[tuple[np.ndarray, Optional[np.ndarray]]]
 
 
-def _runs(
-    layout: _Layout,
-    ids: np.ndarray,
-    kinds: np.ndarray,
-    splits: list,
-    side: int,
-    whole: tuple[int, ...],
-) -> Blocks:
-    """One side of H(x) (0 for Q_H, 1 for Q_perp) in block order, with each
-    run of consecutive identity blocks, whole ending included, merged into
-    one (coordinates, None) entry and blocks without columns left out."""
+def _walk(program: SpanProgram, x: np.ndarray, tols: Tolerances, side: int) -> Blocks:
+    """One side of H(x), for x as check_input gives it: Q_H for side 0,
+    Q_perp for side 1 (subspace_blocks), in block order, with each run of
+    consecutive identity blocks, the whole block ending it included, merged
+    into one (coordinates, None) entry and blocks without columns left
+    out."""
+    layout = program._layout
+    decided = program.subspaces.decisions(tols)
+    ids = layout.ids(x)
+    kinds = decided.kinds[ids, side]
     blocks = layout.input_blocks
     coords = blocks.coords
     identity = np.repeat(kinds == _IDENTITY, blocks.repeats)
@@ -908,23 +907,13 @@ def _runs(
         run = coords[start:low][identity[start:low]]
         if run.size:
             out.append((run, None))
-        out.append((coords[low:high], splits[ids[j]][side]))
+        out.append((coords[low:high], decided.splits[ids[j]][side]))
         start = high
+    whole = program.false_block if side else program.true_block
     run = np.concatenate([coords[start:][identity[start:]], np.array(whole, dtype=np.intp)])
     if run.size:
         out.append((run, None))
     return out
-
-
-def _walk(program: SpanProgram, x: np.ndarray, tols: Tolerances, side: int) -> Blocks:
-    """One side of H(x), for x as check_input gives it: Q_H for side 0,
-    Q_perp for side 1 (subspace_blocks)."""
-    store = program.subspaces
-    layout = store.layout(program.input_blocks, program.q)
-    ids = layout.ids(x)
-    kinds, splits = store.decided(ids, tols)
-    whole = program.false_block if side else program.true_block
-    return _runs(layout, ids, kinds[ids, side], splits, side, whole)
 
 
 def subspace_blocks(
@@ -992,7 +981,8 @@ class InputFactors:
     what it was built for, and the one place every quantity read from it
     takes them from; A(x) is read from the program's A.  Q_perp, which
     only the min-error positive witness reads, is walked when q_perp is
-    first read, and kept."""
+    first read, and Z^T A, which the negative and min-error witnesses read,
+    is formed when complement_rows is first read; both are kept."""
 
     program: SpanProgram
     x: np.ndarray
@@ -1013,6 +1003,16 @@ class InputFactors:
     def q_perp(self) -> Blocks:
         """Q_perp of x, as subspace_blocks gives it."""
         return _walk(self.program, self.x, self.tols, 1)
+
+    @cached_property
+    def complement_rows(self) -> np.ndarray:
+        """Z^T A, read through A^T u, formed when first read and kept
+        read-only; refused with ProgramSizeError, before it is allocated,
+        where it would hold more than DENSE_A_ENTRY_CAP entries."""
+        check_dense_a_size(self.complement.shape[1], self.program.dim_h, "Z^T A")
+        rows = _tdot(self.a, self.complement).T
+        rows.setflags(write=False)
+        return rows
 
     @property
     def a_x(self) -> np.ndarray:
@@ -1134,13 +1134,6 @@ def _min_norm_under_linear_constraint(
     return y / denom, 1.0 / denom
 
 
-def _complement_rows(f: InputFactors) -> np.ndarray:
-    """Z^T A, read through A^T u; refused with ProgramSizeError, before it
-    is allocated, where it would hold more than DENSE_A_ENTRY_CAP entries."""
-    check_dense_a_size(f.complement.shape[1], f.program.dim_h, "Z^T A")
-    return _tdot(f.a, f.complement).T
-
-
 def negative_witness(f: InputFactors) -> tuple[Optional[np.ndarray], float]:
     """Optimal exact negative witness for the input whose factors f are.
 
@@ -1151,7 +1144,7 @@ def negative_witness(f: InputFactors) -> tuple[Optional[np.ndarray], float]:
     """
     if f.positive:
         return None, math.inf
-    b = _complement_rows(f)  # omega = Z nu; Z^T tau != 0 as x is negative
+    b = f.complement_rows  # omega = Z nu; Z^T tau != 0 as x is negative
     nu, value = _min_norm_under_linear_constraint(
         b @ b.T, f.complement.T @ f.program.tau, f.tols, gram_scale=f.a_scale * f.a_scale
     )
@@ -1170,7 +1163,7 @@ def min_error_positive(f: InputFactors) -> tuple[np.ndarray, float, float]:
     """
     program, tols = f.program, f.tols
     minimal_witness(program, tols)  # raises when tau is outside col(A)
-    off_perp = restrict(_complement_rows(f), f.q_perp)  # Z^T A_perp
+    off_perp = restrict(f.complement_rows, f.q_perp)  # Z^T A_perp
     b = pinv(off_perp, tols, scale=f.a_scale) @ (f.complement.T @ program.tau)
     w_perp = _lift(program.dim_h, f.q_perp, b)
     a = f.solve(program.tau - _dot(program.a, w_perp))
@@ -1199,7 +1192,7 @@ def min_error_negative(f: InputFactors) -> tuple[np.ndarray, float, float]:
     g = f.col_basis.T @ program.tau
     h = g / (f.sigma * f.sigma)
     on_col = f.col_basis @ (h / float(g @ h))
-    off_rows = _complement_rows(f)
+    off_rows = f.complement_rows
     beta = -pinv(off_rows.T, f.tols, scale=f.a_scale) @ _tdot(program.a, on_col)
     omega = on_col + f.complement @ beta
     row = _tdot(program.a, omega)

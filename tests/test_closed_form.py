@@ -516,10 +516,8 @@ def test_per_symbol_store_matches_a_store_keyed_by_position(family, n):
     assert store is not keyed and len(store) == len(keyed) == 2 * program.n
     mine = store.layout(program.input_blocks, program.q)
     theirs = keyed.layout(twin.input_blocks, twin.q)
-    # OR's twin holds n copies of each matrix, so only its ids differ
-    assert same_bits(mine.which >= 0, theirs.which >= 0)
-    if family == "st":
-        assert same_bits(mine.which, theirs.which)
+    # OR's twin holds n equal copies of each matrix, interned as one
+    assert same_bits(mine.which, theirs.which)
     for x in inputs:
         for blocks_mine, blocks_theirs in zip(subspace_blocks(program, x), subspace_blocks(twin, x)):
             assert same_blocks(blocks_mine, blocks_theirs)

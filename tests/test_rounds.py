@@ -374,6 +374,88 @@ def test_equal_subspaces_are_decided_once_per_store(monkeypatch):
         assert calls == [(2, 2)] * (2 * distinct)
 
 
+
+def test_equal_copies_under_different_keys_are_one_frozen_matrix():
+    general = np.array([[1.0, 2.0], [0.0, 1.0]])
+    keyed = {(j, a): general.copy() if a == 1 else np.eye(2) for j in range(3) for a in range(2)}
+    keyed[(2, 2)] = general.astype(np.int64)  # equal once frozen as float
+    keyed[(1, 2)] = -general
+    store = Subspaces(keyed)
+    for a in range(2):
+        assert all(store[(j, a)] is store[(0, a)] for j in range(3))
+    assert store[(2, 2)] is store[(0, 1)] and store[(1, 2)] is not store[(0, 1)]
+    for key, mat in keyed.items():
+        assert not store[key].flags.writeable and np.array_equal(store[key], mat)
+    # -0.0 and 0.0 have different bytes, so they are two contents
+    signed = Subspaces({(0, 0): np.zeros((1, 1)), (1, 0): -np.zeros((1, 1))})
+    assert signed[(0, 0)] is not signed[(1, 0)]
+
+
+def random_program_with_unselected_symbols():
+    """A random program, its general matrices' contents, and an input that
+    selects only some of them."""
+    for seed in range(100):
+        program = random_span_program(np.random.default_rng([30, seed]))
+        store = program.subspaces
+        general = {(mat.shape, mat.tobytes()) for mat in store.values()
+                   if mat.size and not (mat.shape[0] == mat.shape[1]
+                                        and np.array_equal(mat, np.eye(mat.shape[0])))}
+        x = (0,) * program.n
+        chosen = {(store[(j, 0)].shape, store[(j, 0)].tobytes())
+                  for j in range(program.n) if (j, 0) in store}
+        if len(general - chosen) >= 2:
+            return program, general, x
+    raise AssertionError("no random program leaves two general matrices unselected")
+
+
+def test_the_first_walk_decides_every_general_matrix(monkeypatch):
+    program, general, x = random_program_with_unselected_symbols()
+    split = spanprog.column_space_split
+    calls = []
+
+    def counting(mat, *args, **kwargs):
+        calls.append((mat.shape, mat.tobytes()))
+        return split(mat, *args, **kwargs)
+
+    monkeypatch.setattr(spanprog, "column_space_split", counting)
+    tols = Tolerances(rank_rtol=1e-9)
+    subspace_blocks(program, x, tols)
+    assert sorted(calls) == sorted(general)  # one SVD per content, selected or not
+    store = program.subspaces
+    decided = store.decisions(tols)
+    assert store.decisions(tols) is decided and normalize(program).subspaces is store
+    assert not decided.kinds.flags.writeable and len(decided.splits) == len(decided.kinds) - 1
+    assert store.decisions(DEFAULT_TOLS) is not decided
+
+
+def test_later_walks_read_the_programs_layout_and_decide_nothing(monkeypatch):
+    program, _, x = random_program_with_unselected_symbols()
+    derived = normalize(program)
+    subspace_blocks(program, x)
+    assert derived._layout is program._layout
+    assert program._layout is program.subspaces.layout(program.input_blocks, program.q)
+    before = {y: subspace_blocks(derived, y) for y in all_inputs(program)}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a later walk decided or laid out the store again")
+
+    monkeypatch.setattr(spanprog, "column_space_split", forbidden)
+    monkeypatch.setattr(Subspaces, "layout", forbidden)
+    ids, read = spanprog._Layout.ids, []
+
+    def reading(layout, y):
+        read.append(layout)
+        return ids(layout, y)
+
+    monkeypatch.setattr(spanprog._Layout, "ids", reading)
+    for y in all_inputs(program):
+        for mine, theirs in zip(subspace_blocks(derived, y), before[y]):
+            assert len(mine) == len(theirs)
+            for (c_mine, b_mine), (c_theirs, b_theirs) in zip(mine, theirs):
+                assert np.array_equal(c_mine, c_theirs) and (b_mine is b_theirs)
+        input_factors(program, y)
+    assert read and all(layout is program._layout for layout in read)
+
 def test_closed_form_is_taken_only_within_its_margins():
     assert issubclass(DegenerateRoundError, SpanProgramError)
     assert issubclass(DegenerateRoundError, ValueError)
