@@ -12,7 +12,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from ._linalg import column_space_split, numerical_rank
+from ._linalg import column_space_split
 from .resistance import Graph
 from .spanprog import SpanProgram, validate
 
@@ -59,16 +59,9 @@ def random_span_program(
         for a in range(q):
             cols = int(rng.integers(0, size + 1))
             mats.append(rng.integers(-1, 2, size=(size, cols)).astype(float))
-        stacked = np.hstack(mats) if mats else np.zeros((size, 0))
-        if numerical_rank(stacked) < size:
+        _, comp = column_space_split(np.hstack(mats))
+        if comp.shape[1]:
             # append the missing directions to one symbol so the union spans H_j
-            have, _ = column_space_split(stacked)
-            rank = have.shape[1]
-            comp = (
-                np.eye(size)
-                if rank == 0
-                else np.linalg.svd(have, full_matrices=True)[0][:, rank:]
-            )
             target = int(rng.integers(0, q))
             mats[target] = np.hstack([mats[target], comp])
         for a in range(q):
