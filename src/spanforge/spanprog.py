@@ -395,14 +395,6 @@ class _Decisions:
     kinds: np.ndarray
     splits: tuple[tuple[np.ndarray, np.ndarray], ...]
 
-    @classmethod
-    def of(cls, distinct: Sequence[np.ndarray], tols: Tolerances) -> _Decisions:
-        splits = tuple(_split(mat, tols) for mat in distinct)
-        kinds = np.array([[_kind(part) for part in split] for split in splits]
-                         + [[_NONE, _IDENTITY]], dtype=np.int8)
-        kinds.setflags(write=False)
-        return cls(kinds, splits)
-
 
 class Subspaces(Mapping):
     """Read-only store of the H_{j,a} matrices, keyed by (j, a), that the
@@ -520,7 +512,11 @@ class Subspaces(Mapping):
         tols, and the same record on every later one."""
         found = self._decisions.get(tols)
         if found is None:
-            found = self._decisions[tols] = _Decisions.of(self._distinct, tols)
+            splits = tuple(_split(mat, tols) for mat in self._distinct)
+            kinds = np.array([[_kind(part) for part in split] for split in splits]
+                             + [[_NONE, _IDENTITY]], dtype=np.int8)
+            kinds.setflags(write=False)
+            found = self._decisions[tols] = _Decisions(kinds, splits)
         return found
 
 
@@ -1192,8 +1188,7 @@ def min_error_negative(f: InputFactors) -> tuple[np.ndarray, float, float]:
     g = f.col_basis.T @ program.tau
     h = g / (f.sigma * f.sigma)
     on_col = f.col_basis @ (h / float(g @ h))
-    off_rows = f.complement_rows
-    beta = -pinv(off_rows.T, f.tols, scale=f.a_scale) @ _tdot(program.a, on_col)
+    beta = -pinv(f.complement_rows.T, f.tols, scale=f.a_scale) @ _tdot(program.a, on_col)
     omega = on_col + f.complement @ beta
     row = _tdot(program.a, omega)
     on_x = restrict(row[None, :], f.q_h)[0]  # omega A(x)
