@@ -20,7 +20,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._linalg import DEFAULT_TOLS, PHASE_ROUND_TOL, Tolerances, _rank, freeze, singular_values
+from ._linalg import DEFAULT_TOLS, PHASE_ROUND_TOL, Tolerances, _rank, column_space_split, freeze
+from ._linalg import singular_values
 from .resistance import Graph, build_st_span_program, ordered_pairs
 from .spanprog import Blocks, GloballyInfeasibleError, SpanProgram, SpanProgramError, _walk
 from .spanprog import minimal_witness
@@ -536,17 +537,6 @@ def flow_resistance_bruteforce(g: Graph) -> float:
     return float(theta @ theta)
 
 
-def kernel_basis(mat: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Orthonormal basis of ker(mat) (right null space) as columns."""
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    ncols = mat.shape[1]
-    if ncols == 0:
-        return np.zeros((0, 0))
-    _, s, vt = np.linalg.svd(mat, full_matrices=True)
-    rank = _rank(s, tols, None)
-    return vt[rank:].T if rank else np.eye(ncols)
-
-
 @dataclass(frozen=True)
 class FactorizationCheck:
     """Residuals of the reflection-factorization identities on the 2 n^3
@@ -614,7 +604,7 @@ def verify_reflection_factorization(n: int, tols: Tolerances = DEFAULT_TOLS) -> 
         raise ValueError("verification supported for 3 <= n <= 6")
     mz, my, a_mat = reflection_factorization_operators(n)
     row_basis = build_st_span_program(n, 0, 1).factorization(tols).row_basis
-    ker_basis = kernel_basis(a_mat, tols)
+    ker_basis = column_space_split(a_mat.T, tols)[1]
     dim = mz.shape[0]
 
     my_defect = float(np.max(np.abs(my.T @ my - np.eye(my.shape[1]))))

@@ -176,7 +176,7 @@ def laplacian(g: Graph) -> np.ndarray:
 def _spectral_oracle(g: Graph, connected_st: bool) -> tuple[float, float]:
     """(lambda2, R_st) of g from one eigh of its Laplacian L = V diag(lam) V^T:
     lambda2 is lam[1], and R_st = sum_k (V^T chi)_k^2 / lam_k over the
-    eigenvalues pinv keeps, |lam_k| > rank_rtol max |lam|, for
+    lam_k the package's SVD cut keeps, |lam_k| > rank_rtol max |lam|, for
     chi = e_s - e_t; inf when s, t are disconnected, which the caller has
     read from g.connected_st(), so that an estimate walks g once."""
     lam, vecs = np.linalg.eigh(laplacian(g))

@@ -29,14 +29,16 @@ factors A once per Tolerances and solves w0 through the factors: an
 incidence A wider than tall, such as the st program's, through one eigh of
 its exact Gram A A^T, forming V_r = A^T U_r Sigma^-1 only when a caller
 reads it; every other A by one SVD, the Gram route's oracle.  input_factors
-factors A(x) once by the same rule (_gram_factors holds the Gram route and
-its rank cut for both) and decides once whether tau lies in col A(x).  The
-witness functions and spectral.kappa_bound take that InputFactors alone,
-which owns the program, x and Tolerances it was built for; infeasible sizes
-are math.inf.  What the threshold rounds' closed form in spectral reads of
-tau in A's factors (_TargetFactors, which also decides whether tau is read
-as its projection onto col(A)) is computed where the Factorization is made;
-a round where that closed form does not hold raises DegenerateRoundError.
+factors A(x) once by the same rule (_linalg holds both routes and their
+rank cuts) and decides once whether tau lies in col A(x).  The witness
+functions and spectral.kappa_bound take that InputFactors alone, which
+owns the program, x and Tolerances it was built for; infeasible sizes are
+math.inf.  Every witness is solved on cut factors, the negative ones by
+_linalg.min_norm_functional; no pseudo-inverse matrix is formed.  What the
+threshold rounds' closed form in spectral reads of tau in A's factors
+(_TargetFactors, which also decides whether tau is read as its projection
+onto col(A)) is computed where the Factorization is made; a round where
+that closed form does not hold raises DegenerateRoundError.
 rescale_target and normalize change tau alone, so the program they derive
 shares the factors of A of every Factorization its parent holds, with w0
 scaled by the factor and _TargetFactors computed from the new tau.
@@ -56,12 +58,14 @@ import numpy as np
 
 from ._linalg import (
     DEFAULT_TOLS,
+    GRAM_NOISE_RTOL,
     Tolerances,
+    _gram_factors,
     _rank,
     column_space_split,
     freeze,
-    numerical_rank,
-    pinv,
+    min_norm_functional,
+    singular_values,
     svd_factors,
 )
 
@@ -96,10 +100,6 @@ DENSE_A_ENTRY_CAP = 2**28
 # dim_h-length vectors only: at the cap one float64 vector takes 34 MB and
 # the two index arrays of A 67 MB; the st program reaches it at n = 2048
 INCIDENCE_DIM_H_CAP = 2**22
-# the Gram route's floor on the eigenvalues of A A^T or G(x), per row of A
-# and relative to sigma_max(A)^2: the kernel eigenvalues of 2 L_G measured at
-# most 0.14 dim_v eps relative, over random graphs cut in two, n <= 800
-GRAM_NOISE_RTOL = 10.0 * np.finfo(float).eps
 
 
 def check_dense_a_size(dim_v: int, dim_h: int, what: str = "a dense A") -> None:
@@ -766,32 +766,6 @@ def _target_factors(
     return _TargetFactors(y_hat, n_val, sigma_min, tau2, projected)
 
 
-def _gram_factors(
-    gram: np.ndarray, tols: Tolerances, a_scale: Optional[float] = None
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """The factors of a matrix M read from one eigh of its exact Gram
-    G = M M^T = U diag(lam) U^T, lam descending: the whole of U, whose first
-    rank columns span col M and the rest its complement, the nonzero
-    singular values sigma = sqrt(lam) over the kept lam, and the reference
-    sigma_max(A): a_scale when given, as for G(x) = A(x) A(x)^T, and
-    sqrt(lam_max) when M is A itself.
-
-    An eigenvalue counts as nonzero iff
-    lam > max(rank_rtol^2, GRAM_NOISE_RTOL dim_v) sigma_max(A)^2.  The first
-    term is the SVD route's cut at rank_rtol sigma_max, squared, so a
-    caller's rank_rtol means the same on both routes.  The second is a floor
-    at eigh's noise: eigh gives lam only to within a few eps ||G||, and
-    ||G|| <= sigma_max^2, so it resolves sigma only to about
-    sqrt(eps) sigma_max, and a squared cut below that would count noise as
-    rank.  At the default rank_rtol the floor is the cut."""
-    lam, u = np.linalg.eigh(gram)
-    lam, u = lam[::-1], u[:, ::-1]
-    if a_scale is None:
-        a_scale = math.sqrt(float(lam[0]))
-    cut = max(tols.rank_rtol**2, GRAM_NOISE_RTOL * gram.shape[0]) * a_scale * a_scale
-    return u, np.sqrt(lam[: np.count_nonzero(lam > cut)]), a_scale
-
-
 def _factorize(program: SpanProgram, tols: Tolerances) -> Factorization:
     """A's factors, and w0 from them.  An incidence A wider than tall is
     read through _gram_factors of its exact Gram A A^T, and
@@ -868,7 +842,7 @@ def validate(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS) -> Validatio
         rows = len(program.input_blocks[j])
         mats = [program.subspaces.get((j, a)) for a in range(program.q)]
         stacked = np.hstack([np.zeros((rows, 0))] + [m for m in mats if m is not None and m.size])
-        spanning = numerical_rank(stacked, tols) == rows
+        spanning = _rank(singular_values(stacked), tols, None) == rows
         checks.append(
             (
                 f"subspaces-span-H_{j}",
@@ -1112,24 +1086,6 @@ def positive_witness(f: InputFactors) -> tuple[Optional[np.ndarray], float]:
     return freeze(w), f.positive_size(f.program.tau)
 
 
-def _min_norm_under_linear_constraint(
-    gram: np.ndarray, c: np.ndarray, tols: Tolerances, gram_scale: Optional[float] = None
-) -> tuple[Optional[np.ndarray], float]:
-    """Minimize nu^T G nu subject to nu . c = 1 for symmetric PSD G.
-
-    Returns (nu, value); (None, inf) when c = 0, and (nu, 0.0) when c has a
-    kernel component of G (the objective can be made exactly zero).
-    """
-    if not c.any():
-        return None, math.inf
-    y = pinv(gram, tols, scale=gram_scale) @ c
-    kernel_part = c - gram @ y
-    if np.linalg.norm(kernel_part) > tols.membership_rtol * np.linalg.norm(c):
-        return kernel_part / float(kernel_part @ c), 0.0
-    denom = float(c @ y)
-    return y / denom, 1.0 / denom
-
-
 def negative_witness(f: InputFactors) -> tuple[Optional[np.ndarray], float]:
     """Optimal exact negative witness for the input whose factors f are.
 
@@ -1141,9 +1097,8 @@ def negative_witness(f: InputFactors) -> tuple[Optional[np.ndarray], float]:
     if f.positive:
         return None, math.inf
     b = f.complement_rows  # omega = Z nu; Z^T tau != 0 as x is negative
-    nu, value = _min_norm_under_linear_constraint(
-        b @ b.T, f.complement.T @ f.program.tau, f.tols, gram_scale=f.a_scale * f.a_scale
-    )
+    u, s, _, _ = svd_factors(b, f.tols, f.a_scale)
+    nu, value = min_norm_functional(u, s, f.complement.T @ f.program.tau, f.tols)
     return freeze(nu @ b), value
 
 
@@ -1159,8 +1114,8 @@ def min_error_positive(f: InputFactors) -> tuple[np.ndarray, float, float]:
     """
     program, tols = f.program, f.tols
     minimal_witness(program, tols)  # raises when tau is outside col(A)
-    off_perp = restrict(f.complement_rows, f.q_perp)  # Z^T A_perp
-    b = pinv(off_perp, tols, scale=f.a_scale) @ (f.complement.T @ program.tau)
+    u, s, v, _ = svd_factors(restrict(f.complement_rows, f.q_perp), tols, f.a_scale)
+    b = v @ ((u.T @ (f.complement.T @ program.tau)) / s)  # (Z^T A_perp)^+ Z^T tau
     w_perp = _lift(program.dim_h, f.q_perp, b)
     a = f.solve(program.tau - _dot(program.a, w_perp))
     w = _lift(program.dim_h, f.q_h, a) + w_perp
@@ -1188,7 +1143,8 @@ def min_error_negative(f: InputFactors) -> tuple[np.ndarray, float, float]:
     g = f.col_basis.T @ program.tau
     h = g / (f.sigma * f.sigma)
     on_col = f.col_basis @ (h / float(g @ h))
-    beta = -pinv(f.complement_rows.T, f.tols, scale=f.a_scale) @ _tdot(program.a, on_col)
+    u, s, v, _ = svd_factors(f.complement_rows, f.tols, f.a_scale)  # Z^T A
+    beta = -u @ ((v.T @ _tdot(program.a, on_col)) / s)
     omega = on_col + f.complement @ beta
     row = _tdot(program.a, omega)
     on_x = restrict(row[None, :], f.q_h)[0]  # omega A(x)
@@ -1212,11 +1168,14 @@ def minimal_negative_value(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS
     """Global minimal negative witness: min ||omega A||^2 over omega tau = 1.
 
     Independent of any input; tested against 1/N_+ and (omega0 A)^dag = w0/N_+.
+    Solved on _gram_factors of A A^T, which for a dense A is a route apart
+    from the SVD behind N_+.  That route cannot resolve sigma / sigma_max(A)
+    below sqrt(GRAM_NOISE_RTOL dim_v), about 6.7e-8 at dim_v = 2: at
+    A = diag(1, 1e-8), tau = (1, 1e-8) it drops the small direction and
+    N_+ N_- reads 2.
     """
-    a_scale = program.factorization(tols).sigma_max
-    nu, value = _min_norm_under_linear_constraint(
-        _gram(program.a), program.tau, tols, gram_scale=a_scale * a_scale
-    )
+    u, s, _ = _gram_factors(_gram(program.a), tols, program.factorization(tols).sigma_max)
+    nu, value = min_norm_functional(u[:, : s.size], s, program.tau, tols)
     if nu is None:
         raise StructuralError("tau = 0: no functional maps tau to 1")
     return freeze(_tdot(program.a, nu)), value

@@ -297,6 +297,32 @@ def test_no_estimator_module_imports_the_oracle(module):
     assert oracle_imports(source) == []
 
 
+def pinv_uses(source: str) -> list[str]:
+    """Where a module's source defines, imports or reads a name pinv, such
+    as np.linalg.pinv: every min-norm solve reads cut factors instead."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == "pinv":
+            found.append(f"def {node.name}")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+            "pinv" in (a.name.split(".")[-1], a.asname) for a in node.names
+        ):
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Attribute) and node.attr == "pinv":
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_no_module_forms_a_pseudo_inverse():
+    for line in ("def pinv(m):\n    pass", "from ._linalg import pinv",
+                 "from numpy.linalg import pinv as p", "import numpy\nnumpy.linalg.pinv(m)",
+                 "x = np.linalg.pinv(m, rcond=1e-10) @ c"):
+        assert pinv_uses(line), line
+    assert not pinv_uses("from ._linalg import svd_factors\nnp.linalg.lstsq(m, c)")
+    for path in sorted(Path(oracle.__file__).parent.glob("*.py")):
+        assert pinv_uses(path.read_text()) == [], path.name
+
+
 # the rounds' scalable reference, which lives in spanforge.oracle: no
 # estimator module may name it, so a round has the closed form alone
 SCALED_FACTORS = {"scaled_factors", "ScaledFactors"}

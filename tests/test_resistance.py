@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from spanforge._linalg import DEFAULT_TOLS, pinv, singular_values
+from spanforge._linalg import DEFAULT_TOLS, singular_values
 from spanforge.generators import random_graph
 from spanforge.oracle import (
     flow_resistance_bruteforce,
@@ -143,7 +143,8 @@ def test_one_eigh_gives_lambda2_and_resistance_as_eigvalsh_and_pinv_do(monkeypat
             continue
         chi = np.zeros(g.n)
         chi[g.s], chi[g.t] = 1.0, -1.0
-        assert exact_resistance(g) == pytest.approx(float(chi @ pinv(lap) @ chi), rel=1e-12)
+        lap_pinv = np.linalg.pinv(lap, rcond=DEFAULT_TOLS.rank_rtol)  # keeps s > rcond s_max
+        assert exact_resistance(g) == pytest.approx(float(chi @ lap_pinv @ chi), rel=1e-12)
 
     # an estimate reads both from a single eigendecomposition of L, A from
     # one of its Gram A A^T = 2 (n I - J), and A(x) from one of its Gram

@@ -276,6 +276,28 @@ def test_global_minimal_negative_witness_identities():
         )
 
 
+@pytest.mark.parametrize("k", [4, 6, 7])
+def test_witness_duality_holds_on_an_ill_conditioned_program(k):
+    # A = diag(1, 10^-k) and x = (1, 0), whose H(x) is coordinate 0: the
+    # negative witness lives on the direction of sigma = 10^-k, which a
+    # pseudo-inverse of the Gram cut at rank_rtol drops once sigma < 1e-5
+    small = 10.0**-k
+    program = SpanProgram(
+        n=2, q=2, dim_h=2, dim_v=2, input_blocks=((0,), (1,)), true_block=(), false_block=(),
+        subspaces={(j, a): np.eye(1)[:, :a] for j in range(2) for a in range(2)},
+        a=np.diag([1.0, small]), tau=np.array([1.0, small]),
+    )
+    x = (1, 0)
+    f = input_factors(program, x)
+    assert not f.positive
+    w_minus = oracle_negative_witness(program, x)[0]
+    e_plus = oracle_min_error_positive(program, x)[0]
+    assert negative_witness(f)[1] == pytest.approx(w_minus, rel=1e-8)
+    assert min_error_positive(f)[1] == pytest.approx(e_plus, rel=1e-8)
+    n_minus = minimal_negative_value(program)[1]
+    assert minimal_witness(program).n_plus * n_minus == pytest.approx(1.0, rel=1e-12)
+
+
 def test_normalize_or():
     program = or_span_program(4)
     normalized = normalize(program)
