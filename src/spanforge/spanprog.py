@@ -25,20 +25,20 @@ and the tests.  Every quantity about an input comes from A(x) = A Q_H, Q_H an
 orthonormal basis of H(x) kept block by block, with each run of identity
 blocks kept as one set of coordinates, so that A(x) of the st program is a
 subset of A's columns; no dim_h x dim_h matrix is formed.  A program
-factors A once per Tolerances and solves w0 through the factors: an
-incidence A wider than tall, such as the st program's, through one eigh of
-its exact Gram A A^T, forming V_r = A^T U_r Sigma^-1 only when a caller
-reads it; every other A by one SVD, the Gram route's oracle.  input_factors
-factors A(x) once by the same rule (_linalg holds both routes and their
-rank cuts) and decides once whether tau lies in col A(x).  The witness
-functions and spectral.kappa_bound take that InputFactors alone, which
-owns the program, x and Tolerances it was built for; infeasible sizes are
-math.inf.  Every witness is solved on cut factors, the negative ones by
-_linalg.min_norm_functional; no pseudo-inverse matrix is formed.  What the
-threshold rounds' closed form in spectral reads of tau in A's factors
-(_TargetFactors, which also decides whether tau is read as its projection
-onto col(A)) is computed where the Factorization is made; a round where
-that closed form does not hold raises DegenerateRoundError.
+factors A once per Tolerances, and input_factors A(x) once per input, by
+one helper for M = A Q that chooses the route (_cut_factors): an incidence
+M wider than tall, such as the st program's, through one eigh of its exact
+Gram, forming no V_r; every other M by one SVD, the Gram route's oracle.
+One solve on those factors (_min_norm_solve) gives w0 = A^+ tau and
+A(x)^+ v, and one test (_in_col) decides tau in col(A) and in col A(x).
+The witness functions and spectral.kappa_bound take that InputFactors
+alone, which owns the program, x and Tolerances it was built for;
+infeasible sizes are math.inf.  Every witness is solved on cut factors,
+the negative ones by _linalg.min_norm_functional; no pseudo-inverse matrix
+is formed.  What spectral's measures and threshold rounds read of tau in
+A's factors (_TargetFactors, y = V_r^T w0 among them) is computed where
+the Factorization is made; a round where the rounds' closed form does not
+hold raises DegenerateRoundError.
 rescale_target and normalize change tau alone, so the program they derive
 shares the factors of A of every Factorization its parent holds, with w0
 scaled by the factor and _TargetFactors computed from the new tau.
@@ -593,9 +593,9 @@ class SpanProgram:
         return mat
 
     def factorization(self, tols: Tolerances = DEFAULT_TOLS) -> Factorization:
-        """A's factorization under tols: computed on first use, through
-        A A^T for an incidence A wider than tall and by one SVD of A
-        otherwise, then kept on the program, whose A and tau are read-only."""
+        """A's factorization under tols: computed on first use by
+        _cut_factors, then kept on the program, whose A and tau are
+        read-only."""
         fact = self._factorizations.get(tols)
         if fact is None:
             fact = self._factorizations[tols] = _factorize(self, tols)
@@ -676,8 +676,8 @@ class _TargetFactors:
     """tau read in A's factors U_r Sigma V_r^T, as the threshold rounds'
     closed form (spectral._scaled_pair) reads it; it depends on the program
     and Tolerances alone.  With g = U_r^T tau and rho = ||tau - U_r g||,
-    tau2 = ||g||^2 + rho^2, sigma_min is A's least kept singular value, and
-    y_hat = y / ||y|| and n_val = ||y||^2 for y = V_r^T w0 = Sigma^-1 g.
+    tau2 = ||g||^2 + rho^2, sigma_min is A's least kept singular value,
+    y = V_r^T w0 = Sigma^-1 g, y_hat = y / ||y|| and n_val = ||y||^2.
     projected is rho > min(_COL_RESIDUAL_RTOL dim_v, rank_rtol) ||tau||:
     tau lies in col(A) only to within membership_rtol, and the rounds,
     oracle.scale and the oracle's rank-sized factors of it read tau as its
@@ -686,6 +686,7 @@ class _TargetFactors:
     reads U_r g too, and oracle.scale reads tau itself.  Every field is
     None, 0.0 or False when no positive witness exists (_NO_TARGET)."""
 
+    y: Optional[np.ndarray]
     y_hat: Optional[np.ndarray]
     n_val: float
     sigma_min: float
@@ -693,7 +694,7 @@ class _TargetFactors:
     projected: bool
 
 
-_NO_TARGET = _TargetFactors(None, 0.0, 0.0, 0.0, False)
+_NO_TARGET = _TargetFactors(None, None, 0.0, 0.0, 0.0, False)
 
 
 @dataclass(frozen=True)
@@ -707,11 +708,11 @@ class Factorization:
     read through its Gram: there V_r = A^T U_r Sigma^-1 is formed only when
     a caller reads row_basis (the oracle's kernel projector and the tests),
     once, and the copies _rescaled makes share it.  The estimators read A
-    through U_r and Sigma alone (row_witness, and C(x) in
+    through U_r and Sigma alone (target.y, and C(x) in
     spectral.row_space_cross).  witness is w0 = A^+ tau, solved through
     the factors, with N_+ and N_-; when no positive witness exists it is
     None and infeasible says why.  target is tau read in the factors, as
-    the threshold rounds' closed form reads it.
+    w0's spectral measures and the threshold rounds' closed form read it.
     """
 
     # the program's A, which V_r is read from when rows is None
@@ -738,13 +739,6 @@ class Factorization:
             self._formed.append(basis)
         return self._formed[0]
 
-    def row_witness(self, tau: np.ndarray) -> np.ndarray:
-        """y = V_r^T w0 for the witness w0 of tau: V_r^T w0 with V_r held,
-        and Sigma^-1 U_r^T tau, with no V_r formed, otherwise."""
-        if self.rows is None:
-            return (self.col_basis.T @ tau) / self.sigma
-        return self.rows.T @ self.witness.w0
-
 
 def _target_factors(
     col_basis: np.ndarray, sigma: np.ndarray, tau: np.ndarray, tols: Tolerances
@@ -760,43 +754,35 @@ def _target_factors(
     cut = min(_COL_RESIDUAL_RTOL * tau.size, tols.rank_rtol)
     projected = math.sqrt(rho2) > cut * math.sqrt(tau2)
     y = g / sigma  # V_r^T w0 = Sigma^-1 U_r^T tau
+    y.setflags(write=False)
     n_val = float(y @ y)
     y_hat = y / math.sqrt(n_val)
     y_hat.setflags(write=False)
-    return _TargetFactors(y_hat, n_val, sigma_min, tau2, projected)
+    return _TargetFactors(y, y_hat, n_val, sigma_min, tau2, projected)
 
 
 def _factorize(program: SpanProgram, tols: Tolerances) -> Factorization:
-    """A's factors, and w0 from them.  An incidence A wider than tall is
-    read through _gram_factors of its exact Gram A A^T, and
-    w0 = A^T (U_r ((U_r^T tau) / sigma^2)) forms no V_r and reads A only
-    through A^T u and A v.  Every other A is factored by one SVD of the
-    dense A, and w0 = V_r (Sigma^-1 (U_r^T tau)) with the SVD's V_r.
-    Solving through the factors keeps the residual A w0 - tau at rounding
-    size however small a kept singular value is; no A^+ is formed.  tau's
-    _TargetFactors are read from the same factors."""
-    a, tau = program.a, program.tau
-    if isinstance(a, Incidence) and a.shape[1] > a.shape[0]:
-        u, sigma, top = _gram_factors(a.gram(), tols)
-        col_basis, sigma, rows = freeze(u[:, : sigma.size]), freeze(sigma), None
-        w0 = a.tdot(col_basis @ ((col_basis.T @ tau) / (sigma * sigma)))
-    else:
-        col_basis, sigma, rows, top = svd_factors(program.a_mat, tols)
-        col_basis, sigma, rows = freeze(col_basis), freeze(sigma), freeze(rows)
-        w0 = rows @ ((col_basis.T @ tau) / sigma)
-    parts = (a, col_basis, sigma, rows, top)
-    image = _dot(a, w0)
-    if np.linalg.norm(image - tau) > tols.membership_rtol * np.linalg.norm(tau):
+    """A's factors by _cut_factors, and w0 = A^+ tau and tau's
+    _TargetFactors from them once _in_col finds tau in col(A); no A^+ is
+    formed, so A w0 - tau stays at rounding size."""
+    u, sigma, rows, top = _cut_factors(program, None, tols, None)
+    col_basis, sigma = freeze(u[:, : sigma.size]), freeze(sigma)
+    inside = _in_col(u[:, sigma.size :], program.tau, tols)
+    del u  # the whole of U is not held through the solve
+    rows = None if rows is None else freeze(rows)
+    parts = (program.a, col_basis, sigma, rows, top)
+    if not inside:
         return Factorization(
             *parts, None, _NO_TARGET, "tau is not in col(A); no positive witness exists"
         )
+    w0 = _min_norm_solve(program.a, None, col_basis, sigma, rows, program.tau)
     n_plus = float(w0 @ w0)
     if n_plus == 0.0:
         return Factorization(*parts, None, _NO_TARGET, "tau = 0 gives a degenerate program")
     return Factorization(
         *parts,
         MinimalWitness(w0=freeze(w0), n_plus=n_plus, n_minus=1.0 / n_plus),
-        _target_factors(col_basis, sigma, tau, tols),
+        _target_factors(col_basis, sigma, program.tau, tols),
     )
 
 
@@ -945,14 +931,13 @@ class InputFactors:
     (complement) of its complement, and the nonzero singular values sigma,
     cut relative to a_scale = sigma_max(A).  row_vectors holds A(x)'s right
     singular vectors V_x when A(x) was factored by an SVD, and is None when
-    it was read through its Gram, where no V_x is formed.  positive, decided
-    once for both signs, is ||Z^T tau|| <= membership_rtol ||tau||: whether
-    tau lies in col A(x).  program, x (as check_input gives it) and tols are
-    what it was built for, and the one place every quantity read from it
-    takes them from; A(x) is read from the program's A.  Q_perp, which
-    only the min-error positive witness reads, is walked when q_perp is
-    first read, and Z^T A, which the negative and min-error witnesses read,
-    is formed when complement_rows is first read; both are kept."""
+    it was read through its Gram.  positive, decided once for both signs,
+    is whether tau lies in col A(x).  program, x (as check_input gives it)
+    and tols are what it was built for, and the one place every quantity
+    read from it takes them from; A(x) is read from the program's A.
+    Q_perp, which only the min-error positive witness reads, and Z^T A,
+    which the negative and min-error witnesses read, are formed when
+    q_perp and complement_rows are first read, and kept."""
 
     program: SpanProgram
     x: np.ndarray
@@ -989,25 +974,9 @@ class InputFactors:
         """A(x) as a dense matrix, formed anew."""
         return restrict(self.a, self.q_h)
 
-    def _rows(self, u: np.ndarray) -> np.ndarray:
-        """A(x)^T u, through A's columns."""
-        return restrict(_tdot(self.a, u)[None, :], self.q_h)[0]
-
-    def _gram_solve(self, v: np.ndarray) -> np.ndarray:
-        """A(x)^T U_x S_x^-2 U_x^T v, through A's columns."""
-        return self._rows(self.col_basis @ ((self.col_basis.T @ v) / self.sigma / self.sigma))
-
     def solve(self, v: np.ndarray) -> np.ndarray:
-        """A(x)^+ v: V_x S_x^-1 U_x^T v when V_x is held.  Through the Gram,
-        w = A(x)^T U_x S_x^-2 U_x^T v keeps eigh's error of about
-        kappa(G(x)) eps relative (7.6e-12 in ||w||^2 on the path of 200
-        vertices), so one step of refinement, w + A(x)^+ (v - A(x) w),
-        follows, with A(x) w read through A's columns."""
-        if self.row_vectors is not None:
-            return self.row_vectors @ ((self.col_basis.T @ v) / self.sigma)
-        w = self._gram_solve(v)
-        image = _dot(self.a, _lift(self.a.shape[1], self.q_h, w))  # A(x) w
-        return w + self._gram_solve(v - image)
+        """A(x)^+ v, by _min_norm_solve."""
+        return _min_norm_solve(self.a, self.q_h, self.col_basis, self.sigma, self.row_vectors, v)
 
     def positive_size(self, tau: np.ndarray) -> float:
         """w_+ = ||A(x)^+ tau||^2 for tau in col A(x): ||S_x^-1 U_x^T tau||^2
@@ -1021,7 +990,7 @@ class InputFactors:
         if self.row_vectors is not None:
             return float(coef @ coef)
         z = self.col_basis @ (coef / self.sigma)
-        rows = self._rows(z)
+        rows = restrict(_tdot(self.a, z)[None, :], self.q_h)[0]
         return float(2.0 * (tau @ z) - rows @ rows)
 
 
@@ -1041,39 +1010,71 @@ def _input_gram(a: Incidence, q_h: Blocks) -> np.ndarray:
     return gram
 
 
+def _cut_factors(
+    program: SpanProgram, q: Optional[Blocks], tols: Tolerances, a_scale: Optional[float]
+) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray], float]:
+    """The factors of M = A Q, for Q = Q_H given block by block, or None for
+    M = A read as given: the whole of U (its first rank columns span col M,
+    the rest its complement), the kept singular values, V_r or None, and
+    the reference sigma_max(A), a_scale or else sigma_max(M).  An incidence
+    M wider than tall is read through _gram_factors of its exact Gram, one
+    dim_v x dim_v eigh, with no V_r formed: for the st program 2(nI - J) for
+    A and 2 L_G for A(x), whose nonzero lam >= 8/n^2 against
+    sigma_max(A)^2 = 2n are 100 times the floor at n = 2048, the largest n
+    within INCIDENCE_DIM_H_CAP.  Every other M takes one SVD, the Gram
+    route's oracle, with U full only when M is taller than wide."""
+    width = program.dim_h if q is None else _width(q)
+    if isinstance(program.a, Incidence) and width > program.dim_v:
+        gram = program.a.gram() if q is None else _input_gram(program.a, q)
+        u, s, top = _gram_factors(gram, tols, a_scale)
+        return u, s, None, top
+    m = program.a_mat if q is None else restrict(program.a, q)
+    u, s, vt = np.linalg.svd(m, full_matrices=m.shape[1] < m.shape[0])
+    if a_scale is None:
+        a_scale = float(s[0]) if s.size else 0.0
+    r = _rank(s, tols, a_scale)
+    return u, s[:r], vt[:r].T, a_scale
+
+
+def _in_col(complement: np.ndarray, tau: np.ndarray, tols: Tolerances) -> bool:
+    """Whether tau lies in col M, for an orthonormal basis Z (complement) of
+    its complement: ||Z^T tau|| <= membership_rtol ||tau||, scale-invariant."""
+    return bool(np.linalg.norm(complement.T @ tau) <= tols.membership_rtol * np.linalg.norm(tau))
+
+
+def _min_norm_solve(
+    a: np.ndarray | Incidence, q: Optional[Blocks], col_basis: np.ndarray, sigma: np.ndarray,
+    rows: Optional[np.ndarray], v: np.ndarray,
+) -> np.ndarray:
+    """M^+ v for M = A Q, q as _cut_factors takes it, from M's cut factors:
+    V_r Sigma^-1 U_r^T v when V_r is held.  Through the Gram, w = M^T U_r
+    Sigma^-2 U_r^T v keeps eigh's error of about kappa(M M^T) eps relative
+    (7.6e-12 in ||w||^2 on the path of 200 vertices), so one step of
+    refinement (Bjorck, BIT 7, 1967), w + M^+ (v - M w), follows."""
+    if rows is not None:
+        return rows @ ((col_basis.T @ v) / sigma)
+
+    def gram_solve(v: np.ndarray) -> np.ndarray:  # M^T U_r Sigma^-2 U_r^T v
+        out = _tdot(a, col_basis @ ((col_basis.T @ v) / sigma / sigma))
+        return out if q is None else restrict(out[None, :], q)[0]
+
+    w = gram_solve(v)
+    w += gram_solve(v - _dot(a, w if q is None else _lift(a.shape[1], q, w)))
+    return w
+
+
 def input_factors(
     program: SpanProgram, x: Sequence[int], tols: Tolerances = DEFAULT_TOLS
 ) -> InputFactors:
-    """Q_H and the factors of A(x) for x; Q_perp is walked only when read.
-
-    An incidence A(x) wider than tall is read through its exact Gram
-    G(x) = A(x) A(x)^T (2 L_G for the st program) by _gram_factors, one
-    dim_v x dim_v eigh cut against sigma_max(A) from A's factorization:
-    U_x and Z are the eigenvectors, S_x = sqrt(lam), and no V_x is formed.
-    For the st program the nonzero lam are 2 lambda_k(L_G) >= 8/n^2 against
-    sigma_max(A)^2 = 2n, so lam / sigma_max^2 >= 4/n^3: about 100 times the
-    floor at n = 2048, the largest n within INCIDENCE_DIM_H_CAP.  On either
-    route a rank_rtol above 2 n^-1.5, the bound on sigma_min / sigma_max,
-    may cut into that rank.
-
-    Every other A(x), dense or tall, is factored by one SVD, with the rank
-    cut at rank_rtol sigma_max(A); U is full only when A(x) is taller than
-    wide, otherwise the thin SVD already holds all of it, so no
-    dim H(x) x dim H(x) array is formed.  That route is the oracle of the
-    Gram route."""
+    """Q_H and the factors of A(x) = A Q_H by _cut_factors, cut against
+    sigma_max(A), and whether tau lies in col A(x) by _in_col; Q_perp is
+    walked only when read."""
     x = program.check_input(x)
     q_h = _walk(program, x, tols, 0)
     a_scale = program.factorization(tols).sigma_max
-    if isinstance(program.a, Incidence) and _width(q_h) > program.dim_v:
-        u, s, _ = _gram_factors(_input_gram(program.a, q_h), tols, a_scale)
-        r, vt = s.size, None
-    else:
-        a_x = restrict(program.a, q_h)
-        u, s, vt = np.linalg.svd(a_x, full_matrices=a_x.shape[1] < a_x.shape[0])
-        r = _rank(s, tols, a_scale)
-        s, vt = s[:r], vt[:r].T
-    tau_off = float(np.linalg.norm(u[:, r:].T @ program.tau))
-    positive = tau_off <= tols.membership_rtol * float(np.linalg.norm(program.tau))
+    u, s, vt, _ = _cut_factors(program, q_h, tols, a_scale)
+    r = s.size
+    positive = _in_col(u[:, r:], program.tau, tols)
     return InputFactors(program, x, tols, q_h, u[:, :r], u[:, r:], s, vt, a_scale, positive)
 
 
@@ -1186,7 +1187,7 @@ def _rescaled(
 ) -> Factorization:
     """fact, made under tols, for the target tau = factor times its own:
     the same factors of A, with w0 scaled by factor and tau's
-    _TargetFactors.  _factorize's membership test is scale-invariant, so
+    _TargetFactors.  The membership test, _in_col, is scale-invariant, so
     an infeasible fact stays infeasible for the same reason."""
     mw = fact.witness
     if mw is None:

@@ -12,14 +12,13 @@ vectors at angle phi spans a plane that the negated product of the two
 reflections turns by pi - 2 phi = 2 arcsin(cos phi).  The angles are those
 of the cross matrix C(x) = V_r^T Q_H(x), which RowSpaceCross holds as an
 r-row factor with the same C C^T, and the measures read w0 as
-y = V_r^T w0; no dim_h x dim_h array is formed.  With A factored by an
-SVD, which holds V_r, the factor comes from one QR of C(x)^T.  With A read
-through its Gram A A^T, as the st program's is, V_r is never formed:
-y = Sigma^-1 U_r^T tau, and C(x) = Sigma^-1 U_r^T A(x) is read through the
-factors A(x) A(x)^T = U_x S_x^2 U_x^T that spanprog.input_factors holds,
-so the factor is rank-sized and no array as wide as A(x) is made.  For the
-st program those factors come from one eigh of A(x) A(x)^T = 2 L_G, and
-neither A(x) nor its right singular vectors are formed.  An estimator,
+y = V_r^T w0 = Sigma^-1 U_r^T tau (_TargetFactors.y); no dim_h x dim_h
+array is formed.  With A factored by an SVD, which holds V_r, the factor
+comes from one QR of C(x)^T.  With A read through its Gram A A^T, as the
+st program's is, V_r is never formed: C(x) = Sigma^-1 U_r^T A(x) is read
+through the factors A(x) A(x)^T = U_x S_x^2 U_x^T that
+spanprog.input_factors holds, so the factor is rank-sized and neither
+A(x) nor any array as wide as it is made.  An estimator,
 which holds x's InputFactors, forms C(x) from them once and hands it to
 measure_U or measure_Uprime, so H(x) is walked once per estimate.
 row_space_cross and kappa_bound take the InputFactors alone, and C(x)
@@ -204,7 +203,7 @@ def _measure_uprime(y: np.ndarray, cross: np.ndarray, tols: Tolerances) -> Spect
 def _row_witness(cross: RowSpaceCross) -> np.ndarray:
     """y = V_r^T w0 of cross's program; w0 = V_r y."""
     minimal_witness(cross.program, cross.tols)  # raises when tau is outside col(A)
-    return cross.program.factorization(cross.tols).row_witness(cross.program.tau)
+    return cross.target.y
 
 
 def measure_U(cross: RowSpaceCross) -> SpectralMeasure:

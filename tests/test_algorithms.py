@@ -311,7 +311,7 @@ PINNED_OR8 = {
     POSITIVE: ((1, 1, 0, 1, 0, 0, 0, 0), (2.768354430379747, 258433864, 7, 2995198448)),
     NEGATIVE: ((0,) * 8, (1.1095890410958904, 78683596, 4, 1199573650)),
 }
-PINNED_ST6 = (0.6958075611560335, 2153364, 4, 2328051963)
+PINNED_ST6 = (0.6958075611560334, 2153364, 4, 2328051963)
 
 
 def next_draw(rng):

@@ -153,8 +153,8 @@ def test_closed_form_inputs_measures_and_witnesses_match_the_svd_route(n):
     # the Gram route reads row(A) in its own basis V_r = A^T U_r Sigma^-1;
     # rot takes its coordinates to those of the SVD's V_r
     rot = oracle.factorization().row_basis.T @ program.factorization().row_basis
-    y_mine = unit.factorization().row_witness(unit.tau)
-    y_theirs = unit_oracle.factorization().row_witness(unit_oracle.tau)
+    y_mine = unit.factorization().target.y
+    y_theirs = unit_oracle.factorization().row_basis.T @ minimal_witness(unit_oracle).w0
     np.testing.assert_allclose(rot @ y_mine, y_theirs, rtol=0.0, atol=RTOL)
     signs = set()
     for x in st_inputs(n, s, t, rng):
@@ -296,8 +296,8 @@ def test_gram_route_matches_a_dense_a_and_the_svd_route(name):
 
     unit, unit_twin = normalize(program, tols), normalize(twin, tols)
     rot = unit_twin.factorization(tols).row_basis.T @ unit.factorization(tols).row_basis
-    y_mine = unit.factorization(tols).row_witness(unit.tau)
-    y_theirs = unit_twin.factorization(tols).row_witness(unit_twin.tau)
+    y_mine = unit.factorization(tols).target.y
+    y_theirs = unit_twin.factorization(tols).row_basis.T @ minimal_witness(unit_twin, tols).w0
     np.testing.assert_allclose(rot @ y_mine, y_theirs, rtol=0.0, atol=RTOL)
     cross = row_space_cross(input_factors(unit, x, tols))
     cross_twin = row_space_cross(input_factors(unit_twin, x, tols))
@@ -633,6 +633,20 @@ def test_column_gram_is_formed_in_place_and_bit_identical(st_1000):
         tracemalloc.stop()
     assert gram.tobytes() == reference.tobytes()
     assert peak <= 2.5 * gram.nbytes
+
+
+def test_factoring_a_holds_about_four_arrays_the_size_of_w0():
+    # A of the st program at n = 1000 is read through its Gram: U_r, w0 and
+    # the two gathers of A^T u, each about w0's 8 MB, and no index array of
+    # length dim_h; the whole of U is released before w0 is solved
+    program = build_st_span_program(1000, 0, 999)
+    tracemalloc.start()
+    try:
+        fact = program.factorization()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.25 * fact.witness.w0.nbytes
 
 
 def test_rescaling_the_target_scales_w0_without_a_second_copy(st_1000):

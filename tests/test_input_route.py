@@ -323,6 +323,38 @@ def test_no_module_forms_a_pseudo_inverse():
         assert pinv_uses(path.read_text()) == [], path.name
 
 
+def call_sites(source: str, names: set[str]) -> set[tuple[str, str]]:
+    """(callee, caller) for each call in a module's source to one of names,
+    by its bare name, svd(m), or as an attribute, np.linalg.svd(m); the
+    caller is the top-level function or class around the call, or
+    <module>."""
+    sites = set()
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                callee = node.func
+                name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", "")
+                if name in names:
+                    sites.add((name, getattr(top, "name", "<module>")))
+    return sites
+
+
+def test_one_helper_chooses_the_route_of_a_and_of_a_x():
+    # A and A(x) are factored by one helper, which alone picks the Gram
+    # route or an SVD; minimal_negative_value keeps a Gram route of its own
+    # as the second route verify's reciprocity check compares against
+    names = {"_gram_factors", "svd"}
+    assert call_sites("def f(m):\n    return np.linalg.svd(m)[1]", names) == {("svd", "f")}
+    nested = "class C:\n    def g(self, x):\n        return _linalg._gram_factors(x)\nsvd(m)"
+    assert call_sites(nested, names) == {("_gram_factors", "C"), ("svd", "<module>")}
+    assert not call_sites("svd = np.linalg.svd\nsvd_factors(m)\nsingular_values(m)", names)
+    assert call_sites(Path(spanprog.__file__).read_text(), names) == {
+        ("_gram_factors", "_cut_factors"),
+        ("_gram_factors", "minimal_negative_value"),
+        ("svd", "_cut_factors"),
+    }
+
+
 # the rounds' scalable reference, which lives in spanforge.oracle: no
 # estimator module may name it, so a round has the closed form alone
 SCALED_FACTORS = {"scaled_factors", "ScaledFactors"}

@@ -298,6 +298,31 @@ def test_witness_duality_holds_on_an_ill_conditioned_program(k):
     assert minimal_witness(program).n_plus * n_minus == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [50, 200])
+def test_gram_route_w0_of_a_path_incidence_matches_its_dense_twin(n):
+    # A is the path on n vertices with each edge in both orientations, one
+    # block of two columns per edge, and tau = e_0 - e_{n-1}: w0 puts 1/2 on
+    # every column, so N_+ = (n - 1) / 2.  A A^T is 2 L of the path, whose
+    # condition number grows as n^2, so a Gram solve without refinement is
+    # off by kappa eps (7.6e-12 in N_+ at n = 200)
+    edges = np.arange(n - 1)
+    plus = np.stack([edges, edges + 1], axis=1).reshape(-1)
+    minus = np.stack([edges + 1, edges], axis=1).reshape(-1)
+    tau = np.zeros(n)
+    tau[0], tau[-1] = 1.0, -1.0
+    program = SpanProgram(
+        n=n - 1, q=2, dim_h=2 * (n - 1), dim_v=n,
+        input_blocks=np.arange(2 * (n - 1)).reshape(n - 1, 2), true_block=(), false_block=(),
+        subspaces=spanprog.Subspaces.per_symbol(n - 1, {0: np.zeros((2, 0)), 1: np.eye(2)}),
+        a=spanprog.Incidence(n, plus, minus), tau=tau,
+    )
+    twin = dataclasses.replace(program, a=program.a_mat)
+    assert program.factorization().rows is None and twin.factorization().rows is not None
+    mw, ref = minimal_witness(program), minimal_witness(twin)
+    assert abs(mw.n_plus - (n - 1) / 2) <= 1e-13 * (n - 1) / 2
+    assert np.linalg.norm(mw.w0 - ref.w0) <= 1e-13 * np.linalg.norm(ref.w0)
+
+
 def test_normalize_or():
     program = or_span_program(4)
     normalized = normalize(program)
