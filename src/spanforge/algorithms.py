@@ -52,7 +52,7 @@ from .qsim import (
 )
 from .spanprog import GloballyInfeasibleError, InputFactors, SpanProgram, input_factors
 from .spanprog import min_error_negative, min_error_positive, minimal_witness
-from .spanprog import negative_witness, normalize
+from .spanprog import negative_witness, normalize, positive_witness
 from .spectral import RowSpaceCross, measure_U, measure_Uprime, row_space_cross
 from .spectral import scaled_measure_U, scaled_measure_Uprime
 
@@ -251,12 +251,11 @@ def _threshold_votes(
 
 def _witness_size(f: InputFactors, side: str, estimate: bool) -> float:
     """The exact witness size w_side(x), read from x's InputFactors f; inf
-    when x has no witness of that sign, where an estimate raises instead.
-    w_+ is InputFactors.positive_size, so no witness is formed."""
+    when x has no witness of that sign, where an estimate raises instead."""
     if f.positive != (side == POSITIVE):
         size = math.inf
     elif f.positive:
-        size = f.positive_size(f.program.tau)
+        size = positive_witness(f)[1]
     else:
         size = negative_witness(f)[1]
     if estimate and math.isinf(size):

@@ -6,9 +6,10 @@ decompositions (one complex eigendecomposition each), the discriminant of
 two projectors, scale(P, beta) with a dense A_beta, the rank-sized factors
 of scale(P, beta) that the threshold rounds are tested against where a
 dense A_beta is too large (scaled_factors), a brute-force flow resistance,
-and the reflection factorization of the st program.  No estimator module
-imports it.  A dim_h above DENSE_DIM_CAP is refused with
-OracleSizeError before anything is allocated.
+and the reflection factorization of the st program; and, from the dense A,
+second routes to row(A) (row_basis) and to N_- (minimal_negative_witness).
+No estimator module imports it.  A dim_h above DENSE_DIM_CAP is refused
+with OracleSizeError before anything is allocated.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._linalg import DEFAULT_TOLS, PHASE_ROUND_TOL, Tolerances, _rank, column_space_split, freeze
-from ._linalg import singular_values
+from ._linalg import singular_values, svd_factors
 from .resistance import Graph, build_st_span_program, ordered_pairs
 from .spanprog import Blocks, GloballyInfeasibleError, SpanProgram, SpanProgramError, _walk
-from .spanprog import minimal_witness
+from .spanprog import StructuralError, minimal_witness
 from .spectral import SpectralMeasure
 
 PHASE_CLUSTER_TOL = 1e-9  # phases this close together share an eigenspace
@@ -68,12 +69,37 @@ def subspace_projector(
     return blocks_projector(program, _walk(program, program.check_input(x), tols, 0))
 
 
+def row_basis(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+    """V_r, an orthonormal basis of row(A), from one SVD of the dense A."""
+    return svd_factors(program.a_mat, tols)[2]
+
+
 def kernel_projector(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Orthogonal projector I - V_r V_r^T onto ker(A), V_r the row basis of A.
+    """Orthogonal projector I - V_r V_r^T onto ker(A), V_r = row_basis(A).
     Raises OracleSizeError above DENSE_DIM_CAP."""
     _check_dense_size(program)
-    v_r = program.factorization(tols).row_basis
+    v_r = row_basis(program, tols)
     return np.eye(program.dim_h) - v_r @ v_r.T
+
+
+def minimal_negative_witness(
+    program: SpanProgram, tols: Tolerances = DEFAULT_TOLS
+) -> tuple[np.ndarray, float]:
+    """(omega0 A, N_-), N_- = min ||omega A||^2 over omega tau = 1, by the
+    null-space method (Bjorck, Numerical Methods for Least Squares Problems,
+    SIAM 1996) on the dense A, with no Gram: omega = tau / ||tau||^2 - N z,
+    N an orthonormal basis of tau's complement, and omega0 A the residual
+    of the min-norm z of A^T N z = A^T tau / ||tau||^2.  The SVD of A^T N is
+    cut against sigma_max(A), so that its rounding is not read as rank."""
+    tau, a_mat = program.tau, program.a_mat
+    tau2 = float(tau @ tau)
+    if tau2 == 0.0:
+        raise StructuralError("tau = 0: no functional maps tau to 1")
+    b_mat = a_mat.T @ column_space_split(tau[:, None], tols)[1]
+    u, s, v, _ = svd_factors(b_mat, tols, float(singular_values(a_mat).max(initial=0.0)))
+    rhs = a_mat.T @ tau / tau2
+    row = rhs - b_mat @ (v @ ((u.T @ rhs) / s))
+    return freeze(row), float(row @ row)
 
 
 @dataclass(frozen=True)
@@ -595,31 +621,29 @@ def verify_reflection_factorization(n: int, tols: Tolerances = DEFAULT_TOLS) -> 
     fixed by W for n >= 3: by (b) it meets Z at principal angle
     arccos sqrt(n / (2(n-1))) > 0, so W rotates it by theta_n <= pi/2 and the
     gap pi - theta_n >= pi/2 separates it from the -1-eigenspace.
-    ``rotation_identity_defect`` is the operator norm of the residual of the
-    rotation identity on the whole image; ``plus_one_defect`` is the literal
-    +1-containment defect, which is positive, and ``rotation_phase`` is the
-    phase measured on the first basis vector of the image.
+    Each defect is the operator norm of a residual on a whole image, so
+    none depends on the bases of ker A and row(A) taken: ``minus_one_defect``
+    of (W + I) on M_Y ker A; ``rotation_identity_defect`` of the rotation
+    identity, and ``plus_one_defect``, the literal +1-containment defect
+    2 sin(theta_n / 2) > 0, of (W - I), on M_Y (ker A)^perp.
+    ``rotation_phase`` is the phase measured on the first basis vector.
     """
     if not 3 <= n <= 6:
         raise ValueError("verification supported for 3 <= n <= 6")
     mz, my, a_mat = reflection_factorization_operators(n)
-    row_basis = build_st_span_program(n, 0, 1).factorization(tols).row_basis
-    ker_basis = column_space_split(a_mat.T, tols)[1]
-    dim = mz.shape[0]
+    row_span, ker_basis = column_space_split(a_mat.T, tols)
 
     my_defect = float(np.max(np.abs(my.T @ my - np.eye(my.shape[1]))))
     mz_defect = float(np.max(np.abs(mz.T @ mz - np.eye(n))))
     fact_defect = float(np.max(np.abs(mz.T @ my - a_mat / (2.0 * math.sqrt(n - 1)))))
 
-    pi_z = mz @ mz.T
-    pi_y = my @ my.T
-    eye = np.eye(dim)
-    walk = (2.0 * pi_z - eye) @ (2.0 * pi_y - eye)
+    eye = np.eye(mz.shape[0])
+    walk = (2.0 * (mz @ mz.T) - eye) @ (2.0 * (my @ my.T) - eye)
 
     img_ker = my @ ker_basis
-    img_row = my @ row_basis
-    minus_defect = float(np.max(np.abs(walk @ img_ker + img_ker))) if img_ker.size else 0.0
-    plus_defect = float(np.max(np.abs(walk @ img_row - img_row)))
+    img_row = my @ row_span
+    minus_defect = float(np.linalg.norm(walk @ img_ker + img_ker, 2)) if img_ker.size else 0.0
+    plus_defect = float(np.linalg.norm(walk @ img_row - img_row, 2))
 
     # actual rotation phase on the rowA image: W acts as a rotation there
     v0 = img_row[:, 0]

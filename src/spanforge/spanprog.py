@@ -28,17 +28,18 @@ subset of A's columns; no dim_h x dim_h matrix is formed.  A program
 factors A once per Tolerances, and input_factors A(x) once per input, by
 one helper for M = A Q that chooses the route (_cut_factors): an incidence
 M wider than tall, such as the st program's, through one eigh of its exact
-Gram, forming no V_r; every other M by one SVD, the Gram route's oracle.
+Gram, forming no V_r; every other M by one SVD.
 One solve on those factors (_min_norm_solve) gives w0 = A^+ tau and
 A(x)^+ v, and one test (_in_col) decides tau in col(A) and in col A(x).
 The witness functions and spectral.kappa_bound take that InputFactors
 alone, which owns the program, x and Tolerances it was built for;
-infeasible sizes are math.inf.  Every witness is solved on cut factors,
-the negative ones by _linalg.min_norm_functional; no pseudo-inverse matrix
-is formed.  What spectral's measures and threshold rounds read of tau in
-A's factors (_TargetFactors, y = V_r^T w0 among them) is computed where
-the Factorization is made; a round where the rounds' closed form does not
-hold raises DegenerateRoundError.
+infeasible sizes are math.inf.  Each witness quantity has this one route,
+on cut factors, the negative ones by _linalg.min_norm_functional, with no
+pseudo-inverse matrix formed; spanforge.oracle holds the second routes.
+What spectral's measures and threshold rounds read of tau in A's factors
+(_TargetFactors, y = V_r^T w0 among them) is computed where the
+Factorization is made; a round where the rounds' closed form does not hold
+raises DegenerateRoundError.
 rescale_target and normalize change tau alone, so the program they derive
 shares the factors of A of every Factorization its parent holds, with w0
 scaled by the factor and _TargetFactors computed from the new tau.
@@ -58,7 +59,6 @@ import numpy as np
 
 from ._linalg import (
     DEFAULT_TOLS,
-    GRAM_NOISE_RTOL,
     Tolerances,
     _gram_factors,
     _rank,
@@ -223,11 +223,6 @@ def _dot(a: np.ndarray | Incidence, v: np.ndarray) -> np.ndarray:
 def _tdot(a: np.ndarray | Incidence, u: np.ndarray) -> np.ndarray:
     """A^T u."""
     return a.tdot(u) if isinstance(a, Incidence) else a.T @ u
-
-
-def _gram(a: np.ndarray | Incidence) -> np.ndarray:
-    """A A^T."""
-    return a.gram() if isinstance(a, Incidence) else a @ a.T
 
 
 def _columns(a: np.ndarray | Incidence, cols: np.ndarray) -> np.ndarray:
@@ -703,20 +698,15 @@ class Factorization:
 
     A = U_r diag(sigma) V_r^T, cut at the package's rank tolerance:
     col_basis is U_r (dim_v x rank), sigma the nonzero singular values and
-    row_basis V_r (dim_h x rank), with sigma_max the largest singular value.
-    rows holds V_r when A was factored by one SVD, and is None when A was
-    read through its Gram: there V_r = A^T U_r Sigma^-1 is formed only when
-    a caller reads row_basis (the oracle's kernel projector and the tests),
-    once, and the copies _rescaled makes share it.  The estimators read A
-    through U_r and Sigma alone (target.y, and C(x) in
-    spectral.row_space_cross).  witness is w0 = A^+ tau, solved through
-    the factors, with N_+ and N_-; when no positive witness exists it is
-    None and infeasible says why.  target is tau read in the factors, as
-    w0's spectral measures and the threshold rounds' closed form read it.
+    sigma_max the largest.  rows is V_r (dim_h x rank) from an SVD of A, and
+    None when A was read through its Gram: the estimators read A through U_r
+    and Sigma alone (target.y, and C(x) in spectral.row_space_cross).
+    witness is w0 = A^+ tau, solved through the factors, with N_+ and N_-;
+    when no positive witness exists it is None and infeasible says why.
+    target is tau read in the factors, as w0's spectral measures and the
+    threshold rounds' closed form read it.
     """
 
-    # the program's A, which V_r is read from when rows is None
-    _a: np.ndarray | Incidence = dataclasses.field(repr=False)
     col_basis: np.ndarray
     sigma: np.ndarray
     rows: Optional[np.ndarray]
@@ -724,20 +714,6 @@ class Factorization:
     witness: Optional[MinimalWitness]
     target: _TargetFactors
     infeasible: str = ""
-    # V_r once formed when rows is None; dataclasses.replace hands this
-    # same list on, so a copy and its original form it once between them
-    _formed: list = dataclasses.field(default_factory=list, repr=False, compare=False)
-
-    @property
-    def row_basis(self) -> np.ndarray:
-        if self.rows is not None:
-            return self.rows
-        if not self._formed:
-            basis = _tdot(self._a, self.col_basis)
-            basis /= self.sigma
-            basis.setflags(write=False)
-            self._formed.append(basis)
-        return self._formed[0]
 
 
 def _target_factors(
@@ -770,7 +746,7 @@ def _factorize(program: SpanProgram, tols: Tolerances) -> Factorization:
     inside = _in_col(u[:, sigma.size :], program.tau, tols)
     del u  # the whole of U is not held through the solve
     rows = None if rows is None else freeze(rows)
-    parts = (program.a, col_basis, sigma, rows, top)
+    parts = (col_basis, sigma, rows, top)
     if not inside:
         return Factorization(
             *parts, None, _NO_TARGET, "tau is not in col(A); no positive witness exists"
@@ -978,21 +954,6 @@ class InputFactors:
         """A(x)^+ v, by _min_norm_solve."""
         return _min_norm_solve(self.a, self.q_h, self.col_basis, self.sigma, self.row_vectors, v)
 
-    def positive_size(self, tau: np.ndarray) -> float:
-        """w_+ = ||A(x)^+ tau||^2 for tau in col A(x): ||S_x^-1 U_x^T tau||^2
-        from an SVD.  Through the Gram it is 2 tau^T z - ||A(x)^T z||^2 for
-        z = U_x S_x^-2 U_x^T tau, which is off from w_+ by -||A(x)^T e||^2
-        for z's error e, second order: eigh's z is off by about
-        eps sigma_max^2 / sigma_min^2 relative, and ||S_x^-1 U_x^T tau||^2,
-        first order in e, would keep that (3.8e-12 on the path of 200
-        vertices, where this form is within 1e-15)."""
-        coef = (self.col_basis.T @ tau) / self.sigma
-        if self.row_vectors is not None:
-            return float(coef @ coef)
-        z = self.col_basis @ (coef / self.sigma)
-        rows = restrict(_tdot(self.a, z)[None, :], self.q_h)[0]
-        return float(2.0 * (tau @ z) - rows @ rows)
-
 
 def _width(blocks: Blocks) -> int:
     return sum(block.size if basis is None else basis.shape[1] for block, basis in blocks)
@@ -1079,12 +1040,13 @@ def input_factors(
 
 
 def positive_witness(f: InputFactors) -> tuple[Optional[np.ndarray], float]:
-    """Optimal exact positive witness Q_H A(x)^+ tau for the input whose
-    factors f are, or (None, inf) when x is negative."""
+    """Optimal exact positive witness Q_H c, c = A(x)^+ tau, and its size
+    w_+ = ||c||^2 (Q_H is orthonormal), for the input whose factors f are,
+    or (None, inf) when x is negative."""
     if not f.positive:
         return None, math.inf
-    w = _lift(f.program.dim_h, f.q_h, f.solve(f.program.tau))
-    return freeze(w), f.positive_size(f.program.tau)
+    coef = f.solve(f.program.tau)
+    return freeze(_lift(f.program.dim_h, f.q_h, coef)), float(coef @ coef)
 
 
 def negative_witness(f: InputFactors) -> tuple[Optional[np.ndarray], float]:
@@ -1166,17 +1128,11 @@ def witness_report(f: InputFactors) -> WitnessReport:
 
 
 def minimal_negative_value(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, float]:
-    """Global minimal negative witness: min ||omega A||^2 over omega tau = 1.
-
-    Independent of any input; tested against 1/N_+ and (omega0 A)^dag = w0/N_+.
-    Solved on _gram_factors of A A^T, which for a dense A is a route apart
-    from the SVD behind N_+.  That route cannot resolve sigma / sigma_max(A)
-    below sqrt(GRAM_NOISE_RTOL dim_v), about 6.7e-8 at dim_v = 2: at
-    A = diag(1, 1e-8), tau = (1, 1e-8) it drops the small direction and
-    N_+ N_- reads 2.
-    """
-    u, s, _ = _gram_factors(_gram(program.a), tols, program.factorization(tols).sigma_max)
-    nu, value = min_norm_functional(u[:, : s.size], s, program.tau, tols)
+    """Global minimal negative witness (omega0 A, N_-), N_- = min ||omega A||^2
+    over omega tau = 1, independent of any input: min_norm_functional on A's
+    Factorization.  oracle.minimal_negative_witness is its second route."""
+    fact = program.factorization(tols)
+    nu, value = min_norm_functional(fact.col_basis, fact.sigma, program.tau, tols)
     if nu is None:
         raise StructuralError("tau = 0: no functional maps tau to 1")
     return freeze(_tdot(program.a, nu)), value

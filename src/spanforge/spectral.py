@@ -142,7 +142,7 @@ def row_space_cross(f: InputFactors) -> RowSpaceCross:
     if fact.rows is None:
         factor = (fact.col_basis.T @ f.col_basis) * f.sigma / fact.sigma[:, None]
     else:
-        factor = np.linalg.qr(restrict(fact.row_basis.T, f.q_h).T, mode="r").T
+        factor = np.linalg.qr(restrict(fact.rows.T, f.q_h).T, mode="r").T
     factor = freeze(factor)
     f_y_hat = None
     if fact.target.y_hat is not None:

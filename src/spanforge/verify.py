@@ -60,9 +60,9 @@ from .resistance import _spectral_oracle, build_st_span_program, graph_input
 from .resistance import witness_equals_half_resistance
 from .oracle import _u_parts, _uprime, blocks_projector, decompose_orthogonal, discriminant
 from .oracle import flow_resistance_bruteforce, intersection_dims, kernel_projector, scale
-from .oracle import verify_reflection_factorization
+from .oracle import minimal_negative_witness, verify_reflection_factorization
 from .qsim import outcome_zero_probability
-from .spanprog import input_factors, minimal_negative_value, minimal_witness, normalize
+from .spanprog import input_factors, minimal_witness, normalize
 from .spanprog import witness_report
 from .spectral import kappa_bound, measure_U, measure_Uprime, row_space_cross
 
@@ -195,7 +195,7 @@ def _duality_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
     partition_violations = 0
     program = random_span_program(_rng(seed, trial))
     mw = minimal_witness(program, tols)
-    row0, n_minus = minimal_negative_value(program, tols)
+    row0, n_minus = minimal_negative_witness(program, tols)
     worst_nn = max(worst_nn, abs(mw.n_plus * n_minus - 1.0))
     worst_mwvec = max(
         worst_mwvec,
@@ -498,7 +498,7 @@ _TRIAL_SUITES = {
         ("duality/pos-witness-vector-identity", 0.0, 1e-8,
          "w_x vs normalized on-subspace part of the min-error negative witness"),
         ("duality/minimal-witness-reciprocal", 0.0, 1e-8,
-         "N+ * N- = 1 with N- from the global quadratic program"),
+         "N+ * N- = 1 with N- from the oracle's null-space solve on the dense A"),
         ("duality/minimal-witness-vector", 0.0, 1e-8, "(omega0 A)^dag = w0 / N+"),
     )),
     # fixed-space overlaps and the effective-spectral-gap inequalities on

@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 
 from spanforge._linalg import DEFAULT_TOLS, Tolerances, column_space_split
-from spanforge import spanprog
+from spanforge import resistance, spanprog
 from spanforge.cli import main
 from spanforge.generators import all_inputs, random_graph, random_span_program
-from spanforge.oracle import scale, subspace_projector
+from spanforge.oracle import row_basis, scale, subspace_projector
 from spanforge.qsim import QueryLedger, outcome_zero_probability
 from spanforge.resistance import (
     EFFECTIVE_GAP,
@@ -78,6 +78,13 @@ def svd_route(program):
     return twin
 
 
+def gram_row_basis(program, tols=DEFAULT_TOLS):
+    """V_r = A^T U_r Sigma^-1 of a program read through its Gram: the basis
+    of row(A) whose coordinates target.y = Sigma^-1 U_r^T tau and C(x) hold."""
+    fact = program.factorization(tols)
+    return program.a_mat.T @ fact.col_basis / fact.sigma
+
+
 def assert_same_span(mine, theirs):
     """Equal column spans of two orthonormal bases: equal ranks and
     ||(I - P_theirs) mine||, the sine of the largest principal angle, at
@@ -113,8 +120,8 @@ def test_closed_form_factors_match_the_svd_route(n):
         np.testing.assert_allclose(
             mine.col_basis @ mine.col_basis.T, theirs.col_basis @ theirs.col_basis.T, atol=RTOL
         )
-        assert_same_span(mine.row_basis, theirs.row_basis)
-        assert_same_span(theirs.row_basis, mine.row_basis)
+        assert_same_span(gram_row_basis(program), theirs.rows)
+        assert_same_span(theirs.rows, gram_row_basis(program))
         np.testing.assert_allclose(mine.witness.w0, theirs.witness.w0, atol=RTOL)
         assert close(mine.witness.n_plus, theirs.witness.n_plus)
         assert close(mine.witness.n_minus, theirs.witness.n_minus)
@@ -152,9 +159,9 @@ def test_closed_form_inputs_measures_and_witnesses_match_the_svd_route(n):
     unit, unit_oracle = normalize(program), normalize(oracle)
     # the Gram route reads row(A) in its own basis V_r = A^T U_r Sigma^-1;
     # rot takes its coordinates to those of the SVD's V_r
-    rot = oracle.factorization().row_basis.T @ program.factorization().row_basis
+    rot = oracle.factorization().rows.T @ gram_row_basis(program)
     y_mine = unit.factorization().target.y
-    y_theirs = unit_oracle.factorization().row_basis.T @ minimal_witness(unit_oracle).w0
+    y_theirs = unit_oracle.factorization().rows.T @ minimal_witness(unit_oracle).w0
     np.testing.assert_allclose(rot @ y_mine, y_theirs, rtol=0.0, atol=RTOL)
     signs = set()
     for x in st_inputs(n, s, t, rng):
@@ -240,7 +247,7 @@ def test_gram_route_reads_general_blocks_of_an_incidence_program():
         np.testing.assert_allclose(mine.sigma, theirs.sigma, rtol=1e-12)
         gram_inputs += 1
         if mine.positive:
-            assert close(mine.positive_size(program.tau), theirs.positive_size(twin.tau))
+            assert close(positive_witness(mine)[1], positive_witness(theirs)[1])
             np.testing.assert_allclose(mine.solve(program.tau), theirs.solve(twin.tau),
                                        rtol=0.0, atol=RTOL)
     assert gram_inputs > 0
@@ -295,9 +302,9 @@ def test_gram_route_matches_a_dense_a_and_the_svd_route(name):
         assert close(negative_witness(mine)[1], negative_witness(theirs)[1])
 
     unit, unit_twin = normalize(program, tols), normalize(twin, tols)
-    rot = unit_twin.factorization(tols).row_basis.T @ unit.factorization(tols).row_basis
+    rot = unit_twin.factorization(tols).rows.T @ gram_row_basis(unit, tols)
     y_mine = unit.factorization(tols).target.y
-    y_theirs = unit_twin.factorization(tols).row_basis.T @ minimal_witness(unit_twin, tols).w0
+    y_theirs = unit_twin.factorization(tols).rows.T @ minimal_witness(unit_twin, tols).w0
     np.testing.assert_allclose(rot @ y_mine, y_theirs, rtol=0.0, atol=RTOL)
     cross = row_space_cross(input_factors(unit, x, tols))
     cross_twin = row_space_cross(input_factors(unit_twin, x, tols))
@@ -446,7 +453,7 @@ def test_st_program_reads_h_x_and_c_x_as_one_gather():
     assert len(q_perp) == 1 and q_perp[0][1] is None
     edges = np.flatnonzero(np.repeat(graph_input(g), 2))
     np.testing.assert_array_equal(q_h[0][0], edges)
-    v_r = program.factorization().row_basis
+    v_r = row_basis(program)
     assert same_bits(restrict(program.a_mat, q_h), program.a_mat[:, edges])
     assert same_bits(restrict(v_r.T, q_h), v_r.T[:, edges])
 
@@ -563,16 +570,23 @@ def test_a_walk_of_decided_bases_sorts_no_ids(monkeypatch):
 
 
 def test_estimates_on_supplied_factors_form_no_row_basis(monkeypatch):
-    # the st program reads A through its Gram, so no estimate reads V_r
-    def forbidden(*args, **kwargs):
-        raise AssertionError("an estimate formed V_r of A")
+    # the st program reads A through its Gram, so no estimate forms V_r
+    built, build = [], resistance.build_st_span_program
 
-    monkeypatch.setattr(spanprog.Factorization, "row_basis", property(forbidden))
+    def recording(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(resistance, "build_st_span_program", recording)
     g = graph(8, [(0, 1), (1, 2), (2, 3), (3, 7), (0, 4), (4, 5), (5, 7), (2, 6)], 0, 7)
     for method, mu in ((EFFECTIVE_GAP, None), (REAL_GAP, lambda2(g))):
         report = estimate_resistance(g, 0.3, method, np.random.default_rng(2), QueryLedger(),
                                      mu=mu)
         assert report.queries > 0 and math.isfinite(report.estimate)
+    assert len(built) == 2
+    for program in built:
+        assert DEFAULT_TOLS in program._factorizations
+        assert program.factorization().rows is None
 
 
 def test_the_st_builder_holds_one_a_and_no_copy_of_it():
@@ -686,16 +700,22 @@ def test_a_real_gap_estimate_at_n_200_holds_few_arrays_the_size_of_a():
 LEAN_ESTIMATES = """
 import sys
 import numpy as np
-from spanforge import oracle, spanprog
+from spanforge import oracle, resistance, spanprog
 from spanforge.generators import random_graph
 from spanforge.qsim import QueryLedger
 from spanforge.resistance import estimate_resistance, lambda2, lower_bound_family
 
 def forbidden(*args, **kwargs):
-    raise AssertionError("an estimate formed the dense A or V_r")
+    raise AssertionError("an estimate formed the dense A")
 
 spanprog.SpanProgram.a_mat = property(forbidden)
-spanprog.Factorization.row_basis = property(forbidden)
+built, build = [], resistance.build_st_span_program
+
+def recording(*args):
+    built.append(build(*args))
+    return built[-1]
+
+resistance.build_st_span_program = recording
 svd = np.linalg.svd
 
 def narrow(mat, *args, **kwargs):
@@ -726,6 +746,8 @@ for g in (lower_bound_family(16, 1, i=1, j=8), random_graph(np.random.default_rn
         mu = lambda2(g) if method == "real-gap" else None
         report = estimate_resistance(g, 0.3, method, np.random.default_rng(4), QueryLedger(), mu=mu)
         assert 0.0 < report.estimate < 2.0 * report.exact, report
+# A is read through its Gram, so no V_r of A was formed
+assert len(built) == 4 and all(program.factorization().rows is None for program in built)
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
@@ -775,19 +797,19 @@ def test_scale_of_a_supplied_program_factors_its_own_a(monkeypatch):
     fact = scaled.factorization()
     assert len(svds) == 1
     assert minimal_witness(scaled).n_plus == pytest.approx(1.0, rel=RTOL)
-    assert fact.row_basis.shape == (scaled.dim_h, program.dim_v)
+    assert fact.rows.shape == (scaled.dim_h, program.dim_v)
 
 
 def test_rescale_target_and_normalize_keep_the_supplied_factors(monkeypatch):
     # normalize factors the parent, by one eigh of A A^T, and both children
-    # share those factors, V_r formed on demand included
+    # share those factors
     program = build_st_span_program(7, 1, 3)
     svds = count_svds(monkeypatch, program.a_mat.shape)
     eighs = count_eighs(monkeypatch, program.a.gram())
     for child in (normalize(program), rescale_target(program, 3.0)):
         fact, parent = child.factorization(), program.factorization()
         assert fact.rows is None
-        assert fact.col_basis is parent.col_basis and fact.row_basis is parent.row_basis
+        assert fact.col_basis is parent.col_basis and fact.sigma is parent.sigma
         assert validate(child).ok
     assert svds == [] and len(eighs) == 1
     # a copy by dataclasses.replace factors A anew: by one more eigh, or by

@@ -477,6 +477,14 @@ def test_reflection_factorization_rotation_phase():
         assert check.plus_one_defect > 0.1
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_plus_one_defect_is_the_rotation_chord_in_any_basis(n):
+    # W turns every unit y of the (ker A)^perp image by theta_n in its plane,
+    # so ||(W - I) y|| = 2 sin(theta_n / 2) whichever basis of row(A) is taken
+    chord = 2.0 * math.sqrt((n - 2) / (2.0 * (n - 1)))
+    assert verify_reflection_factorization(n).plus_one_defect == pytest.approx(chord, abs=1e-12)
+
+
 def test_reflection_factorization_bounds():
     with pytest.raises(ValueError):
         verify_reflection_factorization(2)

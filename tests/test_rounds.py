@@ -191,7 +191,7 @@ def test_rounds_keep_a_tau_that_lies_in_col_a_only_to_within_tolerance():
     assert fact.target.projected and fact.target.y_hat is not None
     for beta in BETAS:
         scaled = scale(program, beta)
-        assert scaled.factorization().row_basis.shape[1] == fact.sigma.size + 1
+        assert scaled.factorization().rows.shape[1] == fact.sigma.size + 1
         assert minimal_witness(scaled).n_plus == pytest.approx(1.0, abs=1e-12)
     for x in all_inputs(program):
         cross = row_space_cross(input_factors(program, x))

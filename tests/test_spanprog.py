@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from spanforge import spanprog
+from spanforge import oracle, spanprog
 from spanforge._linalg import DEFAULT_TOLS, Tolerances
 from spanforge.generators import all_inputs, random_span_program
 from spanforge.oracle import scale, subspace_projector
@@ -32,10 +32,12 @@ from spanforge.spanprog import (
 )
 
 from oracles import (
+    kkt_equality_ls,
     oracle_min_error_negative,
     oracle_min_error_positive,
     oracle_negative_witness,
 )
+from test_closed_form import assert_same_span
 from test_input_route import degenerate_programs
 
 
@@ -276,17 +278,25 @@ def test_global_minimal_negative_witness_identities():
         )
 
 
-@pytest.mark.parametrize("k", [4, 6, 7])
+@pytest.mark.parametrize("k", [4, 6, 7, 8, 9])
 def test_witness_duality_holds_on_an_ill_conditioned_program(k):
     # A = diag(1, 10^-k) and x = (1, 0), whose H(x) is coordinate 0: the
     # negative witness lives on the direction of sigma = 10^-k, which a
-    # pseudo-inverse of the Gram cut at rank_rtol drops once sigma < 1e-5
+    # pseudo-inverse of the Gram cut at rank_rtol drops once sigma < 1e-5,
+    # and an eigh of A A^T cannot resolve below about 6.7e-8
     small = 10.0**-k
     program = SpanProgram(
         n=2, q=2, dim_h=2, dim_v=2, input_blocks=((0,), (1,)), true_block=(), false_block=(),
         subspaces={(j, a): np.eye(1)[:, :a] for j in range(2) for a in range(2)},
         a=np.diag([1.0, small]), tau=np.array([1.0, small]),
     )
+    # w0 = (1, 1), so N_+ = 2 and N_- = 1/2 at every k
+    n_minus = minimal_negative_value(program)[1]
+    assert minimal_witness(program).n_plus * n_minus == pytest.approx(1.0, rel=1e-12)
+    assert n_minus == pytest.approx(0.5, rel=1e-12)
+    assert oracle.minimal_negative_witness(program)[1] == pytest.approx(0.5, rel=1e-12)
+    if small <= DEFAULT_TOLS.membership_rtol:
+        return  # tau lies within membership_rtol of col A(x): x reads as positive
     x = (1, 0)
     f = input_factors(program, x)
     assert not f.positive
@@ -294,8 +304,34 @@ def test_witness_duality_holds_on_an_ill_conditioned_program(k):
     e_plus = oracle_min_error_positive(program, x)[0]
     assert negative_witness(f)[1] == pytest.approx(w_minus, rel=1e-8)
     assert min_error_positive(f)[1] == pytest.approx(e_plus, rel=1e-8)
-    n_minus = minimal_negative_value(program)[1]
-    assert minimal_witness(program).n_plus * n_minus == pytest.approx(1.0, rel=1e-12)
+
+
+# seed 115 draws a 3 x 1 A, where A^T N is rounding alone and a solve cut
+# relative to its own largest singular value reads N_- = 0
+MINIMAL_NEGATIVE_PROGRAMS = [random_span_program(np.random.default_rng([s, 7])) for s in range(200)]
+
+
+def test_oracle_minimal_negative_witness_matches_the_kkt_solve():
+    for program in MINIMAL_NEGATIVE_PROGRAMS:
+        a_mat = program.a_mat
+        u = kkt_equality_ls(a_mat.T, np.zeros(program.dim_h), program.tau[None, :], np.ones(1))
+        want = a_mat.T @ u
+        row, n_minus = oracle.minimal_negative_witness(program)
+        np.testing.assert_allclose(row, want, rtol=0.0, atol=1e-10)
+        assert n_minus == pytest.approx(float(want @ want), rel=1e-10)
+
+
+def test_oracle_row_basis_spans_the_factored_row_space():
+    # the SVD route holds V_r; the Gram route holds U_r and Sigma, which give
+    # row(A) as A^T U_r Sigma^-1
+    for program in MINIMAL_NEGATIVE_PROGRAMS:
+        assert_same_span(oracle.row_basis(program), program.factorization().rows)
+    for n in (4, 8, 16):
+        program = build_st_span_program(n, 0, n - 1)
+        fact = program.factorization()
+        assert fact.rows is None
+        gram_rows = program.a_mat.T @ fact.col_basis / fact.sigma
+        assert_same_span(oracle.row_basis(program), gram_rows)
 
 
 @pytest.mark.parametrize("n", [50, 200])
@@ -422,7 +458,7 @@ def test_factorization_belongs_to_each_derived_program():
                 np.testing.assert_array_equal(mw.w0, rebuilt.w0, err_msg=name)
                 assert mw.n_plus == rebuilt.n_plus, name
                 continue
-            assert child.factorization().row_basis is parent.factorization().row_basis, name
+            assert child.factorization().rows is parent.factorization().rows, name
             np.testing.assert_array_equal(mw.w0, factor * mw_parent.w0, err_msg=name)
             np.testing.assert_allclose(mw.w0, rebuilt.w0, rtol=0.0,
                                        atol=1e-12 * np.linalg.norm(rebuilt.w0), err_msg=name)
@@ -484,9 +520,11 @@ def assert_factorizations_agree(inherited, fresh, rtol=1e-12):
         theirs.n_val, theirs.sigma_min, theirs.tau2, theirs.projected)
     np.testing.assert_allclose(inherited.sigma, fresh.sigma, rtol=rtol, atol=0.0)
     assert inherited.sigma_max == pytest.approx(fresh.sigma_max, rel=rtol)
-    for name in ("row_basis", "col_basis"):
+    assert (inherited.rows is None) == (fresh.rows is None)
+    for name in ("rows", "col_basis"):
         mine, theirs = getattr(inherited, name), getattr(fresh, name)
-        np.testing.assert_allclose(mine @ mine.T, theirs @ theirs.T, rtol=0.0, atol=rtol)
+        if theirs is not None:
+            np.testing.assert_allclose(mine @ mine.T, theirs @ theirs.T, rtol=0.0, atol=rtol)
     assert (inherited.witness is None) == (fresh.witness is None)
     if fresh.witness is not None:
         mine, theirs = inherited.witness, fresh.witness
@@ -512,7 +550,9 @@ def test_inherited_factorization_matches_a_fresh_one(name):
             fresh = dataclasses.replace(child)
             for tols in order:
                 inherited = child.factorization(tols)
-                assert inherited.row_basis is parent.factorization(tols).row_basis
+                shared = parent.factorization(tols)
+                assert inherited.col_basis is shared.col_basis
+                assert inherited.rows is shared.rows
                 assert_factorizations_agree(inherited, fresh.factorization(tols))
 
 
@@ -530,7 +570,7 @@ def test_rescaled_program_factors_unseen_tolerances_and_keeps_infeasibility():
     own = child.factorization(LOOSE)
     np.testing.assert_array_equal(own.witness.w0, fresh.witness.w0)
     assert own.witness.n_plus == fresh.witness.n_plus
-    assert own.row_basis is not parent.factorization(LOOSE).row_basis
+    assert own.rows is not parent.factorization(LOOSE).rows
 
 
 def test_subspace_store_is_shared_read_only_and_never_stale(monkeypatch):
