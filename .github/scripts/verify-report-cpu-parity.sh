@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Check that `spanforge verify` writes the same report on one CPU and on all
 # CPUs.  Pinned to one CPU, verify runs every trial in-process; unpinned, the
-# duality, spectral, scaling and kappa trials run on forked workers
-# (--trials 128 runs 128 duality trials and 32 of each of the others, enough
-# for 2 workers at the floors of 32, 8, 16 and 16 trials).
+# duality, spectral and scaling trials run on forked workers (--trials 128
+# runs 128 duality trials and 32 of each of the others, enough for 2 workers
+# at the floors of 32, 8 and 16 trials; kappa's 32 stay below its floor of
+# 512 and run in-process).
 #
 # Usage: verify-report-cpu-parity.sh DIR
 # DIR receives both reports and their stderr.  Needs the spanforge console

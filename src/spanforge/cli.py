@@ -28,7 +28,7 @@ from .algorithms import (
     decide_threshold_success_probability,
     witness_estimate,
 )
-from .qsim import QueryLedger
+from .qsim import GridSizeError, QueryLedger
 from .resistance import (
     EFFECTIVE_GAP,
     REAL_GAP,
@@ -224,11 +224,7 @@ def cmd_or_demo(args, tols: Tolerances) -> int:
         return EXIT_ARGUMENT_ERROR
 
     n, t = args.n, args.t
-    try:
-        program = or_span_program(n)
-    except ProgramSizeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ARGUMENT_ERROR
+    program = or_span_program(n)
     spec = ThresholdSpec(side=POSITIVE, lam=args.lam, w_bound=1.0 / t, w_tilde_bound=float(n))
     start = time.perf_counter()
 
@@ -348,7 +344,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: --tolerance: {exc}", file=sys.stderr)
         return EXIT_ARGUMENT_ERROR
-    return args.func(args, tols)
+    try:
+        return args.func(args, tols)
+    except (ProgramSizeError, GridSizeError) as exc:  # refused before anything is allocated
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ARGUMENT_ERROR
 
 
 if __name__ == "__main__":

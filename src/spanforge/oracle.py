@@ -145,38 +145,25 @@ class UnitaryDecomposition:
                 out.extend([-cl.theta] * (cl.dim // 2))
         return sorted(out)
 
-    def measure(self, state: np.ndarray) -> SpectralMeasure:
-        """Spectral measure of state: its squared overlap with each cluster."""
+    def overlaps(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(phases, weights): each cluster's phase, ascending, and state's weight on it."""
         weights = [float(np.sum(np.square(cl.basis.T @ state))) for cl in self.clusters]
-        return SpectralMeasure(np.array([cl.theta for cl in self.clusters]), np.array(weights))
+        return np.array([cl.theta for cl in self.clusters]), np.array(weights)
 
-    def small_phase_projectors(self, thetas: Sequence[float]) -> list[np.ndarray]:
-        """Projectors onto the span of eigenspaces with |phase| <= theta, one
-        per theta of a non-decreasing grid in [0, pi).  The clusters are
-        sorted by phase, so the clusters at or below theta are a prefix of
-        them: each projector is a prefix sum, added in cluster order from
-        zeros, and each cluster's projector is formed once for the grid."""
-        thetas = list(thetas)
-        if not all(0.0 <= theta < math.pi for theta in thetas):
-            raise ValueError("each theta must lie in [0, pi)")
-        if any(later < earlier for earlier, later in zip(thetas, thetas[1:])):
-            raise ValueError("thetas must be non-decreasing")
-        out = []
-        proj = np.zeros((self.dim, self.dim))
-        k = 0
-        for theta in thetas:
-            while k < len(self.clusters) and self.clusters[k].theta <= theta:
-                proj += self.clusters[k].projector()
-                k += 1
-            out.append(proj.copy())
-        return out
+    def measure(self, state: np.ndarray) -> SpectralMeasure:
+        """Spectral measure of a unit state: its overlaps with the clusters."""
+        return SpectralMeasure(*self.overlaps(state))
 
     def small_phase_projector(self, theta_max: float) -> np.ndarray:
-        """Projector onto the span of eigenspaces with |phase| <= theta_max."""
-        return self.small_phase_projectors((theta_max,))[0]
+        """Projector onto the eigenspaces with |phase| <= theta_max in [0, pi):
+        the clusters' projectors at or below it, added in order from zeros."""
+        if not 0.0 <= theta_max < math.pi:
+            raise ValueError("theta must lie in [0, pi)")
+        clusters = (cl.projector() for cl in self.clusters if cl.theta <= theta_max)
+        return sum(clusters, np.zeros((self.dim, self.dim)))
 
     def fixed_projector(self) -> np.ndarray:
-        return self.small_phase_projectors((0.0,))[0]
+        return self.small_phase_projector(0.0)
 
     def phase_gap(self) -> float:
         """Smallest nonzero |phase|; inf when the matrix is the identity."""

@@ -37,6 +37,22 @@ _TINY = 1e-300
 # own bound (amplitude_estimation)
 _SUM_ATOL = math.sqrt(np.finfo(float).eps)
 
+# the largest amplitude-estimation grid: one float64 array over it takes 134 MB
+AE_GRID_CAP = 2**24
+
+
+class GridSizeError(ValueError):
+    """An amplitude-estimation grid above AE_GRID_CAP was asked for."""
+
+
+def _grid_phases(grid_size: int) -> np.ndarray:
+    """pi k / M at each outcome k of an M-point amplitude-estimation grid;
+    GridSizeError, before allocating, above AE_GRID_CAP."""
+    if grid_size > AE_GRID_CAP:
+        raise GridSizeError(f"amplitude estimation on {grid_size} grid points is above the "
+                            f"cap of {AE_GRID_CAP}")
+    return math.pi * np.arange(grid_size) / grid_size
+
 
 @dataclass
 class QueryLedger:
@@ -110,7 +126,7 @@ def ae_outcome_distribution(p: float, grid_size: int) -> np.ndarray:
         raise ValueError("p must be a probability")
     p = min(1.0, max(0.0, p))
     theta_p = math.asin(math.sqrt(p))
-    offsets = theta_p - math.pi * np.arange(grid_size) / grid_size
+    offsets = theta_p - _grid_phases(grid_size)
     j = round(grid_size * theta_p / math.pi) % grid_size
     r = float(offsets[j])
     top = math.sin(grid_size * r)
@@ -129,7 +145,7 @@ def ae_outcome_distribution(p: float, grid_size: int) -> np.ndarray:
 
 def ae_estimates(grid_size: int) -> np.ndarray:
     """Estimate value sin^2(pi k / M) reported for each grid outcome k."""
-    return np.square(np.sin(math.pi * np.arange(grid_size) / grid_size))
+    return np.square(np.sin(_grid_phases(grid_size)))
 
 
 def amplitude_estimation(

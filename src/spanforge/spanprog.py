@@ -743,11 +743,10 @@ def _factorize(program: SpanProgram, tols: Tolerances) -> Factorization:
     formed, so A w0 - tau stays at rounding size."""
     u, sigma, rows, top = _cut_factors(program, None, tols, None)
     col_basis, sigma = freeze(u[:, : sigma.size]), freeze(sigma)
-    inside = _in_col(u[:, sigma.size :], program.tau, tols)
-    del u  # the whole of U is not held through the solve
+    del u  # the rest of U is not held through the solve
     rows = None if rows is None else freeze(rows)
     parts = (col_basis, sigma, rows, top)
-    if not inside:
+    if not _in_col(col_basis, program.tau, tols):
         return Factorization(
             *parts, None, _NO_TARGET, "tau is not in col(A); no positive witness exists"
         )
@@ -975,32 +974,34 @@ def _cut_factors(
     program: SpanProgram, q: Optional[Blocks], tols: Tolerances, a_scale: Optional[float]
 ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray], float]:
     """The factors of M = A Q, for Q = Q_H given block by block, or None for
-    M = A read as given: the whole of U (its first rank columns span col M,
-    the rest its complement), the kept singular values, V_r or None, and
-    the reference sigma_max(A), a_scale or else sigma_max(M).  An incidence
+    M = A read as given: U (its first rank columns span col M), the kept
+    singular values, V_r or None, and the reference sigma_max(A), a_scale
+    or else sigma_max(M).  An incidence
     M wider than tall is read through _gram_factors of its exact Gram, one
     dim_v x dim_v eigh, with no V_r formed: for the st program 2(nI - J) for
     A and 2 L_G for A(x), whose nonzero lam >= 8/n^2 against
     sigma_max(A)^2 = 2n are 100 times the floor at n = 2048, the largest n
     within INCIDENCE_DIM_H_CAP.  Every other M takes one SVD, the Gram
-    route's oracle, with U full only when M is taller than wide."""
+    route's oracle, with U thin for A and square for A(x), whose complement
+    in U the negative witnesses read."""
     width = program.dim_h if q is None else _width(q)
     if isinstance(program.a, Incidence) and width > program.dim_v:
         gram = program.a.gram() if q is None else _input_gram(program.a, q)
         u, s, top = _gram_factors(gram, tols, a_scale)
         return u, s, None, top
     m = program.a_mat if q is None else restrict(program.a, q)
-    u, s, vt = np.linalg.svd(m, full_matrices=m.shape[1] < m.shape[0])
+    u, s, vt = np.linalg.svd(m, full_matrices=q is not None and m.shape[1] < m.shape[0])
     if a_scale is None:
         a_scale = float(s[0]) if s.size else 0.0
     r = _rank(s, tols, a_scale)
     return u, s[:r], vt[:r].T, a_scale
 
 
-def _in_col(complement: np.ndarray, tau: np.ndarray, tols: Tolerances) -> bool:
-    """Whether tau lies in col M, for an orthonormal basis Z (complement) of
-    its complement: ||Z^T tau|| <= membership_rtol ||tau||, scale-invariant."""
-    return bool(np.linalg.norm(complement.T @ tau) <= tols.membership_rtol * np.linalg.norm(tau))
+def _in_col(col_basis: np.ndarray, tau: np.ndarray, tols: Tolerances) -> bool:
+    """Whether tau lies in col M, for an orthonormal basis U_r (col_basis) of
+    it: ||tau - U_r U_r^T tau|| <= membership_rtol ||tau||, scale-invariant."""
+    off = tau - col_basis @ (col_basis.T @ tau)
+    return bool(np.linalg.norm(off) <= tols.membership_rtol * np.linalg.norm(tau))
 
 
 def _min_norm_solve(
@@ -1035,7 +1036,7 @@ def input_factors(
     a_scale = program.factorization(tols).sigma_max
     u, s, vt, _ = _cut_factors(program, q_h, tols, a_scale)
     r = s.size
-    positive = _in_col(u[:, r:], program.tau, tols)
+    positive = _in_col(u[:, :r], program.tau, tols)
     return InputFactors(program, x, tols, q_h, u[:, :r], u[:, r:], s, vt, a_scale, positive)
 
 

@@ -14,10 +14,11 @@ observed value included, is bit-identical whatever the number of processes.
 The trials of duality, spectral, scaling and kappa run in a pool of forked
 processes, handed out one at a time: min(usable CPUs, trials // floor) of
 them, the usable CPUs read from os.sched_getaffinity.  The floor (each
-entry's worker floor) is 32 duality, 8 spectral or 16 scaling or kappa
-trials, 160 to 270 ms of work against the 30 ms a worker costs to fork and
-join.  On 2 cores each of these suites at twice its floor took 0.43 to 0.91
-of its in-process time over seeds 0 to 2.  Everything else runs in-process:
+entry's worker floor) is 32 duality, 8 spectral, 16 scaling or 512 kappa
+trials, 160 to 560 ms of work against the 30 ms a worker costs to fork and
+join and each trial's handoff, which a 1 ms kappa trial feels.  On 2 cores
+each suite at twice its floor took 0.43 to 0.91 of its in-process time over
+seeds 0 to 2.  Everything else runs in-process:
 a suite with fewer trials, a platform without sched_getaffinity, a caller
 that is itself a daemonic process (a multiprocessing.Pool worker may not
 start children), and every szegedy trial.  A szegedy trial at small dims
@@ -234,41 +235,39 @@ def _spectral_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
     worst_p0_neg = worst_p0_pos = 0.0
     worst_measure_u = worst_measure_up = 0.0
     worst_th_neg = worst_th_pos = -math.inf
-    worst_raw = -math.inf
+    worst_raw = worst_gap_u = worst_gap_up = -math.inf
     rng = _rng(seed, trial)
     program = normalize(random_span_program(rng), tols)
     w0 = np.asarray(minimal_witness(program, tols).w0)
     pi_ker = kernel_projector(program, tols)  # one per program, not per input
     grid = [0.0] + THETA_GRID  # the fixed space, then the Theta grid
     for x in all_inputs(program):
-        # one factoring of A(x) serves the witness report and both measures
+        # one factoring of A(x) serves the witness report, the measures and the bound
         f = input_factors(program, x, tols)
         rep = witness_report(f)
         cross = row_space_cross(f)
         parts = _u_parts(program, x, tols, pi_ker, blocks_projector(program, f.q_h))
         dec, decp = decompose_orthogonal(parts[2]), _uprime(program, tols, *parts)
-        worst_measure_u = max(
-            worst_measure_u, _measure_gap(measure_U(cross), dec.measure(w0))
-        )
-        if math.isfinite(rep.w_plus):
-            worst_measure_up = max(
-                worst_measure_up, _measure_gap(measure_Uprime(cross), decp.measure(w0))
-            )
+        measure, measurep = dec.measure(w0), decp.measure(w0)
+        worst_measure_u = max(worst_measure_u, _measure_gap(measure_U(cross), measure))
+        if f.positive:
+            worst_measure_up = max(worst_measure_up, _measure_gap(measure_Uprime(cross), measurep))
         inv_wm = 0.0 if math.isinf(rep.w_minus) else 1.0 / rep.w_minus
         inv_wp = 0.0 if math.isinf(rep.w_plus) else 1.0 / rep.w_plus
-        p0, *small = dec.small_phase_projectors(grid)
-        p0p, *smallp = decp.small_phase_projectors(grid)
-        worst_p0_neg = max(worst_p0_neg, abs(float(w0 @ p0 @ w0) - inv_wm))
-        worst_p0_pos = max(worst_p0_pos, abs(float(w0 @ p0p @ w0) - inv_wp))
-        for theta, proj, projp in zip(THETA_GRID, small, smallp):
-            lhs = float(w0 @ proj @ w0)
-            worst_th_neg = max(
-                worst_th_neg, lhs - (theta**2 / 4.0 * rep.w_tilde_plus + inv_wm)
-            )
-            lhs = float(w0 @ projp @ w0)
-            worst_th_pos = max(
-                worst_th_pos, lhs - (theta**2 / 4.0 * rep.w_tilde_minus + inv_wp)
-            )
+        p0, *small = _small_phase_weights(measure.phases, measure.weights, grid)
+        p0p, *smallp = _small_phase_weights(measurep.phases, measurep.weights, grid)
+        worst_p0_neg = max(worst_p0_neg, abs(p0 - inv_wm))
+        worst_p0_pos = max(worst_p0_pos, abs(p0p - inv_wp))
+        for theta, lhs, lhsp in zip(THETA_GRID, small, smallp):
+            worst_th_neg = max(worst_th_neg, lhs - (theta**2 / 4.0 * rep.w_tilde_plus + inv_wm))
+            worst_th_pos = max(worst_th_pos, lhsp - (theta**2 / 4.0 * rep.w_tilde_minus + inv_wp))
+        try:
+            bound = kappa_bound(f)
+        except ValueError:  # A(x) = 0
+            continue
+        worst_gap_u = max(worst_gap_u, bound - dec.phase_gap())
+        if f.positive:
+            worst_gap_up = max(worst_gap_up, bound - decp.phase_gap())
     # raw overlap lemma on a random reflection pair from the same stream
     dim = int(rng.integers(3, 9))
     pi_a, pi_b = random_projector_pair(rng, dim)
@@ -276,12 +275,19 @@ def _spectral_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
     vec = rng.standard_normal(dim)
     vec -= pi_a @ vec  # now Pi_A vec = 0
     if np.linalg.norm(vec) > 1e-9:
-        on_b = pi_b @ vec
-        for theta, proj in zip(THETA_GRID, u_dec.small_phase_projectors(THETA_GRID)):
-            lhs = float(np.linalg.norm(proj @ on_b))
+        weights = _small_phase_weights(*u_dec.overlaps(pi_b @ vec), THETA_GRID)
+        for theta, weight in zip(THETA_GRID, weights):
+            lhs = math.sqrt(weight)  # ||Pi_Theta Pi_B vec||
             worst_raw = max(worst_raw, lhs - theta / 2.0 * float(np.linalg.norm(vec)))
     return (worst_p0_neg, worst_p0_pos, worst_th_neg, worst_th_pos, worst_raw,
-            worst_measure_u, worst_measure_up)
+            worst_measure_u, worst_measure_up, worst_gap_u, worst_gap_up)
+
+
+def _small_phase_weights(phases: np.ndarray, weights: np.ndarray, thetas) -> list[float]:
+    """||Pi_theta v||^2 at each theta: v's weights on the clusters at the
+    ascending phases at or below theta, summed in phase order."""
+    summed = np.cumsum(np.concatenate(([0.0], weights)))
+    return summed[np.searchsorted(phases, thetas, side="right")].tolist()
 
 
 def _measure_gap(measure, oracle) -> float:
@@ -378,32 +384,18 @@ def _szegedy_trial(seed: int, trial: int, dims: int, tols: Tolerances) -> tuple:
     if minus_dim != dims_map["a_and_bperp"] + dims_map["aperp_and_b"]:
         worst_dims += 1
 
-    minus_u = decompose_orthogonal(-u_mat)
+    # -U's phases are pi - theta for U's phases theta, and U's pi is -U's 0
+    minus_gap = min([math.pi - cl.theta for cl in dec.clusters if cl.theta < math.pi] or [math.inf])
     if report.sigma_min is not None:
-        worst_gap = max(worst_gap, 2.0 * report.sigma_min - minus_u.phase_gap())
+        worst_gap = max(worst_gap, 2.0 * report.sigma_min - minus_gap)
     return worst_phase, worst_dims, worst_gap
 
 
 def _kappa_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
     """One kappa trial's worst residuals, in its checks' order."""
-    worst_u = worst_up = -math.inf
     worst_sigma = worst_res = 0.0
     rng = _rng(seed, trial)
-    program = random_span_program(rng)
-    pi_ker = kernel_projector(program, tols)  # one per program, not per input
-    for x in all_inputs(program):
-        f = input_factors(program, x, tols)
-        try:
-            bound = kappa_bound(f)
-        except ValueError:
-            continue
-        parts = _u_parts(program, x, tols, pi_ker, blocks_projector(program, f.q_h))
-        if f.positive:
-            worst_up = max(worst_up, bound - _uprime(program, tols, *parts).phase_gap())
-        worst_u = max(worst_u, bound - decompose_orthogonal(parts[2]).phase_gap())
-
-    n = int(rng.integers(3, 8))
-    g = random_graph(rng, n, edge_prob=0.6)
+    g = random_graph(rng, int(rng.integers(3, 8)), edge_prob=0.6)
     program = build_st_span_program(g.n, g.s, g.t)
     factors = input_factors(program, graph_input(g), tols)
     # A's factors come from one eigh of A A^T; a dense SVD of A checks
@@ -429,7 +421,7 @@ def _kappa_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
     check = witness_equals_half_resistance(factors, res)
     if not check.ok:
         worst_res = math.inf
-    return worst_u, worst_up, worst_sigma, worst_res
+    return worst_sigma, worst_res
 
 
 def suite_appendix_b(tols: Tolerances = DEFAULT_TOLS) -> list[Check]:
@@ -480,9 +472,9 @@ class _TrialSuite:
 # Each trial is called through a lambda, so a trial function patched on this
 # module is the one that runs.  The floors: forking a worker and joining it
 # costs about 30 ms, and on one core of a 2-core machine a duality trial takes
-# 5 to 6 ms, a spectral trial 23 to 25 ms, a scaling trial 16 to 17 ms and a
-# kappa trial 10 ms (the mean of trials 0-63 at seeds 0-2).  szegedy runs
-# in-process (see the module docstring).
+# 5 to 6 ms, a spectral trial 14 to 21 ms, a scaling trial 16 to 17 ms and a
+# kappa trial 0.6 to 1.1 ms (the mean of trials 0-63 at seeds 0-2).  szegedy
+# runs in-process (see the module docstring).
 _TRIAL_SUITES = {
     # witness-size/error reciprocity and the optimal-witness vector identities
     # on random programs, every input enumerated
@@ -501,9 +493,10 @@ _TRIAL_SUITES = {
          "N+ * N- = 1 with N- from the oracle's null-space solve on the dense A"),
         ("duality/minimal-witness-vector", 0.0, 1e-8, "(omega0 A)^dag = w0 / N+"),
     )),
-    # fixed-space overlaps and the effective-spectral-gap inequalities on
-    # normalized random programs, the estimator path's spectral measures
-    # against the dense oracle's, plus the raw two-reflection overlap lemma
+    # fixed-space overlaps, the effective-spectral-gap inequalities, the
+    # estimator path's spectral measures against the dense oracle's and the
+    # phase-gap lower bounds, on normalized random programs and one
+    # decomposition of each unitary, plus the raw two-reflection overlap lemma
     "spectral": _TrialSuite(lambda seed, trial, dims, tols: _spectral_trial(seed, trial, tols),
                             4, 8, (
         ("spectral/fixed-space-neg", 0.0, 1e-8, "||Pi_0 w0||^2 = 1/w- for U(P, x)"),
@@ -518,6 +511,10 @@ _TRIAL_SUITES = {
          f"outcome-zero probability of measure_U vs the oracle's, M in {PE_GRIDS}"),
         ("spectral/measure-Uprime-vs-oracle", 0.0, 1e-10,
          "the same for measure_Uprime on positive inputs"),
+        ("spectral/gap-bound-U", -math.inf, 1e-8,
+         "phase gap of U(P, x) is at least 2 sigma_min(A(x))/sigma_max(A)"),
+        ("spectral/gap-bound-Uprime", -math.inf, 1e-8,
+         "same bound for U'(P, x) on positive inputs"),
     )),
     # equalities and inequalities of the beta-scaling construction, plus
     # normalization idempotence
@@ -540,13 +537,10 @@ _TRIAL_SUITES = {
         ("szegedy/phase-gap-vs-discriminant", -math.inf, 1e-8,
          "phase gap of -U is at least twice the smallest nonzero singular value of D"),
     )),
-    # phase-gap lower bounds on random programs and on graph instances,
-    # including the graph spectral identities the bound rests on
+    # the graph spectral identities the phase-gap bound rests on, and the
+    # resistance oracles, on random graph instances
     "kappa": _TrialSuite(lambda seed, trial, dims, tols: _kappa_trial(seed, trial, tols),
-                         4, 16, (
-        ("kappa/gap-bound-U", -math.inf, 1e-8,
-         "phase gap of U(P, x) is at least 2 sigma_min(A(x))/sigma_max(A)"),
-        ("kappa/gap-bound-Uprime", -math.inf, 1e-8, "same bound for U'(P, x) on positive inputs"),
+                         4, 512, (
         ("kappa/graph-singular-values", 0.0, 1e-12,
          "A's Gram-route sigma_max = sqrt(2n) and sigma against a dense SVD, "
          "and sigma_min(A(x)) = sqrt(2 lambda2), relative to sigma_max; "

@@ -1,14 +1,17 @@
 """Independent oracles used to freeze expected values.
 
 These solve the same optimization problems as the library but along different
-numerical routes (stacked KKT systems and min-norm least squares instead of
-null-space parametrizations, the real Schur form instead of a complex
-eigendecomposition), so agreement is meaningful.
+numerical routes (each constrained problem on the dense A and the dense
+projector onto H(x), by the null-space method on its constraints and dense
+least squares, in place of the library's cut factors of A(x); the real Schur
+form instead of a complex eigendecomposition), so agreement is meaningful.
 
 per_call_spectral_trial and per_call_kappa_trial are verify's spectral and
 kappa trials as they read an input before each trial read it once: every
-quantity from its own public call, which factors A(x) anew, and one
-small_phase_projector per theta.  The trials must match them bit for bit.
+quantity from its own public call, which factors A(x) anew and builds U and
+U' anew, and each overlap with the eigenspaces at or below theta summed
+cluster by cluster for that theta alone.  The trials must match them bit for
+bit.
 """
 
 from __future__ import annotations
@@ -32,17 +35,22 @@ from spanforge.verify import THETA_GRID, _measure_gap, _rng
 
 
 def kkt_equality_ls(c_mat: np.ndarray, d: np.ndarray, e_mat: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Minimize ||C w - d||^2 subject to E w = f via the KKT block system,
-    solved as one least-squares problem (consistent by construction)."""
-    n = c_mat.shape[1]
-    m = e_mat.shape[0]
-    kkt = np.zeros((n + m, n + m))
-    kkt[:n, :n] = 2.0 * c_mat.T @ c_mat
-    kkt[:n, n:] = e_mat.T
-    kkt[n:, :n] = e_mat
-    rhs = np.concatenate([2.0 * c_mat.T @ d, f])
-    sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    return sol[:n]
+    """Minimize ||C w - d||^2 subject to E w = f by the null-space method
+    (Bjorck, Numerical Methods for Least Squares Problems, SIAM 1996), with
+    no C^T C formed: w = E^+ f + N z, N an orthonormal basis of ker E from
+    one SVD of E, and z the min-norm least-squares solution of
+    C N z = d - C E^+ f from one SVD of C N.  An inconsistent E w = f is met
+    in the least-squares sense.  E's singular values are cut at 1e-12 of its
+    largest, and those of C N at 1e-12 of C's: C N is zero where ker C meets
+    ker E, and its rounding there, against its own largest, reads as rank."""
+    u, s, vt = np.linalg.svd(e_mat)
+    rank = int(np.sum(s > 1e-12 * s.max(initial=0.0)))
+    w_e = vt[:rank].T @ ((u[:, :rank].T @ f) / s[:rank])
+    null = vt[rank:].T
+    u, s, vt = np.linalg.svd(c_mat @ null, full_matrices=False)
+    rank = int(np.sum(s > 1e-12 * np.linalg.norm(c_mat, 2)))
+    z = vt[:rank].T @ ((u[:, :rank].T @ (d - c_mat @ w_e)) / s[:rank])
+    return w_e + null @ z
 
 
 def oracle_min_error_positive(program: SpanProgram, x) -> tuple[float, float, np.ndarray]:
@@ -129,12 +137,17 @@ def schur_phase_clusters(u_mat: np.ndarray) -> list[tuple[float, np.ndarray]]:
     return [(theta, q_mat[:, cols] @ q_mat[:, cols].T) for theta, cols in groups]
 
 
+def small_phase_weight(phases, weights, theta: float) -> float:
+    """The weights at phases at or below theta, summed in phase order."""
+    return sum(float(w) for phase, w in zip(phases, weights) if phase <= theta)
+
+
 def per_call_spectral_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
     """verify._spectral_trial, each quantity from its own public call."""
     worst_p0_neg = worst_p0_pos = 0.0
     worst_measure_u = worst_measure_up = 0.0
     worst_th_neg = worst_th_pos = -math.inf
-    worst_raw = -math.inf
+    worst_raw = worst_gap_u = worst_gap_up = -math.inf
     rng = _rng(seed, trial)
     program = normalize(random_span_program(rng), tols)
     w0 = np.asarray(minimal_witness(program, tols).w0)
@@ -149,21 +162,25 @@ def per_call_spectral_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
             worst_measure_up = max(worst_measure_up, _measure_gap(fast_up, decp.measure(w0)))
         inv_wm = 0.0 if math.isinf(rep.w_minus) else 1.0 / rep.w_minus
         inv_wp = 0.0 if math.isinf(rep.w_plus) else 1.0 / rep.w_plus
-        worst_p0_neg = max(
-            worst_p0_neg, abs(float(w0 @ dec.fixed_projector() @ w0) - inv_wm)
-        )
-        worst_p0_pos = max(
-            worst_p0_pos, abs(float(w0 @ decp.fixed_projector() @ w0) - inv_wp)
-        )
+        on_u, on_up = dec.overlaps(w0), decp.overlaps(w0)
+        worst_p0_neg = max(worst_p0_neg, abs(small_phase_weight(*on_u, 0.0) - inv_wm))
+        worst_p0_pos = max(worst_p0_pos, abs(small_phase_weight(*on_up, 0.0) - inv_wp))
         for theta in THETA_GRID:
-            lhs = float(w0 @ dec.small_phase_projector(theta) @ w0)
+            lhs = small_phase_weight(*on_u, theta)
             worst_th_neg = max(
                 worst_th_neg, lhs - (theta**2 / 4.0 * rep.w_tilde_plus + inv_wm)
             )
-            lhs = float(w0 @ decp.small_phase_projector(theta) @ w0)
+            lhs = small_phase_weight(*on_up, theta)
             worst_th_pos = max(
                 worst_th_pos, lhs - (theta**2 / 4.0 * rep.w_tilde_minus + inv_wp)
             )
+        try:
+            bound = kappa_bound(input_factors(program, x, tols))
+        except ValueError:
+            continue
+        worst_gap_u = max(worst_gap_u, bound - build_U(program, x, tols).phase_gap())
+        if math.isfinite(rep.w_plus):
+            worst_gap_up = max(worst_gap_up, bound - build_Uprime(program, x, tols).phase_gap())
     dim = int(rng.integers(3, 9))
     pi_a, pi_b = random_projector_pair(rng, dim)
     u_dec = decompose_orthogonal((2.0 * pi_a - np.eye(dim)) @ (2.0 * pi_b - np.eye(dim)))
@@ -171,32 +188,16 @@ def per_call_spectral_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
     vec -= pi_a @ vec
     if np.linalg.norm(vec) > 1e-9:
         for theta in THETA_GRID:
-            lhs = float(
-                np.linalg.norm(u_dec.small_phase_projector(theta) @ (pi_b @ vec))
-            )
+            lhs = math.sqrt(small_phase_weight(*u_dec.overlaps(pi_b @ vec), theta))
             worst_raw = max(worst_raw, lhs - theta / 2.0 * float(np.linalg.norm(vec)))
     return (worst_p0_neg, worst_p0_pos, worst_th_neg, worst_th_pos, worst_raw,
-            worst_measure_u, worst_measure_up)
+            worst_measure_u, worst_measure_up, worst_gap_u, worst_gap_up)
 
 
 def per_call_kappa_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
     """verify._kappa_trial, each quantity from its own public call."""
-    worst_u = worst_up = -math.inf
     worst_sigma = worst_res = 0.0
     rng = _rng(seed, trial)
-    program = random_span_program(rng)
-    for x in all_inputs(program):
-        try:
-            bound = kappa_bound(input_factors(program, x, tols))
-        except ValueError:
-            continue
-        dec = build_U(program, x, tols)
-        worst_u = max(worst_u, bound - dec.phase_gap())
-        rep = witness_report(input_factors(program, x, tols))
-        if math.isfinite(rep.w_plus):
-            decp = build_Uprime(program, x, tols)
-            worst_up = max(worst_up, bound - decp.phase_gap())
-
     n = int(rng.integers(3, 8))
     g = random_graph(rng, n, edge_prob=0.6)
     program = build_st_span_program(g.n, g.s, g.t)
@@ -223,4 +224,4 @@ def per_call_kappa_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
                                            exact_resistance(g))
     if not check.ok:
         worst_res = math.inf
-    return worst_u, worst_up, worst_sigma, worst_res
+    return worst_sigma, worst_res

@@ -219,6 +219,9 @@ REPORTED_CHECKS = [
     ("spectral/measure-U-vs-oracle", 1e-10,
      "outcome-zero probability of measure_U vs the oracle's, M in (2, 16, 256)"),
     ("spectral/measure-Uprime-vs-oracle", 1e-10, "the same for measure_Uprime on positive inputs"),
+    ("spectral/gap-bound-U", 1e-08,
+     "phase gap of U(P, x) is at least 2 sigma_min(A(x))/sigma_max(A)"),
+    ("spectral/gap-bound-Uprime", 1e-08, "same bound for U'(P, x) on positive inputs"),
     ("scaling/equalities", 1e-08,
      "scaled witness sizes and minimal witness vector (beta in {1/4, 1, 4})"),
     ("scaling/min-error-inequalities", 1e-08, "wt+/wt- growth bounds under scaling"),
@@ -230,8 +233,6 @@ REPORTED_CHECKS = [
      "+/-1-eigenspace dimensions equal the four intersection dimensions"),
     ("szegedy/phase-gap-vs-discriminant", 1e-08,
      "phase gap of -U is at least twice the smallest nonzero singular value of D"),
-    ("kappa/gap-bound-U", 1e-08, "phase gap of U(P, x) is at least 2 sigma_min(A(x))/sigma_max(A)"),
-    ("kappa/gap-bound-Uprime", 1e-08, "same bound for U'(P, x) on positive inputs"),
     ("kappa/graph-singular-values", 1e-12,
      "A's Gram-route sigma_max = sqrt(2n) and sigma against a dense SVD, and sigma_min(A(x)) "
      "= sqrt(2 lambda2), relative to sigma_max; U_r U_r^T against the SVD's"),
@@ -315,6 +316,32 @@ def test_or_demo_refuses_an_n_above_the_dense_cap_before_allocating(capsys):
         tracemalloc.stop()
     assert code == 3 and peak < 2**20
     assert "above the cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    # the first real-gap stage asks for pi sqrt(2) (8/eps + 1), about 3.6e10 points
+    ["resistance", "--graph", "K4", "--method", "real-gap", "--mu", "1", "--eps", "1e-9"],
+    ["or-demo", "--lam", "0.999999"],  # 7.6e7 points
+])
+def test_an_ae_grid_above_the_cap_exits_3_with_one_error_line(argv, k4_path, capsys):
+    argv = [k4_path if arg == "K4" else arg for arg in argv]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code == 3 and out == "" and peak < 2**20
+    assert err.startswith("error: amplitude estimation on ") and err.count("\n") == 1
+    assert err.endswith(f"above the cap of {2**24}\n")
+
+
+def test_a_real_gap_estimate_below_the_ae_cap_runs(k4_path, capsys):
+    # eps = 1e-4 asks for about 1.5e6 points at the first stage
+    argv = ["resistance", "--graph", k4_path, "--method", "real-gap", "--mu", "1", "--eps", "1e-4"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["queries"] > 0
 
 
 def test_reports_print_to_stdout_without_out(k4_path, capsys):

@@ -3,6 +3,7 @@ one sampler every estimator draws through."""
 
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 from spanforge import qsim
 from spanforge.oracle import decompose_orthogonal
 from spanforge.qsim import (
+    AE_GRID_CAP,
+    GridSizeError,
     QueryLedger,
     ae_error_bound,
     ae_estimates,
@@ -317,3 +320,25 @@ def test_the_sampler_refuses_a_distribution_that_is_not_one(monkeypatch, bad):
     monkeypatch.setattr(qsim, "ae_outcome_distribution", lambda p, grid_size: bad.copy())
     with pytest.raises(ValueError, match="outcome distribution"):
         amplitude_estimation(0.3, 3, 4, np.random.default_rng(1), QueryLedger(), 1)
+
+
+def test_ae_grids_above_the_cap_are_refused_before_allocating():
+    # one float64 array over cap + 1 points would take 134 MB
+    over = AE_GRID_CAP + 1
+    calls = (
+        lambda: ae_outcome_distribution(0.3, over),
+        lambda: ae_estimates(over),
+        lambda: amplitude_estimation(0.3, over, 1, np.random.default_rng(0), QueryLedger(), 1),
+        lambda: amplitude_gap_success_probability(0.5, 0.5 + 5e-7, 0.5, True),
+    )
+    assert amp_gap_grid_size(0.5 + 5e-7, 0.5) > AE_GRID_CAP
+    tracemalloc.start()
+    try:
+        for call in calls:
+            with pytest.raises(GridSizeError, match=f"above the cap of {AE_GRID_CAP}"):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert issubclass(GridSizeError, ValueError)

@@ -3,6 +3,7 @@ random ensembles, cross-checked against the independent KKT oracles."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -295,6 +296,10 @@ def test_witness_duality_holds_on_an_ill_conditioned_program(k):
     assert minimal_witness(program).n_plus * n_minus == pytest.approx(1.0, rel=1e-12)
     assert n_minus == pytest.approx(0.5, rel=1e-12)
     assert oracle.minimal_negative_witness(program)[1] == pytest.approx(0.5, rel=1e-12)
+    # the tests' KKT reference forms no C^T C, which would square kappa(A) = 10^k
+    row = program.a_mat.T @ kkt_equality_ls(program.a_mat.T, np.zeros(2), program.tau[None, :],
+                                            np.ones(1))
+    assert float(row @ row) == pytest.approx(0.5, rel=0.0, abs=1e-12)
     if small <= DEFAULT_TOLS.membership_rtol:
         return  # tau lies within membership_rtol of col A(x): x reads as positive
     x = (1, 0)
@@ -304,6 +309,25 @@ def test_witness_duality_holds_on_an_ill_conditioned_program(k):
     e_plus = oracle_min_error_positive(program, x)[0]
     assert negative_witness(f)[1] == pytest.approx(w_minus, rel=1e-8)
     assert min_error_positive(f)[1] == pytest.approx(e_plus, rel=1e-8)
+
+
+def test_minimal_witness_of_a_tall_dense_a_takes_no_full_u():
+    # a 3000 x 2 A: its full U would take 68.7 MiB, its thin U 47 KiB
+    rng = np.random.default_rng(5)
+    a_mat = rng.standard_normal((3000, 2))
+    program = SpanProgram(
+        n=1, q=2, dim_h=2, dim_v=3000, input_blocks=((0, 1),), true_block=(), false_block=(),
+        subspaces={(0, 0): np.array([[1.0], [0.0]]), (0, 1): np.eye(2)},
+        a=a_mat, tau=a_mat @ np.array([1.0, -2.0]),
+    )
+    tracemalloc.start()
+    try:
+        mw = minimal_witness(program)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+    np.testing.assert_allclose(mw.w0, [1.0, -2.0], rtol=1e-12)
 
 
 # seed 115 draws a 3 x 1 A, where A^T N is rounding alone and a solve cut

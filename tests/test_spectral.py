@@ -49,7 +49,7 @@ from spanforge.spanprog import (
 )
 from spanforge.spectral import SpectralMeasure, kappa_bound, measure_U, measure_Uprime
 from spanforge.spectral import row_space_cross
-from spanforge.verify import THETA_GRID
+from spanforge.verify import THETA_GRID, _small_phase_weights
 
 
 def rotation(theta):
@@ -230,36 +230,38 @@ def test_uprime_factorization_identity_random():
 
 def test_small_phase_projector_bounds():
     dec = decompose_orthogonal(rotation(0.3))
-    with pytest.raises(ValueError):
-        dec.small_phase_projector(math.pi)
-    with pytest.raises(ValueError):
-        dec.small_phase_projector(-0.1)
-    for grid in ([0.0, math.pi], [0.5, 0.2], [0.1, math.nan], [0.0, 0.3, 0.3, 0.29]):
+    for theta in (math.pi, -0.1, math.nan):
         with pytest.raises(ValueError):
-            dec.small_phase_projectors(grid)
+            dec.small_phase_projector(theta)
 
 
 @pytest.mark.parametrize("shared, a_only", [(0, 0), (1, 1), (2, 0), (2, 2)])
 def test_small_phase_projectors_are_the_per_theta_sums(shared, a_only):
     # clusters at 0 and pi of several dimensions, rotation clusters of two
     # planes at one phase (two copies of the product), and grids that hit
-    # each cluster's phase exactly, repeat a theta and start at 0: each grid
-    # entry is the sum in cluster order from zeros
+    # each cluster's phase exactly, repeat a theta and start at 0: each
+    # projector is the sum in cluster order from zeros, and a unit state's
+    # weight under it is the one verify reads from the state's overlaps
     rng = np.random.default_rng([29, shared, a_only])
     for dim in (3, 6, 9):
         pi_a, pi_b = random_projector_pair(rng, dim, dim // 2, dim // 2, shared, a_only)
         u_mat = (2 * pi_a - np.eye(dim)) @ (2 * pi_b - np.eye(dim))
         for dec in (decompose_orthogonal(u_mat), decompose_orthogonal(np.kron(np.eye(2), u_mat))):
             phases = [cl.theta for cl in dec.clusters if cl.theta < math.pi]
+            state = rng.standard_normal(dec.dim)
+            state /= np.linalg.norm(state)
+            measure = dec.measure(state)
             for grid in ([0.0] + THETA_GRID, sorted(phases + phases + [0.0, math.pi - 1e-9]),
                          [0.0, 0.0], [1.0]):
-                for theta, proj in zip(grid, dec.small_phase_projectors(grid)):
+                weights = _small_phase_weights(measure.phases, measure.weights, grid)
+                for theta, weight in zip(grid, weights, strict=True):
                     summed = np.zeros((dec.dim, dec.dim))
                     for cl in dec.clusters:
                         if cl.theta <= theta:
                             summed += cl.basis @ cl.basis.T
+                    proj = dec.small_phase_projector(theta)
                     assert proj.tobytes() == summed.tobytes()
-                    assert proj.tobytes() == dec.small_phase_projector(theta).tobytes()
+                    assert weight == pytest.approx(float(state @ proj @ state), abs=1e-14)
 
 
 def test_small_phase_projector_near_pi_is_identity_minus_pi_space():

@@ -4,8 +4,8 @@ trial's exception and a worker's death reach the caller, no process outlives
 run_suite, workers inherit the caller's monkeypatches, a daemonic caller runs
 in-process, a suite gets workers only where each has enough trials, and
 the CLI names the workers it used.  The spectral and kappa trials, which
-factor each input once, match the per-call route of tests/oracles.py bit
-for bit."""
+factor each input once and decompose each unitary once, match the per-call
+route of tests/oracles.py bit for bit."""
 
 import dataclasses
 import functools
@@ -19,10 +19,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import per_call_kappa_trial, per_call_spectral_trial
-from spanforge import spanprog, verify
+from spanforge import oracle, spanprog, verify
 from spanforge._linalg import DEFAULT_TOLS
 from spanforge.cli import main
 from spanforge.generators import all_inputs, random_span_program
+from spanforge.oracle import decompose_orthogonal
 
 
 def fields(checks):
@@ -139,20 +140,21 @@ def test_a_daemonic_caller_runs_in_process(small_pools):
 
 
 @pytest.mark.parametrize("usable, suite, trials, workers", [
-    (2, "all", 50, 1),  # every suite below its floor: duality 32, the rest 8 or 16 of a quarter
+    (2, "all", 50, 1),  # every suite below its floor: duality 32, the rest 8 to 512 of a quarter
     (2, "duality", 63, 1),
     (2, "duality", 64, 2),
     (2, "spectral", 63, 1),  # spectral runs trials // 4, at least 8 to a worker
     (2, "spectral", 64, 2),
     (2, "scaling", 127, 1),
     (2, "scaling", 128, 2),
-    (2, "kappa", 128, 2),
+    (2, "kappa", 4095, 1),  # kappa runs trials // 4, at least 512 to a worker
+    (2, "kappa", 4096, 2),
     (2, "szegedy", 10_000, 1),  # szegedy always runs in-process
     (2, "appendixB", 10_000, 1),
     (2, "all", 200, 2),
     (64, "duality", 200, 6),
     (64, "all", 200, 6),  # spectral's 50 trials give 6 too
-    (64, "kappa", 200, 3),
+    (64, "kappa", 10_000, 4),
     (1, "all", 10_000, 1),
 ])
 def test_suite_workers_keeps_each_suites_floor(cpus, usable, suite, trials, workers):
@@ -172,7 +174,7 @@ def test_cli_names_its_workers_and_writes_the_same_report(cpus, tmp_path, capsys
 
 
 # (seed, trial) pairs: (0, 0), (0, 20), (1, 27), (3, 34) and (3, 35) draw
-# programs with 81 inputs, and the kappa trials of (0, 1), (0, 9), (0, 20),
+# programs with 81 inputs, and the spectral trials of (0, 1), (0, 9), (0, 20),
 # (1, 10), (2, 2) and (3, 34) meet inputs with A(x) = 0
 PER_CALL_PAIRS = [(0, 0), (0, 20), (1, 27), (3, 34), (3, 35), (0, 1), (0, 9), (1, 10),
                   (2, 2), (0, 11), (2, 21), (1, 0)]
@@ -183,6 +185,30 @@ def test_per_call_pairs_hold_an_81_input_program_and_an_input_with_a_x_zero():
     assert max(len(list(all_inputs(p))) for p in programs) == 81
     assert any(spanprog.input_factors(p, x).sigma.size == 0
                for p in programs for x in all_inputs(p))
+
+
+@pytest.mark.parametrize("seed, trial", [(0, 0), (0, 1), (1, 10), (3, 35)])
+def test_each_unitary_is_decomposed_once(monkeypatch, seed, trial):
+    # a spectral trial decomposes U and U' once per input, and the raw
+    # lemma's reflection product once; a kappa trial decomposes nothing; a
+    # szegedy trial decomposes its reflection product once, and -U not at all
+    calls = []
+
+    def counted(u_mat):
+        calls.append(u_mat.shape)
+        return decompose_orthogonal(u_mat)
+
+    monkeypatch.setattr(verify, "decompose_orthogonal", counted)
+    monkeypatch.setattr(oracle, "decompose_orthogonal", counted)
+    inputs = len(list(all_inputs(random_span_program(verify._rng(seed, trial)))))
+    for trial_fn, expected in ((verify._spectral_trial, 2 * inputs + 1),
+                               (verify._kappa_trial, 0)):
+        calls.clear()
+        trial_fn(seed, trial, DEFAULT_TOLS)
+        assert len(calls) == expected
+    calls.clear()
+    verify._szegedy_trial(seed, trial, 8, DEFAULT_TOLS)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("seed, trial", PER_CALL_PAIRS)
