@@ -8,8 +8,11 @@ of scale(P, beta) that the threshold rounds are tested against where a
 dense A_beta is too large (scaled_factors), a brute-force flow resistance,
 and the reflection factorization of the st program; and, from the dense A,
 second routes to row(A) (row_basis) and to N_- (minimal_negative_witness).
-No estimator module imports it.  A dim_h above DENSE_DIM_CAP is refused
-with OracleSizeError before anything is allocated.
+It holds what verify and the package's API run; what only the tests read
+of these objects (signed phases, complex eigenpairs, small-phase
+projectors) is computed in tests/oracles.py from a decomposition's
+clusters.  No estimator module imports it.  A dim_h above DENSE_DIM_CAP
+is refused with OracleSizeError before anything is allocated.
 """
 
 from __future__ import annotations
@@ -29,6 +32,12 @@ from .spanprog import StructuralError, minimal_witness
 from .spectral import SpectralMeasure
 
 PHASE_CLUSTER_TOL = 1e-9  # phases this close together share an eigenspace
+# largest entry of M - M^T and of M M - M that is_orthogonal_projector accepts
+PROJECTOR_TOL = 1e-10
+# a singular value of Pi_{Q^perp} Pi_P at most this counts as zero in
+# intersection_dims: sin(phi) of the principal angle phi whose reflection
+# product phase 2 phi is snapped to 0 or pi
+INTERSECTION_TOL = math.sin(PHASE_ROUND_TOL / 2.0)
 # dim_h cap of the dense oracle: at the cap one dim_h x dim_h float64 array takes 134 MB
 DENSE_DIM_CAP = 4096
 
@@ -48,7 +57,7 @@ def _check_dense_size(program: SpanProgram) -> None:
 
 def blocks_projector(program: SpanProgram, blocks: Blocks) -> np.ndarray:
     """Orthogonal projector onto the span of blocks, as
-    spanprog.subspace_blocks or InputFactors.q_h give them: block diagonal,
+    spanprog._walk, InputFactors.q_h and q_perp give them: block diagonal,
     with a unit diagonal on identity entries.  Raises OracleSizeError above
     DENSE_DIM_CAP."""
     _check_dense_size(program)
@@ -114,9 +123,6 @@ class PhaseCluster:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.T
-
 
 @dataclass(frozen=True)
 class UnitaryDecomposition:
@@ -129,22 +135,6 @@ class UnitaryDecomposition:
     matrix: np.ndarray
     clusters: tuple[PhaseCluster, ...]
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def phases(self) -> list[float]:
-        """Signed phases in (-pi, pi], one per complexified eigenvector."""
-        out: list[float] = []
-        for cl in self.clusters:
-            if cl.theta == 0.0 or cl.theta == math.pi:
-                out.extend([cl.theta] * cl.dim)
-            else:
-                out.extend([cl.theta] * (cl.dim // 2))
-                out.extend([-cl.theta] * (cl.dim // 2))
-        return sorted(out)
-
     def overlaps(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(phases, weights): each cluster's phase, ascending, and state's weight on it."""
         weights = [float(np.sum(np.square(cl.basis.T @ state))) for cl in self.clusters]
@@ -154,45 +144,10 @@ class UnitaryDecomposition:
         """Spectral measure of a unit state: its overlaps with the clusters."""
         return SpectralMeasure(*self.overlaps(state))
 
-    def small_phase_projector(self, theta_max: float) -> np.ndarray:
-        """Projector onto the eigenspaces with |phase| <= theta_max in [0, pi):
-        the clusters' projectors at or below it, added in order from zeros."""
-        if not 0.0 <= theta_max < math.pi:
-            raise ValueError("theta must lie in [0, pi)")
-        clusters = (cl.projector() for cl in self.clusters if cl.theta <= theta_max)
-        return sum(clusters, np.zeros((self.dim, self.dim)))
-
-    def fixed_projector(self) -> np.ndarray:
-        return self.small_phase_projector(0.0)
-
     def phase_gap(self) -> float:
         """Smallest nonzero |phase|; inf when the matrix is the identity."""
         nonzero = [cl.theta for cl in self.clusters if cl.theta > 0.0]
         return min(nonzero) if nonzero else math.inf
-
-    def minus_one_projector(self) -> np.ndarray:
-        for cl in self.clusters:
-            if cl.theta == math.pi:
-                return cl.projector()
-        return np.zeros((self.dim, self.dim))
-
-    def complex_eigenpairs(self) -> list[tuple[float, np.ndarray]]:
-        """(signed phase, complex unit eigenvector) pairs, for verification."""
-        pairs: list[tuple[float, np.ndarray]] = []
-        for cl in self.clusters:
-            if cl.theta == 0.0 or cl.theta == math.pi:
-                for k in range(cl.dim):
-                    pairs.append((cl.theta, cl.basis[:, k].astype(complex)))
-                continue
-            for k in range(0, cl.dim, 2):
-                q1, q2 = cl.basis[:, k], cl.basis[:, k + 1]
-                s = float(q2 @ (self.matrix @ q1))
-                v = (q1 - 1j * q2) / math.sqrt(2.0)
-                if s < 0:  # orient the pair so v carries e^{+i theta}
-                    v = np.conj(v)
-                pairs.append((cl.theta, v))
-                pairs.append((-cl.theta, np.conj(v)))
-        return pairs
 
 
 def decompose_orthogonal(u_mat: np.ndarray) -> UnitaryDecomposition:
@@ -207,9 +162,10 @@ def decompose_orthogonal(u_mat: np.ndarray) -> UnitaryDecomposition:
     QR of these columns, in phase order with each plane's two adjacent,
     makes them orthonormal.  Every prefix of that order spans an invariant
     subspace, so each cluster's columns do too, and each adjacent pair of a
-    rotation cluster spans one invariant plane, as complex_eigenpairs reads
-    them.  Phases are snapped to 0 or pi within PHASE_ROUND_TOL and grouped
-    within PHASE_CLUSTER_TOL of a group's smallest phase."""
+    rotation cluster spans one invariant plane, whose complex eigenvector
+    is (q_1 -/+ i q_2)/sqrt(2).  Phases are snapped to 0 or pi within
+    PHASE_ROUND_TOL and grouped within PHASE_CLUSTER_TOL of a group's
+    smallest phase."""
     u_mat = np.asarray(u_mat, dtype=float)
     dim = u_mat.shape[0]
     ortho_defect = np.max(np.abs(u_mat.T @ u_mat - np.eye(dim)))
@@ -275,15 +231,6 @@ def build_Uprime(
     return _uprime(program, tols, *_u_parts(program, x, tols))
 
 
-def build_U_and_Uprime(
-    program: SpanProgram, x: Sequence[int], tols: Tolerances = DEFAULT_TOLS
-) -> tuple[UnitaryDecomposition, UnitaryDecomposition]:
-    """(build_U(program, x, tols), build_Uprime(program, x, tols)), with
-    Pi_ker(A), Pi_H(x) and U formed once for both."""
-    parts = _u_parts(program, x, tols)
-    return decompose_orthogonal(parts[2]), _uprime(program, tols, *parts)
-
-
 def _uprime(
     program: SpanProgram, tols: Tolerances, pi_ker: np.ndarray, pi_hx: np.ndarray, u: np.ndarray
 ) -> UnitaryDecomposition:
@@ -298,33 +245,32 @@ def _uprime(
     return decompose_orthogonal(u_prime)
 
 
-def is_orthogonal_projector(mat: np.ndarray, tol: float = 1e-10) -> bool:
+def is_orthogonal_projector(mat: np.ndarray) -> bool:
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         return False
     return bool(
-        np.max(np.abs(mat - mat.T)) <= tol and np.max(np.abs(mat @ mat - mat)) <= tol
+        np.max(np.abs(mat - mat.T)) <= PROJECTOR_TOL
+        and np.max(np.abs(mat @ mat - mat)) <= PROJECTOR_TOL
     )
 
 
-def intersection_dims(
-    pi_a: np.ndarray, pi_b: np.ndarray, tol: float = math.sin(PHASE_ROUND_TOL / 2.0)
-) -> dict:
+def intersection_dims(pi_a: np.ndarray, pi_b: np.ndarray) -> dict:
     """Dimensions of the four intersections of the subspaces behind two projectors.
 
     dim(P cap Q) = dim P - rank(Pi_{Q^perp} Pi_P): a unit vector of P at
     principal angle phi from Q keeps a component sin(phi) outside Q, and a
-    singular value at most tol counts as zero.  The reflection product
-    (2 Pi_A - I)(2 Pi_B - I) turns the plane of such a vector by 2 phi, so the
-    default cutoff counts a direction exactly when its phase is snapped to 0 or
-    pi.
+    singular value at most INTERSECTION_TOL counts as zero.  The reflection
+    product (2 Pi_A - I)(2 Pi_B - I) turns the plane of such a vector by
+    2 phi, so this cutoff counts a direction exactly when its phase is
+    snapped to 0 or pi.
     """
     eye = np.eye(pi_a.shape[0])
     ca, cb = eye - pi_a, eye - pi_b
 
     def meet(pi_p: np.ndarray, pi_q_perp: np.ndarray) -> int:
         dim_p = int(round(float(np.trace(pi_p))))
-        return dim_p - int(np.sum(singular_values(pi_q_perp @ pi_p) > tol))
+        return dim_p - int(np.sum(singular_values(pi_q_perp @ pi_p) > INTERSECTION_TOL))
 
     return {
         "a_and_b": meet(pi_a, cb),

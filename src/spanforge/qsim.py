@@ -102,12 +102,6 @@ def outcome_zero_probability(measure: SpectralMeasure, grid_size: int) -> float:
     return min(1.0, max(0.0, total))
 
 
-def ae_error_bound(p: float, grid_size: int) -> float:
-    """The additive estimation-error bound that holds with probability >= 8/pi^2:
-    2 pi sqrt(p(1-p))/M + pi^2/M^2."""
-    return 2.0 * math.pi * math.sqrt(p * (1.0 - p)) / grid_size + math.pi**2 / grid_size**2
-
-
 def ae_outcome_distribution(p: float, grid_size: int) -> np.ndarray:
     """Exact amplitude-estimation outcome distribution for success probability p.
 

@@ -209,10 +209,6 @@ def ordered_pairs(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def unordered_pairs(n: int) -> list[Edge]:
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
-
-
 def build_st_span_program(n: int, s: int, t: int) -> SpanProgram:
     """The st-connectivity span program on [n]: V = R^n, A|u,v> = |u> - |v>,
     tau = |s> - |t>; the pair-{u,v} input bit selects both ordered coordinates.
@@ -238,8 +234,8 @@ def build_st_span_program(n: int, s: int, t: int) -> SpanProgram:
     if not (0 <= s < n and 0 <= t < n) or s == t:
         raise ValueError("s and t must be distinct vertices")
     check_incidence_size(n * (n - 1))
-    # unordered_pairs(n), in order: vertex i is low in the n - 1 - i pairs
-    # from start_i on, whose highs run i + 1, ..., n - 1
+    # the unordered pairs (u, v), u < v, in lexicographic order: vertex i is
+    # low in the n - 1 - i pairs from start_i on, whose highs run i + 1, ..., n - 1
     counts = np.arange(n - 1, -1, -1)
     low = np.repeat(np.arange(n), counts)
     n_inputs = low.size
@@ -277,8 +273,9 @@ def build_st_span_program(n: int, s: int, t: int) -> SpanProgram:
 def graph_input(g: Graph) -> np.ndarray:
     """The adjacency input string of g for build_st_span_program(g.n, ...),
     as a read-only intp array that SpanProgram.check_input keeps as it is:
-    bit j is 1 when the j-th pair of unordered_pairs(g.n) is an edge.  It is
-    read from g's edge array, with no walk of the edges."""
+    bit j is 1 when the j-th of the pairs (u, v), u < v, taken in
+    lexicographic order, is an edge.  It is read from g's edge array, with
+    no walk of the edges."""
     n = g.n
     bits = np.zeros(n * (n - 1) // 2, dtype=np.intp)
     low, high = g._pairs.T  # low < high
@@ -286,6 +283,10 @@ def graph_input(g: Graph) -> np.ndarray:
     bits[low * (2 * n - low - 1) // 2 + high - low - 1] = 1
     bits.setflags(write=False)
     return bits
+
+
+# witness_equals_half_resistance accepts |w_+ - R_st/2| up to this times max(1, R_st)
+WITNESS_RESISTANCE_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -296,12 +297,11 @@ class WitnessResistanceCheck:
     ok: bool
 
 
-def witness_equals_half_resistance(
-    f: InputFactors, resistance: float, tol: float = 1e-8
-) -> WitnessResistanceCheck:
-    """Check w_+(G) = R_st(G)/2 (both infinite together when disconnected),
-    for f the InputFactors of G's input to the st program and resistance
-    R_st(G), as exact_resistance gives it."""
+def witness_equals_half_resistance(f: InputFactors, resistance: float) -> WitnessResistanceCheck:
+    """Check w_+(G) = R_st(G)/2 (both infinite together when disconnected)
+    to WITNESS_RESISTANCE_RTOL of max(1, R_st), for f the InputFactors of
+    G's input to the st program and resistance R_st(G), as exact_resistance
+    gives it."""
     _, w_plus = positive_witness(f)
     if math.isinf(w_plus) or math.isinf(resistance):
         ok = math.isinf(w_plus) and math.isinf(resistance)
@@ -309,7 +309,7 @@ def witness_equals_half_resistance(
                                       residual=math.inf if not ok else 0.0, ok=ok)
     residual = abs(w_plus - resistance / 2.0)
     return WitnessResistanceCheck(w_plus=w_plus, resistance=resistance, residual=residual,
-                                  ok=residual <= tol * max(1.0, resistance))
+                                  ok=residual <= WITNESS_RESISTANCE_RTOL * max(1.0, resistance))
 
 
 @dataclass(frozen=True)

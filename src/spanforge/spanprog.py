@@ -643,9 +643,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return all(passed for _, passed, _ in self.checks)
 
-    def failures(self) -> list[str]:
-        return [f"{name}: {detail}" for name, passed, detail in self.checks if not passed]
-
 
 @dataclass(frozen=True)
 class MinimalWitness:
@@ -819,11 +816,18 @@ Blocks = list[tuple[np.ndarray, Optional[np.ndarray]]]
 
 
 def _walk(program: SpanProgram, x: np.ndarray, tols: Tolerances, side: int) -> Blocks:
-    """One side of H(x), for x as check_input gives it: Q_H for side 0,
-    Q_perp for side 1 (subspace_blocks), in block order, with each run of
-    consecutive identity blocks, the whole block ending it included, merged
-    into one (coordinates, None) entry and blocks without columns left
-    out."""
+    """One side of H(x), for x as check_input gives it, as (coordinate
+    indices, basis in those coordinates) pairs: for side 0 an orthonormal
+    basis Q_H of H(x) = H_{1,x_1} + ... + H_{n,x_n} + H_true, for side 1 a
+    basis Q_perp of its complement.  Block j's two parts are the store's
+    bases of H_{j,x_j}; H_true lies wholly in H(x) and H_false wholly
+    outside it, as does H_j when H_{j,x_j} is empty.  Those whole blocks,
+    and every stored basis that is exactly the identity, are identity
+    blocks: each run of consecutive ones, the whole block ending it
+    included, is one (coordinates, None) entry, so the columns keep their
+    order.  Parts without columns are left out.  The st program's H(x) is a
+    single identity entry.  input_factors walks Q_H alone, and InputFactors
+    walks Q_perp when it is first read."""
     layout = program._layout
     decided = program.subspaces.decisions(tols)
     ids = layout.ids(x)
@@ -847,27 +851,10 @@ def _walk(program: SpanProgram, x: np.ndarray, tols: Tolerances, side: int) -> B
     return out
 
 
-def subspace_blocks(
-    program: SpanProgram, x: Sequence[int], tols: Tolerances = DEFAULT_TOLS
-) -> tuple[Blocks, Blocks]:
-    """Orthonormal bases Q_H of H(x) = H_{1,x_1} + ... + H_{n,x_n} + H_true and
-    Q_perp of its complement, each as (coordinate indices, basis in those
-    coordinates) pairs.  Block j's two parts are the store's bases of
-    H_{j,x_j}; H_true lies wholly in H(x) and H_false wholly outside it, as
-    does H_j when H_{j,x_j} is empty.  Those whole blocks, and every stored
-    basis that is exactly the identity, are identity blocks: each run of
-    consecutive ones is one (coordinates, None) entry, so the columns keep
-    their order.  Parts without columns are left out.  The st program's
-    H(x) is a single identity entry.  input_factors walks Q_H alone, and
-    InputFactors walks Q_perp when it is first read."""
-    x = program.check_input(x)
-    return _walk(program, x, tols, 0), _walk(program, x, tols, 1)
-
-
 def restrict(mat: np.ndarray | Incidence, blocks: Blocks) -> np.ndarray:
     """M Q for a matrix M on H's coordinates, dense or incidence columns,
-    and a basis Q given block by block, as subspace_blocks gives Q_H and
-    Q_perp; A Q_H is A(x).  An identity entry is a gather of M's columns,
+    and a basis Q given block by block, as _walk gives Q_H and Q_perp;
+    A Q_H is A(x).  An identity entry is a gather of M's columns,
     with no product."""
     parts = [
         _columns(mat, block) if basis is None else _columns(mat, block) @ basis
@@ -931,7 +918,7 @@ class InputFactors:
 
     @cached_property
     def q_perp(self) -> Blocks:
-        """Q_perp of x, as subspace_blocks gives it."""
+        """Q_perp of x, as _walk gives it."""
         return _walk(self.program, self.x, self.tols, 1)
 
     @cached_property
@@ -943,11 +930,6 @@ class InputFactors:
         rows = _tdot(self.a, self.complement).T
         rows.setflags(write=False)
         return rows
-
-    @property
-    def a_x(self) -> np.ndarray:
-        """A(x) as a dense matrix, formed anew."""
-        return restrict(self.a, self.q_h)
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         """A(x)^+ v, by _min_norm_solve."""
@@ -1126,17 +1108,6 @@ def witness_report(f: InputFactors) -> WitnessReport:
     row, w_minus = negative_witness(f)
     vec, e_plus, wt_plus = min_error_positive(f)
     return WitnessReport(math.inf, w_minus, e_plus, 0.0, wt_plus, w_minus, vec, row)
-
-
-def minimal_negative_value(program: SpanProgram, tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, float]:
-    """Global minimal negative witness (omega0 A, N_-), N_- = min ||omega A||^2
-    over omega tau = 1, independent of any input: min_norm_functional on A's
-    Factorization.  oracle.minimal_negative_witness is its second route."""
-    fact = program.factorization(tols)
-    nu, value = min_norm_functional(fact.col_basis, fact.sigma, program.tau, tols)
-    if nu is None:
-        raise StructuralError("tau = 0: no functional maps tau to 1")
-    return freeze(_tdot(program.a, nu)), value
 
 
 def _rescaled(

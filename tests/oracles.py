@@ -6,6 +6,13 @@ projector onto H(x), by the null-space method on its constraints and dense
 least squares, in place of the library's cut factors of A(x); the real Schur
 form instead of a complex eigendecomposition), so agreement is meaningful.
 
+The helpers after them compute, from the package's objects, what only the
+tests read: the signed phases, complex eigenpairs and small-phase
+projectors of a UnitaryDecomposition, U and U' from one set of projectors,
+both sides of H(x) as blocks, dense A(x), the global N_- on A's cut
+factors, the amplitude-estimation error bound and the unordered vertex
+pairs.
+
 per_call_spectral_trial and per_call_kappa_trial are verify's spectral and
 kappa trials as they read an input before each trial read it once: every
 quantity from its own public call, which factors A(x) anew and builds U and
@@ -21,15 +28,18 @@ import math
 import numpy as np
 import scipy.linalg
 
-from spanforge._linalg import PHASE_ROUND_TOL, Tolerances, svd_factors
+from spanforge import oracle, spanprog
+from spanforge._linalg import DEFAULT_TOLS, PHASE_ROUND_TOL, Tolerances, freeze
+from spanforge._linalg import min_norm_functional, svd_factors
 from spanforge.generators import all_inputs, random_graph, random_projector_pair
 from spanforge.generators import random_span_program
-from spanforge.oracle import PHASE_CLUSTER_TOL, build_U, build_Uprime, decompose_orthogonal
-from spanforge.oracle import flow_resistance_bruteforce, subspace_projector
+from spanforge.oracle import PHASE_CLUSTER_TOL, PhaseCluster, UnitaryDecomposition, build_U
+from spanforge.oracle import build_Uprime, decompose_orthogonal, flow_resistance_bruteforce
+from spanforge.oracle import subspace_projector
 from spanforge.resistance import build_st_span_program, exact_resistance, graph_input, lambda2
 from spanforge.resistance import witness_equals_half_resistance
-from spanforge.spanprog import SpanProgram, input_factors, minimal_witness, normalize
-from spanforge.spanprog import witness_report
+from spanforge.spanprog import Blocks, InputFactors, SpanProgram, StructuralError, input_factors
+from spanforge.spanprog import minimal_witness, normalize, restrict, witness_report
 from spanforge.spectral import kappa_bound, measure_U, measure_Uprime, row_space_cross
 from spanforge.verify import THETA_GRID, _measure_gap, _rng
 
@@ -135,6 +145,115 @@ def schur_phase_clusters(u_mat: np.ndarray) -> list[tuple[float, np.ndarray]]:
         else:
             groups.append((theta, list(cols)))
     return [(theta, q_mat[:, cols] @ q_mat[:, cols].T) for theta, cols in groups]
+
+
+def cluster_projector(cl: PhaseCluster) -> np.ndarray:
+    """The orthogonal projector onto one cluster's invariant subspace."""
+    return cl.basis @ cl.basis.T
+
+
+def signed_phases(dec: UnitaryDecomposition) -> list[float]:
+    """Signed phases in (-pi, pi], one per complexified eigenvector, sorted."""
+    out: list[float] = []
+    for cl in dec.clusters:
+        if cl.theta == 0.0 or cl.theta == math.pi:
+            out.extend([cl.theta] * cl.dim)
+        else:
+            out.extend([cl.theta] * (cl.dim // 2))
+            out.extend([-cl.theta] * (cl.dim // 2))
+    return sorted(out)
+
+
+def complex_eigenpairs(dec: UnitaryDecomposition) -> list[tuple[float, np.ndarray]]:
+    """(signed phase, complex unit eigenvector) pairs: one real eigenvector
+    per column of a cluster at 0 or pi, and from each adjacent pair q1, q2
+    of a rotation cluster's columns, which spans one invariant plane, the
+    conjugate pair (q1 -/+ i q2)/sqrt(2), oriented by the sign of q2.U q1."""
+    pairs: list[tuple[float, np.ndarray]] = []
+    for cl in dec.clusters:
+        if cl.theta == 0.0 or cl.theta == math.pi:
+            for k in range(cl.dim):
+                pairs.append((cl.theta, cl.basis[:, k].astype(complex)))
+            continue
+        for k in range(0, cl.dim, 2):
+            q1, q2 = cl.basis[:, k], cl.basis[:, k + 1]
+            s = float(q2 @ (dec.matrix @ q1))
+            v = (q1 - 1j * q2) / math.sqrt(2.0)
+            if s < 0:  # orient the pair so v carries e^{+i theta}
+                v = np.conj(v)
+            pairs.append((cl.theta, v))
+            pairs.append((-cl.theta, np.conj(v)))
+    return pairs
+
+
+def small_phase_projector(dec: UnitaryDecomposition, theta_max: float) -> np.ndarray:
+    """Projector onto the eigenspaces with |phase| <= theta_max in [0, pi):
+    the clusters' projectors at or below it, added in order from zeros."""
+    if not 0.0 <= theta_max < math.pi:
+        raise ValueError("theta must lie in [0, pi)")
+    dim = dec.matrix.shape[0]
+    clusters = (cluster_projector(cl) for cl in dec.clusters if cl.theta <= theta_max)
+    return sum(clusters, np.zeros((dim, dim)))
+
+
+def fixed_projector(dec: UnitaryDecomposition) -> np.ndarray:
+    """Projector onto the +1-eigenspace: small_phase_projector at 0."""
+    return small_phase_projector(dec, 0.0)
+
+
+def minus_one_projector(dec: UnitaryDecomposition) -> np.ndarray:
+    """Projector onto the -1-eigenspace, zero when there is none."""
+    for cl in dec.clusters:
+        if cl.theta == math.pi:
+            return cluster_projector(cl)
+    dim = dec.matrix.shape[0]
+    return np.zeros((dim, dim))
+
+
+def build_U_and_Uprime(
+    program: SpanProgram, x, tols: Tolerances = DEFAULT_TOLS
+) -> tuple[UnitaryDecomposition, UnitaryDecomposition]:
+    """(build_U(program, x, tols), build_Uprime(program, x, tols)), with
+    Pi_ker(A), Pi_H(x) and U formed once for both."""
+    parts = oracle._u_parts(program, x, tols)
+    return decompose_orthogonal(parts[2]), oracle._uprime(program, tols, *parts)
+
+
+def subspace_blocks(
+    program: SpanProgram, x, tols: Tolerances = DEFAULT_TOLS
+) -> tuple[Blocks, Blocks]:
+    """(Q_H, Q_perp) of x as blocks: both sides of spanprog's walk of H(x)."""
+    x = program.check_input(x)
+    return spanprog._walk(program, x, tols, 0), spanprog._walk(program, x, tols, 1)
+
+
+def a_x(f: InputFactors) -> np.ndarray:
+    """A(x) = A Q_H as a dense matrix, formed anew."""
+    return restrict(f.a, f.q_h)
+
+
+def minimal_negative_value(
+    program: SpanProgram, tols: Tolerances = DEFAULT_TOLS
+) -> tuple[np.ndarray, float]:
+    """Global minimal negative witness (omega0 A, N_-), N_- = min ||omega A||^2
+    over omega tau = 1, independent of any input: min_norm_functional on A's
+    Factorization.  oracle.minimal_negative_witness is its dense route."""
+    fact = program.factorization(tols)
+    nu, value = min_norm_functional(fact.col_basis, fact.sigma, program.tau, tols)
+    if nu is None:
+        raise StructuralError("tau = 0: no functional maps tau to 1")
+    return freeze(spanprog._tdot(program.a, nu)), value
+
+
+def ae_error_bound(p: float, grid_size: int) -> float:
+    """The additive estimation-error bound that holds with probability >= 8/pi^2:
+    2 pi sqrt(p(1-p))/M + pi^2/M^2."""
+    return 2.0 * math.pi * math.sqrt(p * (1.0 - p)) / grid_size + math.pi**2 / grid_size**2
+
+
+def unordered_pairs(n: int) -> list[tuple[int, int]]:
+    """The pairs (u, v), u < v, of n vertices in lexicographic order."""
+    return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
 def small_phase_weight(phases, weights, theta: float) -> float:

@@ -21,11 +21,12 @@ from spanforge.spanprog import (
     input_factors,
     or_span_program,
     rescale_target,
-    subspace_blocks,
     validate,
     witness_report,
 )
 from spanforge.spectral import measure_U, measure_Uprime, row_space_cross
+
+from oracles import subspace_blocks
 
 
 def same_bits(mine, theirs):

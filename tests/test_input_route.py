@@ -8,6 +8,7 @@ import inspect
 import math
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -46,17 +47,19 @@ from spanforge.spanprog import (
     or_span_program,
     positive_witness,
     restrict,
-    subspace_blocks,
     validate,
     witness_report,
 )
 from spanforge.spectral import RowSpaceCross, kappa_bound
 
 from oracles import (
+    a_x,
     oracle_min_error_negative,
     oracle_min_error_positive,
     oracle_negative_witness,
+    subspace_blocks,
 )
+from test_readme import python_block_under
 
 RTOL = 1e-10
 
@@ -180,7 +183,7 @@ def test_degenerate_programs_reach_their_cases():
     tall = programs["tall-a-x"]
     for x, positive in (((0, 0, 1), True), ((0, 0, 0), False)):
         factors = input_factors(tall, x)
-        assert factors.a_x.shape[1] < tall.dim_v
+        assert a_x(factors).shape[1] < tall.dim_v
         assert factors.positive == positive
         assert factors.col_basis.shape[1] + factors.complement.shape[1] == tall.dim_v
 
@@ -392,6 +395,90 @@ def test_no_estimator_module_names_scaled_factors(module):
     source = (Path(oracle.__file__).parent / f"{module}.py").read_text()
     assert scaled_factors_names(source) == []
     assert isinstance(oracle.ScaledFactors, type) and callable(oracle.scaled_factors)
+
+
+def read_names(tree: ast.AST) -> Counter:
+    """How often each name is read in tree, as a Name or an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def unreferenced(sources: dict[str, str], roots: set[str]) -> list[str]:
+    """module.name, or module.Class.name, of each public top-level function
+    or class and each public method in sources (module name to source) that
+    no source reads by name outside its own definition, and that is not in
+    roots.  An import is not a read."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = sum((read_names(tree) for tree in trees.values()), Counter())
+    found = []
+    for module, tree in trees.items():
+        for top in tree.body:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs = [(f"{module}.{top.name}", top)]
+            if isinstance(top, ast.ClassDef):
+                defs += [(f"{module}.{top.name}.{node.name}", node) for node in top.body
+                         if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+            found += [qualname for qualname, node in defs
+                      if not node.name.startswith("_") and node.name not in roots
+                      and reads[node.name] == read_names(node)[node.name]]
+    return found
+
+
+def spanforge_names(source: str) -> set[str]:
+    """What a script's source reads of spanforge: the names it imports from
+    spanforge or a spanforge module, and each attribute it reads of a
+    spanforge module that it imported."""
+    tree = ast.parse(source)
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "spanforge":
+            names |= {a.name for a in node.names}
+            modules |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname or a.name.split(".")[0] for a in node.names
+                        if a.name.split(".")[0] == "spanforge"}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            names.add(node.attr)
+    return names
+
+
+# the rounds' rank-sized reference: verify is to check the rounds against it
+# (ROADMAP item 7), and until then only the tests read it
+TEST_ONLY_ROOTS = {"scaled_factors", "ScaledFactors"}
+
+
+def test_the_reference_scan_sees_reads_and_leaves_out_a_definitions_own_body():
+    source = ("def f():\n    return g()\n\ndef g():\n    return g\n\ndef h():\n    return h()\n\n"
+              "class C:\n    def used(self):\n        pass\n\n    def unused(self):\n"
+              "        self.unused()\n\nC().used()\n")
+    assert unreferenced({"m": source}, set()) == ["m.f", "m.h", "m.C.unused"]
+    assert unreferenced({"m": source, "n": "from m import f, h\nh()\n"}, {"f"}) == ["m.C.unused"]
+    assert unreferenced({"m": "def _private():\n    pass\n"}, set()) == []
+    script = ("import numpy as np\nfrom spanforge import resistance as r, QueryLedger\n"
+              "import spanforge.cli\nr.lambda2(g)\nspanforge.cli.main\nnp.linalg.svd\n")
+    assert spanforge_names(script) == {"resistance", "QueryLedger", "lambda2", "cli"}
+
+
+def test_the_package_defines_only_what_its_commands_verify_and_api_read():
+    # what no package code reads by name is reached only from outside: the
+    # documented API (__all__ and README's library quickstart), the console
+    # script's cli.main, and what the benchmark reads; a helper that only
+    # the tests call belongs in tests/oracles.py
+    package = Path(spanforge.__file__).parent
+    repo = package.parent.parent
+    sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
+    quickstart = python_block_under("## Library quickstart")
+    bench = (repo / "bench" / "run.py").read_text()
+    roots = (set(spanforge.__all__) | {"main"} | spanforge_names(quickstart)
+             | spanforge_names(bench) | TEST_ONLY_ROOTS)
+    assert {"complete_graph", "lambda2", "estimate_resistance"} <= roots
+    assert unreferenced(sources, roots) == []
+    defined = {node.name for source in sources.values() for node in ast.parse(source).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert TEST_ONLY_ROOTS <= defined
 
 
 # each per-input quantity is one function of x's InputFactors, or of the

@@ -16,7 +16,6 @@ from spanforge.qsim import (
     AE_GRID_CAP,
     GridSizeError,
     QueryLedger,
-    ae_error_bound,
     ae_estimates,
     ae_outcome_distribution,
     amp_gap_grid_size,
@@ -28,6 +27,8 @@ from spanforge.qsim import (
     pe_grid_size,
     pe_queries,
 )
+
+from oracles import ae_error_bound
 
 
 def rotation(theta):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from spanforge.resistance import (
     lower_bound_family,
     ordered_pairs,
     parse_graph_file,
-    unordered_pairs,
     witness_equals_half_resistance,
 )
 from spanforge.spanprog import (
@@ -43,6 +43,8 @@ from spanforge.spanprog import (
     validate,
 )
 
+from exact import rational_resistance
+from oracles import unordered_pairs
 from graph_atlas import connected_graphs_upto
 
 
@@ -508,3 +510,36 @@ def test_connected_graph_atlas_counts():
         by_n[g.n] = by_n.get(g.n, 0) + 1
     # known counts of connected graphs up to isomorphism
     assert by_n == {2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+
+
+# worst errors over the 142 connected graphs on 2..6 vertices, in ulps of
+# the exact R_st, measured on numpy 2.4 with OpenBLAS: 10.6 for
+# exact_resistance (7/5, on 6 vertices and 11 edges) and 4.67 for
+# 2 w_+ (5/6, the 6-cycle); each bound leaves room for another LAPACK build
+EXACT_RESISTANCE_ULPS = 16.0
+WITNESS_RESISTANCE_ULPS = 8.0
+
+
+def ulps_from(value: float, exact: Fraction) -> float:
+    """|value - exact| in units in the last place of exact."""
+    return float(abs(Fraction(value) - exact) / Fraction(math.ulp(float(exact))))
+
+
+def test_the_rational_reference_reads_known_resistances():
+    for n in range(2, 7):
+        path = graph(n, [(v, v + 1) for v in range(n - 1)], s=0, t=n - 1)
+        assert rational_resistance(path) == n - 1
+        assert rational_resistance(complete_graph(n)) == Fraction(2, n)
+    with pytest.raises(ValueError):
+        rational_resistance(graph(4, [(0, 1), (2, 3)], s=0, t=1))
+
+
+def test_resistance_and_twice_the_witness_size_are_within_ulps_of_the_exact_value():
+    worst_exact = worst_witness = 0.0
+    for g in connected_graphs_upto(6):
+        exact = rational_resistance(g)
+        worst_exact = max(worst_exact, ulps_from(exact_resistance(g), exact))
+        f = input_factors(build_st_span_program(g.n, g.s, g.t), graph_input(g))
+        worst_witness = max(worst_witness, ulps_from(2.0 * positive_witness(f)[1], exact))
+    assert worst_exact <= EXACT_RESISTANCE_ULPS
+    assert worst_witness <= WITNESS_RESISTANCE_ULPS

@@ -47,7 +47,6 @@ from spanforge.spanprog import (
     minimal_witness,
     normalize,
     or_span_program,
-    subspace_blocks,
     witness_report,
 )
 from spanforge.spectral import (
@@ -58,6 +57,7 @@ from spanforge.spectral import (
     scaled_measure_Uprime,
 )
 
+from oracles import subspace_blocks
 from test_input_route import degenerate_programs
 
 BETAS = (1e-3, 0.37, 1.0, 4.0, 1e3, 1e6)

@@ -18,7 +18,6 @@ from spanforge.spanprog import (
     SpanProgram,
     StructuralError,
     input_factors,
-    minimal_negative_value,
     minimal_witness,
     min_error_negative,
     min_error_positive,
@@ -27,16 +26,17 @@ from spanforge.spanprog import (
     or_span_program,
     positive_witness,
     rescale_target,
-    subspace_blocks,
     validate,
     witness_report,
 )
 
 from oracles import (
     kkt_equality_ls,
+    minimal_negative_value,
     oracle_min_error_negative,
     oracle_min_error_positive,
     oracle_negative_witness,
+    subspace_blocks,
 )
 from test_closed_form import assert_same_span
 from test_input_route import degenerate_programs
@@ -68,7 +68,8 @@ def test_validate_reports_non_spanning_subspaces():
     )
     report = validate(program)
     assert not report.ok
-    assert any("span" in f for f in report.failures())
+    failures = [f"{name}: {detail}" for name, passed, detail in report.checks if not passed]
+    assert any("span" in f for f in failures)
 
 
 def test_wrong_a_shape_is_structural_error():
