@@ -137,7 +137,7 @@ def min_norm_functional(
         return None, math.inf
     g = col_basis.T @ c
     kernel_part = c - col_basis @ g
-    if np.linalg.norm(kernel_part) > tols.membership_rtol * np.linalg.norm(c):
+    if math.sqrt(kernel_part @ kernel_part) > tols.membership_rtol * math.sqrt(c @ c):
         return kernel_part / float(kernel_part @ c), 0.0
     coef = g / sigma
     denom = float(coef @ coef)

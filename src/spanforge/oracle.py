@@ -18,6 +18,7 @@ is refused with OracleSizeError before anything is allocated.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -128,17 +129,21 @@ class PhaseCluster:
 class UnitaryDecomposition:
     """A real orthogonal matrix with its full phase decomposition.
 
-    clusters are sorted by unsigned phase; a cluster at theta in (0, pi)
-    represents the conjugate pair e^{+/- i theta} and has even dimension.
+    basis holds the clusters' orthonormal columns side by side, in phase
+    order, and each cluster's basis is its slice of them.  clusters are
+    sorted by unsigned phase; a cluster at theta in (0, pi) represents the
+    conjugate pair e^{+/- i theta} and has even dimension.
     """
 
     matrix: np.ndarray
+    basis: np.ndarray
     clusters: tuple[PhaseCluster, ...]
 
     def overlaps(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(phases, weights): each cluster's phase, ascending, and state's weight on it."""
-        weights = [float(np.sum(np.square(cl.basis.T @ state))) for cl in self.clusters]
-        return np.array([cl.theta for cl in self.clusters]), np.array(weights)
+        starts = list(itertools.accumulate([cl.dim for cl in self.clusters[:-1]], initial=0))
+        weights = np.add.reduceat(np.square(self.basis.T @ state), starts)
+        return np.array([cl.theta for cl in self.clusters]), weights
 
     def measure(self, state: np.ndarray) -> SpectralMeasure:
         """Spectral measure of a unit state: its overlaps with the clusters."""
@@ -151,8 +156,14 @@ class UnitaryDecomposition:
 
 
 def decompose_orthogonal(u_mat: np.ndarray) -> UnitaryDecomposition:
-    """Full phase decomposition of a real orthogonal matrix from one complex
-    eigendecomposition.
+    """Full phase decomposition of one real orthogonal matrix:
+    decompose_orthogonals of the stack of it alone."""
+    return decompose_orthogonals(np.asarray(u_mat, dtype=float)[None])[0]
+
+
+def decompose_orthogonals(stack: np.ndarray) -> list[UnitaryDecomposition]:
+    """Full phase decompositions of a (K, d, d) stack of real orthogonal
+    matrices, from one complex eigendecomposition of each.
 
     An eigenvalue e^{i theta} with theta in (0, pi) gives its unsigned phase,
     read by atan2 so that it is accurate near 0 and pi, and its eigenvector
@@ -165,14 +176,26 @@ def decompose_orthogonal(u_mat: np.ndarray) -> UnitaryDecomposition:
     rotation cluster spans one invariant plane, whose complex eigenvector
     is (q_1 -/+ i q_2)/sqrt(2).  Phases are snapped to 0 or pi within
     PHASE_ROUND_TOL and grouped within PHASE_CLUSTER_TOL of a group's
-    smallest phase."""
-    u_mat = np.asarray(u_mat, dtype=float)
-    dim = u_mat.shape[0]
-    ortho_defect = np.max(np.abs(u_mat.T @ u_mat - np.eye(dim)))
-    if ortho_defect > 1e-8:
-        raise ValueError(f"matrix is not orthogonal (defect {ortho_defect:.2e})")
+    smallest phase.
 
-    vals, vecs = np.linalg.eig(u_mat)
+    The orthogonality check, eig, the phase order and QR each run once on
+    the whole stack; numpy applies LAPACK to each matrix in turn, so each
+    decomposition is bit-identical to that of the matrix alone.  Only the
+    grouping into clusters runs matrix by matrix.  A member whose
+    orthogonality defect is above 1e-8 is refused with ValueError."""
+    stack = freeze(stack)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"expected a (K, d, d) stack, got shape {stack.shape}")
+    count, dim = stack.shape[:2]
+    if count == 0:
+        return []
+    defects = np.abs(np.swapaxes(stack, 1, 2) @ stack - np.eye(dim)).max(axis=(1, 2))
+    if defects.max() > 1e-8:
+        worst = int(defects.argmax())
+        raise ValueError(f"matrix {worst} of the stack is not orthogonal "
+                         f"(defect {defects[worst]:.2e})")
+
+    vals, vecs = np.linalg.eig(stack)
     thetas = np.arctan2(np.abs(np.imag(vals)), np.real(vals))
     thetas[thetas <= PHASE_ROUND_TOL] = 0.0
     thetas[math.pi - thetas <= PHASE_ROUND_TOL] = math.pi
@@ -180,37 +203,39 @@ def decompose_orthogonal(u_mat: np.ndarray) -> UnitaryDecomposition:
     # pair as adjacent exact conjugates, the one with positive imaginary part
     # first: Re v of the first and Im v of the second span the pair's plane.
     # A stable sort on the phase, equal for both, keeps them adjacent.
-    order = np.argsort(thetas, kind="stable")
-    columns = np.where(np.imag(vals) >= 0.0, np.real(vecs), np.imag(vecs))
-    q_mat = np.linalg.qr(columns[:, order])[0]
+    order = np.argsort(thetas, axis=1, kind="stable")
+    columns = np.where(np.imag(vals)[:, None, :] >= 0.0, np.real(vecs), np.imag(vecs))
+    q_mats = np.linalg.qr(np.take_along_axis(columns, order[:, None, :], axis=2))[0]
+    q_mats.setflags(write=False)
 
-    groups: list[tuple[float, int]] = []  # (phase, first column) of each cluster
-    for column, theta in enumerate(thetas[order].tolist()):
-        if not groups or theta - groups[-1][0] > PHASE_CLUSTER_TOL:
-            groups.append((theta, column))
-    ends = [first for _, first in groups[1:]] + [dim]
-    clusters = tuple(
-        PhaseCluster(theta=theta, basis=freeze(q_mat[:, first:end]))
-        for (theta, first), end in zip(groups, ends)
-    )
-    return UnitaryDecomposition(matrix=freeze(u_mat), clusters=clusters)
+    out = []
+    for u_mat, q_mat, phases in zip(stack, q_mats,
+                                    np.take_along_axis(thetas, order, axis=1).tolist()):
+        groups: list[tuple[float, int]] = []  # (phase, first column) of each cluster
+        for column, theta in enumerate(phases):
+            if not groups or theta - groups[-1][0] > PHASE_CLUSTER_TOL:
+                groups.append((theta, column))
+        ends = [first for _, first in groups[1:]] + [dim]
+        clusters = tuple(PhaseCluster(theta=theta, basis=q_mat[:, first:end])
+                         for (theta, first), end in zip(groups, ends))
+        out.append(UnitaryDecomposition(matrix=u_mat, basis=q_mat, clusters=clusters))
+    return out
+
+
+def _reflection_product(pi_a: np.ndarray, pi_b: np.ndarray) -> np.ndarray:
+    """(2 Pi_A - I)(2 Pi_B - I), of one Pi_B or of each of a stack."""
+    eye = np.eye(pi_a.shape[-1])
+    return (2.0 * pi_a - eye) @ (2.0 * pi_b - eye)
 
 
 def _u_parts(
-    program: SpanProgram,
-    x: Sequence[int],
-    tols: Tolerances,
-    pi_ker: Optional[np.ndarray] = None,
-    pi_hx: Optional[np.ndarray] = None,
+    program: SpanProgram, x: Sequence[int], tols: Tolerances
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pi_ker(A), Pi_H(x) and U = (2 Pi_ker(A) - I)(2 Pi_H(x) - I), which
-    build_U decomposes and _uprime checks its factorization against.
-    pi_ker, kernel_projector(program, tols), and pi_hx,
-    subspace_projector(program, x, tols), are formed unless given."""
-    pi_ker = kernel_projector(program, tols) if pi_ker is None else pi_ker
-    pi_hx = subspace_projector(program, x, tols) if pi_hx is None else pi_hx
-    eye = np.eye(program.dim_h)
-    return pi_ker, pi_hx, (2.0 * pi_ker - eye) @ (2.0 * pi_hx - eye)
+    build_U decomposes and _uprime checks its factorization against."""
+    pi_ker = kernel_projector(program, tols)
+    pi_hx = subspace_projector(program, x, tols)
+    return pi_ker, pi_hx, _reflection_product(pi_ker, pi_hx)
 
 
 def build_U(
@@ -228,21 +253,25 @@ def build_Uprime(
     Also verifies the factorization U' = U^T (I - 2 w0 w0^T / ||w0||^2) against
     a direct matrix product before returning.
     """
-    return _uprime(program, tols, *_u_parts(program, x, tols))
+    pi_ker, pi_hx, u = _u_parts(program, x, tols)
+    return _uprime(program, tols, pi_ker, pi_hx[None], u[None])[0]
 
 
 def _uprime(
     program: SpanProgram, tols: Tolerances, pi_ker: np.ndarray, pi_hx: np.ndarray, u: np.ndarray
-) -> UnitaryDecomposition:
-    """build_Uprime's decomposition from _u_parts' three matrices."""
+) -> list[UnitaryDecomposition]:
+    """build_Uprime's decompositions for a (K, d, d) stack of Pi_H(x) and
+    of the U that _u_parts forms from each, all from one
+    decompose_orthogonals call."""
     mw = minimal_witness(program, tols)
     w0_hat = np.asarray(mw.w0) / math.sqrt(mw.n_plus)
-    eye = np.eye(program.dim_h)
-    u_prime = (2.0 * pi_hx - eye) @ (2.0 * (pi_ker + np.outer(w0_hat, w0_hat)) - eye)
-    defect = np.max(np.abs(u_prime - u.T @ (eye - 2.0 * np.outer(w0_hat, w0_hat))))
+    outer = np.outer(w0_hat, w0_hat)
+    u_prime = _reflection_product(pi_hx, pi_ker + outer)
+    defect = np.max(np.abs(u_prime - np.swapaxes(u, 1, 2) @ (np.eye(program.dim_h) - 2.0 * outer)),
+                    initial=0.0)
     if defect > 1e-10:
         raise RuntimeError(f"U' factorization identity violated (defect {defect:.2e})")
-    return decompose_orthogonal(u_prime)
+    return decompose_orthogonals(u_prime)
 
 
 def is_orthogonal_projector(mat: np.ndarray) -> bool:

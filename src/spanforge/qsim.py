@@ -66,10 +66,12 @@ class QueryLedger:
         self.total += int(queries)
 
 
-def fejer_kernel(delta, grid_size: int):
+def fejer_kernel(delta, grid_size):
     """Probability that M-point phase estimation of an eigenphase offset by
     delta from a grid point reports that grid point:
     |1/M sum_l e^{i l delta}|^2 = (sin(M delta/2) / (M sin(delta/2)))^2.
+    An array of grid sizes broadcasts against delta: a column of them
+    gives one row per grid size.
 
     It is read at h = delta/2 wrapped into [-pi/2, pi/2), which is 0 or at
     least 1e-16 in magnitude; _TINY added to h changes the latter not at

@@ -983,7 +983,7 @@ def _in_col(col_basis: np.ndarray, tau: np.ndarray, tols: Tolerances) -> bool:
     """Whether tau lies in col M, for an orthonormal basis U_r (col_basis) of
     it: ||tau - U_r U_r^T tau|| <= membership_rtol ||tau||, scale-invariant."""
     off = tau - col_basis @ (col_basis.T @ tau)
-    return bool(np.linalg.norm(off) <= tols.membership_rtol * np.linalg.norm(tau))
+    return math.sqrt(off @ off) <= tols.membership_rtol * math.sqrt(tau @ tau)
 
 
 def _min_norm_solve(

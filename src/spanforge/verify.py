@@ -15,7 +15,7 @@ The trials of duality, spectral, scaling and kappa run in a pool of forked
 processes, handed out one at a time: min(usable CPUs, trials // floor) of
 them, the usable CPUs read from os.sched_getaffinity.  The floor (each
 entry's worker floor) is 32 duality, 8 spectral, 16 scaling or 512 kappa
-trials, 160 to 560 ms of work against the 30 ms a worker costs to fork and
+trials, 70 to 560 ms of work against the 30 ms a worker costs to fork and
 join and each trial's handoff, which a 1 ms kappa trial feels.  On 2 cores
 each suite at twice its floor took 0.43 to 0.91 of its in-process time over
 seeds 0 to 2.  Everything else runs in-process:
@@ -59,16 +59,20 @@ from .generators import (
 )
 from .resistance import _spectral_oracle, build_st_span_program, graph_input
 from .resistance import witness_equals_half_resistance
-from .oracle import _u_parts, _uprime, blocks_projector, decompose_orthogonal, discriminant
+from .oracle import _reflection_product, _uprime, blocks_projector, decompose_orthogonal
+from .oracle import decompose_orthogonals, discriminant
 from .oracle import flow_resistance_bruteforce, intersection_dims, kernel_projector, scale
 from .oracle import minimal_negative_witness, verify_reflection_factorization
-from .qsim import outcome_zero_probability
+from .qsim import fejer_kernel
 from .spanprog import input_factors, minimal_witness, normalize
 from .spanprog import witness_report
 from .spectral import kappa_bound, measure_U, measure_Uprime, row_space_cross
 
 THETA_GRID = [0.05 * k for k in range(1, 31)]
+_GRID = np.array([0.0] + THETA_GRID)  # the fixed space, then the Theta grid
+_QUARTER_THETA_SQ = _GRID[1:] ** 2 / 4.0
 PE_GRIDS = (2, 16, 256)  # phase-estimation grid sizes the estimator path is compared on
+_PE_COLUMN = np.array(PE_GRIDS)[:, None]
 
 
 @dataclass(frozen=True)
@@ -240,27 +244,30 @@ def _spectral_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
     program = normalize(random_span_program(rng), tols)
     w0 = np.asarray(minimal_witness(program, tols).w0)
     pi_ker = kernel_projector(program, tols)  # one per program, not per input
-    grid = [0.0] + THETA_GRID  # the fixed space, then the Theta grid
-    for x in all_inputs(program):
-        # one factoring of A(x) serves the witness report, the measures and the bound
-        f = input_factors(program, x, tols)
+    # one factoring of A(x) per input serves the witness report, the
+    # measures, the bound and Pi_H(x); U and U' of all inputs are
+    # decomposed by one stacked call each
+    factors = [input_factors(program, x, tols) for x in all_inputs(program)]
+    pi_hx = np.stack([blocks_projector(program, f.q_h) for f in factors])
+    u = _reflection_product(pi_ker, pi_hx)
+    decs, decps = decompose_orthogonals(u), _uprime(program, tols, pi_ker, pi_hx, u)
+    for f, dec, decp in zip(factors, decs, decps):
         rep = witness_report(f)
         cross = row_space_cross(f)
-        parts = _u_parts(program, x, tols, pi_ker, blocks_projector(program, f.q_h))
-        dec, decp = decompose_orthogonal(parts[2]), _uprime(program, tols, *parts)
         measure, measurep = dec.measure(w0), decp.measure(w0)
         worst_measure_u = max(worst_measure_u, _measure_gap(measure_U(cross), measure))
         if f.positive:
             worst_measure_up = max(worst_measure_up, _measure_gap(measure_Uprime(cross), measurep))
         inv_wm = 0.0 if math.isinf(rep.w_minus) else 1.0 / rep.w_minus
         inv_wp = 0.0 if math.isinf(rep.w_plus) else 1.0 / rep.w_plus
-        p0, *small = _small_phase_weights(measure.phases, measure.weights, grid)
-        p0p, *smallp = _small_phase_weights(measurep.phases, measurep.weights, grid)
-        worst_p0_neg = max(worst_p0_neg, abs(p0 - inv_wm))
-        worst_p0_pos = max(worst_p0_pos, abs(p0p - inv_wp))
-        for theta, lhs, lhsp in zip(THETA_GRID, small, smallp):
-            worst_th_neg = max(worst_th_neg, lhs - (theta**2 / 4.0 * rep.w_tilde_plus + inv_wm))
-            worst_th_pos = max(worst_th_pos, lhsp - (theta**2 / 4.0 * rep.w_tilde_minus + inv_wp))
+        small = _small_phase_weights(measure.phases, measure.weights, _GRID)
+        smallp = _small_phase_weights(measurep.phases, measurep.weights, _GRID)
+        worst_p0_neg = max(worst_p0_neg, abs(float(small[0]) - inv_wm))
+        worst_p0_pos = max(worst_p0_pos, abs(float(smallp[0]) - inv_wp))
+        worst_th_neg = max(worst_th_neg, float(np.max(
+            small[1:] - (_QUARTER_THETA_SQ * rep.w_tilde_plus + inv_wm))))
+        worst_th_pos = max(worst_th_pos, float(np.max(
+            smallp[1:] - (_QUARTER_THETA_SQ * rep.w_tilde_minus + inv_wp))))
         try:
             bound = kappa_bound(f)
         except ValueError:  # A(x) = 0
@@ -271,31 +278,38 @@ def _spectral_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
     # raw overlap lemma on a random reflection pair from the same stream
     dim = int(rng.integers(3, 9))
     pi_a, pi_b = random_projector_pair(rng, dim)
-    u_dec = decompose_orthogonal((2.0 * pi_a - np.eye(dim)) @ (2.0 * pi_b - np.eye(dim)))
+    u_dec = decompose_orthogonal(_reflection_product(pi_a, pi_b))
     vec = rng.standard_normal(dim)
     vec -= pi_a @ vec  # now Pi_A vec = 0
-    if np.linalg.norm(vec) > 1e-9:
-        weights = _small_phase_weights(*u_dec.overlaps(pi_b @ vec), THETA_GRID)
-        for theta, weight in zip(THETA_GRID, weights):
-            lhs = math.sqrt(weight)  # ||Pi_Theta Pi_B vec||
-            worst_raw = max(worst_raw, lhs - theta / 2.0 * float(np.linalg.norm(vec)))
+    norm = float(np.linalg.norm(vec))
+    if norm > 1e-9:
+        weights = _small_phase_weights(*u_dec.overlaps(pi_b @ vec), _GRID[1:])
+        # ||Pi_Theta Pi_B vec|| against Theta/2 ||vec||
+        worst_raw = float(np.max(np.sqrt(weights) - _GRID[1:] / 2.0 * norm))
     return (worst_p0_neg, worst_p0_pos, worst_th_neg, worst_th_pos, worst_raw,
             worst_measure_u, worst_measure_up, worst_gap_u, worst_gap_up)
 
 
-def _small_phase_weights(phases: np.ndarray, weights: np.ndarray, thetas) -> list[float]:
+def _small_phase_weights(phases: np.ndarray, weights: np.ndarray, thetas) -> np.ndarray:
     """||Pi_theta v||^2 at each theta: v's weights on the clusters at the
     ascending phases at or below theta, summed in phase order."""
     summed = np.cumsum(np.concatenate(([0.0], weights)))
-    return summed[np.searchsorted(phases, thetas, side="right")].tolist()
+    return summed[np.searchsorted(phases, thetas, side="right")]
+
+
+def _outcome_zero_probabilities(measure) -> list[float]:
+    """qsim.outcome_zero_probability of measure at each of PE_GRIDS, from
+    one Fejer kernel with the grid sizes as a column.  Each row is summed
+    by its own dot and clipped to [0, 1], as outcome_zero_probability does
+    it, so the values are bit-identical to its."""
+    kernel = fejer_kernel(measure.phases, _PE_COLUMN)
+    return [min(1.0, max(0.0, float(measure.weights @ row))) for row in kernel]
 
 
 def _measure_gap(measure, oracle) -> float:
     """Largest outcome-zero probability difference of two measures over PE_GRIDS."""
-    return max(
-        abs(outcome_zero_probability(measure, m) - outcome_zero_probability(oracle, m))
-        for m in PE_GRIDS
-    )
+    return max(abs(p - q) for p, q in zip(_outcome_zero_probabilities(measure),
+                                          _outcome_zero_probabilities(oracle)))
 
 
 def _scaling_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
@@ -358,8 +372,7 @@ def _szegedy_trial(seed: int, trial: int, dims: int, tols: Tolerances) -> tuple:
         shared=int(rng.integers(1, 3)) if forced else 0,
         a_only=int(rng.integers(0, 2)) if forced else 0,
     )
-    u_mat = (2.0 * pi_a - np.eye(dim)) @ (2.0 * pi_b - np.eye(dim))
-    dec = decompose_orthogonal(u_mat)
+    dec = decompose_orthogonal(_reflection_product(pi_a, pi_b))
     report = discriminant(pi_a, pi_b, tols)
 
     expected = report.expected_rotation_phases()
@@ -472,7 +485,7 @@ class _TrialSuite:
 # Each trial is called through a lambda, so a trial function patched on this
 # module is the one that runs.  The floors: forking a worker and joining it
 # costs about 30 ms, and on one core of a 2-core machine a duality trial takes
-# 5 to 6 ms, a spectral trial 14 to 21 ms, a scaling trial 16 to 17 ms and a
+# 5 to 6 ms, a spectral trial 9 to 10 ms, a scaling trial 16 to 17 ms and a
 # kappa trial 0.6 to 1.1 ms (the mean of trials 0-63 at seeds 0-2).  szegedy
 # runs in-process (see the module docstring).
 _TRIAL_SUITES = {

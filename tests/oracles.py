@@ -8,17 +8,17 @@ form instead of a complex eigendecomposition), so agreement is meaningful.
 
 The helpers after them compute, from the package's objects, what only the
 tests read: the signed phases, complex eigenpairs and small-phase
-projectors of a UnitaryDecomposition, U and U' from one set of projectors,
-both sides of H(x) as blocks, dense A(x), the global N_- on A's cut
-factors, the amplitude-estimation error bound and the unordered vertex
-pairs.
+projectors of a UnitaryDecomposition, both sides of H(x) as blocks, dense
+A(x), the global N_- on A's cut factors, the amplitude-estimation error
+bound and the unordered vertex pairs.
 
 per_call_spectral_trial and per_call_kappa_trial are verify's spectral and
 kappa trials as they read an input before each trial read it once: every
 quantity from its own public call, which factors A(x) anew and builds U and
-U' anew, and each overlap with the eigenspaces at or below theta summed
-cluster by cluster for that theta alone.  The trials must match them bit for
-bit.
+U' anew, each overlap with the eigenspaces at or below theta summed
+cluster by cluster for that theta alone, and each outcome-zero probability
+from its own outcome_zero_probability call.  The trials must match them bit
+for bit.
 """
 
 from __future__ import annotations
@@ -36,12 +36,13 @@ from spanforge.generators import random_span_program
 from spanforge.oracle import PHASE_CLUSTER_TOL, PhaseCluster, UnitaryDecomposition, build_U
 from spanforge.oracle import build_Uprime, decompose_orthogonal, flow_resistance_bruteforce
 from spanforge.oracle import subspace_projector
+from spanforge.qsim import outcome_zero_probability
 from spanforge.resistance import build_st_span_program, exact_resistance, graph_input, lambda2
 from spanforge.resistance import witness_equals_half_resistance
 from spanforge.spanprog import Blocks, InputFactors, SpanProgram, StructuralError, input_factors
 from spanforge.spanprog import minimal_witness, normalize, restrict, witness_report
 from spanforge.spectral import kappa_bound, measure_U, measure_Uprime, row_space_cross
-from spanforge.verify import THETA_GRID, _measure_gap, _rng
+from spanforge.verify import PE_GRIDS, THETA_GRID, _rng
 
 
 def kkt_equality_ls(c_mat: np.ndarray, d: np.ndarray, e_mat: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -210,15 +211,6 @@ def minus_one_projector(dec: UnitaryDecomposition) -> np.ndarray:
     return np.zeros((dim, dim))
 
 
-def build_U_and_Uprime(
-    program: SpanProgram, x, tols: Tolerances = DEFAULT_TOLS
-) -> tuple[UnitaryDecomposition, UnitaryDecomposition]:
-    """(build_U(program, x, tols), build_Uprime(program, x, tols)), with
-    Pi_ker(A), Pi_H(x) and U formed once for both."""
-    parts = oracle._u_parts(program, x, tols)
-    return decompose_orthogonal(parts[2]), oracle._uprime(program, tols, *parts)
-
-
 def subspace_blocks(
     program: SpanProgram, x, tols: Tolerances = DEFAULT_TOLS
 ) -> tuple[Blocks, Blocks]:
@@ -261,6 +253,13 @@ def small_phase_weight(phases, weights, theta: float) -> float:
     return sum(float(w) for phase, w in zip(phases, weights) if phase <= theta)
 
 
+def measure_gap(measure, oracle) -> float:
+    """Largest outcome-zero probability difference of two measures over
+    PE_GRIDS, one outcome_zero_probability call per measure and grid."""
+    return max(abs(outcome_zero_probability(measure, m) - outcome_zero_probability(oracle, m))
+               for m in PE_GRIDS)
+
+
 def per_call_spectral_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
     """verify._spectral_trial, each quantity from its own public call."""
     worst_p0_neg = worst_p0_pos = 0.0
@@ -275,10 +274,10 @@ def per_call_spectral_trial(seed: int, trial: int, tols: Tolerances) -> tuple:
         dec = build_U(program, x, tols)
         decp = build_Uprime(program, x, tols)
         fast_u = measure_U(row_space_cross(input_factors(program, x, tols)))
-        worst_measure_u = max(worst_measure_u, _measure_gap(fast_u, dec.measure(w0)))
+        worst_measure_u = max(worst_measure_u, measure_gap(fast_u, dec.measure(w0)))
         if math.isfinite(rep.w_plus):
             fast_up = measure_Uprime(row_space_cross(input_factors(program, x, tols)))
-            worst_measure_up = max(worst_measure_up, _measure_gap(fast_up, decp.measure(w0)))
+            worst_measure_up = max(worst_measure_up, measure_gap(fast_up, decp.measure(w0)))
         inv_wm = 0.0 if math.isinf(rep.w_minus) else 1.0 / rep.w_minus
         inv_wp = 0.0 if math.isinf(rep.w_plus) else 1.0 / rep.w_plus
         on_u, on_up = dec.overlaps(w0), decp.overlaps(w0)

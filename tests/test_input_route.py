@@ -403,26 +403,70 @@ def read_names(tree: ast.AST) -> Counter:
                    for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
 
 
+def definitions(trees: dict[str, ast.Module]) -> dict[str, ast.AST]:
+    """module.name of each top-level function or class of trees (module
+    name to tree), and module.Class.name of each function or class in a
+    class body, in source order."""
+    found = {}
+    for module, tree in trees.items():
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                found[f"{module}.{top.name}"] = top
+                if isinstance(top, ast.ClassDef):
+                    found |= {f"{module}.{top.name}.{node.name}": node for node in top.body
+                              if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    return found
+
+
+def reached(sources: dict[str, str], roots: set[str]) -> set[str]:
+    """The definitions (as definitions names them) that a walk from roots
+    reaches in sources (module name to source).  The walk first reads each
+    module's top-level statements other than definitions, and the
+    definitions named in roots; then, in turn, each definition named by
+    what it has read.  It reads a function whole; a class without the
+    bodies of its methods, which are reached by name, except its dunder
+    methods, which are reached with it.  Names match bare, so a read of any
+    object's attribute of that name reaches a method.  An import is not a
+    read."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defs = definitions(trees)
+    by_name = {}
+    for qualname in defs:
+        by_name.setdefault(qualname.rsplit(".", 1)[1], []).append(qualname)
+    todo = [top for tree in trees.values() for top in tree.body
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef))]
+    seen = set()
+
+    def reach(qualnames):
+        fresh = [q for q in qualnames if q not in seen]
+        seen.update(fresh)
+        todo.extend(defs[q] for q in fresh)
+        for q in fresh:
+            if isinstance(defs[q], ast.ClassDef):
+                reach([f"{q}.{node.name}" for node in defs[q].body
+                       if isinstance(node, ast.FunctionDef) and node.name.startswith("__")
+                       and node.name.endswith("__")])
+
+    reach([q for name in roots for q in by_name.get(name, [])])
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.ClassDef):
+            parts = [*node.decorator_list, *node.bases, *node.keywords]
+            parts += [stmt for stmt in node.body
+                      if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef))]
+        else:
+            parts = [node]
+        reach([q for part in parts for name in read_names(part) for q in by_name.get(name, [])])
+    return seen
+
+
 def unreferenced(sources: dict[str, str], roots: set[str]) -> list[str]:
     """module.name, or module.Class.name, of each public top-level function
     or class and each public method in sources (module name to source) that
-    no source reads by name outside its own definition, and that is not in
-    roots.  An import is not a read."""
-    trees = {module: ast.parse(source) for module, source in sources.items()}
-    reads = sum((read_names(tree) for tree in trees.values()), Counter())
-    found = []
-    for module, tree in trees.items():
-        for top in tree.body:
-            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            defs = [(f"{module}.{top.name}", top)]
-            if isinstance(top, ast.ClassDef):
-                defs += [(f"{module}.{top.name}.{node.name}", node) for node in top.body
-                         if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-            found += [qualname for qualname, node in defs
-                      if not node.name.startswith("_") and node.name not in roots
-                      and reads[node.name] == read_names(node)[node.name]]
-    return found
+    the walk from roots does not reach (reached), in source order."""
+    defs = definitions({module: ast.parse(source) for module, source in sources.items()})
+    seen = reached(sources, roots)
+    return [q for q in defs if q not in seen and not q.rsplit(".", 1)[1].startswith("_")]
 
 
 def spanforge_names(source: str) -> set[str]:
@@ -454,7 +498,18 @@ def test_the_reference_scan_sees_reads_and_leaves_out_a_definitions_own_body():
     source = ("def f():\n    return g()\n\ndef g():\n    return g\n\ndef h():\n    return h()\n\n"
               "class C:\n    def used(self):\n        pass\n\n    def unused(self):\n"
               "        self.unused()\n\nC().used()\n")
-    assert unreferenced({"m": source}, set()) == ["m.f", "m.h", "m.C.unused"]
+    assert unreferenced({"m": source}, set()) == ["m.f", "m.g", "m.h", "m.C.unused"]
+    # a dead f that only a dead g reads is dead too, and so is a private one's
+    dead_pair = "def f():\n    pass\n\ndef g():\n    return f()\n"
+    assert unreferenced({"m": dead_pair}, set()) == ["m.f", "m.g"]
+    assert unreferenced({"m": dead_pair}, {"g"}) == []
+    private_reader = "def f():\n    pass\n\ndef _g():\n    return f()\n"
+    assert unreferenced({"m": private_reader}, set()) == ["m.f"]
+    # a class reads its fields and its dunder methods, but a method only by name
+    cls = ("class C:\n    x: int = f()\n\n    def __post_init__(self):\n        g()\n\n"
+           "    def m(self):\n        h()\n\ndef f():\n    pass\n\ndef g():\n    pass\n\n"
+           "def h():\n    pass\n")
+    assert unreferenced({"m": cls}, {"C"}) == ["m.C.m", "m.h"]
     assert unreferenced({"m": source, "n": "from m import f, h\nh()\n"}, {"f"}) == ["m.C.unused"]
     assert unreferenced({"m": "def _private():\n    pass\n"}, set()) == []
     script = ("import numpy as np\nfrom spanforge import resistance as r, QueryLedger\n"
@@ -476,6 +531,10 @@ def test_the_package_defines_only_what_its_commands_verify_and_api_read():
              | spanforge_names(bench) | TEST_ONLY_ROOTS)
     assert {"complete_graph", "lambda2", "estimate_resistance"} <= roots
     assert unreferenced(sources, roots) == []
+    # from the console script, the stacked decomposition is reached through verify
+    assert "oracle.decompose_orthogonals" in reached(sources, {"main"})
+    without_verify = {module: source for module, source in sources.items() if module != "verify"}
+    assert "oracle.decompose_orthogonals" not in reached(without_verify, {"main"})
     defined = {node.name for source in sources.values() for node in ast.parse(source).body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert TEST_ONLY_ROOTS <= defined

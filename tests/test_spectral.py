@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    build_U_and_Uprime,
     cluster_projector,
     complex_eigenpairs,
     fixed_projector,
@@ -33,6 +32,7 @@ from spanforge.oracle import (
     build_U,
     build_Uprime,
     decompose_orthogonal,
+    decompose_orthogonals,
     discriminant,
     intersection_dims,
     kernel_projector,
@@ -227,8 +227,8 @@ def test_uprime_factorization_identity_random():
             up = np.asarray(build_Uprime(program, x).matrix)
             alt = u.T @ (np.eye(program.dim_h) - 2.0 * np.outer(w0, w0))
             np.testing.assert_allclose(up, alt, atol=1e-10)
-            # the pair from one set of projectors is the two built apart, bit for bit
-            pair = build_U_and_Uprime(program, x)
+            # the pair decomposed by one stacked call is the two built apart, bit for bit
+            pair = decompose_orthogonals(np.stack([u, up]))
             for mine, apart in zip(pair, (build_U(program, x), build_Uprime(program, x))):
                 assert mine.matrix.tobytes() == apart.matrix.tobytes()
                 assert [cl.theta for cl in mine.clusters] == [cl.theta for cl in apart.clusters]

@@ -5,7 +5,8 @@ run_suite, workers inherit the caller's monkeypatches, a daemonic caller runs
 in-process, a suite gets workers only where each has enough trials, and
 the CLI names the workers it used.  The spectral and kappa trials, which
 factor each input once and decompose each unitary once, match the per-call
-route of tests/oracles.py bit for bit."""
+route of tests/oracles.py bit for bit, and a stacked decomposition, which
+the spectral trial makes, is each matrix's decomposition alone."""
 
 import dataclasses
 import functools
@@ -14,6 +15,7 @@ import multiprocessing
 import os
 import signal
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -23,7 +25,7 @@ from spanforge import oracle, spanprog, verify
 from spanforge._linalg import DEFAULT_TOLS
 from spanforge.cli import main
 from spanforge.generators import all_inputs, random_span_program
-from spanforge.oracle import decompose_orthogonal
+from spanforge.oracle import decompose_orthogonal, decompose_orthogonals
 
 
 def fields(checks):
@@ -187,28 +189,83 @@ def test_per_call_pairs_hold_an_81_input_program_and_an_input_with_a_x_zero():
                for p in programs for x in all_inputs(p))
 
 
+def same_decomposition(mine, alone) -> bool:
+    """Whether two decompositions agree bit for bit: matrix bytes, phases
+    and each cluster's basis."""
+    return (mine.matrix.tobytes() == alone.matrix.tobytes()
+            and [cl.theta for cl in mine.clusters] == [cl.theta for cl in alone.clusters]
+            and all(a.basis.shape == b.basis.shape and a.basis.tobytes() == b.basis.tobytes()
+                    for a, b in zip(mine.clusters, alone.clusters)))
+
+
+@pytest.mark.parametrize("seed, trial", PER_CALL_PAIRS)
+def test_a_stacked_decomposition_is_each_matrix_decomposed_alone(seed, trial):
+    # the U(x) and U'(x) of every input of a spectral trial's program
+    program = spanprog.normalize(random_span_program(verify._rng(seed, trial)))
+    inputs = list(all_inputs(program))
+    w0 = np.asarray(spanprog.minimal_witness(program).w0)
+    for build in (oracle.build_U, oracle.build_Uprime):
+        stack = np.stack([build(program, x).matrix for x in inputs])
+        decs = decompose_orthogonals(stack)
+        assert len(decs) == len(inputs)
+        assert all(same_decomposition(dec, decompose_orthogonal(mat))
+                   for mat, dec in zip(stack, decs))
+        # overlaps reads every cluster from one product with the side-by-side
+        # basis; summed cluster by cluster, each weight of at most 8 squares
+        # may round apart by a few ulps of ||w0||^2
+        for dec in decs:
+            phases, weights = dec.overlaps(w0)
+            alone = [float(np.sum(np.square(cl.basis.T @ w0))) for cl in dec.clusters]
+            assert phases.tolist() == [cl.theta for cl in dec.clusters]
+            assert np.max(np.abs(weights - alone)) <= 8 * np.finfo(float).eps * float(w0 @ w0)
+
+
+def test_a_stack_decomposes_the_identity_and_a_minus_one_eigenspace_as_alone():
+    # the identity and a -1 eigenspace have real eigenvalues only, beside
+    # members with conjugate pairs; an empty stack decomposes to nothing
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal(4)
+    householder = np.eye(4) - 2.0 * np.outer(v, v) / (v @ v)
+    turn = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    stack = np.stack([np.eye(4), -householder, householder, turn])
+    decs = decompose_orthogonals(stack)
+    assert all(same_decomposition(dec, decompose_orthogonal(mat))
+               for mat, dec in zip(stack, decs, strict=True))
+    assert [(cl.theta, cl.dim) for cl in decs[0].clusters] == [(0.0, 4)]
+    assert [(cl.theta, cl.dim) for cl in decs[1].clusters] == [(0.0, 1), (math.pi, 3)]
+    assert [(cl.theta, cl.dim) for cl in decs[2].clusters] == [(0.0, 3), (math.pi, 1)]
+    assert any(0.0 < cl.theta < math.pi for cl in decs[3].clusters)
+    assert decompose_orthogonals(np.zeros((0, 4, 4))) == []
+    # a member that is not orthogonal refuses the whole stack
+    stack[2, 0, 1] += 1e-3
+    with pytest.raises(ValueError, match="matrix 2 of the stack is not orthogonal"):
+        decompose_orthogonals(stack)
+
+
 @pytest.mark.parametrize("seed, trial", [(0, 0), (0, 1), (1, 10), (3, 35)])
 def test_each_unitary_is_decomposed_once(monkeypatch, seed, trial):
-    # a spectral trial decomposes U and U' once per input, and the raw
-    # lemma's reflection product once; a kappa trial decomposes nothing; a
-    # szegedy trial decomposes its reflection product once, and -U not at all
-    calls = []
+    # a spectral trial decomposes U and U' once per input, each set in one
+    # stacked call, and the raw lemma's reflection product in a third; a
+    # kappa trial decomposes nothing; a szegedy trial decomposes its
+    # reflection product once, and -U not at all
+    stacks = []
 
-    def counted(u_mat):
-        calls.append(u_mat.shape)
-        return decompose_orthogonal(u_mat)
+    def counted(stack):
+        stacks.append(len(stack))
+        return decompose_orthogonals(stack)
 
-    monkeypatch.setattr(verify, "decompose_orthogonal", counted)
-    monkeypatch.setattr(oracle, "decompose_orthogonal", counted)
+    monkeypatch.setattr(verify, "decompose_orthogonals", counted)
+    monkeypatch.setattr(oracle, "decompose_orthogonals", counted)
     inputs = len(list(all_inputs(random_span_program(verify._rng(seed, trial)))))
-    for trial_fn, expected in ((verify._spectral_trial, 2 * inputs + 1),
-                               (verify._kappa_trial, 0)):
-        calls.clear()
+    for trial_fn, matrices, calls in ((verify._spectral_trial, 2 * inputs + 1, 2 + 1),
+                                      (verify._kappa_trial, 0, 0)):
+        stacks.clear()
         trial_fn(seed, trial, DEFAULT_TOLS)
-        assert len(calls) == expected
-    calls.clear()
+        assert sum(stacks) == matrices
+        assert len(stacks) == calls
+    stacks.clear()
     verify._szegedy_trial(seed, trial, 8, DEFAULT_TOLS)
-    assert len(calls) == 1
+    assert sum(stacks) == 1
 
 
 @pytest.mark.parametrize("seed, trial", PER_CALL_PAIRS)
